@@ -228,4 +228,12 @@ grep -q '"schema": "perf-smoke-scenario/v1"' /tmp/bench_pr10_ci.json \
 grep -q '"mixed_vs_constant_ratio"' /tmp/bench_pr10_ci.json \
   || { echo "ci: scenario perf-smoke recorded no mixed/constant ratio" >&2; exit 1; }
 
+# benchmark gate: a traced quick run of the varcoef workload. Its kernel
+# probe looks the `generic_coeff` stage up by `impl_tag == Generic` plus a
+# coefficient tap and panics when there is none, so re-tagging coefficient
+# stages (or a traced run that no longer reconciles) fails here.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  run --workload varcoef2d_solve --traced --quick >/dev/null \
+  || { echo "ci: traced varcoef2d_solve benchmark run failed" >&2; exit 1; }
+
 echo "ci: all green"

@@ -11,6 +11,15 @@
 //! sampling, wide shapes, high arity — keeps [`KernelImpl::Generic`] and
 //! runs through the existing generic/interpreter paths.
 //!
+//! Stages whose taps carry a coefficient-grid factor (`Tap::cfactor`, the
+//! variable-coefficient operators) also keep the family tag `Generic`:
+//! no family describes a run-time weight, and the tag is what the lane
+//! tiers and the benchmark's kernel probe key on. Below the tag they are
+//! not second-class — the runtime's generic row dispatches the same
+//! const-arity scalar row body for them as for plain taps, with the weight
+//! read per point; its run-time tap loop remains only as the fallback for
+//! arities outside the table and strided rows.
+//!
 //! The specialized kernels accumulate taps in exactly the order the generic
 //! loop does, so enabling specialization never changes results (bitwise).
 
@@ -245,8 +254,8 @@ pub fn classify(kernel: &StageKernel, ndims: usize) -> KernelImpl {
             return KernelImpl::Generic;
         }
         for tap in &form.taps {
-            // variable-coefficient taps only run on the generic tap loop:
-            // no specialized family evaluates a run-time factor.
+            // variable-coefficient taps keep the generic tag (see the
+            // module doc): no specialized family describes a run-time factor.
             if tap.cfactor.is_some() {
                 return KernelImpl::Generic;
             }

@@ -6,15 +6,20 @@
 //! (origin = the tile's alloc box corner). All coordinates are global grid
 //! indices, so tap addressing is uniform regardless of where values live.
 //!
-//! Linear cases run through a unit-stride fast path (per-row slices with an
-//! unrolled tap loop for up to 9 taps) or a generic strided path
-//! (restriction's stride-2 reads, interpolation's half-index reads).
-//! Non-linear cases are evaluated by the expression interpreter.
+//! Linear cases run row by row. Every scalar row is one body (`row_body`)
+//! whose tap arity is a compile-time constant and whose tap weights are
+//! either literal coefficients or `coeff · a[i]` read from a coefficient
+//! row (variable-coefficient operators) — so plain and coefficient stages,
+//! specialized or not, share the code that gets optimised. A run-time loop
+//! (`dyn_row`) remains for arities outside the 1..=28 table and for
+//! strided rows under the generic tag (restriction's stride-2 reads,
+//! interpolation's half-index reads). Non-linear cases are evaluated by the
+//! expression interpreter.
 
 // Index-based loops here mirror the math (multi-slice stencil updates); clippy prefers iterators but the indices are the clearer notation.
 #![allow(clippy::needless_range_loop)]
 
-use gmg_ir::{Expr, Operand, Parity, ParityPattern};
+use gmg_ir::{Access, CoeffRead, Expr, LinearForm, Operand, Parity, ParityPattern};
 use gmg_poly::{div_floor, BoxDomain};
 use polymg::{KernelBody, KernelImpl, KernelSel, KernelTier, StageKernel};
 
@@ -135,42 +140,13 @@ impl<'a> KernelOut<'a> {
     }
 }
 
-/// Execute every case of `kernel` over `region` into a dense window.
+/// Execute every case of `kernel` over `region` into a dense window, under
+/// a kernel selection (family + tier + block; [`KernelSel::generic`] is the
+/// always-correct default).
 ///
 /// `slot_boundary[k]` is the ghost/boundary value of slot `k`'s producer
 /// (reads outside a producer's view resolve to it — only the interpreter
 /// path can take that branch; linear taps are in-view by construction).
-pub fn execute_stage(
-    kernel: &StageKernel,
-    region: &BoxDomain,
-    out: &mut SpaceMut<'_>,
-    ins: &[KernelInput<'_>],
-    slot_boundary: &[f64],
-) {
-    execute_stage_impl(KernelImpl::Generic, kernel, region, out, ins, slot_boundary);
-}
-
-/// [`execute_stage`] with an explicit specialized-kernel selection (the
-/// `StageExec::impl_tag` chosen at schedule lowering), at the scalar tier.
-pub fn execute_stage_impl(
-    impl_tag: KernelImpl,
-    kernel: &StageKernel,
-    region: &BoxDomain,
-    out: &mut SpaceMut<'_>,
-    ins: &[KernelInput<'_>],
-    slot_boundary: &[f64],
-) {
-    execute_stage_sel(
-        KernelSel::scalar(impl_tag),
-        kernel,
-        region,
-        out,
-        ins,
-        slot_boundary,
-    );
-}
-
-/// [`execute_stage`] with a full kernel selection (family + tier + block).
 pub fn execute_stage_sel(
     sel: KernelSel,
     kernel: &StageKernel,
@@ -187,39 +163,7 @@ pub fn execute_stage_sel(
     execute_stage_out_sel(sel, kernel, region, dense, ins, slot_boundary);
 }
 
-/// Execute every case of `kernel` over `region` into any [`KernelOut`].
-pub fn execute_stage_out(
-    kernel: &StageKernel,
-    region: &BoxDomain,
-    out: KernelOut<'_>,
-    ins: &[KernelInput<'_>],
-    slot_boundary: &[f64],
-) {
-    execute_stage_out_sel(KernelSel::generic(), kernel, region, out, ins, slot_boundary);
-}
-
-/// [`execute_stage_out`] with an explicit specialized-kernel family, at the
-/// scalar tier (the PR-3 entry point, kept for differential tests and
-/// callers that pre-date tiers).
-pub fn execute_stage_out_impl(
-    impl_tag: KernelImpl,
-    kernel: &StageKernel,
-    region: &BoxDomain,
-    out: KernelOut<'_>,
-    ins: &[KernelInput<'_>],
-    slot_boundary: &[f64],
-) {
-    execute_stage_out_sel(
-        KernelSel::scalar(impl_tag),
-        kernel,
-        region,
-        out,
-        ins,
-        slot_boundary,
-    );
-}
-
-/// [`execute_stage_out`] with a full kernel selection.
+/// [`execute_stage_sel`] into any [`KernelOut`].
 ///
 /// A non-[`Generic`](KernelImpl::Generic) family routes each linear case to
 /// a dedicated row kernel whose tap arity is a compile-time constant —
@@ -228,7 +172,9 @@ pub fn execute_stage_out_impl(
 /// provided the case's arity has a specialized instance; anything else
 /// (interpreted cases, arities above the tables) falls back to the generic
 /// [`run_row`] and is counted in the histograms' `generic`/`scalar`
-/// buckets. The scalar and lane-safe tiers accumulate each output point's
+/// buckets. Stages with coefficient taps are tagged `Generic` and reach the
+/// same const-arity body through `run_row`.
+/// The scalar and lane-safe tiers accumulate each output point's
 /// taps in the generic order, so their results are bitwise identical to the
 /// generic path; only the fast-math tier reassociates.
 pub fn execute_stage_out_sel(
@@ -255,7 +201,11 @@ pub fn execute_stage_out_sel(
                 } else {
                     None
                 };
-                let bucket = if row.is_some() { sel.impl_tag.index() } else { 0 };
+                let bucket = if row.is_some() {
+                    sel.impl_tag.index()
+                } else {
+                    0
+                };
                 let tier = if row.is_some() { sel.tier.index() } else { 0 };
                 gmg_trace::dispatch::record_impl(bucket, 1);
                 gmg_trace::dispatch::record_tier(tier, 1);
@@ -281,48 +231,37 @@ pub fn execute_stage_out_sel(
     }
 }
 
-/// Runtime addressing of a tap's coefficient-grid factor: the effective
-/// weight at inner-loop index `k` is `coeff · data[base + k·slope]`.
-/// Row-advance deltas are carried inline so the sweep loops can advance the
-/// factor base alongside the tap base.
-#[derive(Clone, Copy)]
-struct CfTap<'a> {
-    data: &'a [f64],
-    base: usize,
-    slope: usize,
-    /// Base increment per row advance (innermost outer dimension).
-    dy: usize,
-    /// 3-D only: base correction applied at each plane wrap.
-    dz_wrap: i64,
-}
-
-/// Per-tap runtime addressing: value at inner-loop index `k` is
-/// `data[base + k·slope]`, weighted by `coeff` (times the coefficient-grid
-/// factor when `cfac` is set — the variable-coefficient path).
+/// A row cursor: the value at inner-loop index `k` is `data[base + k·slope]`.
+/// A linear case carries one per tap, in lowered order, followed by one per
+/// distinct coefficient row ([`case_cursors`]); the sweep loops advance them
+/// all alike. A tap's weight is `coeff`, or `coeff · a[k]` when `cf` names
+/// the coefficient row `a` it is scaled by (`coeff` and `cf` are unused on
+/// the coefficient rows themselves).
 struct RtTap<'a> {
     data: &'a [f64],
     base: usize,
     slope: usize,
     coeff: f64,
-    cfac: Option<CfTap<'a>>,
+    /// Index into the case's coefficient rows.
+    cf: Option<usize>,
 }
 
 impl<'a> RtTap<'a> {
-    /// The effective weight at inner-loop index `k`.
     #[inline(always)]
-    fn weight(&self, k: usize) -> f64 {
-        match &self.cfac {
-            // `coeff · 1.0 == coeff` bitwise, so a ones grid reproduces the
-            // constant-coefficient accumulation exactly.
-            Some(cf) => self.coeff * cf.data[cf.base + k * cf.slope],
-            None => self.coeff,
-        }
+    fn at(&self, k: usize) -> f64 {
+        self.data[self.base + k * self.slope]
+    }
+
+    /// The first `count` values of a unit-stride row.
+    #[inline(always)]
+    fn unit(&self, count: usize) -> &'a [f64] {
+        &self.data[self.base..self.base + count]
     }
 }
 
 /// Row base index (everything except the innermost dim) of an access into
 /// `input` for outer coordinates `outer` (length = rank-1).
-fn tap_row_base(access: &gmg_ir::Access, input: &Space<'_>, outer: &[i64]) -> usize {
+fn tap_row_base(access: &Access, input: &Space<'_>, outer: &[i64]) -> usize {
     let nd = input.origin.len();
     debug_assert_eq!(outer.len(), nd - 1);
     let mut idx: i64 = 0;
@@ -351,7 +290,7 @@ fn axis_coord_delta(a: &gmg_ir::expr::AxisAccess, step: i64) -> i64 {
 }
 
 /// Innermost-dim base and slope for an access given the x start and step.
-fn tap_x_base_slope(access: &gmg_ir::Access, input: &Space<'_>, x0: i64, sx: i64) -> (usize, usize) {
+fn tap_x_base_slope(access: &Access, input: &Space<'_>, x0: i64, sx: i64) -> (usize, usize) {
     let nd = input.origin.len();
     let a = access.0[nd - 1];
     let first = div_floor(a.num * x0 + a.off, a.den) - input.origin[nd - 1];
@@ -365,21 +304,9 @@ fn tap_x_base_slope(access: &gmg_ir::Access, input: &Space<'_>, x0: i64, sx: i64
     (first as usize, slope)
 }
 
-/// Which [`run_row`] code path a kernel case with these taps will take.
-/// Mirrors the dispatch conditions in `run_row` exactly; evaluated once per
-/// case execution (not per row) to feed the `gmg_trace::dispatch` histogram.
-fn dispatch_kind(out_slope: usize, taps: &[RtTap<'_>]) -> gmg_trace::dispatch::Kind {
-    use gmg_trace::dispatch::Kind;
-    if taps.iter().any(|t| t.cfac.is_some()) {
-        return Kind::VarCoef;
-    }
-    if out_slope != 1 || taps.iter().any(|t| t.slope != 1) {
-        return Kind::Strided;
-    }
-    if taps.len() <= 28 {
-        return Kind::UnitUnrolled;
-    }
-    let mut nspans = 0usize;
+/// Runs of adjacent equal-coefficient taps, as `(coeff, from, to)`.
+fn coeff_spans(taps: &[RtTap<'_>]) -> Vec<(f64, usize, usize)> {
+    let mut spans = Vec::new();
     let mut j = 0;
     while j < taps.len() {
         let c = taps[j].coeff;
@@ -387,10 +314,28 @@ fn dispatch_kind(out_slope: usize, taps: &[RtTap<'_>]) -> gmg_trace::dispatch::K
         while k < taps.len() && taps[k].coeff == c {
             k += 1;
         }
-        nspans += 1;
+        spans.push((c, j, k));
         j = k;
     }
-    if nspans * 2 <= taps.len() {
+    spans
+}
+
+/// Which [`run_row`] code path a kernel case with these taps will take.
+/// Mirrors the dispatch conditions in `run_row`; evaluated once per case
+/// execution (not per row) to feed the `gmg_trace::dispatch` histogram.
+fn dispatch_kind(
+    out_slope: usize,
+    taps: &[RtTap<'_>],
+    crows: &[RtTap<'_>],
+) -> gmg_trace::dispatch::Kind {
+    use gmg_trace::dispatch::Kind;
+    if !crows.is_empty() {
+        Kind::VarCoef
+    } else if out_slope != 1 || taps.iter().any(|t| t.slope != 1) {
+        Kind::Strided
+    } else if taps.len() <= 28 {
+        Kind::UnitUnrolled
+    } else if coeff_spans(taps).len() * 2 <= taps.len() {
         Kind::UnitFactored
     } else {
         Kind::UnitFallback
@@ -398,57 +343,85 @@ fn dispatch_kind(out_slope: usize, taps: &[RtTap<'_>]) -> gmg_trace::dispatch::K
 }
 
 /// The row-kernel signature shared by the generic [`run_row`] and the
-/// specialized [`spec_row`] instances: write `count` outputs spaced
-/// `out_slope` apart from `bias` plus the tap sums.
-type RowFn = for<'a, 'b, 'c> fn(&'a mut [f64], usize, usize, f64, &'b [RtTap<'c>]);
+/// const-arity instances: write `count` outputs spaced `out_slope` apart
+/// from `bias` plus the sums over `taps`, whose `cf` indices refer to the
+/// coefficient rows `crows`.
+type RowFn = for<'a, 'b, 'c> fn(&'a mut [f64], usize, usize, f64, &'b [RtTap<'c>], &'b [RtTap<'c>]);
 
-/// Specialized row kernel with the tap arity `K` fixed at compile time —
-/// the "dedicated unrolled kernel" a non-generic `KernelImpl` dispatches
-/// to. Both paths visit taps in exactly the order [`run_row`] does (the
-/// unit path mirrors its `fixed!` loops, the strided path its per-tap
-/// loop), keeping specialization bitwise-transparent; the constant arity
-/// lets LLVM keep every row pointer and coefficient in registers and
-/// vectorize the inner loop without runtime tap-count checks.
+/// The scalar row body, with the tap arity `K` fixed at compile time and
+/// generic over where each tap's weight and value come from. Per output
+/// point: `acc = bias`, then for each tap in lowered order
+/// `acc += weight · value` — the weight (`coeff`, or `coeff · a[i]` for a
+/// coefficient tap) is formed first, then multiplied by the value, then
+/// added; never `a[i] · Σ`, never an FMA. Every scalar row is this chain,
+/// so specialization and coefficient grids are bitwise-transparent (with
+/// `a ≡ 1`, `coeff · 1.0 == coeff`); the constant arity lets LLVM keep row
+/// pointers and coefficients in registers and vectorize across points.
+#[inline(always)]
+fn row_body<const K: usize>(
+    out_row: &mut [f64],
+    out_slope: usize,
+    count: usize,
+    bias: f64,
+    weight: impl Fn(usize, usize) -> f64,
+    value: impl Fn(usize, usize) -> f64,
+) {
+    for i in 0..count {
+        let mut acc = bias;
+        for j in 0..K {
+            acc += weight(j, i) * value(j, i);
+        }
+        out_row[i * out_slope] = acc;
+    }
+}
+
+/// The const-arity scalar row kernel: [`row_body`] over unit-stride plain
+/// rows, unit-stride rows with coefficient taps, and strided plain rows
+/// (restrict / interp reads).
 fn spec_row<const K: usize>(
     out_row: &mut [f64],
     out_slope: usize,
     count: usize,
     bias: f64,
     taps: &[RtTap<'_>],
+    crows: &[RtTap<'_>],
 ) {
     debug_assert_eq!(taps.len(), K);
-    // the classifier refuses variable-coefficient stages, so specialized
-    // kernels never see a coefficient factor
-    debug_assert!(taps.iter().all(|t| t.cfac.is_none()));
-    if out_slope == 1 && taps.iter().all(|t| t.slope == 1) {
-        let out_row = &mut out_row[..count];
-        let mut rows: [&[f64]; K] = [&[]; K];
-        let mut coeff = [0.0f64; K];
-        for (j, t) in taps.iter().enumerate() {
-            rows[j] = &t.data[t.base..t.base + count];
-            coeff[j] = t.coeff;
-        }
-        for i in 0..count {
-            let mut acc = bias;
-            for j in 0..K {
-                acc += coeff[j] * rows[j][i];
-            }
-            out_row[i] = acc;
-        }
-        return;
+    if out_slope != 1 || taps.iter().any(|t| t.slope != 1) {
+        // no family with strided reads carries coefficient taps, and
+        // `run_row` keeps strided coefficient rows on `dyn_row`
+        debug_assert!(crows.is_empty());
+        let weight = |j: usize, _| taps[j].coeff;
+        return row_body::<K>(out_row, out_slope, count, bias, weight, |j, k| {
+            taps[j].at(k)
+        });
     }
-    // strided (restrict / interp): arity still unrolled
-    for k in 0..count {
-        let mut acc = bias;
-        for j in 0..K {
-            let t = &taps[j];
-            acc += t.coeff * t.data[t.base + k * t.slope];
-        }
-        out_row[k * out_slope] = acc;
+    debug_assert!(crows.iter().all(|c| c.slope == 1));
+    let out_row = &mut out_row[..count];
+    let rows: [&[f64]; K] = std::array::from_fn(|j| taps[j].unit(count));
+    let coeff: [f64; K] = std::array::from_fn(|j| taps[j].coeff);
+    let value = |j: usize, i: usize| rows[j][i];
+    if crows.is_empty() {
+        return row_body::<K>(out_row, 1, count, bias, |j, _| coeff[j], value);
     }
+    // The weight is selected per tap inside the unrolled loop, so plain and
+    // coefficient taps keep their lowered order. A plain tap's `a` row is
+    // its own value row: loaded, never selected.
+    let scaled: [bool; K] = std::array::from_fn(|j| taps[j].cf.is_some());
+    let a: [&[f64]; K] =
+        std::array::from_fn(|j| taps[j].cf.map_or(rows[j], |c| crows[c].unit(count)));
+    let weight = |j: usize, i: usize| {
+        let w = coeff[j] * a[j][i];
+        if scaled[j] {
+            w
+        } else {
+            coeff[j]
+        }
+    };
+    row_body::<K>(out_row, 1, count, bias, weight, value);
 }
 
-/// The specialized row kernel for a tap arity, if one is instantiated.
+/// The const-arity row kernel for a tap arity, if one is instantiated.
 /// The table stops at `polymg::specialize::MAX_SPEC_TAPS` (= 28) — beyond
 /// that the generic path may choose coefficient factoring, which sums in a
 /// different order, so the classifier never tags such kernels anyway.
@@ -896,6 +869,7 @@ fn lane_row<const K: usize>(
     count: usize,
     bias: f64,
     taps: &[RtTap<'_>],
+    crows: &[RtTap<'_>],
 ) {
     debug_assert_eq!(taps.len(), K);
     if out_slope == 1 && taps.iter().all(|t| t.slope == 1) {
@@ -903,7 +877,7 @@ fn lane_row<const K: usize>(
         let mut rows: [&[f64]; K] = [&[]; K];
         let mut coeff = [0.0f64; K];
         for (j, t) in taps.iter().enumerate() {
-            rows[j] = &t.data[t.base..t.base + count];
+            rows[j] = t.unit(count);
             coeff[j] = t.coeff;
         }
         match isa() {
@@ -915,7 +889,7 @@ fn lane_row<const K: usize>(
         }
         return;
     }
-    spec_row::<K>(out_row, out_slope, count, bias, taps)
+    spec_row::<K>(out_row, out_slope, count, bias, taps, crows)
 }
 
 /// Reassociating SIMD row kernel (the [`KernelTier::FastMath`] dispatch
@@ -928,6 +902,7 @@ fn fast_row<const K: usize>(
     count: usize,
     bias: f64,
     taps: &[RtTap<'_>],
+    crows: &[RtTap<'_>],
 ) {
     debug_assert_eq!(taps.len(), K);
     if out_slope == 1 && taps.iter().all(|t| t.slope == 1) {
@@ -935,7 +910,7 @@ fn fast_row<const K: usize>(
         let mut rows: [&[f64]; K] = [&[]; K];
         let mut coeff = [0.0f64; K];
         for (j, t) in taps.iter().enumerate() {
-            rows[j] = &t.data[t.base..t.base + count];
+            rows[j] = t.unit(count);
             coeff[j] = t.coeff;
         }
         match isa() {
@@ -947,7 +922,7 @@ fn fast_row<const K: usize>(
         }
         return;
     }
-    spec_row::<K>(out_row, out_slope, count, bias, taps)
+    spec_row::<K>(out_row, out_slope, count, bias, taps, crows)
 }
 
 /// The lane-safe row kernel for a tap arity, if one is instantiated (same
@@ -977,138 +952,105 @@ fn fast_row_fn(arity: usize) -> Option<RowFn> {
     table!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28)
 }
 
-/// The innermost loop: `out[k·out_slope] = bias + Σ coeff·data[base+k·slope]`
-/// for `k` in `0..count`. Dispatches an unrolled unit-stride kernel when
-/// every stride is 1.
-fn run_row(out_row: &mut [f64], out_slope: usize, count: usize, bias: f64, taps: &[RtTap<'_>]) {
-    if taps.iter().any(|t| t.cfac.is_some()) {
-        // Variable-coefficient path: the effective weight of each tap is
-        // read from its coefficient grid per point. Taps are visited in the
-        // generic order with `coeff · cfac · value`, and constant taps use
-        // the plain `coeff` (RtTap::weight multiplies by nothing for them),
-        // so a ones coefficient grid is bitwise-identical to the
-        // constant-coefficient accumulation.
-        for k in 0..count {
-            let mut acc = bias;
-            for t in taps {
-                acc += t.weight(k) * t.data[t.base + k * t.slope];
-            }
-            out_row[k * out_slope] = acc;
+/// The generic row: `out[k·out_slope] = bias + Σ weight·data[base+k·slope]`
+/// for `k` in `0..count`. Unit-stride rows take the const-arity kernel of
+/// their arity, plain or coefficient-scaled alike.
+fn run_row(
+    out_row: &mut [f64],
+    out_slope: usize,
+    count: usize,
+    bias: f64,
+    taps: &[RtTap<'_>],
+    crows: &[RtTap<'_>],
+) {
+    if out_slope == 1 && taps.iter().chain(crows).all(|t| t.slope == 1) {
+        if let Some(row) = spec_row_fn(taps.len()) {
+            return row(out_row, 1, count, bias, taps, crows);
         }
-        return;
-    }
-    if out_slope == 1 && taps.iter().all(|t| t.slope == 1) {
-        let out_row = &mut out_row[..count];
         // Coefficient-factored path: when the lowering sorted taps by
         // coefficient (see `polymg::lowering`), adjacent equal-coefficient
         // runs are summed before the single multiply. Measured on this
-        // host, the const-generic unrolled loops below beat this for ≤28
-        // taps (LLVM keeps everything in registers), so the factored path
-        // only engages for stencils wider than the unroll dispatch, where
-        // the alternative is the slow per-tap fallback.
-        if taps.len() > 28 {
-            let mut spans: Vec<(f64, usize, usize)> = Vec::new();
-            let mut j = 0;
-            while j < taps.len() {
-                let c = taps[j].coeff;
-                let mut k = j + 1;
-                while k < taps.len() && taps[k].coeff == c {
-                    k += 1;
-                }
-                spans.push((c, j, k));
-                j = k;
-            }
-            if spans.len() * 2 <= taps.len() {
-                let rows: Vec<&[f64]> = taps
-                    .iter()
-                    .map(|t| &t.data[t.base..t.base + count])
-                    .collect();
-                for (i, out) in out_row.iter_mut().enumerate() {
-                    let mut acc = bias;
-                    for &(c, a, b) in &spans {
-                        let mut s = 0.0;
-                        for r in &rows[a..b] {
-                            s += r[i];
-                        }
-                        acc += c * s;
+        // host, the const-arity kernels beat this for ≤28 taps (LLVM keeps
+        // everything in registers), so it only engages for stencils wider
+        // than the table, where the alternative is the per-tap fallback.
+        let spans = crows.is_empty().then(|| coeff_spans(taps));
+        if let Some(spans) = spans.filter(|s| s.len() * 2 <= taps.len()) {
+            let rows: Vec<&[f64]> = taps.iter().map(|t| t.unit(count)).collect();
+            for (i, out) in out_row[..count].iter_mut().enumerate() {
+                let mut acc = bias;
+                for &(c, a, b) in &spans {
+                    let mut s = 0.0;
+                    for r in &rows[a..b] {
+                        s += r[i];
                     }
-                    *out = acc;
+                    acc += c * s;
                 }
-                return;
+                *out = acc;
             }
+            return;
         }
-        macro_rules! fixed {
-            ($k:literal) => {{
-                let mut rows: [&[f64]; $k] = [&[]; $k];
-                let mut coeff = [0.0f64; $k];
-                for (j, t) in taps.iter().enumerate() {
-                    rows[j] = &t.data[t.base..t.base + count];
-                    coeff[j] = t.coeff;
-                }
-                for i in 0..count {
-                    let mut acc = bias;
-                    for j in 0..$k {
-                        acc += coeff[j] * rows[j][i];
-                    }
-                    out_row[i] = acc;
-                }
-            }};
-        }
-        match taps.len() {
-            0 => out_row.fill(bias),
-            1 => fixed!(1),
-            2 => fixed!(2),
-            3 => fixed!(3),
-            4 => fixed!(4),
-            5 => fixed!(5),
-            6 => fixed!(6),
-            7 => fixed!(7),
-            8 => fixed!(8),
-            9 => fixed!(9),
-            10 => fixed!(10),
-            11 => fixed!(11),
-            12 => fixed!(12),
-            13 => fixed!(13),
-            14 => fixed!(14),
-            15 => fixed!(15),
-            16 => fixed!(16),
-            17 => fixed!(17),
-            18 => fixed!(18),
-            // 3-D class stencils (NAS resid/psinv land here)
-            19 => fixed!(19),
-            20 => fixed!(20),
-            21 => fixed!(21),
-            22 => fixed!(22),
-            23 => fixed!(23),
-            24 => fixed!(24),
-            25 => fixed!(25),
-            26 => fixed!(26),
-            27 => fixed!(27),
-            28 => fixed!(28),
-            _ => {
-                for i in 0..count {
-                    let mut acc = bias;
-                    for t in taps {
-                        acc += t.coeff * t.data[t.base + i];
-                    }
-                    out_row[i] = acc;
-                }
-            }
-        }
-        return;
     }
-    // strided path (restrict / interp)
+    dyn_row(out_row, out_slope, count, bias, taps, crows)
+}
+
+/// The dynamic fallback, and the in-file reference for [`row_body`]: the
+/// same per-point chain with run-time arity and strides. Taken by arities
+/// outside the 1..=28 table and by strided rows (restrict / interp shapes,
+/// with or without coefficient taps).
+fn dyn_row(
+    out_row: &mut [f64],
+    out_slope: usize,
+    count: usize,
+    bias: f64,
+    taps: &[RtTap<'_>],
+    crows: &[RtTap<'_>],
+) {
     for k in 0..count {
         let mut acc = bias;
         for t in taps {
-            acc += t.coeff * t.data[t.base + k * t.slope];
+            let weight = match t.cf {
+                Some(c) => t.coeff * crows[c].at(k),
+                None => t.coeff,
+            };
+            acc += weight * t.at(k);
         }
         out_row[k * out_slope] = acc;
     }
 }
 
+/// The grid behind a linear tap's (or coefficient read's) input slot.
+fn grid<'a, 'b>(ins: &'b [KernelInput<'a>], slot: usize) -> &'b Space<'a> {
+    match &ins[slot] {
+        KernelInput::Grid(s) => s,
+        KernelInput::Zero => panic!("linear tap reads the zero grid (lowering bug)"),
+    }
+}
+
+/// The cursors a linear case needs, as `(slot, access, coeff, cf)`: its
+/// taps in lowered order, then one per *distinct* [`CoeffRead`] — the five
+/// taps of `a·(A v)` share one `A(0,0)` row — with each coefficient tap's
+/// `cf` indexing into that tail.
+fn case_cursors(form: &LinearForm) -> Vec<(usize, &Access, f64, Option<usize>)> {
+    let mut crows: Vec<&CoeffRead> = Vec::new();
+    let mut cursors: Vec<_> = form
+        .taps
+        .iter()
+        .map(|t| {
+            let cf = t.cfactor.as_ref().map(|c| {
+                crows.iter().position(|r| *r == c).unwrap_or_else(|| {
+                    crows.push(c);
+                    crows.len() - 1
+                })
+            });
+            (t.slot, &t.access, t.coeff, cf)
+        })
+        .collect();
+    cursors.extend(crows.iter().map(|c| (c.slot, &c.access, 1.0, None)));
+    cursors
+}
+
 fn linear_2d(
-    form: &gmg_ir::LinearForm,
+    form: &LinearForm,
     pattern: &ParityPattern,
     region: &BoxDomain,
     out: &mut KernelOut<'_>,
@@ -1127,48 +1069,28 @@ fn linear_2d(
     let out_rs = out.extent(1) as usize;
     let (oy, ox) = (out.origin(0), out.origin(1));
 
-    let inputs: Vec<&Space<'_>> = form
-        .taps
-        .iter()
-        .map(|t| match &ins[t.slot] {
-            KernelInput::Grid(s) => s,
-            KernelInput::Zero => panic!("linear tap reads the zero grid (lowering bug)"),
-        })
-        .collect();
-
-    // tap bases are affine in the row index: compute once, advance by a
+    // cursor bases are affine in the row index: compute once, advance by a
     // constant per row (no per-row allocation or division in steady state)
-    let mut taps: Vec<RtTap<'_>> = Vec::with_capacity(form.taps.len());
-    let mut deltas: Vec<usize> = Vec::with_capacity(form.taps.len());
-    for (t, s) in form.taps.iter().zip(&inputs) {
-        let row = tap_row_base(&t.access, s, &[y0]);
-        let (xb, slope) = tap_x_base_slope(&t.access, s, x0, sx);
-        deltas.push((axis_coord_delta(&t.access.0[0], sy) * s.extents[1]) as usize);
-        let cfac = t.cfactor.as_ref().map(|c| {
-            let cs = match &ins[c.slot] {
-                KernelInput::Grid(s) => s,
-                KernelInput::Zero => panic!("coefficient tap reads the zero grid (lowering bug)"),
-            };
-            let crow = tap_row_base(&c.access, cs, &[y0]);
-            let (cxb, cslope) = tap_x_base_slope(&c.access, cs, x0, sx);
-            CfTap {
-                data: cs.data,
-                base: crow + cxb,
-                slope: cslope,
-                dy: (axis_coord_delta(&c.access.0[0], sy) * cs.extents[1]) as usize,
-                dz_wrap: 0,
-            }
-        });
+    let arity = form.taps.len();
+    let cursors = case_cursors(form);
+    let mut taps: Vec<RtTap<'_>> = Vec::with_capacity(cursors.len());
+    let mut deltas: Vec<usize> = Vec::with_capacity(cursors.len());
+    for &(slot, access, coeff, cf) in &cursors {
+        let s = grid(ins, slot);
+        let row = tap_row_base(access, s, &[y0]);
+        let (xb, slope) = tap_x_base_slope(access, s, x0, sx);
+        deltas.push((axis_coord_delta(&access.0[0], sy) * s.extents[1]) as usize);
         taps.push(RtTap {
             data: s.data,
             base: row + xb,
             slope,
-            coeff: t.coeff,
-            cfac,
+            coeff,
+            cf,
         });
     }
 
-    gmg_trace::dispatch::record(dispatch_kind(sx as usize, &taps), 1);
+    let kind = dispatch_kind(sx as usize, &taps[..arity], &taps[arity..]);
+    gmg_trace::dispatch::record(kind, 1);
 
     let ob0 = (y0 - oy) as usize * out_rs + (x0 - ox) as usize;
     let out_delta = sy as usize * out_rs;
@@ -1185,25 +1107,23 @@ fn linear_2d(
             let mut btaps: Vec<RtTap<'_>> = taps
                 .iter()
                 .map(|t| RtTap {
-                    data: t.data,
                     base: t.base + start,
-                    slope: t.slope,
-                    coeff: t.coeff,
-                    cfac: t.cfac.map(|cf| CfTap {
-                        base: cf.base + start * cf.slope,
-                        ..cf
-                    }),
+                    ..*t
                 })
                 .collect();
             let mut y = y0;
             let mut ob = ob0 + start;
             while y <= region.0[0].hi {
-                row_fn(out.row_mut(ob, len), 1, len, form.bias, &btaps);
+                row_fn(
+                    out.row_mut(ob, len),
+                    1,
+                    len,
+                    form.bias,
+                    &btaps[..arity],
+                    &btaps[arity..],
+                );
                 for (t, d) in btaps.iter_mut().zip(&deltas) {
                     t.base += d;
-                    if let Some(cf) = t.cfac.as_mut() {
-                        cf.base += cf.dy;
-                    }
                 }
                 ob += out_delta;
                 y += sy;
@@ -1226,13 +1146,11 @@ fn linear_2d(
             sx as usize,
             count,
             form.bias,
-            &taps,
+            &taps[..arity],
+            &taps[arity..],
         );
         for (t, d) in taps.iter_mut().zip(&deltas) {
             t.base += d;
-            if let Some(cf) = t.cfac.as_mut() {
-                cf.base += cf.dy;
-            }
         }
         ob += out_delta;
         y += sy;
@@ -1240,7 +1158,7 @@ fn linear_2d(
 }
 
 fn linear_3d(
-    form: &gmg_ir::LinearForm,
+    form: &LinearForm,
     pattern: &ParityPattern,
     region: &BoxDomain,
     out: &mut KernelOut<'_>,
@@ -1263,19 +1181,12 @@ fn linear_3d(
     let out_ps = (out.extent(1) * out.extent(2)) as usize;
     let (oz, oy, ox) = (out.origin(0), out.origin(1), out.origin(2));
 
-    let inputs: Vec<&Space<'_>> = form
-        .taps
-        .iter()
-        .map(|t| match &ins[t.slot] {
-            KernelInput::Grid(s) => s,
-            KernelInput::Zero => panic!("linear tap reads the zero grid (lowering bug)"),
-        })
-        .collect();
-
-    // per-tap: base at (z0, y0), Δy increment, Δz increment (affine in both)
-    let mut taps: Vec<RtTap<'_>> = Vec::with_capacity(form.taps.len());
-    let mut dy: Vec<usize> = Vec::with_capacity(form.taps.len());
-    let mut dz_wrap: Vec<i64> = Vec::with_capacity(form.taps.len());
+    // per cursor: base at (z0, y0), Δy increment, Δz increment (affine in both)
+    let arity = form.taps.len();
+    let cursors = case_cursors(form);
+    let mut taps: Vec<RtTap<'_>> = Vec::with_capacity(cursors.len());
+    let mut dy: Vec<usize> = Vec::with_capacity(cursors.len());
+    let mut dz_wrap: Vec<i64> = Vec::with_capacity(cursors.len());
     let ny_rows = {
         let mut c = 0i64;
         let mut y = y0;
@@ -1285,44 +1196,29 @@ fn linear_3d(
         }
         c
     };
-    for (t, s) in form.taps.iter().zip(&inputs) {
-        let base = tap_row_base(&t.access, s, &[z0, y0]);
-        let (xb, slope) = tap_x_base_slope(&t.access, s, x0, sx);
+    for &(slot, access, coeff, cf) in &cursors {
+        let s = grid(ins, slot);
+        let base = tap_row_base(access, s, &[z0, y0]);
+        let (xb, slope) = tap_x_base_slope(access, s, x0, sx);
         let row_stride = s.extents[2];
         let plane_stride = s.extents[1] * s.extents[2];
-        let delta_y = axis_coord_delta(&t.access.0[1], sy) * row_stride;
-        let delta_z = axis_coord_delta(&t.access.0[0], sz) * plane_stride;
+        let delta_y = axis_coord_delta(&access.0[1], sy) * row_stride;
+        let delta_z = axis_coord_delta(&access.0[0], sz) * plane_stride;
         dy.push(delta_y as usize);
         // after ny_rows y-advances the base sits at base + ny_rows·Δy; wrap
         // to the next z-plane start with a (possibly negative) correction
         dz_wrap.push(delta_z - ny_rows * delta_y);
-        let cfac = t.cfactor.as_ref().map(|c| {
-            let cs = match &ins[c.slot] {
-                KernelInput::Grid(s) => s,
-                KernelInput::Zero => panic!("coefficient tap reads the zero grid (lowering bug)"),
-            };
-            let cbase = tap_row_base(&c.access, cs, &[z0, y0]);
-            let (cxb, cslope) = tap_x_base_slope(&c.access, cs, x0, sx);
-            let c_dy = axis_coord_delta(&c.access.0[1], sy) * cs.extents[2];
-            let c_dz = axis_coord_delta(&c.access.0[0], sz) * cs.extents[1] * cs.extents[2];
-            CfTap {
-                data: cs.data,
-                base: cbase + cxb,
-                slope: cslope,
-                dy: c_dy as usize,
-                dz_wrap: c_dz - ny_rows * c_dy,
-            }
-        });
         taps.push(RtTap {
             data: s.data,
             base: base + xb,
             slope,
-            coeff: t.coeff,
-            cfac,
+            coeff,
+            cf,
         });
     }
 
-    gmg_trace::dispatch::record(dispatch_kind(sx as usize, &taps), 1);
+    let kind = dispatch_kind(sx as usize, &taps[..arity], &taps[arity..]);
+    gmg_trace::dispatch::record(kind, 1);
 
     let ob0 = (z0 - oz) as usize * out_ps + (y0 - oy) as usize * out_rs + (x0 - ox) as usize;
 
@@ -1335,14 +1231,8 @@ fn linear_3d(
             let mut btaps: Vec<RtTap<'_>> = taps
                 .iter()
                 .map(|t| RtTap {
-                    data: t.data,
                     base: t.base + start,
-                    slope: t.slope,
-                    coeff: t.coeff,
-                    cfac: t.cfac.map(|cf| CfTap {
-                        base: cf.base + start * cf.slope,
-                        ..cf
-                    }),
+                    ..*t
                 })
                 .collect();
             let mut z = z0;
@@ -1351,21 +1241,22 @@ fn linear_3d(
                 let mut y = y0;
                 let mut ob = ob_z;
                 while y <= region.0[1].hi {
-                    row_fn(out.row_mut(ob, len), 1, len, form.bias, &btaps);
+                    row_fn(
+                        out.row_mut(ob, len),
+                        1,
+                        len,
+                        form.bias,
+                        &btaps[..arity],
+                        &btaps[arity..],
+                    );
                     for (t, d) in btaps.iter_mut().zip(&dy) {
                         t.base += d;
-                        if let Some(cf) = t.cfac.as_mut() {
-                            cf.base += cf.dy;
-                        }
                     }
                     ob += sy as usize * out_rs;
                     y += sy;
                 }
                 for (t, w) in btaps.iter_mut().zip(&dz_wrap) {
                     t.base = (t.base as i64 + w) as usize;
-                    if let Some(cf) = t.cfac.as_mut() {
-                        cf.base = (cf.base as i64 + cf.dz_wrap) as usize;
-                    }
                 }
                 ob_z += sz as usize * out_ps;
                 z += sz;
@@ -1391,22 +1282,17 @@ fn linear_3d(
                 sx as usize,
                 count,
                 form.bias,
-                &taps,
+                &taps[..arity],
+                &taps[arity..],
             );
             for (t, d) in taps.iter_mut().zip(&dy) {
                 t.base += d;
-                if let Some(cf) = t.cfac.as_mut() {
-                    cf.base += cf.dy;
-                }
             }
             ob += sy as usize * out_rs;
             y += sy;
         }
         for (t, w) in taps.iter_mut().zip(&dz_wrap) {
             t.base = (t.base as i64 + w) as usize;
-            if let Some(cf) = t.cfac.as_mut() {
-                cf.base = (cf.base as i64 + cf.dz_wrap) as usize;
-            }
         }
         ob_z += sz as usize * out_ps;
         z += sz;
@@ -1553,8 +1439,7 @@ pub fn copy_box(src: &Space<'_>, dst: &mut SpaceMut<'_>, region: &BoxDomain) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmg_ir::expr::{Access, AxisAccess};
-    use gmg_ir::{LinearForm, Tap};
+    use gmg_ir::{AxisAccess, Tap};
     use gmg_poly::Interval;
     use polymg::{KernelCase, StageKernel};
 
@@ -1615,7 +1500,7 @@ mod tests {
                 extents: &ext,
             };
             let ins = [KernelInput::Grid(space(&input, &origin, &ext))];
-            execute_stage(&k, &region, &mut out, &ins, &[0.0]);
+            execute_stage_sel(KernelSel::generic(), &k, &region, &mut out, &ins, &[0.0]);
         }
         for y in 1..=n {
             for x in 1..=n {
@@ -1648,7 +1533,7 @@ mod tests {
                 extents: &sext,
             };
             let ins = [KernelInput::Grid(space(&input, &iorigin, &iext))];
-            execute_stage(&k, &region, &mut out, &ins, &[0.0]);
+            execute_stage_sel(KernelSel::generic(), &k, &region, &mut out, &ins, &[0.0]);
         }
         // f(y,x) = 8y + x is linear → average = centre
         for y in 2..=4i64 {
@@ -1690,7 +1575,7 @@ mod tests {
                 extents: &oext,
             };
             let ins = [KernelInput::Grid(space(&input, &iorigin, &iext))];
-            execute_stage(&k, &region, &mut out, &ins, &[0.0]);
+            execute_stage_sel(KernelSel::generic(), &k, &region, &mut out, &ins, &[0.0]);
         }
         for y in 1..=4i64 {
             for x in 1..=4i64 {
@@ -1753,7 +1638,7 @@ mod tests {
                 extents: &oext,
             };
             let ins = [KernelInput::Grid(space(&input, &iorigin, &iext))];
-            execute_stage(&k, &region, &mut out, &ins, &[0.0]);
+            execute_stage_sel(KernelSel::generic(), &k, &region, &mut out, &ins, &[0.0]);
         }
         for y in 1..=5i64 {
             for x in 2..=9i64 {
@@ -1789,7 +1674,7 @@ mod tests {
                 extents: &ext,
             };
             let ins = [KernelInput::Grid(space(&input, &origin, &ext))];
-            execute_stage(k, &region, &mut out, &ins, &[0.0]);
+            execute_stage_sel(KernelSel::generic(), k, &region, &mut out, &ins, &[0.0]);
         }
         assert_eq!(a, b);
     }
@@ -1839,7 +1724,7 @@ mod tests {
                 extents: &ext,
             };
             let ins = [KernelInput::Grid(space(&input, &origin, &ext))];
-            execute_stage(&k, &region, &mut out, &ins, &[0.0]);
+            execute_stage_sel(KernelSel::generic(), &k, &region, &mut out, &ins, &[0.0]);
         }
         for z in 1..=n {
             for y in 1..=n {
@@ -1949,7 +1834,14 @@ mod tests {
             extents: &ext,
         };
         let ins = [KernelInput::Grid(space(&input, &origin, &ext))];
-        execute_stage(&k, &BoxDomain::empty(2), &mut out, &ins, &[0.0]);
+        execute_stage_sel(
+            KernelSel::generic(),
+            &k,
+            &BoxDomain::empty(2),
+            &mut out,
+            &ins,
+            &[0.0],
+        );
         assert!(outbuf.iter().all(|&v| v == 5.0));
     }
 
@@ -1998,7 +1890,7 @@ mod tests {
                     extents: &ext,
                 };
                 let ins = [KernelInput::Grid(space(&input, &origin, &ext))];
-                execute_stage_impl(tag, k, reg, &mut out, &ins, &[0.0]);
+                execute_stage_sel(KernelSel::scalar(tag), k, reg, &mut out, &ins, &[0.0]);
             }
             assert_eq!(generic, spec, "{tag:?} diverged from the generic path");
         }
@@ -2024,8 +1916,44 @@ mod tests {
             origin: &origin,
             extents: &ext,
         };
-        execute_stage(&k, &region, &mut out, &[], &[]);
+        execute_stage_sel(KernelSel::generic(), &k, &region, &mut out, &[], &[]);
         assert_eq!(outbuf[5], 3.5);
         assert_eq!(outbuf[0], 0.0);
+    }
+
+    #[test]
+    fn coeff_row_body_matches_dyn_row_bitwise() {
+        // the varcoef defect row `f − a·(A v)`: one plain tap, then five
+        // taps scaled by one shared coefficient row
+        let n = 37usize;
+        let field = |seed: usize, lo: f64| -> Vec<f64> {
+            (0..3 * (n + 2))
+                .map(|i| lo + ((i * 31 + seed * 17) % 23) as f64 * 0.043)
+                .collect()
+        };
+        let (v, f, a) = (field(1, -0.5), field(2, -0.5), field(3, 0.6));
+        let tap = |data, base, coeff, cf| RtTap {
+            data,
+            base,
+            slope: 1,
+            coeff,
+            cf,
+        };
+        let mid = n + 3; // row 1, x = 1
+        let taps = [
+            tap(&f, mid, 1.0, None),
+            tap(&v, mid, -4.0, Some(0)),
+            tap(&v, mid - 1, 1.0, Some(0)),
+            tap(&v, mid + 1, 1.0, Some(0)),
+            tap(&v, mid - (n + 2), 1.0, Some(0)),
+            tap(&v, mid + (n + 2), 1.0, Some(0)),
+        ];
+        let crows = [tap(&a, mid, 1.0, None)];
+        let (mut fast, mut reference) = (vec![0.0; n], vec![0.0; n]);
+        spec_row::<6>(&mut fast, 1, n, 0.25, &taps, &crows);
+        dyn_row(&mut reference, 1, n, 0.25, &taps, &crows);
+        assert!(reference.iter().all(|x| *x != 0.25), "taps contribute");
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast), bits(&reference));
     }
 }

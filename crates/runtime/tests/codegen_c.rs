@@ -12,6 +12,7 @@ use gmg_runtime::Engine;
 use polymg::{codegen, compile, PipelineOptions, Variant};
 use std::io::Write as _;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn have_cc() -> bool {
     Command::new("cc")
@@ -64,10 +65,65 @@ fn two_level(n: i64, nc: i64) -> Pipeline {
     p
 }
 
+/// [`two_level`] with the variable-coefficient operator `a(x)·(A v)` in the
+/// smoother step and the defect: every tap of those stages carries a
+/// coefficient factor read from the third input `A`.
+fn two_level_varcoef(n: i64, nc: i64) -> Pipeline {
+    let mut p = Pipeline::new("cgenvc");
+    let v = p.input("V", 2, n, 1);
+    let f = p.input("F", 2, n, 1);
+    let a = p.coeff_input("A", 2, n, 1);
+    let av = p.function(
+        "apply_a",
+        2,
+        n,
+        1,
+        Op::Func(a).at(&[0, 0]) * stencil_2d(Op::Func(v), &five(), 1.0),
+    );
+    let pre = p.function(
+        "pre",
+        2,
+        n,
+        1,
+        Op::Func(v).at(&[0, 0]) - 0.2 * (Op::Func(av).at(&[0, 0]) - Op::Func(f).at(&[0, 0])),
+    );
+    let d = p.function(
+        "defect",
+        2,
+        n,
+        1,
+        Op::Func(f).at(&[0, 0]) - Op::Func(a).at(&[0, 0]) * stencil_2d(Op::Func(pre), &five(), 1.0),
+    );
+    let r = p.restrict_fn(
+        "restrict",
+        2,
+        nc,
+        0,
+        restrict_full_weighting_2d(Op::Func(d)),
+    );
+    let e = p.interp_fn("interp", 2, n, 1, r);
+    let c = p.function(
+        "correct",
+        2,
+        n,
+        1,
+        Op::Func(pre).at(&[0, 0]) + Op::Func(e).at(&[0, 0]),
+    );
+    p.mark_output(c);
+    p
+}
+
 /// Compile the emitted C together with a main() that loads inputs from a
 /// binary file and writes the output grid; run it; return the output grid.
 fn run_c(c_src: &str, fn_name: &str, inputs: &[(&str, &[f64])], out_len: usize) -> Vec<f64> {
-    let dir = std::env::temp_dir().join(format!("polymg_cgen_{}", std::process::id()));
+    // one directory per call: the tests of this file run on parallel threads
+    // of one process, and each compiles, executes and reads back its own files
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "polymg_cgen_{}_{fn_name}_{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     let c_path = dir.join("gen.c");
     let bin_path = dir.join("gen.bin");
@@ -139,54 +195,68 @@ fn run_c(c_src: &str, fn_name: &str, inputs: &[(&str, &[f64])], out_len: usize) 
 
     let bytes = std::fs::read(&out_path).unwrap();
     assert_eq!(bytes.len(), out_len * 8);
+    let _ = std::fs::remove_dir_all(&dir);
     bytes
         .chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
         .collect()
 }
 
-fn check_variant(variant: Variant) {
+fn plan_of(p: &Pipeline, variant: Variant) -> polymg::CompiledPipeline {
+    let mut opts = PipelineOptions::for_variant(variant, 2);
+    opts.tile_sizes = vec![8, 16];
+    compile(p, &ParamBindings::new(), opts).unwrap()
+}
+
+/// Emit C for `p` (inputs `V`, `F` and, when `varcoef`, a non-constant
+/// positive `A`), run it, and compare the `correct` grid with the engine's.
+fn check(p: &Pipeline, varcoef: bool, variant: Variant) {
     if !have_cc() {
         eprintln!("no cc on PATH; skipping C codegen test");
         return;
     }
-    let n = 31i64;
-    let nc = 15i64;
-    let e = (n + 2) as usize;
-    let p = two_level(n, nc);
-    let mut opts = PipelineOptions::for_variant(variant, 2);
-    opts.tile_sizes = vec![8, 16];
-    let plan = compile(&p, &ParamBindings::new(), opts).unwrap();
+    let n = 31usize;
+    let e = n + 2;
+    let plan = plan_of(p, variant);
     let c_src = codegen::emit_c(&plan);
 
     // deterministic inputs
     let mut vin = vec![0.0; e * e];
     let mut fin = vec![0.0; e * e];
-    for y in 1..=n as usize {
-        for x in 1..=n as usize {
+    let mut ain = vec![0.0; e * e];
+    for y in 1..=n {
+        for x in 1..=n {
             vin[y * e + x] = ((y * 13 + x * 7) % 9) as f64 * 0.25 - 1.0;
             fin[y * e + x] = ((y * 5 + x * 11) % 7) as f64 * 0.5 - 1.5;
+            ain[y * e + x] = ((y * 3 + x * 5) % 11) as f64 * 0.05 + 0.75;
         }
+    }
+    let mut inputs: Vec<(&str, &[f64])> = vec![("V", &vin), ("F", &fin)];
+    if varcoef {
+        inputs.push(("A", &ain));
     }
 
     // engine result
     let mut engine = Engine::new(plan);
     let mut want = vec![0.0; e * e];
-    engine
-        .run(&[("V", &vin), ("F", &fin)], vec![("correct", &mut want)])
-        .unwrap();
+    engine.run(&inputs, vec![("correct", &mut want)]).unwrap();
 
     // generated-C result
-    let got = run_c(&c_src, "cgen", &[("V", &vin), ("F", &fin)], e * e);
+    let got = run_c(&c_src, p.name(), &inputs, e * e);
     let mut max = 0.0f64;
     for (a, b) in got.iter().zip(&want) {
         max = max.max((a - b).abs());
     }
     assert!(
         max < 1e-12,
-        "{}: generated C deviates from the engine by {max}",
+        "{} {}: generated C deviates from the engine by {max}",
+        p.name(),
         variant.label()
     );
+}
+
+fn check_variant(variant: Variant) {
+    check(&two_level(31, 15), false, variant);
 }
 
 #[test]
@@ -211,11 +281,7 @@ fn generated_c_matches_engine_dtile() {
 
 #[test]
 fn generated_c_has_figure8_shape() {
-    let p = two_level(31, 15);
-    let mut opts = PipelineOptions::for_variant(Variant::OptPlus, 2);
-    opts.tile_sizes = vec![8, 16];
-    let plan = compile(&p, &ParamBindings::new(), opts).unwrap();
-    let c = codegen::emit_c(&plan);
+    let c = codegen::emit_c(&plan_of(&two_level(31, 15), Variant::OptPlus));
     // the Figure 8 landmarks
     assert!(c.contains("pool_allocate"));
     assert!(c.contains("pool_deallocate"));
@@ -225,4 +291,19 @@ fn generated_c_has_figure8_shape() {
     assert!(c.contains("double _buf_"));
     assert!(c.contains("MAX(") && c.contains("MIN("));
     assert!(c.contains("void pipeline_cgen(double* V, double* F, double* correct)"));
+}
+
+#[test]
+fn generated_c_matches_engine_varcoef() {
+    let p = two_level_varcoef(31, 15);
+    check(&p, true, Variant::Naive);
+    check(&p, true, Variant::OptPlus);
+}
+
+#[test]
+fn generated_c_reads_the_coefficient_array() {
+    // the runtime's association, weight first: (coeff * A[..]) * V[..]
+    let c = codegen::emit_c(&plan_of(&two_level_varcoef(31, 15), Variant::Naive));
+    assert!(c.contains("double* V, double* F, double* A, double* correct)"));
+    assert!(c.contains("(4.0 * A[(i)*33 + j]) * V[(i)*33 + j]"), "{c}");
 }

@@ -15,18 +15,17 @@
 //! equality against the same interpreter twin.
 
 use gmg_ir::expr::{Access, AxisAccess, Expr, Operand};
-use gmg_ir::{LinearForm, Parity, ParityPattern, Tap};
+use gmg_ir::{CoeffRead, LinearForm, Parity, ParityPattern, Tap};
 use gmg_poly::{BoxDomain, Interval};
-use gmg_runtime::kernel::{
-    execute_stage, execute_stage_impl, execute_stage_sel, KernelInput, Space, SpaceMut,
-};
+use gmg_runtime::kernel::{execute_stage_sel, KernelInput, Space, SpaceMut};
 use polymg::specialize::classify;
 use polymg::{KernelBody, KernelCase, KernelImpl, KernelSel, KernelTier, StageKernel};
 use proptest::prelude::*;
 
 /// The interpreter twin of a linear kernel: the same cases, each rebuilt as
 /// `bias + c₀·read₀ + c₁·read₁ + …` so `Expr::eval_at`'s left-associated
-/// additions replay the tap loop's accumulation order exactly.
+/// additions replay the tap loop's accumulation order exactly. A coefficient
+/// tap becomes `(cⱼ·aⱼ)·readⱼ` — weight product first, like the row body.
 fn interpreter_twin(k: &StageKernel) -> StageKernel {
     StageKernel {
         cases: k
@@ -39,8 +38,11 @@ fn interpreter_twin(k: &StageKernel) -> StageKernel {
                 };
                 let mut expr = Expr::Const(form.bias);
                 for tap in &form.taps {
-                    expr = expr
-                        + Expr::Const(tap.coeff) * Operand::Slot(tap.slot).read(tap.access.clone());
+                    let mut weight = Expr::Const(tap.coeff);
+                    if let Some(c) = &tap.cfactor {
+                        weight = weight * Operand::Slot(c.slot).read(c.access.clone());
+                    }
+                    expr = expr + weight * Operand::Slot(tap.slot).read(tap.access.clone());
                 }
                 KernelCase {
                     pattern: case.pattern.clone(),
@@ -95,7 +97,14 @@ fn assert_twin_bitwise(
             origin: in_origin,
             extents: in_extents,
         })];
-        execute_stage_impl(tag, kernel, region, &mut out, &ins, &[boundary]);
+        execute_stage_sel(
+            KernelSel::scalar(tag),
+            kernel,
+            region,
+            &mut out,
+            &ins,
+            &[boundary],
+        );
     }
 
     let twin = interpreter_twin(kernel);
@@ -111,7 +120,14 @@ fn assert_twin_bitwise(
             origin: in_origin,
             extents: in_extents,
         })];
-        execute_stage(&twin, region, &mut out, &ins, &[boundary]);
+        execute_stage_sel(
+            KernelSel::generic(),
+            &twin,
+            region,
+            &mut out,
+            &ins,
+            &[boundary],
+        );
     }
 
     for (i, (a, b)) in spec_buf.iter().zip(&interp_buf).enumerate() {
@@ -343,5 +359,97 @@ proptest! {
             &kernel, KernelImpl::Interp, 2, &region,
             &[0, 0], &[coarse, coarse], &[0, 0], &[e, e], boundary, seed,
         )?;
+    }
+    /// Coefficient taps (`Tap::cfactor`, weight `coeff · a[i]`): plain and
+    /// coefficient taps mixed in random order over two coefficient grids, so
+    /// `CoeffRead`s come shared, distinct and off-centre, with every grid on
+    /// its own origin and ghost width and coefficients well away from 1.
+    /// Arities 1..=9 take the const-arity row body; arity 29 and every
+    /// stride-2 case take the dynamic fallback. All equal the interpreter
+    /// bit for bit.
+    #[test]
+    fn coeff_taps_match_interpreter(
+        three_d in proptest::bool::ANY,
+        stride2 in proptest::bool::ANY,
+        n in 3i64..8,
+        lo in -4i64..5,
+        ghosts in (1i64..4, 1i64..4, 1i64..4),
+        margin in 0i64..2,
+        pick in 0usize..10,
+        shape in proptest::collection::vec(
+            (0u8..4, -1i64..2, -1i64..2, -1i64..2, -1.0f64..1.0),
+            29,
+        ),
+        bias in -1.0f64..1.0,
+        seed in 0u64..1_000_000,
+    ) {
+        let nd = if three_d { 3 } else { 2 };
+        let arity = if pick == 0 { 29 } else { pick };
+        let axis = |off: i64| if stride2 { AxisAccess::down(off) } else { AxisAccess::offset(off) };
+        let access = |offs: &[i64]| Access(offs[3 - nd..].iter().map(|&o| axis(o)).collect());
+        let taps: Vec<Tap> = shape[..arity]
+            .iter()
+            .map(|&(kind, dz, dy, dx, coeff)| Tap {
+                slot: 0,
+                access: access(&[dz, dy, dx]),
+                coeff,
+                cfactor: match kind {
+                    0 => None,
+                    1 => Some(CoeffRead { slot: 1, access: access(&[0, 0, 0]) }),
+                    2 => Some(CoeffRead { slot: 1, access: access(&[0, -1, 1]) }),
+                    _ => Some(CoeffRead { slot: 2, access: access(&[0, 0, 0]) }),
+                },
+            })
+            .collect();
+        let kernel = StageKernel {
+            cases: vec![KernelCase {
+                pattern: ParityPattern::any(nd),
+                body: KernelBody::Linear(LinearForm { bias, taps }),
+            }],
+        };
+        let region = BoxDomain::new(vec![Interval::new(lo, lo + n - 1); nd]);
+
+        // slot k's grid: everything `m·[lo, lo+n-1] ± 1` reads, plus its own
+        // ghost width, filled with values (slot 0) or coefficients in
+        // [0.5, 1.5) (slots 1 and 2)
+        let m = if stride2 { 2 } else { 1 };
+        let grids: Vec<(Vec<i64>, Vec<i64>, Vec<f64>)> = [ghosts.0, ghosts.1, ghosts.2]
+            .iter()
+            .enumerate()
+            .map(|(k, &g)| {
+                let origin = vec![m * lo - g; nd];
+                let extents = vec![m * (n - 1) + 2 * g + 1; nd];
+                let mut data = vec![0.0; extents.iter().product::<i64>() as usize];
+                fill(seed + k as u64, &mut data);
+                if k > 0 {
+                    data.iter_mut().for_each(|v| *v += 1.0);
+                }
+                (origin, extents, data)
+            })
+            .collect();
+        let ins: Vec<KernelInput<'_>> = grids
+            .iter()
+            .map(|(origin, extents, data)| KernelInput::Grid(Space { data, origin, extents }))
+            .collect();
+
+        let out_origin = vec![lo - margin; nd];
+        let out_extents = vec![n + margin; nd];
+        let run = |k: &StageKernel| {
+            let mut buf = vec![0.0; out_extents.iter().product::<i64>() as usize];
+            let mut out = SpaceMut { data: &mut buf, origin: &out_origin, extents: &out_extents };
+            execute_stage_sel(KernelSel::generic(), k, &region, &mut out, &ins, &[0.0; 3]);
+            buf
+        };
+        let (got, want) = (run(&kernel), run(&interpreter_twin(&kernel)));
+        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "coefficient row diverged from the interpreter at flat index {} ({} vs {})",
+                i,
+                a,
+                b
+            );
+        }
     }
 }
