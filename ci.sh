@@ -46,23 +46,20 @@ cargo run --release -p gmg-bench --bin polymg-cli -- V-2D-4-4-4 --n 63 --fast-ma
 grep -q '"fast_math": [1-9]' /tmp/fastmath_profile_ci.json \
   || { echo "ci: --fast-math profile dispatched no fast-math kernels" >&2; exit 1; }
 
-# perf smoke: median ns/point across the kernel-tier trajectory (generic →
-# scalar-specialized → lane-safe SIMD → fast-math SIMD) on 2-D/3-D smoother
-# chains and V-cycles. Quick settings here (small grids, few repeats) — the
-# tier comparisons are recorded in the JSON, not asserted, so a loaded CI
-# host cannot hard-fail the build; the bitwise witness IS asserted (by the
-# binary and re-checked here). Regenerate the checked-in artifact with the
-# defaults: `perf-smoke -o BENCH_pr8.json`.
-cargo run --release -p gmg-bench --bin perf-smoke -- \
-  -o /tmp/bench_pr8_ci.json --n 63 --n3 31 --repeats 3
-grep -q '"schema": "perf-smoke/v2"' /tmp/bench_pr8_ci.json \
-  || { echo "ci: perf-smoke JSON carries no schema tag" >&2; exit 1; }
-grep -q '"median_ns_per_point"' /tmp/bench_pr8_ci.json \
-  || { echo "ci: perf-smoke wrote no benchmark rows" >&2; exit 1; }
-grep -q '"bitwise_default_ok": true' /tmp/bench_pr8_ci.json \
-  || { echo "ci: a default tier diverged bitwise from the generic interpreter" >&2; exit 1; }
-grep -q '"tier": "fast_math"' /tmp/bench_pr8_ci.json \
-  || { echo "ci: perf-smoke recorded no fast-math rows" >&2; exit 1; }
+# kernel-tier gate: a traced quick run of the kernel-dominated workload
+# records the scalar → lane-safe → fast-math trajectory as
+# `kernel.<family>.<tier>.ns_per_point`. The run exits non-zero when an
+# output is wrong or the traced layers do not reconcile; the timings are
+# recorded, not asserted, so a loaded CI host cannot hard-fail the build.
+# The tiers' bitwise witness is the proptest pair above and
+# `variant_equivalence`.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  run --workload smoother2d_dense --traced --quick --out /tmp/bench_kernel_ci.json >/dev/null \
+  || { echo "ci: traced smoother2d_dense benchmark run failed" >&2; exit 1; }
+for tier in scalar lane_safe fast_math; do
+  grep -q "\"kernel.stencil2d9.$tier.ns_per_point\"" /tmp/bench_kernel_ci.json \
+    || { echo "ci: traced run carries no kernel.stencil2d9.$tier row" >&2; exit 1; }
+done
 
 # serving gate (DESIGN.md §13): start the solve service on loopback, drive
 # it with the verifying load generator (every response checked bitwise

@@ -1,31 +1,21 @@
-//! `perf-smoke` — a fast CI guard for the execution backend: median
-//! ns/point of 2-D and 3-D smoother chains and full V-cycles, measured
-//! across the whole kernel-tier trajectory (generic interpreter →
-//! scalar-specialized → lane-safe SIMD → fast-math SIMD; DESIGN.md §16)
-//! and with 1 thread vs all host threads, written as `BENCH_pr8.json`.
+//! `perf-smoke` — three recording benchmarks that predate `benchmark/`
+//! (the kernel-tier trajectory this binary used to measure by default is
+//! now `kernel.<family>.<tier>.ns_per_point` of a traced `gmg-benchmark`
+//! run; `benchmark/README.md` maps the old `BENCH_pr8.json` rows).
 //!
 //! ```text
-//! perf-smoke [-o OUT.json] [--n N] [--n3 N] [--repeats R]
-//! perf-smoke --batch-out OUT.json     # sequential-vs-batched serving rows
-//! perf-smoke --tune-out OUT.json      # search-vs-sweep + tuned-vs-default rows
-//! perf-smoke --scenario-out OUT.json  # constant/varcoef/mixed-precision rows
+//! perf-smoke --batch-out OUT.json [--batch-n N]  # sequential-vs-batched serving rows
+//! perf-smoke --tune-out OUT.json [--n N] [--n3 N]  # search-vs-sweep + tuned-vs-default rows
+//! perf-smoke --scenario-out OUT.json [--n N]     # constant/varcoef/mixed-precision rows
 //! ```
 //!
-//! Expectations encoded by the output (checked by eye / downstream tooling,
-//! not asserted here so a loaded CI host cannot hard-fail the build):
-//! each tier ≤ the one before it, N-thread ≤ 1-thread (equal when the host
-//! has one core — the samples are then the same configuration). What *is*
-//! asserted: the default tiers (everything but fast-math) must agree
-//! bitwise with the generic interpreter — `bitwise_default_ok` in the JSON
-//! is witnessed, not assumed.
-//!
-//! `--batch-out` switches to the PR-6 serving benchmark instead: a
+//! `--batch-out` is the PR-6 serving benchmark: a
 //! one-worker in-process server answers the same 32 same-shape RHS first
 //! as 32 single `SOLVE` frames, then as `SOLVE_BATCH` frames of 4 and 8
 //! grids, every grid verified bitwise against an independent single-RHS
 //! reference. Rows carry grids/s and the batched:sequential ratio.
 //!
-//! `--scenario-out` switches to the PR-10 scenario benchmark: on one
+//! `--scenario-out` is the PR-10 scenario benchmark: on one
 //! smoother-dominated shape (heavy 8-8-8 Jacobi smoothing, the paper's
 //! star operator), each scenario row — constant-coefficient
 //! f64, variable-coefficient, and mixed-precision (f32 smoothing) — is run
@@ -35,7 +25,7 @@
 //! expectation is ≥ 1.15×, but a loaded CI host must not hard-fail the
 //! build on a timing).
 //!
-//! `--tune-out` switches to the PR-9 autotuning benchmark: (a) for each
+//! `--tune-out` is the PR-9 autotuning benchmark: (a) for each
 //! rank, the full §3.2.4 sweep is timed (memoized, min-of-3 real cycle
 //! timings) and the seeded evolutionary search runs against the *same*
 //! memoized evaluator under its 25% budget — the row records both optima
@@ -47,112 +37,11 @@
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use gmg_bench::runners::harness_tiles;
 use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
 use gmg_multigrid::solver::{setup_poisson, time_cycles, DslRunner};
 use gmg_server::protocol::{self, BatchSolveRequest, BatchSolveResponse, SolveRequest};
 use gmg_server::{start, ServerConfig};
 use polymg::{PipelineOptions, Variant};
-
-/// The tier trajectory the benchmark walks: label, then the
-/// (specialize, simd, fast_math) option triple that selects it.
-const TIERS: [(&str, bool, bool, bool); 4] = [
-    ("generic", false, true, false),
-    ("specialized", true, false, false),
-    ("simd", true, true, false),
-    ("fast_math", true, true, true),
-];
-
-struct Row {
-    bench: &'static str,
-    threads: usize,
-    tier: &'static str,
-    schedule: &'static str,
-    operator: &'static str,
-    median_ns_per_point: f64,
-    samples: usize,
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.total_cmp(b));
-    v[v.len() / 2]
-}
-
-fn build_runner(cfg: &MgConfig, threads: usize, tiled: bool, tier: (bool, bool, bool)) -> DslRunner {
-    // The smoother-chain rows run the untiled schedule: full-grid sweeps
-    // whose row length is the whole unit-stride extent, so the measurement
-    // is dominated by the row kernels the tier trajectory actually swaps.
-    // The V-cycle rows keep the tiled OptPlus pipeline — there the tier
-    // delta is diluted by scratch/halo traffic, which is the honest
-    // end-to-end picture.
-    let variant = if tiled { Variant::OptPlus } else { Variant::Naive };
-    let mut opts = PipelineOptions::for_variant(variant, cfg.ndims);
-    if tiled {
-        opts.tile_sizes = harness_tiles(cfg.ndims);
-    } else {
-        // Pooled + reused buffers for the untiled rows: without these each
-        // sweep writes a fresh multi-MB allocation (mmap + page-fault churn
-        // that swamps the kernels), and the ping-pong working set never
-        // becomes cache-resident.
-        opts.pooled_allocation = true;
-        opts.inter_group_reuse = true;
-    }
-    opts.threads = threads;
-    opts.specialize = tier.0;
-    opts.simd = tier.1;
-    opts.fast_math = tier.2;
-    DslRunner::new(cfg, opts, "perf-smoke").unwrap_or_else(|e| panic!("compile: {e:?}"))
-}
-
-/// Median ns/point per tier, interleaved sample-by-sample so slow drift of
-/// a shared host biases no tier. Each sample is the *minimum* of three
-/// back-to-back single-cycle timings, which filters out
-/// scheduler-preemption spikes. The first cycle of each runner doubles as
-/// warm-up (plan lowering, worker spawn, buffer-pool fill) and as the
-/// bitwise witness: every default tier must reproduce the generic
-/// interpreter's cycle exactly (only fast-math may reassociate).
-fn measure_tiers(
-    cfg: &MgConfig,
-    threads: usize,
-    tiled: bool,
-    repeats: usize,
-) -> ([(f64, usize); TIERS.len()], bool) {
-    let mut runners: Vec<DslRunner> = TIERS
-        .iter()
-        .map(|&(_, sp, simd, fm)| build_runner(cfg, threads, tiled, (sp, simd, fm)))
-        .collect();
-    let (v0, f, _) = setup_poisson(cfg);
-    let points = (cfg.n as f64).powi(cfg.ndims as i32);
-    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); TIERS.len()];
-    let mut warm_bits: Vec<Vec<u64>> = Vec::new();
-    for r in runners.iter_mut() {
-        let mut v = v0.clone();
-        time_cycles(r, &mut v, &f, 1); // warm-up + witness cycle
-        warm_bits.push(v.iter().map(|x| x.to_bits()).collect());
-    }
-    // generic, scalar-specialized and lane-safe SIMD are one equivalence
-    // class; fast-math (the last tier) is allowed to differ
-    let bitwise_ok = warm_bits[1..TIERS.len() - 1]
-        .iter()
-        .all(|b| *b == warm_bits[0]);
-    for _ in 0..repeats {
-        for (r, s) in runners.iter_mut().zip(&mut samples) {
-            let best = (0..3)
-                .map(|_| {
-                    let mut v = v0.clone();
-                    time_cycles(r, &mut v, &f, 1).as_nanos() as f64 / points
-                })
-                .fold(f64::INFINITY, f64::min);
-            s.push(best);
-        }
-    }
-    let mut out = [(0.0, 0); TIERS.len()];
-    for (o, s) in out.iter_mut().zip(samples) {
-        let n = s.len();
-        *o = (median(s), n);
-    }
-    (out, bitwise_ok)
-}
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
@@ -706,22 +595,18 @@ fn scenario_bench(out_path: &str, n: i64) {
 }
 
 fn main() {
+    let usage = "usage: perf-smoke --batch-out OUT.json [--batch-n N] | \
+                 --tune-out OUT.json [--n N] [--n3 N] | --scenario-out OUT.json [--n N]";
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_pr8.json".to_string();
     let mut batch_out: Option<String> = None;
     let mut tune_out: Option<String> = None;
     let mut scenario_out: Option<String> = None;
     let mut n: i64 = 127;
     let mut n3: i64 = 63;
     let mut batch_n: i64 = 31;
-    let mut repeats = 9usize;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "-o" => {
-                i += 1;
-                out_path = args[i].clone();
-            }
             "--batch-out" => {
                 i += 1;
                 batch_out = Some(args[i].clone());
@@ -746,17 +631,9 @@ fn main() {
                 i += 1;
                 n3 = args[i].parse().expect("--n3");
             }
-            "--repeats" => {
-                i += 1;
-                repeats = args[i].parse().expect("--repeats");
-            }
             other => {
                 eprintln!("unknown argument {other}");
-                eprintln!(
-                    "usage: perf-smoke [-o OUT.json] [--n N] [--n3 N] [--repeats R] \
-                     [--batch-out OUT.json [--batch-n N]] [--tune-out OUT.json] \
-                     [--scenario-out OUT.json]"
-                );
+                eprintln!("{usage}");
                 std::process::exit(2);
             }
         }
@@ -765,100 +642,12 @@ fn main() {
 
     if let Some(path) = batch_out {
         batch_bench(&path, batch_n);
-        return;
-    }
-    if let Some(path) = tune_out {
+    } else if let Some(path) = tune_out {
         tune_bench(&path, n, n3);
-        return;
-    }
-    if let Some(path) = scenario_out {
+    } else if let Some(path) = scenario_out {
         scenario_bench(&path, n);
-        return;
-    }
-
-    let host_threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    // Smoother-dominated cycles: all smoothing on the fine level (10-0-0),
-    // two levels so the chain is pure fine-grid sweeps. The smoother rows
-    // use the dense Mehrstellen operator (9-point in 2-D, 27-point in 3-D
-    // — the footprint Galerkin coarse operators have): its ~4× arithmetic
-    // intensity keeps the sweep compute-bound at these grid sizes, so the
-    // rows measure the kernel tiers rather than the host's L3/DRAM
-    // bandwidth. The V-cycle rows keep the paper's star operator.
-    let mut smoother2 = MgConfig::new(2, n, CycleType::V, SmoothSteps::s1000()).with_dense_operator();
-    smoother2.levels = 2;
-    let vcycle2 = MgConfig::new(2, n, CycleType::V, SmoothSteps::s444());
-    let mut smoother3 = MgConfig::new(3, n3, CycleType::V, SmoothSteps::s1000()).with_dense_operator();
-    smoother3.levels = 2;
-    let mut vcycle3 = MgConfig::new(3, n3, CycleType::V, SmoothSteps::s444());
-    vcycle3.levels = 3;
-    // (name, config, tiled): smoother chains run untiled — kernel-bound
-    // rows measuring the tier swap itself; V-cycles run the tiled OptPlus
-    // pipeline — the end-to-end number with scratch/halo traffic included
-    let benches: [(&'static str, &MgConfig, bool, &'static str); 4] = [
-        ("smoother2d", &smoother2, false, "dense"),
-        ("vcycle2d", &vcycle2, true, "star"),
-        ("smoother3d", &smoother3, false, "dense"),
-        ("vcycle3d", &vcycle3, true, "star"),
-    ];
-    // a single-core host would sample the same configuration twice
-    let thread_counts: &[usize] = if host_threads > 1 {
-        &[1, host_threads]
     } else {
-        &[1]
-    };
-
-    let mut rows: Vec<Row> = Vec::new();
-    let mut bitwise_all = true;
-    for (name, cfg, tiled, operator) in benches {
-        for &threads in thread_counts {
-            let (meds, bitwise_ok) = measure_tiers(cfg, threads, tiled, repeats);
-            bitwise_all &= bitwise_ok;
-            assert!(
-                bitwise_ok,
-                "{name}: a default tier diverged bitwise from the generic interpreter"
-            );
-            for ((tier, _, _, _), (med, samples)) in TIERS.into_iter().zip(meds) {
-                eprintln!(
-                    "{name:<12} threads={threads} tier={tier:<11} \
-                     median {med:8.2} ns/point ({samples} samples)"
-                );
-                rows.push(Row {
-                    bench: name,
-                    threads,
-                    tier,
-                    schedule: if tiled { "tiled" } else { "untiled" },
-                    operator,
-                    median_ns_per_point: med,
-                    samples,
-                });
-            }
-        }
+        eprintln!("{usage}");
+        std::process::exit(2);
     }
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"perf-smoke/v2\",\n  \"pr\": 8,\n");
-    json.push_str(&format!("  \"host_threads\": {host_threads},\n"));
-    json.push_str(&format!("  \"n\": {n},\n  \"n3\": {n3},\n"));
-    json.push_str(&format!("  \"bitwise_default_ok\": {bitwise_all},\n"));
-    json.push_str("  \"benchmarks\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"bench\": \"{}\", \"threads\": {}, \"tier\": \"{}\", \
-             \"schedule\": \"{}\", \"operator\": \"{}\", \
-             \"median_ns_per_point\": {:.3}, \"samples\": {}}}{}\n",
-            r.bench,
-            r.threads,
-            r.tier,
-            r.schedule,
-            r.operator,
-            r.median_ns_per_point,
-            r.samples,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json).expect("write BENCH json");
-    eprintln!("wrote {out_path}");
 }

@@ -6,15 +6,27 @@
 //! (origin = the tile's alloc box corner). All coordinates are global grid
 //! indices, so tap addressing is uniform regardless of where values live.
 //!
-//! Linear cases run row by row. Every scalar row is one body (`row_body`)
-//! whose tap arity is a compile-time constant and whose tap weights are
-//! either literal coefficients or `coeff · a[i]` read from a coefficient
-//! row (variable-coefficient operators) — so plain and coefficient stages,
-//! specialized or not, share the code that gets optimised. A run-time loop
-//! (`dyn_row`) remains for arities outside the 1..=28 table and for
-//! strided rows under the generic tag (restriction's stride-2 reads,
-//! interpolation's half-index reads). Non-linear cases are evaluated by the
-//! expression interpreter.
+//! Linear cases run row by row, and every row of every tier is one body,
+//! `row_body`: its tap arity is a compile-time constant, and it is generic
+//! over a *lane* (how many consecutive points one pass computes), an
+//! *accumulation rule* (how a point's terms are summed) and the source of
+//! each tap's weight and value — a literal coefficient, or `coeff · a[i]`
+//! read from a coefficient row (variable-coefficient operators):
+//!
+//! | tier | unit-stride plain rows | strided / coefficient rows |
+//! |---|---|---|
+//! | `Scalar` (and the `Generic` tag) | lane `f64`, rule `EXACT` | lane `f64`, `EXACT` |
+//! | `LaneSafe` | lanes `[Avx2; 2]` → `Avx2` → `f64`, `EXACT` | lane `f64`, `EXACT` |
+//! | `FastMath` | lanes `[Avx2; 2]` → `Avx2` → `f64`, `FUSED` | lane `f64`, `EXACT` |
+//!
+//! (a host without AVX2+FMA runs the lane tiers at lane `f64`, `FastMath`
+//! under `UNFUSED`). Each linear case makes one dispatch decision
+//! (`select_row`) and runs one sweep (`linear_sweep`) shared by both
+//! ranks. A run-time loop (`dyn_row`) remains as the reference the body
+//! is tested against, for arities outside the 0..=28 table and for strided
+//! rows under the generic tag (restriction's stride-2 reads,
+//! interpolation's half-index reads). Non-linear cases are evaluated by
+//! the expression interpreter.
 
 // Index-based loops here mirror the math (multi-slice stencil updates); clippy prefers iterators but the indices are the clearer notation.
 #![allow(clippy::needless_range_loop)]
@@ -22,6 +34,9 @@
 use gmg_ir::{Access, CoeffRead, Expr, LinearForm, Operand, Parity, ParityPattern};
 use gmg_poly::{div_floor, BoxDomain};
 use polymg::{KernelBody, KernelImpl, KernelSel, KernelTier, StageKernel};
+
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64 as x86;
 
 /// A read-only execution space.
 #[derive(Clone, Copy)]
@@ -165,18 +180,15 @@ pub fn execute_stage_sel(
 
 /// [`execute_stage_sel`] into any [`KernelOut`].
 ///
-/// A non-[`Generic`](KernelImpl::Generic) family routes each linear case to
-/// a dedicated row kernel whose tap arity is a compile-time constant —
-/// scalar-unrolled ([`spec_row`]), lane-safe SIMD ([`lane_row`]) or
-/// reassociating SIMD ([`fast_row`]) depending on the selection's tier —
-/// provided the case's arity has a specialized instance; anything else
-/// (interpreted cases, arities above the tables) falls back to the generic
-/// [`run_row`] and is counted in the histograms' `generic`/`scalar`
-/// buckets. Stages with coefficient taps are tagged `Generic` and reach the
-/// same const-arity body through `run_row`.
-/// The scalar and lane-safe tiers accumulate each output point's
-/// taps in the generic order, so their results are bitwise identical to the
-/// generic path; only the fast-math tier reassociates.
+/// Each linear case makes one dispatch decision (`select_row`) and runs
+/// one sweep (`linear_sweep`). A non-[`Generic`](KernelImpl::Generic)
+/// family runs the selection's tier, provided the case's arity has an
+/// instance in the table; anything else (interpreted cases, arities above
+/// the table) runs the generic selection and is counted in the histograms'
+/// `generic`/`scalar` buckets. Stages with coefficient taps are tagged
+/// `Generic` and reach the same row body at the scalar tier. Only the
+/// fast-math tier's results differ from the generic path's, and only on
+/// unit-stride rows.
 pub fn execute_stage_out_sel(
     sel: KernelSel,
     kernel: &StageKernel,
@@ -191,36 +203,7 @@ pub fn execute_stage_out_sel(
     for case in &kernel.cases {
         match &case.body {
             KernelBody::Linear(form) => {
-                let arity = form.taps.len();
-                let row = if sel.impl_tag != KernelImpl::Generic {
-                    match sel.tier {
-                        KernelTier::Scalar => spec_row_fn(arity),
-                        KernelTier::LaneSafe => lane_row_fn(arity),
-                        KernelTier::FastMath => fast_row_fn(arity),
-                    }
-                } else {
-                    None
-                };
-                let bucket = if row.is_some() {
-                    sel.impl_tag.index()
-                } else {
-                    0
-                };
-                let tier = if row.is_some() { sel.tier.index() } else { 0 };
-                gmg_trace::dispatch::record_impl(bucket, 1);
-                gmg_trace::dispatch::record_tier(tier, 1);
-                // Cache blocking only pays off (and is only wired up) for
-                // the lane tiers; the scalar/generic paths keep flat rows.
-                let xblock = if row.is_some() && sel.tier != KernelTier::Scalar {
-                    sel.xblock
-                } else {
-                    0
-                };
-                match region.ndims() {
-                    2 => linear_2d(form, &case.pattern, region, &mut out, ins, row, xblock),
-                    3 => linear_3d(form, &case.pattern, region, &mut out, ins, row, xblock),
-                    d => panic!("unsupported rank {d}"),
-                }
+                linear_sweep(sel, form, &case.pattern, region, &mut out, ins)
             }
             KernelBody::Interpreted(expr) => {
                 gmg_trace::dispatch::record_impl(0, 1);
@@ -233,10 +216,10 @@ pub fn execute_stage_out_sel(
 
 /// A row cursor: the value at inner-loop index `k` is `data[base + k·slope]`.
 /// A linear case carries one per tap, in lowered order, followed by one per
-/// distinct coefficient row ([`case_cursors`]); the sweep loops advance them
-/// all alike. A tap's weight is `coeff`, or `coeff · a[k]` when `cf` names
-/// the coefficient row `a` it is scaled by (`coeff` and `cf` are unused on
-/// the coefficient rows themselves).
+/// distinct coefficient row ([`case_cursors`]); the sweep advances them all
+/// alike. A tap's weight is `coeff`, or `coeff · a[k]` when `cf` names the
+/// coefficient row `a` it is scaled by (`coeff` and `cf` are unused on the
+/// coefficient rows themselves).
 struct RtTap<'a> {
     data: &'a [f64],
     base: usize,
@@ -320,64 +303,309 @@ fn coeff_spans(taps: &[RtTap<'_>]) -> Vec<(f64, usize, usize)> {
     spans
 }
 
-/// Which [`run_row`] code path a kernel case with these taps will take.
-/// Mirrors the dispatch conditions in `run_row`; evaluated once per case
-/// execution (not per row) to feed the `gmg_trace::dispatch` histogram.
-fn dispatch_kind(
-    out_slope: usize,
-    taps: &[RtTap<'_>],
-    crows: &[RtTap<'_>],
-) -> gmg_trace::dispatch::Kind {
-    use gmg_trace::dispatch::Kind;
-    if !crows.is_empty() {
-        Kind::VarCoef
-    } else if out_slope != 1 || taps.iter().any(|t| t.slope != 1) {
-        Kind::Strided
-    } else if taps.len() <= 28 {
-        Kind::UnitUnrolled
-    } else if coeff_spans(taps).len() * 2 <= taps.len() {
-        Kind::UnitFactored
-    } else {
-        Kind::UnitFallback
-    }
-}
-
-/// The row-kernel signature shared by the generic [`run_row`] and the
-/// const-arity instances: write `count` outputs spaced `out_slope` apart
+/// The row-kernel signature: write `count` outputs spaced `out_slope` apart
 /// from `bias` plus the sums over `taps`, whose `cf` indices refer to the
 /// coefficient rows `crows`.
 type RowFn = for<'a, 'b, 'c> fn(&'a mut [f64], usize, usize, f64, &'b [RtTap<'c>], &'b [RtTap<'c>]);
 
-/// The scalar row body, with the tap arity `K` fixed at compile time and
-/// generic over where each tap's weight and value come from. Per output
-/// point: `acc = bias`, then for each tap in lowered order
-/// `acc += weight · value` — the weight (`coeff`, or `coeff · a[i]` for a
-/// coefficient tap) is formed first, then multiplied by the value, then
-/// added; never `a[i] · Σ`, never an FMA. Every scalar row is this chain,
-/// so specialization and coefficient grids are bitwise-transparent (with
-/// `a ≡ 1`, `coeff · 1.0 == coeff`); the constant arity lets LLVM keep row
-/// pointers and coefficients in registers and vectorize across points.
-#[inline(always)]
-fn row_body<const K: usize>(
-    out_row: &mut [f64],
-    out_slope: usize,
-    count: usize,
-    bias: f64,
-    weight: impl Fn(usize, usize) -> f64,
-    value: impl Fn(usize, usize) -> f64,
-) {
-    for i in 0..count {
-        let mut acc = bias;
-        for j in 0..K {
-            acc += weight(j, i) * value(j, i);
+/// The one dispatch decision of a linear case, made once per case execution
+/// (not per row): the row kernel its rows run, the `gmg_trace::dispatch`
+/// class that kernel counts as, and whether the selection's family and tier
+/// applied (`false`: the case ran, and counts as, generic/scalar). `unit`
+/// says that the output row and every tap and coefficient row have stride 1.
+///
+/// A specialized family runs its tier's instance of [`row_body`]. The
+/// generic tag runs the scalar instance on unit-stride rows — plain or
+/// coefficient-scaled alike — and the run-time loop [`dyn_row`] on strided
+/// ones. Arities above the table try coefficient factoring, then `dyn_row`.
+fn select_row(
+    sel: KernelSel,
+    unit: bool,
+    taps: &[RtTap<'_>],
+    crows: &[RtTap<'_>],
+) -> (gmg_trace::dispatch::Kind, RowFn, bool) {
+    use gmg_trace::dispatch::Kind;
+    let tiered = match sel.impl_tag {
+        KernelImpl::Generic => None,
+        _ => row_fn(sel.tier, taps.len()),
+    };
+    let instance = match tiered {
+        None if unit => row_fn(KernelTier::Scalar, taps.len()),
+        tiered => tiered,
+    };
+    let (unit_kind, row) = match instance {
+        Some(row) => (Kind::UnitUnrolled, row),
+        None if unit && crows.is_empty() && coeff_spans(taps).len() * 2 <= taps.len() => {
+            (Kind::UnitFactored, factored_row as RowFn)
         }
-        out_row[i * out_slope] = acc;
+        None => (Kind::UnitFallback, dyn_row as RowFn),
+    };
+    let kind = if !crows.is_empty() {
+        Kind::VarCoef
+    } else if !unit {
+        Kind::Strided
+    } else {
+        unit_kind
+    };
+    (kind, row, tiered.is_some())
+}
+
+// ---------------------------------------------------------------------------
+// The row body: one loop, generic over arity, lane and accumulation rule
+// ---------------------------------------------------------------------------
+
+/// `W` consecutive points of a unit-stride row, computed at once. The impls
+/// below are the only per-target code: everything above them is written
+/// once against these six operations.
+///
+/// # Safety
+///
+/// Every method requires a host that executes the lane's instructions
+/// (`f64`: any; [`Avx2`]: AVX2 and FMA, which [`packed_row`] detects);
+/// `load` and `store` also require `p` to be valid for `W` values.
+trait Lane: Copy {
+    const W: usize;
+    unsafe fn splat(x: f64) -> Self;
+    unsafe fn load(p: *const f64) -> Self;
+    unsafe fn store(self, p: *mut f64);
+    unsafe fn add(self, o: Self) -> Self;
+    unsafe fn mul(self, o: Self) -> Self;
+    /// `self · b + c`, rounded once.
+    unsafe fn fma(self, b: Self, c: Self) -> Self;
+}
+
+impl Lane for f64 {
+    const W: usize = 1;
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> f64 {
+        x
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> f64 {
+        *p
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        *p = self
+    }
+    #[inline(always)]
+    unsafe fn add(self, o: f64) -> f64 {
+        self + o
+    }
+    #[inline(always)]
+    unsafe fn mul(self, o: f64) -> f64 {
+        self * o
+    }
+    /// One instruction only when inlined into an `fma`-enabled function
+    /// ([`packed_unit`]'s remainder); anywhere else a libm call per tap,
+    /// which is why hosts without FMA run [`UNFUSED`] instead.
+    #[inline(always)]
+    unsafe fn fma(self, b: f64, c: f64) -> f64 {
+        self.mul_add(b, c)
     }
 }
 
-/// The const-arity scalar row kernel: [`row_body`] over unit-stride plain
-/// rows, unit-stride rows with coefficient taps, and strided plain rows
-/// (restrict / interp reads).
+/// The packed lane: four points in one 256-bit register. It is the only
+/// packed width, also where AVX-512 is available: on Skylake-SP 512-bit ops
+/// trigger licence-based downclocking that penalises the scalar dispatch
+/// code between row calls, and on the reference host (an AVX-512 Xeon)
+/// 512-bit rows measured the same as 256-bit ones on `smoother2d_dense`
+/// (11.0 vs 11.3 ns/point, four alternating pairs).
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx2(x86::__m256d);
+
+#[cfg(target_arch = "x86_64")]
+impl Lane for Avx2 {
+    const W: usize = 4;
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        Avx2(x86::_mm256_set1_pd(x))
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        Avx2(x86::_mm256_loadu_pd(p))
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        x86::_mm256_storeu_pd(p, self.0)
+    }
+    #[inline(always)]
+    unsafe fn add(self, o: Self) -> Self {
+        Avx2(x86::_mm256_add_pd(self.0, o.0))
+    }
+    #[inline(always)]
+    unsafe fn mul(self, o: Self) -> Self {
+        Avx2(x86::_mm256_mul_pd(self.0, o.0))
+    }
+    #[inline(always)]
+    unsafe fn fma(self, b: Self, c: Self) -> Self {
+        Avx2(x86::_mm256_fmadd_pd(self.0, b.0, c.0))
+    }
+}
+
+/// Two lanes side by side: `2·W` points whose operations are issued in
+/// pairs. A point's chain is serial under the exact rule (that is the
+/// bitwise contract) and only two deep under the fused one, but chains of
+/// different points are independent — interleaving two vectors hides the
+/// add / FMA latency without reassociating anything.
+impl<L: Lane> Lane for [L; 2] {
+    const W: usize = 2 * L::W;
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        [L::splat(x); 2]
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        [L::load(p), L::load(p.add(L::W))]
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        self[0].store(p);
+        self[1].store(p.add(L::W))
+    }
+    #[inline(always)]
+    unsafe fn add(self, o: Self) -> Self {
+        [self[0].add(o[0]), self[1].add(o[1])]
+    }
+    #[inline(always)]
+    unsafe fn mul(self, o: Self) -> Self {
+        [self[0].mul(o[0]), self[1].mul(o[1])]
+    }
+    #[inline(always)]
+    unsafe fn fma(self, b: Self, c: Self) -> Self {
+        [self[0].fma(b[0], c[0]), self[1].fma(b[1], c[1])]
+    }
+}
+
+/// Accumulation rule *exact*: `acc = bias`, then `acc += weight · value`
+/// per tap in lowered order — multiply, then add, never fused. The bitwise
+/// contract: every element is `to_bits()`-equal to [`dyn_row`]'s.
+const EXACT: u8 = 0;
+/// Accumulation rule *fused*: two partial sums from zero, even taps into
+/// the first and odd taps into the second (so an odd arity's leftover lands
+/// in the first), each step one FMA, folded `bias + (a0 + a1)`. The
+/// fast-math contract: within the reassociation bound of
+/// `tests/proptest_fastmath_ulp.rs`, not bitwise.
+const FUSED: u8 = 1;
+/// [`FUSED`]'s association with each step a multiply then an add: what the
+/// fast-math tier runs on a host without FMA.
+const UNFUSED: u8 = 2;
+
+/// The row body — the only per-tap accumulate loop besides the run-time
+/// reference [`dyn_row`] and the factored row. Points `from, from + W, …`
+/// while a whole lane fits below `count` are computed and stored
+/// `out_slope` apart; the first point not computed is returned, so a
+/// narrower lane can finish the row with the same body. The arity `K` is a
+/// compile-time constant (the tap loop unrolls; row pointers and
+/// coefficients stay in registers), the lane `L` sets how many points one
+/// pass of it covers, `RULE` ([`EXACT`], [`FUSED`], [`UNFUSED`]) how a
+/// point's terms are summed, and the closures where tap `j`'s weight and
+/// value at point `i` come from: the weight is `coeff`, or `coeff · a[i]`
+/// for a coefficient tap, formed first and then multiplied by the value —
+/// never `a[i] · Σ`. Plain, coefficient and strided rows of every tier are
+/// this one chain, so specialization, lane width and coefficient grids are
+/// bitwise-transparent under [`EXACT`] (with `a ≡ 1`, `coeff · 1.0 == coeff`).
+///
+/// # Safety
+///
+/// [`Lane`]'s contract for `L`, and `weight`/`value` must be readable at
+/// every point below `count`. Lanes wider than one point need
+/// `out_slope == 1`.
+#[inline(always)]
+unsafe fn row_body<const K: usize, L: Lane, const RULE: u8>(
+    out_row: &mut [f64],
+    out_slope: usize,
+    from: usize,
+    count: usize,
+    bias: f64,
+    weight: impl Fn(usize, usize) -> L,
+    value: impl Fn(usize, usize) -> L,
+) -> usize {
+    debug_assert!(L::W == 1 || out_slope == 1);
+    // the one bounds check of the row: every store below lands inside it
+    assert!(from <= count && (count == 0 || (count - 1) * out_slope < out_row.len()));
+    let out = out_row.as_mut_ptr();
+    let (b, zero) = (L::splat(bias), L::splat(0.0));
+    // a counted loop: LLVM must see `i < count` to drop the sources' own
+    // bounds checks and vectorize lane `f64` across points
+    let passes = (count - from) / L::W;
+    for n in 0..passes {
+        let i = from + n * L::W;
+        let acc = if RULE == EXACT {
+            let mut acc = b;
+            for j in 0..K {
+                acc = acc.add(weight(j, i).mul(value(j, i)));
+            }
+            acc
+        } else {
+            let step = |j: usize, part: L| {
+                let (w, v) = (weight(j, i), value(j, i));
+                if RULE == FUSED {
+                    w.fma(v, part)
+                } else {
+                    part.add(w.mul(v))
+                }
+            };
+            let (mut a0, mut a1) = (zero, zero);
+            let mut j = 0;
+            while j + 1 < K {
+                a0 = step(j, a0);
+                a1 = step(j + 1, a1);
+                j += 2;
+            }
+            if j < K {
+                a0 = step(j, a0);
+            }
+            b.add(a0.add(a1))
+        };
+        acc.store(out.add(i * out_slope));
+    }
+    from + passes * L::W
+}
+
+/// [`row_body`] over unit-stride plain rows at lane `L`: weights are the
+/// literal coefficients, values load from `rows`. Covers `out_row` from
+/// point `from` and returns the first point left over.
+///
+/// # Safety
+///
+/// [`Lane`]'s contract for `L`; every row holds `out_row.len()` values.
+#[inline(always)]
+unsafe fn unit_rows<const K: usize, L: Lane, const RULE: u8>(
+    out_row: &mut [f64],
+    from: usize,
+    bias: f64,
+    rows: &[&[f64]; K],
+    coeff: &[f64; K],
+) -> usize {
+    let count = out_row.len();
+    debug_assert!(rows.iter().all(|r| r.len() >= count));
+    row_body::<K, L, RULE>(
+        out_row,
+        1,
+        from,
+        count,
+        bias,
+        |j, _| L::splat(coeff[j]),
+        |j, i| L::load(rows[j].as_ptr().add(i)),
+    )
+}
+
+/// The first `count` values and the coefficient of each unit-stride tap.
+#[inline(always)]
+fn unit_taps<'a, const K: usize>(taps: &[RtTap<'a>], count: usize) -> ([&'a [f64]; K], [f64; K]) {
+    (
+        std::array::from_fn(|j| taps[j].unit(count)),
+        std::array::from_fn(|j| taps[j].coeff),
+    )
+}
+
+/// The scalar row kernel ([`KernelTier::Scalar`], and every tier's strided
+/// and coefficient rows): [`row_body`] at lane `f64` under [`EXACT`], over
+/// unit-stride plain rows, unit-stride rows with coefficient taps, and
+/// strided plain rows (restrict / interp reads). LLVM vectorizes the unit
+/// rows across points at the build's baseline width.
 fn spec_row<const K: usize>(
     out_row: &mut [f64],
     out_slope: usize,
@@ -389,20 +617,20 @@ fn spec_row<const K: usize>(
     debug_assert_eq!(taps.len(), K);
     if out_slope != 1 || taps.iter().any(|t| t.slope != 1) {
         // no family with strided reads carries coefficient taps, and
-        // `run_row` keeps strided coefficient rows on `dyn_row`
+        // `select_row` keeps strided coefficient rows on `dyn_row`
         debug_assert!(crows.is_empty());
-        let weight = |j: usize, _| taps[j].coeff;
-        return row_body::<K>(out_row, out_slope, count, bias, weight, |j, k| {
-            taps[j].at(k)
-        });
+        let (weight, value) = (|j: usize, _| taps[j].coeff, |j: usize, k| taps[j].at(k));
+        // SAFETY: lane `f64` runs anywhere; both sources are checked reads.
+        unsafe { row_body::<K, f64, EXACT>(out_row, out_slope, 0, count, bias, weight, value) };
+        return;
     }
     debug_assert!(crows.iter().all(|c| c.slope == 1));
     let out_row = &mut out_row[..count];
-    let rows: [&[f64]; K] = std::array::from_fn(|j| taps[j].unit(count));
-    let coeff: [f64; K] = std::array::from_fn(|j| taps[j].coeff);
-    let value = |j: usize, i: usize| rows[j][i];
+    let (rows, coeff) = unit_taps::<K>(taps, count);
     if crows.is_empty() {
-        return row_body::<K>(out_row, 1, count, bias, |j, _| coeff[j], value);
+        // SAFETY: lane `f64` runs anywhere; `rows` are `count` long.
+        unsafe { unit_rows::<K, f64, EXACT>(out_row, 0, bias, &rows, &coeff) };
+        return;
     }
     // The weight is selected per tap inside the unrolled loop, so plain and
     // coefficient taps keep their lowered order. A plain tap's `a` row is
@@ -418,585 +646,121 @@ fn spec_row<const K: usize>(
             coeff[j]
         }
     };
-    row_body::<K>(out_row, 1, count, bias, weight, value);
+    // SAFETY: lane `f64` runs anywhere; both sources are checked reads.
+    unsafe { row_body::<K, f64, EXACT>(out_row, 1, 0, count, bias, weight, |j, i| rows[j][i]) };
 }
 
-/// The const-arity row kernel for a tap arity, if one is instantiated.
-/// The table stops at `polymg::specialize::MAX_SPEC_TAPS` (= 28) — beyond
-/// that the generic path may choose coefficient factoring, which sums in a
-/// different order, so the classifier never tags such kernels anyway.
-fn spec_row_fn(arity: usize) -> Option<RowFn> {
-    macro_rules! table {
-        ($($k:literal)*) => {
-            match arity {
-                $($k => Some(spec_row::<$k> as RowFn),)*
-                _ => None,
-            }
-        };
+/// The lane tiers' row kernel: [`KernelTier::LaneSafe`] is `RULE` =
+/// [`EXACT`], [`KernelTier::FastMath`] is [`FUSED`]. Unit-stride plain rows
+/// run the packed lane; strided rows (their gathers do not vectorize
+/// profitably) and coefficient rows run [`spec_row`] under either tier, so
+/// they stay bitwise-identical even under fast-math.
+fn packed_row<const K: usize, const RULE: u8>(
+    out_row: &mut [f64],
+    out_slope: usize,
+    count: usize,
+    bias: f64,
+    taps: &[RtTap<'_>],
+    crows: &[RtTap<'_>],
+) {
+    debug_assert_eq!(taps.len(), K);
+    if out_slope != 1 || !crows.is_empty() || taps.iter().any(|t| t.slope != 1) {
+        return spec_row::<K>(out_row, out_slope, count, bias, taps, crows);
     }
-    table!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28)
-}
-
-// ---------------------------------------------------------------------------
-// Lane tiers: explicit-width SIMD row kernels
-// ---------------------------------------------------------------------------
-
-/// f64 lanes per inner-loop step of the lane tiers. Eight lanes is one
-/// AVX-512 register / two AVX2 registers; the fixed-width array accumulators
-/// below lower to full-width vector ops under either ISA.
-pub const LANES: usize = 8;
-
-/// Host vector ISA, detected once. The lane bodies are compiled three ways
-/// (baseline / AVX2 / AVX-512) via `#[target_feature]` multiversioning —
-/// without this the workspace's baseline `x86-64` target would pin every
-/// lane loop to 2-wide SSE2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Isa {
-    Baseline,
+    let out_row = &mut out_row[..count];
+    let (rows, coeff) = unit_taps::<K>(taps, count);
     #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-fn isa() -> Isa {
-    use std::sync::OnceLock;
-    static ISA: OnceLock<Isa> = OnceLock::new();
-    *ISA.get_or_init(|| {
-        // `GMG_SIMD_ISA=baseline|avx2|avx512` pins the lane codepath —
-        // for differential debugging and for overriding the default width
-        // choice. A pin is honored only if the host has the features.
-        //
-        // AVX2 is preferred even where AVX-512 is available: on the
-        // Skylake-SP generation, 512-bit ops trigger license-based
-        // frequency downclocking that penalizes the scalar/dispatch code
-        // between row calls, and measured chain throughput was
-        // consistently better at 256-bit. `GMG_SIMD_ISA=avx512` opts into
-        // zmm for hosts (Ice Lake+) where the license penalty is gone.
-        let pin = std::env::var("GMG_SIMD_ISA").ok();
-        let pin = pin.as_deref();
-        if pin == Some("baseline") {
-            return Isa::Baseline;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            let has512 = std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("fma");
-            // fma alongside avx2: the fast-math variants use `mul_add`,
-            // which must never fall back to the (slow) software fma.
-            let has2 = std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma");
-            if has512 && pin == Some("avx512") {
-                return Isa::Avx512;
-            }
-            if has2 {
-                return Isa::Avx2;
-            }
-            if has512 {
-                return Isa::Avx512;
-            }
-        }
-        Isa::Baseline
-    })
-}
-
-/// Lane-safe unit-stride body: vectorizes ACROSS output points. Each lane
-/// computes its own point's full tap sum in exactly the generic order
-/// (`bias + c₀·r₀[i] + c₁·r₁[i] + …`), and the scalar remainder loop is
-/// that same order — so this body is bitwise-identical to [`run_row`]'s
-/// unit path for every element. (Rust never contracts `a*b + c` into an
-/// fma, so enabling wider ISAs cannot change the rounding.)
-#[inline(always)]
-fn lane_safe_body<const K: usize>(
-    out_row: &mut [f64],
-    count: usize,
-    bias: f64,
-    rows: &[&[f64]; K],
-    coeff: &[f64; K],
-) {
-    let mut i = 0;
-    while i + LANES <= count {
-        let mut acc = [bias; LANES];
-        for j in 0..K {
-            let c = coeff[j];
-            let r = &rows[j][i..i + LANES];
-            for l in 0..LANES {
-                acc[l] += c * r[l];
-            }
-        }
-        out_row[i..i + LANES].copy_from_slice(&acc);
-        i += LANES;
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: both features were just detected; `rows` are `count` long.
+        return unsafe { packed_unit::<K, RULE>(out_row, bias, &rows, &coeff) };
     }
-    while i < count {
-        let mut acc = bias;
-        for j in 0..K {
-            acc += coeff[j] * rows[j][i];
+    // A host without the packed lane: the same rule at lane `f64`, with
+    // the fused steps spelled as multiply then add.
+    // SAFETY: lane `f64` runs anywhere; `rows` are `count` long.
+    unsafe {
+        if RULE == EXACT {
+            unit_rows::<K, f64, EXACT>(out_row, 0, bias, &rows, &coeff);
+        } else {
+            unit_rows::<K, f64, UNFUSED>(out_row, 0, bias, &rows, &coeff);
         }
-        out_row[i] = acc;
-        i += 1;
     }
 }
 
-/// Reassociating unit-stride body: the per-point tap chain is split into
-/// two independent partial sums (breaking the serial add dependence the
-/// lane-safe body carries), folded as `bias + (even + odd)` at the end, and
-/// fused multiply-adds are used when `FMA` (only instantiated inside
-/// `target_feature(fma)` variants — software fma would be a libm call per
-/// tap). Results differ from the generic path at round-off level; the ULP
-/// differential suite bounds the divergence.
-#[inline(always)]
-fn fast_math_body<const K: usize, const FMA: bool>(
-    out_row: &mut [f64],
-    count: usize,
-    bias: f64,
-    rows: &[&[f64]; K],
-    coeff: &[f64; K],
-) {
-    let mut i = 0;
-    while i + LANES <= count {
-        let mut acc0 = [0.0f64; LANES];
-        let mut acc1 = [0.0f64; LANES];
-        let mut j = 0;
-        while j + 1 < K {
-            let (c0, c1) = (coeff[j], coeff[j + 1]);
-            let r0 = &rows[j][i..i + LANES];
-            let r1 = &rows[j + 1][i..i + LANES];
-            for l in 0..LANES {
-                if FMA {
-                    acc0[l] = c0.mul_add(r0[l], acc0[l]);
-                    acc1[l] = c1.mul_add(r1[l], acc1[l]);
-                } else {
-                    acc0[l] += c0 * r0[l];
-                    acc1[l] += c1 * r1[l];
-                }
-            }
-            j += 2;
-        }
-        if j < K {
-            let c = coeff[j];
-            let r = &rows[j][i..i + LANES];
-            for l in 0..LANES {
-                if FMA {
-                    acc0[l] = c.mul_add(r[l], acc0[l]);
-                } else {
-                    acc0[l] += c * r[l];
-                }
-            }
-        }
-        for l in 0..LANES {
-            out_row[i + l] = bias + (acc0[l] + acc1[l]);
-        }
-        i += LANES;
-    }
-    while i < count {
-        let (mut acc0, mut acc1) = (0.0f64, 0.0f64);
-        let mut j = 0;
-        while j + 1 < K {
-            if FMA {
-                acc0 = coeff[j].mul_add(rows[j][i], acc0);
-                acc1 = coeff[j + 1].mul_add(rows[j + 1][i], acc1);
-            } else {
-                acc0 += coeff[j] * rows[j][i];
-                acc1 += coeff[j + 1] * rows[j + 1][i];
-            }
-            j += 2;
-        }
-        if j < K {
-            if FMA {
-                acc0 = coeff[j].mul_add(rows[j][i], acc0);
-            } else {
-                acc0 += coeff[j] * rows[j][i];
-            }
-        }
-        out_row[i] = bias + (acc0 + acc1);
-        i += 1;
-    }
-}
-
-// ISA-multiversioned variants: same `#[inline(always)]` body recompiled
-// under wider target features, selected once per row through [`isa`].
-// SAFETY (all four): only called after `is_x86_feature_detected!` confirmed
-// the enabled features at [`isa`] init.
-
-// The lane-safe wide variants are also explicit-intrinsic: each vector
-// lane performs `((bias + c₀·r₀) + c₁·r₁) + …` — the exact scalar
-// association, separate mul then add, never fma — so every lane is
-// bitwise-equal to the generic per-point chain. Hand-written packed ops
-// sidestep the autovectorizer's shuffle-heavy lowering of the portable
-// lane-array body.
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lane_safe_avx2<const K: usize>(
-    out_row: &mut [f64],
-    count: usize,
-    bias: f64,
-    rows: &[&[f64]; K],
-    coeff: &[f64; K],
-) {
-    use core::arch::x86_64::*;
-    let b = _mm256_set1_pd(bias);
-    let mut i = 0;
-    // Two vectors per iteration: each point's add chain is serial (the
-    // bitwise contract), but chains of different points are independent —
-    // interleaving two hides the add latency without reassociating.
-    while i + 8 <= count {
-        let mut acc0 = b;
-        let mut acc1 = b;
-        for j in 0..K {
-            let c = _mm256_set1_pd(coeff[j]);
-            let p = rows[j].as_ptr().add(i);
-            acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(c, _mm256_loadu_pd(p)));
-            acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(c, _mm256_loadu_pd(p.add(4))));
-        }
-        _mm256_storeu_pd(out_row.as_mut_ptr().add(i), acc0);
-        _mm256_storeu_pd(out_row.as_mut_ptr().add(i + 4), acc1);
-        i += 8;
-    }
-    while i + 4 <= count {
-        let mut acc = b;
-        for j in 0..K {
-            acc = _mm256_add_pd(
-                acc,
-                _mm256_mul_pd(
-                    _mm256_set1_pd(coeff[j]),
-                    _mm256_loadu_pd(rows[j].as_ptr().add(i)),
-                ),
-            );
-        }
-        _mm256_storeu_pd(out_row.as_mut_ptr().add(i), acc);
-        i += 4;
-    }
-    lane_safe_tail::<K>(out_row, i, count, bias, rows, coeff);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn lane_safe_avx512<const K: usize>(
-    out_row: &mut [f64],
-    count: usize,
-    bias: f64,
-    rows: &[&[f64]; K],
-    coeff: &[f64; K],
-) {
-    use core::arch::x86_64::*;
-    let b = _mm512_set1_pd(bias);
-    let mut i = 0;
-    // Same two-chain interleave as the AVX2 body (see comment there).
-    while i + 16 <= count {
-        let mut acc0 = b;
-        let mut acc1 = b;
-        for j in 0..K {
-            let c = _mm512_set1_pd(coeff[j]);
-            let p = rows[j].as_ptr().add(i);
-            acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(c, _mm512_loadu_pd(p)));
-            acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(c, _mm512_loadu_pd(p.add(8))));
-        }
-        _mm512_storeu_pd(out_row.as_mut_ptr().add(i), acc0);
-        _mm512_storeu_pd(out_row.as_mut_ptr().add(i + 8), acc1);
-        i += 16;
-    }
-    while i + 8 <= count {
-        let mut acc = b;
-        for j in 0..K {
-            acc = _mm512_add_pd(
-                acc,
-                _mm512_mul_pd(
-                    _mm512_set1_pd(coeff[j]),
-                    _mm512_loadu_pd(rows[j].as_ptr().add(i)),
-                ),
-            );
-        }
-        _mm512_storeu_pd(out_row.as_mut_ptr().add(i), acc);
-        i += 8;
-    }
-    lane_safe_tail::<K>(out_row, i, count, bias, rows, coeff);
-}
-
-/// Scalar remainder of the wide lane-safe kernels — the generic tap chain
-/// verbatim, so the tail is bitwise-identical too.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn lane_safe_tail<const K: usize>(
-    out_row: &mut [f64],
-    from: usize,
-    count: usize,
-    bias: f64,
-    rows: &[&[f64]; K],
-    coeff: &[f64; K],
-) {
-    for i in from..count {
-        let mut acc = bias;
-        for j in 0..K {
-            acc += coeff[j] * rows[j][i];
-        }
-        out_row[i] = acc;
-    }
-}
-
-// The fast-math wide variants are written with explicit (stable) packed
-// intrinsics rather than through `fast_math_body`: LLVM's SLP pass does
-// not re-vectorize the `mul_add` lane arrays and would otherwise emit a
-// fully scalar-fma unroll — measured ~3× slower than the lane-safe tier
-// instead of faster.
-
+/// One unit-stride plain row on the packed lane: pairs of vectors (see the
+/// `[L; 2]` lane) while they fit, one more vector if it fits, then the same
+/// body at lane `f64` for the last `count % 4` points — compiled here, under
+/// `fma`, so a fused remainder is still one hardware instruction per tap.
+///
+/// # Safety
+///
+/// The host has AVX2 and FMA; every row holds `out_row.len()` values.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn fast_math_avx2<const K: usize>(
+unsafe fn packed_unit<const K: usize, const RULE: u8>(
     out_row: &mut [f64],
-    count: usize,
     bias: f64,
     rows: &[&[f64]; K],
     coeff: &[f64; K],
 ) {
-    use core::arch::x86_64::*;
-    let b = _mm256_set1_pd(bias);
-    let mut i = 0;
-    while i + 4 <= count {
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut j = 0;
-        while j + 1 < K {
-            acc0 = _mm256_fmadd_pd(
-                _mm256_set1_pd(coeff[j]),
-                _mm256_loadu_pd(rows[j].as_ptr().add(i)),
-                acc0,
-            );
-            acc1 = _mm256_fmadd_pd(
-                _mm256_set1_pd(coeff[j + 1]),
-                _mm256_loadu_pd(rows[j + 1].as_ptr().add(i)),
-                acc1,
-            );
-            j += 2;
-        }
-        if j < K {
-            acc0 = _mm256_fmadd_pd(
-                _mm256_set1_pd(coeff[j]),
-                _mm256_loadu_pd(rows[j].as_ptr().add(i)),
-                acc0,
-            );
-        }
-        _mm256_storeu_pd(
-            out_row.as_mut_ptr().add(i),
-            _mm256_add_pd(b, _mm256_add_pd(acc0, acc1)),
-        );
-        i += 4;
-    }
-    fast_math_tail::<K>(out_row, i, count, bias, rows, coeff);
+    let i = unit_rows::<K, [Avx2; 2], RULE>(out_row, 0, bias, rows, coeff);
+    let i = unit_rows::<K, Avx2, RULE>(out_row, i, bias, rows, coeff);
+    unit_rows::<K, f64, RULE>(out_row, i, bias, rows, coeff);
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn fast_math_avx512<const K: usize>(
-    out_row: &mut [f64],
-    count: usize,
-    bias: f64,
-    rows: &[&[f64]; K],
-    coeff: &[f64; K],
-) {
-    use core::arch::x86_64::*;
-    let b = _mm512_set1_pd(bias);
-    let mut i = 0;
-    while i + 8 <= count {
-        let mut acc0 = _mm512_setzero_pd();
-        let mut acc1 = _mm512_setzero_pd();
-        let mut j = 0;
-        while j + 1 < K {
-            acc0 = _mm512_fmadd_pd(
-                _mm512_set1_pd(coeff[j]),
-                _mm512_loadu_pd(rows[j].as_ptr().add(i)),
-                acc0,
-            );
-            acc1 = _mm512_fmadd_pd(
-                _mm512_set1_pd(coeff[j + 1]),
-                _mm512_loadu_pd(rows[j + 1].as_ptr().add(i)),
-                acc1,
-            );
-            j += 2;
-        }
-        if j < K {
-            acc0 = _mm512_fmadd_pd(
-                _mm512_set1_pd(coeff[j]),
-                _mm512_loadu_pd(rows[j].as_ptr().add(i)),
-                acc0,
-            );
-        }
-        _mm512_storeu_pd(
-            out_row.as_mut_ptr().add(i),
-            _mm512_add_pd(b, _mm512_add_pd(acc0, acc1)),
-        );
-        i += 8;
-    }
-    fast_math_tail::<K>(out_row, i, count, bias, rows, coeff);
-}
-
-/// Scalar remainder of the wide fast-math kernels: same two-partial-sum
-/// association and fma contraction as the vector loop, so the tail stays
-/// inside the same rounding model (`#[inline(always)]` into the
-/// fma-enabled callers keeps `mul_add` a hardware instruction).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn fast_math_tail<const K: usize>(
-    out_row: &mut [f64],
-    from: usize,
-    count: usize,
-    bias: f64,
-    rows: &[&[f64]; K],
-    coeff: &[f64; K],
-) {
-    for i in from..count {
-        let (mut acc0, mut acc1) = (0.0f64, 0.0f64);
-        let mut j = 0;
-        while j + 1 < K {
-            acc0 = coeff[j].mul_add(rows[j][i], acc0);
-            acc1 = coeff[j + 1].mul_add(rows[j + 1][i], acc1);
-            j += 2;
-        }
-        if j < K {
-            acc0 = coeff[j].mul_add(rows[j][i], acc0);
-        }
-        out_row[i] = bias + (acc0 + acc1);
-    }
-}
-
-/// Lane-safe SIMD row kernel (the [`KernelTier::LaneSafe`] dispatch
-/// target). The unit path runs the multiversioned [`lane_safe_body`];
-/// strided accesses (restrict / interp reads) keep the unrolled scalar
-/// loop — their gathers don't vectorize profitably.
-fn lane_row<const K: usize>(
-    out_row: &mut [f64],
-    out_slope: usize,
-    count: usize,
-    bias: f64,
-    taps: &[RtTap<'_>],
-    crows: &[RtTap<'_>],
-) {
-    debug_assert_eq!(taps.len(), K);
-    if out_slope == 1 && taps.iter().all(|t| t.slope == 1) {
-        let out_row = &mut out_row[..count];
-        let mut rows: [&[f64]; K] = [&[]; K];
-        let mut coeff = [0.0f64; K];
-        for (j, t) in taps.iter().enumerate() {
-            rows[j] = t.unit(count);
-            coeff[j] = t.coeff;
-        }
-        match isa() {
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { lane_safe_avx512::<K>(out_row, count, bias, &rows, &coeff) },
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { lane_safe_avx2::<K>(out_row, count, bias, &rows, &coeff) },
-            Isa::Baseline => lane_safe_body::<K>(out_row, count, bias, &rows, &coeff),
-        }
-        return;
-    }
-    spec_row::<K>(out_row, out_slope, count, bias, taps, crows)
-}
-
-/// Reassociating SIMD row kernel (the [`KernelTier::FastMath`] dispatch
-/// target). Strided accesses fall back to the unrolled scalar loop exactly
-/// like [`lane_row`] — so strided cases stay bitwise-identical even under
-/// fast-math.
-fn fast_row<const K: usize>(
-    out_row: &mut [f64],
-    out_slope: usize,
-    count: usize,
-    bias: f64,
-    taps: &[RtTap<'_>],
-    crows: &[RtTap<'_>],
-) {
-    debug_assert_eq!(taps.len(), K);
-    if out_slope == 1 && taps.iter().all(|t| t.slope == 1) {
-        let out_row = &mut out_row[..count];
-        let mut rows: [&[f64]; K] = [&[]; K];
-        let mut coeff = [0.0f64; K];
-        for (j, t) in taps.iter().enumerate() {
-            rows[j] = t.unit(count);
-            coeff[j] = t.coeff;
-        }
-        match isa() {
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { fast_math_avx512::<K>(out_row, count, bias, &rows, &coeff) },
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { fast_math_avx2::<K>(out_row, count, bias, &rows, &coeff) },
-            Isa::Baseline => fast_math_body::<K, false>(out_row, count, bias, &rows, &coeff),
-        }
-        return;
-    }
-    spec_row::<K>(out_row, out_slope, count, bias, taps, crows)
-}
-
-/// The lane-safe row kernel for a tap arity, if one is instantiated (same
-/// 1..=28 table as [`spec_row_fn`]).
-fn lane_row_fn(arity: usize) -> Option<RowFn> {
+/// The instance of [`row_body`] for a tier and a tap arity, if there is
+/// one. The table stops at `polymg::specialize::MAX_SPEC_TAPS` (= 28) —
+/// beyond that the generic selection may choose coefficient factoring,
+/// which sums in a different order, so the classifier never tags such
+/// kernels anyway.
+fn row_fn(tier: KernelTier, arity: usize) -> Option<RowFn> {
     macro_rules! table {
         ($($k:literal)*) => {
-            match arity {
-                $($k => Some(lane_row::<$k> as RowFn),)*
+            match (arity, tier) {
+                $(
+                    ($k, KernelTier::Scalar) => Some(spec_row::<$k> as RowFn),
+                    ($k, KernelTier::LaneSafe) => Some(packed_row::<$k, EXACT> as RowFn),
+                    ($k, KernelTier::FastMath) => Some(packed_row::<$k, FUSED> as RowFn),
+                )*
                 _ => None,
             }
         };
     }
-    table!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28)
+    table!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28)
 }
 
-/// The reassociating row kernel for a tap arity, if one is instantiated.
-fn fast_row_fn(arity: usize) -> Option<RowFn> {
-    macro_rules! table {
-        ($($k:literal)*) => {
-            match arity {
-                $($k => Some(fast_row::<$k> as RowFn),)*
-                _ => None,
-            }
-        };
-    }
-    table!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28)
-}
-
-/// The generic row: `out[k·out_slope] = bias + Σ weight·data[base+k·slope]`
-/// for `k` in `0..count`. Unit-stride rows take the const-arity kernel of
-/// their arity, plain or coefficient-scaled alike.
-fn run_row(
+/// Coefficient-factored unit row: when the lowering sorted taps by
+/// coefficient (see `polymg::lowering`), adjacent equal-coefficient runs
+/// are summed before the single multiply. Measured on this host, the
+/// const-arity kernels beat this for ≤28 taps (LLVM keeps everything in
+/// registers), so [`select_row`] only engages it for stencils wider than
+/// the table, where the alternative is the per-tap fallback.
+fn factored_row(
     out_row: &mut [f64],
-    out_slope: usize,
+    _out_slope: usize,
     count: usize,
     bias: f64,
     taps: &[RtTap<'_>],
-    crows: &[RtTap<'_>],
+    _crows: &[RtTap<'_>],
 ) {
-    if out_slope == 1 && taps.iter().chain(crows).all(|t| t.slope == 1) {
-        if let Some(row) = spec_row_fn(taps.len()) {
-            return row(out_row, 1, count, bias, taps, crows);
-        }
-        // Coefficient-factored path: when the lowering sorted taps by
-        // coefficient (see `polymg::lowering`), adjacent equal-coefficient
-        // runs are summed before the single multiply. Measured on this
-        // host, the const-arity kernels beat this for ≤28 taps (LLVM keeps
-        // everything in registers), so it only engages for stencils wider
-        // than the table, where the alternative is the per-tap fallback.
-        let spans = crows.is_empty().then(|| coeff_spans(taps));
-        if let Some(spans) = spans.filter(|s| s.len() * 2 <= taps.len()) {
-            let rows: Vec<&[f64]> = taps.iter().map(|t| t.unit(count)).collect();
-            for (i, out) in out_row[..count].iter_mut().enumerate() {
-                let mut acc = bias;
-                for &(c, a, b) in &spans {
-                    let mut s = 0.0;
-                    for r in &rows[a..b] {
-                        s += r[i];
-                    }
-                    acc += c * s;
-                }
-                *out = acc;
+    let spans = coeff_spans(taps);
+    let rows: Vec<&[f64]> = taps.iter().map(|t| t.unit(count)).collect();
+    for (i, out) in out_row[..count].iter_mut().enumerate() {
+        let mut acc = bias;
+        for &(c, a, b) in &spans {
+            let mut s = 0.0;
+            for r in &rows[a..b] {
+                s += r[i];
             }
-            return;
+            acc += c * s;
         }
+        *out = acc;
     }
-    dyn_row(out_row, out_slope, count, bias, taps, crows)
 }
 
-/// The dynamic fallback, and the in-file reference for [`row_body`]: the
-/// same per-point chain with run-time arity and strides. Taken by arities
-/// outside the 1..=28 table and by strided rows (restrict / interp shapes,
-/// with or without coefficient taps).
+/// The dynamic fallback, and the in-file reference for [`row_body`] under
+/// [`EXACT`]: the same per-point chain with run-time arity and strides.
+/// Taken by arities outside the table and by strided rows under the generic
+/// tag (restrict / interp shapes, with or without coefficient taps).
 fn dyn_row(
     out_row: &mut [f64],
     out_slope: usize,
@@ -1049,253 +813,149 @@ fn case_cursors(form: &LinearForm) -> Vec<(usize, &Access, f64, Option<usize>)> 
     cursors
 }
 
-fn linear_2d(
-    form: &LinearForm,
-    pattern: &ParityPattern,
-    region: &BoxDomain,
-    out: &mut KernelOut<'_>,
-    ins: &[KernelInput<'_>],
-    spec: Option<RowFn>,
-    xblock: usize,
-) {
-    let row_fn: RowFn = spec.unwrap_or(run_row as RowFn);
-    let Some((y0, sy)) = parity_start(region.0[0].lo, region.0[0].hi, pattern.0[0]) else {
-        return;
-    };
-    let Some((x0, sx)) = parity_start(region.0[1].lo, region.0[1].hi, pattern.0[1]) else {
-        return;
-    };
-    let count = ((region.0[1].hi - x0) / sx + 1) as usize;
-    let out_rs = out.extent(1) as usize;
-    let (oy, ox) = (out.origin(0), out.origin(1));
-
-    // cursor bases are affine in the row index: compute once, advance by a
-    // constant per row (no per-row allocation or division in steady state)
-    let arity = form.taps.len();
-    let cursors = case_cursors(form);
-    let mut taps: Vec<RtTap<'_>> = Vec::with_capacity(cursors.len());
-    let mut deltas: Vec<usize> = Vec::with_capacity(cursors.len());
-    for &(slot, access, coeff, cf) in &cursors {
-        let s = grid(ins, slot);
-        let row = tap_row_base(access, s, &[y0]);
-        let (xb, slope) = tap_x_base_slope(access, s, x0, sx);
-        deltas.push((axis_coord_delta(&access.0[0], sy) * s.extents[1]) as usize);
-        taps.push(RtTap {
-            data: s.data,
-            base: row + xb,
-            slope,
-            coeff,
-            cf,
-        });
-    }
-
-    let kind = dispatch_kind(sx as usize, &taps[..arity], &taps[arity..]);
-    gmg_trace::dispatch::record(kind, 1);
-
-    let ob0 = (y0 - oy) as usize * out_rs + (x0 - ox) as usize;
-    let out_delta = sy as usize * out_rs;
-
-    // Cache-blocked nest for the lane tiers: split the unit-stride
-    // dimension into `xblock`-point slabs and sweep all rows of one slab
-    // before moving on, so a slab's input rows stay cache-resident across
-    // the y loop. Per-point arithmetic is untouched (each point sees the
-    // same taps in the same order), so blocking is bitwise-transparent.
-    if xblock > 0 && sx == 1 && count > xblock && taps.iter().all(|t| t.slope == 1) {
-        let mut start = 0usize;
-        while start < count {
-            let len = (count - start).min(xblock);
-            let mut btaps: Vec<RtTap<'_>> = taps
-                .iter()
-                .map(|t| RtTap {
-                    base: t.base + start,
-                    ..*t
-                })
-                .collect();
-            let mut y = y0;
-            let mut ob = ob0 + start;
-            while y <= region.0[0].hi {
-                row_fn(
-                    out.row_mut(ob, len),
-                    1,
-                    len,
-                    form.bias,
-                    &btaps[..arity],
-                    &btaps[arity..],
-                );
-                for (t, d) in btaps.iter_mut().zip(&deltas) {
-                    t.base += d;
-                }
-                ob += out_delta;
-                y += sy;
-            }
-            start += len;
-        }
-        return;
-    }
-
-    let mut y = y0;
-    let mut ob = ob0;
-    let needed = if count == 0 {
-        0
-    } else {
-        (count - 1) * sx as usize + 1
-    };
-    while y <= region.0[0].hi {
-        row_fn(
-            out.row_mut(ob, needed),
-            sx as usize,
-            count,
-            form.bias,
-            &taps[..arity],
-            &taps[arity..],
-        );
-        for (t, d) in taps.iter_mut().zip(&deltas) {
-            t.base += d;
-        }
-        ob += out_delta;
-        y += sy;
-    }
+/// One axis of a sweep: the first coordinate of `region` matching the
+/// pattern's parity, the step, and how many coordinates match.
+fn sweep_axis(region: &BoxDomain, pattern: &ParityPattern, d: usize) -> Option<(i64, i64, usize)> {
+    let (lo, hi) = (region.0[d].lo, region.0[d].hi);
+    let (start, step) = parity_start(lo, hi, pattern.0[d])?;
+    Some((start, step, ((hi - start) / step + 1) as usize))
 }
 
-fn linear_3d(
+/// How one cursor's base moves through the sweep: from `home` (its base at
+/// the sweep's first point) by `dy` per row, and by `wrap` at the end of a
+/// plane.
+struct Advance {
+    home: usize,
+    dy: usize,
+    wrap: i64,
+}
+
+/// The sweep of one linear case over `region`, both ranks: planes, rows
+/// within a plane, and x-slabs around both. A 2-D region is a 3-D region
+/// with one plane; an unblocked row is the blocked nest with one slab.
+fn linear_sweep(
+    sel: KernelSel,
     form: &LinearForm,
     pattern: &ParityPattern,
     region: &BoxDomain,
     out: &mut KernelOut<'_>,
     ins: &[KernelInput<'_>],
-    spec: Option<RowFn>,
-    xblock: usize,
 ) {
-    let row_fn: RowFn = spec.unwrap_or(run_row as RowFn);
-    let Some((z0, sz)) = parity_start(region.0[0].lo, region.0[0].hi, pattern.0[0]) else {
+    let nd = region.ndims();
+    assert!(nd == 2 || nd == 3, "unsupported rank {nd}");
+    let (yd, xd) = (nd - 2, nd - 1);
+    let Some((x0, sx, count)) = sweep_axis(region, pattern, xd) else {
         return;
     };
-    let Some((y0, sy)) = parity_start(region.0[1].lo, region.0[1].hi, pattern.0[1]) else {
+    let Some((y0, sy, ny)) = sweep_axis(region, pattern, yd) else {
         return;
     };
-    let Some((x0, sx)) = parity_start(region.0[2].lo, region.0[2].hi, pattern.0[2]) else {
-        return;
+    let (z0, sz, nz) = match nd {
+        3 => match sweep_axis(region, pattern, 0) {
+            Some(z) => z,
+            None => return,
+        },
+        _ => (0, 1, 1),
     };
-    let count = ((region.0[2].hi - x0) / sx + 1) as usize;
-    let out_rs = out.extent(2) as usize;
-    let out_ps = (out.extent(1) * out.extent(2)) as usize;
-    let (oz, oy, ox) = (out.origin(0), out.origin(1), out.origin(2));
+    let outer = [z0, y0];
+    let outer = &outer[3 - nd..];
+    let out_slope = sx as usize;
 
-    // per cursor: base at (z0, y0), Δy increment, Δz increment (affine in both)
+    let out_rs = out.extent(xd) as usize;
+    let out_ps = out.extent(yd) as usize * out_rs;
+    let mut ob0 = (y0 - out.origin(yd)) as usize * out_rs + (x0 - out.origin(xd)) as usize;
+    if nd == 3 {
+        ob0 += (z0 - out.origin(0)) as usize * out_ps;
+    }
+    let (out_dy, out_dz) = (sy as usize * out_rs, sz as usize * out_ps);
+
+    // Cursor bases are affine in the row and plane index: compute them once
+    // per case, then advance by constants (no per-row allocation or
+    // division in steady state).
     let arity = form.taps.len();
     let cursors = case_cursors(form);
     let mut taps: Vec<RtTap<'_>> = Vec::with_capacity(cursors.len());
-    let mut dy: Vec<usize> = Vec::with_capacity(cursors.len());
-    let mut dz_wrap: Vec<i64> = Vec::with_capacity(cursors.len());
-    let ny_rows = {
-        let mut c = 0i64;
-        let mut y = y0;
-        while y <= region.0[1].hi {
-            c += 1;
-            y += sy;
-        }
-        c
-    };
+    let mut moves: Vec<Advance> = Vec::with_capacity(cursors.len());
     for &(slot, access, coeff, cf) in &cursors {
         let s = grid(ins, slot);
-        let base = tap_row_base(access, s, &[z0, y0]);
         let (xb, slope) = tap_x_base_slope(access, s, x0, sx);
-        let row_stride = s.extents[2];
-        let plane_stride = s.extents[1] * s.extents[2];
-        let delta_y = axis_coord_delta(&access.0[1], sy) * row_stride;
-        let delta_z = axis_coord_delta(&access.0[0], sz) * plane_stride;
-        dy.push(delta_y as usize);
-        // after ny_rows y-advances the base sits at base + ny_rows·Δy; wrap
-        // to the next z-plane start with a (possibly negative) correction
-        dz_wrap.push(delta_z - ny_rows * delta_y);
+        let base = tap_row_base(access, s, outer) + xb;
+        let dy = axis_coord_delta(&access.0[yd], sy) * s.extents[xd];
+        let dz = match nd {
+            3 => axis_coord_delta(&access.0[0], sz) * s.extents[yd] * s.extents[xd],
+            _ => 0,
+        };
+        moves.push(Advance {
+            home: base,
+            dy: dy as usize,
+            // after `ny` row advances a base sits `ny·dy` past its plane's
+            // first row; step to the next plane's with one (possibly
+            // negative) correction
+            wrap: dz - ny as i64 * dy,
+        });
         taps.push(RtTap {
             data: s.data,
-            base: base + xb,
+            base,
             slope,
             coeff,
             cf,
         });
     }
 
-    let kind = dispatch_kind(sx as usize, &taps[..arity], &taps[arity..]);
-    gmg_trace::dispatch::record(kind, 1);
-
-    let ob0 = (z0 - oz) as usize * out_ps + (y0 - oy) as usize * out_rs + (x0 - ox) as usize;
-
-    // Cache-blocked nest for the lane tiers: x-slabs outer, z/y rows inner
-    // (see `linear_2d` — same bitwise-transparency argument).
-    if xblock > 0 && sx == 1 && count > xblock && taps.iter().all(|t| t.slope == 1) {
-        let mut start = 0usize;
-        while start < count {
-            let len = (count - start).min(xblock);
-            let mut btaps: Vec<RtTap<'_>> = taps
-                .iter()
-                .map(|t| RtTap {
-                    base: t.base + start,
-                    ..*t
-                })
-                .collect();
-            let mut z = z0;
-            let mut ob_z = ob0 + start;
-            while z <= region.0[0].hi {
-                let mut y = y0;
-                let mut ob = ob_z;
-                while y <= region.0[1].hi {
-                    row_fn(
-                        out.row_mut(ob, len),
-                        1,
-                        len,
-                        form.bias,
-                        &btaps[..arity],
-                        &btaps[arity..],
-                    );
-                    for (t, d) in btaps.iter_mut().zip(&dy) {
-                        t.base += d;
-                    }
-                    ob += sy as usize * out_rs;
-                    y += sy;
-                }
-                for (t, w) in btaps.iter_mut().zip(&dz_wrap) {
-                    t.base = (t.base as i64 + w) as usize;
-                }
-                ob_z += sz as usize * out_ps;
-                z += sz;
-            }
-            start += len;
-        }
-        return;
-    }
-
-    let needed = if count == 0 {
-        0
+    let unit = out_slope == 1 && taps.iter().all(|t| t.slope == 1);
+    let (kind, row, specialized) = select_row(sel, unit, &taps[..arity], &taps[arity..]);
+    let (bucket, tier) = if specialized {
+        (sel.impl_tag.index(), sel.tier.index())
     } else {
-        (count - 1) * sx as usize + 1
+        (0, 0)
     };
-    let mut z = z0;
-    let mut ob_z = ob0;
-    while z <= region.0[0].hi {
-        let mut y = y0;
-        let mut ob = ob_z;
-        while y <= region.0[1].hi {
-            row_fn(
-                out.row_mut(ob, needed),
-                sx as usize,
-                count,
-                form.bias,
-                &taps[..arity],
-                &taps[arity..],
-            );
-            for (t, d) in taps.iter_mut().zip(&dy) {
-                t.base += d;
+    gmg_trace::dispatch::record(kind, 1);
+    gmg_trace::dispatch::record_impl(bucket, 1);
+    gmg_trace::dispatch::record_tier(tier, 1);
+
+    // Cache blocking, for unit-stride rows of the lane tiers longer than
+    // `xblock`: split the row into `xblock`-point slabs and sweep all rows
+    // and planes of one slab before moving on, so a slab's input rows stay
+    // cache-resident across the y loop. Per-point arithmetic is untouched
+    // (each point sees the same taps in the same order), so blocking is
+    // bitwise-transparent.
+    let lane_tier = specialized && sel.tier != KernelTier::Scalar;
+    let slab = if lane_tier && unit && sel.xblock > 0 && count > sel.xblock {
+        sel.xblock
+    } else {
+        count
+    };
+    let mut start = 0;
+    while start < count {
+        let len = (count - start).min(slab);
+        // strided rows span `(len − 1)·sx + 1` outputs
+        let window = (len - 1) * out_slope + 1;
+        for (t, m) in taps.iter_mut().zip(&moves) {
+            t.base = m.home + start;
+        }
+        let mut ob_z = ob0 + start;
+        for _ in 0..nz {
+            let mut ob = ob_z;
+            for _ in 0..ny {
+                row(
+                    out.row_mut(ob, window),
+                    out_slope,
+                    len,
+                    form.bias,
+                    &taps[..arity],
+                    &taps[arity..],
+                );
+                for (t, m) in taps.iter_mut().zip(&moves) {
+                    t.base += m.dy;
+                }
+                ob += out_dy;
             }
-            ob += sy as usize * out_rs;
-            y += sy;
+            for (t, m) in taps.iter_mut().zip(&moves) {
+                t.base = (t.base as i64 + m.wrap) as usize;
+            }
+            ob_z += out_dz;
         }
-        for (t, w) in taps.iter_mut().zip(&dz_wrap) {
-            t.base = (t.base as i64 + w) as usize;
-        }
-        ob_z += sz as usize * out_ps;
-        z += sz;
+        start += len;
     }
 }
 
@@ -1955,5 +1615,80 @@ mod tests {
         assert!(reference.iter().all(|x| *x != 0.25), "taps contribute");
         let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&fast), bits(&reference));
+    }
+
+    /// One cell of the lane matrix: a `count`-point row of `K` seeded taps
+    /// at bases no vector width divides, computed by the body at lane `L`
+    /// and finished at lane `f64`, against [`dyn_row`]. Exact cells must
+    /// match bit for bit; the reassociating rules must stay inside the
+    /// bound `tests/proptest_fastmath_ulp.rs` defines — `(2K + 6)·ε` of the
+    /// point's term magnitude `|bias| + Σ|cⱼ·rⱼ|`.
+    fn lane_cell<const K: usize, L: Lane, const RULE: u8>(count: usize) {
+        let seeded = |i: usize| ((i * 37 + K * 11) % 101) as f64 * 0.0173 - 0.86;
+        let data: Vec<f64> = (0..count + 3 * K + 1).map(seeded).collect();
+        let magnitudes: Vec<f64> = data.iter().map(|x| x.abs()).collect();
+        let taps_over = |data| -> Vec<RtTap<'_>> {
+            (0..K)
+                .map(|j| RtTap {
+                    data,
+                    base: 1 + 3 * j,
+                    slope: 1,
+                    coeff: seeded(1000 + j),
+                    cf: None,
+                })
+                .collect()
+        };
+        let (taps, mut abs_taps) = (taps_over(&data), taps_over(&magnitudes));
+        abs_taps.iter_mut().for_each(|t| t.coeff = t.coeff.abs());
+        let bias = 0.3;
+        let (mut want, mut scale) = (vec![0.0; count], vec![0.0; count]);
+        dyn_row(&mut want, 1, count, bias, &taps, &[]);
+        dyn_row(&mut scale, 1, count, bias, &abs_taps, &[]);
+
+        let mut buf = vec![f64::NAN; count + 1];
+        let got = &mut buf[1..];
+        let (rows, coeff) = unit_taps::<K>(&taps, count);
+        // SAFETY: callers name only lanes the host runs; rows are `count` long.
+        unsafe {
+            let i = unit_rows::<K, L, RULE>(got, 0, bias, &rows, &coeff);
+            assert!(count - i < L::W, "lane {} left {} points", L::W, count - i);
+            unit_rows::<K, f64, RULE>(got, i, bias, &rows, &coeff);
+        }
+        for (i, ((g, w), m)) in got.iter().zip(&want).zip(&scale).enumerate() {
+            let cell = format!("K {K} W {} rule {RULE} count {count} point {i}", L::W);
+            if RULE == EXACT {
+                assert_eq!(g.to_bits(), w.to_bits(), "{cell}: {g} vs {w}");
+            } else {
+                let tol = (2.0 * K as f64 + 6.0) * f64::EPSILON * m;
+                assert!((g - w).abs() <= tol, "{cell}: |{g} - {w}| > {tol:e}");
+            }
+        }
+    }
+
+    /// Every arity × rule × row length (each remainder, rows shorter than
+    /// one lane included) of one lane.
+    fn lane_column<L: Lane>() {
+        macro_rules! arities {
+            ($($k:literal)*) => {$(
+                for count in 0..=2 * L::W + 3 {
+                    lane_cell::<$k, L, EXACT>(count);
+                    lane_cell::<$k, L, FUSED>(count);
+                    lane_cell::<$k, L, UNFUSED>(count);
+                }
+            )*};
+        }
+        arities!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28);
+    }
+
+    #[test]
+    fn lane_rule_arity_remainder_matrix() {
+        lane_column::<f64>();
+        lane_column::<[f64; 2]>();
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            lane_column::<Avx2>();
+            lane_column::<[Avx2; 2]>();
+        }
     }
 }

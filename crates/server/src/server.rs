@@ -577,7 +577,15 @@ impl Shared {
         let t0 = Instant::now();
         let req0 = &jobs[0].reqs[0];
         let tag = format!("{}[{}]", req0.config().tag(), req0.variant_enum().label());
-        match self.solve_batch(shard_id, &mut jobs) {
+        let solved = self.solve_batch(shard_id, &mut jobs);
+        // Give each tenant its budget back *before* its reply is posted: a
+        // strict request→reply client may send its next request the moment
+        // it reads this one's answer, and must not be refused
+        // `TenantLimit` by the solve it has already been answered for.
+        for job in &jobs {
+            self.retire_tenant_only(job.shard, job.reqs[0].tenant);
+        }
+        match solved {
             Ok(mut vs) => {
                 let elapsed_ns = t0.elapsed().as_nanos() as u64;
                 // Hand grids back in request order, draining front to back.
@@ -641,12 +649,16 @@ impl Shared {
             .sum();
         self.trace
             .record_span(&tag, "request", t0.elapsed().as_nanos() as u64, 0, cells);
-        // Retire strictly after every completion is posted: the drain
-        // watcher may observe inflight == 0 the instant the last retire
-        // lands, and the event loops must then find the completions already
-        // in their inboxes.
-        for job in &jobs {
-            self.retire(job.shard, job.reqs[0].tenant);
+        // Leave `inflight` strictly after every completion is posted: the
+        // drain watcher may observe inflight == 0 the instant the last
+        // decrement lands, and the event loops must then find the
+        // completions already in their inboxes.
+        for _ in &jobs {
+            self.inflight.fetch_sub(1, Ordering::SeqCst);
+        }
+        if self.shutting_down.load(Ordering::SeqCst) {
+            let _g = self.drain_mx.lock().unwrap();
+            self.drain_cv.notify_all();
         }
     }
 
@@ -703,24 +715,6 @@ impl Shared {
         }
         sessions.release(lease);
         Ok(vs)
-    }
-
-    /// Release one unit of tenant budget and wake the drain watcher.
-    fn retire(&self, shard_id: usize, tenant: u32) {
-        {
-            let mut t = self.shards[shard_id].tenants.lock().unwrap();
-            if let Some(c) = t.get_mut(&tenant) {
-                *c -= 1;
-                if *c == 0 {
-                    t.remove(&tenant);
-                }
-            }
-        }
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
-        if self.shutting_down.load(Ordering::SeqCst) {
-            let _g = self.drain_mx.lock().unwrap();
-            self.drain_cv.notify_all();
-        }
     }
 
     /// Admission for one decoded job (a single solve or a client batch,
@@ -803,6 +797,7 @@ impl Shared {
         Ok(())
     }
 
+    /// Release one unit of `tenant`'s budget on `shard_id`.
     fn retire_tenant_only(&self, shard_id: usize, tenant: u32) {
         let mut t = self.shards[shard_id].tenants.lock().unwrap();
         if let Some(c) = t.get_mut(&tenant) {

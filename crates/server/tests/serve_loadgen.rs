@@ -145,6 +145,46 @@ fn queue_full_and_tenant_caps_reject_typed() {
 }
 
 #[test]
+fn sequential_client_never_trips_its_own_tenant_cap() {
+    // A strict request→reply client holds at most one solve at any moment,
+    // so with `tenant_cap: 1` none of its requests may be refused — the
+    // budget of solve k must be free by the time reply k can be read. Each
+    // request opens a fresh connection, so nothing but the reply orders
+    // request k+1 after solve k.
+    let handle = start(ServerConfig {
+        workers: 1,
+        tenant_cap: 1,
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let addr = handle.addr();
+
+    let cfg = MgConfig::new(2, 15, CycleType::V, SmoothSteps::s444());
+    let (v, f, _) = setup_poisson(&cfg);
+    let payload = SolveRequest::from_config(&cfg, Variant::OptPlus, 7, 1, v, f).encode();
+    for k in 0..200 {
+        let mut s = TcpStream::connect(addr).unwrap();
+        protocol::write_frame(&mut s, protocol::OP_SOLVE, &payload).unwrap();
+        let fr = protocol::read_frame(&mut s).unwrap();
+        assert_eq!(
+            fr.opcode,
+            protocol::OP_SOLVE_OK,
+            "request {k} refused: {:?}",
+            protocol::decode_error(&fr.payload)
+        );
+    }
+    assert_eq!(handle.snapshot().rejected_tenant, 0);
+
+    let mut s = TcpStream::connect(addr).unwrap();
+    protocol::write_frame(&mut s, protocol::OP_SHUTDOWN, b"").unwrap();
+    assert_eq!(
+        protocol::read_frame(&mut s).unwrap().opcode,
+        protocol::OP_SHUTDOWN_ACK
+    );
+    handle.join();
+}
+
+#[test]
 fn tuned_store_applies_at_session_creation() {
     use gmg_ir::ParamBindings;
     use gmg_multigrid::cycles::build_cycle_pipeline;

@@ -917,6 +917,7 @@ mod tests {
     fn poisoned_region_cancels_remaining_items() {
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         let executed = AtomicUsize::new(0);
+        let exploding = AtomicBool::new(false);
         let len = 256usize;
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
             pool.install(|| {
@@ -924,10 +925,17 @@ mod tests {
                     if i == 0 {
                         // first item of the caller's queue: poisons the
                         // region before its ~127 siblings run
+                        exploding.store(true, Ordering::Release);
                         panic!("first item exploded");
                     }
+                    // No sibling finishes before item 0 is on its way out:
+                    // a caller descheduled before its first pop must not
+                    // let the worker run (and steal) all 255 of them.
+                    while !exploding.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
                     executed.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_micros(50));
+                    std::thread::sleep(std::time::Duration::from_micros(500));
                 });
             });
         }));
