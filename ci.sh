@@ -61,6 +61,19 @@ for tier in scalar lane_safe fast_math; do
     || { echo "ci: traced run carries no kernel.stencil2d9.$tier row" >&2; exit 1; }
 done
 
+# tile-executor gate: a traced quick run of the overlapped-tile workload
+# verifies every output bitwise against `Variant::Naive` and reconciles the
+# spans (non-zero exit otherwise). `FillGhost` must stay a rim fill: its
+# share of the op time is a ratio of two sums from the same run, so host
+# speed cancels (a per-cell sweep reads 0.055, the rim fill ~0.006).
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  run --workload vcycle2d --traced --quick --out /tmp/bench_tile_ci.json >/dev/null \
+  || { echo "ci: traced vcycle2d benchmark run failed" >&2; exit 1; }
+share=$(grep -o '"runtime.op.fill_ghost_share": {"value": [0-9.e-]*' /tmp/bench_tile_ci.json \
+  | head -n 1 | grep -o '[0-9.e-]*$')
+awk -v s="$share" 'BEGIN { exit !(s != "" && s + 0 <= 0.02) }' \
+  || { echo "ci: runtime.op.fill_ghost_share is '$share', expected <= 0.02" >&2; exit 1; }
+
 # serving gate (DESIGN.md §13): start the solve service on loopback, drive
 # it with the verifying load generator (every response checked bitwise
 # against an in-process engine run), drain it with the protocol's shutdown

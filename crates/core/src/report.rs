@@ -207,6 +207,16 @@ pub fn observability_dump(plan: &CompiledPipeline, report: &gmg_trace::Report) -
         "  arenas: {} created, {} recycled",
         mem.arena_created, mem.arena_recycled
     );
+    let tp = &report.tile_plan;
+    let _ = writeln!(
+        out,
+        "  tile plans: {} built ({} tiles, {} stage-tiles, {} KiB), {} KiB worker scratch",
+        tp.builds,
+        tp.tiles,
+        tp.stage_tiles,
+        tp.plan_bytes / 1024,
+        tp.scratch_bytes / 1024
+    );
     if report.comm.messages > 0 {
         let _ = writeln!(
             out,
@@ -465,6 +475,7 @@ mod tests {
                 steals: 5,
                 parks: 8,
             },
+            tile_plan: Default::default(),
             arena_created: 2,
             arena_recycled: 14,
             arena_workers: vec![(1, 7), (1, 7)],

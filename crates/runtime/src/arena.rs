@@ -1,66 +1,52 @@
-//! Per-worker scratchpad arenas.
+//! Engine-resident tile scratch: one slab per worker.
 //!
 //! The generated code of Figure 8 declares constant-size scratchpad buffers
 //! inside the parallel tile loop — one set per executing thread, on the
-//! thread's stack. In this runtime an arena is a heap-allocated set of
-//! scratch buffers matching a group's [`polymg::ScratchBufferSpec`]s.
+//! thread's stack. Here a worker's scratchpads are one heap slab that the
+//! [`crate::Engine`] owns, like its buffer pool: as long as the widest
+//! overlapped op of the program needs (the sum of that op's
+//! [`polymg::ScratchBufferSpec`] capacities — the plan's
+//! `peak_scratch_bytes`, which is what storage accounting charges per
+//! thread), and carved by each op at its own fixed offsets. A tile writes
+//! every scratch cell before reading it, so a slab is never cleared between
+//! tiles, ops or runs.
 //!
-//! Recycling is worker-affine: each pool worker (identified by
-//! [`rayon::current_thread_index`]) has a dedicated slot it returns its
-//! arena to and checks first on the next tile, so in steady state a worker
-//! keeps touching the same cache-warm buffers with no cross-thread
-//! traffic. Callers outside a parallel region (or a worker whose slot is
-//! taken) fall back to a shared overflow stack, so nothing is ever leaked
-//! or allocated twice unnecessarily.
+//! A slab is created the first time its worker (identified by
+//! [`rayon::current_thread_index`]; a caller outside a parallel region
+//! counts as worker 0) runs a tile and then stays with the engine, so after
+//! the first pass a tile loop allocates nothing and a worker keeps touching
+//! the same cache-warm memory. A slab lost to a worker panic is created
+//! again on that worker's next tile.
 
-use polymg::{FaultPlan, FaultSite, ScratchBufferSpec};
+use polymg::{FaultPlan, FaultSite};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Poison-tolerant lock: the slot/overflow mutexes guard plain
-/// `Option<Arena>` / `Vec<Arena>` state that is consistent at every await
-/// point, so after a worker panic (e.g. an injected one) the data is still
-/// valid and recovery must keep going rather than propagate the poison.
+/// Poison-tolerant lock: a slot holds a plain `Option<Arena>` that is
+/// consistent at every point, so after a worker panic (e.g. an injected
+/// one) the data is still valid and recovery must keep going rather than
+/// propagate the poison.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One worker's scratch buffers for a group (index = scratch buffer id).
+/// One worker's scratch slab.
 #[derive(Debug)]
 pub struct Arena {
-    bufs: Vec<Vec<f64>>,
+    slab: Vec<f64>,
 }
 
 impl Arena {
-    fn new(specs: &[ScratchBufferSpec]) -> Self {
+    fn new(len: usize) -> Self {
+        gmg_trace::tile_plan::record_scratch((len * std::mem::size_of::<f64>()) as u64);
         Arena {
-            bufs: specs.iter().map(|s| vec![0.0; s.capacity]).collect(),
+            slab: vec![0.0; len],
         }
     }
 
-    /// Mutable access to buffer `i`.
-    pub fn buf(&mut self, i: usize) -> &mut Vec<f64> {
-        &mut self.bufs[i]
-    }
-
-    /// Split into individually borrowable buffers.
-    pub fn bufs_mut(&mut self) -> &mut [Vec<f64>] {
-        &mut self.bufs
-    }
-
-    /// Read-only view of all buffers (producers of the current stage).
-    pub fn bufs(&self) -> &[Vec<f64>] {
-        &self.bufs
-    }
-
-    /// Number of buffers.
-    pub fn len(&self) -> usize {
-        self.bufs.len()
-    }
-
-    /// True when the arena holds no buffers.
-    pub fn is_empty(&self) -> bool {
-        self.bufs.is_empty()
+    /// The whole slab; an op carves its scratch buffers out of it.
+    pub fn slab(&mut self) -> &mut [f64] {
+        &mut self.slab
     }
 }
 
@@ -71,113 +57,87 @@ struct WorkerStats {
     recycled: AtomicU64,
 }
 
-/// A recycling pool of arenas for one group execution, with one affine
-/// slot per pool worker plus a shared overflow stack.
-pub struct ArenaPool<'a> {
-    specs: &'a [ScratchBufferSpec],
+/// The engine's scratch: one slot per pool worker, each holding that
+/// worker's [`Arena`] between tiles.
+pub struct ArenaPool {
+    /// Slab length in elements.
+    len: usize,
     /// Slot `w` belongs to the worker with `current_thread_index() == w`.
     slots: Vec<Mutex<Option<Arena>>>,
-    overflow: Mutex<Vec<Arena>>,
-    /// Index `w` = worker `w`; the extra trailing entry counts gets/puts
-    /// made outside any parallel region.
     stats: Vec<WorkerStats>,
-    /// Armed fault schedule: `get` may be forced onto the fresh-allocation
-    /// path (recycling "fails"), which is counted and recovered, not fatal.
-    chaos: Option<&'a FaultPlan>,
 }
 
-impl<'a> ArenaPool<'a> {
-    /// New pool for a group's buffer specs, sized for the current thread
-    /// count.
-    pub fn new(specs: &'a [ScratchBufferSpec]) -> Self {
-        Self::with_chaos(specs, None)
+impl ArenaPool {
+    /// A pool of `len`-element slabs for `workers` workers; no slab exists
+    /// until a worker asks for one.
+    pub fn new(len: usize, workers: usize) -> Self {
+        let mut pool = ArenaPool {
+            len,
+            slots: Vec::new(),
+            stats: Vec::new(),
+        };
+        pool.ensure_workers(workers.max(1));
+        pool
     }
 
-    /// [`ArenaPool::new`] with an armed fault schedule.
-    pub fn with_chaos(specs: &'a [ScratchBufferSpec], chaos: Option<&'a FaultPlan>) -> Self {
-        let nworkers = rayon::current_num_threads().max(1);
-        ArenaPool {
-            specs,
-            slots: (0..nworkers).map(|_| Mutex::new(None)).collect(),
-            overflow: Mutex::new(Vec::new()),
-            stats: (0..nworkers + 1).map(|_| WorkerStats::default()).collect(),
-            chaos,
-        }
-    }
-
-    fn stat_index(&self) -> usize {
-        match rayon::current_thread_index() {
-            Some(w) if w < self.slots.len() => w,
-            _ => self.slots.len(),
+    /// Make room for `workers` workers (an engine without a dedicated
+    /// thread pool runs on whatever pool its caller installed).
+    pub fn ensure_workers(&mut self, workers: usize) {
+        if self.slots.len() < workers {
+            self.slots.resize_with(workers, || Mutex::new(None));
+            self.stats.resize_with(workers, WorkerStats::default);
         }
     }
 
-    /// Get an arena: the calling worker's affine slot first, then the
-    /// overflow stack, then a fresh allocation.
-    pub fn get(&self) -> Arena {
-        let si = self.stat_index();
-        if let Some(c) = self.chaos {
-            if c.should_fire(FaultSite::ArenaAlloc) {
-                // injected recycling failure: degrade to a fresh arena
-                self.stats[si].created.fetch_add(1, Ordering::Relaxed);
-                c.record_recovered(FaultSite::ArenaAlloc);
-                return Arena::new(self.specs);
-            }
-        }
-        if si < self.slots.len() {
-            if let Some(a) = relock(&self.slots[si]).take() {
-                self.stats[si].recycled.fetch_add(1, Ordering::Relaxed);
-                return a;
-            }
-        }
-        if let Some(a) = relock(&self.overflow).pop() {
-            self.stats[si].recycled.fetch_add(1, Ordering::Relaxed);
+    /// The calling thread's slot. An engine driven from inside someone
+    /// else's parallel region sees that region's worker index, which may
+    /// exceed its own worker count; any slot will do then, since slots are
+    /// locked and an engine runs one pass at a time.
+    fn worker(&self) -> usize {
+        rayon::current_thread_index().unwrap_or(0) % self.slots.len()
+    }
+
+    /// The calling worker's arena, created if it has none. An armed
+    /// [`FaultSite::ArenaAlloc`] makes recycling "fail": the tile gets a
+    /// fresh arena, which is counted and recovered, not fatal.
+    pub fn get(&self, chaos: &FaultPlan) -> Arena {
+        let w = self.worker();
+        if chaos.should_fire(FaultSite::ArenaAlloc) {
+            chaos.record_recovered(FaultSite::ArenaAlloc);
+        } else if let Some(a) = relock(&self.slots[w]).take() {
+            self.stats[w].recycled.fetch_add(1, Ordering::Relaxed);
             return a;
         }
-        self.stats[si].created.fetch_add(1, Ordering::Relaxed);
-        Arena::new(self.specs)
+        self.stats[w].created.fetch_add(1, Ordering::Relaxed);
+        Arena::new(self.len)
     }
 
-    /// Return an arena for reuse (to the caller's affine slot when free).
+    /// Hand an arena back to the calling worker's slot. The slot keeps one
+    /// arena; a second (a fresh one forced by chaos) is dropped.
     pub fn put(&self, arena: Arena) {
-        if let Some(w) = rayon::current_thread_index() {
-            if w < self.slots.len() {
-                let mut slot = relock(&self.slots[w]);
-                if slot.is_none() {
-                    *slot = Some(arena);
-                    return;
-                }
+        relock(&self.slots[self.worker()]).get_or_insert(arena);
+    }
+
+    /// Overwrite every resident scratch cell with `value`. Tiles fill what
+    /// they read, so this must never change a result: the test hook behind
+    /// that claim.
+    pub fn fill(&mut self, value: f64) {
+        for slot in &mut self.slots {
+            let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
+            if let Some(a) = slot {
+                a.slab.fill(value);
             }
         }
-        relock(&self.overflow).push(arena);
     }
 
-    /// How many arenas were actually created (≈ worker count).
-    pub fn created(&self) -> usize {
-        self.stats
-            .iter()
-            .map(|s| s.created.load(Ordering::Relaxed) as usize)
-            .sum()
-    }
-
-    /// How many `get` calls were served from an affine slot or the
-    /// overflow stack rather than a fresh allocation.
-    pub fn recycled(&self) -> usize {
-        self.stats
-            .iter()
-            .map(|s| s.recycled.load(Ordering::Relaxed) as usize)
-            .sum()
-    }
-
-    /// Per-worker `(created, recycled)` pairs: one entry per worker slot
-    /// plus a trailing entry for gets made outside any parallel region.
-    pub fn per_worker_stats(&self) -> Vec<(u64, u64)> {
+    /// Per-worker `(created, recycled)` counts since the last call.
+    pub fn take_stats(&self) -> Vec<(u64, u64)> {
         self.stats
             .iter()
             .map(|s| {
                 (
-                    s.created.load(Ordering::Relaxed),
-                    s.recycled.load(Ordering::Relaxed),
+                    s.created.swap(0, Ordering::Relaxed),
+                    s.recycled.swap(0, Ordering::Relaxed),
                 )
             })
             .collect()
@@ -188,96 +148,106 @@ impl<'a> ArenaPool<'a> {
 mod tests {
     use super::*;
 
-    fn specs() -> Vec<ScratchBufferSpec> {
-        vec![
-            ScratchBufferSpec {
-                extents: vec![10, 20],
-                capacity: 200,
-            },
-            ScratchBufferSpec {
-                extents: vec![5, 8],
-                capacity: 40,
-            },
-        ]
+    fn quiet() -> FaultPlan {
+        FaultPlan::disabled()
+    }
+
+    fn totals(pool: &ArenaPool) -> (u64, u64) {
+        let per = pool.take_stats();
+        (per.iter().map(|s| s.0).sum(), per.iter().map(|s| s.1).sum())
     }
 
     #[test]
-    fn arena_matches_specs() {
-        let s = specs();
-        let pool = ArenaPool::new(&s);
-        let mut a = pool.get();
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.buf(0).len(), 200);
-        assert_eq!(a.buf(1).len(), 40);
-        assert!(!a.is_empty());
+    fn slab_has_the_pool_length() {
+        let pool = ArenaPool::new(240, 1);
+        let mut a = pool.get(&quiet());
+        assert_eq!(a.slab().len(), 240);
     }
 
     #[test]
     fn recycling_avoids_creation() {
-        let s = specs();
-        let pool = ArenaPool::new(&s);
+        let pool = ArenaPool::new(240, 1);
         for _ in 0..10 {
-            let a = pool.get();
+            let a = pool.get(&quiet());
             pool.put(a);
         }
-        assert_eq!(pool.created(), 1);
-        assert_eq!(pool.recycled(), 9);
+        assert_eq!(totals(&pool), (1, 9));
+        assert_eq!(totals(&pool), (0, 0), "take_stats drains the counters");
     }
 
     #[test]
-    fn concurrent_get_creates_per_holder() {
-        let s = specs();
-        let pool = ArenaPool::new(&s);
-        let a = pool.get();
-        let b = pool.get();
-        assert_eq!(pool.created(), 2);
+    fn a_slot_keeps_one_arena() {
+        let pool = ArenaPool::new(240, 1);
+        let a = pool.get(&quiet());
+        let b = pool.get(&quiet());
         pool.put(a);
         pool.put(b);
-        let _c = pool.get();
-        assert_eq!(pool.created(), 2);
-        assert_eq!(pool.recycled(), 1);
+        let _c = pool.get(&quiet());
+        let _d = pool.get(&quiet());
+        assert_eq!(totals(&pool), (3, 1), "the second put was dropped");
     }
 
     #[test]
     fn chaos_forces_fresh_arenas_and_counts_recovery() {
-        let s = specs();
         let plan =
             FaultPlan::new(polymg::ChaosOptions::new(9, 1.0).with_sites(polymg::chaos::SITE_ARENA));
-        let pool = ArenaPool::with_chaos(&s, Some(&plan));
+        let pool = ArenaPool::new(240, 1);
         for _ in 0..4 {
-            let a = pool.get();
+            let a = pool.get(&plan);
             pool.put(a);
         }
-        assert_eq!(pool.created(), 4, "every get must degrade to a fresh arena");
-        assert_eq!(pool.recycled(), 0);
+        assert_eq!(totals(&pool), (4, 0), "every get degrades to a fresh arena");
         let snap = plan.snapshot();
         assert_eq!(snap.fired[FaultSite::ArenaAlloc.index()], 4);
         assert_eq!(snap.recovered[FaultSite::ArenaAlloc.index()], 4);
     }
 
     #[test]
-    fn worker_affine_reuse_inside_pool() {
-        let s = specs();
+    fn foreign_worker_index_maps_to_a_slot() {
+        // a one-worker pool used from worker 1 of an outer two-thread region
         let tp = rayon::ThreadPoolBuilder::new()
             .num_threads(2)
             .build()
             .unwrap();
         tp.install(|| {
             use rayon::prelude::*;
-            let pool = ArenaPool::new(&s);
+            (0..8usize).into_par_iter().for_each(|_| {
+                let pool = ArenaPool::new(16, 1);
+                let a = pool.get(&quiet());
+                pool.put(a);
+                let _again = pool.get(&quiet());
+                assert_eq!(totals(&pool), (1, 1));
+            });
+        });
+    }
+
+    #[test]
+    fn fill_reaches_resident_slabs() {
+        let mut pool = ArenaPool::new(16, 1);
+        let a = pool.get(&quiet());
+        pool.put(a);
+        pool.fill(f64::NAN);
+        let mut a = pool.get(&quiet());
+        assert!(a.slab().iter().all(|v| v.is_nan()));
+    }
+
+    #[test]
+    fn worker_affine_reuse_inside_pool() {
+        let tp = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        tp.install(|| {
+            use rayon::prelude::*;
+            let pool = ArenaPool::new(240, 2);
             (0..32usize).into_par_iter().for_each(|_| {
-                let a = pool.get();
+                let a = pool.get(&quiet());
                 pool.put(a);
             });
-            assert!(pool.created() <= 2, "at most one arena per worker");
-            assert_eq!(pool.created() + pool.recycled(), 32);
-            let per = pool.per_worker_stats();
-            // one slot per worker + the outside-region bucket
-            assert_eq!(per.len(), 3);
-            let created: u64 = per.iter().map(|(c, _)| c).sum();
-            let recycled: u64 = per.iter().map(|(_, r)| r).sum();
-            assert_eq!(created as usize, pool.created());
-            assert_eq!(recycled as usize, pool.recycled());
+            let per = pool.take_stats();
+            assert_eq!(per.len(), 2, "one entry per worker");
+            assert!(per.iter().all(|s| s.0 <= 1), "at most one arena per worker");
+            assert_eq!(per.iter().map(|s| s.0 + s.1).sum::<u64>(), 32);
         });
     }
 }

@@ -32,7 +32,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use gmg_ir::{Access, CoeffRead, Expr, LinearForm, Operand, Parity, ParityPattern};
-use gmg_poly::{div_floor, BoxDomain};
+use gmg_poly::{div_floor, BoxDomain, Interval};
 use polymg::{KernelBody, KernelImpl, KernelSel, KernelTier, StageKernel};
 
 #[cfg(target_arch = "x86_64")]
@@ -193,11 +193,25 @@ pub fn execute_stage_out_sel(
     sel: KernelSel,
     kernel: &StageKernel,
     region: &BoxDomain,
+    out: KernelOut<'_>,
+    ins: &[KernelInput<'_>],
+    slot_boundary: &[f64],
+) {
+    execute_stage_region(sel, kernel, &region.0, out, ins, slot_boundary);
+}
+
+/// [`execute_stage_out_sel`] over a region given as its intervals, outermost
+/// first: the tile executor keeps its boxes in fixed arrays, not in a
+/// [`BoxDomain`].
+pub(crate) fn execute_stage_region(
+    sel: KernelSel,
+    kernel: &StageKernel,
+    region: &[Interval],
     mut out: KernelOut<'_>,
     ins: &[KernelInput<'_>],
     slot_boundary: &[f64],
 ) {
-    if region.is_empty() {
+    if region.iter().any(Interval::is_empty) {
         return;
     }
     for case in &kernel.cases {
@@ -216,10 +230,11 @@ pub fn execute_stage_out_sel(
 
 /// A row cursor: the value at inner-loop index `k` is `data[base + k·slope]`.
 /// A linear case carries one per tap, in lowered order, followed by one per
-/// distinct coefficient row ([`case_cursors`]); the sweep advances them all
-/// alike. A tap's weight is `coeff`, or `coeff · a[k]` when `cf` names the
-/// coefficient row `a` it is scaled by (`coeff` and `cf` are unused on the
-/// coefficient rows themselves).
+/// distinct coefficient row (see [`linear_sweep`]); the sweep advances them
+/// all alike. A tap's weight is `coeff`, or `coeff · a[k]` when `cf` names
+/// the coefficient row `a` it is scaled by (`coeff` and `cf` are unused on
+/// the coefficient rows themselves).
+#[derive(Clone, Copy)]
 struct RtTap<'a> {
     data: &'a [f64],
     base: usize,
@@ -287,20 +302,21 @@ fn tap_x_base_slope(access: &Access, input: &Space<'_>, x0: i64, sx: i64) -> (us
     (first as usize, slope)
 }
 
-/// Runs of adjacent equal-coefficient taps, as `(coeff, from, to)`.
-fn coeff_spans(taps: &[RtTap<'_>]) -> Vec<(f64, usize, usize)> {
-    let mut spans = Vec::new();
-    let mut j = 0;
+/// The end of the run of adjacent equal-coefficient taps that starts at
+/// tap `from`.
+fn coeff_run_end(taps: &[RtTap<'_>], from: usize) -> usize {
+    let c = taps[from].coeff;
+    from + taps[from..].iter().take_while(|t| t.coeff == c).count()
+}
+
+/// How many runs of adjacent equal-coefficient taps `taps` splits into.
+fn coeff_runs(taps: &[RtTap<'_>]) -> usize {
+    let (mut runs, mut j) = (0, 0);
     while j < taps.len() {
-        let c = taps[j].coeff;
-        let mut k = j + 1;
-        while k < taps.len() && taps[k].coeff == c {
-            k += 1;
-        }
-        spans.push((c, j, k));
-        j = k;
+        j = coeff_run_end(taps, j);
+        runs += 1;
     }
-    spans
+    runs
 }
 
 /// The row-kernel signature: write `count` outputs spaced `out_slope` apart
@@ -335,7 +351,7 @@ fn select_row(
     };
     let (unit_kind, row) = match instance {
         Some(row) => (Kind::UnitUnrolled, row),
-        None if unit && crows.is_empty() && coeff_spans(taps).len() * 2 <= taps.len() => {
+        None if unit && crows.is_empty() && coeff_runs(taps) * 2 <= taps.len() => {
             (Kind::UnitFactored, factored_row as RowFn)
         }
         None => (Kind::UnitFallback, dyn_row as RowFn),
@@ -734,6 +750,10 @@ fn row_fn(tier: KernelTier, arity: usize) -> Option<RowFn> {
 /// const-arity kernels beat this for ≤28 taps (LLVM keeps everything in
 /// registers), so [`select_row`] only engages it for stencils wider than
 /// the table, where the alternative is the per-tap fallback.
+///
+/// Each run adds its `coeff · Σ` onto the output row in turn, so a point
+/// still sees `bias`, then one multiply-add per run in tap order; the runs
+/// are found by walking the taps once per row, and nothing is allocated.
 fn factored_row(
     out_row: &mut [f64],
     _out_slope: usize,
@@ -742,18 +762,20 @@ fn factored_row(
     taps: &[RtTap<'_>],
     _crows: &[RtTap<'_>],
 ) {
-    let spans = coeff_spans(taps);
-    let rows: Vec<&[f64]> = taps.iter().map(|t| t.unit(count)).collect();
-    for (i, out) in out_row[..count].iter_mut().enumerate() {
-        let mut acc = bias;
-        for &(c, a, b) in &spans {
+    let out_row = &mut out_row[..count];
+    out_row.fill(bias);
+    let mut from = 0;
+    while from < taps.len() {
+        let to = coeff_run_end(taps, from);
+        let c = taps[from].coeff;
+        for (i, out) in out_row.iter_mut().enumerate() {
             let mut s = 0.0;
-            for r in &rows[a..b] {
-                s += r[i];
+            for t in &taps[from..to] {
+                s += t.at(i);
             }
-            acc += c * s;
+            *out += c * s;
         }
-        *out = acc;
+        from = to;
     }
 }
 
@@ -790,58 +812,73 @@ fn grid<'a, 'b>(ins: &'b [KernelInput<'a>], slot: usize) -> &'b Space<'a> {
     }
 }
 
-/// The cursors a linear case needs, as `(slot, access, coeff, cf)`: its
-/// taps in lowered order, then one per *distinct* [`CoeffRead`] — the five
-/// taps of `a·(A v)` share one `A(0,0)` row — with each coefficient tap's
-/// `cf` indexing into that tail.
-fn case_cursors(form: &LinearForm) -> Vec<(usize, &Access, f64, Option<usize>)> {
-    let mut crows: Vec<&CoeffRead> = Vec::new();
-    let mut cursors: Vec<_> = form
-        .taps
-        .iter()
-        .map(|t| {
-            let cf = t.cfactor.as_ref().map(|c| {
-                crows.iter().position(|r| *r == c).unwrap_or_else(|| {
-                    crows.push(c);
-                    crows.len() - 1
-                })
-            });
-            (t.slot, &t.access, t.coeff, cf)
-        })
-        .collect();
-    cursors.extend(crows.iter().map(|c| (c.slot, &c.access, 1.0, None)));
-    cursors
+/// `len` copies of `fill` as a slice that lives on the stack while
+/// `len <= N` and on the heap beyond: what a tile loop uses where a `Vec`
+/// per stage or per case would be an allocation per tile.
+pub(crate) struct Inline<T, const N: usize> {
+    stack: [T; N],
+    heap: Vec<T>,
+    len: usize,
 }
+
+impl<T: Copy, const N: usize> Inline<T, N> {
+    pub(crate) fn new(len: usize, fill: T) -> Self {
+        Inline {
+            stack: [fill; N],
+            heap: if len > N { vec![fill; len] } else { Vec::new() },
+            len,
+        }
+    }
+
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
+        if self.len > N {
+            &mut self.heap
+        } else {
+            &mut self.stack[..self.len]
+        }
+    }
+}
+
+/// Cursors a linear case keeps on the stack: the widest arity of the
+/// [`row_fn`] table and four coefficient rows.
+const INLINE_CURSORS: usize = 32;
 
 /// One axis of a sweep: the first coordinate of `region` matching the
 /// pattern's parity, the step, and how many coordinates match.
-fn sweep_axis(region: &BoxDomain, pattern: &ParityPattern, d: usize) -> Option<(i64, i64, usize)> {
-    let (lo, hi) = (region.0[d].lo, region.0[d].hi);
+fn sweep_axis(region: &[Interval], pattern: &ParityPattern, d: usize) -> Option<(i64, i64, usize)> {
+    let (lo, hi) = (region[d].lo, region[d].hi);
     let (start, step) = parity_start(lo, hi, pattern.0[d])?;
     Some((start, step, ((hi - start) / step + 1) as usize))
 }
 
-/// How one cursor's base moves through the sweep: from `home` (its base at
-/// the sweep's first point) by `dy` per row, and by `wrap` at the end of a
-/// plane.
-struct Advance {
+/// The sweep's side of one cursor (the row kernels see its [`RtTap`]): how
+/// its base moves — from `home` (the base at the sweep's first point) by
+/// `dy` per row, and by `wrap` at the end of a plane — and, for a
+/// coefficient row, the read it stands for.
+#[derive(Clone, Copy)]
+struct Advance<'f> {
     home: usize,
     dy: usize,
     wrap: i64,
+    read: Option<&'f CoeffRead>,
 }
 
 /// The sweep of one linear case over `region`, both ranks: planes, rows
 /// within a plane, and x-slabs around both. A 2-D region is a 3-D region
 /// with one plane; an unblocked row is the blocked nest with one slab.
+///
+/// The case's cursors are its taps in lowered order, then one per
+/// *distinct* [`CoeffRead`] — the five taps of `a·(A v)` share one `A(0,0)`
+/// row — with each coefficient tap's `cf` indexing into that tail.
 fn linear_sweep(
     sel: KernelSel,
     form: &LinearForm,
     pattern: &ParityPattern,
-    region: &BoxDomain,
+    region: &[Interval],
     out: &mut KernelOut<'_>,
     ins: &[KernelInput<'_>],
 ) {
-    let nd = region.ndims();
+    let nd = region.len();
     assert!(nd == 2 || nd == 3, "unsupported rank {nd}");
     let (yd, xd) = (nd - 2, nd - 1);
     let Some((x0, sx, count)) = sweep_axis(region, pattern, xd) else {
@@ -870,13 +907,27 @@ fn linear_sweep(
     let (out_dy, out_dz) = (sy as usize * out_rs, sz as usize * out_ps);
 
     // Cursor bases are affine in the row and plane index: compute them once
-    // per case, then advance by constants (no per-row allocation or
-    // division in steady state).
+    // per case, then advance by constants (no allocation, and no per-row
+    // division, in steady state).
     let arity = form.taps.len();
-    let cursors = case_cursors(form);
-    let mut taps: Vec<RtTap<'_>> = Vec::with_capacity(cursors.len());
-    let mut moves: Vec<Advance> = Vec::with_capacity(cursors.len());
-    for &(slot, access, coeff, cf) in &cursors {
+    let scaled = form.taps.iter().filter(|t| t.cfactor.is_some()).count();
+    let idle_tap = RtTap {
+        data: &[],
+        base: 0,
+        slope: 1,
+        coeff: 0.0,
+        cf: None,
+    };
+    let idle_move = Advance {
+        home: 0,
+        dy: 0,
+        wrap: 0,
+        read: None,
+    };
+    let mut taps = Inline::<_, INLINE_CURSORS>::new(arity + scaled, idle_tap);
+    let mut moves = Inline::<_, INLINE_CURSORS>::new(arity + scaled, idle_move);
+    let (taps, moves) = (taps.as_mut_slice(), moves.as_mut_slice());
+    let cursor = |slot: usize, access: &Access, coeff: f64, cf: Option<usize>, read| {
         let s = grid(ins, slot);
         let (xb, slope) = tap_x_base_slope(access, s, x0, sx);
         let base = tap_row_base(access, s, outer) + xb;
@@ -885,22 +936,40 @@ fn linear_sweep(
             3 => axis_coord_delta(&access.0[0], sz) * s.extents[yd] * s.extents[xd],
             _ => 0,
         };
-        moves.push(Advance {
+        let tap = RtTap {
+            data: s.data,
+            base,
+            slope,
+            coeff,
+            cf,
+        };
+        let advance = Advance {
             home: base,
             dy: dy as usize,
             // after `ny` row advances a base sits `ny·dy` past its plane's
             // first row; step to the next plane's with one (possibly
             // negative) correction
             wrap: dz - ny as i64 * dy,
+            read,
+        };
+        (tap, advance)
+    };
+    let mut crows = 0;
+    for (j, t) in form.taps.iter().enumerate() {
+        let cf = t.cfactor.as_ref().map(|c| {
+            let tail = &moves[arity..arity + crows];
+            tail.iter()
+                .position(|m| m.read == Some(c))
+                .unwrap_or_else(|| {
+                    (taps[arity + crows], moves[arity + crows]) =
+                        cursor(c.slot, &c.access, 1.0, None, Some(c));
+                    crows += 1;
+                    crows - 1
+                })
         });
-        taps.push(RtTap {
-            data: s.data,
-            base,
-            slope,
-            coeff,
-            cf,
-        });
+        (taps[j], moves[j]) = cursor(t.slot, &t.access, t.coeff, cf, None);
     }
+    let (taps, moves) = (&mut taps[..arity + crows], &moves[..arity + crows]);
 
     let unit = out_slope == 1 && taps.iter().all(|t| t.slope == 1);
     let (kind, row, specialized) = select_row(sel, unit, &taps[..arity], &taps[arity..]);
@@ -930,7 +999,7 @@ fn linear_sweep(
         let len = (count - start).min(slab);
         // strided rows span `(len − 1)·sx + 1` outputs
         let window = (len - 1) * out_slope + 1;
-        for (t, m) in taps.iter_mut().zip(&moves) {
+        for (t, m) in taps.iter_mut().zip(moves) {
             t.base = m.home + start;
         }
         let mut ob_z = ob0 + start;
@@ -945,12 +1014,12 @@ fn linear_sweep(
                     &taps[..arity],
                     &taps[arity..],
                 );
-                for (t, m) in taps.iter_mut().zip(&moves) {
+                for (t, m) in taps.iter_mut().zip(moves) {
                     t.base += m.dy;
                 }
                 ob += out_dy;
             }
-            for (t, m) in taps.iter_mut().zip(&moves) {
+            for (t, m) in taps.iter_mut().zip(moves) {
                 t.base = (t.base as i64 + m.wrap) as usize;
             }
             ob_z += out_dz;
@@ -963,13 +1032,13 @@ fn linear_sweep(
 fn interpret_case(
     expr: &Expr,
     pattern: &ParityPattern,
-    region: &BoxDomain,
+    region: &[Interval],
     out: &mut KernelOut<'_>,
     ins: &[KernelInput<'_>],
     slot_boundary: &[f64],
 ) {
     gmg_trace::dispatch::record(gmg_trace::dispatch::Kind::Interpreter, 1);
-    let nd = region.ndims();
+    let nd = region.len();
     let mut point = vec![0i64; nd];
     iterate_parity(region, pattern, nd, &mut point, 0, &mut |p| {
         let v = expr.eval_at(p, &mut |op, idx| {
@@ -990,7 +1059,7 @@ fn interpret_case(
 }
 
 fn iterate_parity(
-    region: &BoxDomain,
+    region: &[Interval],
     pattern: &ParityPattern,
     nd: usize,
     point: &mut Vec<i64>,
@@ -1001,11 +1070,11 @@ fn iterate_parity(
         f(point);
         return;
     }
-    let Some((start, step)) = parity_start(region.0[d].lo, region.0[d].hi, pattern.0[d]) else {
+    let Some((start, step)) = parity_start(region[d].lo, region[d].hi, pattern.0[d]) else {
         return;
     };
     let mut v = start;
-    while v <= region.0[d].hi {
+    while v <= region[d].hi {
         point[d] = v;
         iterate_parity(region, pattern, nd, point, d + 1, f);
         v += step;
@@ -1014,48 +1083,48 @@ fn iterate_parity(
 
 /// Fill every cell of `out` *outside* `inner` with `value` — the scratchpad
 /// halo initialisation (ghost/boundary ring of a tile's alloc box).
+///
+/// Only the rim `out ∖ inner` is written: whole planes and rows outside
+/// `inner`'s outer ranges, the two x-margins of the rows inside them, and
+/// nothing when `inner` covers the box. A 2-D box is a 3-D box with one
+/// plane.
 pub fn fill_outside(out: &mut SpaceMut<'_>, inner: &BoxDomain, value: f64) {
+    fill_rim(out, &inner.0, value);
+}
+
+/// [`fill_outside`] with `inner` given as its intervals, outermost first.
+pub(crate) fn fill_rim(out: &mut SpaceMut<'_>, inner: &[Interval], value: f64) {
     let nd = out.origin.len();
-    match nd {
-        2 => {
-            let (ey, ex) = (out.extents[0], out.extents[1]);
-            let iy = inner.0[0].shift(-out.origin[0]);
-            let ix = inner.0[1].shift(-out.origin[1]);
-            for y in 0..ey {
-                let row = &mut out.data[(y * ex) as usize..((y + 1) * ex) as usize];
-                if inner.is_empty() || !iy.contains(y) {
-                    row.fill(value);
-                } else {
-                    for (x, v) in row.iter_mut().enumerate() {
-                        if !ix.contains(x as i64) {
-                            *v = value;
-                        }
-                    }
-                }
+    assert!(nd == 2 || nd == 3, "unsupported rank {nd}");
+    // `inner` per axis as a half-open range of `out`-relative indices,
+    // clamped to the box; `None` when no cell of the box is inside
+    let within = |d: usize| -> Option<(usize, usize)> {
+        let lo = (inner[d].lo - out.origin[d]).max(0);
+        let hi = (inner[d].hi - out.origin[d] + 1).min(out.extents[d]);
+        (lo < hi).then_some((lo as usize, hi as usize))
+    };
+    let (ey, ex) = (out.extents[nd - 2] as usize, out.extents[nd - 1] as usize);
+    let (ez, zs) = match nd {
+        3 => (out.extents[0] as usize, within(0)),
+        _ => (1, Some((0, 1))),
+    };
+    let plane = ey * ex;
+    let data = &mut out.data[..ez * plane];
+    let (Some((z0, z1)), Some((y0, y1)), Some((x0, x1))) = (zs, within(nd - 2), within(nd - 1))
+    else {
+        return data.fill(value);
+    };
+    data[..z0 * plane].fill(value);
+    data[z1 * plane..].fill(value);
+    for p in data[z0 * plane..z1 * plane].chunks_exact_mut(plane) {
+        p[..y0 * ex].fill(value);
+        p[y1 * ex..].fill(value);
+        if x0 > 0 || x1 < ex {
+            for row in p[y0 * ex..y1 * ex].chunks_exact_mut(ex) {
+                row[..x0].fill(value);
+                row[x1..].fill(value);
             }
         }
-        3 => {
-            let (ez, ey, ex) = (out.extents[0], out.extents[1], out.extents[2]);
-            let iz = inner.0[0].shift(-out.origin[0]);
-            let iy = inner.0[1].shift(-out.origin[1]);
-            let ix = inner.0[2].shift(-out.origin[2]);
-            for z in 0..ez {
-                for y in 0..ey {
-                    let base = ((z * ey + y) * ex) as usize;
-                    let row = &mut out.data[base..base + ex as usize];
-                    if inner.is_empty() || !iz.contains(z) || !iy.contains(y) {
-                        row.fill(value);
-                    } else {
-                        for (x, v) in row.iter_mut().enumerate() {
-                            if !ix.contains(x as i64) {
-                                *v = value;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        d => panic!("unsupported rank {d}"),
     }
 }
 
@@ -1457,6 +1526,142 @@ mod tests {
         }
         assert_eq!(dst[13], 1.0);
         assert_eq!(dst.iter().sum::<f64>(), 1.0);
+    }
+
+    /// `fill_outside` by its definition, one question per cell — the loop
+    /// the rim fill replaced.
+    fn fill_outside_per_cell(out: &mut SpaceMut<'_>, inner: &BoxDomain, value: f64) {
+        let nd = out.origin.len();
+        let cells: i64 = out.extents.iter().product();
+        for (i, v) in out.data[..cells as usize].iter_mut().enumerate() {
+            let mut rest = i as i64;
+            let mut point = vec![0i64; nd];
+            for d in (0..nd).rev() {
+                point[d] = out.origin[d] + rest % out.extents[d];
+                rest /= out.extents[d];
+            }
+            if !inner.contains_point(&point) {
+                *v = value;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// Random boxes of both ranks against every kind of `inner`: empty,
+        /// equal to the box, touching one face, one cell, and boxes that
+        /// stick out past any side (or miss the box altogether). Cells
+        /// outside `inner` take the value, cells inside keep the sentinel's
+        /// bits.
+        #[test]
+        fn fill_outside_matches_its_definition(
+            nd in 2usize..4,
+            extents in proptest::collection::vec(1i64..7, 3),
+            origin in proptest::collection::vec(-3i64..4, 3),
+            shape in 0usize..6,
+            face in 0usize..6,
+            at in proptest::collection::vec(-3i64..9, 3),
+            len in proptest::collection::vec(0i64..10, 3),
+        ) {
+            let (extents, origin) = (&extents[..nd], &origin[..nd]);
+            let whole = |d: usize| Interval::new(origin[d], origin[d] + extents[d] - 1);
+            let inner = BoxDomain::new(
+                (0..nd)
+                    .map(|d| match shape {
+                        0 => Interval::empty(),
+                        1 => whole(d),
+                        // one cell in from every face but `face`
+                        2 => {
+                            let w = whole(d);
+                            let (lo, hi) = (face == 2 * d, face == 2 * d + 1);
+                            Interval::new(w.lo + !lo as i64, w.hi - !hi as i64)
+                        }
+                        3 => {
+                            let x = origin[d] + at[d].rem_euclid(extents[d]);
+                            Interval::new(x, x)
+                        }
+                        _ => Interval::new(origin[d] + at[d], origin[d] + at[d] + len[d] - 1),
+                    })
+                    .collect(),
+            );
+            let sentinel = f64::from_bits(0x7ff8_0000_0bad_cafe);
+            let cells = extents.iter().product::<i64>() as usize;
+            let (mut got, mut want) = (vec![sentinel; cells], vec![sentinel; cells]);
+            for (buf, fill) in [
+                (&mut got, fill_outside as fn(&mut SpaceMut<'_>, &BoxDomain, f64)),
+                (&mut want, fill_outside_per_cell),
+            ] {
+                let mut out = SpaceMut { data: buf, origin, extents };
+                fill(&mut out, &inner, -2.5);
+            }
+            let bits = |b: &[f64]| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(
+                bits(&got),
+                bits(&want),
+                "origin {:?} extents {:?} inner {:?}",
+                origin,
+                extents,
+                inner
+            );
+        }
+    }
+
+    /// `factored_row` as it was: spans and row slices collected per row.
+    fn factored_row_collecting(out_row: &mut [f64], count: usize, bias: f64, taps: &[RtTap<'_>]) {
+        let mut spans = Vec::new();
+        let mut j = 0;
+        while j < taps.len() {
+            let c = taps[j].coeff;
+            let mut k = j + 1;
+            while k < taps.len() && taps[k].coeff == c {
+                k += 1;
+            }
+            spans.push((c, j, k));
+            j = k;
+        }
+        let rows: Vec<&[f64]> = taps.iter().map(|t| t.unit(count)).collect();
+        for (i, out) in out_row[..count].iter_mut().enumerate() {
+            let mut acc = bias;
+            for &(c, a, b) in &spans {
+                let mut s = 0.0;
+                for r in &rows[a..b] {
+                    s += r[i];
+                }
+                acc += c * s;
+            }
+            *out = acc;
+        }
+    }
+
+    #[test]
+    fn factored_row_is_bitwise_what_it_was() {
+        // dense operators wider than the arity table, taps sorted by
+        // coefficient as the lowering leaves them: 29 taps in runs of 4,
+        // 49 taps in runs of 6
+        for (arity, run) in [(29usize, 4usize), (49, 6)] {
+            let count = 41;
+            let data: Vec<f64> = (0..count + 2 * arity)
+                .map(|i| ((i * 29 + arity) % 53) as f64 * 0.0371 - 0.93)
+                .collect();
+            let taps: Vec<RtTap<'_>> = (0..arity)
+                .map(|j| RtTap {
+                    data: &data,
+                    base: 2 * j,
+                    slope: 1,
+                    coeff: 0.173 * (1 + j / run) as f64 - 0.6,
+                    cf: None,
+                })
+                .collect();
+            assert_eq!(coeff_runs(&taps), arity.div_ceil(run));
+            let (kind, row, _) = select_row(KernelSel::generic(), true, &taps, &[]);
+            assert_eq!(kind, gmg_trace::dispatch::Kind::UnitFactored);
+            let (mut got, mut want) = (vec![f64::NAN; count], vec![f64::NAN; count]);
+            row(&mut got, 1, count, 0.25, &taps, &[]);
+            factored_row_collecting(&mut want, count, 0.25, &taps);
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{arity} taps");
+        }
     }
 
     #[test]

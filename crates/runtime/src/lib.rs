@@ -6,8 +6,8 @@
 //! * [`pool`] — the pooled memory allocator of §3.2.3 (`pool_allocate` /
 //!   `pool_deallocate`): buffers live across multigrid-cycle invocations,
 //!   requests are served from a free list of previously allocated arrays.
-//! * [`arena`] — per-worker scratchpad arenas for overlapped tiles (the
-//!   stack buffers declared inside the tile loop in Figure 8).
+//! * [`arena`] — engine-resident scratch for overlapped tiles, one slab per
+//!   worker (the stack buffers declared inside the tile loop in Figure 8).
 //! * [`kernel`] — the specialised stencil loops executing lowered
 //!   [`polymg::KernelBody`] cases over a region: parity-dispatched,
 //!   unit-stride fast paths, with a checked generic path and an interpreter
@@ -39,6 +39,7 @@ pub mod pool;
 pub mod schedule;
 pub mod tilebuf;
 
+pub use ops::overlapped::TilePlan;
 pub use pool::{BufferPool, PoolStats};
 pub use schedule::{
     fill_ghost, BatchRhs, Engine, ExecError, ExecHooks, NoHooks, RunStats, SlotView,

@@ -8,7 +8,7 @@
 
 pub(crate) mod diamond;
 pub(crate) mod mixed;
-pub(crate) mod overlapped;
+pub mod overlapped;
 pub(crate) mod untiled;
 
 use crate::kernel::Space;
@@ -70,6 +70,8 @@ pub(crate) fn resolve_ins<'s>(
 }
 
 /// Per-tile region propagation with owned regions derived from the tile.
+/// Called once per tile per engine, by the builder of an overlapped op's
+/// [`overlapped::TilePlan`].
 pub(crate) fn propagate_for_tile(
     gstages: &[GroupStage],
     edges: &[GroupEdge],

@@ -1,22 +1,210 @@
 //! `RunOverlappedGroup`: overlapped-tile execution of a fused group with
-//! scratchpads (the paper's §3.1 strategy, geometry precomputed at
-//! lowering).
+//! scratchpads (the paper's §3.1 strategy).
+//!
+//! Lowering fixes the tile list, the group's dependence edges and the
+//! stage scales. What each tile computes for each stage — the compute box,
+//! the owned box it writes back, the scratchpad box — depends only on those,
+//! so it is derived once, on the op's first execution, into a [`TilePlan`]
+//! that the engine keeps next to the op. Every later execution is the tile
+//! loop alone: read a plan entry, initialise the rim of the scratchpad box
+//! outside the compute box, run the stage kernel, copy the owned box out.
+//! The loop allocates nothing: boxes are fixed arrays in the plan, a
+//! stage's input list lives on the stack, and scratch is the worker's
+//! engine-resident slab ([`crate::arena`]).
 
-use super::{panic_detail, propagate_for_tile, resolve_ins, ResolvedIn};
+use super::{panic_detail, propagate_for_tile};
 use crate::arena::ArenaPool;
 use crate::kernel::{
-    execute_stage_out_sel, fill_outside, KernelInput, KernelOut, Space, SpaceMut,
+    execute_stage_region, fill_rim, Inline, KernelInput, KernelOut, Space, SpaceMut,
 };
 use crate::schedule::{ExecError, Slot};
 use crate::tilebuf::SharedOut;
 use gmg_poly::tiling::owned_region;
-use gmg_poly::BoxDomain;
-use gmg_trace::{StageHandle, Trace};
-use polymg::schedule::{ExecProgram, OverlappedGeom, StageExec};
+use gmg_poly::{BoxDomain, Interval};
+use gmg_trace::StageHandle;
+use polymg::schedule::{ExecProgram, OpInput, OverlappedGeom, StageExec};
 use polymg::{FaultPlan, FaultSite, ScratchBufferSpec};
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
+
+/// Stage inputs kept on the stack per stage execution (a wider stage spills
+/// to the heap); shipped pipelines read at most four grids per stage.
+const INLINE_INPUTS: usize = 8;
+
+/// A box as a fixed array, right-aligned: a 2-D box occupies axes `1..3`.
+type Box3 = [Interval; 3];
+
+fn box3(b: &BoxDomain) -> Box3 {
+    let mut out = [Interval::new(0, 0); 3];
+    out[3 - b.ndims()..].copy_from_slice(&b.0);
+    out
+}
+
+/// What one tile does for one stage.
+#[derive(Clone, Copy, Debug)]
+struct StageTile {
+    /// Points the tile evaluates; empty when the tile needs none.
+    compute: Box3,
+    /// The part of `compute` written back to the stage's full array (empty
+    /// for stages that are not live-out).
+    owned: Box3,
+    /// Corner and extents of the scratchpad box (`compute` plus the ghost
+    /// positions consumers read).
+    origin: [i64; 3],
+    extents: [i64; 3],
+}
+
+/// The per-tile geometry of one overlapped op: for every tile × stage the
+/// result of backward region propagation, and where each of the op's
+/// scratch buffers sits in a worker's slab. Built once per engine on the
+/// op's first execution and read-only afterwards (all workers share it).
+#[derive(Debug)]
+pub struct TilePlan {
+    ndims: usize,
+    nstages: usize,
+    /// Tile-major: entry `tile · nstages + stage`.
+    entries: Vec<StageTile>,
+    /// Per scratch buffer: `(offset, capacity)` of its slice of the slab.
+    buffers: Vec<(usize, usize)>,
+    /// Boundary value of every stage input, stage after stage.
+    boundaries: Vec<f64>,
+    /// Parallel to `boundaries`: for an op-local input, the producer stage
+    /// and the slab offset of the buffer holding its result.
+    locals: Vec<Option<(usize, usize)>>,
+    /// Per stage: where its inputs start in `boundaries` (one extra entry
+    /// closes the last stage).
+    inputs_at: Vec<usize>,
+}
+
+impl TilePlan {
+    fn build(
+        stages: &[StageExec],
+        live_out: &[bool],
+        scratch_slot: &[Option<usize>],
+        scratch_buffers: &[ScratchBufferSpec],
+        geom: &OverlappedGeom,
+    ) -> Result<TilePlan, ExecError> {
+        let ndims = geom.gstages[0].domain.ndims();
+        if !(2..=3).contains(&ndims) {
+            return Err(ExecError::PlanViolation(
+                "overlapped group of unsupported rank",
+            ));
+        }
+        let mut offset = 0;
+        let buffers: Vec<(usize, usize)> = scratch_buffers
+            .iter()
+            .map(|b| {
+                offset += b.capacity;
+                (offset - b.capacity, b.capacity)
+            })
+            .collect();
+        let (mut boundaries, mut locals) = (Vec::new(), Vec::new());
+        let mut inputs_at = vec![0];
+        for st in stages {
+            for inp in &st.ins {
+                let (boundary, local) = match inp {
+                    OpInput::Zero => (0.0, None),
+                    OpInput::Slot { boundary, .. } => (*boundary, None),
+                    OpInput::Local { stage, boundary } => {
+                        let b = scratch_slot[*stage].ok_or(ExecError::PlanViolation(
+                            "op-local producer without scratch slot",
+                        ))?;
+                        (*boundary, Some((*stage, buffers[b].0)))
+                    }
+                };
+                boundaries.push(boundary);
+                locals.push(local);
+            }
+            inputs_at.push(boundaries.len());
+        }
+
+        let mut entries = Vec::with_capacity(geom.tiles.len() * stages.len());
+        for tile in &geom.tiles {
+            let regions =
+                propagate_for_tile(&geom.gstages, &geom.edges, &geom.scales, live_out, tile);
+            for (i, (st, r)) in stages.iter().zip(&regions).enumerate() {
+                let owned = if live_out[i] {
+                    owned_region(tile, &geom.scales[i], &st.domain)
+                } else {
+                    BoxDomain::empty(ndims)
+                };
+                let alloc = box3(&r.alloc);
+                entries.push(StageTile {
+                    compute: box3(&r.compute),
+                    owned: box3(&owned),
+                    origin: alloc.map(|iv| iv.lo),
+                    extents: alloc.map(|iv| iv.len()),
+                });
+            }
+        }
+        let plan = TilePlan {
+            ndims,
+            nstages: stages.len(),
+            entries,
+            buffers,
+            boundaries,
+            locals,
+            inputs_at,
+        };
+        gmg_trace::tile_plan::record_plan(
+            plan.tiles() as u64,
+            plan.entries.len() as u64,
+            plan.bytes() as u64,
+        );
+        Ok(plan)
+    }
+
+    /// Number of tiles.
+    pub fn tiles(&self) -> usize {
+        self.entries.len() / self.nstages.max(1)
+    }
+
+    /// Number of stages per tile.
+    pub fn stages(&self) -> usize {
+        self.nstages
+    }
+
+    /// Heap bytes the plan occupies.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.entries.len() * size_of::<StageTile>()
+            + self.buffers.len() * size_of::<(usize, usize)>()
+            + self.locals.len() * size_of::<Option<(usize, usize)>>()
+            + (self.boundaries.len() + self.inputs_at.len()) * size_of::<usize>()
+    }
+
+    /// Elements of a worker's slab this op uses.
+    fn scratch_len(&self) -> usize {
+        self.buffers.last().map_or(0, |&(off, cap)| off + cap)
+    }
+
+    fn entry(&self, tile: usize, stage: usize) -> &StageTile {
+        &self.entries[tile * self.nstages + stage]
+    }
+
+    fn domain(&self, b: &Box3) -> BoxDomain {
+        BoxDomain::new(b[3 - self.ndims..].to_vec())
+    }
+
+    /// The points `tile` evaluates for `stage`.
+    pub fn compute(&self, tile: usize, stage: usize) -> BoxDomain {
+        self.domain(&self.entry(tile, stage).compute)
+    }
+
+    /// The points of `stage` that `tile` writes to the stage's full array.
+    pub fn owned(&self, tile: usize, stage: usize) -> BoxDomain {
+        self.domain(&self.entry(tile, stage).owned)
+    }
+
+    /// The scratchpad box of `stage` in `tile`.
+    pub fn alloc(&self, tile: usize, stage: usize) -> BoxDomain {
+        let e = self.entry(tile, stage);
+        let alloc: Box3 =
+            std::array::from_fn(|d| Interval::new(e.origin[d], e.origin[d] + e.extents[d] - 1));
+        self.domain(&alloc)
+    }
+}
 
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
@@ -26,9 +214,10 @@ pub(crate) fn run(
     scratch_slot: &[Option<usize>],
     scratch_buffers: &[ScratchBufferSpec],
     geom: &OverlappedGeom,
+    plan: &std::sync::OnceLock<TilePlan>,
+    scratch: &ArenaPool,
     slots: &mut [Slot<'_>],
     spans: &[StageHandle],
-    trace: &Trace,
     chaos: &FaultPlan,
 ) -> Result<(), ExecError> {
     if chaos.should_fire(FaultSite::OpOverlapped) {
@@ -37,6 +226,13 @@ pub(crate) fn run(
             op: "run_overlapped",
         });
     }
+    let plan = match plan.get() {
+        Some(p) => p,
+        None => {
+            let built = TilePlan::build(stages, live_out, scratch_slot, scratch_buffers, geom)?;
+            plan.get_or_init(|| built)
+        }
+    };
     // take all written arrays
     let mut write_arrays = Vec::new();
     for (st, lo) in stages.iter().zip(live_out) {
@@ -59,192 +255,143 @@ pub(crate) fn run(
         for (a, s) in taken.iter_mut() {
             outs.push((*a, SharedOut::new(s.try_write(&program.slots[*a].name)?)));
         }
-        let shared_of = |a: usize| -> Option<SharedOut> {
-            outs.iter().find(|(aa, _)| *aa == a).map(|(_, s)| *s)
-        };
-        // every live-out stage must map to a taken output (checked here so
-        // the tile closures below can use `if let` instead of unwrapping)
-        for (st, lo) in stages.iter().zip(live_out) {
-            if *lo && st.slot.and_then(shared_of).is_none() {
-                return Err(ExecError::PlanViolation(
+        // per stage: the shared array a live-out stage writes, with its
+        // extents (resolved here so the tile loop cannot fail)
+        let stage_out: Vec<Option<(SharedOut, &[i64])>> = stages
+            .iter()
+            .zip(live_out)
+            .map(|(st, lo)| {
+                if !*lo {
+                    return Ok(None);
+                }
+                let a = st.slot.and_then(|a| outs.iter().find(|(aa, _)| *aa == a));
+                let (a, sh) = a.ok_or(ExecError::PlanViolation(
                     "live-out stage slot was not taken for writing",
-                ));
-            }
+                ))?;
+                Ok(Some((*sh, &program.slots[*a].extents[..])))
+            })
+            .collect::<Result<_, ExecError>>()?;
+
+        // every stage's inputs, stage after stage, with the full-array reads
+        // resolved; op-local inputs are filled in per tile
+        let mut inputs: Vec<KernelInput<'_>> = Vec::with_capacity(plan.boundaries.len());
+        for inp in stages.iter().flat_map(|st| &st.ins) {
+            inputs.push(match inp {
+                OpInput::Zero | OpInput::Local { .. } => KernelInput::Zero,
+                OpInput::Slot { slot, .. } => {
+                    let spec = &program.slots[*slot];
+                    KernelInput::Grid(Space {
+                        data: slots[*slot].try_read(&spec.name)?,
+                        origin: &spec.origin,
+                        extents: &spec.extents,
+                    })
+                }
+            });
         }
 
-        // pre-resolve every full-array read
-        let resolved: Vec<Vec<ResolvedIn<'_>>> = stages
-            .iter()
-            .map(|st| resolve_ins(program, st, slots))
-            .collect::<Result<_, _>>()?;
-
-        // scratch-slot index of each op-local input, in input order per
-        // stage — validated serially so the parallel section can't fail
-        let local_slot: Vec<Vec<usize>> = resolved
-            .iter()
-            .map(|rs| {
-                rs.iter()
-                    .filter_map(|r| match r {
-                        ResolvedIn::Local(pi, _) => Some(scratch_slot[*pi].ok_or(
-                            ExecError::PlanViolation("op-local producer without scratch slot"),
-                        )),
-                        _ => None,
-                    })
-                    .collect::<Result<_, _>>()
-            })
-            .collect::<Result<_, _>>()?;
-
-        let arena_pool = ArenaPool::with_chaos(scratch_buffers, Some(chaos));
-        let tracing = trace.is_enabled();
+        let nd = plan.ndims;
+        let tracing = spans.iter().any(StageHandle::is_enabled);
 
         // Catching here (after the slots were taken, before they are
         // restored by the caller below) contains worker panics: the slot
         // restore always runs, so no pooled buffer is stranded.
         catch_unwind(AssertUnwindSafe(|| {
-            geom.tiles.par_iter().for_each(|tile| {
+            (0..plan.tiles()).into_par_iter().for_each(|tile| {
                 if chaos.should_fire(FaultSite::WorkerPanic) {
                     panic!("chaos: injected worker panic");
                 }
-                let regions =
-                    propagate_for_tile(&geom.gstages, &geom.edges, &geom.scales, live_out, tile);
-                let mut arena = arena_pool.get();
+                let mut arena = scratch.get(chaos);
+                let slab = &mut arena.slab()[..plan.scratch_len()];
 
                 for (i, st) in stages.iter().enumerate() {
                     let kernel = &program.kernels[st.kernel];
-                    let compute = &regions[i].compute;
-                    if compute.is_empty() {
+                    let entry = plan.entry(tile, i);
+                    let compute = &entry.compute[3 - nd..];
+                    if compute.iter().any(Interval::is_empty) {
                         continue;
                     }
                     let t0 = tracing.then(Instant::now);
-                    let owned = if live_out[i] {
-                        owned_region(tile, &geom.scales[i], &st.domain)
-                    } else {
-                        BoxDomain::empty(compute.ndims())
-                    };
 
-                    // take the stage's own scratch buffer out of the arena
-                    // first so producer views can borrow the arena immutably
-                    let own_slot = scratch_slot[i];
-                    let mut own_buf = own_slot.map(|sl| std::mem::take(arena.buf(sl)));
+                    // Split the slab around the stage's own buffer: the
+                    // kernel writes that part while its producers' buffers
+                    // — earlier stages, never the same buffer — are read
+                    // from the rest.
+                    let (own_at, own_cap) =
+                        scratch_slot[i].map_or((slab.len(), 0), |b| plan.buffers[b]);
+                    let (before, rest) = slab.split_at_mut(own_at);
+                    let (own, after) = rest.split_at_mut(own_cap);
+                    let (before, after) = (&*before, &*after);
 
-                    // owned metadata for producer scratch views (built first so
-                    // the spaces borrowing it live long enough)
-                    let mut meta: Vec<(Vec<i64>, Vec<i64>)> = Vec::new();
-                    for r in &resolved[i] {
-                        if let ResolvedIn::Local(pi, _) = r {
-                            let alloc = &regions[*pi].alloc;
-                            meta.push((alloc.0.iter().map(|iv| iv.lo).collect(), alloc.extents()));
-                        }
-                    }
-                    let mut ins: Vec<KernelInput<'_>> = Vec::with_capacity(resolved[i].len());
-                    let mut bnd: Vec<f64> = Vec::with_capacity(resolved[i].len());
-                    let mut mi = 0usize;
-                    for r in &resolved[i] {
-                        match r {
-                            ResolvedIn::Zero => {
-                                ins.push(KernelInput::Zero);
-                                bnd.push(0.0);
-                            }
-                            ResolvedIn::Array(sp, b) => {
-                                ins.push(KernelInput::Grid(*sp));
-                                bnd.push(*b);
-                            }
-                            ResolvedIn::Local(_, b) => {
-                                bnd.push(*b);
-                                let buf = local_slot[i][mi];
-                                let (o, e) = &meta[mi];
-                                mi += 1;
-                                let size = e.iter().product::<i64>() as usize;
-                                // producers are earlier stages whose buffers are
-                                // read-only at this point (own buffer was taken
-                                // out above and a producer can never alias it)
-                                let pdata = &arena.bufs()[buf][..size];
-                                ins.push(KernelInput::Grid(Space {
-                                    data: pdata,
-                                    origin: o,
-                                    extents: e,
-                                }));
-                            }
-                        }
+                    let (lo, hi) = (plan.inputs_at[i], plan.inputs_at[i + 1]);
+                    let bnd = &plan.boundaries[lo..hi];
+                    let mut ins = Inline::<_, INLINE_INPUTS>::new(hi - lo, KernelInput::Zero);
+                    let ins = ins.as_mut_slice();
+                    ins.copy_from_slice(&inputs[lo..hi]);
+                    for (k, local) in plan.locals[lo..hi].iter().enumerate() {
+                        let Some((producer, at)) = *local else {
+                            continue;
+                        };
+                        let produced = plan.entry(tile, producer);
+                        let extents = &produced.extents[3 - nd..];
+                        let len = extents.iter().product::<i64>() as usize;
+                        ins[k] = KernelInput::Grid(Space {
+                            data: if at < own_at {
+                                &before[at..at + len]
+                            } else {
+                                &after[at - own_at - own_cap..][..len]
+                            },
+                            origin: &produced.origin[3 - nd..],
+                            extents,
+                        });
                     }
 
-                    if let Some(own) = own_buf.as_mut() {
+                    let (origin, extents) = (&entry.origin[3 - nd..], &entry.extents[3 - nd..]);
+                    if scratch_slot[i].is_some() {
                         // compute the full overlap region into the scratchpad
-                        let alloc = regions[i].alloc.clone();
-                        let origin: Vec<i64> = alloc.0.iter().map(|iv| iv.lo).collect();
-                        let extents = alloc.extents();
-                        let size = extents.iter().product::<i64>() as usize;
-                        {
-                            let data = &mut own[..size];
-                            {
-                                let mut sp = SpaceMut {
-                                    data,
-                                    origin: &origin,
-                                    extents: &extents,
-                                };
-                                fill_outside(&mut sp, compute, st.boundary);
-                            }
-                            let out = KernelOut::Dense(SpaceMut {
+                        let data = &mut own[..extents.iter().product::<i64>() as usize];
+                        let mut pad = SpaceMut {
+                            data: &mut *data,
+                            origin,
+                            extents,
+                        };
+                        fill_rim(&mut pad, compute, st.boundary);
+                        let out = KernelOut::Dense(pad);
+                        execute_stage_region(st.sel(), kernel, compute, out, ins, bnd);
+                        if let Some((sh, array_extents)) = stage_out[i] {
+                            // copy the owned sub-region scratch → array
+                            let src = Space {
                                 data,
-                                origin: &origin,
-                                extents: &extents,
-                            });
-                            execute_stage_out_sel(st.sel(), kernel, compute, out, &ins, &bnd);
-                        }
-                        if live_out[i] && !owned.is_empty() {
-                            // copy the owned sub-region scratch → array (the
-                            // live-out/shared-out pairing was validated above)
-                            if let Some((a, sh)) =
-                                st.slot.and_then(|a| shared_of(a).map(|sh| (a, sh)))
-                            {
-                                let spec = &program.slots[a];
-                                let src = Space {
-                                    data: &own[..size],
-                                    origin: &origin,
-                                    extents: &extents,
-                                };
-                                // SAFETY: owned boxes partition the array across
-                                // tiles.
-                                unsafe {
-                                    sh.copy_box_from(&src, &spec.extents, &owned);
-                                }
+                                origin,
+                                extents,
+                            };
+                            // SAFETY: owned boxes partition the array across
+                            // tiles.
+                            unsafe {
+                                sh.copy_box_from(&src, array_extents, &entry.owned[3 - nd..]);
                             }
                         }
-                    } else {
+                    } else if let Some((out, extents)) = stage_out[i] {
                         // live-out with no in-group consumer: write the owned
                         // region straight into the shared array (the generated-
                         // code behaviour of Figure 8)
-                        debug_assert!(live_out[i]);
-                        debug_assert_eq!(&owned, compute);
-                        if let Some((a, sh)) = st.slot.and_then(|a| shared_of(a).map(|sh| (a, sh)))
-                        {
-                            let spec = &program.slots[a];
-                            let out = KernelOut::Shared {
-                                out: sh,
-                                extents: &spec.extents,
-                            };
-                            execute_stage_out_sel(st.sel(), kernel, compute, out, &ins, &bnd);
-                        }
+                        debug_assert_eq!(&entry.owned[3 - nd..], compute);
+                        let out = KernelOut::Shared { out, extents };
+                        execute_stage_region(st.sel(), kernel, compute, out, ins, bnd);
                     }
 
-                    if let (Some(sl), Some(own)) = (own_slot, own_buf) {
-                        *arena.buf(sl) = own;
-                    }
                     if let Some(t0) = t0 {
-                        spans[i].record(t0.elapsed().as_nanos() as u64, 1, compute.len() as u64);
+                        let cells = compute.iter().map(Interval::len).product::<i64>();
+                        spans[i].record(t0.elapsed().as_nanos() as u64, 1, cells as u64);
                     }
                 }
 
-                arena_pool.put(arena);
+                scratch.put(arena);
             });
         }))
         .map_err(|p| ExecError::WorkerPanicked {
             op: "run_overlapped",
             detail: panic_detail(p),
-        })?;
-        trace.record_arena(arena_pool.created() as u64, arena_pool.recycled() as u64);
-        trace.record_arena_workers(&arena_pool.per_worker_stats());
-        Ok(())
+        })
     })();
 
     for (a, s) in taken {

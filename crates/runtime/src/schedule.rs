@@ -13,7 +13,9 @@
 //! [`ExecHooks::halo_exchange`] callback reaches back into its
 //! communication layer at every [`ExecOp::HaloExchange`] op.
 
+use crate::arena::ArenaPool;
 use crate::kernel::{copy_box, fill_outside, Space, SpaceMut};
+use crate::ops::overlapped::TilePlan;
 use crate::pool::{BufferPool, F32Pool, PoolStats};
 use gmg_grid::Buffer;
 use gmg_poly::{BoxDomain, Interval};
@@ -21,7 +23,7 @@ use gmg_trace::{OpHandle, PoolSnapshot, StageHandle, ThreadsSnapshot, Trace};
 use polymg::schedule::{ExecOp, ExecProgram};
 use polymg::{ChaosOptions, ChaosStats, CompiledPipeline, FaultPlan, FaultSite};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Statistics of one engine run.
@@ -323,6 +325,14 @@ pub struct Engine {
     op_handles: Vec<OpHandle>,
     /// Per op, per scheduled stage: interned span handles.
     stage_handles: Vec<Vec<StageHandle>>,
+    /// Per op: the per-tile geometry of an overlapped op, derived on the
+    /// op's first execution and dropped with the engine (a re-planned
+    /// session gets a fresh engine, hence fresh plans). Never set for other
+    /// ops.
+    tile_plans: Vec<OnceLock<TilePlan>>,
+    /// Tile scratch: one slab per worker, as long as the widest overlapped
+    /// op needs; persists across runs like the buffer pool.
+    scratch: ArenaPool,
     /// Pool counters already ingested into the trace (deltas per run).
     pool_reported: PoolStats,
     /// Thread-pool counters already ingested into the trace (deltas per
@@ -364,6 +374,20 @@ impl Engine {
         };
         let nops = program.ops.len();
         let ghost_stable = ghost_stable_slots(&program);
+        let peak_scratch = program
+            .ops
+            .iter()
+            .map(|op| match op {
+                ExecOp::RunOverlappedGroup {
+                    scratch_buffers, ..
+                } => scratch_buffers.iter().map(|b| b.capacity).sum(),
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(0);
+        let workers = rayon_pool
+            .as_ref()
+            .map_or_else(rayon::current_num_threads, |rp| rp.current_num_threads());
         Engine {
             plan: None,
             program,
@@ -373,6 +397,8 @@ impl Engine {
             trace: Trace::disabled(),
             op_handles: vec![OpHandle::disabled(); nops],
             stage_handles: vec![Vec::new(); nops],
+            tile_plans: (0..nops).map(|_| OnceLock::new()).collect(),
+            scratch: ArenaPool::new(peak_scratch, workers),
             pool_reported: PoolStats::default(),
             threads_reported: rayon::PoolCounters::default(),
             chaos: Arc::new(FaultPlan::disabled()),
@@ -472,6 +498,18 @@ impl Engine {
         &self.program
     }
 
+    /// The tile plan of op `op`: `Some` once an overlapped op has executed.
+    pub fn tile_plan(&self, op: usize) -> Option<&TilePlan> {
+        self.tile_plans.get(op)?.get()
+    }
+
+    /// Overwrite every resident tile-scratch cell with `value`. A tile
+    /// writes each scratch cell before reading it, so results must not
+    /// depend on this; tests use it to prove that.
+    pub fn fill_scratch(&mut self, value: f64) {
+        self.scratch.fill(value);
+    }
+
     /// Pool statistics (persist across runs).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
@@ -546,6 +584,11 @@ impl Engine {
         }
         let start = Instant::now();
         let fresh0 = self.pool.stats().allocated_bytes;
+        // without a dedicated pool the tiles run on whatever pool the
+        // caller installed, which may be wider than at construction
+        if self.rayon_pool.is_none() {
+            self.scratch.ensure_workers(rayon::current_num_threads());
+        }
 
         // All slots start empty; externals are (re)bound per RHS, internal
         // slots are brought to life by their MallocFresh / PoolAlloc ops on
@@ -558,9 +601,10 @@ impl Engine {
         let program = &self.program;
         let pool = &mut self.pool;
         let f32_pool = &mut self.f32_pool;
-        let trace = &self.trace;
         let op_handles = &self.op_handles;
         let stage_handles = &self.stage_handles;
+        let tile_plans = &self.tile_plans;
+        let scratch = &self.scratch;
         let chaos: &FaultPlan = &self.chaos;
         let ghost_stable = &self.ghost_stable;
         let nrhs = batch.len();
@@ -662,9 +706,10 @@ impl Engine {
                                 scratch_slot,
                                 scratch_buffers,
                                 geom,
+                                &tile_plans[i],
+                                scratch,
                                 slots,
                                 &stage_handles[i],
-                                trace,
                                 chaos,
                             )?;
                         }
@@ -783,6 +828,13 @@ impl Engine {
                 peak_live_bytes: stats.peak_live_bytes as u64,
             });
             self.pool_reported = stats;
+
+            let arenas = self.scratch.take_stats();
+            self.trace.record_arena(
+                arenas.iter().map(|w| w.0).sum(),
+                arenas.iter().map(|w| w.1).sum(),
+            );
+            self.trace.record_arena_workers(&arenas);
 
             let tc = self.thread_counters();
             let prev = self.threads_reported;

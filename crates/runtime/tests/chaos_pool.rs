@@ -125,3 +125,78 @@ fn injected_pool_faults_recover_bitwise_and_leak_nothing() {
         "a warm pool (grown by recovered fallback buffers) must serve the whole run"
     );
 }
+
+/// `SITE_ARENA` with engine-owned scratch: every tile of an overlapped op
+/// gets a fresh, counted, recovered arena instead of its worker's resident
+/// slab, and the output does not move.
+#[test]
+fn injected_arena_faults_give_every_tile_a_fresh_arena() {
+    let n = 31i64;
+    let mut opts = PipelineOptions::for_variant(Variant::OptPlus, 2);
+    opts.threads = 2;
+    opts.tile_sizes = vec![8, 8];
+    let plan = compile(&pipeline(n), &ParamBindings::new(), opts).unwrap();
+    let out_name = plan
+        .graph
+        .stages
+        .iter()
+        .find(|s| s.is_output)
+        .unwrap()
+        .name
+        .clone();
+    let mut engine = Engine::new(plan);
+    let tiles: u64 = engine
+        .program()
+        .ops
+        .iter()
+        .map(|op| match op {
+            ExecOp::RunOverlappedGroup { geom, .. } => geom.tiles.len() as u64,
+            _ => 0,
+        })
+        .sum();
+    assert!(tiles >= 4, "test premise: a multi-tile overlapped plan");
+    let trace = gmg_trace::Trace::enabled();
+    engine.set_trace(trace.clone());
+    let arenas = || {
+        let r = trace.report().unwrap();
+        (r.arena_created, r.arena_recycled)
+    };
+
+    let reference = run_once(&mut engine, n, &out_name);
+    let (cold, _) = arenas();
+    assert!((1..=2).contains(&cold), "one slab per worker, got {cold}");
+    assert_eq!(run_once(&mut engine, n, &out_name), reference);
+    // Which worker runs which tile is the pool's business: a worker that
+    // sat out the first cycle creates its slab in the first one it joins.
+    // What a warm cycle never does is create a second slab for a worker.
+    let (warm, recycled) = arenas();
+    assert!(
+        (cold..=2).contains(&warm),
+        "a warm cycle creates no slab beyond one per worker: {cold} -> {warm}"
+    );
+    assert_eq!(warm + recycled, 2 * tiles, "every tile took a slab");
+
+    engine.set_chaos(Some(ChaosOptions::new(5, 1.0).with_sites(SITE_ARENA)));
+    assert_eq!(
+        run_once(&mut engine, n, &out_name),
+        reference,
+        "fresh arenas must not change a bit"
+    );
+    assert_eq!(
+        arenas(),
+        (warm + tiles, recycled),
+        "every tile got a fresh arena"
+    );
+    let snap = engine.chaos_stats();
+    assert_eq!(snap.total_fired(), tiles);
+    assert_eq!(snap.total_recovered(), tiles);
+
+    engine.set_chaos(None);
+    assert_eq!(run_once(&mut engine, n, &out_name), reference);
+    let (after, recycled_after) = arenas();
+    assert!(
+        after - (warm + tiles) <= 2 - warm,
+        "disarmed: back to the resident slabs ({warm} + {tiles} -> {after})"
+    );
+    assert_eq!(after + recycled_after, 4 * tiles);
+}

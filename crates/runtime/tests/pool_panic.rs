@@ -9,6 +9,7 @@ use gmg_ir::stencil::stencil_2d;
 use gmg_ir::{ParamBindings, Pipeline, StepCount};
 use gmg_runtime::{Engine, ExecError};
 use polymg::chaos::SITE_PANIC;
+use polymg::schedule::ExecOp;
 use polymg::{compile, ChaosOptions, PipelineOptions, Variant};
 
 fn smoother_pipeline() -> Pipeline {
@@ -111,6 +112,67 @@ fn worker_panic_is_contained_and_pool_stays_usable() {
     assert!(
         counters.regions > regions_before,
         "the recovery run must have executed real parallel regions"
+    );
+    assert_eq!(engine.pool_stats().live_bytes, 0, "no pool slot leaked");
+}
+
+/// The same containment with engine-owned tile scratch: a panic inside an
+/// overlapped op must leave the engine's plans and slabs usable — the next
+/// run is bitwise the reference and allocates at most one slab per worker.
+#[test]
+fn worker_panic_leaves_engine_owned_scratch_usable() {
+    let mut o = PipelineOptions::for_variant(Variant::OptPlus, 2);
+    o.threads = 3;
+    o.tile_sizes = vec![8, 8];
+    let plan = compile(&smoother_pipeline(), &ParamBindings::new(), o).unwrap();
+    let out_name = plan
+        .graph
+        .stages
+        .iter()
+        .find(|s| s.is_output)
+        .unwrap()
+        .name
+        .clone();
+    let reference = run_once(&mut Engine::new(plan.clone()), &out_name).unwrap();
+
+    let mut engine = Engine::new(plan);
+    assert!(
+        engine.program().ops.iter().any(|op| matches!(
+            op,
+            ExecOp::RunOverlappedGroup { geom, scratch_buffers, .. }
+                if geom.tiles.len() >= 4 && scratch_buffers.len() >= 2
+        )),
+        "test premise: a multi-tile overlapped op with several scratch buffers"
+    );
+    let trace = gmg_trace::Trace::enabled();
+    engine.set_trace(trace.clone());
+    let created = || trace.report().unwrap().arena_created;
+
+    for _ in 0..2 {
+        assert_eq!(run_once(&mut engine, &out_name).unwrap(), reference);
+    }
+    assert!(
+        created() >= 1 && created() <= 3,
+        "one slab per worker that ran a tile"
+    );
+
+    engine.set_chaos(Some(ChaosOptions::new(11, 1.0).with_sites(SITE_PANIC)));
+    let err = run_once(&mut engine, &out_name).expect_err("injected panic must surface");
+    assert!(
+        matches!(err, ExecError::WorkerPanicked { .. }),
+        "expected WorkerPanicked, got: {err}"
+    );
+
+    engine.set_chaos(None);
+    let before = created();
+    for cycle in 0..3 {
+        let got = run_once(&mut engine, &out_name).expect("engine must stay usable");
+        assert_eq!(got, reference, "cycle {cycle} after the panic");
+    }
+    assert!(
+        created() - before <= 3,
+        "recovery allocated {} slabs for 3 workers",
+        created() - before
     );
     assert_eq!(engine.pool_stats().live_bytes, 0, "no pool slot leaked");
 }

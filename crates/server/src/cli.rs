@@ -241,6 +241,11 @@ pub fn serve_main(args: &[String]) -> i32 {
 
     let snap = handle.join();
     let _ = summarize(&snap, &mut std::io::stderr());
+    let tp = gmg_trace::tile_plan::snapshot();
+    eprintln!(
+        "gmg-server: tile plans {} built ({} tiles, {} stage-tiles, {} bytes), {} bytes of worker scratch",
+        tp.builds, tp.tiles, tp.stage_tiles, tp.plan_bytes, tp.scratch_bytes
+    );
     if let Some(path) = profile {
         match trace.report() {
             Some(rep) => {

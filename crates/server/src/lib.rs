@@ -29,6 +29,7 @@
 //! Everything is std: no async runtime, no serialization framework, no new
 //! dependencies. See DESIGN.md §13–§15 for the architecture discussion.
 
+mod affinity;
 pub mod cli;
 pub mod loadgen;
 pub mod protocol;

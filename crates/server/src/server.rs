@@ -25,6 +25,9 @@
 //! names one, so a tenant's warm engines stay shard-local across
 //! reconnects.
 //!
+//! Event loops and workers pin themselves at start: one CPU per worker,
+//! the event loop on its first worker's CPU (`affinity` has the why).
+//!
 //! Rejections are *responses*, not failures: `QueueFull`, `TenantLimit` and
 //! `ShuttingDown` error frames leave the connection open (the 429 shape),
 //! and `QueueFull` is per-QoS-class — a batch flood fills the batch queue
@@ -1054,23 +1057,45 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         tuner,
     });
 
+    // One CPU per worker, dealt round-robin over the CPUs this process may
+    // use; a shard's event loop rides with its first worker (see
+    // `affinity`). A worker that fans out to an engine pool is left to the
+    // scheduler — the pool's threads would inherit its one-CPU mask.
+    let cpus = if config.engine_threads <= 1 {
+        crate::affinity::allowed_cpus()
+    } else {
+        Vec::new()
+    };
+    let place = move |shard: usize, worker: usize| {
+        if let Some(cpu) = crate::affinity::cpu_for(&cpus, shard, workers, worker) {
+            crate::affinity::pin_current(cpu);
+        }
+    };
     let mut threads = Vec::with_capacity(nshards * (workers + 1) + 1);
     let mut listener = Some(listener);
     for id in 0..nshards {
         let sh = Arc::clone(&shared);
         let l = if id == 0 { listener.take() } else { None };
+        let pin = place.clone();
         threads.push(
             std::thread::Builder::new()
                 .name(format!("gmg-server-shard-{id}"))
-                .spawn(move || crate::shard::event_loop(sh, id, l))
+                .spawn(move || {
+                    pin(id, 0);
+                    crate::shard::event_loop(sh, id, l)
+                })
                 .expect("spawn shard event loop"),
         );
         for w in 0..workers {
             let sh = Arc::clone(&shared);
+            let pin = place.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("gmg-server-worker-{id}-{w}"))
-                    .spawn(move || worker_loop(sh, id))
+                    .spawn(move || {
+                        pin(id, w);
+                        worker_loop(sh, id)
+                    })
                     .expect("spawn worker"),
             );
         }

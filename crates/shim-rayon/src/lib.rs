@@ -376,8 +376,14 @@ fn worker_loop(pool: Arc<PoolInner>, idx: usize) {
         };
         unsafe { (job.run)(job.ctx, idx) };
         let header = unsafe { &*job.header };
+        // Leave under the `done` lock: the caller reads `active` under it
+        // and frees the header (its stack frame) once it sees zero, so the
+        // decrement and this thread's last touch of the header must be one
+        // critical section. Outside it, this thread could lock a mutex in a
+        // dead frame and block there for good, hanging the pool's `join`.
+        let _leaving = header.done.lock().unwrap();
         if header.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            header.notify_done();
+            header.done_cv.notify_all();
         }
     }
 }

@@ -215,6 +215,11 @@ pub(crate) fn report_to_json(r: &Report) -> String {
         ));
     }
     s.push_str("]},\n");
+    let tp = &r.tile_plan;
+    s.push_str(&format!(
+        "  \"tile_plan\": {{\"builds\": {}, \"tiles\": {}, \"stage_tiles\": {}, \"plan_bytes\": {}, \"scratch_bytes\": {}}},\n",
+        tp.builds, tp.tiles, tp.stage_tiles, tp.plan_bytes, tp.scratch_bytes
+    ));
     s.push_str(&format!(
         "  \"comm\": {{\"messages\": {}, \"doubles\": {}, \"collectives\": {}}},\n",
         r.comm.messages, r.comm.doubles, r.comm.collectives

@@ -8,7 +8,9 @@
 //!   kernel case (specialized unit-stride unroll vs. coefficient-factored
 //!   vs. generic tap loop vs. strided vs. interpreter) via the global
 //!   [`dispatch`] histogram;
-//! * `gmg-runtime::pool` / `arena` feed allocator reuse statistics;
+//! * `gmg-runtime::pool` / `arena` feed allocator reuse statistics, and the
+//!   engine counts the tile plans and worker scratch it keeps in the global
+//!   [`tile_plan`] block;
 //! * `gmg-dist::halo` feeds communication volumes;
 //! * `gmg-multigrid::solver` emits one [`CycleEvent`] (time + residual)
 //!   per multigrid cycle.
@@ -27,6 +29,7 @@ use std::sync::{Arc, Mutex};
 
 pub mod dispatch;
 mod json;
+pub mod tile_plan;
 
 // ---------------------------------------------------------------------------
 // Snapshot types shared across crates
@@ -706,6 +709,7 @@ impl Trace {
             dispatch: dispatch::snapshot(),
             kernel_impls: dispatch::impl_snapshot(),
             kernel_tiers: dispatch::tier_snapshot(),
+            tile_plan: tile_plan::snapshot(),
             threads: ThreadsSnapshot {
                 workers: sink.threads_workers.load(Ordering::Relaxed),
                 regions: sink.threads_regions.load(Ordering::Relaxed),
@@ -835,6 +839,9 @@ pub struct Report {
     /// lane-safe vs fast-math), indexed like [`dispatch::TIER_LABELS`].
     /// Shares its total with `kernel_impls`.
     pub kernel_tiers: [u64; dispatch::TIERS],
+    /// Process-wide totals of tile plans built and worker scratch created
+    /// (see [`tile_plan`]).
+    pub tile_plan: tile_plan::TilePlanSnapshot,
     /// Work-stealing-pool utilization aggregated over the trace's lifetime.
     pub threads: ThreadsSnapshot,
     pub pool: PoolSnapshot,
@@ -931,6 +938,7 @@ mod tests {
             "\"pool\"",
             "\"arena\"",
             "\"workers\"",
+            "\"tile_plan\"",
             "\"comm\"",
             "\"chaos\"",
             "\"cycles\"",
@@ -938,6 +946,33 @@ mod tests {
             assert!(s.contains(key), "missing {key} in {s}");
         }
         assert!(s.contains("\\\"quoted\\\""));
+    }
+
+    #[test]
+    fn tile_plan_block_has_its_five_totals() {
+        // process-wide statics shared with every other test: compare deltas
+        let before = tile_plan::snapshot();
+        tile_plan::record_plan(12, 96, 4096);
+        tile_plan::record_plan(4, 20, 1024);
+        tile_plan::record_scratch(65536);
+        let r = Trace::enabled().report().unwrap();
+        let (now, then) = (r.tile_plan, before);
+        assert_eq!(now.builds - then.builds, 2);
+        assert_eq!(now.tiles - then.tiles, 16);
+        assert_eq!(now.stage_tiles - then.stage_tiles, 116);
+        assert_eq!(now.plan_bytes - then.plan_bytes, 5120);
+        assert_eq!(now.scratch_bytes - then.scratch_bytes, 65536);
+        let s = r.to_json();
+        let block = &s[s.find("\"tile_plan\": {").expect("tile_plan block")..];
+        let block = &block[..=block.find('}').unwrap()];
+        assert_eq!(
+            block,
+            format!(
+                "\"tile_plan\": {{\"builds\": {}, \"tiles\": {}, \"stage_tiles\": {}, \
+                 \"plan_bytes\": {}, \"scratch_bytes\": {}}}",
+                now.builds, now.tiles, now.stage_tiles, now.plan_bytes, now.scratch_bytes
+            )
+        );
     }
 
     #[test]
