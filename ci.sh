@@ -96,11 +96,24 @@ grep -q '"server"' /tmp/server_profile_ci.json \
 if grep -q '"session_hits": 0,' /tmp/server_profile_ci.json; then
   echo "ci: warm-session reuse never happened" >&2; exit 1
 fi
+# a pipeline is built where a session is created and nowhere else: warm
+# requests do no compiler work (exact counts, nothing timed)
+server_count() {
+  grep -o "\"$1\": [0-9]*" /tmp/server_profile_ci.json | head -n 1 | grep -o '[0-9]*$'
+}
+built=$(server_count pipelines_built)
+misses=$(server_count session_misses)
+[ -n "$built" ] && [ -n "$misses" ] && [ "$built" -ge 1 ] && [ "$built" -le "$misses" ] \
+  || { echo "ci: $built pipelines built for $misses sessions created" >&2; exit 1; }
 
 # batch serving gate (DESIGN.md §14): one worker with a coalescing window,
 # loadgen mixing SOLVE_BATCH frames with same-shape singles — every grid
 # verified bitwise, and the profile must record multi-RHS passes and at
-# least one coalesced merge.
+# least one coalesced merge. Eight connections over the four-item mix:
+# connections c and c+4 send the same shape at the same step, so there is
+# always something to merge (with four, every connection sends a different
+# shape per step and merges happen only if the connections drift apart by
+# exactly two steps — 0 merges in about one run in five).
 rm -f /tmp/gmg_ci_batch.port
 cargo run --release -p gmg-bench --bin polymg-cli -- serve --port 0 \
   --port-file /tmp/gmg_ci_batch.port --workers 1 --coalesce-window-ms 40 --max-batch 8 \
@@ -109,7 +122,7 @@ BATCH_PID=$!
 for _ in $(seq 1 100); do [ -s /tmp/gmg_ci_batch.port ] && break; sleep 0.1; done
 [ -s /tmp/gmg_ci_batch.port ] || { echo "ci: batch server never wrote its port file" >&2; exit 1; }
 cargo run --release -p gmg-bench --bin polymg-cli -- loadgen \
-  --port-file /tmp/gmg_ci_batch.port --connections 4 --requests 6 --batch 4 \
+  --port-file /tmp/gmg_ci_batch.port --connections 8 --requests 6 --batch 4 \
   -o /tmp/bench_pr6_loadgen_ci.json \
   || { echo "ci: batch loadgen reported verification failures" >&2; kill $BATCH_PID 2>/dev/null; exit 1; }
 wait $BATCH_PID || { echo "ci: batch server did not drain cleanly" >&2; exit 1; }
@@ -245,5 +258,18 @@ grep -q '"mixed_vs_constant_ratio"' /tmp/bench_pr10_ci.json \
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   run --workload varcoef2d_solve --traced --quick >/dev/null \
   || { echo "ci: traced varcoef2d_solve benchmark run failed" >&2; exit 1; }
+
+# warm-acquire gate: a traced quick run of the batch serving workload
+# verifies every reply bitwise and reconciles the spans (non-zero exit
+# otherwise). A warm `acquire_scenario` is a memo lookup and forty hashed
+# bytes: ~1 us at the reference host's speed (the benchmark normalises),
+# against 134 us when it rebuilt and rendered the pipeline per request.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  run --workload serve_batch --traced --quick --out /tmp/bench_serve_ci.json >/dev/null \
+  || { echo "ci: traced serve_batch benchmark run failed" >&2; exit 1; }
+warm=$(grep -o '"server.session_acquire_warm_us": {"value": [0-9.e-]*' /tmp/bench_serve_ci.json \
+  | head -n 1 | grep -o '[0-9.e-]*$')
+awk -v w="$warm" 'BEGIN { exit !(w != "" && w + 0 <= 20) }' \
+  || { echo "ci: server.session_acquire_warm_us is '$warm', expected <= 20" >&2; exit 1; }
 
 echo "ci: all green"

@@ -62,11 +62,23 @@ impl Fnv {
 /// Structural fingerprint of one compilation request. Every
 /// [`PipelineOptions`] field participates; parameter bindings are hashed in
 /// sorted order (the map's iteration order is not deterministic).
+///
+/// By construction this is [`pipeline_fingerprint`] continued over the
+/// option fields — see [`fingerprint_with`].
 pub fn fingerprint(
     pipeline: &Pipeline,
     bindings: &ParamBindings,
     options: &PipelineOptions,
 ) -> u64 {
+    fingerprint_with(pipeline_fingerprint(pipeline, bindings), options)
+}
+
+/// Structural fingerprint of the pipeline and bindings alone — no options.
+/// This is the key for *tuned-configuration* persistence
+/// ([`crate::autotune::TunedStore`]): tile sizes and grouping limits are
+/// what the tuner varies, so they must not participate in the key that
+/// looks the tuned values up.
+pub fn pipeline_fingerprint(pipeline: &Pipeline, bindings: &ParamBindings) -> u64 {
     let mut h = Fnv::new();
 
     // The pipeline is pure tree data (Vecs only), so its Debug rendering is
@@ -82,7 +94,19 @@ pub fn fingerprint(
         h.u64(p as u64);
         h.i64(v);
     }
+    h.0
+}
 
+/// [`fingerprint`] from an already-computed [`pipeline_fingerprint`]: the
+/// option fields hashed on top of `plan_fp`. The whole state of FNV-1a is
+/// its running `u64`, so the fingerprint of a prefix *is* the state to
+/// continue from (the prefix property):
+/// `fingerprint(p, b, o) == fingerprint_with(pipeline_fingerprint(p, b), o)`
+/// for every input. A caller that remembers `plan_fp` for a pipeline it has
+/// built before (the server's session registry) gets the plan-cache key
+/// without building or rendering the pipeline again.
+pub fn fingerprint_with(plan_fp: u64, options: &PipelineOptions) -> u64 {
+    let mut h = Fnv(plan_fp);
     h.tag(0x03);
     h.bool(matches!(options.tiling, TilingMode::Overlapped));
     h.tag(0x04);
@@ -126,26 +150,6 @@ pub fn fingerprint(
     // `options.chaos` is deliberately NOT hashed: faults are a runtime
     // property, and a chaos run must share the cached plan of its
     // fault-free twin (the differential oracle compares the two).
-    h.0
-}
-
-/// Structural fingerprint of the pipeline and bindings alone — no options.
-/// This is the key for *tuned-configuration* persistence
-/// ([`crate::autotune::TunedStore`]): tile sizes and grouping limits are
-/// what the tuner varies, so they must not participate in the key that
-/// looks the tuned values up.
-pub fn pipeline_fingerprint(pipeline: &Pipeline, bindings: &ParamBindings) -> u64 {
-    let mut h = Fnv::new();
-    h.tag(0x01);
-    h.str(&format!("{pipeline:?}"));
-    h.tag(0x02);
-    let mut pairs: Vec<(usize, i64)> = bindings.0.iter().map(|(p, v)| (p.0, *v)).collect();
-    pairs.sort_unstable();
-    h.u64(pairs.len() as u64);
-    for (p, v) in pairs {
-        h.u64(p as u64);
-        h.i64(v);
-    }
     h.0
 }
 

@@ -581,7 +581,40 @@ impl SolveRequest {
     }
 }
 
+/// What a request compiles to, as one comparable value: the ten header
+/// fields that select the pipeline, the variant and the precision tier.
+/// Everything else in a [`SolveRequest`] is data (`tenant`, `iters`, grids).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct RequestShape {
+    ndims: u8,
+    cycle: u8,
+    variant: u8,
+    pre: u8,
+    coarse: u8,
+    post: u8,
+    n: u32,
+    levels: u32,
+    scenario: u8,
+    mixed: bool,
+}
+
 impl SolveRequest {
+    /// The plan-selecting header fields (see [`RequestShape`]).
+    pub(crate) fn shape(&self) -> RequestShape {
+        RequestShape {
+            ndims: self.ndims,
+            cycle: self.cycle,
+            variant: self.variant,
+            pre: self.pre,
+            coarse: self.coarse,
+            post: self.post,
+            n: self.n,
+            levels: self.levels,
+            scenario: self.scenario,
+            mixed: self.mixed,
+        }
+    }
+
     /// Do two requests compile to the same plan and run the same iteration
     /// count — i.e. can they share one batched engine pass? Tenant is
     /// deliberately excluded: coalescing across tenants is allowed (each
@@ -589,17 +622,8 @@ impl SolveRequest {
     /// coefficient grid (bitwise) are included: a batched pass binds one
     /// "A" grid for every lane.
     pub fn same_plan_shape(&self, other: &SolveRequest) -> bool {
-        self.ndims == other.ndims
-            && self.cycle == other.cycle
-            && self.variant == other.variant
-            && self.pre == other.pre
-            && self.coarse == other.coarse
-            && self.post == other.post
+        self.shape() == other.shape()
             && self.iters == other.iters
-            && self.n == other.n
-            && self.levels == other.levels
-            && self.scenario == other.scenario
-            && self.mixed == other.mixed
             && self.coeff.len() == other.coeff.len()
             && self
                 .coeff

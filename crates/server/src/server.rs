@@ -44,7 +44,9 @@
 //! and close every connection. [`ServerHandle::join`] publishes the final
 //! global and per-shard counters into the trace sink.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -257,8 +259,10 @@ pub(crate) struct Job {
     pub reqs: Vec<SolveRequest>,
     /// Arrival opcode (reply framing + QoS class).
     pub op: JobOp,
-    /// Plan-shape hash for coalescing candidate lookup (verified by
-    /// [`SolveRequest::same_plan_shape`] before any merge).
+    /// [`coalesce_key`] of the job's requests: the coalescing window's
+    /// candidate filter (verified by [`SolveRequest::same_plan_shape`]
+    /// before any merge). Nobody reads it with the window off, so it is 0
+    /// then — the event loop does not hash grids for nothing.
     pub key: u64,
     /// Shard owning the requesting connection (reply routing).
     pub shard: usize,
@@ -283,31 +287,16 @@ impl Job {
     }
 }
 
-/// FNV-1a over the plan-shape fields (everything
-/// [`SolveRequest::same_plan_shape`] compares; tenant excluded).
-fn shape_key(req: &SolveRequest) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    eat(req.ndims as u64);
-    eat(req.cycle as u64);
-    eat(req.variant as u64);
-    eat(req.pre as u64);
-    eat(req.coarse as u64);
-    eat(req.post as u64);
-    eat(req.iters as u64);
-    eat(req.n as u64);
-    eat(req.levels as u64);
-    eat(req.scenario as u64);
-    eat(req.mixed as u64);
-    for &c in &req.coeff {
-        eat(c.to_bits());
+/// Hash of everything [`SolveRequest::same_plan_shape`] compares (tenant
+/// excluded): the request shape, `iters` and the coefficient grid's bits.
+fn coalesce_key(req: &SolveRequest) -> u64 {
+    let mut h = DefaultHasher::new();
+    req.shape().hash(&mut h);
+    req.iters.hash(&mut h);
+    for c in &req.coeff {
+        c.to_bits().hash(&mut h);
     }
-    h
+    h.finish()
 }
 
 /// The two admission queues of one shard plus the weighted-round-robin
@@ -454,6 +443,8 @@ impl Shared {
             rejected_shutdown: self.counters.rejected_shutdown.load(Ordering::Relaxed),
             session_hits: sum(&|s| s.sessions.session_hits.load(Ordering::Relaxed)),
             session_misses: sum(&|s| s.sessions.session_misses.load(Ordering::Relaxed)),
+            sessions_evicted: sum(&|s| s.sessions.evicted.load(Ordering::Relaxed)),
+            pipelines_built: sum(&|s| s.sessions.pipelines_built.load(Ordering::Relaxed)),
             engines_created: sum(&|s| s.sessions.engines_created.load(Ordering::Relaxed)),
             queue_max_depth: self.counters.queue_max_depth.load(Ordering::Relaxed),
             tuned_applied: sum(&|s| s.sessions.tuned_applied.load(Ordering::Relaxed)),
@@ -500,6 +491,8 @@ impl Shared {
             ("rejected_shutdown", s.rejected_shutdown),
             ("session_hits", s.session_hits),
             ("session_misses", s.session_misses),
+            ("sessions_evicted", s.sessions_evicted),
+            ("pipelines_built", s.pipelines_built),
             ("engines_created", s.engines_created),
             ("queue_max_depth", s.queue_max_depth),
             ("tuned_applied", s.tuned_applied),
@@ -578,8 +571,11 @@ impl Shared {
             std::thread::sleep(d);
         }
         let t0 = Instant::now();
-        let req0 = &jobs[0].reqs[0];
-        let tag = format!("{}[{}]", req0.config().tag(), req0.variant_enum().label());
+        // the request span's label; nothing to build when nothing records it
+        let tag = self.trace.is_enabled().then(|| {
+            let req0 = &jobs[0].reqs[0];
+            format!("{}[{}]", req0.config().tag(), req0.variant_enum().label())
+        });
         let solved = self.solve_batch(shard_id, &mut jobs);
         // Give each tenant its budget back *before* its reply is posted: a
         // strict request→reply client may send its next request the moment
@@ -645,13 +641,15 @@ impl Shared {
                 }
             }
         }
-        let cells: u64 = jobs
-            .iter()
-            .flat_map(|j| j.reqs.iter())
-            .map(|r| r.f.len() as u64 * r.iters as u64)
-            .sum();
-        self.trace
-            .record_span(&tag, "request", t0.elapsed().as_nanos() as u64, 0, cells);
+        if let Some(tag) = tag {
+            let cells: u64 = jobs
+                .iter()
+                .flat_map(|j| j.reqs.iter())
+                .map(|r| r.f.len() as u64 * r.iters as u64)
+                .sum();
+            self.trace
+                .record_span(&tag, "request", t0.elapsed().as_nanos() as u64, 0, cells);
+        }
         // Leave `inflight` strictly after every completion is posted: the
         // drain watcher may observe inflight == 0 the instant the last
         // decrement lands, and the event loops must then find the
@@ -676,20 +674,22 @@ impl Shared {
         shard_id: usize,
         jobs: &mut [Job],
     ) -> Result<Vec<Vec<f64>>, (ErrorCode, String)> {
-        let (cfg, variant, iters, spec, coeff) = {
-            let req0 = &jobs[0].reqs[0];
-            let spec = ScenarioSpec {
-                scenario: Scenario::from_wire_id(req0.scenario)
-                    .map_err(|e| (ErrorCode::BadRequest, e.to_string()))?,
-                mixed: req0.mixed,
-            };
-            let coeff = (!req0.coeff.is_empty()).then(|| req0.coeff.clone());
-            (req0.config(), req0.variant_enum(), req0.iters, spec, coeff)
+        let req0 = &jobs[0].reqs[0];
+        let spec = ScenarioSpec {
+            scenario: Scenario::from_wire_id(req0.scenario)
+                .map_err(|e| (ErrorCode::BadRequest, e.to_string()))?,
+            mixed: req0.mixed,
         };
+        let (cfg, variant, iters) = (req0.config(), req0.variant_enum(), req0.iters);
+        let coeff = (!req0.coeff.is_empty()).then_some(req0.coeff.as_slice());
         let sessions = &self.shards[shard_id].sessions;
+        let t0 = Instant::now();
         let mut lease = sessions
-            .acquire_scenario(&cfg, variant, spec, coeff.as_deref())
+            .acquire_scenario(&cfg, variant, spec, coeff)
             .map_err(|errs| (ErrorCode::CompileFailed, errs.join("; ")))?;
+        let acquire_ns = t0.elapsed().as_nanos() as u64;
+        self.trace
+            .record_span("session-acquire", "server", acquire_ns, 0, 0);
         let mut vs: Vec<Vec<f64>> = jobs
             .iter_mut()
             .flat_map(|j| j.reqs.iter_mut())
@@ -762,6 +762,10 @@ impl Shared {
             JobOp::Batch => QosClass::Batch,
             JobOp::Solve | JobOp::SolveScenario => QosClass::Latency,
         };
+        let key = match self.coalesce_window {
+            Some(_) => coalesce_key(&reqs[0]),
+            None => 0,
+        };
         {
             let mut q = shard.queues.lock().unwrap();
             if q.class_len(class) >= self.queue_capacity {
@@ -784,7 +788,7 @@ impl Shared {
                 .fetch_add(reqs.len() as u64, Ordering::Relaxed);
             self.inflight.fetch_add(1, Ordering::SeqCst);
             q.deque_mut(class).push_back(Job {
-                key: shape_key(&reqs[0]),
+                key,
                 reqs,
                 op,
                 shard: shard_id,
@@ -1125,7 +1129,8 @@ pub fn summarize(s: &ServerSnapshot, out: &mut impl Write) -> std::io::Result<()
     writeln!(
         out,
         "gmg-server: {} requests ({} ok, {} exec errors), rejected {} queue-full / {} tenant / {} shutdown, \
-         sessions {} hits / {} misses ({} engines), peak queue depth {}, tuned applied {}, \
+         sessions {} hits / {} misses / {} evicted ({} pipelines built, {} engines), \
+         peak queue depth {}, tuned applied {}, \
          {} batched passes ({} coalesced)",
         s.requests,
         s.ok,
@@ -1135,6 +1140,8 @@ pub fn summarize(s: &ServerSnapshot, out: &mut impl Write) -> std::io::Result<()
         s.rejected_shutdown,
         s.session_hits,
         s.session_misses,
+        s.sessions_evicted,
+        s.pipelines_built,
         s.engines_created,
         s.queue_max_depth,
         s.tuned_applied,
@@ -1205,5 +1212,38 @@ mod tests {
         let mut q = QosQueues::new(weight);
         q.deque_mut(QosClass::Batch).push_back(job(true, 0));
         assert!(q.pop_weighted(weight).is_some());
+    }
+
+    #[test]
+    fn stats_and_banner_carry_the_session_registry_counters() {
+        let handle = start(ServerConfig::default()).expect("start");
+        let cfg = gmg_multigrid::config::MgConfig::new(
+            2,
+            15,
+            gmg_multigrid::config::CycleType::V,
+            gmg_multigrid::config::SmoothSteps::s444(),
+        );
+        let sessions = &handle.shared.shards[0].sessions;
+        for _ in 0..3 {
+            let lease = sessions
+                .acquire(&cfg, polymg::Variant::OptPlus)
+                .expect("acquire");
+            sessions.release(lease);
+        }
+        let stats = handle.shared.stats_text();
+        assert!(
+            stats.contains("session_misses 1\nsessions_evicted 0\npipelines_built 1\n"),
+            "{stats}"
+        );
+        handle.begin_shutdown();
+        let snap = handle.join();
+        assert_eq!((snap.pipelines_built, snap.sessions_evicted), (1, 0));
+        let mut banner = Vec::new();
+        summarize(&snap, &mut banner).unwrap();
+        let banner = String::from_utf8(banner).unwrap();
+        assert!(
+            banner.contains("2 hits / 1 misses / 0 evicted (1 pipelines built, 1 engines)"),
+            "{banner}"
+        );
     }
 }

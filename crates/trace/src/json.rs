@@ -103,6 +103,7 @@ pub(crate) fn report_to_json(r: &Report) -> String {
             "  \"server\": {{\"requests\": {}, \"ok\": {}, \"exec_errors\": {}, \
              \"protocol_errors\": {}, \"rejected_queue_full\": {}, \"rejected_tenant\": {}, \
              \"rejected_shutdown\": {}, \"session_hits\": {}, \"session_misses\": {}, \
+             \"sessions_evicted\": {}, \"pipelines_built\": {}, \
              \"engines_created\": {}, \"queue_max_depth\": {}, \"tuned_applied\": {}, \
              \"batches\": {}, \"coalesced\": {}, \"batch_hist\": [{}], \
              \"scenario\": {{{scenario}}}, \"mixed_solves\": {}}},\n",
@@ -115,6 +116,8 @@ pub(crate) fn report_to_json(r: &Report) -> String {
             r.server.rejected_shutdown,
             r.server.session_hits,
             r.server.session_misses,
+            r.server.sessions_evicted,
+            r.server.pipelines_built,
             r.server.engines_created,
             r.server.queue_max_depth,
             r.server.tuned_applied,

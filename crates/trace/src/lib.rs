@@ -174,6 +174,12 @@ pub struct ServerSnapshot {
     pub session_hits: u64,
     /// Requests that created a new session.
     pub session_misses: u64,
+    /// Sessions dropped by the registry's least-recently-acquired bound.
+    pub sessions_evicted: u64,
+    /// Scenario pipelines built (IR construction): one per cold acquire — a
+    /// shape's first touch and each further session it needs. Growing under
+    /// warm traffic means the server is recompiling.
+    pub pipelines_built: u64,
     /// Engines ever constructed across all sessions.
     pub engines_created: u64,
     /// High-water mark of the admission queue depth.
@@ -1021,6 +1027,8 @@ mod tests {
             rejected_queue_full: 2,
             session_hits: 6,
             session_misses: 3,
+            sessions_evicted: 1,
+            pipelines_built: 5,
             engines_created: 3,
             queue_max_depth: 4,
             tuned_applied: 1,
@@ -1032,6 +1040,7 @@ mod tests {
         assert!(s.contains("\"server\""));
         assert!(s.contains("\"rejected_queue_full\": 2"));
         assert!(s.contains("\"session_hits\": 6"));
+        assert!(s.contains("\"sessions_evicted\": 1, \"pipelines_built\": 5"));
         assert!(s.contains("\"queue_max_depth\": 4"));
         assert!(s.contains("\"evictions\""));
     }
