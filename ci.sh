@@ -7,6 +7,19 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
+# Start `polymg-cli serve` in the background on an ephemeral loopback port
+# and wait for its port file. Sets SERVE_PID.
+serve_bg() {
+  local portfile=$1
+  shift
+  rm -f "$portfile"
+  cargo run --release -p gmg-bench --bin polymg-cli -- serve --port 0 \
+    --port-file "$portfile" "$@" &
+  SERVE_PID=$!
+  for _ in $(seq 1 100); do [ -s "$portfile" ] && break; sleep 0.1; done
+  [ -s "$portfile" ] || { echo "ci: server never wrote $portfile" >&2; exit 1; }
+}
+
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
@@ -79,12 +92,7 @@ awk -v s="$share" 'BEGIN { exit !(s != "" && s + 0 <= 0.02) }' \
 # against an in-process engine run), drain it with the protocol's shutdown
 # frame, and require the server counters in the profile JSON. loadgen exits
 # non-zero on any verification failure or unexpected error frame.
-rm -f /tmp/gmg_ci.port
-cargo run --release -p gmg-bench --bin polymg-cli -- serve --port 0 \
-  --port-file /tmp/gmg_ci.port --workers 2 --profile /tmp/server_profile_ci.json &
-SERVE_PID=$!
-for _ in $(seq 1 100); do [ -s /tmp/gmg_ci.port ] && break; sleep 0.1; done
-[ -s /tmp/gmg_ci.port ] || { echo "ci: server never wrote its port file" >&2; exit 1; }
+serve_bg /tmp/gmg_ci.port --workers 2 --profile /tmp/server_profile_ci.json
 cargo run --release -p gmg-bench --bin polymg-cli -- loadgen \
   --port-file /tmp/gmg_ci.port --connections 3 --requests 6 -o /tmp/bench_pr5_ci.json \
   || { echo "ci: loadgen reported verification failures" >&2; kill $SERVE_PID 2>/dev/null; exit 1; }
@@ -114,18 +122,13 @@ misses=$(server_count session_misses)
 # always something to merge (with four, every connection sends a different
 # shape per step and merges happen only if the connections drift apart by
 # exactly two steps — 0 merges in about one run in five).
-rm -f /tmp/gmg_ci_batch.port
-cargo run --release -p gmg-bench --bin polymg-cli -- serve --port 0 \
-  --port-file /tmp/gmg_ci_batch.port --workers 1 --coalesce-window-ms 40 --max-batch 8 \
-  --tenant-cap 16 --queue-cap 64 --profile /tmp/server_profile_batch_ci.json &
-BATCH_PID=$!
-for _ in $(seq 1 100); do [ -s /tmp/gmg_ci_batch.port ] && break; sleep 0.1; done
-[ -s /tmp/gmg_ci_batch.port ] || { echo "ci: batch server never wrote its port file" >&2; exit 1; }
+serve_bg /tmp/gmg_ci_batch.port --workers 1 --coalesce-window-ms 40 --max-batch 8 \
+  --tenant-cap 16 --queue-cap 64 --profile /tmp/server_profile_batch_ci.json
 cargo run --release -p gmg-bench --bin polymg-cli -- loadgen \
   --port-file /tmp/gmg_ci_batch.port --connections 8 --requests 6 --batch 4 \
   -o /tmp/bench_pr6_loadgen_ci.json \
-  || { echo "ci: batch loadgen reported verification failures" >&2; kill $BATCH_PID 2>/dev/null; exit 1; }
-wait $BATCH_PID || { echo "ci: batch server did not drain cleanly" >&2; exit 1; }
+  || { echo "ci: batch loadgen reported verification failures" >&2; kill $SERVE_PID 2>/dev/null; exit 1; }
+wait $SERVE_PID || { echo "ci: batch server did not drain cleanly" >&2; exit 1; }
 grep -q '"verify_failures": 0' /tmp/bench_pr6_loadgen_ci.json \
   || { echo "ci: batch loadgen report carries verification failures" >&2; exit 1; }
 grep -q '"batches": [1-9]' /tmp/server_profile_batch_ci.json \
@@ -138,18 +141,13 @@ grep -q '"coalesced": [1-9]' /tmp/server_profile_batch_ci.json \
 # mixed latency/batch traffic — every grid bitwise-verified, idle churn
 # must actually cycle connections, and the profile must carry per-shard
 # counters with warm-session reuse on at least one shard.
-rm -f /tmp/gmg_ci_shard.port
-cargo run --release -p gmg-bench --bin polymg-cli -- serve --port 0 \
-  --port-file /tmp/gmg_ci_shard.port --shards 2 --workers 2 --qos-weight 4 \
-  --profile /tmp/server_profile_shard_ci.json &
-SHARD_PID=$!
-for _ in $(seq 1 100); do [ -s /tmp/gmg_ci_shard.port ] && break; sleep 0.1; done
-[ -s /tmp/gmg_ci_shard.port ] || { echo "ci: sharded server never wrote its port file" >&2; exit 1; }
+serve_bg /tmp/gmg_ci_shard.port --shards 2 --workers 2 --qos-weight 4 \
+  --profile /tmp/server_profile_shard_ci.json
 cargo run --release -p gmg-bench --bin polymg-cli -- loadgen \
   --port-file /tmp/gmg_ci_shard.port --connections 4 --requests 6 --batch 3 --idle 500 \
   -o /tmp/bench_pr7_loadgen_ci.json \
-  || { echo "ci: sharded loadgen reported verification failures" >&2; kill $SHARD_PID 2>/dev/null; exit 1; }
-wait $SHARD_PID || { echo "ci: sharded server did not drain cleanly" >&2; exit 1; }
+  || { echo "ci: sharded loadgen reported verification failures" >&2; kill $SERVE_PID 2>/dev/null; exit 1; }
+wait $SERVE_PID || { echo "ci: sharded server did not drain cleanly" >&2; exit 1; }
 grep -q '"verify_failures": 0' /tmp/bench_pr7_loadgen_ci.json \
   || { echo "ci: sharded loadgen report carries verification failures" >&2; exit 1; }
 grep -q '"reconnects": [1-9]' /tmp/bench_pr7_loadgen_ci.json \
@@ -163,31 +161,20 @@ grep -o '"shards": \[[^]]*\]' /tmp/server_profile_shard_ci.json | grep -q '"sess
 # event-driven core
 cargo test -q --release -p gmg-server --test protocol_abuse --test chaos_load --test shard_qos
 
-# sequential-vs-batched serving rows (quick settings; regenerate the
-# checked-in artifact with the defaults: `perf-smoke --batch-out BENCH_pr6.json`)
-cargo run --release -p gmg-bench --bin perf-smoke -- --batch-out /tmp/bench_pr6_ci.json
-grep -q '"ratio_vs_sequential"' /tmp/bench_pr6_ci.json \
-  || { echo "ci: perf-smoke wrote no batch rows" >&2; exit 1; }
-
-# online-tuning gate (DESIGN.md §17): the seeded-search suites must hold
+# online-tuning gate (DESIGN.md §17): the search suites must hold
 # offline, then a live server with `--tune-online` must (a) answer a
 # bitwise-verified load while trials run, (b) record a winner into the
 # TunedStore file without ever starting a trial while work was queued,
 # and (c) publish the tuner counters in STATS and the profile JSON.
 cargo test -q --release -p polymg --test search_proptest
 cargo test -q --release -p gmg-server --test online_tuning
-rm -f /tmp/gmg_ci_tune.port /tmp/gmg_ci_tuned.json
-cargo run --release -p gmg-bench --bin polymg-cli -- serve --port 0 \
-  --port-file /tmp/gmg_ci_tune.port --workers 2 --tuned /tmp/gmg_ci_tuned.json \
-  --tune-online --tune-seed 42 --tune-budget 6 \
-  --profile /tmp/server_profile_tune_ci.json &
-TUNE_PID=$!
-for _ in $(seq 1 100); do [ -s /tmp/gmg_ci_tune.port ] && break; sleep 0.1; done
-[ -s /tmp/gmg_ci_tune.port ] || { echo "ci: tuning server never wrote its port file" >&2; exit 1; }
+rm -f /tmp/gmg_ci_tuned.json
+serve_bg /tmp/gmg_ci_tune.port --workers 2 --tuned /tmp/gmg_ci_tuned.json \
+  --tune-online --tune-budget 6 --profile /tmp/server_profile_tune_ci.json
 cargo run --release -p gmg-bench --bin polymg-cli -- loadgen \
   --port-file /tmp/gmg_ci_tune.port --connections 2 --requests 6 --no-shutdown \
   -o /tmp/bench_pr9_loadgen_ci.json \
-  || { echo "ci: tuning loadgen reported verification failures" >&2; kill $TUNE_PID 2>/dev/null; exit 1; }
+  || { echo "ci: tuning loadgen reported verification failures" >&2; kill $SERVE_PID 2>/dev/null; exit 1; }
 TUNE_OK=""
 for _ in $(seq 1 300); do
   if cargo run --release -p gmg-bench --bin polymg-cli -- stats \
@@ -196,10 +183,10 @@ for _ in $(seq 1 300); do
   sleep 0.2
 done
 [ -n "$TUNE_OK" ] \
-  || { echo "ci: online tuner never recorded a winner" >&2; kill $TUNE_PID 2>/dev/null; exit 1; }
+  || { echo "ci: online tuner never recorded a winner" >&2; kill $SERVE_PID 2>/dev/null; exit 1; }
 cargo run --release -p gmg-bench --bin polymg-cli -- stats \
   --port-file /tmp/gmg_ci_tune.port --shutdown >/dev/null
-wait $TUNE_PID || { echo "ci: tuning server did not drain cleanly" >&2; exit 1; }
+wait $SERVE_PID || { echo "ci: tuning server did not drain cleanly" >&2; exit 1; }
 grep -q '"verify_failures": 0' /tmp/bench_pr9_loadgen_ci.json \
   || { echo "ci: loadgen during online tuning carries verification failures" >&2; exit 1; }
 grep -q '"tuner"' /tmp/server_profile_tune_ci.json \
@@ -222,34 +209,19 @@ grep -q '"fingerprint"' /tmp/gmg_ci_tuned.json \
 # loadgen report's server block.
 cargo test -q --release --test scenario_differential
 cargo test -q --release -p gmg-server --test scenario_serving
-rm -f /tmp/gmg_ci_scen.port
-cargo run --release -p gmg-bench --bin polymg-cli -- serve --port 0 \
-  --port-file /tmp/gmg_ci_scen.port --workers 2 \
-  --profile /tmp/server_profile_scen_ci.json &
-SCEN_PID=$!
-for _ in $(seq 1 100); do [ -s /tmp/gmg_ci_scen.port ] && break; sleep 0.1; done
-[ -s /tmp/gmg_ci_scen.port ] || { echo "ci: scenario server never wrote its port file" >&2; exit 1; }
+serve_bg /tmp/gmg_ci_scen.port --workers 2 --profile /tmp/server_profile_scen_ci.json
 cargo run --release -p gmg-bench --bin polymg-cli -- loadgen \
   --port-file /tmp/gmg_ci_scen.port --connections 2 --requests 10 \
   --scenario varcoef,rbgs,chebyshev --mixed-precision \
   -o /tmp/bench_pr10_loadgen_ci.json \
-  || { echo "ci: scenario loadgen reported verification failures" >&2; kill $SCEN_PID 2>/dev/null; exit 1; }
-wait $SCEN_PID || { echo "ci: scenario server did not drain cleanly" >&2; exit 1; }
+  || { echo "ci: scenario loadgen reported verification failures" >&2; kill $SERVE_PID 2>/dev/null; exit 1; }
+wait $SERVE_PID || { echo "ci: scenario server did not drain cleanly" >&2; exit 1; }
 grep -q '"verify_failures": 0' /tmp/bench_pr10_loadgen_ci.json \
   || { echo "ci: scenario loadgen report carries verification failures" >&2; exit 1; }
 for key in scenario_varcoef scenario_rbgs scenario_chebyshev mixed_solves; do
   grep -q "\"$key\": [1-9]" /tmp/bench_pr10_loadgen_ci.json \
     || { echo "ci: server counters recorded no $key solves" >&2; exit 1; }
 done
-
-# scenario perf rows (quick settings; regenerate the checked-in artifact
-# with the defaults: `perf-smoke --scenario-out BENCH_pr10.json`)
-cargo run --release -p gmg-bench --bin perf-smoke -- \
-  --scenario-out /tmp/bench_pr10_ci.json --n 63
-grep -q '"schema": "perf-smoke-scenario/v1"' /tmp/bench_pr10_ci.json \
-  || { echo "ci: scenario perf-smoke JSON carries no schema tag" >&2; exit 1; }
-grep -q '"mixed_vs_constant_ratio"' /tmp/bench_pr10_ci.json \
-  || { echo "ci: scenario perf-smoke recorded no mixed/constant ratio" >&2; exit 1; }
 
 # benchmark gate: a traced quick run of the varcoef workload. Its kernel
 # probe looks the `generic_coeff` stage up by `impl_tag == Generic` plus a

@@ -242,7 +242,7 @@ fn main() {
 
     match out_file {
         Some(f) => {
-            std::fs::write(&f, output).expect("write failed");
+            gmg_bench::write_or_exit(&f, &output);
             eprintln!("wrote {f}");
         }
         None => print!("{output}"),
@@ -292,7 +292,7 @@ fn main() {
                     "{}",
                     report::observability_dump(runner.engine_mut().plan(), &rep)
                 );
-                std::fs::write(&path, rep.to_json()).expect("write profile");
+                gmg_bench::write_or_exit(&path, &rep.to_json());
                 eprintln!(
                     "wrote profile {path} ({profile_iters} cycles, final residual {final_res:.3e})"
                 );

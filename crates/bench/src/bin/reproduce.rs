@@ -151,7 +151,7 @@ fn main() {
         trace.record_plan_cache(hits, misses, polymg::PlanCache::global().evictions());
         match trace.report() {
             Some(rep) => {
-                std::fs::write(&path, rep.to_json()).expect("write profile");
+                gmg_bench::write_or_exit(&path, &rep.to_json());
                 eprintln!(
                     "wrote profile {path} ({} stages, {} cycles recorded)",
                     rep.stages.len(),

@@ -15,3 +15,13 @@ pub mod timing;
 
 pub use runners::{make_runner, ImplKind};
 pub use timing::{min_time, TimingResult};
+
+/// Write an output file the user named (`-o`, `--profile`). A path that
+/// cannot be written is the user's input, not a bug: say which path and
+/// why, and exit non-zero.
+pub fn write_or_exit(path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+}

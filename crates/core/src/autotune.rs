@@ -8,10 +8,9 @@
 //! 80 configurations for 2-D and 135 for 3-D — reproduced exactly by
 //! [`search_space`].
 //!
-//! [`search`] replaces the exhaustive sweep with a seeded evolutionary
-//! search over the same space *extended* with the smoother time-band height
-//! and the kernel tier — see that module for the operators and the
-//! determinism contract.
+//! [`search`] replaces the exhaustive sweep with a coordinate scan over the
+//! same space *extended* with the smoother time-band height and the kernel
+//! tier — see that module for the proposal order and the stop rule.
 
 use crate::jsonio::{self, JsonValue};
 use crate::options::PipelineOptions;
@@ -30,9 +29,6 @@ pub enum TuneError {
     ZeroStride,
     /// The (strided) space produced no samples to pick a winner from.
     EmptySpace,
-    /// A smoother-sequence point outside the tunable range (zero-length
-    /// chains, or chains too long for any grouping limit to fuse).
-    UnsupportedSmoother(SmootherSeq),
 }
 
 impl std::fmt::Display for TuneError {
@@ -41,9 +37,6 @@ impl std::fmt::Display for TuneError {
             TuneError::UnsupportedRank(n) => write!(f, "unsupported rank {n} (need 2 or 3)"),
             TuneError::ZeroStride => write!(f, "tuning stride must be >= 1"),
             TuneError::EmptySpace => write!(f, "tuning space is empty"),
-            TuneError::UnsupportedSmoother(s) => {
-                write!(f, "unsupported smoother sequence '{}'", s.label())
-            }
         }
     }
 }
@@ -106,93 +99,6 @@ impl TuneConfig {
         }
         o
     }
-}
-
-/// One point on the smoother-sequence tuning axis: which relaxation the
-/// cycle's pre/post chains use and how many steps each chain runs. Unlike
-/// the schedule-only knobs of [`TuneConfig`], this axis changes the
-/// *pipeline structure* (and the computed values), so it is applied by the
-/// `gmg-multigrid` builders — the compiler only enumerates and validates
-/// the points.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SmootherSeq {
-    /// Weighted-Jacobi chain of `steps` sweeps (the paper's smoother).
-    Jacobi { steps: usize },
-    /// Red-black Gauss–Seidel: `steps` full (red + black) sweeps.
-    Rbgs { steps: usize },
-    /// Chebyshev polynomial chain of the given degree.
-    Chebyshev { degree: usize },
-}
-
-/// Longest smoother chain the lattice admits: beyond this no grouping
-/// limit in [`GROUP_LIMITS`] can fuse the chain, so every longer point
-/// degenerates to the shortest one's schedule with extra sweeps.
-pub const MAX_SMOOTHER_LEN: usize = 16;
-
-impl SmootherSeq {
-    /// Compact display label (`jacobi4`, `rbgs2`, `cheb6`).
-    pub fn label(self) -> String {
-        match self {
-            SmootherSeq::Jacobi { steps } => format!("jacobi{steps}"),
-            SmootherSeq::Rbgs { steps } => format!("rbgs{steps}"),
-            SmootherSeq::Chebyshev { degree } => format!("cheb{degree}"),
-        }
-    }
-
-    /// Number of pipeline stages one pre- or post-smoothing chain emits
-    /// (RB-GS steps are two half-sweep stages each).
-    pub fn chain_stages(self) -> usize {
-        match self {
-            SmootherSeq::Jacobi { steps } => steps,
-            SmootherSeq::Rbgs { steps } => 2 * steps,
-            SmootherSeq::Chebyshev { degree } => degree,
-        }
-    }
-
-    /// Check the point is tunable: nonzero length, chain no longer than
-    /// [`MAX_SMOOTHER_LEN`]. A serving process drives this from request
-    /// parameters, so bad points are values, not panics.
-    pub fn validate(self) -> Result<(), TuneError> {
-        let n = self.chain_stages();
-        if n == 0 || n > MAX_SMOOTHER_LEN {
-            return Err(TuneError::UnsupportedSmoother(self));
-        }
-        Ok(())
-    }
-
-    /// The default smoother-sequence lattice: the paper's Jacobi counts
-    /// plus short RB-GS and Chebyshev chains of comparable cost.
-    pub fn lattice() -> Vec<SmootherSeq> {
-        vec![
-            SmootherSeq::Jacobi { steps: 2 },
-            SmootherSeq::Jacobi { steps: 4 },
-            SmootherSeq::Rbgs { steps: 1 },
-            SmootherSeq::Rbgs { steps: 2 },
-            SmootherSeq::Chebyshev { degree: 4 },
-            SmootherSeq::Chebyshev { degree: 6 },
-        ]
-    }
-}
-
-/// The §3.2.4 schedule space crossed with a smoother-sequence axis: every
-/// `(TuneConfig, SmootherSeq)` pair, with each sequence validated up
-/// front. An unsupported sequence (or rank) fails the whole enumeration
-/// with a typed error rather than panicking mid-sweep.
-pub fn search_space_with_smoothers(
-    ndims: usize,
-    seqs: &[SmootherSeq],
-) -> Result<Vec<(TuneConfig, SmootherSeq)>, TuneError> {
-    for s in seqs {
-        s.validate()?;
-    }
-    let base = search_space(ndims)?;
-    let mut out = Vec::with_capacity(base.len() * seqs.len());
-    for cfg in &base {
-        for &s in seqs {
-            out.push((cfg.clone(), s));
-        }
-    }
-    Ok(out)
 }
 
 /// The grouping limits swept ("five different values of grouping limit").
@@ -282,7 +188,7 @@ pub fn tune(
 pub enum TuneSource {
     /// The §3.2.4 exhaustive grid sweep.
     Sweep,
-    /// The offline evolutionary [`search`].
+    /// The offline coordinate-scan [`search`].
     Search,
     /// The server's online tuner (idle-capacity background trials).
     Online,
@@ -326,8 +232,6 @@ pub struct TunedEntry {
     /// Configurations evaluated before this winner was picked (0 for
     /// legacy sweep entries that predate provenance).
     pub evals: u64,
-    /// Seed of the search that found it (0 for sweeps).
-    pub seed: u64,
 }
 
 impl TunedEntry {
@@ -396,7 +300,6 @@ impl TunedStore {
             metric,
             source: TuneSource::Sweep,
             evals: 0,
-            seed: 0,
         });
     }
 
@@ -422,7 +325,7 @@ impl TunedStore {
     }
 
     /// Render as JSON. Fingerprints are hex strings: a u64 does not survive
-    /// a round-trip through an f64 JSON number (seeds likewise).
+    /// a round-trip through an f64 JSON number.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"tuned\": [");
         for (i, e) in self.entries.iter().enumerate() {
@@ -439,7 +342,7 @@ impl TunedStore {
             s.push_str(&format!(
                 "\n    {{\"fingerprint\": \"{:016x}\", \"ndims\": {}, \"tile_sizes\": [{}], \
                  \"group_limit\": {}, \"smooth_band\": {}, \"tier\": \"{}\", \"metric\": {}, \
-                 \"fast_math\": {}, \"source\": \"{}\", \"evals\": {}, \"seed\": \"{:016x}\"}}",
+                 \"fast_math\": {}, \"source\": \"{}\", \"evals\": {}}}",
                 e.fingerprint,
                 e.ndims,
                 tiles,
@@ -454,7 +357,6 @@ impl TunedStore {
                 e.fast_math(),
                 e.source.label(),
                 e.evals,
-                e.seed,
             ));
         }
         if !self.entries.is_empty() {
@@ -464,8 +366,9 @@ impl TunedStore {
         s
     }
 
-    /// Parse a store previously written by [`TunedStore::to_json`] (or by a
-    /// pre-provenance release: the new keys all have legacy defaults).
+    /// Parse a store previously written by [`TunedStore::to_json`] (or by an
+    /// earlier release: absent keys take legacy defaults, and the `seed` key
+    /// the evolutionary search used to write is ignored).
     pub fn from_json(text: &str) -> Result<TunedStore, String> {
         let doc = jsonio::parse(text)?;
         let list = doc
@@ -547,14 +450,6 @@ impl TunedStore {
                     .ok_or_else(|| fail("unknown tuning source"))?,
             };
             let evals = item.get("evals").and_then(JsonValue::as_u64).unwrap_or(0);
-            let seed = match item.get("seed") {
-                None => 0,
-                Some(v) => {
-                    let text = v.as_str().ok_or_else(|| fail("seed must be a hex string"))?;
-                    u64::from_str_radix(text, 16)
-                        .map_err(|_| fail("seed is not a hex u64"))?
-                }
-            };
             store.record_entry(TunedEntry {
                 fingerprint,
                 ndims,
@@ -567,7 +462,6 @@ impl TunedStore {
                 metric,
                 source,
                 evals,
-                seed,
             });
         }
         Ok(store)
@@ -610,53 +504,6 @@ mod tests {
         assert_eq!(tune(2, 0, |_| 1.0).unwrap_err(), TuneError::ZeroStride);
         // errors render (a server embeds them in error frames)
         assert!(TuneError::UnsupportedRank(4).to_string().contains("rank 4"));
-    }
-
-    #[test]
-    fn smoother_axis_extends_the_space() {
-        let lattice = SmootherSeq::lattice();
-        assert_eq!(lattice.len(), 6);
-        // full cross product: 80 × 6 and 135 × 6
-        assert_eq!(
-            search_space_with_smoothers(2, &lattice).unwrap().len(),
-            80 * 6
-        );
-        assert_eq!(
-            search_space_with_smoothers(3, &lattice).unwrap().len(),
-            135 * 6
-        );
-        // labels are stable (stored/parsed by servers)
-        assert_eq!(SmootherSeq::Jacobi { steps: 4 }.label(), "jacobi4");
-        assert_eq!(SmootherSeq::Rbgs { steps: 2 }.label(), "rbgs2");
-        assert_eq!(SmootherSeq::Chebyshev { degree: 6 }.label(), "cheb6");
-        // RB-GS emits two half-sweep stages per step
-        assert_eq!(SmootherSeq::Rbgs { steps: 2 }.chain_stages(), 4);
-    }
-
-    #[test]
-    fn unsupported_smoothers_are_typed_errors_not_panics() {
-        for bad in [
-            SmootherSeq::Jacobi { steps: 0 },
-            SmootherSeq::Rbgs { steps: 0 },
-            SmootherSeq::Chebyshev { degree: 0 },
-            SmootherSeq::Jacobi { steps: 17 },
-            SmootherSeq::Rbgs { steps: 9 }, // 18 half-sweep stages
-            SmootherSeq::Chebyshev { degree: 99 },
-        ] {
-            assert_eq!(bad.validate(), Err(TuneError::UnsupportedSmoother(bad)));
-            assert_eq!(
-                search_space_with_smoothers(2, &[bad]).unwrap_err(),
-                TuneError::UnsupportedSmoother(bad)
-            );
-        }
-        // rank errors still surface through the extended entry point
-        assert_eq!(
-            search_space_with_smoothers(4, &SmootherSeq::lattice()).unwrap_err(),
-            TuneError::UnsupportedRank(4)
-        );
-        assert!(TuneError::UnsupportedSmoother(SmootherSeq::Chebyshev { degree: 0 })
-            .to_string()
-            .contains("cheb0"));
     }
 
     #[test]
@@ -764,7 +611,6 @@ mod tests {
             metric: 0.5,
             source: TuneSource::Online,
             evals: 17,
-            seed: u64::MAX,
         });
         assert_eq!(store.len(), 3);
 
@@ -780,14 +626,14 @@ mod tests {
         assert!(back.lookup(1, 2).is_none());
         let online = back.lookup(7, 2).unwrap();
         assert_eq!(
-            (online.source, online.evals, online.seed),
-            (TuneSource::Online, 17, u64::MAX)
+            (online.source, online.evals),
+            (TuneSource::Online, 17)
         );
         assert_eq!(online.config.smooth_band, 8);
         assert_eq!(online.config.tier, KernelTier::Scalar);
 
         // pre-provenance store files carry none of the new keys: band,
-        // tier, source, evals and seed all take their legacy defaults
+        // tier, source and evals all take their legacy defaults
         let legacy = "{\"tuned\": [{\"fingerprint\": \"2a\", \"ndims\": 2, \
                       \"tile_sizes\": [8, 64], \"group_limit\": 2, \"metric\": 1.0}]}";
         let old = TunedStore::from_json(legacy).unwrap();
@@ -795,7 +641,7 @@ mod tests {
         assert!(!e.fast_math());
         assert_eq!(e.config.smooth_band, 4);
         assert_eq!(e.config.tier, KernelTier::LaneSafe);
-        assert_eq!((e.source, e.evals, e.seed), (TuneSource::Sweep, 0, 0));
+        assert_eq!((e.source, e.evals), (TuneSource::Sweep, 0));
         // legacy fast_math flag still selects the fast-math tier
         let legacy_fm = "{\"tuned\": [{\"fingerprint\": \"2a\", \"ndims\": 2, \
                          \"tile_sizes\": [8, 64], \"group_limit\": 2, \"metric\": 1.0, \
@@ -821,7 +667,6 @@ mod tests {
             "{\"tuned\": [{\"fingerprint\": \"ff\", \"ndims\": 2, \"tile_sizes\": [8, 64], \"group_limit\": 2, \"smooth_band\": 0}]}",
             "{\"tuned\": [{\"fingerprint\": \"ff\", \"ndims\": 2, \"tile_sizes\": [8, 64], \"group_limit\": 2, \"tier\": \"warp\"}]}",
             "{\"tuned\": [{\"fingerprint\": \"ff\", \"ndims\": 2, \"tile_sizes\": [8, 64], \"group_limit\": 2, \"source\": \"oracle\"}]}",
-            "{\"tuned\": [{\"fingerprint\": \"ff\", \"ndims\": 2, \"tile_sizes\": [8, 64], \"group_limit\": 2, \"seed\": \"zz\"}]}",
         ] {
             assert!(TunedStore::from_json(bad).is_err(), "accepted {bad:?}");
         }

@@ -1,131 +1,107 @@
-//! Seeded evolutionary search over the extended tuning space.
+//! Coordinate scan over the extended tuning space.
 //!
 //! The §3.2.4 sweep evaluates every tile/group combination — 80 points in
 //! 2-D, 135 in 3-D — and each evaluation is a real multigrid solve, so the
-//! sweep is exactly what a serving fleet cannot afford. This module
-//! replaces it with a small memetic (μ+λ)-style evolutionary search in the
-//! spirit of Schmitt et al. 2019: tournament selection, one-point crossover
-//! and per-field neighbor mutation over a genome of axis *indices*, plus an
-//! elitist coordinate line-scan of the incumbent best (one axis per
-//! generation) that guarantees the lattice optimum on separable metric
-//! surfaces — all under a hard evaluation budget of ≤ 25% of the
-//! corresponding sweep.
+//! sweep is exactly what a serving fleet cannot afford. The space is a
+//! lattice of *ordered* axes, so the search walks it one axis at a time:
+//! measure the deployed default, then scan a full line along one axis
+//! through the best point measured so far, move to the next axis, and
+//! re-read the best point between lines. It stops when a whole cycle over
+//! the axes finds no line with an unproposed point on it — the best point
+//! is then no worse than anything one axis move away — or when the
+//! evaluation budget (25% of the corresponding sweep by default) is spent.
+//! On a separable metric surface the first cycle reaches the lattice
+//! optimum in 1 + Σ(axis length − 1) = 15 evaluations, in 2-D and in 3-D.
 //!
-//! Determinism contract: every decision the search makes — seeding,
-//! parent selection, crossover points, mutations, dedup order — is driven
-//! by a [splitmix64] stream from [`SearchParams::seed`] and by the order of
-//! reported metrics. No wall clock, no global RNG. Same seed + same metric
-//! sequence ⇒ identical candidate trajectory, which is what makes the
-//! server's online tuner and this crate's proptests reproducible.
+//! Nothing here is random: the candidate trajectory is a pure function of
+//! the reported metric stream, which is what makes the server's online
+//! tuner and this crate's proptests reproducible.
 //!
-//! The genome covers the paper's two axes plus two new ones:
-//! `smooth_band` (the diamond-tile time-band height — schedule-only, like
-//! tiles and grouping) and the kernel tier. The fast-math tier reassociates
-//! and therefore changes results bitwise, so it only enters the space when
-//! the caller sets [`SearchParams::allow_fast_math`] — the server does that
+//! The lattice covers the paper's two axes plus two more: `smooth_band`
+//! (the diamond-tile time-band height — schedule-only, like tiles and
+//! grouping) and the kernel tier. The fast-math tier reassociates and
+//! therefore changes results bitwise, so it only enters the space when the
+//! caller sets [`SearchParams::allow_fast_math`] — the server does that
 //! only for sessions that already opted in.
-//!
-//! [splitmix64]: https://prng.di.unimi.it/splitmix64.c
 
 use std::collections::{BTreeSet, VecDeque};
 
-use super::{TuneConfig, TuneError, TuneSample, GROUP_LIMITS};
+use super::{search_space, TuneConfig, TuneError, TuneSample, GROUP_LIMITS};
+use crate::options::{PipelineOptions, Variant};
 use crate::specialize::KernelTier;
 
 /// Smoother time-band heights explored by the search (the "smoother steps"
 /// scheduling axis; maps onto `PipelineOptions::dtile_band`).
 pub const SMOOTH_BANDS: [usize; 4] = [1, 2, 4, 8];
 
-/// splitmix64 — tiny, seedable, and good enough for search decisions.
+/// A lattice point: one index per axis, tile axes first, then grouping
+/// limit, band and tier.
+type Point = Vec<usize>;
+
+/// The ordered axes of one rank's search lattice.
 #[derive(Clone, Debug)]
-struct Rng {
-    state: u64,
+struct Lattice {
+    tiles: Vec<&'static [i64]>,
+    tiers: &'static [KernelTier],
+    /// Length of every axis, in [`Point`] order.
+    lens: Vec<usize>,
 }
 
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng { state: seed }
+impl Lattice {
+    fn for_rank(ndims: usize, allow_fast_math: bool) -> Result<Lattice, TuneError> {
+        let tiles: Vec<&'static [i64]> = match ndims {
+            2 => vec![&[8, 16, 32, 64], &[64, 128, 256, 512]],
+            3 => vec![&[8, 16, 32], &[8, 16, 32], &[64, 128, 256]],
+            other => return Err(TuneError::UnsupportedRank(other)),
+        };
+        let tiers = if allow_fast_math {
+            &KernelTier::ALL[..]
+        } else {
+            &KernelTier::ALL[..2] // scalar and lane-safe: the bitwise tiers
+        };
+        let mut lens: Vec<usize> = tiles.iter().map(|t| t.len()).collect();
+        lens.extend([GROUP_LIMITS.len(), SMOOTH_BANDS.len(), tiers.len()]);
+        Ok(Lattice { tiles, tiers, lens })
     }
 
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n` (n ≥ 1).
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// True with probability `pct`%.
-    fn chance(&mut self, pct: u32) -> bool {
-        (self.next_u64() % 100) < u64::from(pct)
-    }
-}
-
-/// One ordered axis of the search lattice.
-#[derive(Clone, Debug)]
-enum Axis {
-    Tile(Vec<i64>),
-    Group(Vec<usize>),
-    Band(Vec<usize>),
-    Tier(Vec<KernelTier>),
-}
-
-impl Axis {
-    fn len(&self) -> usize {
-        match self {
-            Axis::Tile(v) => v.len(),
-            Axis::Group(v) => v.len(),
-            Axis::Band(v) => v.len(),
-            Axis::Tier(v) => v.len(),
+    fn decode(&self, p: &[usize]) -> TuneConfig {
+        let nd = self.tiles.len();
+        TuneConfig {
+            tile_sizes: self.tiles.iter().zip(p).map(|(t, &i)| t[i]).collect(),
+            group_limit: GROUP_LIMITS[p[nd]],
+            smooth_band: SMOOTH_BANDS[p[nd + 1]],
+            tier: self.tiers[p[nd + 2]],
         }
     }
-}
 
-fn axes_for(ndims: usize, allow_fast_math: bool) -> Result<Vec<Axis>, TuneError> {
-    let mut axes: Vec<Axis> = match ndims {
-        2 => vec![
-            Axis::Tile(vec![8, 16, 32, 64]),
-            Axis::Tile(vec![64, 128, 256, 512]),
-        ],
-        3 => vec![
-            Axis::Tile(vec![8, 16, 32]),
-            Axis::Tile(vec![8, 16, 32]),
-            Axis::Tile(vec![64, 128, 256]),
-        ],
-        other => return Err(TuneError::UnsupportedRank(other)),
-    };
-    axes.push(Axis::Group(GROUP_LIMITS.to_vec()));
-    axes.push(Axis::Band(SMOOTH_BANDS.to_vec()));
-    let mut tiers = vec![KernelTier::Scalar, KernelTier::LaneSafe];
-    if allow_fast_math {
-        tiers.push(KernelTier::FastMath);
+    /// Inverse of [`decode`](Lattice::decode). Panics if the config is not
+    /// on the lattice — callers must only hand back configs this search
+    /// emitted.
+    fn encode(&self, cfg: &TuneConfig) -> Point {
+        fn index<T: PartialEq>(axis: &[T], value: &T, what: &str) -> usize {
+            axis.iter()
+                .position(|x| x == value)
+                .unwrap_or_else(|| panic!("{what} off the search lattice"))
+        }
+        let mut p: Point = self
+            .tiles
+            .iter()
+            .zip(&cfg.tile_sizes)
+            .map(|(t, size)| index(t, size, "tile size"))
+            .collect();
+        p.push(index(&GROUP_LIMITS, &cfg.group_limit, "group limit"));
+        p.push(index(&SMOOTH_BANDS, &cfg.smooth_band, "smooth band"));
+        p.push(index(self.tiers, &cfg.tier, "kernel tier"));
+        p
     }
-    axes.push(Axis::Tier(tiers));
-    Ok(axes)
 }
 
-/// Knobs of the evolutionary search. [`SearchParams::for_rank`] gives the
-/// defaults used everywhere in-tree; they are tuned so the budget stays at
-/// 25% of the §3.2.4 sweep for the same rank.
+/// What a search may spend and where it may go.
+/// [`SearchParams::for_rank`] gives the defaults used everywhere in-tree.
 #[derive(Clone, Debug)]
 pub struct SearchParams {
-    /// Seed of the decision stream. Two searches with the same seed over
-    /// the same metric emit identical candidate sequences.
-    pub seed: u64,
-    /// Generation size (gen-0 is seeded with the default configuration and
-    /// the two lattice corners before random fill).
-    pub population: usize,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Per-axis mutation probability in percent.
-    pub mutation_pct: u32,
-    /// Hard evaluation budget; [`EvoSearch::next_candidate`] returns `None`
-    /// once it is spent.
+    /// Hard evaluation budget; [`CoordinateScan::next_candidate`] returns
+    /// `None` once it is spent.
     pub max_evals: usize,
     /// Whether the fast-math kernel tier is part of the space. Keep this
     /// off unless the consumer already opted into fast-math numerics.
@@ -136,24 +112,10 @@ impl SearchParams {
     /// Defaults for a rank: budget = 25% of the corresponding sweep
     /// (80 → 20 evaluations in 2-D, 135 → 33 in 3-D).
     pub fn for_rank(ndims: usize) -> Result<SearchParams, TuneError> {
-        let max_evals = match ndims {
-            2 => 20,
-            3 => 33,
-            other => return Err(TuneError::UnsupportedRank(other)),
-        };
         Ok(SearchParams {
-            seed: 0x5eed_0001,
-            population: 6,
-            tournament: 3,
-            mutation_pct: 40,
-            max_evals,
+            max_evals: search_space(ndims)?.len() / 4,
             allow_fast_math: false,
         })
-    }
-
-    pub fn with_seed(mut self, seed: u64) -> SearchParams {
-        self.seed = seed;
-        self
     }
 
     pub fn with_budget(mut self, max_evals: usize) -> SearchParams {
@@ -179,308 +141,109 @@ pub struct SearchOutcome {
     pub trajectory: Vec<TuneSample>,
 }
 
-/// Stepwise ask/tell evolutionary search. The server's online tuner drives
+/// Stepwise ask/tell coordinate scan. The server's online tuner drives
 /// this one trial at a time between requests; [`search`] wraps it into a
 /// synchronous loop for offline use.
 #[derive(Clone, Debug)]
-pub struct EvoSearch {
-    params: SearchParams,
-    axes: Vec<Axis>,
-    rng: Rng,
+pub struct CoordinateScan {
+    max_evals: usize,
+    lattice: Lattice,
+    /// The deployed default: the first proposal, and the point lines are
+    /// drawn through until something has been reported.
+    start: Point,
     /// Candidates proposed but not yet reported/discarded.
-    pending: VecDeque<Vec<usize>>,
-    /// Every genome ever proposed (dedup set; discarded genomes stay here
-    /// so a faulted configuration is not proposed twice).
-    seen: BTreeSet<Vec<usize>>,
-    /// Reported `(genome, metric)` pairs, in report order.
-    evaluated: Vec<(Vec<usize>, f64)>,
-    /// Next axis of the memetic line-scan pass (== `axes.len()` once the
-    /// pass is complete and GA breeding has taken over).
-    scan_axis: usize,
-    space: usize,
+    pending: VecDeque<Point>,
+    /// Every point ever proposed (discarded points stay here so a faulted
+    /// configuration is not proposed twice).
+    seen: BTreeSet<Point>,
+    /// Reported `(point, metric)` pairs, in report order.
+    evaluated: Vec<(Point, f64)>,
+    /// Axis the next line runs along.
+    next_axis: usize,
 }
 
-impl EvoSearch {
-    pub fn new(ndims: usize, params: SearchParams) -> Result<EvoSearch, TuneError> {
-        let axes = axes_for(ndims, params.allow_fast_math)?;
-        let space = axes.iter().map(Axis::len).product();
-        let mut s = EvoSearch {
-            rng: Rng::new(params.seed),
-            params,
-            axes,
+impl CoordinateScan {
+    pub fn new(ndims: usize, params: SearchParams) -> Result<CoordinateScan, TuneError> {
+        let lattice = Lattice::for_rank(ndims, params.allow_fast_math)?;
+        // Measuring the deployed default first means the search's baseline
+        // is always in the trajectory: the winner is never slower than what
+        // already runs, under the trial metric.
+        let deployed = PipelineOptions::for_variant(Variant::OptPlus, ndims);
+        let start = lattice.encode(&TuneConfig::new(deployed.tile_sizes, deployed.group_limit));
+        let mut s = CoordinateScan {
+            max_evals: params.max_evals,
+            lattice,
+            start: start.clone(),
             pending: VecDeque::new(),
             seen: BTreeSet::new(),
             evaluated: Vec::new(),
-            scan_axis: 0,
-            space,
+            next_axis: 0,
         };
-        s.seed_generation_zero();
+        s.propose(start);
         Ok(s)
     }
 
-    /// Gen-0: the deployed default configuration first (so the search's
-    /// baseline is always measured), then the two lattice corners, then
-    /// random fill — all deduplicated.
-    fn seed_generation_zero(&mut self) {
-        let default_genome = self.encode(&TuneConfig::new(
-            crate::options::default_tiles(self.ndims()),
-            6, // PipelineOptions default group_limit
-        ));
-        let lo = vec![0usize; self.axes.len()];
-        let hi: Vec<usize> = self.axes.iter().map(|a| a.len() - 1).collect();
-        for g in [default_genome, lo, hi] {
-            self.propose(g);
+    fn propose(&mut self, p: Point) -> bool {
+        let fresh = self.seen.insert(p.clone());
+        if fresh {
+            self.pending.push_back(p);
         }
-        let mut guard = 0;
-        while self.pending.len() < self.params.population && guard < 1000 {
-            let g = self.random_genome();
-            self.propose(g);
-            guard += 1;
-        }
+        fresh
     }
 
-    fn ndims(&self) -> usize {
-        self.axes
-            .iter()
-            .filter(|a| matches!(a, Axis::Tile(_)))
-            .count()
+    /// The best reported point (the earliest on ties).
+    fn incumbent(&self) -> Option<&(Point, f64)> {
+        self.evaluated.iter().min_by(|a, b| a.1.total_cmp(&b.1))
     }
 
-    fn random_genome(&mut self) -> Vec<usize> {
-        let mut g = Vec::with_capacity(self.axes.len());
-        for i in 0..self.axes.len() {
-            let n = self.axes[i].len();
-            g.push(self.rng.below(n));
-        }
-        g
-    }
-
-    fn propose(&mut self, genome: Vec<usize>) -> bool {
-        if self.seen.insert(genome.clone()) {
-            self.pending.push_back(genome);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn decode(&self, genome: &[usize]) -> TuneConfig {
-        let mut tiles = Vec::new();
-        let mut group = 6;
-        let mut band = 4;
-        let mut tier = KernelTier::LaneSafe;
-        for (axis, &idx) in self.axes.iter().zip(genome) {
-            match axis {
-                Axis::Tile(v) => tiles.push(v[idx]),
-                Axis::Group(v) => group = v[idx],
-                Axis::Band(v) => band = v[idx],
-                Axis::Tier(v) => tier = v[idx],
-            }
-        }
-        TuneConfig {
-            tile_sizes: tiles,
-            group_limit: group,
-            smooth_band: band,
-            tier,
-        }
-    }
-
-    /// Inverse of [`decode`](EvoSearch::decode). Panics if the config is
-    /// not on the lattice — callers must only hand back configs this search
-    /// emitted.
-    fn encode(&self, cfg: &TuneConfig) -> Vec<usize> {
-        let mut genome = Vec::with_capacity(self.axes.len());
-        let mut t = 0usize;
-        for axis in &self.axes {
-            let idx = match axis {
-                Axis::Tile(v) => {
-                    let i = v
-                        .iter()
-                        .position(|&x| x == cfg.tile_sizes[t])
-                        .expect("tile size off the search lattice");
-                    t += 1;
-                    i
-                }
-                Axis::Group(v) => v
-                    .iter()
-                    .position(|&x| x == cfg.group_limit)
-                    .expect("group limit off the search lattice"),
-                Axis::Band(v) => v
-                    .iter()
-                    .position(|&x| x == cfg.smooth_band)
-                    .expect("smooth band off the search lattice"),
-                Axis::Tier(v) => v
-                    .iter()
-                    .position(|&x| x == cfg.tier)
-                    .expect("kernel tier off the search lattice"),
-            };
-            genome.push(idx);
-        }
-        genome
-    }
-
-    /// Next configuration to measure, or `None` when the evaluation budget
-    /// or the whole lattice is exhausted.
-    pub fn next_candidate(&mut self) -> Option<TuneConfig> {
-        if self.evaluated.len() >= self.params.max_evals {
-            return None;
-        }
-        if self.pending.is_empty() {
-            self.breed();
-        }
-        let genome = self.pending.pop_front()?;
-        Some(self.decode(&genome))
-    }
-
-    /// Breed the next generation from everything evaluated so far.
-    fn breed(&mut self) {
-        if self.seen.len() >= self.space {
-            return; // lattice exhausted
-        }
-        if self.evaluated.is_empty() {
-            // nothing reported yet (everything discarded?) — refill randomly
-            let mut guard = 0;
-            while self.pending.is_empty() && guard < 1000 {
-                let g = self.random_genome();
-                self.propose(g);
-                guard += 1;
-            }
-            return;
-        }
-        // Memetic line-scan pass before GA breeding: coordinate descent over
-        // the incumbent best, one full axis per generation (the incumbent is
-        // re-read between lines, so improvements recenter the scan). On a
-        // separable metric surface one pass reaches the lattice optimum in
-        // at most Σ(axis length − 1) evaluations past gen-0 — which is what
-        // keeps the default budget (25% of the §3.2.4 sweep) sufficient to
-        // match the full sweep. The GA below then spends any remaining
-        // budget on cross-axis interactions the scan cannot see.
-        while self.scan_axis < self.axes.len() {
-            let incumbent = self
-                .evaluated
-                .iter()
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .unwrap()
-                .0
-                .clone();
-            let axis = self.scan_axis;
-            self.scan_axis += 1;
+    /// Queue the next line: every unproposed point that differs from the
+    /// incumbent on one axis only. Axes whose line is already proposed are
+    /// skipped; a full cycle of them leaves the queue empty, which ends the
+    /// search.
+    fn scan_next_line(&mut self) {
+        let through = self.incumbent().map_or(&self.start, |(p, _)| p).clone();
+        let axes = self.lattice.lens.len();
+        for _ in 0..axes {
+            let axis = self.next_axis;
+            self.next_axis = (axis + 1) % axes;
             let mut any = false;
-            for idx in 0..self.axes[axis].len() {
-                let mut g = incumbent.clone();
-                g[axis] = idx;
-                any |= self.propose(g);
+            for idx in 0..self.lattice.lens[axis] {
+                let mut p = through.clone();
+                p[axis] = idx;
+                any |= self.propose(p);
             }
             if any {
                 return;
             }
         }
-        let want = self.params.population.min(self.space - self.seen.len());
-        let mut attempts = 0;
-        while self.pending.len() < want && attempts < 200 {
-            attempts += 1;
-            let a = self.tournament();
-            let b = self.tournament();
-            let mut child = self.crossover(&a, &b);
-            self.mutate(&mut child);
-            self.propose(child);
-        }
-        // rng-driven breeding may stall near exhaustion: deterministically
-        // scan the lattice for any unseen genome so the budget is usable
-        if self.pending.is_empty() {
-            let mut cursor = vec![0usize; self.axes.len()];
-            loop {
-                if !self.seen.contains(&cursor) {
-                    self.propose(cursor.clone());
-                    break;
-                }
-                // odometer increment; done when it wraps
-                let mut i = 0;
-                loop {
-                    if i == self.axes.len() {
-                        return;
-                    }
-                    cursor[i] += 1;
-                    if cursor[i] < self.axes[i].len() {
-                        break;
-                    }
-                    cursor[i] = 0;
-                    i += 1;
-                }
-            }
-        }
     }
 
-    /// Tournament selection: best (lowest metric) of `k` random evaluated
-    /// genomes.
-    fn tournament(&mut self) -> Vec<usize> {
-        let k = self.params.tournament.max(1);
-        let mut best: Option<usize> = None;
-        for _ in 0..k {
-            let i = self.rng.below(self.evaluated.len());
-            best = Some(match best {
-                None => i,
-                Some(j) if self.evaluated[i].1 < self.evaluated[j].1 => i,
-                Some(j) => j,
-            });
+    /// Next configuration to measure, or `None` when the evaluation budget
+    /// is spent or no line through the best point has an unproposed point.
+    pub fn next_candidate(&mut self) -> Option<TuneConfig> {
+        if self.finished() {
+            return None;
         }
-        self.evaluated[best.unwrap()].0.clone()
-    }
-
-    /// One-point crossover.
-    fn crossover(&mut self, a: &[usize], b: &[usize]) -> Vec<usize> {
-        let cut = 1 + self.rng.below(a.len() - 1);
-        let mut child = a[..cut].to_vec();
-        child.extend_from_slice(&b[cut..]);
-        child
-    }
-
-    /// Per-field neighbor mutation: each axis independently steps ±1 along
-    /// its ordered domain with probability `mutation_pct`%, clamped by
-    /// reflecting at the ends.
-    fn mutate(&mut self, genome: &mut [usize]) {
-        for (i, g) in genome.iter_mut().enumerate() {
-            if !self.rng.chance(self.params.mutation_pct) {
-                continue;
-            }
-            let n = self.axes[i].len();
-            if n == 1 {
-                continue;
-            }
-            let up = self.rng.chance(50);
-            *g = if up {
-                if *g + 1 < n {
-                    *g + 1
-                } else {
-                    *g - 1
-                }
-            } else if *g > 0 {
-                *g - 1
-            } else {
-                *g + 1
-            };
-        }
+        let p = self.pending.pop_front()?;
+        Some(self.lattice.decode(&p))
     }
 
     /// Report the measured metric for a candidate from
-    /// [`next_candidate`](EvoSearch::next_candidate) (lower is better).
+    /// [`next_candidate`](CoordinateScan::next_candidate) (lower is better).
     pub fn report(&mut self, cfg: &TuneConfig, metric: f64) {
-        let genome = self.encode(cfg);
-        self.evaluated.push((genome, metric));
+        self.evaluated.push((self.lattice.encode(cfg), metric));
     }
 
-    /// Drop a candidate without a metric (e.g. its trial faulted). The
-    /// configuration stays in the dedup set and is not proposed again.
-    pub fn discard(&mut self, _cfg: &TuneConfig) {
-        // nothing to do: the genome was already removed from `pending` and
-        // remains in `seen`; the method exists to make call sites explicit
-    }
+    /// Drop a candidate without a metric (e.g. its trial faulted). Nothing
+    /// to undo: the point left `pending` when it was handed out and stays
+    /// in `seen`, so it is not proposed again. The method exists to make
+    /// call sites explicit.
+    pub fn discard(&mut self, _cfg: &TuneConfig) {}
 
     /// Put a candidate back at the front of the queue (e.g. to retry a
     /// trial that failed for reasons unrelated to the configuration).
     pub fn requeue(&mut self, cfg: &TuneConfig) {
-        let genome = self.encode(cfg);
-        self.pending.push_front(genome);
+        self.pending.push_front(self.lattice.encode(cfg));
     }
 
     /// Number of metrics reported so far.
@@ -490,25 +253,21 @@ impl EvoSearch {
 
     /// Whether the search will emit no further candidates.
     pub fn finished(&mut self) -> bool {
-        if self.evaluated.len() >= self.params.max_evals {
+        if self.evaluated.len() >= self.max_evals {
             return true;
         }
-        if !self.pending.is_empty() {
-            return false;
+        if self.pending.is_empty() {
+            self.scan_next_line();
         }
-        self.breed();
         self.pending.is_empty()
     }
 
     /// Best evaluated configuration so far.
     pub fn best(&self) -> Option<TuneSample> {
-        self.evaluated
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(g, m)| TuneSample {
-                config: self.decode(g),
-                metric: *m,
-            })
+        self.incumbent().map(|(p, m)| TuneSample {
+            config: self.lattice.decode(p),
+            metric: *m,
+        })
     }
 }
 
@@ -518,7 +277,7 @@ pub fn search(
     params: &SearchParams,
     mut eval: impl FnMut(&TuneConfig) -> f64,
 ) -> Result<SearchOutcome, TuneError> {
-    let mut s = EvoSearch::new(ndims, params.clone())?;
+    let mut s = CoordinateScan::new(ndims, params.clone())?;
     let mut trajectory = Vec::new();
     while let Some(cfg) = s.next_candidate() {
         let metric = eval(&cfg);
@@ -558,7 +317,7 @@ mod tests {
     fn rejects_unsupported_rank() {
         let p = SearchParams::for_rank(2).unwrap();
         assert!(matches!(
-            EvoSearch::new(5, p),
+            CoordinateScan::new(5, p),
             Err(TuneError::UnsupportedRank(5))
         ));
         assert!(matches!(
@@ -585,10 +344,10 @@ mod tests {
 
     #[test]
     fn first_candidate_is_the_deployed_default() {
-        let mut s = EvoSearch::new(2, SearchParams::for_rank(2).unwrap()).unwrap();
+        let mut s = CoordinateScan::new(2, SearchParams::for_rank(2).unwrap()).unwrap();
         let first = s.next_candidate().unwrap();
         assert_eq!(first, TuneConfig::new(vec![32, 512], 6));
-        let mut s3 = EvoSearch::new(3, SearchParams::for_rank(3).unwrap()).unwrap();
+        let mut s3 = CoordinateScan::new(3, SearchParams::for_rank(3).unwrap()).unwrap();
         assert_eq!(
             s3.next_candidate().unwrap(),
             TuneConfig::new(vec![16, 16, 128], 6)
@@ -615,29 +374,37 @@ mod tests {
     }
 
     #[test]
-    fn exhausts_small_lattices_without_duplicates() {
-        // generous budget over the full 2-D extended lattice:
-        // 4·4·5·4·2 = 640 points, budget 1000 ⇒ must visit each point at
-        // most once and stop at 640
+    fn stops_after_a_cycle_with_nothing_left_to_propose() {
+        // Separable surface, budget far above the need: the first cycle
+        // (default + 14 line points) reaches the optimum; the second scans
+        // what is one move away from it and not yet proposed — 10 points,
+        // the band and tier lines of the first cycle already ran through
+        // the optimum — and improves nothing; the third finds every line
+        // proposed. The stop rule, not the budget or the 640-point lattice,
+        // ends the search.
         let params = SearchParams::for_rank(2).unwrap().with_budget(1000);
         let out = search(2, &params, surface).unwrap();
-        assert_eq!(out.evals, 640);
+        assert_eq!(out.evals, 1 + 14 + 10);
+        assert_eq!(out.best.metric, 0.0);
+        assert!(
+            out.trajectory[..15].iter().any(|s| s.metric == 0.0),
+            "optimum reached within the first cycle"
+        );
         let mut seen = std::collections::BTreeSet::new();
         for s in &out.trajectory {
             assert!(seen.insert(format!("{:?}", s.config)), "duplicate candidate");
         }
-        // exhaustive visit ⇒ the true optimum was found
-        assert_eq!(out.best.metric, 0.0);
     }
 
     #[test]
     fn requeue_and_discard_drive_retry_flow() {
-        let mut s = EvoSearch::new(2, SearchParams::for_rank(2).unwrap()).unwrap();
+        let mut s = CoordinateScan::new(2, SearchParams::for_rank(2).unwrap()).unwrap();
         let c1 = s.next_candidate().unwrap();
         s.requeue(&c1);
         let again = s.next_candidate().unwrap();
         assert_eq!(c1, again, "requeued candidate comes back first");
         s.discard(&again);
+        // nothing reported yet: the scan still runs, through the default
         let c2 = s.next_candidate().unwrap();
         assert_ne!(c1, c2, "discarded candidate is not re-proposed");
         assert_eq!(s.evals(), 0, "neither discard nor requeue counts as an eval");

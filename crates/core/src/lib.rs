@@ -48,7 +48,7 @@ pub mod schedule;
 pub mod specialize;
 pub mod storage;
 
-pub use autotune::{SmootherSeq, TuneConfig, TuneError, TunedStore};
+pub use autotune::{TuneConfig, TuneError, TunedStore};
 pub use cache::{compile_cached, pipeline_fingerprint, PlanCache};
 pub use chaos::{ChaosOptions, ChaosStats, FaultPlan, FaultSite};
 pub use compile::compile;

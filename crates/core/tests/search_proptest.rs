@@ -1,16 +1,16 @@
-//! Property tests over the evolutionary autotuning search (§3.2.4 online
-//! variant): seeded determinism of the candidate trajectory, validity of
-//! every emitted configuration against the extended parameter bounds, and
-//! convergence — the search must match or beat the full-sweep optimum on a
-//! deterministic synthetic cost surface while spending at most 25% of the
-//! sweep's evaluations.
+//! Property tests over the coordinate-scan autotuning search (§3.2.4 online
+//! variant): determinism of the candidate trajectory, validity of every
+//! emitted configuration against the extended parameter bounds, coordinate-
+//! wise optimality at the stop rule, and convergence — the search must match
+//! or beat the full-sweep optimum on a deterministic synthetic cost surface
+//! while spending at most 25% of the sweep's evaluations.
 
 use gmg_ir::expr::Operand;
 use gmg_ir::stencil::{interp_bilinear_cases, restrict_full_weighting_2d, stencil_2d};
 use gmg_ir::{FuncId, ParamBindings, Pipeline, StepCount};
 use polymg::autotune::search::{search, SearchParams, SMOOTH_BANDS};
-use polymg::autotune::{search_space, GROUP_LIMITS};
-use polymg::{KernelTier, PipelineOptions, TuneConfig, Variant};
+use polymg::autotune::{search_space, TuneSource, GROUP_LIMITS};
+use polymg::{KernelTier, PipelineOptions, TuneConfig, TunedStore, Variant};
 use proptest::prelude::*;
 
 /// Deterministic synthetic cost: a separable convex bowl over the lattice.
@@ -67,21 +67,23 @@ fn in_bounds(cfg: &TuneConfig, ndims: usize, allow_fast_math: bool) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Same seed ⇒ bit-identical candidate trajectory. The decision stream
-    /// is a pure function of the seed and the reported metrics; nothing in
-    /// the search consults a clock or an unseeded RNG.
+    /// Same metric stream ⇒ bit-identical candidate trajectory. The
+    /// proposals are a pure function of the reported metrics; nothing in
+    /// the search consults a clock or an RNG. `scale` varies the stream
+    /// between cases (it rescales one axis' penalty, which reorders the
+    /// points of the surface).
     #[test]
-    fn same_seed_same_trajectory(
-        seed in 0u64..=u64::MAX,
+    fn same_metrics_same_trajectory(
+        scale in 0u32..64,
         ndims in 2usize..4,
         fast_math in proptest::bool::ANY,
     ) {
         let params = SearchParams::for_rank(ndims)
             .unwrap()
-            .with_seed(seed)
             .with_fast_math(fast_math);
-        let a = search(ndims, &params, bowl).unwrap();
-        let b = search(ndims, &params, bowl).unwrap();
+        let metric = |c: &TuneConfig| bowl(c) + f64::from(scale) / 16.0 * c.group_limit as f64;
+        let a = search(ndims, &params, metric).unwrap();
+        let b = search(ndims, &params, metric).unwrap();
         prop_assert_eq!(a.evals, b.evals);
         prop_assert_eq!(a.trajectory.len(), b.trajectory.len());
         for (x, y) in a.trajectory.iter().zip(&b.trajectory) {
@@ -95,13 +97,11 @@ proptest! {
     /// never duplicates, and never exceeds the evaluation budget.
     #[test]
     fn emitted_candidates_stay_in_bounds(
-        seed in 0u64..=u64::MAX,
         ndims in 2usize..4,
         fast_math in proptest::bool::ANY,
     ) {
         let params = SearchParams::for_rank(ndims)
             .unwrap()
-            .with_seed(seed)
             .with_fast_math(fast_math);
         let out = search(ndims, &params, bowl).unwrap();
         prop_assert!(out.evals <= params.max_evals);
@@ -192,7 +192,7 @@ fn vcycle_pipeline() -> Pipeline {
 #[test]
 fn emitted_candidates_apply_into_compilable_options() {
     let pipeline = vcycle_pipeline();
-    let params = SearchParams::for_rank(2).unwrap().with_seed(0xA11D);
+    let params = SearchParams::for_rank(2).unwrap();
     let out = search(2, &params, bowl).unwrap();
     assert!(out.evals > 0);
     for s in &out.trajectory {
@@ -236,4 +236,89 @@ fn search_matches_sweep_optimum_with_quarter_budget() {
         );
         assert!(out.evals <= params.max_evals);
     }
+}
+
+/// With a budget that is not the stop reason, the scan stops only where no
+/// single-axis move helps. The surface is the bowl plus a cross-term between
+/// the two tile axes — a diagonal valley, so it is *not* separable: the
+/// first cycle over the axes ends off the optimum, the second one, drawn
+/// through the first one's best point, improves on it. At the stop every
+/// lattice point that differs from the returned best on one axis —
+/// evaluated or not — costs at least as much.
+#[test]
+fn stop_rule_leaves_a_coordinate_wise_optimum() {
+    let cross = |c: &TuneConfig| {
+        let (u, v) = (
+            (c.tile_sizes[0] as f64).log2() - 4.0,
+            (c.tile_sizes[1] as f64).log2() - 8.0,
+        );
+        bowl(c) + 1.5 * (u + 2.0 * v).abs()
+    };
+    let params = SearchParams::for_rank(2).unwrap().with_budget(640);
+    let out = search(2, &params, cross).unwrap();
+    assert!(out.evals < params.max_evals, "budget was the stop reason");
+    let first_cycle = out.trajectory[..15]
+        .iter()
+        .map(|s| s.metric)
+        .min_by(f64::total_cmp)
+        .unwrap();
+    assert!(
+        out.best.metric < first_cycle,
+        "the surface was meant to need a second cycle"
+    );
+    let best = &out.best.config;
+    let axes: [&[i64]; 2] = [&[8, 16, 32, 64], &[64, 128, 256, 512]];
+    let mut moves = Vec::new();
+    for (axis, values) in axes.iter().enumerate() {
+        for &t in *values {
+            let mut c = best.clone();
+            c.tile_sizes[axis] = t;
+            moves.push(c);
+        }
+    }
+    for &g in &GROUP_LIMITS {
+        moves.push(TuneConfig { group_limit: g, ..best.clone() });
+    }
+    for &b in &SMOOTH_BANDS {
+        moves.push(TuneConfig { smooth_band: b, ..best.clone() });
+    }
+    for tier in [KernelTier::Scalar, KernelTier::LaneSafe] {
+        moves.push(TuneConfig { tier, ..best.clone() });
+    }
+    for m in &moves {
+        assert!(
+            cross(m) >= out.best.metric,
+            "single-axis move {m:?} ({}) beats the returned best {best:?} ({})",
+            cross(m),
+            out.best.metric
+        );
+    }
+}
+
+/// A store file written by the release before the scan (its entries carry
+/// the evolutionary search's `"seed"`) still loads, entry for entry, and
+/// what it is saved back as loads to the same store.
+#[test]
+fn store_written_with_seeds_still_loads() {
+    let parent = r#"{
+  "tuned": [
+    {"fingerprint": "9c3f51d20e7a44b1", "ndims": 2, "tile_sizes": [64, 256], "group_limit": 4, "smooth_band": 8, "tier": "lane_safe", "metric": 0.000264977, "fast_math": false, "source": "online", "evals": 20, "seed": "5eed0901deadbeef"},
+    {"fingerprint": "000000000000002a", "ndims": 3, "tile_sizes": [16, 32, 64], "group_limit": 2, "smooth_band": 4, "tier": "lane_safe", "metric": 0.003844404, "fast_math": false, "source": "sweep", "evals": 0, "seed": "0000000000000000"}
+  ]
+}
+"#;
+    let store = TunedStore::from_json(parent).expect("parent store loads");
+    assert_eq!(store.len(), 2);
+    let online = store.lookup(0x9c3f_51d2_0e7a_44b1, 2).unwrap();
+    assert_eq!(online.config.tile_sizes, vec![64, 256]);
+    assert_eq!(
+        (online.config.group_limit, online.config.smooth_band),
+        (4, 8)
+    );
+    assert_eq!((online.source, online.evals), (TuneSource::Online, 20));
+    assert_eq!(online.metric, 0.000264977);
+    assert_eq!(store.lookup(0x2a, 3).unwrap().source, TuneSource::Sweep);
+    let saved = store.to_json();
+    assert!(!saved.contains("seed"));
+    assert_eq!(TunedStore::from_json(&saved).unwrap(), store);
 }

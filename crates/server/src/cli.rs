@@ -5,7 +5,7 @@
 //!                    [--shards N] [--workers N] [--qos-weight N]
 //!                    [--queue-cap N] [--tenant-cap N]
 //!                    [--engine-threads N] [--tuned FILE]
-//!                    [--tune-online] [--tune-budget N] [--tune-seed N]
+//!                    [--tune-online] [--tune-budget N]
 //!                    [--coalesce-window-ms N] [--max-batch N]
 //!                    [--fast-math] [--no-simd]
 //!                    [--chaos-seed N] [--chaos-rate R] [--profile OUT.json]
@@ -21,14 +21,14 @@
 //!                    [--shutdown]
 //! ```
 //!
-//! `--tune-online` starts the background evolutionary tuner (DESIGN.md
+//! `--tune-online` starts the background tuner (DESIGN.md
 //! §17): trials run only on idle capacity, winners land in the `--tuned`
 //! FILE (which then need not exist yet — it is created on the first
 //! winner). `--tune-budget` caps trials per pipeline fingerprint (0 = the
-//! rank default, 25% of the §3.2.4 sweep); `--tune-seed` fixes the search
-//! decision stream. `stats` prints the live `key value` counter text (one
-//! OP_STATS round-trip; `--shutdown` drains the server afterwards) — the
-//! ci gate polls it to wait for tuner trials without killing the server.
+//! rank default, 25% of the §3.2.4 sweep). `stats` prints the live
+//! `key value` counter text (one OP_STATS round-trip; `--shutdown` drains
+//! the server afterwards) — the ci gate polls it to wait for tuner trials
+//! without killing the server.
 //!
 //! `--fast-math` / `--no-simd` select the server's kernel tier (see
 //! `DESIGN.md` §16). Loadgen takes the same flags because its verification
@@ -166,11 +166,6 @@ pub fn serve_main(args: &[String]) -> i32 {
                     tuner_cfg.budget = flag_value(args, &mut i, "--tune-budget")?
                         .parse()
                         .map_err(|_| "--tune-budget needs a number".to_string())?
-                }
-                "--tune-seed" => {
-                    tuner_cfg.seed = flag_value(args, &mut i, "--tune-seed")?
-                        .parse()
-                        .map_err(|_| "--tune-seed needs a number".to_string())?
                 }
                 "--fast-math" => cfg.fast_math = true,
                 "--no-simd" => cfg.simd = false,

@@ -94,7 +94,7 @@ pub struct ServerConfig {
     pub chaos: Option<ChaosOptions>,
     /// Persisted autotuned configurations, applied at session creation.
     pub tuned: Option<TunedStore>,
-    /// Online evolutionary autotuning (`--tune-online`): background search
+    /// Online autotuning (`--tune-online`): background search
     /// trials on idle worker capacity, winners recorded into the shared
     /// tuned store (and persisted to its path). `None` disables the tuner.
     pub tuner: Option<TunerConfig>,
@@ -481,48 +481,21 @@ impl Shared {
         let s = self.snapshot();
         let sessions: u64 = self.shards.iter().map(|sh| sh.sessions.len() as u64).sum();
         let mut t = String::new();
-        for (k, v) in [
-            ("requests", s.requests),
-            ("ok", s.ok),
-            ("exec_errors", s.exec_errors),
-            ("protocol_errors", s.protocol_errors),
-            ("rejected_queue_full", s.rejected_queue_full),
-            ("rejected_tenant", s.rejected_tenant),
-            ("rejected_shutdown", s.rejected_shutdown),
-            ("session_hits", s.session_hits),
-            ("session_misses", s.session_misses),
-            ("sessions_evicted", s.sessions_evicted),
-            ("pipelines_built", s.pipelines_built),
-            ("engines_created", s.engines_created),
-            ("queue_max_depth", s.queue_max_depth),
-            ("tuned_applied", s.tuned_applied),
-            ("batches", s.batches),
-            ("coalesced", s.coalesced),
-            ("sessions", sessions),
-            ("shards", self.shards.len() as u64),
-            ("mixed_solves", s.mixed_solves),
-        ] {
+        let fields = s.fields();
+        let (mixed, counters) = fields.split_last().expect("server fields");
+        let live = [("sessions", sessions), ("shards", self.shards.len() as u64)];
+        for (k, v) in counters.iter().chain(&live).chain([mixed]) {
             t.push_str(&format!("{k} {v}\n"));
         }
         for (label, v) in SCENARIO_LABELS.iter().zip(s.scenario_solves) {
             t.push_str(&format!("scenario_{label} {v}\n"));
         }
         if let Some(tuner) = &self.tuner {
-            let ts = tuner.snapshot();
-            let entries = tuner.store.lock().unwrap().len() as u64;
-            for (k, v) in [
-                ("tuner_trials", ts.trials),
-                ("tuner_discarded_faulted", ts.discarded_faulted),
-                ("tuner_deferred_busy", ts.deferred_busy),
-                ("tuner_winners", ts.winners),
-                ("tuner_fingerprints", ts.fingerprints),
-                ("tuner_observed", ts.observed),
-                ("tuner_trial_queue_peak", ts.trial_queue_peak),
-                ("tuner_leaked_trials", ts.leaked_trials),
-                ("tuner_store_entries", entries),
-            ] {
-                t.push_str(&format!("{k} {v}\n"));
+            for (k, v) in tuner.snapshot().fields() {
+                t.push_str(&format!("tuner_{k} {v}\n"));
             }
+            let entries = tuner.store.lock().unwrap().len();
+            t.push_str(&format!("tuner_store_entries {entries}\n"));
         }
         t
     }
@@ -1245,5 +1218,69 @@ mod tests {
             banner.contains("2 hits / 1 misses / 0 evicted (1 pipelines built, 1 engines)"),
             "{banner}"
         );
+    }
+
+    /// STATS and the profile JSON are two renderings of one list per
+    /// snapshot (`fields()`): a counter added to a snapshot shows up in
+    /// both or in neither. What only one side carries is named here.
+    #[test]
+    fn stats_and_profile_json_name_the_same_counters() {
+        use polymg::jsonio::{parse, JsonValue};
+        use std::collections::BTreeSet;
+
+        let handle = start(ServerConfig {
+            tuner: Some(TunerConfig::default()),
+            ..ServerConfig::default()
+        })
+        .expect("start");
+        let stats = handle.shared.stats_text();
+        handle.begin_shutdown();
+        handle.join();
+        // live gauges, not part of any snapshot
+        let stats_only = ["sessions", "shards", "tuner_store_entries"];
+        let stats_keys: BTreeSet<String> = stats
+            .lines()
+            .map(|l| l.split(' ').next().unwrap().to_string())
+            .filter(|k| !stats_only.contains(&k.as_str()))
+            .collect();
+
+        // non-default snapshots: empty blocks are left out of the JSON
+        let trace = Trace::enabled();
+        trace.record_server(&ServerSnapshot {
+            requests: 1,
+            ..ServerSnapshot::default()
+        });
+        trace.record_tuner(&gmg_trace::TunerSnapshot {
+            trials: 1,
+            ..Default::default()
+        });
+        let Some(report) = trace.report() else {
+            return; // span capture compiled out
+        };
+        let doc = parse(&report.to_json()).expect("profile JSON parses");
+        let members = |v: &JsonValue| -> Vec<String> {
+            match v {
+                JsonValue::Obj(pairs) => pairs.iter().map(|(k, _)| k.clone()).collect(),
+                other => panic!("expected an object, found {other:?}"),
+            }
+        };
+        let server = doc.get("server").expect("server block");
+        let mut json_keys: BTreeSet<String> = members(server)
+            .into_iter()
+            // array-valued; STATS has no line for the histogram and
+            // flattens the scenario object below
+            .filter(|k| k != "batch_hist" && k != "scenario")
+            .collect();
+        json_keys.extend(
+            members(server.get("scenario").expect("scenario object"))
+                .iter()
+                .map(|k| format!("scenario_{k}")),
+        );
+        json_keys.extend(
+            members(doc.get("tuner").expect("tuner block"))
+                .iter()
+                .map(|k| format!("tuner_{k}")),
+        );
+        assert_eq!(stats_keys, json_keys);
     }
 }

@@ -1,8 +1,8 @@
-//! Online evolutionary autotuning on idle worker capacity.
+//! Online autotuning on idle worker capacity.
 //!
 //! A dedicated `gmg-server-tuner` thread closes the §3.2.4 loop in
 //! production: workers sample every successful solve into a per-pipeline-
-//! fingerprint mailbox, the tuner opens a seeded [`EvoSearch`] per
+//! fingerprint mailbox, the tuner opens a [`CoordinateScan`] per
 //! fingerprint, and measures candidate schedules on its own throwaway
 //! engines — *never* on a live session, and only when the server is
 //! completely idle (no queued and no in-flight solves). Winners are
@@ -29,9 +29,8 @@
 //!   faults included) is retried once, then discarded from the search
 //!   (`discarded_faulted`); it never panics, and a post-trial pool check
 //!   (`live_bytes == 0`) counts leaks into `leaked_trials`.
-//! - **Determinism.** Search decisions derive from `--tune-seed` mixed
-//!   with the pipeline fingerprint; only the measured metrics are
-//!   nondeterministic.
+//! - **Determinism.** The scan makes no random decision: which candidate
+//!   comes next depends only on the metrics measured so far.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -43,7 +42,7 @@ use gmg_multigrid::config::MgConfig;
 use gmg_multigrid::cycles::build_cycle_pipeline;
 use gmg_multigrid::solver::{setup_poisson, DslRunner};
 use gmg_trace::{Trace, TunerSnapshot};
-use polymg::autotune::search::{EvoSearch, SearchParams};
+use polymg::autotune::search::{CoordinateScan, SearchParams};
 use polymg::autotune::{TuneConfig, TuneSource, TunedEntry, TunedStore};
 use polymg::{ChaosOptions, PipelineOptions, Variant};
 
@@ -55,8 +54,6 @@ pub struct TunerConfig {
     /// Trial budget per pipeline fingerprint. 0 means the rank default:
     /// 25% of the §3.2.4 sweep (20 trials in 2-D, 33 in 3-D).
     pub budget: usize,
-    /// Seed of the search decision stream (mixed with each fingerprint).
-    pub seed: u64,
     /// Where to persist winners (usually the `--tuned` path). `None` keeps
     /// the store in memory only.
     pub store_path: Option<PathBuf>,
@@ -68,7 +65,6 @@ impl Default for TunerConfig {
     fn default() -> Self {
         TunerConfig {
             budget: 0,
-            seed: 0x5eed_0901,
             store_path: None,
             trial_iters: 2,
         }
@@ -164,21 +160,11 @@ impl Tuner {
 struct TuningState {
     cfg: MgConfig,
     variant: Variant,
-    search: EvoSearch,
-    seed: u64,
+    search: CoordinateScan,
     /// Candidates already retried once after a fault (second fault ⇒
     /// permanent discard).
     retried: BTreeSet<String>,
     done: bool,
-}
-
-/// splitmix64 finalizer: derive a per-fingerprint search seed from the
-/// operator-chosen `--tune-seed`.
-fn mix_seed(seed: u64, pfp: u64) -> u64 {
-    let mut z = seed ^ pfp.rotate_left(17);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// All shards idle: nothing queued, nothing executing. The gate a trial
@@ -252,15 +238,14 @@ pub(crate) fn tuner_loop(sh: Arc<Shared>) {
             if states.contains_key(&obs.pfp) {
                 continue;
             }
-            let seed = mix_seed(tuner.config.seed, obs.pfp);
             let Ok(mut params) = SearchParams::for_rank(obs.cfg.ndims) else {
                 continue;
             };
-            params = params.with_seed(seed).with_fast_math(tuner.allow_fast_math);
+            params = params.with_fast_math(tuner.allow_fast_math);
             if tuner.config.budget > 0 {
                 params = params.with_budget(tuner.config.budget);
             }
-            let Ok(search) = EvoSearch::new(obs.cfg.ndims, params) else {
+            let Ok(search) = CoordinateScan::new(obs.cfg.ndims, params) else {
                 continue;
             };
             states.insert(
@@ -269,7 +254,6 @@ pub(crate) fn tuner_loop(sh: Arc<Shared>) {
                     cfg: obs.cfg,
                     variant: obs.variant,
                     search,
-                    seed,
                     retried: BTreeSet::new(),
                     done: false,
                 },
@@ -332,7 +316,7 @@ pub(crate) fn tuner_loop(sh: Arc<Shared>) {
 }
 
 /// Close out one fingerprint's search: record its winner (the trajectory
-/// minimum — gen-0 measures the deployed default first, so the winner is
+/// minimum — the scan measures the deployed default first, so the winner is
 /// never slower than default under the trial metric) and persist.
 fn finish(tuner: &Tuner, pfp: u64, st: &mut TuningState) {
     st.done = true;
@@ -346,7 +330,6 @@ fn finish(tuner: &Tuner, pfp: u64, st: &mut TuningState) {
         metric: best.metric * 1e-9,
         source: TuneSource::Online,
         evals: st.search.evals() as u64,
-        seed: st.seed,
     });
     tuner.winners.fetch_add(1, Ordering::Relaxed);
     tuner.persist();

@@ -82,7 +82,6 @@ fn online_tuning_records_winner_and_stays_bitwise_clean() {
         workers: 2,
         tuner: Some(TunerConfig {
             budget: 6,
-            seed: 0x7e57_0901,
             store_path: Some(path.clone()),
             trial_iters: 1,
         }),
@@ -188,7 +187,6 @@ fn chaos_faulted_trials_are_discarded_typed_and_search_still_converges() {
         chaos: Some(ChaosOptions::new(0x7e57_c4a05, 0.05)),
         tuner: Some(TunerConfig {
             budget: 6,
-            seed: 0x7e57_0902,
             store_path: Some(path.clone()),
             trial_iters: 2,
         }),

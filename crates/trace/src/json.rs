@@ -28,6 +28,15 @@ fn f64_json(v: f64) -> String {
     }
 }
 
+/// `"key": value` members of one JSON object, comma-separated.
+fn members(fields: &[(&str, u64)]) -> String {
+    fields
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
 pub(crate) fn report_to_json(r: &Report) -> String {
     let mut s = String::with_capacity(4096);
     s.push_str("{\n  \"meta\": {");
@@ -91,81 +100,31 @@ pub(crate) fn report_to_json(r: &Report) -> String {
             .map(|v| v.to_string())
             .collect::<Vec<_>>()
             .join(", ");
-        let scenario = r
-            .server
-            .scenario_solves
-            .iter()
-            .zip(crate::SCENARIO_LABELS)
-            .map(|(v, k)| format!("\"{k}\": {v}"))
-            .collect::<Vec<_>>()
-            .join(", ");
+        let scenario: Vec<(&str, u64)> = crate::SCENARIO_LABELS
+            .into_iter()
+            .zip(r.server.scenario_solves)
+            .collect();
+        let fields = r.server.fields();
+        let (mixed, counters) = fields.split_last().expect("server fields");
         s.push_str(&format!(
-            "  \"server\": {{\"requests\": {}, \"ok\": {}, \"exec_errors\": {}, \
-             \"protocol_errors\": {}, \"rejected_queue_full\": {}, \"rejected_tenant\": {}, \
-             \"rejected_shutdown\": {}, \"session_hits\": {}, \"session_misses\": {}, \
-             \"sessions_evicted\": {}, \"pipelines_built\": {}, \
-             \"engines_created\": {}, \"queue_max_depth\": {}, \"tuned_applied\": {}, \
-             \"batches\": {}, \"coalesced\": {}, \"batch_hist\": [{}], \
-             \"scenario\": {{{scenario}}}, \"mixed_solves\": {}}},\n",
-            r.server.requests,
-            r.server.ok,
-            r.server.exec_errors,
-            r.server.protocol_errors,
-            r.server.rejected_queue_full,
-            r.server.rejected_tenant,
-            r.server.rejected_shutdown,
-            r.server.session_hits,
-            r.server.session_misses,
-            r.server.sessions_evicted,
-            r.server.pipelines_built,
-            r.server.engines_created,
-            r.server.queue_max_depth,
-            r.server.tuned_applied,
-            r.server.batches,
-            r.server.coalesced,
-            hist,
-            r.server.mixed_solves
+            "  \"server\": {{{}, \"batch_hist\": [{hist}], \"scenario\": {{{}}}, {}}},\n",
+            members(counters),
+            members(&scenario),
+            members(&[*mixed])
         ));
     }
     if !r.shards.is_empty() {
-        s.push_str("  \"shards\": [");
-        for (i, sh) in r.shards.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"shard\": {}, \"accepted\": {}, \"adopted\": {}, \"frames\": {}, \
-                 \"wakeups\": {}, \"dequeued_latency\": {}, \"dequeued_batch\": {}, \
-                 \"session_hits\": {}, \"session_misses\": {}, \"engines_created\": {}, \
-                 \"queue_max_depth\": {}}}",
-                sh.shard,
-                sh.accepted,
-                sh.adopted,
-                sh.frames,
-                sh.wakeups,
-                sh.dequeued_latency,
-                sh.dequeued_batch,
-                sh.session_hits,
-                sh.session_misses,
-                sh.engines_created,
-                sh.queue_max_depth
-            ));
-        }
-        s.push_str("],\n");
+        let shards: Vec<String> = r
+            .shards
+            .iter()
+            .map(|sh| format!("{{{}}}", members(&sh.fields())))
+            .collect();
+        s.push_str(&format!("  \"shards\": [{}],\n", shards.join(", ")));
     }
     if !r.tuner.is_empty() {
         s.push_str(&format!(
-            "  \"tuner\": {{\"trials\": {}, \"discarded_faulted\": {}, \"deferred_busy\": {}, \
-             \"winners\": {}, \"fingerprints\": {}, \"observed\": {}, \
-             \"trial_queue_peak\": {}, \"leaked_trials\": {}}},\n",
-            r.tuner.trials,
-            r.tuner.discarded_faulted,
-            r.tuner.deferred_busy,
-            r.tuner.winners,
-            r.tuner.fingerprints,
-            r.tuner.observed,
-            r.tuner.trial_queue_peak,
-            r.tuner.leaked_trials
+            "  \"tuner\": {{{}}},\n",
+            members(&r.tuner.fields())
         ));
     }
     s.push_str("  \"dispatch\": {");

@@ -260,6 +260,51 @@ impl ServerSnapshot {
     pub fn is_empty(&self) -> bool {
         *self == ServerSnapshot::default()
     }
+
+    /// Every scalar counter under its STATS / profile-JSON key, in output
+    /// order — the one list both renderings walk. `mixed_solves` is last:
+    /// both put their array-valued extras (`batch_hist`, `scenario`) and
+    /// STATS its live gauges before it.
+    pub fn fields(&self) -> [(&'static str, u64); 17] {
+        [
+            ("requests", self.requests),
+            ("ok", self.ok),
+            ("exec_errors", self.exec_errors),
+            ("protocol_errors", self.protocol_errors),
+            ("rejected_queue_full", self.rejected_queue_full),
+            ("rejected_tenant", self.rejected_tenant),
+            ("rejected_shutdown", self.rejected_shutdown),
+            ("session_hits", self.session_hits),
+            ("session_misses", self.session_misses),
+            ("sessions_evicted", self.sessions_evicted),
+            ("pipelines_built", self.pipelines_built),
+            ("engines_created", self.engines_created),
+            ("queue_max_depth", self.queue_max_depth),
+            ("tuned_applied", self.tuned_applied),
+            ("batches", self.batches),
+            ("coalesced", self.coalesced),
+            ("mixed_solves", self.mixed_solves),
+        ]
+    }
+}
+
+impl ShardSnapshot {
+    /// Every counter under its profile-JSON key, in output order.
+    pub fn fields(&self) -> [(&'static str, u64); 11] {
+        [
+            ("shard", self.shard),
+            ("accepted", self.accepted),
+            ("adopted", self.adopted),
+            ("frames", self.frames),
+            ("wakeups", self.wakeups),
+            ("dequeued_latency", self.dequeued_latency),
+            ("dequeued_batch", self.dequeued_batch),
+            ("session_hits", self.session_hits),
+            ("session_misses", self.session_misses),
+            ("engines_created", self.engines_created),
+            ("queue_max_depth", self.queue_max_depth),
+        ]
+    }
 }
 
 /// Online-tuner counters from `gmg-server` (snapshot semantics, like
@@ -292,6 +337,21 @@ pub struct TunerSnapshot {
 impl TunerSnapshot {
     pub fn is_empty(&self) -> bool {
         *self == TunerSnapshot::default()
+    }
+
+    /// Every counter under its profile-JSON key (STATS prefixes `tuner_`),
+    /// in output order.
+    pub fn fields(&self) -> [(&'static str, u64); 8] {
+        [
+            ("trials", self.trials),
+            ("discarded_faulted", self.discarded_faulted),
+            ("deferred_busy", self.deferred_busy),
+            ("winners", self.winners),
+            ("fingerprints", self.fingerprints),
+            ("observed", self.observed),
+            ("trial_queue_peak", self.trial_queue_peak),
+            ("leaked_trials", self.leaked_trials),
+        ]
     }
 }
 
