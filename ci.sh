@@ -204,20 +204,23 @@ grep -q '"fingerprint"' /tmp/gmg_ci_tuned.json \
 # (varcoef-with-ones bitwise against the constant twin across kernel
 # tiers; mixed precision converges), then a live server must answer a
 # scenario-mixed load — variable-coefficient grids over the wire, RB-GS
-# and Chebyshev smoother substitutions, f32-smoothing cycles — with every
-# response verified bitwise and the scenario counters nonzero in the
-# loadgen report's server block.
+# and Chebyshev smoother substitutions, f32-smoothing cycles, as singles
+# and as SOLVE_BATCH frames of every scenario — with every response
+# verified bitwise and the scenario counters nonzero in the loadgen
+# report's server block.
 cargo test -q --release --test scenario_differential
 cargo test -q --release -p gmg-server --test scenario_serving
 serve_bg /tmp/gmg_ci_scen.port --workers 2 --profile /tmp/server_profile_scen_ci.json
 cargo run --release -p gmg-bench --bin polymg-cli -- loadgen \
   --port-file /tmp/gmg_ci_scen.port --connections 2 --requests 10 \
-  --scenario varcoef,rbgs,chebyshev --mixed-precision \
+  --scenario varcoef,rbgs,chebyshev --mixed-precision --batch 3 \
   -o /tmp/bench_pr10_loadgen_ci.json \
   || { echo "ci: scenario loadgen reported verification failures" >&2; kill $SERVE_PID 2>/dev/null; exit 1; }
 wait $SERVE_PID || { echo "ci: scenario server did not drain cleanly" >&2; exit 1; }
 grep -q '"verify_failures": 0' /tmp/bench_pr10_loadgen_ci.json \
   || { echo "ci: scenario loadgen report carries verification failures" >&2; exit 1; }
+grep -q '"batch_frames": [1-9]' /tmp/bench_pr10_loadgen_ci.json \
+  || { echo "ci: scenario loadgen sent no SOLVE_BATCH frames" >&2; exit 1; }
 for key in scenario_varcoef scenario_rbgs scenario_chebyshev mixed_solves; do
   grep -q "\"$key\": [1-9]" /tmp/bench_pr10_loadgen_ci.json \
     || { echo "ci: server counters recorded no $key solves" >&2; exit 1; }

@@ -35,8 +35,11 @@
 //! 0.01). Recovered faults leave results bitwise-identical; unrecoverable
 //! ones surface as typed errors per cycle (the run continues) and every
 //! armed/fired/recovered counter lands in the profile JSON under `chaos`.
+//!
+//! A missing or unparsable flag value, or a configuration
+//! `MgConfig::validate` rejects, prints the flag and the reason and exits 2.
 
-use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
+use gmg_multigrid::config::{ConfigError, CycleType, MgConfig, SmoothSteps};
 use gmg_multigrid::cycles::build_cycle_pipeline;
 use polymg::{codegen, report, PipelineOptions, Variant};
 
@@ -49,6 +52,17 @@ fn usage() -> ! {
          \x20      [--profile OUT.json [--iters N]] [--chaos-seed N] [--chaos-rate R]"
     );
     std::process::exit(2);
+}
+
+/// Bad input is the user's, not a bug: say which flag and why, exit 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("polymg-cli: {msg}");
+    std::process::exit(2);
+}
+
+/// The parsed value after `flag`, or [`fail`].
+fn value<T: std::str::FromStr>(args: &[String], i: &mut usize, flag: &str) -> T {
+    gmg_server::cli::flag_value(args, i, flag).unwrap_or_else(|e| fail(&e))
 }
 
 fn main() {
@@ -112,74 +126,54 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--variant" => {
-                i += 1;
-                variant = match args[i].as_str() {
+                let v: String = value(&args, &mut i, "--variant");
+                variant = match v.as_str() {
                     "naive" => Variant::Naive,
                     "opt" => Variant::Opt,
                     "opt+" => Variant::OptPlus,
                     "dtile-opt+" => Variant::DtileOptPlus,
-                    _ => usage(),
+                    _ => fail(&format!("--variant: unknown variant {v:?}")),
                 };
             }
-            "--n" => {
-                i += 1;
-                n = args[i].parse().unwrap_or_else(|_| usage());
-            }
-            "--levels" => {
-                i += 1;
-                levels = Some(args[i].parse().unwrap_or_else(|_| usage()));
-            }
+            "--n" => n = value(&args, &mut i, "--n"),
+            "--levels" => levels = Some(value(&args, &mut i, "--levels")),
             "--tiles" => {
-                i += 1;
-                tiles = Some(
-                    args[i]
-                        .split(',')
-                        .map(|t| t.parse().unwrap_or_else(|_| usage()))
-                        .collect(),
-                );
+                let t: String = value(&args, &mut i, "--tiles");
+                let sizes: Option<Vec<i64>> = t
+                    .split(',')
+                    .map(|x| x.parse().ok().filter(|&x| x > 0))
+                    .collect();
+                match sizes {
+                    Some(sizes) if sizes.len() >= ndims => tiles = Some(sizes),
+                    _ => fail(&format!("--tiles: need {ndims} positive sizes, got {t:?}")),
+                }
             }
-            "--emit" => {
-                i += 1;
-                emit = args[i].clone();
-            }
-            "--threads" => {
-                i += 1;
-                threads = Some(args[i].parse().unwrap_or_else(|_| usage()));
-            }
+            "--emit" => emit = value(&args, &mut i, "--emit"),
+            "--threads" => threads = Some(value(&args, &mut i, "--threads")),
             "--no-specialize" => specialize = false,
             "--no-simd" => simd = false,
             "--fast-math" => fast_math = true,
             "--gsrb" => gsrb = true,
             "--dump-schedule" => dump_schedule = true,
-            "-o" => {
-                i += 1;
-                out_file = Some(args[i].clone());
-            }
-            "--profile" => {
-                i += 1;
-                profile = Some(args[i].clone());
-            }
-            "--iters" => {
-                i += 1;
-                profile_iters = args[i].parse().unwrap_or_else(|_| usage());
-            }
-            "--chaos-seed" => {
-                i += 1;
-                chaos_seed = Some(args[i].parse().unwrap_or_else(|_| usage()));
-            }
-            "--chaos-rate" => {
-                i += 1;
-                chaos_rate = args[i].parse().unwrap_or_else(|_| usage());
-            }
+            "-o" => out_file = Some(value(&args, &mut i, "-o")),
+            "--profile" => profile = Some(value(&args, &mut i, "--profile")),
+            "--iters" => profile_iters = value(&args, &mut i, "--iters"),
+            "--chaos-seed" => chaos_seed = Some(value(&args, &mut i, "--chaos-seed")),
+            "--chaos-rate" => chaos_rate = value(&args, &mut i, "--chaos-rate"),
             _ => usage(),
         }
         i += 1;
     }
 
-    let mut cfg = MgConfig::new(ndims, n, cycle, steps);
-    if let Some(l) = levels {
-        cfg.levels = l;
-    }
+    let mut cfg =
+        MgConfig::checked(ndims, n, levels.unwrap_or(4), cycle, steps).unwrap_or_else(|e| {
+            let flag = match e {
+                ConfigError::Size(_) => "--n",
+                ConfigError::Levels { .. } => "--levels",
+                ConfigError::Rank(_) | ConfigError::NoSmoothing => args[0].as_str(),
+            };
+            fail(&format!("{flag}: {e}"))
+        });
     if gsrb {
         cfg = cfg.with_gsrb();
     }
@@ -187,9 +181,6 @@ fn main() {
     let pipeline = build_cycle_pipeline(&cfg);
     let mut opts = PipelineOptions::for_variant(variant, ndims);
     if let Some(t) = tiles {
-        if t.len() < ndims {
-            usage();
-        }
         opts.tile_sizes = t;
     }
     if let Some(t) = threads {

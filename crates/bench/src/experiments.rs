@@ -363,10 +363,7 @@ pub fn fig11b(o: &ExpOptions) -> String {
         let steps: [(&str, OptTweak); 4] = [
             (
                 "naive",
-                Box::new(|o: &mut PipelineOptions| {
-                    o.tiling = polymg::TilingMode::None;
-                    o.group_limit = 1;
-                }),
+                Box::new(|o: &mut PipelineOptions| o.group_limit = 1),
             ),
             (
                 "+intra-group reuse",

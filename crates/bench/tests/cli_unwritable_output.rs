@@ -1,6 +1,7 @@
-//! `polymg-cli -o` / `--profile` to a path that cannot be written must fail
-//! like a tool, not like a bug: a non-zero exit, the path and the reason on
-//! stderr, no panic.
+//! Bad `polymg-cli` input must fail like a tool, not like a bug: an
+//! unwritable `-o` / `--profile` path and an unusable flag value each exit
+//! non-zero with the path or flag and the reason on stderr, and never
+//! panic.
 
 use std::process::Command;
 
@@ -21,5 +22,26 @@ fn unwritable_output_path_is_an_error_not_a_panic() {
         let expected = format!("error: cannot write {}: ", path.display());
         assert!(stderr.contains(&expected), "{flag}: {stderr}");
         assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
+}
+
+#[test]
+fn bad_flag_values_exit_2_naming_the_flag() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["V-2D", "--n"], "--n"),
+        (&["V-2D", "--n", "8"], "--n"),
+        (&["V-2D", "--n", "0"], "--n"),
+        (&["V-2D", "--levels", "20"], "--levels"),
+        (&["V-2D", "--tiles", "0,0"], "--tiles"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_polymg-cli"))
+            .args(args)
+            .output()
+            .expect("run polymg-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }

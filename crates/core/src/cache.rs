@@ -10,7 +10,7 @@
 //! counters are published into trace reports (`plan_cache` section).
 
 use crate::compile::compile;
-use crate::options::{PipelineOptions, TilingMode};
+use crate::options::PipelineOptions;
 use crate::plan::CompiledPipeline;
 use gmg_ir::{ParamBindings, Pipeline};
 use std::collections::HashMap;
@@ -107,8 +107,6 @@ pub fn pipeline_fingerprint(pipeline: &Pipeline, bindings: &ParamBindings) -> u6
 /// without building or rendering the pipeline again.
 pub fn fingerprint_with(plan_fp: u64, options: &PipelineOptions) -> u64 {
     let mut h = Fnv(plan_fp);
-    h.tag(0x03);
-    h.bool(matches!(options.tiling, TilingMode::Overlapped));
     h.tag(0x04);
     h.u64(options.group_limit as u64);
     h.tag(0x05);
@@ -449,7 +447,6 @@ mod tests {
         let base = fingerprint(&p, &b, &base_opts());
         type Mutation = Box<dyn Fn(&mut PipelineOptions)>;
         let mutations: Vec<(&str, Mutation)> = vec![
-            ("tiling", Box::new(|o| o.tiling = TilingMode::None)),
             ("group_limit", Box::new(|o| o.group_limit += 1)),
             (
                 "overlap_threshold",
@@ -672,7 +669,7 @@ mod tests {
         /// fingerprint, and equal option sets always agree.
         #[test]
         fn perturbed_options_never_alias(
-            field in 0usize..16,
+            field in 1usize..16,
             delta in 1u32..9,
         ) {
             let p = tiny_pipeline("prop", 63);
@@ -681,7 +678,6 @@ mod tests {
             let mut o = base_opts();
             let d = delta as usize;
             match field {
-                0 => o.tiling = TilingMode::None,
                 1 => o.group_limit += d,
                 2 => o.overlap_threshold += delta as f64 * 0.25,
                 3 => o.tile_sizes[0] += delta as i64,

@@ -7,7 +7,7 @@
 
 use crate::grouping::{auto_group, group_geometry, Grouping};
 use crate::lowering::lower_all;
-use crate::options::{PipelineOptions, TilingMode};
+use crate::options::PipelineOptions;
 use crate::plan::{
     ArraySpec, CompiledPipeline, GroupPlan, GroupTiling, ScratchBufferSpec, StoragePlan,
 };
@@ -93,7 +93,7 @@ fn plan_groups(
                         })
             });
 
-        let tiling = if options.tiling == TilingMode::None || members.len() == 1 {
+        let tiling = if members.len() == 1 {
             // single-stage groups need no tiling for temporal reuse (§4.2:
             // "exception was the single defect node")
             GroupTiling::Untiled

@@ -14,7 +14,7 @@
 //! smoother may merge with each other but not with neighbouring operators,
 //! so the chain can be time-tiled by the split/diamond executor.
 
-use crate::options::{PipelineOptions, TilingMode};
+use crate::options::PipelineOptions;
 use gmg_ir::{FuncKind, Pipeline, StageGraph, StageId, StageInput, StageKind};
 use gmg_poly::region::{GroupEdge, GroupStage};
 use gmg_poly::tiling::evaluate_tiling;
@@ -165,8 +165,7 @@ pub fn auto_group(pipeline: &Pipeline, graph: &StageGraph, opts: &PipelineOption
         }
     }
 
-    let fusing = opts.tiling == TilingMode::Overlapped && opts.group_limit > 1;
-    if fusing {
+    if opts.group_limit > 1 {
         greedy_merge(
             pipeline,
             graph,

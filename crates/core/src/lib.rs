@@ -52,7 +52,7 @@ pub use autotune::{TuneConfig, TuneError, TunedStore};
 pub use cache::{compile_cached, pipeline_fingerprint, PlanCache};
 pub use chaos::{ChaosOptions, ChaosStats, FaultPlan, FaultSite};
 pub use compile::compile;
-pub use options::{PipelineOptions, TilingMode, Variant};
+pub use options::{PipelineOptions, Variant};
 pub use plan::{
     ArraySpec, CompiledPipeline, GroupPlan, GroupTiling, KernelBody, KernelCase, ScratchBufferSpec,
     StageKernel, StoragePlan,

@@ -2,17 +2,6 @@
 
 use crate::chaos::ChaosOptions;
 
-/// How multi-stage groups are executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TilingMode {
-    /// No tiling: every stage sweeps its full domain (still parallel over
-    /// the outermost dimension) — `polymg-naive`.
-    None,
-    /// Overlapped (hyper-trapezoidal) tiling with scratchpads — the PolyMage
-    /// strategy (§3.1).
-    Overlapped,
-}
-
 /// The evaluated configurations of Section 4.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Variant {
@@ -55,10 +44,12 @@ impl Variant {
 /// Full knob set for one compilation.
 #[derive(Clone, Debug)]
 pub struct PipelineOptions {
-    /// Execution strategy for fused groups.
-    pub tiling: TilingMode,
     /// Upper bound on the number of stages merged into one group (the
-    /// "grouping limit" swept by the auto-tuner, §3.2.4).
+    /// "grouping limit" swept by the auto-tuner, §3.2.4). `1` is no fusion
+    /// and therefore no tiling: every stage sweeps its full domain (still
+    /// parallel over the outermost dimension) — `polymg-naive`. Above it,
+    /// fused groups run overlapped (hyper-trapezoidal) tiles with
+    /// scratchpads — the PolyMage strategy (§3.1).
     pub group_limit: usize,
     /// Maximum tolerated redundant-work ratio for a merged group
     /// (tiled points / base points) at the configured tile sizes.
@@ -124,7 +115,6 @@ impl PipelineOptions {
     /// Preset for a paper variant with default tile sizes for `ndims`.
     pub fn for_variant(v: Variant, ndims: usize) -> Self {
         let base = PipelineOptions {
-            tiling: TilingMode::Overlapped,
             group_limit: 6,
             overlap_threshold: 2.0,
             tile_sizes: default_tiles(ndims),
@@ -144,7 +134,6 @@ impl PipelineOptions {
         };
         match v {
             Variant::Naive => PipelineOptions {
-                tiling: TilingMode::None,
                 group_limit: 1,
                 ..base
             },
@@ -169,16 +158,17 @@ impl PipelineOptions {
     /// labels and trace metadata (e.g. `tiled32x512,g6,intra,inter,pool`).
     pub fn summary(&self) -> String {
         let mut parts: Vec<String> = Vec::new();
-        parts.push(match self.tiling {
-            TilingMode::None => "untiled".to_string(),
-            TilingMode::Overlapped => format!(
+        parts.push(if self.group_limit == 1 {
+            "untiled".to_string()
+        } else {
+            format!(
                 "tiled{}",
                 self.tile_sizes
                     .iter()
                     .map(|t| t.to_string())
                     .collect::<Vec<_>>()
                     .join("x")
-            ),
+            )
         });
         parts.push(format!("g{}", self.group_limit));
         if self.intra_group_reuse {
@@ -242,11 +232,11 @@ mod tests {
     #[test]
     fn presets_match_paper_matrix() {
         let naive = PipelineOptions::for_variant(Variant::Naive, 2);
-        assert_eq!(naive.tiling, TilingMode::None);
+        assert_eq!(naive.group_limit, 1);
         assert!(!naive.intra_group_reuse && !naive.pooled_allocation);
 
         let opt = PipelineOptions::for_variant(Variant::Opt, 2);
-        assert_eq!(opt.tiling, TilingMode::Overlapped);
+        assert!(opt.group_limit > 1);
         assert!(!opt.intra_group_reuse && !opt.inter_group_reuse);
 
         let optp = PipelineOptions::for_variant(Variant::OptPlus, 3);

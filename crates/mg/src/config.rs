@@ -98,31 +98,106 @@ pub struct MgConfig {
     /// Smoothing operator.
     pub smoother: SmootherKind,
     /// Discretization of `A` used by the Jacobi smoother and the defect
-    /// (GSRB always uses the star operator).
+    /// (GSRB and Chebyshev always use the star operator).
     pub operator: OperatorKind,
 }
+
+/// Why a configuration cannot be solved: the typed reason
+/// [`MgConfig::validate`] returns.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// Only 2-D and 3-D are supported.
+    Rank(usize),
+    /// The finest interior size is not `2^k − 1` with `k ≥ 2`.
+    Size(i64),
+    /// The level count is zero, or so deep the coarsest level has no
+    /// interior point left.
+    Levels { levels: u32, n: i64 },
+    /// Pre-, coarse- and post-smoothing steps are all zero: the cycle does
+    /// nothing.
+    NoSmoothing,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::Rank(d) => write!(f, "2-D/3-D only, got {d}-D"),
+            ConfigError::Size(n) => write!(f, "interior size must be 2^k - 1 >= 3, got {n}"),
+            ConfigError::Levels { levels, n } => {
+                write!(f, "{levels} levels is too deep for n = {n}")
+            }
+            ConfigError::NoSmoothing => write!(f, "at least one smoothing step is required"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 impl MgConfig {
     /// A default configuration matching the paper's setup (4 levels, ω
     /// chosen per rank: 4/5 in 2-D, 6/7 in 3-D — the optimal damped-Jacobi
-    /// factors for the 5-/7-point Laplacians).
+    /// factors for the 5-/7-point Laplacians). Panics on a rank or size
+    /// [`MgConfig::validate`] rejects; the level count and the steps are the
+    /// caller's to adjust afterwards.
     pub fn new(ndims: usize, n: i64, cycle: CycleType, steps: SmoothSteps) -> Self {
-        assert!(ndims == 2 || ndims == 3, "2-D/3-D only");
-        assert!(
-            ((n + 1) as u64).is_power_of_two() && n >= 3,
-            "interior size must be 2^k - 1, got {n}"
-        );
-        let omega = if ndims == 2 { 4.0 / 5.0 } else { 6.0 / 7.0 };
+        let cfg = MgConfig::unchecked(ndims, n, 4, cycle, steps);
+        if let Err(e @ (ConfigError::Rank(_) | ConfigError::Size(_))) = cfg.validate() {
+            panic!("{e}");
+        }
+        cfg
+    }
+
+    /// [`MgConfig::new`] with an explicit level count, for configurations
+    /// that arrive from outside (the wire, the command line): every
+    /// [`MgConfig::validate`] failure is returned, none panics.
+    pub fn checked(
+        ndims: usize,
+        n: i64,
+        levels: u32,
+        cycle: CycleType,
+        steps: SmoothSteps,
+    ) -> Result<Self, ConfigError> {
+        let cfg = MgConfig::unchecked(ndims, n, levels, cycle, steps);
+        cfg.validate().map(|()| cfg)
+    }
+
+    fn unchecked(ndims: usize, n: i64, levels: u32, cycle: CycleType, steps: SmoothSteps) -> Self {
         MgConfig {
             ndims,
             n,
-            levels: 4,
+            levels,
             steps,
             cycle,
-            omega,
+            omega: if ndims == 2 { 4.0 / 5.0 } else { 6.0 / 7.0 },
             smoother: SmootherKind::Jacobi,
             operator: OperatorKind::Star,
         }
+    }
+
+    /// Can this configuration be built and solved? Checks, in order: the
+    /// rank, the `2^k − 1` finest size, a level count whose coarsest level
+    /// keeps an interior point (what [`MgConfig::n_at`] asserts), and at
+    /// least one smoothing step.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.ndims != 2 && self.ndims != 3 {
+            return Err(ConfigError::Rank(self.ndims));
+        }
+        // n ≥ 3 first: then `n + 1` cannot overflow as a u64
+        if self.n < 3 || !(self.n as u64 + 1).is_power_of_two() {
+            return Err(ConfigError::Size(self.n));
+        }
+        let size = self.n as u64 + 1;
+        let coarsest = self.levels.checked_sub(1).and_then(|s| size.checked_shr(s));
+        if coarsest.unwrap_or(0) < 2 {
+            return Err(ConfigError::Levels {
+                levels: self.levels,
+                n: self.n,
+            });
+        }
+        if self.steps == (SmoothSteps { pre: 0, coarse: 0, post: 0 }) {
+            return Err(ConfigError::NoSmoothing);
+        }
+        Ok(())
     }
 
     /// Switch the smoother to red-black Gauss–Seidel.
@@ -256,6 +331,32 @@ mod tests {
     #[should_panic(expected = "2^k - 1")]
     fn rejects_bad_sizes() {
         let _ = MgConfig::new(2, 100, CycleType::V, SmoothSteps::s444());
+    }
+
+    #[test]
+    fn validate_names_the_first_failure() {
+        let s = SmoothSteps::s444();
+        let checked = |d, n, l, s| MgConfig::checked(d, n, l, CycleType::V, s).map(|_| ());
+        assert_eq!(checked(4, 7, 2, s), Err(ConfigError::Rank(4)));
+        for n in [0, 2, 8, -1, i64::MIN] {
+            assert_eq!(checked(2, n, 2, s), Err(ConfigError::Size(n)));
+        }
+        for levels in [0, 4, 20, u32::MAX] {
+            assert_eq!(
+                checked(2, 7, levels, s),
+                Err(ConfigError::Levels { levels, n: 7 })
+            );
+        }
+        let none = SmoothSteps {
+            pre: 0,
+            coarse: 0,
+            post: 0,
+        };
+        assert_eq!(checked(3, 7, 3, none), Err(ConfigError::NoSmoothing));
+        assert!(checked(3, 7, 3, SmoothSteps::s1000()).is_ok());
+        assert!(ConfigError::Levels { levels: 5, n: 7 }
+            .to_string()
+            .contains("too deep"));
     }
 
     #[test]

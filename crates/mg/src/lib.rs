@@ -7,7 +7,8 @@
 //!   classes);
 //! * [`cycles`] — the DSL builders: a recursive cycle builder in the style
 //!   of the paper's Figure 3 that emits one feed-forward pipeline per
-//!   multigrid cycle (the iteration over cycles stays external, §2);
+//!   multigrid cycle (the iteration over cycles stays external, §2), with
+//!   weighted-Jacobi, red-black Gauss–Seidel or Chebyshev smoothing;
 //! * [`handopt`] — the `handopt` baseline: a hand-written multigrid with
 //!   explicit loop parallelisation, two modulo buffers per level and pooled
 //!   allocations (modelled on the Ghysels & Vanroose code the paper
@@ -25,7 +26,6 @@
 //! allocation `(2^k + 1)^d` including the Dirichlet ghost ring, solving
 //! `−∇²u = f` on the unit square/cube with homogeneous boundaries.
 
-pub mod chebyshev;
 pub mod config;
 pub mod cycles;
 pub mod fmg;

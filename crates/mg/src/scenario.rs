@@ -99,10 +99,17 @@ pub fn scenario_runner(
     let mut runner = DslRunner::from_pipeline(&pipeline, &cfg2, opts, label)
         .map_err(ScenarioRunnerError::Compile)?;
     if let Some(a) = coeff {
-        runner.bind_extra("Ainv", reciprocal_field(&a));
-        runner.bind_extra("A", a);
+        bind_coeff(&mut runner, a);
     }
     Ok(runner)
+}
+
+/// Bind a `varcoef` coefficient grid to a runner: `a` as the `A` external
+/// and its [`reciprocal_field`] as `Ainv`. Rebinding replaces both, so a
+/// warm runner carries no previous request's grid.
+pub fn bind_coeff(runner: &mut DslRunner, a: Vec<f64>) {
+    runner.bind_extra("Ainv", reciprocal_field(&a));
+    runner.bind_extra("A", a);
 }
 
 /// Elementwise reciprocal of a coefficient grid — the `Ainv` external the

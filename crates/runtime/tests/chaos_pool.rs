@@ -54,7 +54,6 @@ fn injected_pool_faults_recover_bitwise_and_leak_nothing() {
     opts.pooled_allocation = true;
     // untiled single-stage groups materialise every stage as a pooled full
     // array, guaranteeing PoolAlloc ops (same trick as pool_recycling.rs)
-    opts.tiling = polymg::TilingMode::None;
     opts.group_limit = 1;
     opts.intra_group_reuse = false;
     let plan = compile(&pipeline(n), &ParamBindings::new(), opts).unwrap();

@@ -72,7 +72,6 @@ fn recycled_buffers_are_reinitialized_before_first_read() {
         opts.pooled_allocation = true;
         opts.tile_sizes = vec![16, 32];
         if force_arrays {
-            opts.tiling = polymg::TilingMode::None;
             opts.group_limit = 1;
             opts.intra_group_reuse = false;
         }

@@ -57,11 +57,20 @@ use crate::loadgen::{self, LoadgenOptions};
 use crate::server::{self, summarize, ServerConfig};
 use crate::tuner::TunerConfig;
 
-fn flag_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
+/// The value after `flag` (at `args[*i]`, which advances past it),
+/// parsed: a missing or unparsable value is an error naming the flag. The
+/// one flag reader of `serve`, `loadgen`, `stats` and `polymg-cli`.
+pub fn flag_value<T: std::str::FromStr>(
+    args: &[String],
+    i: &mut usize,
+    flag: &str,
+) -> Result<T, String> {
     *i += 1;
-    args.get(*i)
-        .map(|s| s.as_str())
-        .ok_or_else(|| format!("{flag} needs a value"))
+    let raw = args
+        .get(*i)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag}: invalid value {raw:?}"))
 }
 
 /// Resolve `--addr`/`--port`/`--port-file` style arguments to `host:port`.
@@ -103,85 +112,39 @@ pub fn serve_main(args: &[String]) -> i32 {
     while i < args.len() {
         let r: Result<(), String> = (|| {
             match args[i].as_str() {
-                "--addr" => cfg.addr = flag_value(args, &mut i, "--addr")?.to_string(),
+                "--addr" => cfg.addr = flag_value(args, &mut i, "--addr")?,
                 "--port" => {
-                    let p: u16 = flag_value(args, &mut i, "--port")?
-                        .parse()
-                        .map_err(|_| "--port needs a number".to_string())?;
+                    let p: u16 = flag_value(args, &mut i, "--port")?;
                     cfg.addr = format!("127.0.0.1:{p}");
                 }
-                "--port-file" => {
-                    port_file = Some(flag_value(args, &mut i, "--port-file")?.to_string())
-                }
-                "--shards" => {
-                    cfg.shards = flag_value(args, &mut i, "--shards")?
-                        .parse()
-                        .map_err(|_| "--shards needs a number".to_string())?
-                }
-                "--workers" => {
-                    cfg.workers = flag_value(args, &mut i, "--workers")?
-                        .parse()
-                        .map_err(|_| "--workers needs a number".to_string())?
-                }
-                "--qos-weight" => {
-                    cfg.qos_weight = flag_value(args, &mut i, "--qos-weight")?
-                        .parse()
-                        .map_err(|_| "--qos-weight needs a number".to_string())?
-                }
-                "--queue-cap" => {
-                    cfg.queue_capacity = flag_value(args, &mut i, "--queue-cap")?
-                        .parse()
-                        .map_err(|_| "--queue-cap needs a number".to_string())?
-                }
-                "--tenant-cap" => {
-                    cfg.tenant_cap = flag_value(args, &mut i, "--tenant-cap")?
-                        .parse()
-                        .map_err(|_| "--tenant-cap needs a number".to_string())?
-                }
+                "--port-file" => port_file = Some(flag_value(args, &mut i, "--port-file")?),
+                "--shards" => cfg.shards = flag_value(args, &mut i, "--shards")?,
+                "--workers" => cfg.workers = flag_value(args, &mut i, "--workers")?,
+                "--qos-weight" => cfg.qos_weight = flag_value(args, &mut i, "--qos-weight")?,
+                "--queue-cap" => cfg.queue_capacity = flag_value(args, &mut i, "--queue-cap")?,
+                "--tenant-cap" => cfg.tenant_cap = flag_value(args, &mut i, "--tenant-cap")?,
                 "--engine-threads" => {
                     cfg.engine_threads = flag_value(args, &mut i, "--engine-threads")?
-                        .parse()
-                        .map_err(|_| "--engine-threads needs a number".to_string())?
                 }
                 "--coalesce-window-ms" => {
                     // 0 is meaningful: opportunistic drain with no waiting.
-                    let ms: u64 = flag_value(args, &mut i, "--coalesce-window-ms")?
-                        .parse()
-                        .map_err(|_| "--coalesce-window-ms needs a number".to_string())?;
+                    let ms: u64 = flag_value(args, &mut i, "--coalesce-window-ms")?;
                     cfg.coalesce_window = Some(std::time::Duration::from_millis(ms));
                 }
-                "--max-batch" => {
-                    cfg.max_batch = flag_value(args, &mut i, "--max-batch")?
-                        .parse()
-                        .map_err(|_| "--max-batch needs a number".to_string())?
-                }
+                "--max-batch" => cfg.max_batch = flag_value(args, &mut i, "--max-batch")?,
                 "--tuned" => {
                     // Loading is deferred past the flag loop: with
                     // --tune-online a missing file is fine (the tuner
                     // creates it), without it is still an error.
-                    tuned_path = Some(flag_value(args, &mut i, "--tuned")?.to_string());
+                    tuned_path = Some(flag_value(args, &mut i, "--tuned")?);
                 }
                 "--tune-online" => tune_online = true,
-                "--tune-budget" => {
-                    tuner_cfg.budget = flag_value(args, &mut i, "--tune-budget")?
-                        .parse()
-                        .map_err(|_| "--tune-budget needs a number".to_string())?
-                }
+                "--tune-budget" => tuner_cfg.budget = flag_value(args, &mut i, "--tune-budget")?,
                 "--fast-math" => cfg.fast_math = true,
                 "--no-simd" => cfg.simd = false,
-                "--chaos-seed" => {
-                    chaos_seed = Some(
-                        flag_value(args, &mut i, "--chaos-seed")?
-                            .parse()
-                            .map_err(|_| "--chaos-seed needs a number".to_string())?,
-                    )
-                }
-                "--chaos-rate" => {
-                    chaos_rate = flag_value(args, &mut i, "--chaos-rate")?
-                        .parse()
-                        .map_err(|_| "--chaos-rate needs a number".to_string())?
-                }
-                "--profile" => profile = Some(flag_value(args, &mut i, "--profile")?.to_string()),
+                "--chaos-seed" => chaos_seed = Some(flag_value(args, &mut i, "--chaos-seed")?),
+                "--chaos-rate" => chaos_rate = flag_value(args, &mut i, "--chaos-rate")?,
+                "--profile" => profile = Some(flag_value(args, &mut i, "--profile")?),
                 other => return Err(format!("unknown flag '{other}'")),
             }
             Ok(())
@@ -275,54 +238,19 @@ pub fn loadgen_main(args: &[String]) -> i32 {
     while i < args.len() {
         let r: Result<(), String> = (|| {
             match args[i].as_str() {
-                "--addr" => addr = Some(flag_value(args, &mut i, "--addr")?.to_string()),
-                "--port" => {
-                    port = Some(
-                        flag_value(args, &mut i, "--port")?
-                            .parse()
-                            .map_err(|_| "--port needs a number".to_string())?,
-                    )
-                }
-                "--port-file" => {
-                    port_file = Some(flag_value(args, &mut i, "--port-file")?.to_string())
-                }
-                "--connections" => {
-                    opts.connections = flag_value(args, &mut i, "--connections")?
-                        .parse()
-                        .map_err(|_| "--connections needs a number".to_string())?
-                }
-                "--requests" => {
-                    opts.requests_per_conn = flag_value(args, &mut i, "--requests")?
-                        .parse()
-                        .map_err(|_| "--requests needs a number".to_string())?
-                }
-                "--tenants" => {
-                    opts.tenants = flag_value(args, &mut i, "--tenants")?
-                        .parse()
-                        .map_err(|_| "--tenants needs a number".to_string())?
-                }
-                "--retries" => {
-                    opts.retries = flag_value(args, &mut i, "--retries")?
-                        .parse()
-                        .map_err(|_| "--retries needs a number".to_string())?
-                }
-                "--batch" => {
-                    opts.batch = flag_value(args, &mut i, "--batch")?
-                        .parse()
-                        .map_err(|_| "--batch needs a number".to_string())?
-                }
-                "--idle" => {
-                    opts.idle = flag_value(args, &mut i, "--idle")?
-                        .parse()
-                        .map_err(|_| "--idle needs a number".to_string())?
-                }
-                "--backoff-seed" => {
-                    opts.backoff_seed = flag_value(args, &mut i, "--backoff-seed")?
-                        .parse()
-                        .map_err(|_| "--backoff-seed needs a number".to_string())?
-                }
+                "--addr" => addr = Some(flag_value(args, &mut i, "--addr")?),
+                "--port" => port = Some(flag_value(args, &mut i, "--port")?),
+                "--port-file" => port_file = Some(flag_value(args, &mut i, "--port-file")?),
+                "--connections" => opts.connections = flag_value(args, &mut i, "--connections")?,
+                "--requests" => opts.requests_per_conn = flag_value(args, &mut i, "--requests")?,
+                "--tenants" => opts.tenants = flag_value(args, &mut i, "--tenants")?,
+                "--retries" => opts.retries = flag_value(args, &mut i, "--retries")?,
+                "--batch" => opts.batch = flag_value(args, &mut i, "--batch")?,
+                "--idle" => opts.idle = flag_value(args, &mut i, "--idle")?,
+                "--backoff-seed" => opts.backoff_seed = flag_value(args, &mut i, "--backoff-seed")?,
                 "--scenario" => {
-                    for name in flag_value(args, &mut i, "--scenario")?.split(',') {
+                    let names: String = flag_value(args, &mut i, "--scenario")?;
+                    for name in names.split(',') {
                         scenarios.push(Scenario::parse(name.trim()).map_err(|e| e.to_string())?);
                     }
                 }
@@ -331,7 +259,7 @@ pub fn loadgen_main(args: &[String]) -> i32 {
                 "--no-simd" => opts.simd = false,
                 "--no-shutdown" => opts.shutdown = false,
                 "--shutdown" => opts.shutdown = true,
-                "-o" => out = Some(flag_value(args, &mut i, "-o")?.to_string()),
+                "-o" => out = Some(flag_value(args, &mut i, "-o")?),
                 other => return Err(format!("unknown flag '{other}'")),
             }
             Ok(())
@@ -390,17 +318,9 @@ pub fn stats_main(args: &[String]) -> i32 {
     while i < args.len() {
         let r: Result<(), String> = (|| {
             match args[i].as_str() {
-                "--addr" => addr = Some(flag_value(args, &mut i, "--addr")?.to_string()),
-                "--port" => {
-                    port = Some(
-                        flag_value(args, &mut i, "--port")?
-                            .parse()
-                            .map_err(|_| "--port needs a number".to_string())?,
-                    )
-                }
-                "--port-file" => {
-                    port_file = Some(flag_value(args, &mut i, "--port-file")?.to_string())
-                }
+                "--addr" => addr = Some(flag_value(args, &mut i, "--addr")?),
+                "--port" => port = Some(flag_value(args, &mut i, "--port")?),
+                "--port-file" => port_file = Some(flag_value(args, &mut i, "--port-file")?),
                 "--shutdown" => shutdown = true,
                 other => return Err(format!("unknown flag '{other}'")),
             }

@@ -11,12 +11,13 @@
 //! serving bug, not noise.
 //!
 //! With `batch >= 2` the mix also carries `SOLVE_BATCH` frames: each mix
-//! item gets `batch` RHS-perturbed variants, every one independently
-//! reference-solved, and the batched response is verified per grid. Batch
-//! frames alternate with same-shape singles so a coalescing server sees
-//! mergeable traffic. Counters are *grid*-granular (`requests`, `ok`,
-//! `verify_failures`, `dropped`, `exec_error_grids` all count grids);
-//! `exec_error_frames` and `batch_frames` count protocol frames.
+//! item — scenario items included — gets `batch` RHS-perturbed variants,
+//! every one independently reference-solved, and the batched response is
+//! verified per grid. Batch frames alternate with same-shape singles so a
+//! coalescing server sees mergeable traffic. Counters are *grid*-granular
+//! (`requests`, `ok`, `verify_failures`, `dropped`, `exec_error_grids` all
+//! count grids); `exec_error_frames` and `batch_frames` count protocol
+//! frames.
 //!
 //! Typed error frames are part of the contract, not failures: `QueueFull`
 //! and `TenantLimit` are retried with capped exponential backoff
@@ -71,14 +72,14 @@ pub struct MixItem {
     /// Multigrid cycles per request.
     pub iters: u16,
     /// Problem scenario (anything but [`Scenario::Constant`] — or a
-    /// mixed-precision opt-in — rides the extended `SOLVE_SCENARIO` frame).
+    /// mixed-precision opt-in — is sent single as `SOLVE_SCENARIO`).
     pub scenario: Scenario,
     /// Request the mixed-precision (f32) smoothing tier.
     pub mixed: bool,
 }
 
 impl MixItem {
-    /// A constant-coefficient item (the legacy `SOLVE` shape).
+    /// A constant-coefficient item (sent single as `SOLVE`).
     pub fn new(cfg: MgConfig, variant: Variant, iters: u16) -> MixItem {
         MixItem {
             cfg,
@@ -100,11 +101,6 @@ impl MixItem {
     pub fn with_mixed(mut self) -> MixItem {
         self.mixed = true;
         self
-    }
-
-    /// Does this item need the extended `SOLVE_SCENARIO` frame?
-    fn scenario_frame(&self) -> bool {
-        self.scenario != Scenario::Constant || self.mixed
     }
 }
 
@@ -134,8 +130,8 @@ pub fn default_mix() -> Vec<MixItem> {
 
 /// One mix item per requested scenario label, all on the same small 2-D
 /// shape so scenario runs stay CI-fast. `constant` maps to the plain
-/// legacy item; every other label (and `mixed == true`) produces extended
-/// `SOLVE_SCENARIO` traffic.
+/// `SOLVE` item; every other label (and `mixed == true`) is sent single as
+/// `SOLVE_SCENARIO`.
 pub fn scenario_mix(scenarios: &[Scenario], mixed: bool) -> Vec<MixItem> {
     let cfg = MgConfig::new(2, 31, CycleType::V, SmoothSteps::s444());
     let mut mix: Vec<MixItem> = scenarios
@@ -401,9 +397,29 @@ struct Expected {
     /// Coefficient grid shipped with every request of a `varcoef` item
     /// (empty otherwise).
     coeff: Vec<f64>,
-    /// `batch` perturbed variants (empty when batch frames are disabled,
-    /// and always for scenario items — `SOLVE_BATCH` is legacy-only).
+    /// `batch` perturbed variants (empty when batch frames are disabled).
     batch: Vec<BatchGrid>,
+}
+
+impl Expected {
+    /// The request for one grid of this item: every single and every batch
+    /// member is built here, so all carry the item's scenario, precision
+    /// tier and coefficient grid.
+    fn request(&self, tenant: u32, v0: &[f64], f: &[f64]) -> SolveRequest {
+        let item = &self.item;
+        let mut req = SolveRequest::from_config(
+            &item.cfg,
+            item.variant,
+            tenant,
+            item.iters,
+            v0.to_vec(),
+            f.to_vec(),
+        );
+        req.scenario = item.scenario.wire_id();
+        req.mixed = item.mixed;
+        req.coeff = self.coeff.clone();
+        req
+    }
 }
 
 /// Run each mix item locally (through the same plan cache and engine the
@@ -449,7 +465,7 @@ fn compute_expected(
             };
             let bits = solve(&v0, &f)?;
             let mut grids = Vec::new();
-            if batch >= 2 && !item.scenario_frame() {
+            if batch >= 2 {
                 for b in 0..batch {
                     // distinct RHS per grid; both sides see identical bytes,
                     // so the perturbation itself needs no ghost-ring care
@@ -652,16 +668,7 @@ fn drive_connection(
             let reqs: Vec<SolveRequest> = exp
                 .batch
                 .iter()
-                .map(|g| {
-                    SolveRequest::from_config(
-                        &exp.item.cfg,
-                        exp.item.variant,
-                        tenant,
-                        exp.item.iters,
-                        g.v0.clone(),
-                        g.f.clone(),
-                    )
-                })
+                .map(|g| exp.request(tenant, &g.v0, &g.f))
                 .collect();
             let ngrids = reqs.len() as u64;
             let payload = BatchSolveRequest { reqs }.encode();
@@ -692,22 +699,13 @@ fn drive_connection(
                 lats,
             )?;
         } else {
-            let mut req = SolveRequest::from_config(
-                &exp.item.cfg,
-                exp.item.variant,
-                tenant,
-                exp.item.iters,
-                exp.v0.clone(),
-                exp.f.clone(),
-            );
-            req.scenario = exp.item.scenario.wire_id();
-            req.mixed = exp.item.mixed;
-            req.coeff = exp.coeff.clone();
-            let (opcode, payload) = if req.needs_scenario_frame() {
-                (protocol::OP_SOLVE_SCENARIO, req.encode_scenario())
+            let req = exp.request(tenant, &exp.v0, &exp.f);
+            let opcode = if req.needs_scenario_frame() {
+                protocol::OP_SOLVE_SCENARIO
             } else {
-                (protocol::OP_SOLVE, req.encode())
+                protocol::OP_SOLVE
             };
+            let payload = req.encode();
             counts.requests.fetch_add(1, Ordering::Relaxed);
             exchange(
                 &mut stream,

@@ -12,22 +12,26 @@
 //! throughout; grids travel as raw `f64` bit patterns, which is what makes
 //! the end-to-end bitwise verification in `loadgen` meaningful.
 //!
-//! Request opcodes are `0x0_`, responses `0x8_`; [`OP_ERROR`] is the single
-//! typed-failure response (`[u16 code][utf8 message]`). A malformed *frame*
-//! (truncated header, oversized length) poisons the connection and it is
-//! closed after an error frame is attempted; a malformed *payload* inside a
-//! well-formed frame only fails that request — the connection stays usable.
+//! Request opcodes are `0x0_`, responses `0x8_` (a request's reply is
+//! `request | 0x80`); [`OP_ERROR`] is the single typed-failure response
+//! (`[u16 code][utf8 message]`). The three solve opcodes carry one request
+//! layout ([`SolveRequest`]) and differ only in framing — one request or a
+//! counted batch ([`decode_solve`]). A malformed *frame* (truncated header,
+//! oversized length) poisons the connection and it is closed after an error
+//! frame is attempted; a malformed *payload* inside a well-formed frame only
+//! fails that request — the connection stays usable.
 
 use std::io::{Read, Write};
 
-use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
+use gmg_multigrid::config::{ConfigError, CycleType, MgConfig, SmoothSteps};
 use polymg::{Scenario, Variant};
 
 /// Hard bound on a frame payload (64 MiB — a 2047² 2-D grid pair with
 /// headroom). Anything larger is rejected before allocation.
 pub const MAX_FRAME: u32 = 64 << 20;
 
-/// Request: run a solve (payload = [`SolveRequest`]).
+/// Request: run a solve (payload = [`SolveRequest`]). Answered by
+/// [`OP_SOLVE_OK`].
 pub const OP_SOLVE: u8 = 0x01;
 /// Request: liveness probe; payload is echoed back.
 pub const OP_PING: u8 = 0x02;
@@ -39,10 +43,10 @@ pub const OP_SHUTDOWN: u8 = 0x04;
 /// [`BatchSolveRequest`]). Answered by [`OP_SOLVE_BATCH_OK`] with all N
 /// results, or by one [`OP_ERROR`] frame for the whole batch.
 pub const OP_SOLVE_BATCH: u8 = 0x05;
-/// Request: run a scenario solve (payload = [`SolveRequest`] in the
-/// extended encoding produced by [`SolveRequest::encode_scenario`]). Adds a
-/// scenario id, a mixed-precision flag and an optional coefficient grid to
-/// the plain SOLVE shape. Answered by [`OP_SOLVE_SCENARIO_OK`].
+/// Request: run a solve (payload = [`SolveRequest`], the same bytes as
+/// [`OP_SOLVE`]); clients send it for non-default scenarios
+/// ([`SolveRequest::needs_scenario_frame`]). Answered by
+/// [`OP_SOLVE_SCENARIO_OK`].
 pub const OP_SOLVE_SCENARIO: u8 = 0x06;
 
 /// Response to [`OP_SOLVE`] (payload = [`SolveResponse`]).
@@ -311,6 +315,15 @@ impl<'a> Cursor<'a> {
 
 /// A solve request: one multigrid configuration plus the initial guess `v`
 /// and right-hand side `f` (ghost layers included, finest level).
+///
+/// Every solve opcode carries this one layout — [`OP_SOLVE`] and
+/// [`OP_SOLVE_SCENARIO`] one of it, [`OP_SOLVE_BATCH`] a counted list:
+///
+/// ```text
+/// [u32 tenant][u8 ndims][u8 cycle][u8 variant][u8 pre][u8 coarse][u8 post]
+/// [u16 iters][u32 n][u32 levels][u32 elems][elems × f64 v][elems × f64 f]
+/// [u8 scenario][u8 mixed][u32 coeff_elems][coeff_elems × f64 coeff]
+/// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolveRequest {
     /// Tenant id for per-tenant admission control.
@@ -330,8 +343,7 @@ pub struct SolveRequest {
     pub n: u32,
     /// Multigrid levels; 0 selects the default (4, clamped to fit `n`).
     pub levels: u32,
-    /// Scenario wire id ([`Scenario::wire_id`]); plain SOLVE frames are
-    /// always 0 (constant-coefficient).
+    /// Scenario wire id ([`Scenario::wire_id`]); 0 is constant-coefficient.
     pub scenario: u8,
     /// Run the smoothing chains on the mixed-precision (f32) tier.
     pub mixed: bool,
@@ -342,49 +354,25 @@ pub struct SolveRequest {
     pub coeff: Vec<f64>,
 }
 
+/// Largest finest interior size a request may name: bounds what the header
+/// makes the server compute before the grids arrive.
+const MAX_N: u32 = 8191;
+
 impl SolveRequest {
-    /// Shared header+grid bytes of both encodings (everything except the
-    /// scenario extension fields).
-    fn encode_common(&self, p: &mut Vec<u8>) {
+    /// The request in the one layout of the type's doc.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut p = Vec::with_capacity(30 + 16 * self.v.len() + 8 * self.coeff.len());
         p.extend_from_slice(&self.tenant.to_le_bytes());
-        p.push(self.ndims);
-        p.push(self.cycle);
-        p.push(self.variant);
-        p.push(self.pre);
-        p.push(self.coarse);
-        p.push(self.post);
+        p.extend_from_slice(&[self.ndims, self.cycle, self.variant]);
+        p.extend_from_slice(&[self.pre, self.coarse, self.post]);
         p.extend_from_slice(&self.iters.to_le_bytes());
         p.extend_from_slice(&self.n.to_le_bytes());
         p.extend_from_slice(&self.levels.to_le_bytes());
         p.extend_from_slice(&(self.v.len() as u32).to_le_bytes());
-        for &x in &self.v {
+        for &x in self.v.iter().chain(&self.f) {
             p.extend_from_slice(&x.to_le_bytes());
         }
-        for &x in &self.f {
-            p.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    /// Legacy [`OP_SOLVE`] encoding. Scenario fields are not carried; the
-    /// request must be the constant-coefficient default (`scenario == 0`,
-    /// `mixed == false`, no coefficient grid).
-    pub fn encode(&self) -> Vec<u8> {
-        debug_assert!(
-            self.scenario == 0 && !self.mixed && self.coeff.is_empty(),
-            "scenario requests must use encode_scenario"
-        );
-        let mut p = Vec::with_capacity(24 + 16 * self.v.len());
-        self.encode_common(&mut p);
-        p
-    }
-
-    /// [`OP_SOLVE_SCENARIO`] encoding: the legacy layout followed by
-    /// `[u8 scenario][u8 mixed][u32 coeff_elems][coeff f64s]`.
-    pub fn encode_scenario(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(30 + 16 * self.v.len() + 8 * self.coeff.len());
-        self.encode_common(&mut p);
-        p.push(self.scenario);
-        p.push(self.mixed as u8);
+        p.extend_from_slice(&[self.scenario, self.mixed as u8]);
         p.extend_from_slice(&(self.coeff.len() as u32).to_le_bytes());
         for &x in &self.coeff {
             p.extend_from_slice(&x.to_le_bytes());
@@ -392,119 +380,92 @@ impl SolveRequest {
         p
     }
 
-    /// Decode and fully validate a legacy [`OP_SOLVE`] payload. The checks
-    /// mirror `MgConfig::new`'s assertions so a hostile payload can never
-    /// panic the server.
-    pub fn decode(payload: &[u8]) -> Result<SolveRequest, String> {
-        SolveRequest::decode_impl(payload, false)
+    /// [`SolveRequest::encode`]; the name stays because `benchmark/` calls it.
+    pub fn encode_scenario(&self) -> Vec<u8> {
+        self.encode()
     }
 
-    /// Decode and fully validate an [`OP_SOLVE_SCENARIO`] payload,
-    /// including the scenario/mixed/coefficient extension and the
-    /// scenario's own validation matrix.
+    /// [`SolveRequest::decode`]; the name stays because `benchmark/` calls it.
     pub fn decode_scenario(payload: &[u8]) -> Result<SolveRequest, String> {
-        SolveRequest::decode_impl(payload, true)
+        SolveRequest::decode(payload)
     }
 
-    fn decode_impl(payload: &[u8], scenario_frame: bool) -> Result<SolveRequest, String> {
+    /// Decode and fully validate one request: the configuration
+    /// ([`MgConfig::validate`]), the grid lengths, the strict `mixed` byte,
+    /// and the scenario against its precision tier and coefficient grid
+    /// ([`Scenario::validate`]). Nothing a hostile payload carries can panic
+    /// the server, and an accepted payload re-encodes to itself.
+    pub fn decode(payload: &[u8]) -> Result<SolveRequest, String> {
         let mut c = Cursor::new(payload);
-        let tenant = c.u32("tenant")?;
-        let ndims = c.u8("ndims")?;
-        let cycle = c.u8("cycle")?;
-        let variant = c.u8("variant")?;
-        let pre = c.u8("pre")?;
-        let coarse = c.u8("coarse")?;
-        let post = c.u8("post")?;
-        let iters = c.u16("iters")?;
-        let n = c.u32("n")?;
-        let levels = c.u32("levels")?;
-        let elems = c.u32("elems")? as usize;
-
-        if ndims != 2 && ndims != 3 {
-            return Err(format!("ndims must be 2 or 3, got {ndims}"));
-        }
-        if cycle > 2 {
-            return Err(format!("cycle must be 0 (V), 1 (W) or 2 (F), got {cycle}"));
-        }
-        if variant > 3 {
-            return Err(format!("variant must be 0..=3, got {variant}"));
-        }
-        if iters == 0 || iters > 64 {
-            return Err(format!("iters must be in 1..=64, got {iters}"));
-        }
-        if !(3..=8191).contains(&n) || !(n + 1).is_power_of_two() {
-            return Err(format!("n must be 2^k - 1 in 3..=8191, got {n}"));
-        }
-        let levels = if levels == 0 {
-            // default 4, clamped to the deepest hierarchy n supports
-            4u32.min((n + 1).trailing_zeros().max(1))
-        } else {
-            levels
+        let mut req = SolveRequest {
+            tenant: c.u32("tenant")?,
+            ndims: c.u8("ndims")?,
+            cycle: c.u8("cycle")?,
+            variant: c.u8("variant")?,
+            pre: c.u8("pre")?,
+            coarse: c.u8("coarse")?,
+            post: c.u8("post")?,
+            iters: c.u16("iters")?,
+            n: c.u32("n")?,
+            levels: c.u32("levels")?,
+            scenario: 0,
+            mixed: false,
+            v: Vec::new(),
+            f: Vec::new(),
+            coeff: Vec::new(),
         };
-        if !(1..=16).contains(&levels) {
-            return Err(format!("levels must be in 1..=16, got {levels}"));
+        let elems = c.u32("elems")? as usize;
+        if req.cycle > 2 {
+            return Err(format!(
+                "cycle must be 0 (V), 1 (W) or 2 (F), got {}",
+                req.cycle
+            ));
         }
-        // same bound MgConfig::n_at asserts: coarsest (n+1) >> (levels-1)
-        // must keep at least one interior point
-        if (n + 1) >> (levels - 1) < 2 {
-            return Err(format!("{levels} levels is too deep for n = {n}"));
+        if req.variant > 3 {
+            return Err(format!("variant must be 0..=3, got {}", req.variant));
         }
-        if pre as usize + coarse as usize + post as usize == 0 {
-            return Err("at least one smoothing step is required".to_string());
+        if req.iters == 0 || req.iters > 64 {
+            return Err(format!("iters must be in 1..=64, got {}", req.iters));
         }
-        let e = n as usize + 2;
-        let expect = e.pow(ndims as u32);
+        req.try_config().map_err(|e| e.to_string())?;
+        if req.n > MAX_N {
+            return Err(format!(
+                "n = {} exceeds the largest servable size {MAX_N}",
+                req.n
+            ));
+        }
+        let expect = (req.n as usize + 2).pow(req.ndims as u32);
         if elems != expect {
             return Err(format!(
                 "grid length {elems} does not match (n+2)^ndims = {expect}"
             ));
         }
-        let v = c.f64_vec(elems, "v")?;
-        let f = c.f64_vec(elems, "f")?;
-        let (scenario, mixed, coeff) = if scenario_frame {
-            let scenario = c.u8("scenario")?;
-            let mixed = match c.u8("mixed")? {
-                0 => false,
-                1 => true,
-                b => return Err(format!("mixed flag must be 0 or 1, got {b}")),
-            };
-            let coeff_elems = c.u32("coeff_elems")? as usize;
-            if coeff_elems != 0 && coeff_elems != expect {
-                return Err(format!(
-                    "coefficient grid length {coeff_elems} does not match (n+2)^ndims = {expect}"
-                ));
-            }
-            let coeff = c.f64_vec(coeff_elems, "coeff")?;
-            let sc = Scenario::from_wire_id(scenario).map_err(|e| e.to_string())?;
-            sc.validate(mixed, !coeff.is_empty())
-                .map_err(|e| e.to_string())?;
-            (scenario, mixed, coeff)
-        } else {
-            (0, false, Vec::new())
+        req.v = c.f64_vec(elems, "v")?;
+        req.f = c.f64_vec(elems, "f")?;
+        req.scenario = c.u8("scenario")?;
+        req.mixed = match c.u8("mixed")? {
+            0 => false,
+            1 => true,
+            b => return Err(format!("mixed flag must be 0 or 1, got {b}")),
         };
+        let coeff_elems = c.u32("coeff_elems")? as usize;
+        if coeff_elems != 0 && coeff_elems != expect {
+            return Err(format!(
+                "coefficient grid length {coeff_elems} does not match (n+2)^ndims = {expect}"
+            ));
+        }
+        req.coeff = c.f64_vec(coeff_elems, "coeff")?;
         c.done()?;
-        Ok(SolveRequest {
-            tenant,
-            ndims,
-            cycle,
-            variant,
-            pre,
-            coarse,
-            post,
-            iters,
-            n,
-            levels,
-            scenario,
-            mixed,
-            v,
-            f,
-            coeff,
-        })
+        Scenario::from_wire_id(req.scenario)
+            .and_then(|sc| sc.validate(req.mixed, !req.coeff.is_empty()))
+            .map_err(|e| e.to_string())?;
+        Ok(req)
     }
 
-    /// The multigrid configuration this request describes. Only valid after
-    /// [`SolveRequest::decode`]'s checks (construction asserts otherwise).
-    pub fn config(&self) -> MgConfig {
+    /// The multigrid configuration the header describes, or why it
+    /// describes none. A `levels` of 0 resolves to the default here, so the
+    /// decoded request keeps the bytes it arrived as.
+    fn try_config(&self) -> Result<MgConfig, ConfigError> {
         let cycle = match self.cycle {
             0 => CycleType::V,
             1 => CycleType::W,
@@ -515,9 +476,18 @@ impl SolveRequest {
             coarse: self.coarse as usize,
             post: self.post as usize,
         };
-        let mut cfg = MgConfig::new(self.ndims as usize, self.n as i64, cycle, steps);
-        cfg.levels = self.levels;
-        cfg
+        let levels = match self.levels {
+            // default 4, clamped to the deepest hierarchy n supports
+            0 => 4u32.min(self.n.wrapping_add(1).trailing_zeros().max(1)),
+            l => l,
+        };
+        MgConfig::checked(self.ndims as usize, self.n as i64, levels, cycle, steps)
+    }
+
+    /// The multigrid configuration this request describes. Only valid after
+    /// [`SolveRequest::decode`]'s checks (panics otherwise).
+    pub fn config(&self) -> MgConfig {
+        self.try_config().expect("validated on decode")
     }
 
     pub fn variant_enum(&self) -> Variant {
@@ -529,14 +499,16 @@ impl SolveRequest {
         }
     }
 
-    /// The decoded scenario. Only valid after [`SolveRequest::decode`] /
-    /// [`SolveRequest::decode_scenario`] (which reject unknown wire ids).
+    /// The decoded scenario. Only valid after [`SolveRequest::decode`]
+    /// (which rejects unknown wire ids).
     pub fn scenario_enum(&self) -> Scenario {
         Scenario::from_wire_id(self.scenario).expect("validated on decode")
     }
 
-    /// Does this request need the extended [`OP_SOLVE_SCENARIO`] frame, or
-    /// can it ride the legacy [`OP_SOLVE`] layout?
+    /// Does a client send this request as [`OP_SOLVE_SCENARIO`] rather than
+    /// [`OP_SOLVE`]? Anything but the constant-coefficient f64 default does;
+    /// both opcodes carry the same payload and differ only in the reply
+    /// opcode.
     pub fn needs_scenario_frame(&self) -> bool {
         self.scenario != 0 || self.mixed || !self.coeff.is_empty()
     }
@@ -578,6 +550,17 @@ impl SolveRequest {
             f,
             coeff: Vec::new(),
         }
+    }
+}
+
+/// The requests a solve frame carries — the server's one solve decode.
+/// The opcode decides only the framing: [`OP_SOLVE_BATCH`] is a counted
+/// [`BatchSolveRequest`], every other solve opcode one [`SolveRequest`].
+pub fn decode_solve(opcode: u8, payload: &[u8]) -> Result<Vec<SolveRequest>, String> {
+    if opcode == OP_SOLVE_BATCH {
+        BatchSolveRequest::decode(payload).map(|b| b.reqs)
+    } else {
+        SolveRequest::decode(payload).map(|r| vec![r])
     }
 }
 
@@ -788,6 +771,12 @@ mod tests {
         let back = SolveRequest::decode(&req.encode()).expect("decode");
         assert_eq!(back, req);
         assert_eq!(back.config().tag(), "V-2D-4-4-4");
+
+        // levels 0 is the default: kept as sent, resolved by config()
+        let mut req = small_request();
+        req.levels = 0;
+        let back = SolveRequest::decode(&req.encode()).expect("decode");
+        assert_eq!((back.levels, back.config().levels), (0, 3));
     }
 
     #[test]
@@ -1011,14 +1000,6 @@ mod tests {
 
     #[test]
     fn scenario_decode_rejects_invalid_shapes() {
-        // legacy decode never sees scenario bytes: the extended payload has
-        // trailing bytes from its point of view
-        let mut req = small_request();
-        req.scenario = Scenario::Rbgs.wire_id();
-        assert!(SolveRequest::decode(&req.encode_scenario())
-            .unwrap_err()
-            .contains("trailing"));
-
         // unknown wire id
         let mut req = small_request();
         req.scenario = 9;

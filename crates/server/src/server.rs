@@ -58,10 +58,10 @@ use gmg_trace::{
     SCENARIO_LABELS,
 };
 use gmg_multigrid::scenario::ScenarioSpec;
-use polymg::{ChaosOptions, Scenario, TunedStore};
+use polymg::{ChaosOptions, TunedStore};
 use shim_epoll::{Poller, Waker};
 
-use crate::protocol::{self, ErrorCode, SolveRequest};
+use crate::protocol::{self, BatchSolveResponse, ErrorCode, SolveRequest, SolveResponse};
 use crate::session::SessionManager;
 use crate::shard::ShardMsg;
 use crate::tuner::{Observation, Tuner, TunerConfig};
@@ -160,12 +160,12 @@ pub fn shard_for_tenant(tenant: u32, nshards: usize) -> usize {
     (z % nshards as u64) as usize
 }
 
-/// Admission QoS class of a job, derived from its opcode: interactive
-/// single solves are latency-sensitive, client batches are throughput
-/// work that may wait behind them.
+/// Admission QoS class of a job, derived from its opcode ([`Job::class`]):
+/// interactive single solves are latency-sensitive, client batches are
+/// throughput work that may wait behind them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QosClass {
-    /// Single `OP_SOLVE` requests.
+    /// Single `OP_SOLVE` / `OP_SOLVE_SCENARIO` requests.
     Latency,
     /// `OP_SOLVE_BATCH` requests.
     Batch,
@@ -200,7 +200,7 @@ struct Counters {
     coalesced: AtomicU64,
     /// Engine-pass RHS-count histogram (see [`batch_hist_bucket`]).
     batch_hist: [AtomicU64; BATCH_HIST_BUCKETS],
-    /// Grids solved per scenario (indexed by [`Scenario::wire_id`]).
+    /// Grids solved per scenario (indexed by [`polymg::Scenario::wire_id`]).
     scenario_solves: [AtomicU64; SCENARIO_KINDS],
     /// Grids solved with mixed-precision smoothing chains.
     mixed_solves: AtomicU64,
@@ -237,28 +237,15 @@ pub(crate) struct ShardCounters {
     pub queue_max_depth: AtomicU64,
 }
 
-/// Which request opcode a job arrived under — it decides the reply frame
-/// ([`protocol::OP_SOLVE_OK`] / [`protocol::OP_SOLVE_SCENARIO_OK`] /
-/// [`protocol::OP_SOLVE_BATCH_OK`]) and the admission QoS class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum JobOp {
-    /// Single legacy [`protocol::OP_SOLVE`].
-    Solve,
-    /// Single extended [`protocol::OP_SOLVE_SCENARIO`] (scenario id,
-    /// precision tier, optional coefficient grid).
-    SolveScenario,
-    /// Client [`protocol::OP_SOLVE_BATCH`].
-    Batch,
-}
-
 /// One admitted job travelling from a shard's readiness loop to one of its
 /// workers: a single solve (one request) or a client batch
 /// (shape-homogeneous by decode). Either way it is answered with exactly
 /// one frame, routed back to `(shard, conn, seq)`.
 pub(crate) struct Job {
     pub reqs: Vec<SolveRequest>,
-    /// Arrival opcode (reply framing + QoS class).
-    pub op: JobOp,
+    /// The solve opcode the job arrived under: its QoS class and its reply
+    /// frame derive from it ([`Job::class`], [`Job::reply`]).
+    pub op: u8,
     /// [`coalesce_key`] of the job's requests: the coalescing window's
     /// candidate filter (verified by [`SolveRequest::same_plan_shape`]
     /// before any merge). Nobody reads it with the window off, so it is 0
@@ -280,10 +267,24 @@ impl Job {
     }
 
     fn class(&self) -> QosClass {
-        match self.op {
-            JobOp::Batch => QosClass::Batch,
-            JobOp::Solve | JobOp::SolveScenario => QosClass::Latency,
+        if self.op == protocol::OP_SOLVE_BATCH {
+            QosClass::Batch
+        } else {
+            QosClass::Latency
         }
+    }
+
+    /// The reply to this job's solved grids: opcode `request | 0x80`, and a
+    /// body framed like the request — a [`BatchSolveResponse`] for a client
+    /// batch, a [`SolveResponse`] for a single solve.
+    fn reply(&self, elapsed_ns: u64, mut vs: Vec<Vec<f64>>) -> (u8, Vec<u8>) {
+        let payload = if self.op == protocol::OP_SOLVE_BATCH {
+            BatchSolveResponse { elapsed_ns, vs }.encode()
+        } else {
+            let v = vs.pop().expect("one grid per single job");
+            SolveResponse { elapsed_ns, v }.encode()
+        };
+        (self.op | 0x80, payload)
     }
 }
 
@@ -573,32 +574,8 @@ impl Shared {
                             .mixed_solves
                             .fetch_add(job.rhs() as u64, Ordering::Relaxed);
                     }
-                    match job.op {
-                        JobOp::Batch => {
-                            let payload = protocol::BatchSolveResponse {
-                                elapsed_ns,
-                                vs: grids,
-                            }
-                            .encode();
-                            self.complete(
-                                job.shard,
-                                job.conn,
-                                job.seq,
-                                protocol::OP_SOLVE_BATCH_OK,
-                                &payload,
-                            );
-                        }
-                        JobOp::Solve | JobOp::SolveScenario => {
-                            let v = grids.into_iter().next().expect("one grid per single job");
-                            let payload = protocol::SolveResponse { elapsed_ns, v }.encode();
-                            let opcode = if job.op == JobOp::SolveScenario {
-                                protocol::OP_SOLVE_SCENARIO_OK
-                            } else {
-                                protocol::OP_SOLVE_OK
-                            };
-                            self.complete(job.shard, job.conn, job.seq, opcode, &payload);
-                        }
-                    }
+                    let (opcode, payload) = job.reply(elapsed_ns, grids);
+                    self.complete(job.shard, job.conn, job.seq, opcode, &payload);
                 }
             }
             Err((code, msg)) => {
@@ -649,8 +626,7 @@ impl Shared {
     ) -> Result<Vec<Vec<f64>>, (ErrorCode, String)> {
         let req0 = &jobs[0].reqs[0];
         let spec = ScenarioSpec {
-            scenario: Scenario::from_wire_id(req0.scenario)
-                .map_err(|e| (ErrorCode::BadRequest, e.to_string()))?,
+            scenario: req0.scenario_enum(),
             mixed: req0.mixed,
         };
         let (cfg, variant, iters) = (req0.config(), req0.variant_enum(), req0.iters);
@@ -687,6 +663,7 @@ impl Shared {
                 pfp: lease.plan_fp,
                 cfg: cfg.clone(),
                 variant,
+                spec,
             });
         }
         sessions.release(lease);
@@ -703,7 +680,7 @@ impl Shared {
         conn: u64,
         seq: u64,
         reqs: Vec<SolveRequest>,
-        op: JobOp,
+        op: u8,
     ) -> Result<(), (ErrorCode, String)> {
         let shard = &self.shards[shard_id];
         let tenant = reqs[0].tenant;
@@ -731,14 +708,19 @@ impl Shared {
             }
             *c += 1;
         }
-        let class = match op {
-            JobOp::Batch => QosClass::Batch,
-            JobOp::Solve | JobOp::SolveScenario => QosClass::Latency,
+        let job = Job {
+            key: match self.coalesce_window {
+                Some(_) => coalesce_key(&reqs[0]),
+                None => 0,
+            },
+            reqs,
+            op,
+            shard: shard_id,
+            conn,
+            seq,
+            enqueued: Instant::now(),
         };
-        let key = match self.coalesce_window {
-            Some(_) => coalesce_key(&reqs[0]),
-            None => 0,
-        };
+        let class = job.class();
         {
             let mut q = shard.queues.lock().unwrap();
             if q.class_len(class) >= self.queue_capacity {
@@ -758,17 +740,9 @@ impl Shared {
             }
             self.counters
                 .requests
-                .fetch_add(reqs.len() as u64, Ordering::Relaxed);
+                .fetch_add(job.rhs() as u64, Ordering::Relaxed);
             self.inflight.fetch_add(1, Ordering::SeqCst);
-            q.deque_mut(class).push_back(Job {
-                key,
-                reqs,
-                op,
-                shard: shard_id,
-                conn,
-                seq,
-                enqueued: Instant::now(),
-            });
+            q.deque_mut(class).push_back(job);
             let depth = q.len() as u64;
             self.counters.bump_depth(depth);
             shard.counters.queue_max_depth.fetch_max(depth, Ordering::Relaxed);
@@ -1152,7 +1126,11 @@ mod tests {
         fn job(batched: bool, tag: u64) -> Job {
             Job {
                 reqs: Vec::new(),
-                op: if batched { JobOp::Batch } else { JobOp::Solve },
+                op: if batched {
+                    protocol::OP_SOLVE_BATCH
+                } else {
+                    protocol::OP_SOLVE
+                },
                 key: tag,
                 shard: 0,
                 conn: 0,
@@ -1170,7 +1148,7 @@ mod tests {
         }
         // contention: weight latency pops, then one batch pop, repeating
         let order: Vec<bool> = std::iter::from_fn(|| q.pop_weighted(weight))
-            .map(|j| j.op == JobOp::Batch)
+            .map(|j| j.class() == QosClass::Batch)
             .collect();
         assert_eq!(order.len(), 12);
         assert_eq!(

@@ -47,7 +47,7 @@ use std::sync::{Arc, Mutex};
 
 use gmg_ir::{ParamBindings, Pipeline};
 use gmg_multigrid::config::{CycleType, MgConfig, OperatorKind, SmoothSteps, SmootherKind};
-use gmg_multigrid::scenario::{build_scenario_pipeline, scenario_config, ScenarioSpec};
+use gmg_multigrid::scenario::{bind_coeff, build_scenario_pipeline, scenario_config, ScenarioSpec};
 use gmg_multigrid::solver::DslRunner;
 use polymg::cache::{self, DEFAULT_PLAN_CAPACITY};
 use polymg::{ChaosOptions, CompiledPipeline, PipelineOptions, Scenario, TunedStore, Variant};
@@ -391,8 +391,7 @@ impl SessionManager {
             // rebind on every acquire (a warm runner may hold a previous
             // request's grid); Ainv is derived from the same wire grid so
             // client-side references recompute it bitwise-identically
-            runner.bind_extra("Ainv", gmg_multigrid::scenario::reciprocal_field(a));
-            runner.bind_extra("A", a.to_vec());
+            bind_coeff(&mut runner, a.to_vec());
         }
         Ok(Lease {
             key,
@@ -695,16 +694,19 @@ mod tests {
     fn fingerprints_are_the_ones_recorded_before_the_memo() {
         // `(key, plan_fp)` printed by `acquire` at commit 4ba40b0, where
         // both were hashed from the pipeline's Debug rendering per request.
+        // The `key` halves were re-pinned when the option fingerprint lost
+        // its tiling-mode tag (the mode was `group_limit > 1` restated);
+        // `plan_fp`, the tuned-store key, hashes no option and is unchanged.
         let mgr = SessionManager::new(None, None, 1, 4);
         let n63 = MgConfig::new(2, 63, CycleType::V, SmoothSteps::s444());
         let a = mgr.acquire(&n63, Variant::OptPlus).expect("compile");
-        assert_eq!((a.key, a.plan_fp), (0x156a7a5ebee19c4f, 0x0f124bc1485f4795));
+        assert_eq!((a.key, a.plan_fp), (0xcfa7e09adbabc31b, 0x0f124bc1485f4795));
         let b = acquire_shape(&mgr, &cfg2d(), Scenario::VarCoef);
-        assert_eq!((b.key, b.plan_fp), (0x5b9547516ef962e4, 0x2627250d7b6ed7a6));
+        assert_eq!((b.key, b.plan_fp), (0x4a191451b6debde0, 0x2627250d7b6ed7a6));
         let mut w3 = MgConfig::new(3, 15, CycleType::W, SmoothSteps::s1000());
         w3.levels = 3;
         let c = mgr.acquire(&w3, Variant::Opt).expect("compile");
-        assert_eq!((c.key, c.plan_fp), (0x929e7b08ef0bb766, 0x613651dbe322249c));
+        assert_eq!((c.key, c.plan_fp), (0x7ebf66d2e53b1b0e, 0x613651dbe322249c));
         let mixed = ScenarioSpec {
             scenario: Scenario::Constant,
             mixed: true,
@@ -712,7 +714,7 @@ mod tests {
         let d = mgr
             .acquire_scenario(&cfg2d(), Variant::OptPlus, mixed, None)
             .expect("compile");
-        assert_eq!((d.key, d.plan_fp), (0x32f5bb99c0bd78d7, 0x4baee4e7c333d866));
+        assert_eq!((d.key, d.plan_fp), (0x02a791ecedc335d3, 0x4baee4e7c333d866));
     }
 
     #[test]

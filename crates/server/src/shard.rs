@@ -39,9 +39,9 @@ use std::time::{Duration, Instant};
 
 use shim_epoll::{Event, Interest};
 
-use crate::protocol::{self, BatchSolveRequest, ErrorCode, SolveRequest};
+use crate::protocol::{self, ErrorCode, SolveRequest};
 use crate::ring::RingBuf;
-use crate::server::{shard_for_tenant, JobOp, Shard, Shared};
+use crate::server::{shard_for_tenant, Shard, Shared};
 
 const TOK_WAKER: u64 = 0;
 const TOK_LISTENER: u64 = 1;
@@ -157,7 +157,8 @@ impl Conn {
 /// along with its connection during migration).
 pub(crate) struct PendingJob {
     pub reqs: Vec<SolveRequest>,
-    pub op: JobOp,
+    /// The solve opcode the job arrived under.
+    pub op: u8,
     pub seq: u64,
 }
 
@@ -301,7 +302,7 @@ fn route(
     conn: &mut Conn,
     seq: u64,
     reqs: Vec<SolveRequest>,
-    op: JobOp,
+    op: u8,
 ) -> Option<Directive> {
     if conn.home.is_none() {
         let target = shard_for_tenant(reqs[0].tenant, sh.shards.len());
@@ -326,10 +327,9 @@ enum Msg {
     Ping(Vec<u8>),
     Stats,
     Shutdown(Vec<u8>),
-    /// A single solve with its arrival opcode ([`JobOp::Solve`] for legacy
-    /// frames, [`JobOp::SolveScenario`] for extended ones).
-    Solve(Result<SolveRequest, String>, JobOp),
-    Batch(Result<BatchSolveRequest, String>),
+    /// A solve frame's requests (or why they did not decode) and its
+    /// opcode.
+    Solve(Result<Vec<SolveRequest>, String>, u8),
     Unknown(u8),
 }
 
@@ -378,11 +378,9 @@ fn parse_available(
                 protocol::OP_PING => Msg::Ping(payload.to_vec()),
                 protocol::OP_STATS => Msg::Stats,
                 protocol::OP_SHUTDOWN => Msg::Shutdown(payload.to_vec()),
-                protocol::OP_SOLVE => Msg::Solve(SolveRequest::decode(payload), JobOp::Solve),
-                protocol::OP_SOLVE_SCENARIO => {
-                    Msg::Solve(SolveRequest::decode_scenario(payload), JobOp::SolveScenario)
-                }
-                protocol::OP_SOLVE_BATCH => Msg::Batch(BatchSolveRequest::decode(payload)),
+                op @ (protocol::OP_SOLVE
+                | protocol::OP_SOLVE_SCENARIO
+                | protocol::OP_SOLVE_BATCH) => Msg::Solve(protocol::decode_solve(op, payload), op),
                 other => Msg::Unknown(other),
             }
         };
@@ -421,18 +419,8 @@ fn parse_available(
                 let payload = protocol::encode_error(ErrorCode::BadRequest, &e);
                 conn.enqueue(seq, protocol::frame_bytes(protocol::OP_ERROR, &payload));
             }
-            Msg::Batch(Err(e)) => {
-                sh.count_protocol_error();
-                let payload = protocol::encode_error(ErrorCode::BadRequest, &e);
-                conn.enqueue(seq, protocol::frame_bytes(protocol::OP_ERROR, &payload));
-            }
-            Msg::Solve(Ok(req), op) => {
-                if let Some(d) = route(sh, shard_id, token, conn, seq, vec![req], op) {
-                    return Some(d);
-                }
-            }
-            Msg::Batch(Ok(batch)) => {
-                if let Some(d) = route(sh, shard_id, token, conn, seq, batch.reqs, JobOp::Batch) {
+            Msg::Solve(Ok(reqs), op) => {
+                if let Some(d) = route(sh, shard_id, token, conn, seq, reqs, op) {
                     return Some(d);
                 }
             }

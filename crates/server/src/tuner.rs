@@ -38,8 +38,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use gmg_ir::Pipeline;
 use gmg_multigrid::config::MgConfig;
-use gmg_multigrid::cycles::build_cycle_pipeline;
+use gmg_multigrid::scenario::{
+    bind_coeff, build_scenario_pipeline, coeff_field, scenario_config, ScenarioSpec,
+};
 use gmg_multigrid::solver::{setup_poisson, DslRunner};
 use gmg_trace::{Trace, TunerSnapshot};
 use polymg::autotune::search::{CoordinateScan, SearchParams};
@@ -74,9 +77,12 @@ impl Default for TunerConfig {
 /// One live solve sampled by a worker: enough to rebuild the pipeline and
 /// judge candidate schedules against the deployed default.
 pub(crate) struct Observation {
+    /// Fingerprint of the scenario pipeline the solve ran; the winner is
+    /// recorded under it.
     pub pfp: u64,
     pub cfg: MgConfig,
     pub variant: Variant,
+    pub spec: ScenarioSpec,
 }
 
 /// Shared tuner state: the observation mailbox workers post into, the
@@ -160,6 +166,7 @@ impl Tuner {
 struct TuningState {
     cfg: MgConfig,
     variant: Variant,
+    spec: ScenarioSpec,
     search: CoordinateScan,
     /// Candidates already retried once after a fault (second fault ⇒
     /// permanent discard).
@@ -180,30 +187,45 @@ fn total_queued(sh: &Shared) -> u64 {
         .sum()
 }
 
+/// What a trial compiles: the observed request's scenario pipeline, over
+/// its scenario-adjusted configuration — the same pipeline (and so the same
+/// fingerprint) the session registry serves the request from.
+fn trial_pipeline(cfg: &MgConfig, spec: ScenarioSpec) -> (MgConfig, Pipeline) {
+    let cfg = scenario_config(cfg, spec.scenario);
+    let pipeline = build_scenario_pipeline(&cfg, spec.scenario);
+    (cfg, pipeline)
+}
+
 /// One measured trial on a throwaway engine: compile the candidate
 /// schedule (uncached — trial plans must not churn the global LRU plan
-/// cache), run `iters` cycles on a synthetic Poisson problem, and return
-/// the per-cycle metric in nanoseconds, preferring the engine's per-op
-/// spans over wall time. `Err` carries the typed failure text.
+/// cache), run `iters` cycles on a synthetic Poisson problem (with the
+/// canonical coefficient field for `varcoef`), and return the per-cycle
+/// metric in nanoseconds, preferring the engine's per-op spans over wall
+/// time. `Err` carries the typed failure text.
 fn run_trial(
     cfg: &MgConfig,
     variant: Variant,
+    spec: ScenarioSpec,
     cand: &TuneConfig,
     threads: usize,
     chaos: Option<ChaosOptions>,
     iters: usize,
 ) -> Result<(f64, u64), String> {
-    let pipeline = build_cycle_pipeline(cfg);
+    let (cfg, pipeline) = trial_pipeline(cfg, spec);
     let mut opts = cand.apply(&PipelineOptions::for_variant(variant, cfg.ndims));
     opts.threads = threads;
     opts.chaos = chaos;
+    opts.mixed_precision = spec.mixed;
     let plan = polymg::compile(&pipeline, &gmg_ir::ParamBindings::new(), opts)
         .map_err(|errs| format!("compile: {}", errs.join("; ")))?;
-    let mut runner = DslRunner::from_plan(plan, cfg);
+    let mut runner = DslRunner::from_plan(plan, &cfg);
     runner.engine_mut().set_chaos(chaos);
+    if spec.scenario.needs_coeff() {
+        bind_coeff(&mut runner, coeff_field(&cfg));
+    }
     let trace = Trace::enabled();
     runner.engine_mut().set_trace(trace.clone());
-    let (mut v, f, _) = setup_poisson(cfg);
+    let (mut v, f, _) = setup_poisson(&cfg);
     let iters = iters.max(1);
     let t0 = Instant::now();
     for i in 0..iters {
@@ -253,6 +275,7 @@ pub(crate) fn tuner_loop(sh: Arc<Shared>) {
                 TuningState {
                     cfg: obs.cfg,
                     variant: obs.variant,
+                    spec: obs.spec,
                     search,
                     retried: BTreeSet::new(),
                     done: false,
@@ -284,6 +307,7 @@ pub(crate) fn tuner_loop(sh: Arc<Shared>) {
         match run_trial(
             &st.cfg,
             st.variant,
+            st.spec,
             &cand,
             tuner.engine_threads,
             tuner.chaos,
@@ -333,4 +357,43 @@ fn finish(tuner: &Tuner, pfp: u64, st: &mut TuningState) {
     });
     tuner.winners.fetch_add(1, Ordering::Relaxed);
     tuner.persist();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::SessionManager;
+    use gmg_multigrid::config::{CycleType, SmoothSteps};
+    use polymg::{cache, Scenario};
+
+    /// A trial compiles the pipeline the request was served from: for every
+    /// scenario (and the mixed-precision tier) the trial pipeline's
+    /// fingerprint is the `plan_fp` the session registry leased the request
+    /// under — the key the winner is recorded at — and the trial runs.
+    #[test]
+    fn trials_tune_the_pipeline_the_winner_is_recorded_under() {
+        let mgr = SessionManager::new(None, None, 1, 1);
+        let cfg = MgConfig::new(2, 15, CycleType::V, SmoothSteps::s444());
+        let mut specs: Vec<ScenarioSpec> =
+            Scenario::ALL.into_iter().map(ScenarioSpec::new).collect();
+        specs.push(ScenarioSpec {
+            scenario: Scenario::Constant,
+            mixed: true,
+        });
+        for spec in specs {
+            let coeff = spec.scenario.needs_coeff().then(|| coeff_field(&cfg));
+            let lease = mgr
+                .acquire_scenario(&cfg, Variant::OptPlus, spec, coeff.as_deref())
+                .expect("acquire");
+            let (_, pipeline) = trial_pipeline(&cfg, spec);
+            let trial_fp = cache::pipeline_fingerprint(&pipeline, &gmg_ir::ParamBindings::new());
+            assert_eq!(trial_fp, lease.plan_fp, "{}", spec.label());
+            let cand = TuneConfig::new(vec![8, 16], 4);
+            let (metric, live) =
+                run_trial(&cfg, Variant::OptPlus, spec, &cand, 1, None, 1).expect("trial");
+            assert!(metric > 0.0, "{}: metric {metric}", spec.label());
+            assert_eq!(live, 0, "{}", spec.label());
+            mgr.release(lease);
+        }
+    }
 }

@@ -6,11 +6,12 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
+use gmg_multigrid::scenario::{coeff_field, scenario_runner, ScenarioSpec};
 use gmg_multigrid::solver::{setup_poisson, DslRunner};
 use gmg_server::loadgen::{self, LoadgenOptions, MixItem};
 use gmg_server::protocol::{self, BatchSolveRequest, BatchSolveResponse, SolveRequest};
 use gmg_server::{start, ServerConfig};
-use polymg::{PipelineOptions, Variant};
+use polymg::{PipelineOptions, Scenario, Variant};
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
@@ -23,6 +24,16 @@ fn connect(addr: std::net::SocketAddr) -> TcpStream {
     let s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
     s
+}
+
+/// `f` with a small deterministic perturbation of its own for grid `k`.
+fn perturbed(f: &[f64], k: usize) -> Vec<f64> {
+    let mut fk = f.to_vec();
+    for (i, x) in fk.iter_mut().enumerate() {
+        let r = splitmix64((k as u64) << 32 | i as u64);
+        *x += (r % 1000) as f64 * 1e-6;
+    }
+    fk
 }
 
 /// B perturbed (v0, f) pairs for one shape plus their independently
@@ -38,11 +49,7 @@ fn perturbed_problems(
     let mut problems = Vec::with_capacity(b);
     let mut refs = Vec::with_capacity(b);
     for k in 0..b {
-        let mut fk = f.clone();
-        for (i, x) in fk.iter_mut().enumerate() {
-            let r = splitmix64((k as u64) << 32 | i as u64);
-            *x += (r % 1000) as f64 * 1e-6;
-        }
+        let fk = perturbed(&f, k);
         let opts = PipelineOptions::for_variant(variant, cfg.ndims);
         let mut runner = DslRunner::new(cfg, opts, "batch-ref").expect("reference compile");
         let mut v = v0.clone();
@@ -104,6 +111,76 @@ fn solve_batch_answers_every_grid_bitwise() {
     assert_eq!(snap.coalesced, 0, "a single frame coalesces nothing");
     // 5 RHS lands in the 5–8 histogram bucket
     assert_eq!(snap.batch_hist[gmg_trace::batch_hist_bucket(5)], 1);
+}
+
+/// A batch carries any scenario: `varcoef` grids sharing one coefficient
+/// field, `rbgs` grids and mixed-precision grids each come back from one
+/// `SOLVE_BATCH` frame bitwise equal to single-RHS solves of the same grids.
+#[test]
+fn scenario_batches_answer_every_grid_like_its_single() {
+    let handle = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let cfg = MgConfig::new(2, 31, CycleType::V, SmoothSteps::s444());
+    let specs = [
+        ScenarioSpec::new(Scenario::VarCoef),
+        ScenarioSpec::new(Scenario::Rbgs),
+        ScenarioSpec {
+            scenario: Scenario::Constant,
+            mixed: true,
+        },
+    ];
+    let mut s = connect(handle.addr());
+    for spec in specs {
+        let coeff = spec.scenario.needs_coeff().then(|| coeff_field(&cfg));
+        let opts = PipelineOptions::for_variant(Variant::OptPlus, cfg.ndims);
+        let mut single = scenario_runner(&cfg, spec, opts, "single-ref", coeff.clone())
+            .expect("reference compile");
+        let (v0, f, _) = setup_poisson(&cfg);
+        let mut reqs = Vec::new();
+        let mut refs = Vec::new();
+        for k in 0..3 {
+            let fk = perturbed(&f, k);
+            let mut v = v0.clone();
+            for _ in 0..2 {
+                single.cycle_with_stats(&mut v, &fk).expect("reference cycle");
+            }
+            refs.push(v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>());
+            let mut req = SolveRequest::from_config(&cfg, Variant::OptPlus, 0, 2, v0.clone(), fk);
+            req.scenario = spec.scenario.wire_id();
+            req.mixed = spec.mixed;
+            req.coeff = coeff.clone().unwrap_or_default();
+            reqs.push(req);
+        }
+        protocol::write_frame(
+            &mut s,
+            protocol::OP_SOLVE_BATCH,
+            &BatchSolveRequest { reqs }.encode(),
+        )
+        .unwrap();
+        let frame = protocol::read_frame(&mut s).expect("batch response");
+        assert_eq!(
+            frame.opcode,
+            protocol::OP_SOLVE_BATCH_OK,
+            "{}: {:?}",
+            spec.label(),
+            protocol::decode_error(&frame.payload)
+        );
+        let resp = BatchSolveResponse::decode(&frame.payload).expect("decode");
+        assert_eq!(resp.vs.len(), refs.len());
+        for (k, (got, want)) in resp.vs.iter().zip(&refs).enumerate() {
+            let gb: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(&gb, want, "{}: batched grid {k} differs from its single", spec.label());
+        }
+    }
+    handle.begin_shutdown();
+    let snap = handle.join();
+    assert_eq!((snap.ok, snap.batches), (9, 3));
+    assert_eq!(snap.scenario_solves[Scenario::VarCoef.wire_id() as usize], 3);
+    assert_eq!(snap.scenario_solves[Scenario::Rbgs.wire_id() as usize], 3);
+    assert_eq!(snap.mixed_solves, 3);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! End-to-end scenario serving (DESIGN.md §18): variable-coefficient,
-//! FMG, RB-GS, Chebyshev and mixed-precision requests ride the extended
-//! `SOLVE_SCENARIO` frame through a live in-process server, loadgen
+//! FMG, RB-GS, Chebyshev and mixed-precision requests travel as
+//! `SOLVE_SCENARIO` frames through a live in-process server, loadgen
 //! verifies every response bitwise against an in-process scenario
 //! reference, and the server's per-scenario counters account for the run.
 

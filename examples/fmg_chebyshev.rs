@@ -8,9 +8,9 @@
 //! ```
 
 use polymg_repro::compiler::{compile, PipelineOptions, Variant};
-use polymg_repro::ir::{ParamBindings, Pipeline, StageGraph};
-use polymg_repro::mg::chebyshev::build_chebyshev_chain;
+use polymg_repro::ir::{ParamBindings, StageGraph};
 use polymg_repro::mg::config::{CycleType, MgConfig, SmoothSteps};
+use polymg_repro::mg::cycles::build_cycle_pipeline;
 use polymg_repro::mg::fmg::fmg_solve;
 use polymg_repro::mg::handopt::HandOpt;
 use polymg_repro::mg::solver::DslRunner;
@@ -65,14 +65,9 @@ fn main() {
         r.max_error
     );
 
-    // ---- 3. Chebyshev smoothing chain, compiled & fused ----------------
-    let cfg = MgConfig::new(2, 255, CycleType::V, SmoothSteps::s444());
-    let level = cfg.levels - 1;
-    let mut p = Pipeline::new("chebyshev-demo");
-    let v = p.input("V", 2, cfg.n_at(level), level);
-    let f = p.input("F", 2, cfg.n_at(level), level);
-    let out = build_chebyshev_chain(&mut p, &cfg, "s", Some(v), f, level, 8);
-    p.mark_output(out);
+    // ---- 3. Chebyshev smoothing chains, compiled & fused --------------
+    let cfg = MgConfig::new(2, 255, CycleType::V, SmoothSteps::s444()).with_chebyshev();
+    let p = build_cycle_pipeline(&cfg);
     let graph = StageGraph::build(&p, &ParamBindings::new());
     let plan = compile(
         &p,
@@ -81,7 +76,7 @@ fn main() {
     )
     .expect("compile");
     println!(
-        "\nChebyshev(8) chain on 255²: {} stages fused into {} group(s), \
+        "\nV-cycle with Chebyshev(4) smoothing chains on 255²: {} stages fused into {} group(s), \
          {} scratchpads after reuse",
         graph.num_compute_stages(),
         plan.groups.len(),
