@@ -25,9 +25,25 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo doc --no-deps --workspace
 
-# smoke: schedule-IR dump on a small 2-D V-cycle must produce an op stream
-cargo run --release -p gmg-bench --bin polymg-cli -- V-2D-2-2-2 --n 31 --dump-schedule \
-  | grep -q "run_" || { echo "ci: --dump-schedule produced no ops" >&2; exit 1; }
+# smoke: every variant lowers, in 2-D and 3-D, to the sweep ops it stands
+# for — naive to untiled sweeps only, opt / opt+ to overlapped tiles,
+# dtile-opt+ to diamond chains
+for cfg in "V-2D-4-4-4 --n 31" "V-3D-4-4-4 --n 15"; do
+  for variant in naive opt opt+ dtile-opt+; do
+    # shellcheck disable=SC2086 # $cfg is a config name plus its flags
+    dump=$(cargo run --release -q -p gmg-bench --bin polymg-cli -- $cfg --variant "$variant" --dump-schedule)
+    case $variant in
+      naive) want=run_untiled ;;
+      dtile-opt+) want=run_diamond ;;
+      *) want=run_overlapped ;;
+    esac
+    grep -q "$want" <<<"$dump" \
+      || { echo "ci: $cfg --variant $variant lowers to no $want" >&2; exit 1; }
+    if [ "$variant" = naive ] && grep -q run_overlapped <<<"$dump"; then
+      echo "ci: $cfg --variant naive lowers to overlapped tiles" >&2; exit 1
+    fi
+  done
+done
 
 # chaos gate (DESIGN.md §12): the differential suite (random pipelines ×
 # random fault plans, plus the fixed-seed cases) must hold — bitwise after

@@ -9,13 +9,12 @@ use crate::grouping::{auto_group, group_geometry, Grouping};
 use crate::lowering::lower_all;
 use crate::options::PipelineOptions;
 use crate::plan::{
-    ArraySpec, CompiledPipeline, GroupPlan, GroupTiling, ScratchBufferSpec, StoragePlan,
+    ArraySpec, CompiledPipeline, GroupPlan, GroupTiling, ScratchBufferSpec, StoragePlan, TilePlan,
 };
 use crate::storage::{bucket_extents, remap_storage, RemapItem, StorageClass};
 use gmg_ir::{FuncKind, ParamBindings, Pipeline, StageGraph, StageId, StageKind};
-use gmg_poly::region::propagate_regions;
-use gmg_poly::tiling::{owned_region, tile_partition};
-use gmg_poly::BoxDomain;
+use gmg_poly::tiling::tile_walk;
+use std::sync::Arc;
 
 /// Compile a pipeline. Returns validation diagnostics on error.
 pub fn compile(
@@ -109,10 +108,14 @@ fn plan_groups(
                 radius,
             }
         } else {
+            let tile_sizes = options.tiles_for_rank(ndims);
+            let walk = tile_walk(&gstages, &edges, ref_local, &scales, &live_out, &tile_sizes);
+            let tile_plan = Arc::new(TilePlan::new(ndims, members.len(), walk));
             GroupTiling::Overlapped {
                 ref_stage_local: ref_local,
-                tile_sizes: options.tiles_for_rank(ndims),
-                scales: scales.clone(),
+                tile_sizes,
+                scales,
+                tile_plan,
             }
         };
 
@@ -120,22 +123,9 @@ fn plan_groups(
         // modulo full buffers managed by the runtime, untiled groups are all
         // live-out)
         let (scratch_slot, scratch_buffers) = match &tiling {
-            GroupTiling::Overlapped {
-                ref_stage_local,
-                tile_sizes,
-                scales,
-            } => plan_scratchpads(
-                graph,
-                members,
-                &gstages,
-                &edges,
-                *ref_stage_local,
-                tile_sizes,
-                scales,
-                &live_out,
-                &needs_scratch,
-                options,
-            ),
+            GroupTiling::Overlapped { tile_plan, .. } => {
+                plan_scratchpads(graph, members, tile_plan, &needs_scratch, options)
+            }
             _ => (vec![None; members.len()], Vec::new()),
         };
 
@@ -150,49 +140,17 @@ fn plan_groups(
     plans
 }
 
-/// Compute per-stage maximal scratch extents over all tiles, form storage
-/// classes, and run the intra-group remapping (Algorithms 2–3).
-#[allow(clippy::too_many_arguments)]
+/// Take per-stage maximal scratch extents over all tiles from the group's
+/// tile plan, form storage classes, and run the intra-group remapping
+/// (Algorithms 2–3).
 fn plan_scratchpads(
     graph: &StageGraph,
     members: &[StageId],
-    gstages: &[gmg_poly::region::GroupStage],
-    edges: &[gmg_poly::region::GroupEdge],
-    ref_local: usize,
-    tile_sizes: &[i64],
-    scales: &[Vec<gmg_poly::Ratio>],
-    live_out: &[bool],
+    tile_plan: &TilePlan,
     needs_scratch: &[bool],
     options: &PipelineOptions,
 ) -> (Vec<Option<usize>>, Vec<ScratchBufferSpec>) {
-    let ref_dom = gstages[ref_local].domain.clone();
-    let tiles = tile_partition(&ref_dom, tile_sizes);
-    let ndims = ref_dom.ndims();
-    // max alloc extents per stage over all tiles
-    let mut max_ext = vec![vec![0i64; ndims]; members.len()];
-    for tile in &tiles {
-        let tile_stages: Vec<gmg_poly::region::GroupStage> = gstages
-            .iter()
-            .enumerate()
-            .map(|(i, s)| gmg_poly::region::GroupStage {
-                domain: s.domain.clone(),
-                owned: if live_out[i] {
-                    owned_region(tile, &scales[i], &s.domain)
-                } else {
-                    BoxDomain::empty(ndims)
-                },
-            })
-            .collect();
-        let regions = propagate_regions(&tile_stages, edges);
-        for (i, r) in regions.iter().enumerate() {
-            if !needs_scratch[i] {
-                continue;
-            }
-            for (d, e) in r.alloc.extents().iter().enumerate() {
-                max_ext[i][d] = max_ext[i][d].max(*e);
-            }
-        }
-    }
+    let ndims = tile_plan.ndims();
 
     // remap items: only stages that need scratch. Timestamps are schedule
     // positions; last use is the position of the last in-group consumer.
@@ -210,7 +168,7 @@ fn plan_scratchpads(
             .map(|c| pos_of(*c) as i64)
             .max()
             .unwrap_or(i as i64);
-        let key = bucket_extents(&max_ext[i], options.scratch_quantum);
+        let key = bucket_extents(&tile_plan.max_extents(i), options.scratch_quantum);
         items.push(RemapItem {
             time: i as i64,
             last_use: last,

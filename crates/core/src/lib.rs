@@ -55,7 +55,7 @@ pub use compile::compile;
 pub use options::{PipelineOptions, Variant};
 pub use plan::{
     ArraySpec, CompiledPipeline, GroupPlan, GroupTiling, KernelBody, KernelCase, ScratchBufferSpec,
-    StageKernel, StoragePlan,
+    StageKernel, StoragePlan, TilePlan,
 };
 pub use scenario::{Scenario, ScenarioError};
 pub use schedule::{ExecOp, ExecProgram, OpInput, SlotSpec, StageExec};

@@ -5,7 +5,9 @@
 
 use crate::options::PipelineOptions;
 use gmg_ir::{Expr, LinearForm, ParityPattern, StageGraph, StageId};
-use gmg_poly::Ratio;
+use gmg_poly::tiling::TileRegion;
+use gmg_poly::{BoxDomain, Interval, Ratio};
+use std::sync::Arc;
 
 /// Executable form of one parity case.
 #[derive(Clone, Debug)]
@@ -52,6 +54,9 @@ pub enum GroupTiling {
         /// Per group-stage, per dimension: stage-space / reference-space
         /// scale.
         scales: Vec<Vec<Ratio>>,
+        /// Every tile's per-stage regions, shared with every program
+        /// lowered from this plan.
+        tile_plan: Arc<TilePlan>,
     },
     /// Single-precision execution of a pure smoother chain: the chain's
     /// state converts f64→f32 once, sweeps run on f32 ping-pong buffers,
@@ -70,6 +75,140 @@ pub enum GroupTiling {
         /// Stencil radius of one step.
         radius: i64,
     },
+}
+
+/// A box as a fixed array, right-aligned: a 2-D box occupies axes `1..3`.
+pub type Box3 = [Interval; 3];
+
+fn box3(b: &BoxDomain) -> Box3 {
+    let mut out = [Interval::new(0, 0); 3];
+    out[3 - b.ndims()..].copy_from_slice(&b.0);
+    out
+}
+
+/// What one tile does for one stage.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StageTile {
+    /// Points the tile evaluates; empty when the tile needs none.
+    pub compute: Box3,
+    /// The part of `compute` written back to the stage's full array (empty
+    /// for stages that are not live-out).
+    pub owned: Box3,
+    /// Corner and extents of the scratchpad box (`compute` plus the ghost
+    /// positions consumers read).
+    pub origin: [i64; 3],
+    pub extents: [i64; 3],
+}
+
+/// The per-tile regions of one overlapped group: for every tile × stage
+/// what [`gmg_poly::tiling::tile_walk`] derived, in the fixed-array form the
+/// tile executor reads. Built once per compile, alongside the scratchpad
+/// bounds it also yields (a compile-time constant for a fixed tile size, as
+/// in the paper), and read-only afterwards.
+#[derive(Debug)]
+pub struct TilePlan {
+    ndims: usize,
+    nstages: usize,
+    /// Tile-major: entry `tile · nstages + stage`.
+    entries: Vec<StageTile>,
+}
+
+impl TilePlan {
+    /// Collect a group's tile walk (`nstages` regions per tile, rank
+    /// `ndims` ≤ 3).
+    pub(crate) fn new(
+        ndims: usize,
+        nstages: usize,
+        walk: impl ExactSizeIterator<Item = Vec<TileRegion>>,
+    ) -> TilePlan {
+        let mut entries = Vec::with_capacity(walk.len() * nstages);
+        for regions in walk {
+            entries.extend(regions.iter().map(|r| {
+                let alloc = box3(&r.alloc);
+                StageTile {
+                    compute: box3(&r.compute),
+                    owned: box3(&r.owned),
+                    origin: alloc.map(|iv| iv.lo),
+                    extents: alloc.map(|iv| iv.len()),
+                }
+            }));
+        }
+        let plan = TilePlan {
+            ndims,
+            nstages,
+            entries,
+        };
+        gmg_trace::tile_plan::record_plan(
+            plan.tiles() as u64,
+            plan.entries.len() as u64,
+            plan.bytes() as u64,
+        );
+        plan
+    }
+
+    /// Rank of the group's stages.
+    #[inline]
+    pub fn ndims(&self) -> usize {
+        self.ndims
+    }
+
+    /// Number of tiles.
+    #[inline]
+    pub fn tiles(&self) -> usize {
+        self.entries.len() / self.nstages.max(1)
+    }
+
+    /// Number of stages per tile.
+    pub fn stages(&self) -> usize {
+        self.nstages
+    }
+
+    /// Heap bytes the plan occupies.
+    pub fn bytes(&self) -> usize {
+        self.entries.len() * std::mem::size_of::<StageTile>()
+    }
+
+    /// What `tile` does for `stage`.
+    #[inline]
+    pub fn entry(&self, tile: usize, stage: usize) -> &StageTile {
+        &self.entries[tile * self.nstages + stage]
+    }
+
+    /// Per-dimension maximum of `stage`'s scratchpad extents over all tiles.
+    pub(crate) fn max_extents(&self, stage: usize) -> Vec<i64> {
+        let mut ext = vec![0; self.ndims];
+        for t in 0..self.tiles() {
+            for (m, e) in ext
+                .iter_mut()
+                .zip(&self.entry(t, stage).extents[3 - self.ndims..])
+            {
+                *m = (*m).max(*e);
+            }
+        }
+        ext
+    }
+
+    fn domain(&self, b: &Box3) -> BoxDomain {
+        BoxDomain::new(b[3 - self.ndims..].to_vec())
+    }
+
+    /// The points `tile` evaluates for `stage`.
+    pub fn compute(&self, tile: usize, stage: usize) -> BoxDomain {
+        self.domain(&self.entry(tile, stage).compute)
+    }
+
+    /// The points of `stage` that `tile` writes to the stage's full array.
+    pub fn owned(&self, tile: usize, stage: usize) -> BoxDomain {
+        self.domain(&self.entry(tile, stage).owned)
+    }
+
+    /// The scratchpad box of `stage` in `tile`.
+    pub fn alloc(&self, tile: usize, stage: usize) -> BoxDomain {
+        let e = self.entry(tile, stage);
+        let alloc: Box3 =
+            std::array::from_fn(|d| Interval::new(e.origin[d], e.origin[d] + e.extents[d] - 1));
+        self.domain(&alloc)
+    }
 }
 
 /// Scratchpad buffer bound for one group: the per-dimension maximum extents

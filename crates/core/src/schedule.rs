@@ -4,9 +4,10 @@
 //! tiled-sweep / `pool_deallocate` statements.
 //!
 //! [`lower`] performs the lowering once; the resulting [`ExecProgram`] is
-//! position-independent data (precomputed tile lists, propagation geometry
-//! and time-band schedules — no closures) that `gmg-runtime`'s VM interprets
-//! op by op. Making the schedule first-class buys three things:
+//! position-independent data (the compiled plan's per-tile regions, shared
+//! rather than copied, scratch slab layouts and time-band schedules — no
+//! closures) that `gmg-runtime`'s VM interprets op by op. Making the
+//! schedule first-class buys three things:
 //!
 //! * it is *inspectable* (`polymg-cli --dump-schedule`, [`ExecProgram::dump`]);
 //! * it is *instrumentable* — the VM records one trace span per op, giving
@@ -16,13 +17,12 @@
 //!   call back into its communication layer, so distributed smoothing runs
 //!   on the same VM as shared-memory cycles.
 
-use crate::plan::{CompiledPipeline, GroupTiling, ScratchBufferSpec, StageKernel};
+use crate::plan::{CompiledPipeline, GroupTiling, ScratchBufferSpec, StageKernel, TilePlan};
 use crate::specialize::{classify, unit_block, KernelImpl, KernelSel, KernelTier};
 use gmg_ir::{StageId, StageInput};
 use gmg_poly::diamond::{split_time_tiling, TimeBand};
-use gmg_poly::region::{GroupEdge, GroupStage};
-use gmg_poly::tiling::tile_partition;
-use gmg_poly::{BoxDomain, Ratio};
+use gmg_poly::BoxDomain;
+use std::sync::Arc;
 
 /// One storage slot of a program: a dense array (ghost ring included) the
 /// VM binds externally or allocates itself.
@@ -103,18 +103,65 @@ impl StageExec {
     }
 }
 
-/// Precomputed overlapped-tiling geometry (the former per-group runtime
-/// state, now carried by the op itself).
+/// Where an overlapped op's scratch buffers sit in a worker's slab and
+/// where each stage input comes from — everything a tile needs besides its
+/// [`TilePlan`] entries, fixed at lowering.
 #[derive(Clone, Debug)]
-pub struct OverlappedGeom {
-    /// Tile list over the reference stage's domain.
-    pub tiles: Vec<BoxDomain>,
-    /// Group-local stages for region propagation.
-    pub gstages: Vec<GroupStage>,
-    /// Group-local dependence edges.
-    pub edges: Vec<GroupEdge>,
-    /// Per stage, per dimension: stage-space / reference-space scale.
-    pub scales: Vec<Vec<Ratio>>,
+pub struct SlabLayout {
+    /// Per scratch buffer: `(offset, capacity)` of its slice of the slab.
+    pub buffers: Vec<(usize, usize)>,
+    /// Boundary value of every stage input, stage after stage.
+    pub boundaries: Vec<f64>,
+    /// Parallel to `boundaries`: for an op-local input, the producer stage
+    /// and the slab offset of the buffer holding its result.
+    pub locals: Vec<Option<(usize, usize)>>,
+    /// Per stage: where its inputs start in `boundaries` (one extra entry
+    /// closes the last stage).
+    pub inputs_at: Vec<usize>,
+}
+
+impl SlabLayout {
+    fn new(
+        stages: &[StageExec],
+        scratch_slot: &[Option<usize>],
+        scratch_buffers: &[ScratchBufferSpec],
+    ) -> SlabLayout {
+        let mut offset = 0;
+        let buffers: Vec<(usize, usize)> = scratch_buffers
+            .iter()
+            .map(|b| {
+                offset += b.capacity;
+                (offset - b.capacity, b.capacity)
+            })
+            .collect();
+        let (mut boundaries, mut locals, mut inputs_at) = (Vec::new(), Vec::new(), vec![0]);
+        for st in stages {
+            for inp in &st.ins {
+                let (boundary, local) = match inp {
+                    OpInput::Zero => (0.0, None),
+                    OpInput::Slot { boundary, .. } => (*boundary, None),
+                    OpInput::Local { stage, boundary } => {
+                        let b = scratch_slot[*stage].expect("op-local producer without scratch");
+                        (*boundary, Some((*stage, buffers[b].0)))
+                    }
+                };
+                boundaries.push(boundary);
+                locals.push(local);
+            }
+            inputs_at.push(boundaries.len());
+        }
+        SlabLayout {
+            buffers,
+            boundaries,
+            locals,
+            inputs_at,
+        }
+    }
+
+    /// Elements of a worker's slab the op uses.
+    pub fn scratch_len(&self) -> usize {
+        self.buffers.last().map_or(0, |&(off, cap)| off + cap)
+    }
 }
 
 /// One step of the schedule.
@@ -134,7 +181,9 @@ pub enum ExecOp {
         live_out: Vec<bool>,
         scratch_slot: Vec<Option<usize>>,
         scratch_buffers: Vec<ScratchBufferSpec>,
-        geom: OverlappedGeom,
+        /// The group's per-tile regions, shared with the compiled plan.
+        tile_plan: Arc<TilePlan>,
+        slab: SlabLayout,
     },
     /// Single-precision smoother chain: state converts f64→f32 once, the
     /// sweeps run on f32 ping-pong buffers, the final step converts back
@@ -254,7 +303,6 @@ pub struct ExecProgram {
 /// Lower a compiled plan into its explicit schedule.
 pub fn lower(plan: &CompiledPipeline) -> ExecProgram {
     let graph = &plan.graph;
-    let consumers = graph.consumers();
     let pooled = plan.options.pooled_allocation;
 
     // Kernel table: compact the per-stage Option<StageKernel> vector.
@@ -362,14 +410,7 @@ pub fn lower(plan: &CompiledPipeline) -> ExecProgram {
                     stage: stage_exec(group.stages[0], &|_| None),
                 });
             }
-            GroupTiling::Overlapped {
-                ref_stage_local,
-                tile_sizes,
-                scales,
-            } => {
-                let (gstages, edges, _, _, _) =
-                    crate::grouping::group_geometry(graph, &group.stages, &consumers);
-                let tiles = tile_partition(&gstages[*ref_stage_local].domain, tile_sizes);
+            GroupTiling::Overlapped { tile_plan, .. } => {
                 // In-group producers with a scratchpad are read from it;
                 // everything else comes from full arrays.
                 let members = &group.stages;
@@ -380,17 +421,16 @@ pub fn lower(plan: &CompiledPipeline) -> ExecProgram {
                         .position(|s| *s == p)
                         .filter(|pi| scratch[*pi].is_some())
                 };
+                let stages: Vec<StageExec> =
+                    members.iter().map(|s| stage_exec(*s, &local_of)).collect();
+                let slab = SlabLayout::new(&stages, scratch, &group.scratch_buffers);
                 ops.push(ExecOp::RunOverlappedGroup {
-                    stages: members.iter().map(|s| stage_exec(*s, &local_of)).collect(),
+                    stages,
                     live_out: group.live_out.clone(),
                     scratch_slot: group.scratch_slot.clone(),
                     scratch_buffers: group.scratch_buffers.clone(),
-                    geom: OverlappedGeom {
-                        tiles,
-                        gstages,
-                        edges,
-                        scales: scales.clone(),
-                    },
+                    tile_plan: Arc::clone(tile_plan),
+                    slab,
                 });
             }
             GroupTiling::MixedChain => {
@@ -507,7 +547,7 @@ impl ExecProgram {
                     stages,
                     live_out,
                     scratch_buffers,
-                    geom,
+                    tile_plan,
                     ..
                 } => {
                     let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
@@ -516,7 +556,7 @@ impl ExecProgram {
                     format!(
                         "[{}] tiles={} scratch=[{}] live_out={}/{}",
                         names.join(" "),
-                        geom.tiles.len(),
+                        tile_plan.tiles(),
                         scratch.join(", "),
                         live_out.iter().filter(|l| **l).count(),
                         stages.len(),
@@ -776,7 +816,7 @@ mod tests {
         let p = two_level_pipeline(255);
         let prog = lower_variant(&p, Variant::OptPlus, 2);
         let has_overlapped = prog.ops.iter().any(
-            |op| matches!(op, ExecOp::RunOverlappedGroup { geom, .. } if !geom.tiles.is_empty()),
+            |op| matches!(op, ExecOp::RunOverlappedGroup { tile_plan, .. } if tile_plan.tiles() > 0),
         );
         assert!(has_overlapped, "opt+ schedule must contain tiled groups");
 

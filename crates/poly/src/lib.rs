@@ -17,8 +17,9 @@
 //! * [`region`] — backward region propagation through a group's DAG, which
 //!   yields the hyper-trapezoidal overlapped tile shapes of Section 3.1,
 //! * [`tiling`] — tile partitions of a reference domain, owned-region
-//!   scaling across levels, and redundant-computation statistics used by the
-//!   grouping heuristic,
+//!   scaling across levels, the one tile walk that derives every tile's
+//!   per-stage regions (read by the compiler's tile plans), and the
+//!   redundant-computation statistics the grouping heuristic takes from it,
 //! * [`diamond`] — concurrent-start split/diamond schedules for
 //!   time-iterated stencils (the libPluto substitute used by
 //!   `polymg-dtile-opt+` and `handopt+pluto`).

@@ -1,5 +1,6 @@
-//! Tile partitions, owned-region scaling across levels, and the
-//! redundant-computation statistics used by the grouping heuristic.
+//! Tile partitions, owned-region scaling across levels, the tile walk that
+//! derives every tile's per-stage regions, and the redundant-computation
+//! statistics the grouping heuristic reads from it.
 //!
 //! A fused group is tiled over the *reference space* — the index space of its
 //! finest stage. The reference domain is partitioned into rectangular tiles;
@@ -90,6 +91,60 @@ pub fn owned_region(tile: &BoxDomain, scales: &[Ratio], stage_domain: &BoxDomain
     raw.intersect(stage_domain)
 }
 
+/// What one tile does for one stage of a group.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TileRegion {
+    /// Points the tile evaluates (within the stage domain).
+    pub compute: BoxDomain,
+    /// The part of the stage's domain the tile writes to its full array
+    /// (empty for stages that are not live-out).
+    pub owned: BoxDomain,
+    /// Scratchpad box: `compute` plus the ghost positions consumers read.
+    pub alloc: BoxDomain,
+}
+
+/// The tile walk of an overlapped group: partition the reference domain
+/// (stage `ref_stage`'s domain) with `tile_sizes` and, tile by tile in
+/// partition order, derive the owned regions of live-outs via `scales` (per
+/// stage, per dim, stage/reference) and propagate them backward. Yields
+/// every stage's [`TileRegion`] per tile.
+///
+/// `live_out[s]` marks stages whose full domain must be produced.
+pub fn tile_walk<'a>(
+    stages: &'a [GroupStage],
+    edges: &'a [GroupEdge],
+    ref_stage: usize,
+    scales: &'a [Vec<Ratio>],
+    live_out: &'a [bool],
+    tile_sizes: &[i64],
+) -> impl ExactSizeIterator<Item = Vec<TileRegion>> + 'a {
+    let tiles = tile_partition(&stages[ref_stage].domain, tile_sizes);
+    tiles.into_iter().map(move |tile| {
+        let tile_stages: Vec<GroupStage> = stages
+            .iter()
+            .enumerate()
+            .map(|(i, s)| GroupStage {
+                domain: s.domain.clone(),
+                owned: if live_out[i] {
+                    owned_region(&tile, &scales[i], &s.domain)
+                } else {
+                    BoxDomain::empty(s.domain.ndims())
+                },
+            })
+            .collect();
+        let regions = propagate_regions(&tile_stages, edges);
+        tile_stages
+            .into_iter()
+            .zip(regions)
+            .map(|(s, r)| TileRegion {
+                compute: r.compute,
+                owned: s.owned,
+                alloc: r.alloc,
+            })
+            .collect()
+    })
+}
+
 /// Redundant-computation statistics for one candidate grouping + tile size.
 ///
 /// `work_ratio` is total points computed across all tiles divided by the
@@ -121,12 +176,8 @@ impl TilingStats {
     }
 }
 
-/// Evaluate overlapped tiling of a group: partition the reference domain
-/// (stage `ref_stage`'s domain) with `tile_sizes`, derive owned regions for
-/// live-outs via `scales` (per stage, per dim, stage/reference), propagate
-/// regions and accumulate statistics.
-///
-/// `live_out[s]` marks stages whose full domain must be produced.
+/// Evaluate overlapped tiling of a group: accumulate statistics over its
+/// [`tile_walk`] (same arguments).
 pub fn evaluate_tiling(
     stages: &[GroupStage],
     edges: &[GroupEdge],
@@ -135,29 +186,16 @@ pub fn evaluate_tiling(
     live_out: &[bool],
     tile_sizes: &[i64],
 ) -> TilingStats {
-    let ref_domain = stages[ref_stage].domain.clone();
-    let tiles = tile_partition(&ref_domain, tile_sizes);
+    let walk = tile_walk(stages, edges, ref_stage, scales, live_out, tile_sizes);
+    let num_tiles = walk.len();
     let base_points: i64 = stages.iter().map(|s| s.domain.len()).sum();
     let mut tiled_points = 0i64;
     let mut max_tile_alloc = 0i64;
-    for tile in &tiles {
-        let tile_stages: Vec<GroupStage> = stages
-            .iter()
-            .enumerate()
-            .map(|(i, s)| GroupStage {
-                domain: s.domain.clone(),
-                owned: if live_out[i] {
-                    owned_region(tile, &scales[i], &s.domain)
-                } else {
-                    BoxDomain::empty(s.domain.ndims())
-                },
-            })
-            .collect();
-        let regions = propagate_regions(&tile_stages, edges);
+    for regions in walk {
         let mut alloc = 0i64;
-        for (i, r) in regions.iter().enumerate() {
+        for (r, live) in regions.iter().zip(live_out) {
             tiled_points += r.compute.len();
-            if !live_out[i] {
+            if !live {
                 alloc += r.alloc.len();
             }
         }
@@ -166,7 +204,7 @@ pub fn evaluate_tiling(
     TilingStats {
         tiled_points,
         base_points,
-        num_tiles: tiles.len(),
+        num_tiles,
         max_tile_alloc,
     }
 }

@@ -75,17 +75,6 @@ pub struct SpaceMut<'a> {
     pub extents: &'a [i64],
 }
 
-impl<'a> SpaceMut<'a> {
-    /// Reborrow read-only.
-    pub fn as_space(&self) -> Space<'_> {
-        Space {
-            data: self.data,
-            origin: self.origin,
-            extents: self.extents,
-        }
-    }
-}
-
 /// One input slot of a stage at execution time.
 #[derive(Clone, Copy)]
 pub enum KernelInput<'a> {
@@ -175,10 +164,12 @@ pub fn execute_stage_sel(
         origin: out.origin,
         extents: out.extents,
     });
-    execute_stage_out_sel(sel, kernel, region, dense, ins, slot_boundary);
+    execute_stage_region(sel, kernel, &region.0, dense, ins, slot_boundary);
 }
 
-/// [`execute_stage_sel`] into any [`KernelOut`].
+/// [`execute_stage_sel`] into any [`KernelOut`], over a region given as its
+/// intervals, outermost first (the tile executor keeps its boxes in fixed
+/// arrays, not in a [`BoxDomain`]).
 ///
 /// Each linear case makes one dispatch decision (`select_row`) and runs
 /// one sweep (`linear_sweep`). A non-[`Generic`](KernelImpl::Generic)
@@ -189,20 +180,6 @@ pub fn execute_stage_sel(
 /// `Generic` and reach the same row body at the scalar tier. Only the
 /// fast-math tier's results differ from the generic path's, and only on
 /// unit-stride rows.
-pub fn execute_stage_out_sel(
-    sel: KernelSel,
-    kernel: &StageKernel,
-    region: &BoxDomain,
-    out: KernelOut<'_>,
-    ins: &[KernelInput<'_>],
-    slot_boundary: &[f64],
-) {
-    execute_stage_region(sel, kernel, &region.0, out, ins, slot_boundary);
-}
-
-/// [`execute_stage_out_sel`] over a region given as its intervals, outermost
-/// first: the tile executor keeps its boxes in fixed arrays, not in a
-/// [`BoxDomain`].
 pub(crate) fn execute_stage_region(
     sel: KernelSel,
     kernel: &StageKernel,
@@ -1081,35 +1058,38 @@ fn iterate_parity(
     }
 }
 
-/// Fill every cell of `out` *outside* `inner` with `value` — the scratchpad
-/// halo initialisation (ghost/boundary ring of a tile's alloc box).
+/// Fill every cell of a dense box *outside* `inner` (global coordinates,
+/// outermost first) with `value` — a scratchpad's halo (the ghost/boundary
+/// ring of a tile's alloc box) or a full array's ghost ring, of any element
+/// type. The box holds `extents` cells from global coordinate `origin`.
 ///
-/// Only the rim `out ∖ inner` is written: whole planes and rows outside
+/// Only the rim `box ∖ inner` is written: whole planes and rows outside
 /// `inner`'s outer ranges, the two x-margins of the rows inside them, and
 /// nothing when `inner` covers the box. A 2-D box is a 3-D box with one
 /// plane.
-pub fn fill_outside(out: &mut SpaceMut<'_>, inner: &BoxDomain, value: f64) {
-    fill_rim(out, &inner.0, value);
-}
-
-/// [`fill_outside`] with `inner` given as its intervals, outermost first.
-pub(crate) fn fill_rim(out: &mut SpaceMut<'_>, inner: &[Interval], value: f64) {
-    let nd = out.origin.len();
+pub fn fill_rim<T: Copy>(
+    data: &mut [T],
+    origin: &[i64],
+    extents: &[i64],
+    inner: &[Interval],
+    value: T,
+) {
+    let nd = origin.len();
     assert!(nd == 2 || nd == 3, "unsupported rank {nd}");
-    // `inner` per axis as a half-open range of `out`-relative indices,
+    // `inner` per axis as a half-open range of box-relative indices,
     // clamped to the box; `None` when no cell of the box is inside
     let within = |d: usize| -> Option<(usize, usize)> {
-        let lo = (inner[d].lo - out.origin[d]).max(0);
-        let hi = (inner[d].hi - out.origin[d] + 1).min(out.extents[d]);
+        let lo = (inner[d].lo - origin[d]).max(0);
+        let hi = (inner[d].hi - origin[d] + 1).min(extents[d]);
         (lo < hi).then_some((lo as usize, hi as usize))
     };
-    let (ey, ex) = (out.extents[nd - 2] as usize, out.extents[nd - 1] as usize);
+    let (ey, ex) = (extents[nd - 2] as usize, extents[nd - 1] as usize);
     let (ez, zs) = match nd {
-        3 => (out.extents[0] as usize, within(0)),
+        3 => (extents[0] as usize, within(0)),
         _ => (1, Some((0, 1))),
     };
     let plane = ey * ex;
-    let data = &mut out.data[..ez * plane];
+    let data = &mut data[..ez * plane];
     let (Some((z0, z1)), Some((y0, y1)), Some((x0, x1))) = (zs, within(nd - 2), within(nd - 1))
     else {
         return data.fill(value);
@@ -1126,6 +1106,14 @@ pub(crate) fn fill_rim(out: &mut SpaceMut<'_>, inner: &[Interval], value: f64) {
             }
         }
     }
+}
+
+/// Fill the ghost ring (every cell outside the interior box `[1, e-2]`) of
+/// a dense origin-0 array.
+pub fn fill_ghost<T: Copy>(data: &mut [T], extents: &[i64], value: T) {
+    let origin = vec![0i64; extents.len()];
+    let interior: Vec<Interval> = extents.iter().map(|&e| Interval::new(1, e - 2)).collect();
+    fill_rim(data, &origin, extents, &interior, value);
 }
 
 /// Copy `region` (global coordinates) from `src` to `dst`.
@@ -1472,14 +1460,7 @@ mod tests {
         let origin = [0i64, 0];
         let ext = [5i64, 5];
         let inner = BoxDomain::new(vec![Interval::new(1, 3), Interval::new(2, 3)]);
-        {
-            let mut out = SpaceMut {
-                data: &mut buf,
-                origin: &origin,
-                extents: &ext,
-            };
-            fill_outside(&mut out, &inner, 9.0);
-        }
+        fill_rim(&mut buf, &origin, &ext, &inner.0, 9.0);
         for y in 0..5i64 {
             for x in 0..5i64 {
                 let v = buf[(y * 5 + x) as usize];
@@ -1502,14 +1483,7 @@ mod tests {
             Interval::new(1, 1),
             Interval::new(1, 1),
         ]);
-        {
-            let mut out = SpaceMut {
-                data: &mut buf,
-                origin: &origin,
-                extents: &ext,
-            };
-            fill_outside(&mut out, &inner, 0.0);
-        }
+        fill_rim(&mut buf, &origin, &ext, &inner.0, 0.0);
         assert_eq!(buf.iter().filter(|&&v| v == 1.0).count(), 1);
         assert_eq!(buf[13], 1.0);
 
@@ -1528,20 +1502,40 @@ mod tests {
         assert_eq!(dst.iter().sum::<f64>(), 1.0);
     }
 
-    /// `fill_outside` by its definition, one question per cell — the loop
-    /// the rim fill replaced.
-    fn fill_outside_per_cell(out: &mut SpaceMut<'_>, inner: &BoxDomain, value: f64) {
-        let nd = out.origin.len();
-        let cells: i64 = out.extents.iter().product();
-        for (i, v) in out.data[..cells as usize].iter_mut().enumerate() {
+    /// `fill_rim` by its definition, one question per cell — the loop the
+    /// rim fill replaced.
+    fn fill_rim_per_cell(
+        data: &mut [f64],
+        origin: &[i64],
+        extents: &[i64],
+        inner: &[Interval],
+        value: f64,
+    ) {
+        let inner = BoxDomain::new(inner.to_vec());
+        let cells: i64 = extents.iter().product();
+        for (i, v) in data[..cells as usize].iter_mut().enumerate() {
             let mut rest = i as i64;
-            let mut point = vec![0i64; nd];
-            for d in (0..nd).rev() {
-                point[d] = out.origin[d] + rest % out.extents[d];
-                rest /= out.extents[d];
+            let mut point = vec![0i64; origin.len()];
+            for d in (0..origin.len()).rev() {
+                point[d] = origin[d] + rest % extents[d];
+                rest /= extents[d];
             }
             if !inner.contains_point(&point) {
                 *v = value;
+            }
+        }
+    }
+
+    #[test]
+    fn ghost_fill_touches_only_the_ring() {
+        let ext = [4i64, 5];
+        let mut a = vec![1.0f32; 20];
+        fill_ghost(&mut a, &ext, 9.0);
+        for y in 0..4i64 {
+            for x in 0..5i64 {
+                let ghost = y == 0 || y == 3 || x == 0 || x == 4;
+                let v = a[(y * 5 + x) as usize];
+                assert_eq!(v, if ghost { 9.0 } else { 1.0 }, "({y},{x})");
             }
         }
     }
@@ -1589,11 +1583,10 @@ mod tests {
             let cells = extents.iter().product::<i64>() as usize;
             let (mut got, mut want) = (vec![sentinel; cells], vec![sentinel; cells]);
             for (buf, fill) in [
-                (&mut got, fill_outside as fn(&mut SpaceMut<'_>, &BoxDomain, f64)),
-                (&mut want, fill_outside_per_cell),
+                (&mut got, fill_rim as fn(&mut [f64], &[i64], &[i64], &[Interval], f64)),
+                (&mut want, fill_rim_per_cell),
             ] {
-                let mut out = SpaceMut { data: buf, origin, extents };
-                fill(&mut out, &inner, -2.5);
+                fill(buf, origin, extents, &inner.0, -2.5);
             }
             let bits = |b: &[f64]| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             proptest::prop_assert_eq!(

@@ -39,8 +39,6 @@ pub mod pool;
 pub mod schedule;
 pub mod tilebuf;
 
-pub use ops::overlapped::TilePlan;
+pub use kernel::fill_ghost;
 pub use pool::{BufferPool, PoolStats};
-pub use schedule::{
-    fill_ghost, BatchRhs, Engine, ExecError, ExecHooks, NoHooks, RunStats, SlotView,
-};
+pub use schedule::{BatchRhs, Engine, ExecError, ExecHooks, NoHooks, RunStats, SlotView};

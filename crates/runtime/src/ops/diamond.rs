@@ -3,14 +3,14 @@
 //! split-tiling band schedule is precomputed at lowering.
 
 use super::{panic_detail, resolve_ins, ResolvedIn};
-use crate::kernel::{execute_stage_sel, KernelInput, Space, SpaceMut};
+use crate::kernel::{execute_stage_sel, fill_ghost, KernelInput, Space, SpaceMut};
 use crate::pool::BufferPool;
-use crate::schedule::{fill_ghost, ExecError, Slot};
+use crate::schedule::{ExecError, Slot};
 use crate::tilebuf::SharedOut;
 use gmg_grid::Buffer;
 use gmg_poly::diamond::TimeBand;
 use gmg_trace::StageHandle;
-use polymg::schedule::{ExecProgram, StageExec};
+use polymg::schedule::{ExecProgram, OpInput, StageExec};
 use polymg::{FaultPlan, FaultSite};
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -43,10 +43,24 @@ pub(crate) fn run(
     let nd = domain.ndims();
 
     let spec = &program.slots[out_slot];
-    debug_assert!(
-        spec.origin.iter().all(|&o| o == 0),
-        "diamond chains assume origin-0 buffers"
-    );
+    if spec.origin.iter().any(|&o| o != 0) {
+        return Err(ExecError::PlanViolation(
+            "diamond chains assume origin-0 buffers",
+        ));
+    }
+    // step t reads op-locally only from step t-1, i.e. the other parity
+    // buffer, which is what the band schedule keeps race-free
+    for (t, st) in stages.iter().enumerate() {
+        let reads_elsewhere = st.ins.iter().any(|i| match i {
+            OpInput::Local { stage, .. } => t.checked_sub(1) != Some(*stage),
+            _ => false,
+        });
+        if reads_elsewhere {
+            return Err(ExecError::PlanViolation(
+                "diamond chain local read must target the previous step",
+            ));
+        }
+    }
     let len = spec.len();
     let ext: Vec<i64> = spec.extents.clone();
     let row_block = spec.extents[1..].iter().product::<i64>() as usize;
@@ -165,7 +179,6 @@ pub(crate) fn run(
                                         bnd.push(*b);
                                     }
                                     ResolvedIn::Local(pi, b) => {
-                                        debug_assert_eq!(*pi, t - 1);
                                         bnd.push(*b);
                                         let src = buf_of(pi % 2);
                                         // SAFETY: disjoint from all concurrent

@@ -13,10 +13,11 @@
 //! coefficient factors. This op re-checks those invariants and reports
 //! violations as `ExecError::PlanViolation` rather than computing garbage.
 
-use super::panic_detail;
+use super::{panic_detail, row_pieces};
+use crate::kernel::fill_ghost;
 use crate::pool::F32Pool;
 use crate::schedule::{ExecError, Slot};
-use crate::tilebuf::{SharedF32, SharedOut};
+use crate::tilebuf::SharedOut;
 use gmg_poly::BoxDomain;
 use gmg_trace::StageHandle;
 use polymg::schedule::{ExecProgram, OpInput, StageExec};
@@ -167,7 +168,7 @@ pub(crate) fn run(
             for (t, cs) in cstages.iter().enumerate() {
                 let t0 = tracing.then(Instant::now);
                 if t > 0 {
-                    fill_ghost_f32(&mut prev, ext, cs.prev_boundary);
+                    fill_ghost(&mut prev, ext, cs.prev_boundary);
                 }
                 let srcs: Vec<&[f32]> = std::iter::once(prev.as_slice())
                     .chain(ext_bufs.iter().map(|b| b.as_slice()))
@@ -199,18 +200,6 @@ pub(crate) fn run(
         f32_pool.deallocate(b);
     }
     result
-}
-
-/// Outer-dimension piece bounds for row-parallel loops (more pieces than
-/// workers so chunked stealing can rebalance, as in the untiled op).
-fn outer_pieces(outer: gmg_poly::Interval) -> Vec<(i64, i64)> {
-    let nthreads = rayon::current_num_threads().max(1);
-    let npieces = if nthreads > 1 { nthreads * 4 } else { 1 };
-    rayon::partition_ranges(outer.len() as usize, npieces)
-        .into_iter()
-        .filter(|r| !r.is_empty())
-        .map(|r| (outer.lo + r.start as i64, outer.lo + r.end as i64 - 1))
-        .collect()
 }
 
 /// Call `f` with the flat index of the first interior cell of every row of
@@ -254,8 +243,8 @@ fn sweep_step(
     }
     let nd = region.ndims();
     let w = region.0[nd - 1].len() as usize;
-    let shared = SharedF32::new(dst);
-    outer_pieces(region.0[0]).into_par_iter().for_each(|piece| {
+    let shared = SharedOut::new(dst);
+    row_pieces(region.0[0]).into_par_iter().for_each(|piece| {
         if chaos.should_fire(FaultSite::WorkerPanic) {
             panic!("chaos: injected worker panic");
         }
@@ -311,7 +300,7 @@ fn run_row_f32(dst: &mut [f32], bias: f32, taps: &[(f32, &[f32])]) {
 /// Parallel f64 → f32 narrowing copy (full array, ghosts included).
 fn narrow_par(dst: &mut [f32], src: &[f64], chaos: &FaultPlan) {
     debug_assert_eq!(dst.len(), src.len());
-    let shared = SharedF32::new(dst);
+    let shared = SharedOut::new(dst);
     let nthreads = rayon::current_num_threads().max(1);
     let pieces: Vec<(usize, usize)> = rayon::partition_ranges(src.len(), nthreads.max(1) * 2)
         .into_iter()
@@ -338,7 +327,7 @@ fn widen_region(out: &mut [f64], src: &[f32], region: &BoxDomain, strides: &[isi
     let nd = region.ndims();
     let w = region.0[nd - 1].len() as usize;
     let shared = SharedOut::new(out);
-    outer_pieces(region.0[0]).into_par_iter().for_each(|piece| {
+    row_pieces(region.0[0]).into_par_iter().for_each(|piece| {
         if chaos.should_fire(FaultSite::WorkerPanic) {
             panic!("chaos: injected worker panic");
         }
@@ -352,51 +341,9 @@ fn widen_region(out: &mut [f64], src: &[f32], region: &BoxDomain, strides: &[isi
     });
 }
 
-/// Fill the ghost ring (every cell outside the interior box `[1, e-2]`) of
-/// a dense f32 array — the narrow-precision sibling of
-/// [`crate::schedule::fill_ghost`].
-fn fill_ghost_f32(data: &mut [f32], extents: &[i64], value: f32) {
-    let nd = extents.len();
-    let inner = extents[nd - 1] as usize;
-    let mut coord = vec![0i64; nd - 1];
-    for row in data.chunks_mut(inner) {
-        let boundary_row = coord
-            .iter()
-            .zip(extents)
-            .any(|(&c, &e)| c == 0 || c == e - 1);
-        if boundary_row {
-            row.fill(value);
-        } else {
-            row[0] = value;
-            row[inner - 1] = value;
-        }
-        for d in (0..nd - 1).rev() {
-            coord[d] += 1;
-            if coord[d] < extents[d] {
-                break;
-            }
-            coord[d] = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ghost_fill_touches_only_the_ring() {
-        let ext = [4i64, 5];
-        let mut a = vec![1.0f32; 20];
-        fill_ghost_f32(&mut a, &ext, 9.0);
-        for y in 0..4i64 {
-            for x in 0..5i64 {
-                let ghost = y == 0 || y == 3 || x == 0 || x == 4;
-                let v = a[(y * 5 + x) as usize];
-                assert_eq!(v, if ghost { 9.0 } else { 1.0 }, "({y},{x})");
-            }
-        }
-    }
 
     #[test]
     fn row_kernel_matches_dynamic_fallback() {

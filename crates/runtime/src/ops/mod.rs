@@ -8,14 +8,12 @@
 
 pub(crate) mod diamond;
 pub(crate) mod mixed;
-pub mod overlapped;
+pub(crate) mod overlapped;
 pub(crate) mod untiled;
 
 use crate::kernel::Space;
 use crate::schedule::{ExecError, Slot};
-use gmg_poly::region::{propagate_regions, GroupEdge, GroupStage, StageRegion};
-use gmg_poly::tiling::owned_region;
-use gmg_poly::{BoxDomain, Ratio};
+use gmg_poly::Interval;
 use polymg::schedule::{ExecProgram, OpInput, StageExec};
 use std::any::Any;
 
@@ -69,28 +67,15 @@ pub(crate) fn resolve_ins<'s>(
         .collect()
 }
 
-/// Per-tile region propagation with owned regions derived from the tile.
-/// Called once per tile per engine, by the builder of an overlapped op's
-/// [`overlapped::TilePlan`].
-pub(crate) fn propagate_for_tile(
-    gstages: &[GroupStage],
-    edges: &[GroupEdge],
-    scales: &[Vec<Ratio>],
-    live_out: &[bool],
-    tile: &BoxDomain,
-) -> Vec<StageRegion> {
-    let nd = gstages[0].domain.ndims();
-    let tile_stages: Vec<GroupStage> = gstages
-        .iter()
-        .enumerate()
-        .map(|(i, s)| GroupStage {
-            domain: s.domain.clone(),
-            owned: if live_out[i] {
-                owned_region(tile, &scales[i], &s.domain)
-            } else {
-                BoxDomain::empty(nd)
-            },
-        })
-        .collect();
-    propagate_regions(&tile_stages, edges)
+/// Outer-dimension piece bounds `(lo, hi)` for a row-parallel sweep over
+/// `outer`: more pieces than workers, so the pool's chunked stealing can
+/// rebalance skewed rows (boundary-heavy stages, NUMA jitter).
+pub(crate) fn row_pieces(outer: Interval) -> Vec<(i64, i64)> {
+    let nthreads = rayon::current_num_threads().max(1);
+    let npieces = if nthreads > 1 { nthreads * 4 } else { 1 };
+    rayon::partition_ranges(outer.len() as usize, npieces)
+        .into_iter()
+        .filter(|r| !r.is_empty())
+        .map(|r| (outer.lo + r.start as i64, outer.lo + r.end as i64 - 1))
+        .collect()
 }

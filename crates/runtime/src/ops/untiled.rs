@@ -1,6 +1,6 @@
 //! `RunUntiledStage`: one full-domain sweep, parallel over outer rows.
 
-use super::{panic_detail, resolve_ins, ResolvedIn};
+use super::{panic_detail, resolve_ins, row_pieces, ResolvedIn};
 use crate::kernel::{execute_stage_sel, KernelInput, SpaceMut};
 use crate::schedule::{ExecError, Slot};
 use gmg_poly::Interval;
@@ -59,17 +59,7 @@ pub(crate) fn run(
         let row_block = ext[1..].iter().product::<i64>() as usize;
         let origin0 = spec.origin[0];
 
-        // Split interior rows into more pieces than workers: the extra
-        // granularity is what the pool's chunked stealing rebalances when
-        // rows are skewed (boundary-heavy stages, NUMA jitter).
-        let outer = stage.domain.0[0];
-        let nthreads = rayon::current_num_threads().max(1);
-        let npieces = if nthreads > 1 { nthreads * 4 } else { 1 };
-        let bounds: Vec<(i64, i64)> = rayon::partition_ranges(outer.len() as usize, npieces)
-            .into_iter()
-            .filter(|r| !r.is_empty())
-            .map(|r| (outer.lo + r.start as i64, outer.lo + r.end as i64 - 1))
-            .collect();
+        let bounds = row_pieces(stage.domain.0[0]);
         // split the buffer at row boundaries (whole outer-dim rows)
         let mut pieces: Vec<(&mut [f64], (i64, i64))> = Vec::with_capacity(bounds.len());
         let mut rest = out_data;

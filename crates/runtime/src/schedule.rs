@@ -14,16 +14,15 @@
 //! communication layer at every [`ExecOp::HaloExchange`] op.
 
 use crate::arena::ArenaPool;
-use crate::kernel::{copy_box, fill_outside, Space, SpaceMut};
-use crate::ops::overlapped::TilePlan;
+use crate::kernel::{copy_box, fill_ghost, Space, SpaceMut};
 use crate::pool::{BufferPool, F32Pool, PoolStats};
 use gmg_grid::Buffer;
-use gmg_poly::{BoxDomain, Interval};
+use gmg_poly::BoxDomain;
 use gmg_trace::{OpHandle, PoolSnapshot, StageHandle, ThreadsSnapshot, Trace};
 use polymg::schedule::{ExecOp, ExecProgram};
-use polymg::{ChaosOptions, ChaosStats, CompiledPipeline, FaultPlan, FaultSite};
+use polymg::{ChaosOptions, ChaosStats, CompiledPipeline, FaultPlan, FaultSite, TilePlan};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Statistics of one engine run.
@@ -325,11 +324,6 @@ pub struct Engine {
     op_handles: Vec<OpHandle>,
     /// Per op, per scheduled stage: interned span handles.
     stage_handles: Vec<Vec<StageHandle>>,
-    /// Per op: the per-tile geometry of an overlapped op, derived on the
-    /// op's first execution and dropped with the engine (a re-planned
-    /// session gets a fresh engine, hence fresh plans). Never set for other
-    /// ops.
-    tile_plans: Vec<OnceLock<TilePlan>>,
     /// Tile scratch: one slab per worker, as long as the widest overlapped
     /// op needs; persists across runs like the buffer pool.
     scratch: ArenaPool,
@@ -378,9 +372,7 @@ impl Engine {
             .ops
             .iter()
             .map(|op| match op {
-                ExecOp::RunOverlappedGroup {
-                    scratch_buffers, ..
-                } => scratch_buffers.iter().map(|b| b.capacity).sum(),
+                ExecOp::RunOverlappedGroup { slab, .. } => slab.scratch_len(),
                 _ => 0,
             })
             .max()
@@ -397,7 +389,6 @@ impl Engine {
             trace: Trace::disabled(),
             op_handles: vec![OpHandle::disabled(); nops],
             stage_handles: vec![Vec::new(); nops],
-            tile_plans: (0..nops).map(|_| OnceLock::new()).collect(),
             scratch: ArenaPool::new(peak_scratch, workers),
             pool_reported: PoolStats::default(),
             threads_reported: rayon::PoolCounters::default(),
@@ -498,9 +489,13 @@ impl Engine {
         &self.program
     }
 
-    /// The tile plan of op `op`: `Some` once an overlapped op has executed.
+    /// The tile plan of op `op` (`Some` for an overlapped op): fixed by the
+    /// compiler and shared with the plan.
     pub fn tile_plan(&self, op: usize) -> Option<&TilePlan> {
-        self.tile_plans.get(op)?.get()
+        match self.program.ops.get(op)? {
+            ExecOp::RunOverlappedGroup { tile_plan, .. } => Some(tile_plan),
+            _ => None,
+        }
     }
 
     /// Overwrite every resident tile-scratch cell with `value`. A tile
@@ -603,7 +598,6 @@ impl Engine {
         let f32_pool = &mut self.f32_pool;
         let op_handles = &self.op_handles;
         let stage_handles = &self.stage_handles;
-        let tile_plans = &self.tile_plans;
         let scratch = &self.scratch;
         let chaos: &FaultPlan = &self.chaos;
         let ghost_stable = &self.ghost_stable;
@@ -696,17 +690,17 @@ impl Engine {
                             stages,
                             live_out,
                             scratch_slot,
-                            scratch_buffers,
-                            geom,
+                            tile_plan,
+                            slab,
+                            ..
                         } => {
                             crate::ops::overlapped::run(
                                 program,
                                 stages,
                                 live_out,
                                 scratch_slot,
-                                scratch_buffers,
-                                geom,
-                                &tile_plans[i],
+                                tile_plan,
+                                slab,
                                 scratch,
                                 slots,
                                 &stage_handles[i],
@@ -875,17 +869,4 @@ impl Engine {
             fresh_bytes: fresh_bytes + (stats.allocated_bytes - fresh0),
         })
     }
-}
-
-/// Fill the ghost ring (all cells outside the interior box) of a dense
-/// array.
-pub fn fill_ghost(data: &mut [f64], extents: &[i64], value: f64) {
-    let origin = vec![0i64; extents.len()];
-    let interior = BoxDomain::new(extents.iter().map(|&e| Interval::new(1, e - 2)).collect());
-    let mut s = SpaceMut {
-        data,
-        origin: &origin,
-        extents,
-    };
-    fill_outside(&mut s, &interior, value);
 }

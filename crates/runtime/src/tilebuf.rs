@@ -1,7 +1,7 @@
 //! Raw-pointer plumbing for tile-parallel writes into shared output arrays.
 //!
 //! Tiles write disjoint boxes of the same array; slices cannot express that,
-//! so writers go through [`SharedOut`], which derives per-row `&mut [f64]`
+//! so writers go through [`SharedOut`], which derives per-row `&mut [T]`
 //! segments from a raw pointer. Soundness rests on the planner's owned-region
 //! partition (each output point belongs to exactly one tile — property
 //! tested in `gmg-poly::tiling` and re-asserted by the integration suite)
@@ -12,20 +12,25 @@
 use crate::kernel::Space;
 use gmg_poly::Interval;
 
-/// A shared, tile-writable view of one full array.
+/// A shared, tile-writable view of one full array of `f64` (or, for the
+/// mixed-precision chain's ping-pong buffers, `f32`).
 #[derive(Clone, Copy)]
-pub struct SharedOut {
-    ptr: *mut f64,
+pub struct SharedOut<T = f64> {
+    ptr: *mut T,
     len: usize,
 }
 
-unsafe impl Send for SharedOut {}
-unsafe impl Sync for SharedOut {}
+// SAFETY: `ptr` and `len` describe a slice its creator borrowed exclusively;
+// other threads only reach the elements through the `unsafe` segment
+// methods, whose callers guarantee disjoint concurrent segments. Writing or
+// dropping `T` there needs `T: Send`; sharing reads needs `T: Sync`.
+unsafe impl<T: Send> Send for SharedOut<T> {}
+unsafe impl<T: Send + Sync> Sync for SharedOut<T> {}
 
-impl SharedOut {
+impl<T> SharedOut<T> {
     /// Wrap an exclusive slice. The caller promises that concurrent
     /// writers touch disjoint index ranges.
-    pub fn new(data: &mut [f64]) -> Self {
+    pub fn new(data: &mut [T]) -> Self {
         SharedOut {
             ptr: data.as_mut_ptr(),
             len: data.len(),
@@ -50,7 +55,7 @@ impl SharedOut {
     /// `SharedOut` was built from (the lifetime is unconstrained by
     /// construction from a raw pointer).
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn segment<'s>(&self, off: usize, w: usize) -> &'s mut [f64] {
+    pub unsafe fn segment<'s>(&self, off: usize, w: usize) -> &'s mut [T] {
         debug_assert!(off + w <= self.len);
         std::slice::from_raw_parts_mut(self.ptr.add(off), w)
     }
@@ -60,11 +65,13 @@ impl SharedOut {
     /// # Safety
     /// No concurrent writer may overlap the segment; same lifetime
     /// caveat as [`Self::segment`].
-    pub unsafe fn read_segment<'s>(&self, off: usize, w: usize) -> &'s [f64] {
+    pub unsafe fn read_segment<'s>(&self, off: usize, w: usize) -> &'s [T] {
         debug_assert!(off + w <= self.len);
         std::slice::from_raw_parts(self.ptr.add(off), w)
     }
+}
 
+impl SharedOut {
     /// Copy `region` (global coordinates, one interval per axis) from `src`
     /// into this array, which has dense extents `extents` and origin 0.
     ///
@@ -100,49 +107,5 @@ impl SharedOut {
             }
             d => panic!("unsupported rank {d}"),
         }
-    }
-}
-
-/// A shared, row-writable view of one full `f32` array — the
-/// mixed-precision analogue of [`SharedOut`]. Workers of the mixed-chain
-/// op ([`crate::ops::mixed`]) write disjoint row blocks of one ping-pong
-/// buffer; the same disjointness contract applies.
-#[derive(Clone, Copy)]
-pub struct SharedF32 {
-    ptr: *mut f32,
-    len: usize,
-}
-
-unsafe impl Send for SharedF32 {}
-unsafe impl Sync for SharedF32 {}
-
-impl SharedF32 {
-    /// Wrap an exclusive slice. The caller promises that concurrent
-    /// writers touch disjoint index ranges.
-    pub fn new(data: &mut [f32]) -> Self {
-        SharedF32 {
-            ptr: data.as_mut_ptr(),
-            len: data.len(),
-        }
-    }
-
-    /// Length of the underlying array.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the array is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// A mutable row segment `[off, off+w)`.
-    ///
-    /// # Safety
-    /// Same contract as [`SharedOut::segment`].
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn segment<'s>(&self, off: usize, w: usize) -> &'s mut [f32] {
-        debug_assert!(off + w <= self.len);
-        std::slice::from_raw_parts_mut(self.ptr.add(off), w)
     }
 }

@@ -149,7 +149,7 @@ fn injected_arena_faults_give_every_tile_a_fresh_arena() {
         .ops
         .iter()
         .map(|op| match op {
-            ExecOp::RunOverlappedGroup { geom, .. } => geom.tiles.len() as u64,
+            ExecOp::RunOverlappedGroup { tile_plan, .. } => tile_plan.tiles() as u64,
             _ => 0,
         })
         .sum();

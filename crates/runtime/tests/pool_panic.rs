@@ -9,7 +9,7 @@ use gmg_ir::stencil::stencil_2d;
 use gmg_ir::{ParamBindings, Pipeline, StepCount};
 use gmg_runtime::{Engine, ExecError};
 use polymg::chaos::SITE_PANIC;
-use polymg::schedule::ExecOp;
+use polymg::schedule::{lower, ExecOp, OpInput};
 use polymg::{compile, ChaosOptions, PipelineOptions, Variant};
 
 fn smoother_pipeline() -> Pipeline {
@@ -139,8 +139,8 @@ fn worker_panic_leaves_engine_owned_scratch_usable() {
     assert!(
         engine.program().ops.iter().any(|op| matches!(
             op,
-            ExecOp::RunOverlappedGroup { geom, scratch_buffers, .. }
-                if geom.tiles.len() >= 4 && scratch_buffers.len() >= 2
+            ExecOp::RunOverlappedGroup { tile_plan, scratch_buffers, .. }
+                if tile_plan.tiles() >= 4 && scratch_buffers.len() >= 2
         )),
         "test premise: a multi-tile overlapped op with several scratch buffers"
     );
@@ -174,5 +174,74 @@ fn worker_panic_leaves_engine_owned_scratch_usable() {
         "recovery allocated {} slabs for 3 workers",
         created() - before
     );
+    assert_eq!(engine.pool_stats().live_bytes, 0, "no pool slot leaked");
+}
+
+/// A program reaches `Engine::from_program` without passing the compiler,
+/// so `RunDiamondChain` checks its invariants itself — origin-0 buffers, and
+/// an op-local read only of the previous step (the other parity buffer) —
+/// and reports a violation as a typed error before it allocates or starts a
+/// parallel region: the pool is left as it was, and the same malformed
+/// program fails the same way on a second run. The unmutated program runs
+/// bitwise like the compiled engine.
+#[test]
+fn malformed_diamond_chain_is_a_plan_violation() {
+    let mut o = PipelineOptions::for_variant(Variant::DtileOptPlus, 2);
+    o.threads = 3;
+    let plan = compile(&smoother_pipeline(), &ParamBindings::new(), o).unwrap();
+    let out_name = plan
+        .graph
+        .stages
+        .iter()
+        .find(|s| s.is_output)
+        .unwrap()
+        .name
+        .clone();
+    let reference = run_once(&mut Engine::new(plan.clone()), &out_name).unwrap();
+    let program = lower(&plan);
+    let chain = program
+        .ops
+        .iter()
+        .position(|op| matches!(op, ExecOp::RunDiamondChain { .. }))
+        .expect("test premise: a diamond chain");
+
+    let mut bad_origin = program.clone();
+    let ExecOp::RunDiamondChain { out_slot, .. } = &bad_origin.ops[chain] else {
+        unreachable!()
+    };
+    bad_origin.slots[*out_slot].origin[0] = 1;
+
+    let mut bad_local = program.clone();
+    let ExecOp::RunDiamondChain { stages, .. } = &mut bad_local.ops[chain] else {
+        unreachable!()
+    };
+    let last = stages.len() - 1;
+    let read = stages[last]
+        .ins
+        .iter_mut()
+        .find_map(|i| match i {
+            OpInput::Local { stage, .. } => Some(stage),
+            _ => None,
+        })
+        .expect("test premise: the last step reads the step before it");
+    *read = last - 2;
+
+    for (what, bad) in [("origin", bad_origin), ("local read", bad_local)] {
+        let mut engine = Engine::from_program(bad);
+        for attempt in 0..2 {
+            let err = run_once(&mut engine, &out_name).expect_err(what);
+            assert!(
+                matches!(err, ExecError::PlanViolation(_)),
+                "{what}, run {attempt}: expected PlanViolation, got: {err}"
+            );
+            assert_eq!(
+                engine.pool_stats().live_bytes,
+                0,
+                "{what}: pool slot leaked"
+            );
+        }
+    }
+    let mut engine = Engine::from_program(program);
+    assert_eq!(run_once(&mut engine, &out_name).unwrap(), reference);
     assert_eq!(engine.pool_stats().live_bytes, 0, "no pool slot leaked");
 }

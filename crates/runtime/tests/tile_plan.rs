@@ -1,7 +1,8 @@
-//! The engine-owned tile plan and scratch of overlapped ops:
+//! The compiled tile plans and engine-owned scratch of overlapped ops:
 //!
-//! * every tile × stage entry of a plan equals backward region propagation
-//!   recomputed here from the op's lowered geometry;
+//! * every overlapped op carries its plan before the first run, shared with
+//!   the compiled plan, and every tile × stage entry equals backward region
+//!   propagation recomputed here from the compiled groups;
 //! * scratch is never read before it is written (poisoning all of it
 //!   between cycles changes no output bit);
 //! * a warm cycle's heap allocations do not depend on the number of tiles.
@@ -9,11 +10,12 @@
 use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
 use gmg_multigrid::solver::{setup_poisson, DslRunner};
 use gmg_poly::region::{propagate_regions, GroupStage};
-use gmg_poly::tiling::owned_region;
+use gmg_poly::tiling::{owned_region, tile_partition};
 use gmg_poly::BoxDomain;
 use gmg_runtime::BatchRhs;
+use polymg::grouping::group_geometry;
 use polymg::schedule::ExecOp;
-use polymg::{PipelineOptions, Variant};
+use polymg::{GroupTiling, PipelineOptions, Variant};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -78,47 +80,62 @@ fn cycle(r: &mut DslRunner, v: &[f64], f: &[f64]) -> Vec<u64> {
 #[test]
 fn plan_equals_region_propagation() {
     for (ndims, n) in [(2, 63), (2, 255), (3, 31)] {
-        let (cfg, mut r) = runner(ndims, n);
-        let (v, f, _) = setup_poisson(&cfg);
-        for &op in &overlapped_ops(&r) {
-            assert!(r.engine().tile_plan(op).is_none(), "planned before it ran");
-        }
-        cycle(&mut r, &v, &f);
-
+        let (_, r) = runner(ndims, n);
         let engine = r.engine();
+        let ops = overlapped_ops(&r);
+        for &op in &ops {
+            assert!(
+                engine.tile_plan(op).is_some(),
+                "op {op} not planned before it ran"
+            );
+        }
+
+        // the oracle's inputs, rebuilt from the compiled plan: overlapped
+        // groups lower to overlapped ops in order
+        let compiled = engine.plan();
+        let consumers = compiled.graph.consumers();
+        let groups: Vec<_> = compiled
+            .groups
+            .iter()
+            .filter(|g| matches!(g.tiling, GroupTiling::Overlapped { .. }))
+            .collect();
+        assert_eq!(groups.len(), ops.len(), "one op per overlapped group");
         let (mut multi_tile, mut entries) = (0, 0);
-        for (i, op) in engine.program().ops.iter().enumerate() {
-            let ExecOp::RunOverlappedGroup {
-                stages,
-                live_out,
-                geom,
-                ..
-            } = op
+        for (&i, group) in ops.iter().zip(groups) {
+            let GroupTiling::Overlapped {
+                ref_stage_local,
+                tile_sizes,
+                scales,
+                tile_plan,
+            } = &group.tiling
             else {
-                assert!(engine.tile_plan(i).is_none(), "op {i} is not overlapped");
-                continue;
+                unreachable!()
             };
-            let plan = engine
-                .tile_plan(i)
-                .expect("an executed overlapped op is planned");
-            assert_eq!(plan.tiles(), geom.tiles.len());
-            assert_eq!(plan.stages(), stages.len());
+            let plan = engine.tile_plan(i).expect("an overlapped op is planned");
+            assert!(
+                std::ptr::eq(plan, &**tile_plan),
+                "op {i} copies the compiled plan's table instead of sharing it"
+            );
+            let (gstages, edges, ..) = group_geometry(&compiled.graph, &group.stages, &consumers);
+            let tiles = tile_partition(&gstages[*ref_stage_local].domain, tile_sizes);
+            assert_eq!(plan.tiles(), tiles.len());
+            assert_eq!(plan.stages(), group.stages.len());
             multi_tile += (plan.tiles() > 1) as usize;
-            for (t, tile) in geom.tiles.iter().enumerate() {
+            for (t, tile) in tiles.iter().enumerate() {
                 let owned = |s: usize| {
-                    if live_out[s] {
-                        owned_region(tile, &geom.scales[s], &geom.gstages[s].domain)
+                    if group.live_out[s] {
+                        owned_region(tile, &scales[s], &gstages[s].domain)
                     } else {
                         BoxDomain::empty(ndims)
                     }
                 };
-                let tile_stages: Vec<GroupStage> = (0..stages.len())
+                let tile_stages: Vec<GroupStage> = (0..group.stages.len())
                     .map(|s| GroupStage {
-                        domain: geom.gstages[s].domain.clone(),
+                        domain: gstages[s].domain.clone(),
                         owned: owned(s),
                     })
                     .collect();
-                let want = propagate_regions(&tile_stages, &geom.edges);
+                let want = propagate_regions(&tile_stages, &edges);
                 for (s, w) in want.iter().enumerate() {
                     let at = format!("{ndims}-D n {n} op {i} tile {t} stage {s}");
                     assert_eq!(plan.compute(t, s), w.compute, "compute, {at}");

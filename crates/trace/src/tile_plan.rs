@@ -1,14 +1,14 @@
 //! Process-wide tile-plan accounting.
 //!
-//! `gmg-runtime`'s engine plans each overlapped op once, on the op's first
-//! execution, and creates one scratch slab per worker the first time that
-//! worker runs a tile; both stay with the engine. Each of these events
-//! bumps a few relaxed atomics here — never per tile or per run. The
-//! counts are lifetime totals of the process: for one engine they are what
-//! it keeps resident, and a server whose `builds` keeps growing has
-//! sessions that are re-planning. Global statics for the same reason as
-//! [`crate::dispatch`]: every engine reports, whether or not a
-//! [`crate::Trace`] is installed.
+//! `polymg`'s compiler builds one tile plan per overlapped group per
+//! compile (every engine lowered from the plan shares it), and
+//! `gmg-runtime`'s engine creates one scratch slab per worker the first
+//! time that worker runs a tile. Each of these events bumps a few relaxed
+//! atomics here — never per tile or per run. The counts are lifetime
+//! totals of the process: for one compile and engine they are what stays
+//! resident, and a server whose `builds` keeps growing is recompiling.
+//! Global statics for the same reason as [`crate::dispatch`]: every compile
+//! and engine reports, whether or not a [`crate::Trace`] is installed.
 
 #[cfg(feature = "capture")]
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// The `tile_plan` block of a [`crate::Report`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TilePlanSnapshot {
-    /// Tile plans built: one per overlapped op per engine.
+    /// Tile plans built: one per overlapped group per compile.
     pub builds: u64,
     /// Tiles those plans cover.
     pub tiles: u64,
