@@ -45,6 +45,17 @@ for cfg in "V-2D-4-4-4 --n 31" "V-3D-4-4-4 --n 15"; do
   done
 done
 
+# paper experiments: `reproduce all` at smoke size must print every result
+# block (unit tests drive only fig11a, fig11b, memory and grouping), and a
+# mistyped experiment name must be a usage error, not a silent no-op
+out=$(cargo run --release -q -p gmg-bench --bin reproduce -- all --class smoke --iters 1 --repeats 1)
+blocks=$(grep -c '^== .* ==$' <<<"$out" || true)
+[ "$blocks" -eq 10 ] \
+  || { echo "ci: reproduce all printed $blocks of 10 result blocks" >&2; exit 1; }
+rc=0
+cargo run --release -q -p gmg-bench --bin reproduce -- fig9b 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "ci: reproduce fig9b exited $rc, expected 2" >&2; exit 1; }
+
 # chaos gate (DESIGN.md §12): the differential suite (random pipelines ×
 # random fault plans, plus the fixed-seed cases) must hold — bitwise after
 # recovery or a typed error, never a panic — and a CLI chaos run must

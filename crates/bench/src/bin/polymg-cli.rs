@@ -277,18 +277,12 @@ fn main() {
         };
         let (hits, misses) = polymg::PlanCache::global().counters();
         trace.record_plan_cache(hits, misses, polymg::PlanCache::global().evictions());
-        match trace.report() {
-            Some(rep) => {
-                eprint!(
-                    "{}",
-                    report::observability_dump(runner.engine_mut().plan(), &rep)
-                );
-                gmg_bench::write_or_exit(&path, &rep.to_json());
-                eprintln!(
-                    "wrote profile {path} ({profile_iters} cycles, final residual {final_res:.3e})"
-                );
-            }
-            None => eprintln!("gmg-trace built without `capture`; {path} not written"),
-        }
+        let rep = trace.report().expect("an enabled trace reports");
+        eprint!(
+            "{}",
+            report::observability_dump(runner.engine_mut().plan(), &rep)
+        );
+        gmg_bench::write_or_exit(&path, &rep.to_json());
+        eprintln!("wrote profile {path} ({profile_iters} cycles, final residual {final_res:.3e})");
     }
 }

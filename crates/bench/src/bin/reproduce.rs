@@ -6,8 +6,12 @@
 //!           [--repeats N] [--stride N] [--threads N] [--profile OUT.json]
 //!
 //! EXPERIMENT ∈ {table2, table3, fig9, fig10, fig11a, fig11b, fig12,
-//!               grouping, memory, all}   (default: all)
+//!               grouping, dot, scaling, memory, all}   (default: all;
+//!               `all` skips `scaling`)
 //! ```
+//!
+//! An unknown experiment or flag, or a missing or unparsable flag value,
+//! prints what was wrong and exits 2.
 //!
 //! `--profile OUT.json` attaches a `gmg-trace` handle to every engine the
 //! experiments build and writes the aggregated profile (per-stage times,
@@ -24,6 +28,23 @@ use gmg_bench::experiments::{
 };
 use gmg_multigrid::config::SizeClass;
 
+/// Every experiment name; `all` runs each of them but `scaling`.
+const EXPERIMENTS: [&str; 11] = [
+    "table2", "table3", "fig9", "fig10", "fig11a", "fig11b", "fig12", "grouping", "dot", "scaling",
+    "memory",
+];
+
+/// Bad input is the user's, not a bug: say which argument and why, exit 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("reproduce: {msg}");
+    std::process::exit(2);
+}
+
+/// The parsed value after `flag`, or [`fail`].
+fn value<T: std::str::FromStr>(args: &[String], i: &mut usize, flag: &str) -> T {
+    gmg_server::cli::flag_value(args, i, flag).unwrap_or_else(|e| fail(&e))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut exp = "all".to_string();
@@ -37,51 +58,24 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--class" => {
-                i += 1;
-                class = match args[i].as_str() {
-                    "smoke" => SizeClass::Smoke,
-                    "B" => SizeClass::B,
-                    "C" => SizeClass::C,
-                    "paperB" => SizeClass::PaperB,
-                    "paperC" => SizeClass::PaperC,
-                    other => panic!("unknown class '{other}'"),
-                };
-            }
-            "--iters" => {
-                i += 1;
-                iters = Some(args[i].parse().expect("--iters N"));
-            }
-            "--repeats" => {
-                i += 1;
-                repeats = args[i].parse().expect("--repeats N");
-            }
-            "--stride" => {
-                i += 1;
-                stride = args[i].parse().expect("--stride N");
-            }
-            "--threads" => {
-                i += 1;
-                threads = args[i].parse().expect("--threads N");
-            }
-            "--profile" => {
-                i += 1;
-                profile = Some(args[i].clone());
-            }
-            name if !name.starts_with("--") => exp = name.to_string(),
-            other => panic!("unknown flag '{other}'"),
+            "--class" => class = value(&args, &mut i, "--class"),
+            "--iters" => iters = Some(value(&args, &mut i, "--iters")),
+            "--repeats" => repeats = value(&args, &mut i, "--repeats"),
+            "--stride" => stride = value(&args, &mut i, "--stride"),
+            "--threads" => threads = value(&args, &mut i, "--threads"),
+            "--profile" => profile = Some(value(&args, &mut i, "--profile")),
+            name if name == "all" || EXPERIMENTS.contains(&name) => exp = name.to_string(),
+            name if !name.starts_with('-') => fail(&format!(
+                "unknown experiment {name:?}; expected all, {}",
+                EXPERIMENTS.join(", ")
+            )),
+            other => fail(&format!("unknown flag {other:?}")),
         }
         i += 1;
     }
 
     let trace = if profile.is_some() {
         let t = gmg_trace::Trace::enabled();
-        if !t.is_enabled() {
-            eprintln!(
-                "warning: --profile requested but gmg-trace was built without \
-                 the `capture` feature; the profile will be empty"
-            );
-        }
         t.set_meta("tool", "reproduce");
         t.set_meta("experiment", &exp);
         t.set_meta("class", class.tag());
@@ -149,16 +143,12 @@ fn main() {
     if let Some(path) = profile {
         let (hits, misses) = polymg::PlanCache::global().counters();
         trace.record_plan_cache(hits, misses, polymg::PlanCache::global().evictions());
-        match trace.report() {
-            Some(rep) => {
-                gmg_bench::write_or_exit(&path, &rep.to_json());
-                eprintln!(
-                    "wrote profile {path} ({} stages, {} cycles recorded)",
-                    rep.stages.len(),
-                    rep.cycles.len()
-                );
-            }
-            None => eprintln!("no profile data captured; {path} not written"),
-        }
+        let rep = trace.report().expect("--profile enables the trace");
+        gmg_bench::write_or_exit(&path, &rep.to_json());
+        eprintln!(
+            "wrote profile {path} ({} stages, {} cycles recorded)",
+            rep.stages.len(),
+            rep.cycles.len()
+        );
     }
 }

@@ -577,19 +577,15 @@ pub fn memory_report(o: &ExpOptions) -> String {
                 iters,
                 &row_trace,
             );
-            let observed = match row_trace.report() {
-                Some(rep) => {
-                    let m = polymg::report::observed_memory(runner.engine_mut().plan(), &rep);
-                    format!(
-                        " | observed: {:>7} KiB pool peak, {:.0}% pool hits",
-                        m.pool.peak_live_bytes / 1024,
-                        100.0 * m.pool_hit_rate(),
-                    )
-                }
-                // Tracing compiled out (`gmg-trace` built without `capture`).
-                None => String::new(),
-            };
-            let _ = writeln!(out, "  {:<20} {static_cols}{observed}", kind.label());
+            let rep = row_trace.report().expect("an enabled trace reports");
+            let m = polymg::report::observed_memory(runner.engine_mut().plan(), &rep);
+            let _ = writeln!(
+                out,
+                "  {:<20} {static_cols} | observed: {:>7} KiB pool peak, {:.0}% pool hits",
+                kind.label(),
+                m.pool.peak_live_bytes / 1024,
+                100.0 * m.pool_hit_rate(),
+            );
         }
     }
     out
@@ -649,7 +645,7 @@ mod tests {
         assert!(s.contains("+pooled allocation"));
         assert!(s.contains("KiB pool peak"));
         assert!(s.contains("pooled reuses"));
-        let rep = o.trace.report().expect("capture enabled by default");
+        let rep = o.trace.report().expect("an enabled trace reports");
         assert!(!rep.stages.is_empty(), "stage spans should be recorded");
         let json = rep.to_json();
         assert!(json.contains("\"pool\""));

@@ -2,8 +2,8 @@
 //!
 //! One function per table/figure of the paper's evaluation (Section 4),
 //! each printing the same rows/series the paper reports and returning
-//! structured results. The `reproduce` binary drives them; the Criterion
-//! benches under `benches/` wrap the same workloads for `cargo bench`.
+//! structured results. The `reproduce` binary drives them; `polymg-cli`
+//! compiles, inspects and serves single configurations.
 //!
 //! Scaled problem classes are used by default (this container has one core
 //! and a fraction of the paper's memory — see DESIGN.md's substitution

@@ -1,7 +1,7 @@
-//! Bad `polymg-cli` input must fail like a tool, not like a bug: an
-//! unwritable `-o` / `--profile` path and an unusable flag value each exit
-//! non-zero with the path or flag and the reason on stderr, and never
-//! panic.
+//! Bad `polymg-cli` and `reproduce` input must fail like a tool, not like
+//! a bug: an unwritable `-o` / `--profile` path, an unusable flag value and
+//! an unknown experiment each exit non-zero with the path, flag or name and
+//! the reason on stderr, and never panic.
 
 use std::process::Command;
 
@@ -43,5 +43,37 @@ fn bad_flag_values_exit_2_naming_the_flag() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(flag), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn reproduce_bad_arguments_exit_2_naming_them() {
+    let cases: [(&[&str], &str); 6] = [
+        (&["fig9b"], "fig9b"),
+        (&["fig9", "--class", "X"], "--class"),
+        (&["fig9", "--iters", "abc"], "--iters"),
+        (&["fig9", "--iters"], "--iters"),
+        (&["fig9", "--repeats", "-1"], "--repeats"),
+        (&["fig9", "--bogus"], "--bogus"),
+    ];
+    for (args, named) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(args)
+            .output()
+            .expect("run reproduce");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
+    // an unknown experiment lists the valid names
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .arg("fig9b")
+        .output()
+        .expect("run reproduce");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for name in ["all", "table2", "fig9", "fig11b", "memory"] {
+        assert!(stderr.contains(name), "{name} not listed: {stderr}");
     }
 }

@@ -45,10 +45,6 @@ impl Fnv {
         self.bytes(&v.to_le_bytes());
     }
 
-    fn f64(&mut self, v: f64) {
-        self.bytes(&v.to_bits().to_le_bytes());
-    }
-
     fn bool(&mut self, v: bool) {
         self.bytes(&[v as u8]);
     }
@@ -109,8 +105,6 @@ pub fn fingerprint_with(plan_fp: u64, options: &PipelineOptions) -> u64 {
     let mut h = Fnv(plan_fp);
     h.tag(0x04);
     h.u64(options.group_limit as u64);
-    h.tag(0x05);
-    h.f64(options.overlap_threshold);
     h.tag(0x06);
     h.u64(options.tile_sizes.len() as u64);
     for &t in &options.tile_sizes {
@@ -126,10 +120,6 @@ pub fn fingerprint_with(plan_fp: u64, options: &PipelineOptions) -> u64 {
     h.bool(options.dtile_smoother);
     h.tag(0x0b);
     h.u64(options.dtile_band as u64);
-    h.tag(0x0c);
-    h.i64(options.scratch_quantum);
-    h.tag(0x0d);
-    h.bool(options.coeff_factoring);
     h.tag(0x0e);
     h.u64(options.threads as u64);
     h.tag(0x0f);
@@ -448,10 +438,6 @@ mod tests {
         type Mutation = Box<dyn Fn(&mut PipelineOptions)>;
         let mutations: Vec<(&str, Mutation)> = vec![
             ("group_limit", Box::new(|o| o.group_limit += 1)),
-            (
-                "overlap_threshold",
-                Box::new(|o| o.overlap_threshold += 0.5),
-            ),
             ("tile_sizes", Box::new(|o| o.tile_sizes[0] += 8)),
             (
                 "intra_group_reuse",
@@ -470,11 +456,6 @@ mod tests {
                 Box::new(|o| o.dtile_smoother = !o.dtile_smoother),
             ),
             ("dtile_band", Box::new(|o| o.dtile_band += 1)),
-            ("scratch_quantum", Box::new(|o| o.scratch_quantum += 1)),
-            (
-                "coeff_factoring",
-                Box::new(|o| o.coeff_factoring = !o.coeff_factoring),
-            ),
             ("threads", Box::new(|o| o.threads += 1)),
             ("specialize", Box::new(|o| o.specialize = !o.specialize)),
             ("simd", Box::new(|o| o.simd = !o.simd)),
@@ -669,7 +650,7 @@ mod tests {
         /// fingerprint, and equal option sets always agree.
         #[test]
         fn perturbed_options_never_alias(
-            field in 1usize..16,
+            field in 1usize..13,
             delta in 1u32..9,
         ) {
             let p = tiny_pipeline("prop", 63);
@@ -679,19 +660,16 @@ mod tests {
             let d = delta as usize;
             match field {
                 1 => o.group_limit += d,
-                2 => o.overlap_threshold += delta as f64 * 0.25,
-                3 => o.tile_sizes[0] += delta as i64,
-                4 => o.intra_group_reuse = !o.intra_group_reuse,
-                5 => o.inter_group_reuse = !o.inter_group_reuse,
-                6 => o.pooled_allocation = !o.pooled_allocation,
-                7 => o.dtile_smoother = !o.dtile_smoother,
-                8 => o.dtile_band += d,
-                9 => o.scratch_quantum += delta as i64,
-                10 => o.coeff_factoring = !o.coeff_factoring,
-                11 => o.specialize = !o.specialize,
-                12 => o.simd = !o.simd,
-                13 => o.fast_math = !o.fast_math,
-                14 => o.mixed_precision = !o.mixed_precision,
+                2 => o.tile_sizes[0] += delta as i64,
+                3 => o.intra_group_reuse = !o.intra_group_reuse,
+                4 => o.inter_group_reuse = !o.inter_group_reuse,
+                5 => o.pooled_allocation = !o.pooled_allocation,
+                6 => o.dtile_smoother = !o.dtile_smoother,
+                7 => o.dtile_band += d,
+                8 => o.specialize = !o.specialize,
+                9 => o.simd = !o.simd,
+                10 => o.fast_math = !o.fast_math,
+                11 => o.mixed_precision = !o.mixed_precision,
                 _ => o.threads += d,
             }
             prop_assert_ne!(fingerprint(&p, &b, &o), fingerprint(&p, &b, &base));

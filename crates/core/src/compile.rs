@@ -16,6 +16,12 @@ use gmg_ir::{FuncKind, ParamBindings, Pipeline, StageGraph, StageId, StageKind};
 use gmg_poly::tiling::tile_walk;
 use std::sync::Arc;
 
+/// Scratchpad size-class quantum: per-stage extents are bucketed up to
+/// multiples of it before storage classes form (the paper's "±constant
+/// threshold", §3.2.1). An ablation over 1, 8 and 32 moved a smoke-size
+/// 2-D cycle by no more than run-to-run noise (EXPERIMENTS.md "Ablations").
+const SCRATCH_QUANTUM: i64 = 8;
+
 /// Compile a pipeline. Returns validation diagnostics on error.
 pub fn compile(
     pipeline: &Pipeline,
@@ -27,7 +33,7 @@ pub fn compile(
     if !errs.is_empty() {
         return Err(errs);
     }
-    let kernels = lower_all(&graph, options.coeff_factoring);
+    let kernels = lower_all(&graph);
     let grouping = auto_group(pipeline, &graph, &options);
     let groups = plan_groups(pipeline, &graph, &grouping, &options);
     let storage = plan_full_arrays(&graph, &groups, &options);
@@ -168,7 +174,7 @@ fn plan_scratchpads(
             .map(|c| pos_of(*c) as i64)
             .max()
             .unwrap_or(i as i64);
-        let key = bucket_extents(&tile_plan.max_extents(i), options.scratch_quantum);
+        let key = bucket_extents(&tile_plan.max_extents(i), SCRATCH_QUANTUM);
         items.push(RemapItem {
             time: i as i64,
             last_use: last,

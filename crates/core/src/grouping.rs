@@ -7,7 +7,7 @@
 //! limit, (b) the merge is *convex* (no dependence path leaves and re-enters
 //! the merged set — merging would otherwise create a cyclic group schedule),
 //! and (c) the redundant-computation ratio of overlap-tiling the merged
-//! group at the configured tile sizes stays below the overlap threshold.
+//! group at the configured tile sizes stays within `OVERLAP_THRESHOLD`.
 //!
 //! When diamond tiling of smoothers is requested (`polymg-dtile-opt+`),
 //! `TStencil` step chains are kept as their own groups: steps of one
@@ -19,6 +19,13 @@ use gmg_ir::{FuncKind, Pipeline, StageGraph, StageId, StageInput, StageKind};
 use gmg_poly::region::{GroupEdge, GroupStage};
 use gmg_poly::tiling::evaluate_tiling;
 use gmg_poly::{BoxDomain, Ratio};
+
+/// Largest redundant-work ratio (tiled points / base points at the
+/// configured tile sizes) a merged group may reach. The paper auto-tunes
+/// tile sizes and the grouping limit and keeps PolyMage's tolerance fixed;
+/// an ablation over 1.05–4.0 moved a smoke-size 2-D cycle by no more than
+/// run-to-run noise (EXPERIMENTS.md "Ablations").
+const OVERLAP_THRESHOLD: f64 = 2.0;
 
 /// A partition of the compute stages into fused groups, in a valid
 /// (topological) execution order.
@@ -151,6 +158,16 @@ pub fn live_stages(graph: &StageGraph) -> Vec<bool> {
 
 /// Run the greedy auto-grouping (over live compute stages only).
 pub fn auto_group(pipeline: &Pipeline, graph: &StageGraph, opts: &PipelineOptions) -> Grouping {
+    group_within(pipeline, graph, opts, OVERLAP_THRESHOLD)
+}
+
+/// [`auto_group`] with the redundant-work tolerance as a parameter.
+fn group_within(
+    pipeline: &Pipeline,
+    graph: &StageGraph,
+    opts: &PipelineOptions,
+    overlap_threshold: f64,
+) -> Grouping {
     let n = graph.stages.len();
     let consumers = graph.consumers();
     let live = live_stages(graph);
@@ -170,6 +187,7 @@ pub fn auto_group(pipeline: &Pipeline, graph: &StageGraph, opts: &PipelineOption
             pipeline,
             graph,
             opts,
+            overlap_threshold,
             &consumers,
             &mut group_of,
             &mut members,
@@ -183,6 +201,7 @@ fn greedy_merge(
     pipeline: &Pipeline,
     graph: &StageGraph,
     opts: &PipelineOptions,
+    overlap_threshold: f64,
     consumers: &[Vec<StageId>],
     group_of: &mut [Option<usize>],
     members: &mut [Vec<StageId>],
@@ -226,7 +245,7 @@ fn greedy_merge(
                     .copied()
                     .collect();
                 merged.sort();
-                if !overlap_ok(graph, opts, &merged, consumers) {
+                if !overlap_ok(graph, opts, overlap_threshold, &merged, consumers) {
                     continue;
                 }
                 // commit the merge into gc
@@ -285,12 +304,14 @@ fn is_convex_merge(graph: &StageGraph, group_of: &[Option<usize>], ga: usize, gb
     })
 }
 
-/// Does overlap-tiling the merged member set stay under the threshold?
+/// Does overlap-tiling the merged member set keep the redundant-work ratio
+/// within `threshold`?
 fn overlap_ok(
     graph: &StageGraph,
     opts: &PipelineOptions,
+    threshold: f64,
     merged: &[StageId],
-    _consumers: &[Vec<StageId>],
+    consumers: &[Vec<StageId>],
 ) -> bool {
     let ndims = graph.stage(merged[0]).domain.ndims();
     // ranks must agree within a group
@@ -300,8 +321,7 @@ fn overlap_ok(
     {
         return false;
     }
-    let outside = graph.consumers();
-    let (gstages, edges, ref_local, scales, live_out) = group_geometry(graph, merged, &outside);
+    let (gstages, edges, ref_local, scales, live_out) = group_geometry(graph, merged, consumers);
     let stats = evaluate_tiling(
         &gstages,
         &edges,
@@ -310,7 +330,7 @@ fn overlap_ok(
         &live_out,
         &opts.tiles_for_rank(ndims),
     );
-    stats.work_ratio() <= opts.overlap_threshold
+    stats.work_ratio() <= threshold
 }
 
 /// Order groups topologically (Kahn over the group DAG); stages within each
@@ -439,8 +459,7 @@ mod tests {
         let mut opts = PipelineOptions::for_variant(Variant::Opt, 2);
         // tiny tiles → huge redundancy → merging blocked
         opts.tile_sizes = vec![4, 4];
-        opts.overlap_threshold = 1.1;
-        let grouping = auto_group(&p, &g, &opts);
+        let grouping = group_within(&p, &g, &opts, 1.1);
         assert_eq!(grouping.max_group_size(), 1);
     }
 

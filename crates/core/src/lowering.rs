@@ -12,22 +12,22 @@ use gmg_ir::{linearize_with_coeffs, Stage, StageGraph, StageInput, StageKind};
 
 /// Lower every compute stage of the graph. Entry `i` is `None` for inputs.
 ///
-/// With `coeff_factoring`, taps are sorted by coefficient so the runtime
-/// can sum equal-weight taps before multiplying (the automatic form of the
+/// Linear taps are sorted by coefficient so the runtime can sum
+/// equal-weight taps before multiplying (the automatic form of the
 /// partial-sum loop bodies NPB MG hand-writes; §7 of DESIGN.md).
-pub fn lower_all(graph: &StageGraph, coeff_factoring: bool) -> Vec<Option<StageKernel>> {
+pub fn lower_all(graph: &StageGraph) -> Vec<Option<StageKernel>> {
     graph
         .stages
         .iter()
         .map(|s| match s.kind {
             StageKind::Input => None,
-            StageKind::Compute => Some(lower_stage(s, coeff_factoring)),
+            StageKind::Compute => Some(lower_stage(s)),
         })
         .collect()
 }
 
 /// Lower one stage.
-pub fn lower_stage(stage: &Stage, coeff_factoring: bool) -> StageKernel {
+pub fn lower_stage(stage: &Stage) -> StageKernel {
     let cases = stage
         .cases
         .iter()
@@ -42,11 +42,9 @@ pub fn lower_stage(stage: &Stage, coeff_factoring: bool) -> StageKernel {
                                 matches!(stage.inputs[c.slot], StageInput::Stage(_))
                             })
                     });
-                    if coeff_factoring {
-                        // stable sort keeps same-coefficient taps in
-                        // deterministic (access) order
-                        form.taps.sort_by(|a, b| a.coeff.total_cmp(&b.coeff));
-                    }
+                    // coefficient factoring; the stable sort keeps
+                    // same-coefficient taps in deterministic (access) order
+                    form.taps.sort_by(|a, b| a.coeff.total_cmp(&b.coeff));
                     KernelBody::Linear(form)
                 }
                 None => KernelBody::Interpreted(expr.clone()),
@@ -93,7 +91,7 @@ mod tests {
         );
         p.mark_output(sm);
         let g = gmg_ir::StageGraph::build(&p, &ParamBindings::new());
-        let kernels = lower_all(&g, true);
+        let kernels = lower_all(&g);
         assert!(kernels[0].is_none() && kernels[1].is_none());
         let k = kernels[2].as_ref().unwrap();
         assert_eq!(k.cases.len(), 1);
@@ -124,7 +122,7 @@ mod tests {
         );
         p.mark_output(sm);
         let g = gmg_ir::StageGraph::build(&p, &ParamBindings::new());
-        let kernels = lower_all(&g, true);
+        let kernels = lower_all(&g);
         let k = kernels[1].as_ref().unwrap();
         match &k.cases[0].body {
             KernelBody::Linear(form) => {
@@ -148,7 +146,7 @@ mod tests {
         );
         p.mark_output(sq);
         let g = gmg_ir::StageGraph::build(&p, &ParamBindings::new());
-        let kernels = lower_all(&g, true);
+        let kernels = lower_all(&g);
         let k = kernels[1].as_ref().unwrap();
         assert!(matches!(k.cases[0].body, KernelBody::Interpreted(_)));
     }
@@ -160,7 +158,7 @@ mod tests {
         let e = p.interp_fn("e", 2, 15, 1, c);
         p.mark_output(e);
         let g = gmg_ir::StageGraph::build(&p, &ParamBindings::new());
-        let kernels = lower_all(&g, true);
+        let kernels = lower_all(&g);
         let k = kernels[1].as_ref().unwrap();
         assert_eq!(k.cases.len(), 4);
         for case in &k.cases {

@@ -51,9 +51,6 @@ pub struct PipelineOptions {
     /// fused groups run overlapped (hyper-trapezoidal) tiles with
     /// scratchpads — the PolyMage strategy (§3.1).
     pub group_limit: usize,
-    /// Maximum tolerated redundant-work ratio for a merged group
-    /// (tiled points / base points) at the configured tile sizes.
-    pub overlap_threshold: f64,
     /// Tile sizes, outermost dimension first. Interpreted for the pipeline's
     /// rank (first 2 entries for 2-D, first 3 for 3-D).
     pub tile_sizes: Vec<i64>,
@@ -67,15 +64,6 @@ pub struct PipelineOptions {
     pub dtile_smoother: bool,
     /// Time-band height for diamond/split tiling.
     pub dtile_band: usize,
-    /// Scratchpad size-class threshold: extents are bucketed to multiples of
-    /// this quantum when forming storage classes (the paper's "±constant
-    /// threshold").
-    pub scratch_quantum: i64,
-    /// Coefficient factoring: sort lowered taps by coefficient so the
-    /// runtime can sum equal-weight taps before multiplying — the automatic
-    /// form of NPB MG's hand-written partial-sum loop bodies. Changes
-    /// floating-point association (results differ at round-off level).
-    pub coeff_factoring: bool,
     /// Worker threads for the runtime.
     pub threads: usize,
     /// Emit specialized unrolled kernels for recognised constant-coefficient
@@ -116,15 +104,12 @@ impl PipelineOptions {
     pub fn for_variant(v: Variant, ndims: usize) -> Self {
         let base = PipelineOptions {
             group_limit: 6,
-            overlap_threshold: 2.0,
             tile_sizes: default_tiles(ndims),
             intra_group_reuse: false,
             inter_group_reuse: false,
             pooled_allocation: false,
             dtile_smoother: false,
             dtile_band: 4,
-            scratch_quantum: 8,
-            coeff_factoring: true,
             threads: 0, // 0 = runtime default
             specialize: true,
             simd: true,
@@ -182,9 +167,6 @@ impl PipelineOptions {
         }
         if self.dtile_smoother {
             parts.push(format!("dtile{}", self.dtile_band));
-        }
-        if !self.coeff_factoring {
-            parts.push("nocf".to_string());
         }
         if self.threads > 0 {
             parts.push(format!("th{}", self.threads));

@@ -304,6 +304,19 @@ impl SizeClass {
     }
 }
 
+impl std::str::FromStr for SizeClass {
+    type Err = ();
+
+    /// The inverse of [`SizeClass::tag`].
+    fn from_str(s: &str) -> Result<SizeClass, ()> {
+        use SizeClass::*;
+        [Smoke, B, C, PaperB, PaperC]
+            .into_iter()
+            .find(|c| c.tag() == s)
+            .ok_or(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +338,8 @@ mod tests {
         assert_eq!(c.tag(), "W-3D-10-0-0");
         assert_eq!(SmoothSteps::s444().tag(), "4-4-4");
         assert_eq!(CycleType::F.tag(), "F");
+        assert_eq!("paperB".parse(), Ok(SizeClass::PaperB));
+        assert_eq!("b".parse::<SizeClass>(), Err(()));
     }
 
     #[test]

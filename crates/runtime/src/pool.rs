@@ -119,7 +119,7 @@ impl BufferPool {
 }
 
 /// A size-keyed pool of `f32` scratch buffers, used by the mixed-precision
-/// chain op ([`crate::ops::mixed`]). Kept apart from [`BufferPool`] so the
+/// chain op (`ops::mixed`). Kept apart from [`BufferPool`] so the
 /// Figure-11b f64 reuse statistics stay undiluted; recycled buffers keep
 /// their previous contents — the op re-initialises ghost rings and fully
 /// overwrites every interior cell it reads.

@@ -205,16 +205,12 @@ pub fn serve_main(args: &[String]) -> i32 {
         tp.builds, tp.tiles, tp.stage_tiles, tp.plan_bytes, tp.scratch_bytes
     );
     if let Some(path) = profile {
-        match trace.report() {
-            Some(rep) => {
-                if let Err(e) = std::fs::write(&path, rep.to_json()) {
-                    eprintln!("serve: writing profile failed: {e}");
-                    return 1;
-                }
-                eprintln!("wrote profile {path}");
-            }
-            None => eprintln!("gmg-trace built without `capture`; {path} not written"),
+        let rep = trace.report().expect("--profile enables the trace");
+        if let Err(e) = std::fs::write(&path, rep.to_json()) {
+            eprintln!("serve: writing profile failed: {e}");
+            return 1;
         }
+        eprintln!("wrote profile {path}");
     }
     0
 }

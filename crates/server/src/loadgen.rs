@@ -1,7 +1,7 @@
 //! Load-generating client with end-to-end bitwise verification.
 //!
 //! For every item in the request mix the generator first computes the
-//! *expected* answer with a direct in-process [`DslRunner`] — the same
+//! *expected* answer with a direct in-process `DslRunner` — the same
 //! compiled-plan path the server uses, no network involved. It then drives
 //! N concurrent connections of mixed 2-D/3-D shapes and cycle types against
 //! the server and compares every `SOLVE_OK` response against the expected

@@ -36,7 +36,7 @@
 //! it never kills the connection, the worker, or the server. Only an
 //! unreadable *frame* closes a connection.
 //!
-//! Shutdown ([`OP_SHUTDOWN`] or [`ServerHandle::begin_shutdown`]) flips the
+//! Shutdown (`OP_SHUTDOWN` or [`ServerHandle::begin_shutdown`]) flips the
 //! drain flag and wakes every shard through its eventfd waker (no
 //! self-connection): new solves are rejected, queued and in-flight solves
 //! finish, a drain watcher marks the server drained once the last solve
@@ -160,7 +160,7 @@ pub fn shard_for_tenant(tenant: u32, nshards: usize) -> usize {
     (z % nshards as u64) as usize
 }
 
-/// Admission QoS class of a job, derived from its opcode ([`Job::class`]):
+/// Admission QoS class of a job, derived from its opcode (`Job::class`):
 /// interactive single solves are latency-sensitive, client batches are
 /// throughput work that may wait behind them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1232,9 +1232,7 @@ mod tests {
             trials: 1,
             ..Default::default()
         });
-        let Some(report) = trace.report() else {
-            return; // span capture compiled out
-        };
+        let report = trace.report().expect("an enabled trace reports");
         let doc = parse(&report.to_json()).expect("profile JSON parses");
         let members = |v: &JsonValue| -> Vec<String> {
             match v {

@@ -695,18 +695,20 @@ mod tests {
         // `(key, plan_fp)` printed by `acquire` at commit 4ba40b0, where
         // both were hashed from the pipeline's Debug rendering per request.
         // The `key` halves were re-pinned when the option fingerprint lost
-        // its tiling-mode tag (the mode was `group_limit > 1` restated);
+        // its tiling-mode tag (the mode was `group_limit > 1` restated), and
+        // again when it lost the overlap-threshold, scratch-quantum and
+        // coefficient-factoring tags (those became compiler constants);
         // `plan_fp`, the tuned-store key, hashes no option and is unchanged.
         let mgr = SessionManager::new(None, None, 1, 4);
         let n63 = MgConfig::new(2, 63, CycleType::V, SmoothSteps::s444());
         let a = mgr.acquire(&n63, Variant::OptPlus).expect("compile");
-        assert_eq!((a.key, a.plan_fp), (0xcfa7e09adbabc31b, 0x0f124bc1485f4795));
+        assert_eq!((a.key, a.plan_fp), (0x527a6ce1c4a5ff3a, 0x0f124bc1485f4795));
         let b = acquire_shape(&mgr, &cfg2d(), Scenario::VarCoef);
-        assert_eq!((b.key, b.plan_fp), (0x4a191451b6debde0, 0x2627250d7b6ed7a6));
+        assert_eq!((b.key, b.plan_fp), (0xdfc34e34ada6b861, 0x2627250d7b6ed7a6));
         let mut w3 = MgConfig::new(3, 15, CycleType::W, SmoothSteps::s1000());
         w3.levels = 3;
         let c = mgr.acquire(&w3, Variant::Opt).expect("compile");
-        assert_eq!((c.key, c.plan_fp), (0x7ebf66d2e53b1b0e, 0x613651dbe322249c));
+        assert_eq!((c.key, c.plan_fp), (0xa11119a3f894c12f, 0x613651dbe322249c));
         let mixed = ScenarioSpec {
             scenario: Scenario::Constant,
             mixed: true,
@@ -714,7 +716,7 @@ mod tests {
         let d = mgr
             .acquire_scenario(&cfg2d(), Variant::OptPlus, mixed, None)
             .expect("compile");
-        assert_eq!((d.key, d.plan_fp), (0x02a791ecedc335d3, 0x4baee4e7c333d866));
+        assert_eq!((d.key, d.plan_fp), (0xefd8d82e0d85e36e, 0x4baee4e7c333d866));
     }
 
     #[test]

@@ -237,13 +237,13 @@ fn run_trial(
     let wall_ns = t0.elapsed().as_nanos() as f64;
     // Per-op spans (the engine attributes time to each schedule op) are the
     // preferred metric: immune to setup noise around the cycle loop. Fall
-    // back to wall time if span capture is compiled out.
-    let metric = match trace.report() {
-        Some(r) if !r.ops.is_empty() => {
-            r.ops.iter().map(|o| o.ns as f64).sum::<f64>() / iters as f64
-        }
-        _ => wall_ns / iters as f64,
-    };
+    // back to wall time if no op recorded a span.
+    let ops = trace.report().expect("an enabled trace reports").ops;
+    let metric = if ops.is_empty() {
+        wall_ns
+    } else {
+        ops.iter().map(|o| o.ns as f64).sum::<f64>()
+    } / iters as f64;
     let live = runner.engine_mut().pool_stats().live_bytes as u64;
     Ok((metric, live))
 }

@@ -143,7 +143,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: a fixed size or a half-open range.
+    /// Length specification for [`vec()`]: a fixed size or a half-open range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,

@@ -6,7 +6,6 @@
 //! Global statics (rather than per-`Trace` state) keep the hot path free of
 //! any handle indirection; `reset()` lets harness sections scope the counts.
 
-#[cfg(feature = "capture")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which code path executed a kernel case.
@@ -38,34 +37,17 @@ pub const LABELS: [&str; KINDS] = [
     "varcoef",
 ];
 
-#[cfg(feature = "capture")]
 static COUNTS: [AtomicU64; KINDS] = [const { AtomicU64::new(0) }; KINDS];
 
 /// Count `n` executions of dispatch class `kind`.
 #[inline]
 pub fn record(kind: Kind, n: u64) {
-    #[cfg(feature = "capture")]
     COUNTS[kind as usize].fetch_add(n, Ordering::Relaxed);
-    #[cfg(not(feature = "capture"))]
-    {
-        let _ = (kind, n);
-    }
 }
 
 /// Current histogram, indexed like [`LABELS`].
 pub fn snapshot() -> [u64; KINDS] {
-    #[cfg(feature = "capture")]
-    {
-        let mut out = [0u64; KINDS];
-        for (o, c) in out.iter_mut().zip(COUNTS.iter()) {
-            *o = c.load(Ordering::Relaxed);
-        }
-        out
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        [0u64; KINDS]
-    }
+    load(&COUNTS)
 }
 
 /// Number of `KernelImpl` families (mirrors `polymg::specialize::KernelImpl`;
@@ -83,35 +65,18 @@ pub const IMPL_LABELS: [&str; IMPLS] = [
     "interp",
 ];
 
-#[cfg(feature = "capture")]
 static IMPL_COUNTS: [AtomicU64; IMPLS] = [const { AtomicU64::new(0) }; IMPLS];
 
 /// Count `n` case executions dispatched to kernel-impl family
 /// `impl_index` (`KernelImpl::index()`).
 #[inline]
 pub fn record_impl(impl_index: usize, n: u64) {
-    #[cfg(feature = "capture")]
     IMPL_COUNTS[impl_index].fetch_add(n, Ordering::Relaxed);
-    #[cfg(not(feature = "capture"))]
-    {
-        let _ = (impl_index, n);
-    }
 }
 
 /// Current per-kernel-impl histogram, indexed like [`IMPL_LABELS`].
 pub fn impl_snapshot() -> [u64; IMPLS] {
-    #[cfg(feature = "capture")]
-    {
-        let mut out = [0u64; IMPLS];
-        for (o, c) in out.iter_mut().zip(IMPL_COUNTS.iter()) {
-            *o = c.load(Ordering::Relaxed);
-        }
-        out
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        [0u64; IMPLS]
-    }
+    load(&IMPL_COUNTS)
 }
 
 /// Number of implementation tiers (mirrors `polymg::specialize::KernelTier`;
@@ -121,7 +86,6 @@ pub const TIERS: usize = 3;
 /// Labels indexed by `KernelTier::index()`.
 pub const TIER_LABELS: [&str; TIERS] = ["scalar", "lane_safe", "fast_math"];
 
-#[cfg(feature = "capture")]
 static TIER_COUNTS: [AtomicU64; TIERS] = [const { AtomicU64::new(0) }; TIERS];
 
 /// Count `n` case executions run at implementation tier `tier_index`
@@ -129,42 +93,21 @@ static TIER_COUNTS: [AtomicU64; TIERS] = [const { AtomicU64::new(0) }; TIERS];
 /// histograms share a total.
 #[inline]
 pub fn record_tier(tier_index: usize, n: u64) {
-    #[cfg(feature = "capture")]
     TIER_COUNTS[tier_index].fetch_add(n, Ordering::Relaxed);
-    #[cfg(not(feature = "capture"))]
-    {
-        let _ = (tier_index, n);
-    }
 }
 
 /// Current per-tier histogram, indexed like [`TIER_LABELS`].
 pub fn tier_snapshot() -> [u64; TIERS] {
-    #[cfg(feature = "capture")]
-    {
-        let mut out = [0u64; TIERS];
-        for (o, c) in out.iter_mut().zip(TIER_COUNTS.iter()) {
-            *o = c.load(Ordering::Relaxed);
-        }
-        out
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        [0u64; TIERS]
-    }
+    load(&TIER_COUNTS)
 }
 
 /// Zero all histograms (harness sections call this between experiments).
 pub fn reset() {
-    #[cfg(feature = "capture")]
-    {
-        for c in COUNTS.iter() {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in IMPL_COUNTS.iter() {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in TIER_COUNTS.iter() {
-            c.store(0, Ordering::Relaxed);
-        }
+    for c in COUNTS.iter().chain(&IMPL_COUNTS).chain(&TIER_COUNTS) {
+        c.store(0, Ordering::Relaxed);
     }
+}
+
+fn load<const N: usize>(counts: &[AtomicU64; N]) -> [u64; N] {
+    counts.each_ref().map(|c| c.load(Ordering::Relaxed))
 }

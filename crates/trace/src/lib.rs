@@ -15,10 +15,9 @@
 //! * `gmg-multigrid::solver` emits one [`CycleEvent`] (time + residual)
 //!   per multigrid cycle.
 //!
-//! The default backend is [`AtomicSink`]: plain relaxed atomics, safe to
-//! hammer from every worker thread. A [`NoopSink`] exists for plumbing
-//! tests, and compiling with `--no-default-features` (dropping the
-//! `capture` feature) turns every record path into a compile-time no-op.
+//! An enabled handle records into an [`AtomicSink`]: plain relaxed atomics,
+//! safe to hammer from every worker thread. A disabled handle (the default)
+//! reduces every record call to a `None` check.
 //!
 //! [`Report::to_json`] renders the collected data as the structured JSON
 //! emitted by `reproduce --profile` / `polymg-cli --profile` (schema in
@@ -134,10 +133,6 @@ impl ChaosSnapshot {
             .all(|s| s.armed == 0 && s.fired == 0 && s.recovered == 0)
     }
 }
-
-// ---------------------------------------------------------------------------
-// Sink trait + implementations
-// ---------------------------------------------------------------------------
 
 /// Plan-cache hit/miss/eviction counters (a snapshot of `polymg::cache`
 /// state; the trace stores the last published snapshot, it does not
@@ -355,34 +350,6 @@ impl TunerSnapshot {
     }
 }
 
-/// Backend receiving trace records. All methods must be cheap and callable
-/// concurrently from worker threads.
-pub trait TraceSink: Send + Sync {
-    fn record_span(&self, name: &str, kind: &str, ns: u64, tiles: u64, cells: u64);
-    fn record_pool(&self, delta: &PoolSnapshot);
-    fn record_arena(&self, created: u64, recycled: u64);
-    fn record_arena_workers(&self, per_worker: &[(u64, u64)]);
-    fn record_threads(&self, delta: &ThreadsSnapshot);
-    fn record_comm(&self, delta: &CommSnapshot);
-    fn record_cycle(&self, event: CycleEvent);
-    fn record_chaos(&self, delta: &ChaosSnapshot);
-}
-
-/// Sink that drops everything; useful to exercise plumbing in tests.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record_span(&self, _: &str, _: &str, _: u64, _: u64, _: u64) {}
-    fn record_pool(&self, _: &PoolSnapshot) {}
-    fn record_arena(&self, _: u64, _: u64) {}
-    fn record_arena_workers(&self, _: &[(u64, u64)]) {}
-    fn record_threads(&self, _: &ThreadsSnapshot) {}
-    fn record_comm(&self, _: &CommSnapshot) {}
-    fn record_cycle(&self, _: CycleEvent) {}
-    fn record_chaos(&self, _: &ChaosSnapshot) {}
-}
-
 /// Per-stage aggregate. Hot-path updates are relaxed atomic adds through
 /// [`StageHandle`]; names are interned once per (name, kind) pair.
 #[derive(Debug)]
@@ -443,7 +410,7 @@ impl StageAgg {
     }
 }
 
-/// The default lock-free collector. Locks are only taken when interning a
+/// The lock-free collector behind an enabled [`Trace`]. Locks are only taken when interning a
 /// new stage name or appending a cycle event — never per tile.
 #[derive(Debug, Default)]
 pub struct AtomicSink {
@@ -502,9 +469,7 @@ impl AtomicSink {
         ops.push(Arc::clone(&agg));
         agg
     }
-}
 
-impl TraceSink for AtomicSink {
     fn record_span(&self, name: &str, kind: &str, ns: u64, tiles: u64, cells: u64) {
         self.intern(name, kind).add(ns, tiles, cells);
     }
@@ -590,18 +555,10 @@ impl Trace {
         Trace { sink: None }
     }
 
-    /// A live handle backed by a fresh [`AtomicSink`]. Without the
-    /// `capture` feature this still returns a disabled handle.
+    /// A live handle backed by a fresh [`AtomicSink`].
     pub fn enabled() -> Trace {
-        #[cfg(feature = "capture")]
-        {
-            Trace {
-                sink: Some(Arc::new(AtomicSink::default())),
-            }
-        }
-        #[cfg(not(feature = "capture"))]
-        {
-            Trace { sink: None }
+        Trace {
+            sink: Some(Arc::new(AtomicSink::default())),
         }
     }
 
@@ -1103,23 +1060,6 @@ mod tests {
         assert!(s.contains("\"sessions_evicted\": 1, \"pipelines_built\": 5"));
         assert!(s.contains("\"queue_max_depth\": 4"));
         assert!(s.contains("\"evictions\""));
-    }
-
-    #[test]
-    fn noop_sink_accepts_everything() {
-        let s = NoopSink;
-        s.record_span("x", "untiled", 1, 1, 1);
-        s.record_pool(&PoolSnapshot::default());
-        s.record_arena(1, 2);
-        s.record_arena_workers(&[(1, 0)]);
-        s.record_threads(&ThreadsSnapshot::default());
-        s.record_comm(&CommSnapshot::default());
-        s.record_cycle(CycleEvent {
-            index: 0,
-            ns: 1,
-            residual: 0.0,
-        });
-        s.record_chaos(&ChaosSnapshot::default());
     }
 
     #[test]

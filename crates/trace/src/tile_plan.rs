@@ -10,7 +10,6 @@
 //! Global statics for the same reason as [`crate::dispatch`]: every compile
 //! and engine reports, whether or not a [`crate::Trace`] is installed.
 
-#[cfg(feature = "capture")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The `tile_plan` block of a [`crate::Report`].
@@ -28,57 +27,33 @@ pub struct TilePlanSnapshot {
     pub scratch_bytes: u64,
 }
 
-#[cfg(feature = "capture")]
 static BUILDS: AtomicU64 = AtomicU64::new(0);
-#[cfg(feature = "capture")]
 static TILES: AtomicU64 = AtomicU64::new(0);
-#[cfg(feature = "capture")]
 static STAGE_TILES: AtomicU64 = AtomicU64::new(0);
-#[cfg(feature = "capture")]
 static PLAN_BYTES: AtomicU64 = AtomicU64::new(0);
-#[cfg(feature = "capture")]
 static SCRATCH_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// A plan of `tiles` tiles and `stage_tiles` entries occupying `bytes` was
 /// built.
 pub fn record_plan(tiles: u64, stage_tiles: u64, bytes: u64) {
-    #[cfg(feature = "capture")]
-    {
-        BUILDS.fetch_add(1, Ordering::Relaxed);
-        TILES.fetch_add(tiles, Ordering::Relaxed);
-        STAGE_TILES.fetch_add(stage_tiles, Ordering::Relaxed);
-        PLAN_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        let _ = (tiles, stage_tiles, bytes);
-    }
+    BUILDS.fetch_add(1, Ordering::Relaxed);
+    TILES.fetch_add(tiles, Ordering::Relaxed);
+    STAGE_TILES.fetch_add(stage_tiles, Ordering::Relaxed);
+    PLAN_BYTES.fetch_add(bytes, Ordering::Relaxed);
 }
 
 /// A scratch slab of `bytes` was created.
 pub fn record_scratch(bytes: u64) {
-    #[cfg(feature = "capture")]
     SCRATCH_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    #[cfg(not(feature = "capture"))]
-    {
-        let _ = bytes;
-    }
 }
 
 /// Current totals.
 pub fn snapshot() -> TilePlanSnapshot {
-    #[cfg(feature = "capture")]
-    {
-        TilePlanSnapshot {
-            builds: BUILDS.load(Ordering::Relaxed),
-            tiles: TILES.load(Ordering::Relaxed),
-            stage_tiles: STAGE_TILES.load(Ordering::Relaxed),
-            plan_bytes: PLAN_BYTES.load(Ordering::Relaxed),
-            scratch_bytes: SCRATCH_BYTES.load(Ordering::Relaxed),
-        }
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        TilePlanSnapshot::default()
+    TilePlanSnapshot {
+        builds: BUILDS.load(Ordering::Relaxed),
+        tiles: TILES.load(Ordering::Relaxed),
+        stage_tiles: STAGE_TILES.load(Ordering::Relaxed),
+        plan_bytes: PLAN_BYTES.load(Ordering::Relaxed),
+        scratch_bytes: SCRATCH_BYTES.load(Ordering::Relaxed),
     }
 }

@@ -222,3 +222,33 @@ fn storage_monotone_across_variants() {
         );
     }
 }
+
+/// Dead-code elimination: a 10-0-0 cycle's level-1 defect and restrict
+/// feed a coarse solve with no smoothing steps, so no output reads them and
+/// they never execute; a 4-4-4 cycle has no dead stage. Pinned per cycle
+/// shape as (executed, compute stages); every variant agrees.
+#[test]
+fn dead_code_elimination_prunes_only_10_0_0_cycles() {
+    let expected = [
+        ("V", "4-4-4", (41, 41)),
+        ("V", "10-0-0", (39, 41)),
+        ("W", "4-4-4", (117, 117)),
+        ("W", "10-0-0", (83, 91)),
+        ("F", "4-4-4", (89, 89)),
+        ("F", "10-0-0", (73, 79)),
+    ];
+    let mut checked = 0;
+    for (tag, plan) in all_plans() {
+        let executed: usize = plan.groups.iter().map(|g| g.stages.len()).sum();
+        let counts = (executed, plan.graph.num_compute_stages());
+        let (_, _, want) = expected
+            .iter()
+            .find(|(cycle, steps, _)| {
+                tag.starts_with(cycle) && tag.contains(&format!("D-{steps}/"))
+            })
+            .unwrap_or_else(|| panic!("{tag}: no pinned count"));
+        assert_eq!(counts, *want, "{tag}: (executed, compute stages)");
+        checked += 1;
+    }
+    assert_eq!(checked, 2 * expected.len() * Variant::all().len());
+}
