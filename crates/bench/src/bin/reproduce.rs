@@ -15,7 +15,7 @@
 //!
 //! `--profile OUT.json` attaches a `gmg-trace` handle to every engine the
 //! experiments build and writes the aggregated profile (per-stage times,
-//! tile/cell counts, kernel-dispatch histogram, pool/arena/comm counters,
+//! tile/cell counts, kernel-dispatch histogram, pool/arena/thread counters,
 //! per-cycle residuals) as structured JSON when the run finishes. See
 //! DESIGN.md §Observability for the schema.
 //!

@@ -2,8 +2,7 @@
 //!
 //! A `FaultPlan` arms injection points threaded through the execution
 //! stack: pool/arena allocation failure, worker panics inside the
-//! work-stealing pool, per-op error injection in the VM, and drop /
-//! short-read faults in the distributed halo exchange. Decisions are a
+//! work-stealing pool, and per-op error injection in the VM. Decisions are a
 //! pure function of `(seed, site, per-site sequence number)` via
 //! splitmix64, so a given seed replays the same fault schedule on every
 //! run — the differential oracle ("recovered run is bitwise-identical to
@@ -25,10 +24,8 @@ pub const SITE_ARENA: u8 = 2;
 pub const SITE_PANIC: u8 = 4;
 /// Site bitmask: per-op error injection at op entry.
 pub const SITE_OP: u8 = 8;
-/// Site bitmask: halo message drop / short-read faults.
-pub const SITE_HALO: u8 = 16;
 /// Site bitmask: all sites.
-pub const SITE_ALL: u8 = SITE_POOL | SITE_ARENA | SITE_PANIC | SITE_OP | SITE_HALO;
+pub const SITE_ALL: u8 = SITE_POOL | SITE_ARENA | SITE_PANIC | SITE_OP;
 
 /// User-facing chaos configuration (`--chaos-seed N --chaos-rate R`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,15 +74,11 @@ pub enum FaultSite {
     /// Error injected at mixed-precision-chain-op entry (no recovery:
     /// typed error).
     OpMixed,
-    /// A halo message is dropped; recovery: bounded retry with backoff.
-    HaloDrop,
-    /// A halo message arrives truncated; recovery: resend of the row.
-    HaloShort,
 }
 
 impl FaultSite {
     /// Number of distinct sites (array sizing).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 7;
 
     /// Every site, in counter order.
     pub fn all() -> [FaultSite; Self::COUNT] {
@@ -97,8 +90,6 @@ impl FaultSite {
             FaultSite::OpOverlapped,
             FaultSite::OpDiamond,
             FaultSite::OpMixed,
-            FaultSite::HaloDrop,
-            FaultSite::HaloShort,
         ]
     }
 
@@ -112,8 +103,6 @@ impl FaultSite {
             FaultSite::OpOverlapped => 4,
             FaultSite::OpDiamond => 5,
             FaultSite::OpMixed => 6,
-            FaultSite::HaloDrop => 7,
-            FaultSite::HaloShort => 8,
         }
     }
 
@@ -127,8 +116,6 @@ impl FaultSite {
             FaultSite::OpOverlapped => "op_overlapped",
             FaultSite::OpDiamond => "op_diamond",
             FaultSite::OpMixed => "op_mixed",
-            FaultSite::HaloDrop => "halo_drop",
-            FaultSite::HaloShort => "halo_short",
         }
     }
 
@@ -142,7 +129,6 @@ impl FaultSite {
             | FaultSite::OpOverlapped
             | FaultSite::OpDiamond
             | FaultSite::OpMixed => SITE_OP,
-            FaultSite::HaloDrop | FaultSite::HaloShort => SITE_HALO,
         }
     }
 
@@ -202,13 +188,13 @@ impl ChaosStats {
 }
 
 /// A seeded, deterministic fault schedule shared by every layer of the
-/// stack (engine, pool, arena, workers, halo exchange).
+/// stack (engine, pool, arena, workers).
 ///
 /// Thread-safe: `should_fire` may be called concurrently from worker
 /// threads. The decision for the k-th consult of a site is a pure
 /// function of `(seed, site, k)`; concurrency can permute which *caller*
 /// observes which k, but the multiset of decisions per site is fixed,
-/// and on the serial sites (op entry, pool ops, halo) the mapping is
+/// and on the serial sites (op entry, pool ops) the mapping is
 /// exactly reproducible.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
@@ -344,10 +330,29 @@ mod tests {
         let a: Vec<bool> = (0..64)
             .map(|_| p.should_fire(FaultSite::PoolAlloc))
             .collect();
-        let b: Vec<bool> = (0..64)
-            .map(|_| p.should_fire(FaultSite::HaloDrop))
-            .collect();
+        let b: Vec<bool> = (0..64).map(|_| p.should_fire(FaultSite::OpMixed)).collect();
         assert_ne!(a, b, "sites must not share one stream");
+    }
+
+    /// Each site's first 64 decisions at seed 2026, rate 0.5, bit k = the
+    /// k-th consult. A site's stream is salted by its index, so renumbering
+    /// or re-salting any site moves its mask.
+    #[test]
+    fn fault_schedules_are_pinned() {
+        const PINNED: [(FaultSite, u64); FaultSite::COUNT] = [
+            (FaultSite::PoolAlloc, 0xea79_16d6_75b9_4ea7),
+            (FaultSite::ArenaAlloc, 0x5dff_ef0b_2d49_0fc0),
+            (FaultSite::WorkerPanic, 0x0ff9_c293_d62c_4166),
+            (FaultSite::OpUntiled, 0x1ace_b820_f117_fbd7),
+            (FaultSite::OpOverlapped, 0xca83_e2c5_f88b_e73f),
+            (FaultSite::OpDiamond, 0x55b0_d55a_770a_326d),
+            (FaultSite::OpMixed, 0xc1ae_f2e5_63d1_30db),
+        ];
+        let p = FaultPlan::new(ChaosOptions::new(2026, 0.5));
+        for (site, want) in PINNED {
+            let got = (0..64).fold(0u64, |m, k| m | (u64::from(p.should_fire(site)) << k));
+            assert_eq!(got, want, "{} schedule moved: {got:#018x}", site.label());
+        }
     }
 
     #[test]
@@ -355,7 +360,7 @@ mod tests {
         let p = FaultPlan::new(ChaosOptions::new(3, 1.0).with_sites(SITE_POOL));
         assert!(p.should_fire(FaultSite::PoolAlloc));
         assert!(!p.should_fire(FaultSite::WorkerPanic));
-        assert!(!p.should_fire(FaultSite::HaloDrop));
+        assert!(!p.should_fire(FaultSite::OpMixed));
         let s = p.snapshot();
         assert_eq!(s.total_armed(), 1, "masked sites must not count as armed");
         assert_eq!(s.fired[FaultSite::PoolAlloc.index()], 1);

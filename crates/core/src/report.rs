@@ -217,13 +217,6 @@ pub fn observability_dump(plan: &CompiledPipeline, report: &gmg_trace::Report) -
         tp.plan_bytes / 1024,
         tp.scratch_bytes / 1024
     );
-    if report.comm.messages > 0 {
-        let _ = writeln!(
-            out,
-            "  comm: {} messages, {} doubles, {} collectives",
-            report.comm.messages, report.comm.doubles, report.comm.collectives
-        );
-    }
     out
 }
 
@@ -479,7 +472,6 @@ mod tests {
             arena_created: 2,
             arena_recycled: 14,
             arena_workers: vec![(1, 7), (1, 7)],
-            comm: Default::default(),
             chaos: Default::default(),
             server: Default::default(),
             shards: vec![],

@@ -7,15 +7,11 @@
 //! position-independent data (the compiled plan's per-tile regions, shared
 //! rather than copied, scratch slab layouts and time-band schedules — no
 //! closures) that `gmg-runtime`'s VM interprets op by op. Making the
-//! schedule first-class buys three things:
+//! schedule first-class buys two things:
 //!
 //! * it is *inspectable* (`polymg-cli --dump-schedule`, [`ExecProgram::dump`]);
 //! * it is *instrumentable* — the VM records one trace span per op, giving
-//!   `--profile` an op-level timeline;
-//! * it is *retargetable* — a program does not have to come from `lower` at
-//!   all: `gmg-dist` assembles programs whose [`ExecOp::HaloExchange`] ops
-//!   call back into its communication layer, so distributed smoothing runs
-//!   on the same VM as shared-memory cycles.
+//!   `--profile` an op-level timeline.
 
 use crate::plan::{CompiledPipeline, GroupTiling, ScratchBufferSpec, StageKernel, TilePlan};
 use crate::specialize::{classify, unit_block, KernelImpl, KernelSel, KernelTier};
@@ -31,8 +27,8 @@ pub struct SlotSpec {
     /// Binding tag (external slots) / report name.
     pub name: String,
     /// Global coordinate of element 0, outermost first (all-zero for
-    /// shared-memory programs; distributed programs bind sub-grids whose
-    /// first stored row sits below the rank's owned range).
+    /// lowered programs; a hand-built program may bind a sub-grid that
+    /// starts elsewhere).
     pub origin: Vec<i64>,
     /// Allocation extents including the ghost ring, outermost first.
     pub extents: Vec<i64>,
@@ -212,11 +208,6 @@ pub enum ExecOp {
     },
     /// `pool_deallocate` at the §3.2.3 free point.
     PoolFree { slot: usize },
-    /// Hook into the host's communication layer (distributed programs):
-    /// exchange ghost rows to `depth` before the following sweeps. The VM
-    /// delegates to the installed `ExecHooks`; shared-memory programs never
-    /// contain this op.
-    HaloExchange { depth: usize },
 }
 
 impl ExecOp {
@@ -232,7 +223,6 @@ impl ExecOp {
             ExecOp::RunDiamondChain { .. } => "run_diamond",
             ExecOp::CopyLiveOut { .. } => "copy_live_out",
             ExecOp::PoolFree { .. } => "pool_free",
-            ExecOp::HaloExchange { .. } => "halo_exchange",
         }
     }
 
@@ -275,7 +265,6 @@ impl ExecOp {
                 acc.push(*src);
                 acc.push(*dst);
             }
-            ExecOp::HaloExchange { .. } => {}
         }
         acc.sort_unstable();
         acc.dedup();
@@ -584,7 +573,6 @@ impl ExecProgram {
                 ExecOp::CopyLiveOut { src, dst, region } => {
                     format!("%{src} -> %{dst} region {}", dom(region))
                 }
-                ExecOp::HaloExchange { depth } => format!("depth={depth}"),
             };
             s.push_str(&format!("  {i:>3}  {:<14} {detail}\n", op.mnemonic()));
         }

@@ -14,8 +14,7 @@
 //!   fallback.
 //! * [`schedule`] — the VM: binds external arrays into slots and interprets
 //!   a [`polymg::schedule::ExecProgram`] op stream, recording an op-level
-//!   trace timeline; host callbacks ([`schedule::ExecHooks`]) execute
-//!   `HaloExchange` ops for distributed programs.
+//!   trace timeline.
 //! * [`ops`] — the per-op execution bodies: untiled sweeps, overlapped
 //!   tiles in parallel with scratchpads (rayon), and diamond/split time
 //!   tiling for smoother chains.
@@ -41,4 +40,4 @@ pub mod tilebuf;
 
 pub use kernel::fill_ghost;
 pub use pool::{BufferPool, PoolStats};
-pub use schedule::{BatchRhs, Engine, ExecError, ExecHooks, NoHooks, RunStats, SlotView};
+pub use schedule::{BatchRhs, Engine, ExecError, RunStats};

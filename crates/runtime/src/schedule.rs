@@ -8,10 +8,7 @@
 //! slot lifetimes (`malloc_fresh` / `pool_alloc` / `pool_free`).
 //!
 //! Programs normally come from [`polymg::schedule::lower`], but any
-//! hand-assembled [`ExecProgram`] runs too: `gmg-dist` drives its
-//! fine-level smoother batches through [`Engine::run_with_hooks`], whose
-//! [`ExecHooks::halo_exchange`] callback reaches back into its
-//! communication layer at every [`ExecOp::HaloExchange`] op.
+//! hand-assembled [`ExecProgram`] runs too ([`Engine::from_program`]).
 
 use crate::arena::ArenaPool;
 use crate::kernel::{copy_box, fill_ghost, Space, SpaceMut};
@@ -55,9 +52,6 @@ pub enum ExecError {
     Unallocated { name: String },
     /// The program violated a schedule invariant (lowering bug).
     PlanViolation(&'static str),
-    /// The program contains a hook op the installed [`ExecHooks`] does not
-    /// implement.
-    UnsupportedHook(&'static str),
     /// A worker panicked inside a parallel section of the named op. The
     /// panic was contained to that op (slots restored, pooled buffers
     /// recovered); the engine and its pools stay usable.
@@ -68,8 +62,6 @@ pub enum ExecError {
         site: &'static str,
         op: &'static str,
     },
-    /// A halo exchange failed after exhausting its bounded retries.
-    HaloFailed { attempts: usize, detail: String },
 }
 
 impl std::fmt::Display for ExecError {
@@ -91,20 +83,11 @@ impl std::fmt::Display for ExecError {
                 write!(f, "array '{name}' used outside its allocated lifetime")
             }
             ExecError::PlanViolation(what) => write!(f, "schedule invariant violated: {what}"),
-            ExecError::UnsupportedHook(hook) => {
-                write!(f, "program needs unsupported hook '{hook}'")
-            }
             ExecError::WorkerPanicked { op, detail } => {
                 write!(f, "worker panicked in op '{op}': {detail}")
             }
             ExecError::FaultInjected { site, op } => {
                 write!(f, "injected fault at site '{site}' in op '{op}'")
-            }
-            ExecError::HaloFailed { attempts, detail } => {
-                write!(
-                    f,
-                    "halo exchange failed after {attempts} attempts: {detail}"
-                )
             }
         }
     }
@@ -146,53 +129,6 @@ impl Slot<'_> {
     }
 }
 
-/// Mutable access to program slots, handed to [`ExecHooks`] callbacks.
-pub struct SlotView<'v, 'a> {
-    slots: &'v mut [Slot<'a>],
-    program: &'v ExecProgram,
-}
-
-impl SlotView<'_, '_> {
-    /// Distinct mutable views of the given slots, in request order.
-    pub fn many_mut(&mut self, ids: &[usize]) -> Result<Vec<&mut [f64]>, ExecError> {
-        for (i, a) in ids.iter().enumerate() {
-            if ids[..i].contains(a) {
-                return Err(ExecError::PlanViolation("duplicate slot in hook request"));
-            }
-        }
-        let mut picked: Vec<Option<&mut [f64]>> = ids.iter().map(|_| None).collect();
-        for (si, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(pos) = ids.iter().position(|&id| id == si) {
-                picked[pos] = Some(slot.try_write(&self.program.slots[si].name)?);
-            }
-        }
-        picked
-            .into_iter()
-            .map(|p| p.ok_or(ExecError::PlanViolation("hook requested unknown slot")))
-            .collect()
-    }
-}
-
-/// Host callbacks for ops the VM cannot execute by itself. `Send` because
-/// the interpreter loop may run inside a dedicated rayon pool.
-pub trait ExecHooks: Send {
-    /// Execute a [`ExecOp::HaloExchange`]: exchange ghost regions to
-    /// `depth` across whatever decomposition the host maintains.
-    fn halo_exchange(
-        &mut self,
-        depth: usize,
-        slots: &mut SlotView<'_, '_>,
-    ) -> Result<(), ExecError> {
-        let _ = (depth, slots);
-        Err(ExecError::UnsupportedHook("halo_exchange"))
-    }
-}
-
-/// Hook set for programs without hook ops (every compiled pipeline).
-pub struct NoHooks;
-
-impl ExecHooks for NoHooks {}
-
 /// External bindings of one right-hand side in a batched pass (see
 /// [`Engine::run_batch`]). Each RHS binds the same external slot *names*
 /// the program declares, just to different arrays.
@@ -209,19 +145,9 @@ pub struct BatchRhs<'a> {
 /// value written before the first RHS of a batch is still in place when the
 /// next RHS starts, so the batch sweep can skip the re-fill (the interior
 /// needs no care either: the recycling invariant guarantees every interior
-/// cell is overwritten before it is read). `HaloExchange` hands slots to
-/// host hooks that write ghost rows by design, so its presence disables
-/// the analysis wholesale.
+/// cell is overwritten before it is read).
 fn ghost_stable_slots(program: &ExecProgram) -> Vec<bool> {
-    let n = program.slots.len();
-    if program
-        .ops
-        .iter()
-        .any(|op| matches!(op, ExecOp::HaloExchange { .. }))
-    {
-        return vec![false; n];
-    }
-    let mut stable = vec![true; n];
+    let mut stable = vec![true; program.slots.len()];
     let note_write = |stable: &mut Vec<bool>, slot: usize, region: &BoxDomain| {
         let spec = &program.slots[slot];
         let inside = region
@@ -332,10 +258,8 @@ pub struct Engine {
     /// Thread-pool counters already ingested into the trace (deltas per
     /// run; `workers_spawned` is reported as a level, not a delta).
     threads_reported: rayon::PoolCounters,
-    /// Armed fault schedule (disabled by default). Shared as an `Arc` so a
-    /// distributed driver can arm one plan across several engines plus its
-    /// own halo layer and read one merged set of counters.
-    chaos: Arc<FaultPlan>,
+    /// Armed fault schedule (disabled by default).
+    chaos: FaultPlan,
     /// Chaos counters already ingested into the trace (deltas per run).
     chaos_reported: ChaosStats,
     /// Per slot: ghost ring provably untouched by a program pass (see
@@ -392,7 +316,7 @@ impl Engine {
             scratch: ArenaPool::new(peak_scratch, workers),
             pool_reported: PoolStats::default(),
             threads_reported: rayon::PoolCounters::default(),
-            chaos: Arc::new(FaultPlan::disabled()),
+            chaos: FaultPlan::disabled(),
             chaos_reported: ChaosStats::default(),
             ghost_stable,
         }
@@ -460,23 +384,8 @@ impl Engine {
     /// subsequent run. Chaos is a runtime property — it never affects the
     /// compiled plan or its cache fingerprint.
     pub fn set_chaos(&mut self, opts: Option<ChaosOptions>) {
-        self.set_fault_plan(Arc::new(match opts {
-            Some(o) => FaultPlan::new(o),
-            None => FaultPlan::disabled(),
-        }));
-    }
-
-    /// Install a (possibly shared) fault plan directly. A distributed
-    /// driver arms one plan across all its engines and its halo layer so
-    /// fault decisions and counters stay globally ordered.
-    pub fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
-        self.chaos_reported = plan.snapshot();
-        self.chaos = plan;
-    }
-
-    /// The engine's current fault plan (disabled by default).
-    pub fn fault_plan(&self) -> &Arc<FaultPlan> {
-        &self.chaos
+        self.chaos = opts.map_or_else(FaultPlan::disabled, FaultPlan::new);
+        self.chaos_reported = ChaosStats::default();
     }
 
     /// Lifetime chaos counters of the installed fault plan.
@@ -536,23 +445,10 @@ impl Engine {
         inputs: &[(&str, &[f64])],
         outputs: Vec<(&str, &mut [f64])>,
     ) -> Result<RunStats, ExecError> {
-        self.run_with_hooks(inputs, outputs, &mut NoHooks)
-    }
-
-    /// [`Engine::run`] with host callbacks for hook ops.
-    pub fn run_with_hooks<H: ExecHooks>(
-        &mut self,
-        inputs: &[(&str, &[f64])],
-        outputs: Vec<(&str, &mut [f64])>,
-        hooks: &mut H,
-    ) -> Result<RunStats, ExecError> {
-        self.run_batch_with_hooks(
-            vec![BatchRhs {
-                inputs: inputs.to_vec(),
-                outputs,
-            }],
-            hooks,
-        )
+        self.run_batch(vec![BatchRhs {
+            inputs: inputs.to_vec(),
+            outputs,
+        }])
     }
 
     /// Execute one pass of the program over every RHS in `batch`
@@ -564,16 +460,7 @@ impl Engine {
     /// ghost re-fills for slots whose rings provably survive a pass. Results
     /// are bitwise-identical to running each RHS through [`Engine::run`]
     /// one at a time.
-    pub fn run_batch(&mut self, batch: Vec<BatchRhs<'_>>) -> Result<RunStats, ExecError> {
-        self.run_batch_with_hooks(batch, &mut NoHooks)
-    }
-
-    /// [`Engine::run_batch`] with host callbacks for hook ops.
-    pub fn run_batch_with_hooks<'a, H: ExecHooks>(
-        &mut self,
-        batch: Vec<BatchRhs<'a>>,
-        hooks: &mut H,
-    ) -> Result<RunStats, ExecError> {
+    pub fn run_batch<'a>(&mut self, batch: Vec<BatchRhs<'a>>) -> Result<RunStats, ExecError> {
         if batch.is_empty() {
             return Err(ExecError::PlanViolation("empty batch"));
         }
@@ -604,9 +491,8 @@ impl Engine {
         let nrhs = batch.len();
 
         let body = move |slots: &mut Vec<Slot<'a>>,
-                         pool: &mut BufferPool,
-                         hooks: &mut H|
-         -> Result<usize, ExecError> {
+                         pool: &mut BufferPool|
+              -> Result<usize, ExecError> {
             let mut fresh_bytes = 0usize;
             for (k, rhs) in batch.into_iter().enumerate() {
                 let first = k == 0;
@@ -630,11 +516,7 @@ impl Engine {
                                 // boundaries; interiors never carry data
                                 // across a pass — pooled mode recycles them
                                 // stale and stays bitwise-identical.)
-                                fill_ghost(
-                                    slots[*slot].try_write(&spec.name)?,
-                                    &spec.extents,
-                                    0.0,
-                                );
+                                fill_ghost(slots[*slot].try_write(&spec.name)?, &spec.extents, 0.0);
                             }
                         }
                         ExecOp::PoolAlloc { slot } => {
@@ -758,10 +640,6 @@ impl Engine {
                             }
                             slots[*dst] = taken;
                         }
-                        ExecOp::HaloExchange { depth } => {
-                            let mut view = SlotView { slots, program };
-                            hooks.halo_exchange(*depth, &mut view)?;
-                        }
                     }
                     if let Some(t0) = t0 {
                         oh.record(t0.elapsed().as_nanos() as u64);
@@ -772,13 +650,13 @@ impl Engine {
         };
 
         // Last line of defence: an op-level catch_unwind already contains
-        // worker panics, but a panic in serial interpreter code (or a hook)
-        // must not unwind through the caller either — the engine owns a
-        // pool whose accounting has to stay consistent.
+        // worker panics, but a panic in serial interpreter code must not
+        // unwind through the caller either — the engine owns a pool whose
+        // accounting has to stay consistent.
         let outcome: Result<usize, ExecError> =
             match catch_unwind(AssertUnwindSafe(|| match &self.rayon_pool {
-                Some(rp) => rp.install(|| body(&mut slots, pool, hooks)),
-                None => body(&mut slots, pool, hooks),
+                Some(rp) => rp.install(|| body(&mut slots, pool)),
+                None => body(&mut slots, pool),
             })) {
                 Ok(r) => r,
                 Err(p) => Err(ExecError::WorkerPanicked {
@@ -868,5 +746,71 @@ impl Engine {
             elapsed: start.elapsed(),
             fresh_bytes: fresh_bytes + (stats.allocated_bytes - fresh0),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
+    use gmg_multigrid::cycles::build_cycle_pipeline;
+    use gmg_poly::Interval;
+    use polymg::{PipelineOptions, Variant};
+
+    fn lowered(ndims: usize, variant: Variant) -> ExecProgram {
+        let n = if ndims == 2 { 31 } else { 15 };
+        let cfg = MgConfig::new(ndims, n, CycleType::V, SmoothSteps::s444());
+        let opts = PipelineOptions::for_variant(variant, ndims);
+        let pipeline = build_cycle_pipeline(&cfg);
+        let plan = polymg::compile(&pipeline, &gmg_ir::ParamBindings::new(), opts)
+            .expect("V-cycle compiles");
+        polymg::schedule::lower(&plan)
+    }
+
+    /// The slot's whole box, shrunk by `inset` cells on every side.
+    fn inset_box(spec: &polymg::SlotSpec, inset: i64) -> BoxDomain {
+        BoxDomain(
+            spec.origin
+                .iter()
+                .zip(&spec.extents)
+                .map(|(&o, &e)| Interval::new(o + inset, o + e - 1 - inset))
+                .collect(),
+        )
+    }
+
+    /// The analysis finds ghost-filled slots whose ring survives a pass (an
+    /// all-false answer would keep batches bitwise but re-fill every ring
+    /// per RHS), and withdraws stability from a slot once a live-out copy
+    /// reaches into its ring.
+    #[test]
+    fn ghost_stability_spares_filled_rings_until_a_write_reaches_them() {
+        for ndims in [2, 3] {
+            for variant in [Variant::OptPlus, Variant::DtileOptPlus] {
+                let program = lowered(ndims, variant);
+                let stable = ghost_stable_slots(&program);
+                let slot = program
+                    .ops
+                    .iter()
+                    .find_map(|op| match op {
+                        ExecOp::FillGhost { slot } if stable[*slot] => Some(*slot),
+                        _ => None,
+                    })
+                    .unwrap_or_else(|| panic!("{ndims}-D {variant:?}: no filled slot is stable"));
+
+                // the analysis reads only a copy's destination and region
+                let with_copy = |region: BoxDomain| {
+                    let mut p = program.clone();
+                    p.ops.push(ExecOp::CopyLiveOut {
+                        src: slot,
+                        dst: slot,
+                        region,
+                    });
+                    ghost_stable_slots(&p)[slot]
+                };
+                let spec = &program.slots[slot];
+                assert!(with_copy(inset_box(spec, 1)), "{ndims}-D {variant:?}");
+                assert!(!with_copy(inset_box(spec, 0)), "{ndims}-D {variant:?}");
+            }
+        }
     }
 }

@@ -14,11 +14,10 @@
 //! Safety properties (asserted by `tests/online_tuning.rs` and the ci.sh
 //! gate):
 //!
-//! - **Idle-capacity only.** A trial starts only when every shard's QoS
-//!   queues are empty and `inflight == 0`; otherwise the tuner backs off
-//!   (`deferred_busy`). `trial_queue_peak` records the queue depth observed
-//!   at each trial start and must stay 0. Trials never touch tenant
-//!   budgets or admission queues.
+//! - **Idle-capacity only.** A trial starts only when one reading finds
+//!   `inflight == 0` and every shard's QoS queues empty; otherwise the tuner
+//!   backs off (`deferred_busy`). Trials never touch tenant budgets or
+//!   admission queues.
 //! - **Bitwise-unchanged for clients.** Candidates vary tile sizes,
 //!   grouping limit and the smoother time band — schedule-only knobs — and
 //!   the scalar/lane-safe kernel tiers, which are bitwise-identical. The
@@ -101,7 +100,6 @@ pub struct Tuner {
     winners: AtomicU64,
     fingerprints: AtomicU64,
     observed: AtomicU64,
-    trial_queue_peak: AtomicU64,
     leaked_trials: AtomicU64,
 }
 
@@ -126,7 +124,6 @@ impl Tuner {
             winners: AtomicU64::new(0),
             fingerprints: AtomicU64::new(0),
             observed: AtomicU64::new(0),
-            trial_queue_peak: AtomicU64::new(0),
             leaked_trials: AtomicU64::new(0),
         }
     }
@@ -150,7 +147,6 @@ impl Tuner {
             winners: self.winners.load(Ordering::Relaxed),
             fingerprints: self.fingerprints.load(Ordering::Relaxed),
             observed: self.observed.load(Ordering::Relaxed),
-            trial_queue_peak: self.trial_queue_peak.load(Ordering::Relaxed),
             leaked_trials: self.leaked_trials.load(Ordering::Relaxed),
         }
     }
@@ -175,16 +171,10 @@ struct TuningState {
 }
 
 /// All shards idle: nothing queued, nothing executing. The gate a trial
-/// must pass to start.
+/// must pass to start, and the only time the tuner looks at the load: a
+/// second look would see requests that arrived after the gate opened.
 fn server_idle(sh: &Shared) -> bool {
     sh.inflight_now() == 0 && sh.shards.iter().all(|s| s.queues.lock().unwrap().len() == 0)
-}
-
-fn total_queued(sh: &Shared) -> u64 {
-    sh.shards
-        .iter()
-        .map(|s| s.queues.lock().unwrap().len() as u64)
-        .sum()
 }
 
 /// What a trial compiles: the observed request's scenario pipeline, over
@@ -301,9 +291,6 @@ pub(crate) fn tuner_loop(sh: Arc<Shared>) {
             finish(&tuner, pfp, st);
             continue;
         };
-        tuner
-            .trial_queue_peak
-            .fetch_max(total_queued(&sh), Ordering::Relaxed);
         match run_trial(
             &st.cfg,
             st.variant,

@@ -111,10 +111,6 @@ fn online_tuning_records_winner_and_stays_bitwise_clean() {
     assert_eq!(snap.fingerprints, 1);
     assert!(snap.observed >= 6, "workers must sample solves: {snap:?}");
     assert!(snap.trials >= 1);
-    assert_eq!(
-        snap.trial_queue_peak, 0,
-        "a trial started while requests were queued: {snap:?}"
-    );
     assert_eq!(snap.leaked_trials, 0, "trial leaked pool bytes: {snap:?}");
 
     // The winner is in the shared store with online provenance, within the
@@ -210,7 +206,6 @@ fn chaos_faulted_trials_are_discarded_typed_and_search_still_converges() {
         "chaos at this rate must fault at least one trial: {snap:?}"
     );
     assert_eq!(snap.leaked_trials, 0, "faulted trial leaked: {snap:?}");
-    assert_eq!(snap.trial_queue_peak, 0, "{snap:?}");
 
     let pfp = shape_fingerprint(&shape());
     let store = handle.tuned_store().expect("shared store");

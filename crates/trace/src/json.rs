@@ -183,10 +183,6 @@ pub(crate) fn report_to_json(r: &Report) -> String {
         tp.builds, tp.tiles, tp.stage_tiles, tp.plan_bytes, tp.scratch_bytes
     ));
     s.push_str(&format!(
-        "  \"comm\": {{\"messages\": {}, \"doubles\": {}, \"collectives\": {}}},\n",
-        r.comm.messages, r.comm.doubles, r.comm.collectives
-    ));
-    s.push_str(&format!(
         "  \"chaos\": {{\"armed\": {}, \"fired\": {}, \"recovered\": {}, \"sites\": [",
         r.chaos.total_armed(),
         r.chaos.total_fired(),

@@ -11,7 +11,6 @@
 //! * `gmg-runtime::pool` / `arena` feed allocator reuse statistics, and the
 //!   engine counts the tile plans and worker scratch it keeps in the global
 //!   [`tile_plan`] block;
-//! * `gmg-dist::halo` feeds communication volumes;
 //! * `gmg-multigrid::solver` emits one [`CycleEvent`] (time + residual)
 //!   per multigrid cycle.
 //!
@@ -77,14 +76,6 @@ pub struct ThreadsSnapshot {
     pub parks: u64,
 }
 
-/// Halo-exchange communication counters (mirrors `gmg-dist`'s `CommStats`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CommSnapshot {
-    pub messages: u64,
-    pub doubles: u64,
-    pub collectives: u64,
-}
-
 /// One multigrid cycle: wall time and the residual norm after the cycle.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CycleEvent {
@@ -94,7 +85,7 @@ pub struct CycleEvent {
 }
 
 /// Fault-injection counters for one chaos site (`polymg::chaos` sites are
-/// identified by their stable label, e.g. `"pool_alloc"`, `"halo_drop"`,
+/// identified by their stable label, e.g. `"pool_alloc"`, `"op_untiled"`,
 /// so this crate stays free of a `polymg` dependency).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChaosSiteSnapshot {
@@ -321,9 +312,6 @@ pub struct TunerSnapshot {
     pub fingerprints: u64,
     /// Live per-session solve timings sampled into tuning state.
     pub observed: u64,
-    /// High-water mark of the admission-queue depth observed at trial
-    /// start. Stays 0 if the idle gate worked: trials only start on idle.
-    pub trial_queue_peak: u64,
     /// Trials that left pool bytes live after release (leak detector; must
     /// stay 0).
     pub leaked_trials: u64,
@@ -336,7 +324,7 @@ impl TunerSnapshot {
 
     /// Every counter under its profile-JSON key (STATS prefixes `tuner_`),
     /// in output order.
-    pub fn fields(&self) -> [(&'static str, u64); 8] {
+    pub fn fields(&self) -> [(&'static str, u64); 7] {
         [
             ("trials", self.trials),
             ("discarded_faulted", self.discarded_faulted),
@@ -344,7 +332,6 @@ impl TunerSnapshot {
             ("winners", self.winners),
             ("fingerprints", self.fingerprints),
             ("observed", self.observed),
-            ("trial_queue_peak", self.trial_queue_peak),
             ("leaked_trials", self.leaked_trials),
         ]
     }
@@ -438,9 +425,6 @@ pub struct AtomicSink {
     threads_items: AtomicU64,
     threads_steals: AtomicU64,
     threads_parks: AtomicU64,
-    comm_messages: AtomicU64,
-    comm_doubles: AtomicU64,
-    comm_collectives: AtomicU64,
     cycles: Mutex<Vec<CycleEvent>>,
     chaos: Mutex<Vec<ChaosSiteSnapshot>>,
     meta: Mutex<Vec<(String, String)>>,
@@ -508,15 +492,6 @@ impl AtomicSink {
         self.threads_steals
             .fetch_add(delta.steals, Ordering::Relaxed);
         self.threads_parks.fetch_add(delta.parks, Ordering::Relaxed);
-    }
-
-    fn record_comm(&self, delta: &CommSnapshot) {
-        self.comm_messages
-            .fetch_add(delta.messages, Ordering::Relaxed);
-        self.comm_doubles
-            .fetch_add(delta.doubles, Ordering::Relaxed);
-        self.comm_collectives
-            .fetch_add(delta.collectives, Ordering::Relaxed);
     }
 
     fn record_cycle(&self, event: CycleEvent) {
@@ -650,12 +625,6 @@ impl Trace {
         }
     }
 
-    pub fn record_comm(&self, delta: &CommSnapshot) {
-        if let Some(s) = &self.sink {
-            s.record_comm(delta);
-        }
-    }
-
     pub fn record_cycle(&self, index: u64, ns: u64, residual: f64) {
         if let Some(s) = &self.sink {
             s.record_cycle(CycleEvent {
@@ -749,11 +718,6 @@ impl Trace {
             arena_created: sink.arena_created.load(Ordering::Relaxed),
             arena_recycled: sink.arena_recycled.load(Ordering::Relaxed),
             arena_workers: sink.arena_workers.lock().unwrap().clone(),
-            comm: CommSnapshot {
-                messages: sink.comm_messages.load(Ordering::Relaxed),
-                doubles: sink.comm_doubles.load(Ordering::Relaxed),
-                collectives: sink.comm_collectives.load(Ordering::Relaxed),
-            },
             chaos: ChaosSnapshot {
                 sites: sink.chaos.lock().unwrap().clone(),
             },
@@ -872,7 +836,6 @@ pub struct Report {
     pub arena_recycled: u64,
     /// Per-worker `(created, recycled)` arena counts, indexed by worker slot.
     pub arena_workers: Vec<(u64, u64)>,
-    pub comm: CommSnapshot,
     /// Fault-injection counters per chaos site (empty when chaos is off).
     pub chaos: ChaosSnapshot,
     pub cycles: Vec<CycleEvent>,
@@ -940,11 +903,6 @@ mod tests {
         t.set_meta("source", "unit-test \"quoted\"");
         t.stage("sm", "diamond").record(1_000, 4, 256);
         t.record_cycle(0, 2_000, 0.125);
-        t.record_comm(&CommSnapshot {
-            messages: 2,
-            doubles: 128,
-            collectives: 1,
-        });
         let s = t.report().unwrap().to_json();
         assert!(s.starts_with('{') && s.ends_with('}'));
         assert_eq!(s.matches('{').count(), s.matches('}').count());
@@ -962,7 +920,6 @@ mod tests {
             "\"arena\"",
             "\"workers\"",
             "\"tile_plan\"",
-            "\"comm\"",
             "\"chaos\"",
             "\"cycles\"",
         ] {
@@ -1074,7 +1031,7 @@ mod tests {
                     recovered: 2,
                 },
                 ChaosSiteSnapshot {
-                    site: "halo_drop".into(),
+                    site: "op_untiled".into(),
                     armed: 1,
                     fired: 1,
                     recovered: 1,

@@ -40,7 +40,3 @@ pub use gmg_multigrid as mg;
 
 /// The NAS MG benchmark.
 pub use gmg_nas as nas;
-
-/// Simulated distributed-memory multigrid (rank decomposition, halo
-/// exchange, communication aggregation).
-pub use gmg_dist as dist;

@@ -2,7 +2,7 @@
 //! random fault plans. The invariant is three-sided:
 //!
 //! * a run whose injected faults were all *recovered* (pool/arena
-//!   exhaustion, halo retries) is bitwise-identical to the fault-free run;
+//!   exhaustion) is bitwise-identical to the fault-free run;
 //! * an *unrecoverable* fault (op fault, worker panic) surfaces as a typed
 //!   [`ExecError`] — never a panic, never a deadlock — and the same engine
 //!   keeps working for subsequent cycles;
