@@ -1,25 +1,27 @@
-//! Flat `f64` buffers backing grids and scratchpads.
+//! Flat buffers backing grids and scratchpads: `f64`, or `f32` for the
+//! mixed-precision smoother chain's scratch.
 //!
-//! A [`Buffer`] is deliberately minimal: a length and a `Vec<f64>`. The
+//! A [`Buffer`] is deliberately minimal: a length and a `Vec<T>`. The
 //! pooled allocator in `gmg-runtime` hands these out and recycles them; the
 //! views in [`crate::view2`]/[`crate::view3`] interpret them with strides.
 
 use crate::Extents;
 
-/// A flat, heap-allocated `f64` buffer.
+/// A flat, heap-allocated buffer of `T` (`f64` unless named).
 ///
 /// Buffers are zero-initialised on creation (matching `calloc` semantics of
-/// the generated C code in the paper, and giving deterministic ghost zones).
+/// the generated C code in the paper, and giving deterministic ghost zones):
+/// every element starts as `T::default()`, which is `0.0` for the float types.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Buffer {
-    data: Vec<f64>,
+pub struct Buffer<T = f64> {
+    data: Vec<T>,
 }
 
-impl Buffer {
-    /// Allocate a zeroed buffer of `len` doubles.
+impl<T: Copy + Default> Buffer<T> {
+    /// Allocate a zeroed buffer of `len` elements.
     pub fn zeroed(len: usize) -> Self {
         Buffer {
-            data: vec![0.0; len],
+            data: vec![T::default(); len],
         }
     }
 
@@ -28,7 +30,7 @@ impl Buffer {
         Self::zeroed(extents.len())
     }
 
-    /// Length in doubles.
+    /// Length in elements.
     pub fn len(&self) -> usize {
         self.data.len()
     }
@@ -40,45 +42,45 @@ impl Buffer {
 
     /// Size in bytes (for memory accounting in the pool / figures).
     pub fn byte_len(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
+        self.data.len() * std::mem::size_of::<T>()
     }
 
     /// Immutable element slice.
-    pub fn as_slice(&self) -> &[f64] {
+    pub fn as_slice(&self) -> &[T] {
         &self.data
     }
 
     /// Mutable element slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
 
     /// Reset every element to zero (used when the pool recycles a buffer for
     /// a function whose domain does not fully overwrite it, e.g. ghost rings).
     pub fn zero_fill(&mut self) {
-        self.data.fill(0.0);
+        self.data.fill(T::default());
     }
 
-    /// Grow (never shrink) to at least `len` doubles, zeroing new space.
+    /// Grow (never shrink) to at least `len` elements, zeroing new space.
     ///
     /// The pooled allocator uses this when a storage class's size estimate
     /// was refined upward between cycles.
     pub fn ensure_len(&mut self, len: usize) {
         if self.data.len() < len {
-            self.data.resize(len, 0.0);
+            self.data.resize(len, T::default());
         }
     }
 }
 
-impl std::ops::Index<usize> for Buffer {
-    type Output = f64;
-    fn index(&self, i: usize) -> &f64 {
+impl<T> std::ops::Index<usize> for Buffer<T> {
+    type Output = T;
+    fn index(&self, i: usize) -> &T {
         &self.data[i]
     }
 }
 
-impl std::ops::IndexMut<usize> for Buffer {
-    fn index_mut(&mut self, i: usize) -> &mut f64 {
+impl<T> std::ops::IndexMut<usize> for Buffer<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
         &mut self.data[i]
     }
 }
@@ -89,16 +91,17 @@ mod tests {
 
     #[test]
     fn zeroed_is_zero() {
-        let b = Buffer::zeroed(16);
+        let b: Buffer = Buffer::zeroed(16);
         assert_eq!(b.len(), 16);
         assert!(b.as_slice().iter().all(|&v| v == 0.0));
         assert_eq!(b.byte_len(), 16 * 8);
+        assert_eq!(Buffer::<f32>::zeroed(16).byte_len(), 16 * 4);
     }
 
     #[test]
     fn for_extents_matches_len() {
         let e = Extents::new(&[3, 4, 5]);
-        let b = Buffer::for_extents(&e);
+        let b: Buffer = Buffer::for_extents(&e);
         assert_eq!(b.len(), 60);
     }
 
@@ -125,7 +128,7 @@ mod tests {
 
     #[test]
     fn empty_buffer() {
-        let b = Buffer::zeroed(0);
+        let b: Buffer = Buffer::zeroed(0);
         assert!(b.is_empty());
     }
 }

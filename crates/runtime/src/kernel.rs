@@ -6,21 +6,28 @@
 //! (origin = the tile's alloc box corner). All coordinates are global grid
 //! indices, so tap addressing is uniform regardless of where values live.
 //!
+//! The element type is a parameter ([`Elem`]): `f64` everywhere, and `f32`
+//! for the mixed-precision smoother chain, whose steps run through the same
+//! sweep and row body as every `f64` stage.
+//!
 //! Linear cases run row by row, and every row of every tier is one body,
 //! `row_body`: its tap arity is a compile-time constant, and it is generic
-//! over a *lane* (how many consecutive points one pass computes), an
-//! *accumulation rule* (how a point's terms are summed) and the source of
-//! each tap's weight and value — a literal coefficient, or `coeff · a[i]`
-//! read from a coefficient row (variable-coefficient operators):
+//! over a *lane* (how many consecutive points of which element type one
+//! pass computes), an *accumulation rule* (how a point's terms are summed)
+//! and the source of each tap's weight and value — a literal coefficient,
+//! or `coeff · a[i]` read from a coefficient row (variable-coefficient
+//! operators):
 //!
-//! | tier | unit-stride plain rows | strided / coefficient rows |
+//! | element, tier | unit-stride plain rows | strided / coefficient rows |
 //! |---|---|---|
-//! | `Scalar` (and the `Generic` tag) | lane `f64`, rule `EXACT` | lane `f64`, `EXACT` |
-//! | `LaneSafe` | lanes `[Avx2; 2]` → `Avx2` → `f64`, `EXACT` | lane `f64`, `EXACT` |
-//! | `FastMath` | lanes `[Avx2; 2]` → `Avx2` → `f64`, `FUSED` | lane `f64`, `EXACT` |
+//! | `f64`, `Scalar` (and the `Generic` tag) | lane `f64`, rule `EXACT` | lane `f64`, `EXACT` |
+//! | `f64`, `LaneSafe` | lanes `[Avx2; 2]` → `Avx2` → `f64`, `EXACT` | lane `f64`, `EXACT` |
+//! | `f64`, `FastMath` | lanes `[Avx2; 2]` → `Avx2` → `f64`, `FUSED` | lane `f64`, `EXACT` |
+//! | `f32`, any tier | lane `f32`, `EXACT` | lane `f32`, `EXACT` |
 //!
-//! (a host without AVX2+FMA runs the lane tiers at lane `f64`, `FastMath`
-//! under `UNFUSED`). Each linear case makes one dispatch decision
+//! (a host without AVX2+FMA runs the `f64` lane tiers at lane `f64`,
+//! `FastMath` under `UNFUSED`; an `f32` case runs and counts as tier
+//! `Scalar` whatever its stage's tier). Each linear case makes one dispatch decision
 //! (`select_row`) and runs one sweep (`linear_sweep`) shared by both
 //! ranks. A run-time loop (`dyn_row`) remains as the reference the body
 //! is tested against, for arities outside the 0..=28 table and for strided
@@ -34,21 +41,124 @@
 use gmg_ir::{Access, CoeffRead, Expr, LinearForm, Operand, Parity, ParityPattern};
 use gmg_poly::{div_floor, BoxDomain, Interval};
 use polymg::{KernelBody, KernelImpl, KernelSel, KernelTier, StageKernel};
+use sealed::Sealed;
+use std::ops::{Add, AddAssign, Mul};
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64 as x86;
 
+/// The element type of a kernel: `f64`, or `f32` for the mixed-precision
+/// smoother chain. Lowered biases and coefficients are `f64`; a linear case
+/// rounds them to the element type once, and the expression interpreter
+/// evaluates in `f64` and rounds each result. Sealed: these two are all.
+pub trait Elem:
+    Copy
+    + Default
+    + PartialEq
+    + Send
+    + Sync
+    + Add<Output = Self>
+    + Mul<Output = Self>
+    + AddAssign
+    + Sealed
+{
+}
+
+impl Elem for f64 {}
+impl Elem for f32 {}
+
+mod sealed {
+    /// What the kernels need of an element type beyond arithmetic, kept off
+    /// `Elem`'s public surface and closed to impls elsewhere.
+    pub trait Sealed: Sized {
+        /// Whether a linear case of this type runs its stage's tier.
+        /// `false` (`f32`): every row runs lane `f32` under `EXACT` — the
+        /// smoother chain's `acc = bias; acc += c·v` per tap in lowered
+        /// order — and never the packed lanes or coefficient factoring.
+        const TIERED: bool;
+        /// `x` rounded to this type.
+        fn of(x: f64) -> Self;
+        /// The value as `f64` (exact).
+        fn wide(self) -> f64;
+        /// `self · b + c`, rounded once.
+        fn mul_add(self, b: Self, c: Self) -> Self;
+        /// `unit_rows` over all of `out_row` on the widest packed lane the
+        /// host runs; `false`, with nothing written, where there is none
+        /// (for `f32`, anywhere).
+        ///
+        /// # Safety
+        ///
+        /// Every row holds `out_row.len()` values.
+        unsafe fn packed<const K: usize, const RULE: u8>(
+            _out_row: &mut [Self],
+            _bias: Self,
+            _rows: &[&[Self]; K],
+            _coeff: &[Self; K],
+        ) -> bool {
+            false
+        }
+    }
+}
+
+impl Sealed for f64 {
+    const TIERED: bool = true;
+    fn of(x: f64) -> f64 {
+        x
+    }
+    fn wide(self) -> f64 {
+        self
+    }
+    /// One instruction only when inlined into an `fma`-enabled function
+    /// ([`packed_unit`]'s remainder); anywhere else a libm call per tap,
+    /// which is why hosts without FMA run [`UNFUSED`] instead.
+    #[inline(always)]
+    fn mul_add(self, b: f64, c: f64) -> f64 {
+        f64::mul_add(self, b, c)
+    }
+    #[inline(always)]
+    unsafe fn packed<const K: usize, const RULE: u8>(
+        out_row: &mut [f64],
+        bias: f64,
+        rows: &[&[f64]; K],
+        coeff: &[f64; K],
+    ) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            // SAFETY: both features were just detected; the caller
+            // guarantees the rows' lengths.
+            packed_unit::<K, RULE>(out_row, bias, rows, coeff);
+            return true;
+        }
+        false
+    }
+}
+
+impl Sealed for f32 {
+    const TIERED: bool = false;
+    fn of(x: f64) -> f32 {
+        x as f32
+    }
+    fn wide(self) -> f64 {
+        f64::from(self)
+    }
+    #[inline(always)]
+    fn mul_add(self, b: f32, c: f32) -> f32 {
+        f32::mul_add(self, b, c)
+    }
+}
+
 /// A read-only execution space.
 #[derive(Clone, Copy)]
-pub struct Space<'a> {
-    pub data: &'a [f64],
+pub struct Space<'a, T = f64> {
+    pub data: &'a [T],
     /// Global coordinate of `data[0]`, outermost first.
     pub origin: &'a [i64],
     /// View extents, outermost first (row-major, densely packed).
     pub extents: &'a [i64],
 }
 
-impl<'a> Space<'a> {
+impl<T: Copy> Space<'_, T> {
     /// Flat index of a global coordinate; `None` when outside the view.
     pub fn index(&self, p: &[i64]) -> Option<usize> {
         let mut idx = 0usize;
@@ -63,22 +173,22 @@ impl<'a> Space<'a> {
     }
 
     /// Value at a global coordinate, or `boundary` outside the view.
-    pub fn at_or(&self, p: &[i64], boundary: f64) -> f64 {
+    pub fn at_or(&self, p: &[i64], boundary: T) -> T {
         self.index(p).map_or(boundary, |i| self.data[i])
     }
 }
 
 /// A mutable execution space.
-pub struct SpaceMut<'a> {
-    pub data: &'a mut [f64],
+pub struct SpaceMut<'a, T = f64> {
+    pub data: &'a mut [T],
     pub origin: &'a [i64],
     pub extents: &'a [i64],
 }
 
 /// One input slot of a stage at execution time.
 #[derive(Clone, Copy)]
-pub enum KernelInput<'a> {
-    Grid(Space<'a>),
+pub enum KernelInput<'a, T = f64> {
+    Grid(Space<'a, T>),
     /// The implicit zero grid (reads yield the boundary value 0).
     Zero,
 }
@@ -105,16 +215,16 @@ fn parity_start(lo: i64, hi: i64, p: Parity) -> Option<(i64, i64)> {
 /// concurrently — per-row segments are derived from the raw pointer, and
 /// soundness rests on the planner's owned-region partition (disjoint row
 /// segments per tile).
-pub enum KernelOut<'a> {
-    Dense(SpaceMut<'a>),
+pub enum KernelOut<'a, T = f64> {
+    Dense(SpaceMut<'a, T>),
     Shared {
-        out: crate::tilebuf::SharedOut,
+        out: crate::tilebuf::SharedOut<T>,
         /// Dense array extents; the origin is the global zero.
         extents: &'a [i64],
     },
 }
 
-impl<'a> KernelOut<'a> {
+impl<T> KernelOut<'_, T> {
     #[inline]
     fn origin(&self, d: usize) -> i64 {
         match self {
@@ -133,7 +243,7 @@ impl<'a> KernelOut<'a> {
 
     /// The row segment `[off, off+len)`.
     #[inline]
-    fn row_mut(&mut self, off: usize, len: usize) -> &mut [f64] {
+    fn row_mut(&mut self, off: usize, len: usize) -> &mut [T] {
         match self {
             KernelOut::Dense(s) => &mut s.data[off..off + len],
             // SAFETY: concurrent writers cover disjoint owned boxes (see
@@ -151,12 +261,12 @@ impl<'a> KernelOut<'a> {
 /// `slot_boundary[k]` is the ghost/boundary value of slot `k`'s producer
 /// (reads outside a producer's view resolve to it — only the interpreter
 /// path can take that branch; linear taps are in-view by construction).
-pub fn execute_stage_sel(
+pub fn execute_stage_sel<T: Elem>(
     sel: KernelSel,
     kernel: &StageKernel,
     region: &BoxDomain,
-    out: &mut SpaceMut<'_>,
-    ins: &[KernelInput<'_>],
+    out: &mut SpaceMut<'_, T>,
+    ins: &[KernelInput<'_, T>],
     slot_boundary: &[f64],
 ) {
     let dense = KernelOut::Dense(SpaceMut {
@@ -180,12 +290,12 @@ pub fn execute_stage_sel(
 /// `Generic` and reach the same row body at the scalar tier. Only the
 /// fast-math tier's results differ from the generic path's, and only on
 /// unit-stride rows.
-pub(crate) fn execute_stage_region(
+pub(crate) fn execute_stage_region<T: Elem>(
     sel: KernelSel,
     kernel: &StageKernel,
     region: &[Interval],
-    mut out: KernelOut<'_>,
-    ins: &[KernelInput<'_>],
+    mut out: KernelOut<'_, T>,
+    ins: &[KernelInput<'_, T>],
     slot_boundary: &[f64],
 ) {
     if region.iter().any(Interval::is_empty) {
@@ -212,31 +322,31 @@ pub(crate) fn execute_stage_region(
 /// the coefficient row `a` it is scaled by (`coeff` and `cf` are unused on
 /// the coefficient rows themselves).
 #[derive(Clone, Copy)]
-struct RtTap<'a> {
-    data: &'a [f64],
+struct RtTap<'a, T> {
+    data: &'a [T],
     base: usize,
     slope: usize,
-    coeff: f64,
+    coeff: T,
     /// Index into the case's coefficient rows.
     cf: Option<usize>,
 }
 
-impl<'a> RtTap<'a> {
+impl<'a, T: Copy> RtTap<'a, T> {
     #[inline(always)]
-    fn at(&self, k: usize) -> f64 {
+    fn at(&self, k: usize) -> T {
         self.data[self.base + k * self.slope]
     }
 
     /// The first `count` values of a unit-stride row.
     #[inline(always)]
-    fn unit(&self, count: usize) -> &'a [f64] {
+    fn unit(&self, count: usize) -> &'a [T] {
         &self.data[self.base..self.base + count]
     }
 }
 
 /// Row base index (everything except the innermost dim) of an access into
 /// `input` for outer coordinates `outer` (length = rank-1).
-fn tap_row_base(access: &Access, input: &Space<'_>, outer: &[i64]) -> usize {
+fn tap_row_base<T>(access: &Access, input: &Space<'_, T>, outer: &[i64]) -> usize {
     let nd = input.origin.len();
     debug_assert_eq!(outer.len(), nd - 1);
     let mut idx: i64 = 0;
@@ -265,7 +375,7 @@ fn axis_coord_delta(a: &gmg_ir::expr::AxisAccess, step: i64) -> i64 {
 }
 
 /// Innermost-dim base and slope for an access given the x start and step.
-fn tap_x_base_slope(access: &Access, input: &Space<'_>, x0: i64, sx: i64) -> (usize, usize) {
+fn tap_x_base_slope<T>(access: &Access, input: &Space<'_, T>, x0: i64, sx: i64) -> (usize, usize) {
     let nd = input.origin.len();
     let a = access.0[nd - 1];
     let first = div_floor(a.num * x0 + a.off, a.den) - input.origin[nd - 1];
@@ -281,13 +391,13 @@ fn tap_x_base_slope(access: &Access, input: &Space<'_>, x0: i64, sx: i64) -> (us
 
 /// The end of the run of adjacent equal-coefficient taps that starts at
 /// tap `from`.
-fn coeff_run_end(taps: &[RtTap<'_>], from: usize) -> usize {
+fn coeff_run_end<T: Elem>(taps: &[RtTap<'_, T>], from: usize) -> usize {
     let c = taps[from].coeff;
     from + taps[from..].iter().take_while(|t| t.coeff == c).count()
 }
 
 /// How many runs of adjacent equal-coefficient taps `taps` splits into.
-fn coeff_runs(taps: &[RtTap<'_>]) -> usize {
+fn coeff_runs<T: Elem>(taps: &[RtTap<'_, T>]) -> usize {
     let (mut runs, mut j) = (0, 0);
     while j < taps.len() {
         j = coeff_run_end(taps, j);
@@ -299,7 +409,8 @@ fn coeff_runs(taps: &[RtTap<'_>]) -> usize {
 /// The row-kernel signature: write `count` outputs spaced `out_slope` apart
 /// from `bias` plus the sums over `taps`, whose `cf` indices refer to the
 /// coefficient rows `crows`.
-type RowFn = for<'a, 'b, 'c> fn(&'a mut [f64], usize, usize, f64, &'b [RtTap<'c>], &'b [RtTap<'c>]);
+type RowFn<T> =
+    for<'a, 'b, 'c> fn(&'a mut [T], usize, usize, T, &'b [RtTap<'c, T>], &'b [RtTap<'c, T>]);
 
 /// The one dispatch decision of a linear case, made once per case execution
 /// (not per row): the row kernel its rows run, the `gmg_trace::dispatch`
@@ -310,13 +421,14 @@ type RowFn = for<'a, 'b, 'c> fn(&'a mut [f64], usize, usize, f64, &'b [RtTap<'c>
 /// A specialized family runs its tier's instance of [`row_body`]. The
 /// generic tag runs the scalar instance on unit-stride rows — plain or
 /// coefficient-scaled alike — and the run-time loop [`dyn_row`] on strided
-/// ones. Arities above the table try coefficient factoring, then `dyn_row`.
-fn select_row(
+/// ones. Arities above the table try coefficient factoring (`f64` only),
+/// then `dyn_row`.
+fn select_row<T: Elem>(
     sel: KernelSel,
     unit: bool,
-    taps: &[RtTap<'_>],
-    crows: &[RtTap<'_>],
-) -> (gmg_trace::dispatch::Kind, RowFn, bool) {
+    taps: &[RtTap<'_, T>],
+    crows: &[RtTap<'_, T>],
+) -> (gmg_trace::dispatch::Kind, RowFn<T>, bool) {
     use gmg_trace::dispatch::Kind;
     let tiered = match sel.impl_tag {
         KernelImpl::Generic => None,
@@ -328,10 +440,10 @@ fn select_row(
     };
     let (unit_kind, row) = match instance {
         Some(row) => (Kind::UnitUnrolled, row),
-        None if unit && crows.is_empty() && coeff_runs(taps) * 2 <= taps.len() => {
-            (Kind::UnitFactored, factored_row as RowFn)
+        None if T::TIERED && unit && crows.is_empty() && coeff_runs(taps) * 2 <= taps.len() => {
+            (Kind::UnitFactored, factored_row as RowFn<T>)
         }
-        None => (Kind::UnitFallback, dyn_row as RowFn),
+        None => (Kind::UnitFallback, dyn_row as RowFn<T>),
     };
     let kind = if !crows.is_empty() {
         Kind::VarCoef
@@ -347,54 +459,54 @@ fn select_row(
 // The row body: one loop, generic over arity, lane and accumulation rule
 // ---------------------------------------------------------------------------
 
-/// `W` consecutive points of a unit-stride row, computed at once. The impls
-/// below are the only per-target code: everything above them is written
-/// once against these six operations.
+/// `W` consecutive points of a unit-stride row of element type `E`,
+/// computed at once. The impls below are the only per-target code:
+/// everything above them is written once against these six operations.
 ///
 /// # Safety
 ///
 /// Every method requires a host that executes the lane's instructions
-/// (`f64`: any; [`Avx2`]: AVX2 and FMA, which [`packed_row`] detects);
-/// `load` and `store` also require `p` to be valid for `W` values.
+/// (an [`Elem`]: any; [`Avx2`]: AVX2 and FMA, which [`packed_row`]
+/// detects); `load` and `store` also require `p` to be valid for `W` values.
 trait Lane: Copy {
+    type E: Elem;
     const W: usize;
-    unsafe fn splat(x: f64) -> Self;
-    unsafe fn load(p: *const f64) -> Self;
-    unsafe fn store(self, p: *mut f64);
+    unsafe fn splat(x: Self::E) -> Self;
+    unsafe fn load(p: *const Self::E) -> Self;
+    unsafe fn store(self, p: *mut Self::E);
     unsafe fn add(self, o: Self) -> Self;
     unsafe fn mul(self, o: Self) -> Self;
     /// `self · b + c`, rounded once.
     unsafe fn fma(self, b: Self, c: Self) -> Self;
 }
 
-impl Lane for f64 {
+/// The scalar lanes, `f64` and `f32`: one point per pass.
+impl<T: Elem> Lane for T {
+    type E = T;
     const W: usize = 1;
     #[inline(always)]
-    unsafe fn splat(x: f64) -> f64 {
+    unsafe fn splat(x: T) -> T {
         x
     }
     #[inline(always)]
-    unsafe fn load(p: *const f64) -> f64 {
+    unsafe fn load(p: *const T) -> T {
         *p
     }
     #[inline(always)]
-    unsafe fn store(self, p: *mut f64) {
+    unsafe fn store(self, p: *mut T) {
         *p = self
     }
     #[inline(always)]
-    unsafe fn add(self, o: f64) -> f64 {
+    unsafe fn add(self, o: T) -> T {
         self + o
     }
     #[inline(always)]
-    unsafe fn mul(self, o: f64) -> f64 {
+    unsafe fn mul(self, o: T) -> T {
         self * o
     }
-    /// One instruction only when inlined into an `fma`-enabled function
-    /// ([`packed_unit`]'s remainder); anywhere else a libm call per tap,
-    /// which is why hosts without FMA run [`UNFUSED`] instead.
     #[inline(always)]
-    unsafe fn fma(self, b: f64, c: f64) -> f64 {
-        self.mul_add(b, c)
+    unsafe fn fma(self, b: T, c: T) -> T {
+        Sealed::mul_add(self, b, c)
     }
 }
 
@@ -410,6 +522,7 @@ struct Avx2(x86::__m256d);
 
 #[cfg(target_arch = "x86_64")]
 impl Lane for Avx2 {
+    type E = f64;
     const W: usize = 4;
     #[inline(always)]
     unsafe fn splat(x: f64) -> Self {
@@ -443,17 +556,18 @@ impl Lane for Avx2 {
 /// different points are independent — interleaving two vectors hides the
 /// add / FMA latency without reassociating anything.
 impl<L: Lane> Lane for [L; 2] {
+    type E = L::E;
     const W: usize = 2 * L::W;
     #[inline(always)]
-    unsafe fn splat(x: f64) -> Self {
+    unsafe fn splat(x: L::E) -> Self {
         [L::splat(x); 2]
     }
     #[inline(always)]
-    unsafe fn load(p: *const f64) -> Self {
+    unsafe fn load(p: *const L::E) -> Self {
         [L::load(p), L::load(p.add(L::W))]
     }
     #[inline(always)]
-    unsafe fn store(self, p: *mut f64) {
+    unsafe fn store(self, p: *mut L::E) {
         self[0].store(p);
         self[1].store(p.add(L::W))
     }
@@ -507,11 +621,11 @@ const UNFUSED: u8 = 2;
 /// `out_slope == 1`.
 #[inline(always)]
 unsafe fn row_body<const K: usize, L: Lane, const RULE: u8>(
-    out_row: &mut [f64],
+    out_row: &mut [L::E],
     out_slope: usize,
     from: usize,
     count: usize,
-    bias: f64,
+    bias: L::E,
     weight: impl Fn(usize, usize) -> L,
     value: impl Fn(usize, usize) -> L,
 ) -> usize {
@@ -519,7 +633,7 @@ unsafe fn row_body<const K: usize, L: Lane, const RULE: u8>(
     // the one bounds check of the row: every store below lands inside it
     assert!(from <= count && (count == 0 || (count - 1) * out_slope < out_row.len()));
     let out = out_row.as_mut_ptr();
-    let (b, zero) = (L::splat(bias), L::splat(0.0));
+    let (b, zero) = (L::splat(bias), L::splat(L::E::of(0.0)));
     // a counted loop: LLVM must see `i < count` to drop the sources' own
     // bounds checks and vectorize lane `f64` across points
     let passes = (count - from) / L::W;
@@ -566,11 +680,11 @@ unsafe fn row_body<const K: usize, L: Lane, const RULE: u8>(
 /// [`Lane`]'s contract for `L`; every row holds `out_row.len()` values.
 #[inline(always)]
 unsafe fn unit_rows<const K: usize, L: Lane, const RULE: u8>(
-    out_row: &mut [f64],
+    out_row: &mut [L::E],
     from: usize,
-    bias: f64,
-    rows: &[&[f64]; K],
-    coeff: &[f64; K],
+    bias: L::E,
+    rows: &[&[L::E]; K],
+    coeff: &[L::E; K],
 ) -> usize {
     let count = out_row.len();
     debug_assert!(rows.iter().all(|r| r.len() >= count));
@@ -587,25 +701,27 @@ unsafe fn unit_rows<const K: usize, L: Lane, const RULE: u8>(
 
 /// The first `count` values and the coefficient of each unit-stride tap.
 #[inline(always)]
-fn unit_taps<'a, const K: usize>(taps: &[RtTap<'a>], count: usize) -> ([&'a [f64]; K], [f64; K]) {
+fn unit_taps<'a, const K: usize, T: Elem>(
+    taps: &[RtTap<'a, T>],
+    count: usize,
+) -> ([&'a [T]; K], [T; K]) {
     (
         std::array::from_fn(|j| taps[j].unit(count)),
         std::array::from_fn(|j| taps[j].coeff),
     )
 }
 
-/// The scalar row kernel ([`KernelTier::Scalar`], and every tier's strided
-/// and coefficient rows): [`row_body`] at lane `f64` under [`EXACT`], over
-/// unit-stride plain rows, unit-stride rows with coefficient taps, and
-/// strided plain rows (restrict / interp reads). LLVM vectorizes the unit
-/// rows across points at the build's baseline width.
-fn spec_row<const K: usize>(
-    out_row: &mut [f64],
+/// The scalar row kernel ([`KernelTier::Scalar`], every tier's strided
+/// and coefficient rows, and every `f32` row): [`row_body`] at the scalar
+/// lane `T` under [`EXACT`], over unit-stride plain rows, unit-stride rows
+/// with coefficient taps, and strided plain rows (restrict / interp reads).
+fn spec_row<const K: usize, T: Elem>(
+    out_row: &mut [T],
     out_slope: usize,
     count: usize,
-    bias: f64,
-    taps: &[RtTap<'_>],
-    crows: &[RtTap<'_>],
+    bias: T,
+    taps: &[RtTap<'_, T>],
+    crows: &[RtTap<'_, T>],
 ) {
     debug_assert_eq!(taps.len(), K);
     if out_slope != 1 || taps.iter().any(|t| t.slope != 1) {
@@ -613,23 +729,23 @@ fn spec_row<const K: usize>(
         // `select_row` keeps strided coefficient rows on `dyn_row`
         debug_assert!(crows.is_empty());
         let (weight, value) = (|j: usize, _| taps[j].coeff, |j: usize, k| taps[j].at(k));
-        // SAFETY: lane `f64` runs anywhere; both sources are checked reads.
-        unsafe { row_body::<K, f64, EXACT>(out_row, out_slope, 0, count, bias, weight, value) };
+        // SAFETY: a scalar lane runs anywhere; both sources are checked reads.
+        unsafe { row_body::<K, T, EXACT>(out_row, out_slope, 0, count, bias, weight, value) };
         return;
     }
     debug_assert!(crows.iter().all(|c| c.slope == 1));
     let out_row = &mut out_row[..count];
-    let (rows, coeff) = unit_taps::<K>(taps, count);
+    let (rows, coeff) = unit_taps::<K, T>(taps, count);
     if crows.is_empty() {
-        // SAFETY: lane `f64` runs anywhere; `rows` are `count` long.
-        unsafe { unit_rows::<K, f64, EXACT>(out_row, 0, bias, &rows, &coeff) };
+        // SAFETY: a scalar lane runs anywhere; `rows` are `count` long.
+        unsafe { unit_rows::<K, T, EXACT>(out_row, 0, bias, &rows, &coeff) };
         return;
     }
     // The weight is selected per tap inside the unrolled loop, so plain and
     // coefficient taps keep their lowered order. A plain tap's `a` row is
     // its own value row: loaded, never selected.
     let scaled: [bool; K] = std::array::from_fn(|j| taps[j].cf.is_some());
-    let a: [&[f64]; K] =
+    let a: [&[T]; K] =
         std::array::from_fn(|j| taps[j].cf.map_or(rows[j], |c| crows[c].unit(count)));
     let weight = |j: usize, i: usize| {
         let w = coeff[j] * a[j][i];
@@ -639,42 +755,41 @@ fn spec_row<const K: usize>(
             coeff[j]
         }
     };
-    // SAFETY: lane `f64` runs anywhere; both sources are checked reads.
-    unsafe { row_body::<K, f64, EXACT>(out_row, 1, 0, count, bias, weight, |j, i| rows[j][i]) };
+    // SAFETY: a scalar lane runs anywhere; both sources are checked reads.
+    unsafe { row_body::<K, T, EXACT>(out_row, 1, 0, count, bias, weight, |j, i| rows[j][i]) };
 }
 
 /// The lane tiers' row kernel: [`KernelTier::LaneSafe`] is `RULE` =
 /// [`EXACT`], [`KernelTier::FastMath`] is [`FUSED`]. Unit-stride plain rows
-/// run the packed lane; strided rows (their gathers do not vectorize
-/// profitably) and coefficient rows run [`spec_row`] under either tier, so
-/// they stay bitwise-identical even under fast-math.
-fn packed_row<const K: usize, const RULE: u8>(
-    out_row: &mut [f64],
+/// run the element type's packed lane; strided rows (their gathers do not
+/// vectorize profitably) and coefficient rows run [`spec_row`] under either
+/// tier, so they stay bitwise-identical even under fast-math.
+fn packed_row<const K: usize, const RULE: u8, T: Elem>(
+    out_row: &mut [T],
     out_slope: usize,
     count: usize,
-    bias: f64,
-    taps: &[RtTap<'_>],
-    crows: &[RtTap<'_>],
+    bias: T,
+    taps: &[RtTap<'_, T>],
+    crows: &[RtTap<'_, T>],
 ) {
     debug_assert_eq!(taps.len(), K);
     if out_slope != 1 || !crows.is_empty() || taps.iter().any(|t| t.slope != 1) {
-        return spec_row::<K>(out_row, out_slope, count, bias, taps, crows);
+        return spec_row::<K, T>(out_row, out_slope, count, bias, taps, crows);
     }
     let out_row = &mut out_row[..count];
-    let (rows, coeff) = unit_taps::<K>(taps, count);
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: both features were just detected; `rows` are `count` long.
-        return unsafe { packed_unit::<K, RULE>(out_row, bias, &rows, &coeff) };
+    let (rows, coeff) = unit_taps::<K, T>(taps, count);
+    // SAFETY: `rows` are `count` long.
+    if unsafe { T::packed::<K, RULE>(out_row, bias, &rows, &coeff) } {
+        return;
     }
-    // A host without the packed lane: the same rule at lane `f64`, with
-    // the fused steps spelled as multiply then add.
-    // SAFETY: lane `f64` runs anywhere; `rows` are `count` long.
+    // A host without the packed lane: the same rule at the scalar lane,
+    // with the fused steps spelled as multiply then add.
+    // SAFETY: a scalar lane runs anywhere; `rows` are `count` long.
     unsafe {
         if RULE == EXACT {
-            unit_rows::<K, f64, EXACT>(out_row, 0, bias, &rows, &coeff);
+            unit_rows::<K, T, EXACT>(out_row, 0, bias, &rows, &coeff);
         } else {
-            unit_rows::<K, f64, UNFUSED>(out_row, 0, bias, &rows, &coeff);
+            unit_rows::<K, T, UNFUSED>(out_row, 0, bias, &rows, &coeff);
         }
     }
 }
@@ -700,19 +815,19 @@ unsafe fn packed_unit<const K: usize, const RULE: u8>(
     unit_rows::<K, f64, RULE>(out_row, i, bias, rows, coeff);
 }
 
-/// The instance of [`row_body`] for a tier and a tap arity, if there is
-/// one. The table stops at `polymg::specialize::MAX_SPEC_TAPS` (= 28) —
-/// beyond that the generic selection may choose coefficient factoring,
-/// which sums in a different order, so the classifier never tags such
-/// kernels anyway.
-fn row_fn(tier: KernelTier, arity: usize) -> Option<RowFn> {
+/// The instance of [`row_body`] for an element type, a tier and a tap
+/// arity, if there is one. The table stops at
+/// `polymg::specialize::MAX_SPEC_TAPS` (= 28) — beyond that the generic
+/// selection may choose coefficient factoring, which sums in a different
+/// order, so the classifier never tags such kernels anyway.
+fn row_fn<T: Elem>(tier: KernelTier, arity: usize) -> Option<RowFn<T>> {
     macro_rules! table {
         ($($k:literal)*) => {
             match (arity, tier) {
                 $(
-                    ($k, KernelTier::Scalar) => Some(spec_row::<$k> as RowFn),
-                    ($k, KernelTier::LaneSafe) => Some(packed_row::<$k, EXACT> as RowFn),
-                    ($k, KernelTier::FastMath) => Some(packed_row::<$k, FUSED> as RowFn),
+                    ($k, KernelTier::Scalar) => Some(spec_row::<$k, T> as RowFn<T>),
+                    ($k, KernelTier::LaneSafe) => Some(packed_row::<$k, EXACT, T> as RowFn<T>),
+                    ($k, KernelTier::FastMath) => Some(packed_row::<$k, FUSED, T> as RowFn<T>),
                 )*
                 _ => None,
             }
@@ -731,13 +846,13 @@ fn row_fn(tier: KernelTier, arity: usize) -> Option<RowFn> {
 /// Each run adds its `coeff · Σ` onto the output row in turn, so a point
 /// still sees `bias`, then one multiply-add per run in tap order; the runs
 /// are found by walking the taps once per row, and nothing is allocated.
-fn factored_row(
-    out_row: &mut [f64],
+fn factored_row<T: Elem>(
+    out_row: &mut [T],
     _out_slope: usize,
     count: usize,
-    bias: f64,
-    taps: &[RtTap<'_>],
-    _crows: &[RtTap<'_>],
+    bias: T,
+    taps: &[RtTap<'_, T>],
+    _crows: &[RtTap<'_, T>],
 ) {
     let out_row = &mut out_row[..count];
     out_row.fill(bias);
@@ -746,7 +861,7 @@ fn factored_row(
         let to = coeff_run_end(taps, from);
         let c = taps[from].coeff;
         for (i, out) in out_row.iter_mut().enumerate() {
-            let mut s = 0.0;
+            let mut s = T::of(0.0);
             for t in &taps[from..to] {
                 s += t.at(i);
             }
@@ -760,13 +875,13 @@ fn factored_row(
 /// [`EXACT`]: the same per-point chain with run-time arity and strides.
 /// Taken by arities outside the table and by strided rows under the generic
 /// tag (restrict / interp shapes, with or without coefficient taps).
-fn dyn_row(
-    out_row: &mut [f64],
+fn dyn_row<T: Elem>(
+    out_row: &mut [T],
     out_slope: usize,
     count: usize,
-    bias: f64,
-    taps: &[RtTap<'_>],
-    crows: &[RtTap<'_>],
+    bias: T,
+    taps: &[RtTap<'_, T>],
+    crows: &[RtTap<'_, T>],
 ) {
     for k in 0..count {
         let mut acc = bias;
@@ -782,7 +897,7 @@ fn dyn_row(
 }
 
 /// The grid behind a linear tap's (or coefficient read's) input slot.
-fn grid<'a, 'b>(ins: &'b [KernelInput<'a>], slot: usize) -> &'b Space<'a> {
+fn grid<'a, 'b, T>(ins: &'b [KernelInput<'a, T>], slot: usize) -> &'b Space<'a, T> {
     match &ins[slot] {
         KernelInput::Grid(s) => s,
         KernelInput::Zero => panic!("linear tap reads the zero grid (lowering bug)"),
@@ -847,14 +962,25 @@ struct Advance<'f> {
 /// The case's cursors are its taps in lowered order, then one per
 /// *distinct* [`CoeffRead`] — the five taps of `a·(A v)` share one `A(0,0)`
 /// row — with each coefficient tap's `cf` indexing into that tail.
-fn linear_sweep(
+///
+/// An element type without tiers (`f32`) runs, and counts as, the
+/// selection's family at [`KernelTier::Scalar`].
+fn linear_sweep<T: Elem>(
     sel: KernelSel,
     form: &LinearForm,
     pattern: &ParityPattern,
     region: &[Interval],
-    out: &mut KernelOut<'_>,
-    ins: &[KernelInput<'_>],
+    out: &mut KernelOut<'_, T>,
+    ins: &[KernelInput<'_, T>],
 ) {
+    let sel = if T::TIERED {
+        sel
+    } else {
+        KernelSel {
+            tier: KernelTier::Scalar,
+            ..sel
+        }
+    };
     let nd = region.len();
     assert!(nd == 2 || nd == 3, "unsupported rank {nd}");
     let (yd, xd) = (nd - 2, nd - 1);
@@ -892,7 +1018,7 @@ fn linear_sweep(
         data: &[],
         base: 0,
         slope: 1,
-        coeff: 0.0,
+        coeff: T::of(0.0),
         cf: None,
     };
     let idle_move = Advance {
@@ -917,7 +1043,7 @@ fn linear_sweep(
             data: s.data,
             base,
             slope,
-            coeff,
+            coeff: T::of(coeff),
             cf,
         };
         let advance = Advance {
@@ -966,6 +1092,7 @@ fn linear_sweep(
     // (each point sees the same taps in the same order), so blocking is
     // bitwise-transparent.
     let lane_tier = specialized && sel.tier != KernelTier::Scalar;
+    let bias = T::of(form.bias);
     let slab = if lane_tier && unit && sel.xblock > 0 && count > sel.xblock {
         sel.xblock
     } else {
@@ -987,7 +1114,7 @@ fn linear_sweep(
                     out.row_mut(ob, window),
                     out_slope,
                     len,
-                    form.bias,
+                    bias,
                     &taps[..arity],
                     &taps[arity..],
                 );
@@ -1005,13 +1132,13 @@ fn linear_sweep(
     }
 }
 
-/// Interpreter fallback: evaluate the expression per point.
-fn interpret_case(
+/// Interpreter fallback: evaluate the expression per point, in `f64`.
+fn interpret_case<T: Elem>(
     expr: &Expr,
     pattern: &ParityPattern,
     region: &[Interval],
-    out: &mut KernelOut<'_>,
-    ins: &[KernelInput<'_>],
+    out: &mut KernelOut<'_, T>,
+    ins: &[KernelInput<'_, T>],
     slot_boundary: &[f64],
 ) {
     gmg_trace::dispatch::record(gmg_trace::dispatch::Kind::Interpreter, 1);
@@ -1023,7 +1150,7 @@ fn interpret_case(
                 panic!("unresolved operand at execution time")
             };
             match &ins[*k] {
-                KernelInput::Grid(s) => s.at_or(idx, slot_boundary[*k]),
+                KernelInput::Grid(s) => s.at_or(idx, T::of(slot_boundary[*k])).wide(),
                 KernelInput::Zero => slot_boundary[*k],
             }
         });
@@ -1031,7 +1158,7 @@ fn interpret_case(
         for d in 0..nd {
             idx = idx * out.extent(d) as usize + (p[d] - out.origin(d)) as usize;
         }
-        out.row_mut(idx, 1)[0] = v;
+        out.row_mut(idx, 1)[0] = T::of(v);
     });
 }
 
@@ -1116,40 +1243,41 @@ pub fn fill_ghost<T: Copy>(data: &mut [T], extents: &[i64], value: T) {
     fill_rim(data, &origin, extents, &interior, value);
 }
 
-/// Copy `region` (global coordinates) from `src` to `dst`.
-pub fn copy_box(src: &Space<'_>, dst: &mut SpaceMut<'_>, region: &BoxDomain) {
-    if region.is_empty() {
+/// Copy `region` (global coordinates, outermost first) from `src` to `dst`,
+/// converting each value to the destination's element type (`f32` → `f64`
+/// widens exactly). A 2-D box is a 3-D box with one plane.
+pub fn copy_box<S: Elem, D: Elem>(
+    src: &Space<'_, S>,
+    dst: &mut SpaceMut<'_, D>,
+    region: &[Interval],
+) {
+    let nd = region.len();
+    assert!(nd == 2 || nd == 3, "unsupported rank {nd}");
+    if region.iter().any(Interval::is_empty) {
         return;
     }
-    let nd = region.ndims();
-    match nd {
-        2 => {
-            let (xl, xh) = (region.0[1].lo, region.0[1].hi);
-            let w = (xh - xl + 1) as usize;
-            for y in region.0[0].lo..=region.0[0].hi {
-                let sb = ((y - src.origin[0]) * src.extents[1] + (xl - src.origin[1])) as usize;
-                let db = ((y - dst.origin[0]) * dst.extents[1] + (xl - dst.origin[1])) as usize;
-                dst.data[db..db + w].copy_from_slice(&src.data[sb..sb + w]);
+    let (planes, rows, x) = match nd {
+        3 => (region[0], region[1], region[2]),
+        _ => (Interval::new(0, 0), region[0], region[1]),
+    };
+    // flat index of `(z, y, x.lo)` in a view (`z` is 0 in 2-D)
+    let at = |origin: &[i64], extents: &[i64], z: i64, y: i64| {
+        let plane = if nd == 3 {
+            (z - origin[0]) * extents[1]
+        } else {
+            0
+        };
+        ((plane + y - origin[nd - 2]) * extents[nd - 1] + x.lo - origin[nd - 1]) as usize
+    };
+    let w = x.len() as usize;
+    for z in planes.lo..=planes.hi {
+        for y in rows.lo..=rows.hi {
+            let sb = at(src.origin, src.extents, z, y);
+            let db = at(dst.origin, dst.extents, z, y);
+            for (d, s) in dst.data[db..db + w].iter_mut().zip(&src.data[sb..sb + w]) {
+                *d = D::of(s.wide());
             }
         }
-        3 => {
-            let (xl, xh) = (region.0[2].lo, region.0[2].hi);
-            let w = (xh - xl + 1) as usize;
-            let sps = src.extents[1] * src.extents[2];
-            let dps = dst.extents[1] * dst.extents[2];
-            for z in region.0[0].lo..=region.0[0].hi {
-                for y in region.0[1].lo..=region.0[1].hi {
-                    let sb = ((z - src.origin[0]) * sps
-                        + (y - src.origin[1]) * src.extents[2]
-                        + (xl - src.origin[2])) as usize;
-                    let db = ((z - dst.origin[0]) * dps
-                        + (y - dst.origin[1]) * dst.extents[2]
-                        + (xl - dst.origin[2])) as usize;
-                    dst.data[db..db + w].copy_from_slice(&src.data[sb..sb + w]);
-                }
-            }
-        }
-        d => panic!("unsupported rank {d}"),
     }
 }
 
@@ -1496,7 +1624,7 @@ mod tests {
                 origin: &origin,
                 extents: &ext,
             };
-            copy_box(&s, &mut d, &inner);
+            copy_box(&s, &mut d, &inner.0);
         }
         assert_eq!(dst[13], 1.0);
         assert_eq!(dst.iter().sum::<f64>(), 1.0);
@@ -1601,7 +1729,12 @@ mod tests {
     }
 
     /// `factored_row` as it was: spans and row slices collected per row.
-    fn factored_row_collecting(out_row: &mut [f64], count: usize, bias: f64, taps: &[RtTap<'_>]) {
+    fn factored_row_collecting(
+        out_row: &mut [f64],
+        count: usize,
+        bias: f64,
+        taps: &[RtTap<'_, f64>],
+    ) {
         let mut spans = Vec::new();
         let mut j = 0;
         while j < taps.len() {
@@ -1637,7 +1770,7 @@ mod tests {
             let data: Vec<f64> = (0..count + 2 * arity)
                 .map(|i| ((i * 29 + arity) % 53) as f64 * 0.0371 - 0.93)
                 .collect();
-            let taps: Vec<RtTap<'_>> = (0..arity)
+            let taps: Vec<RtTap<'_, f64>> = (0..arity)
                 .map(|j| RtTap {
                     data: &data,
                     base: 2 * j,
@@ -1673,7 +1806,7 @@ mod tests {
                 origin: &dorigin,
                 extents: &dext,
             };
-            copy_box(&s, &mut d, &region);
+            copy_box(&s, &mut d, &region.0);
         }
         assert_eq!(dd[0], 14.0); // (2,2)
         assert_eq!(dd[8], 28.0); // (4,4)
@@ -1808,7 +1941,7 @@ mod tests {
         ];
         let crows = [tap(&a, mid, 1.0, None)];
         let (mut fast, mut reference) = (vec![0.0; n], vec![0.0; n]);
-        spec_row::<6>(&mut fast, 1, n, 0.25, &taps, &crows);
+        spec_row::<6, f64>(&mut fast, 1, n, 0.25, &taps, &crows);
         dyn_row(&mut reference, 1, n, 0.25, &taps, &crows);
         assert!(reference.iter().all(|x| *x != 0.25), "taps contribute");
         let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1817,47 +1950,60 @@ mod tests {
 
     /// One cell of the lane matrix: a `count`-point row of `K` seeded taps
     /// at bases no vector width divides, computed by the body at lane `L`
-    /// and finished at lane `f64`, against [`dyn_row`]. Exact cells must
-    /// match bit for bit; the reassociating rules must stay inside the
-    /// bound `tests/proptest_fastmath_ulp.rs` defines — `(2K + 6)·ε` of the
-    /// point's term magnitude `|bias| + Σ|cⱼ·rⱼ|`.
+    /// and finished at the scalar lane of its element type, against
+    /// [`dyn_row`] in that type. Exact cells must match bit for bit; the
+    /// reassociating rules must stay inside the bound
+    /// `tests/proptest_fastmath_ulp.rs` defines — `(2K + 6)·ε` of the
+    /// point's term magnitude `|bias| + Σ|cⱼ·rⱼ|`, with the element type's ε.
     fn lane_cell<const K: usize, L: Lane, const RULE: u8>(count: usize) {
+        let of = L::E::of;
         let seeded = |i: usize| ((i * 37 + K * 11) % 101) as f64 * 0.0173 - 0.86;
-        let data: Vec<f64> = (0..count + 3 * K + 1).map(seeded).collect();
-        let magnitudes: Vec<f64> = data.iter().map(|x| x.abs()).collect();
-        let taps_over = |data| -> Vec<RtTap<'_>> {
+        let data: Vec<L::E> = (0..count + 3 * K + 1).map(|i| of(seeded(i))).collect();
+        let magnitudes: Vec<L::E> = data.iter().map(|x| of(x.wide().abs())).collect();
+        let taps_over = |data| -> Vec<RtTap<'_, L::E>> {
             (0..K)
                 .map(|j| RtTap {
                     data,
                     base: 1 + 3 * j,
                     slope: 1,
-                    coeff: seeded(1000 + j),
+                    coeff: of(seeded(1000 + j)),
                     cf: None,
                 })
                 .collect()
         };
         let (taps, mut abs_taps) = (taps_over(&data), taps_over(&magnitudes));
-        abs_taps.iter_mut().for_each(|t| t.coeff = t.coeff.abs());
-        let bias = 0.3;
-        let (mut want, mut scale) = (vec![0.0; count], vec![0.0; count]);
+        abs_taps
+            .iter_mut()
+            .for_each(|t| t.coeff = of(t.coeff.wide().abs()));
+        let bias = of(0.3);
+        let (mut want, mut scale) = (vec![of(0.0); count], vec![of(0.0); count]);
         dyn_row(&mut want, 1, count, bias, &taps, &[]);
         dyn_row(&mut scale, 1, count, bias, &abs_taps, &[]);
 
-        let mut buf = vec![f64::NAN; count + 1];
+        let mut buf = vec![of(f64::NAN); count + 1];
         let got = &mut buf[1..];
-        let (rows, coeff) = unit_taps::<K>(&taps, count);
+        let (rows, coeff) = unit_taps::<K, L::E>(&taps, count);
         // SAFETY: callers name only lanes the host runs; rows are `count` long.
         unsafe {
             let i = unit_rows::<K, L, RULE>(got, 0, bias, &rows, &coeff);
             assert!(count - i < L::W, "lane {} left {} points", L::W, count - i);
-            unit_rows::<K, f64, RULE>(got, i, bias, &rows, &coeff);
+            unit_rows::<K, L::E, RULE>(got, i, bias, &rows, &coeff);
         }
+        let eps = match std::mem::size_of::<L::E>() {
+            4 => f64::from(f32::EPSILON),
+            _ => f64::EPSILON,
+        };
         for (i, ((g, w), m)) in got.iter().zip(&want).zip(&scale).enumerate() {
-            let cell = format!("K {K} W {} rule {RULE} count {count} point {i}", L::W);
+            let (g, w, m) = (g.wide(), w.wide(), m.wide());
+            let cell = format!(
+                "{} K {K} W {} rule {RULE} count {count} point {i}",
+                std::any::type_name::<L::E>(),
+                L::W
+            );
             if RULE == EXACT {
                 assert_eq!(g.to_bits(), w.to_bits(), "{cell}: {g} vs {w}");
             } else {
-                let tol = (2.0 * K as f64 + 6.0) * f64::EPSILON * m;
+                let tol = (2.0 * K as f64 + 6.0) * eps * m;
                 assert!((g - w).abs() <= tol, "{cell}: |{g} - {w}| > {tol:e}");
             }
         }
@@ -1878,8 +2024,11 @@ mod tests {
         arities!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28);
     }
 
+    /// Every lane of both element types. The `f32` column is the lane every
+    /// `f32` row runs; its `EXACT` cells are the smoother chain's own sum.
     #[test]
     fn lane_rule_arity_remainder_matrix() {
+        lane_column::<f32>();
         lane_column::<f64>();
         lane_column::<[f64; 2]>();
         #[cfg(target_arch = "x86_64")]

@@ -11,13 +11,14 @@
 //! * [`kernel`] — the specialised stencil loops executing lowered
 //!   [`polymg::KernelBody`] cases over a region: parity-dispatched,
 //!   unit-stride fast paths, with a checked generic path and an interpreter
-//!   fallback.
+//!   fallback; generic over the element type (`f64`, and `f32` for the
+//!   mixed-precision smoother chain).
 //! * [`schedule`] — the VM: binds external arrays into slots and interprets
 //!   a [`polymg::schedule::ExecProgram`] op stream, recording an op-level
 //!   trace timeline.
 //! * [`ops`] — the per-op execution bodies: untiled sweeps, overlapped
-//!   tiles in parallel with scratchpads (rayon), and diamond/split time
-//!   tiling for smoother chains.
+//!   tiles in parallel with scratchpads (rayon), diamond/split time tiling
+//!   for smoother chains, and the mixed-precision (f32) smoother chain.
 //! * [`interp`] — a deliberately simple reference interpreter used as the
 //!   correctness oracle in tests.
 //!

@@ -10,6 +10,11 @@
 //! `malloc`). [`BufferPool::deallocate`] is a table update returning the
 //! buffer to the free list. Statistics track how many `malloc`s the pool
 //! avoided and the peak live footprint — the quantities behind Figure 11b.
+//!
+//! The pool is generic over the element type: the engine keeps one pool of
+//! `f64` grids and a second, `BufferPool<f32>`, for the mixed-precision
+//! smoother chain's scratch (`ops::mixed`), so the Figure-11b `f64` reuse
+//! statistics stay undiluted. Bytes are counted at `size_of::<T>()` each.
 
 use gmg_grid::Buffer;
 use std::collections::HashMap;
@@ -35,24 +40,27 @@ pub struct PoolStats {
     pub fallback_fresh: usize,
 }
 
-/// A size-keyed pool of `f64` buffers.
+/// A size-keyed pool of buffers of `T` (`f64` unless named).
 #[derive(Debug, Default)]
-pub struct BufferPool {
-    free: HashMap<usize, Vec<Buffer>>,
+pub struct BufferPool<T = f64> {
+    free: HashMap<usize, Vec<Buffer<T>>>,
     stats: PoolStats,
 }
 
 impl BufferPool {
-    /// New, empty pool.
+    /// New, empty pool of `f64` buffers (`BufferPool::<f32>::default()`
+    /// builds the `f32` one).
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// `pool_allocate`: get a buffer of exactly `len` doubles. Recycled
+impl<T: Copy + Default> BufferPool<T> {
+    /// `pool_allocate`: get a buffer of exactly `len` elements. Recycled
     /// buffers keep their previous contents — callers must re-initialise
     /// whatever they rely on (the engine refills ghost rings).
-    pub fn allocate(&mut self, len: usize) -> Buffer {
-        let bytes = len * std::mem::size_of::<f64>();
+    pub fn allocate(&mut self, len: usize) -> Buffer<T> {
+        let bytes = len * std::mem::size_of::<T>();
         self.stats.live_bytes += bytes;
         self.stats.peak_live_bytes = self.stats.peak_live_bytes.max(self.stats.live_bytes);
         if let Some(buf) = self.free.get_mut(&len).and_then(Vec::pop) {
@@ -71,8 +79,8 @@ impl BufferPool {
     /// interior cell is overwritten), it just pays malloc traffic, which
     /// `fallback_fresh` counts. The buffer is a normal pool citizen:
     /// `deallocate` returns it to the free list like any other.
-    pub fn allocate_fallback_fresh(&mut self, len: usize) -> Buffer {
-        let bytes = len * std::mem::size_of::<f64>();
+    pub fn allocate_fallback_fresh(&mut self, len: usize) -> Buffer<T> {
+        let bytes = len * std::mem::size_of::<T>();
         self.stats.live_bytes += bytes;
         self.stats.peak_live_bytes = self.stats.peak_live_bytes.max(self.stats.live_bytes);
         self.stats.allocated_bytes += bytes;
@@ -81,11 +89,12 @@ impl BufferPool {
     }
 
     /// `pool_deallocate`: return a buffer to the free list.
-    pub fn deallocate(&mut self, buf: Buffer) {
+    pub fn deallocate(&mut self, buf: Buffer<T>) {
         let bytes = buf.byte_len();
-        // allocate() derives bytes as len * 8 while this path trusts the
-        // buffer's own byte length; they must agree or live_bytes drifts.
-        debug_assert_eq!(buf.byte_len(), buf.len() * std::mem::size_of::<f64>());
+        // allocate() derives bytes as len · size_of::<T>() while this path
+        // trusts the buffer's own byte length; they must agree or
+        // live_bytes drifts.
+        debug_assert_eq!(buf.byte_len(), buf.len() * std::mem::size_of::<T>());
         self.stats.live_bytes = self.stats.live_bytes.saturating_sub(bytes);
         self.free.entry(buf.len()).or_default().push(buf);
     }
@@ -118,65 +127,9 @@ impl BufferPool {
     }
 }
 
-/// A size-keyed pool of `f32` scratch buffers, used by the mixed-precision
-/// chain op (`ops::mixed`). Kept apart from [`BufferPool`] so the
-/// Figure-11b f64 reuse statistics stay undiluted; recycled buffers keep
-/// their previous contents — the op re-initialises ghost rings and fully
-/// overwrites every interior cell it reads.
-#[derive(Debug, Default)]
-pub struct F32Pool {
-    free: HashMap<usize, Vec<Vec<f32>>>,
-    hits: usize,
-    misses: usize,
-}
-
-impl F32Pool {
-    /// New, empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get a buffer of exactly `len` floats (stale contents on a hit).
-    pub fn allocate(&mut self, len: usize) -> Vec<f32> {
-        if let Some(buf) = self.free.get_mut(&len).and_then(Vec::pop) {
-            self.hits += 1;
-            buf
-        } else {
-            self.misses += 1;
-            vec![0.0f32; len]
-        }
-    }
-
-    /// Return a buffer to the free list.
-    pub fn deallocate(&mut self, buf: Vec<f32>) {
-        self.free.entry(buf.len()).or_default().push(buf);
-    }
-
-    /// `(hits, misses)` since construction.
-    pub fn stats(&self) -> (usize, usize) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of buffers sitting in the free list.
-    pub fn free_count(&self) -> usize {
-        self.free.values().map(Vec::len).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn f32_pool_recycles_exact_sizes() {
-        let mut p = F32Pool::new();
-        let a = p.allocate(64);
-        p.deallocate(a);
-        let _b = p.allocate(64);
-        let _c = p.allocate(65);
-        assert_eq!(p.stats(), (1, 2));
-        assert_eq!(p.free_count(), 0);
-    }
 
     #[test]
     fn recycles_exact_sizes() {
@@ -187,6 +140,20 @@ mod tests {
         assert_eq!(p.stats().hits, 1);
         assert_eq!(p.stats().misses, 1);
         assert_eq!(p.stats().allocated_bytes, 800);
+    }
+
+    #[test]
+    fn f32_pool_recycles_exact_sizes() {
+        // the mixed chain's scratch pool: exact-size reuse, four bytes an element
+        let mut p = BufferPool::<f32>::default();
+        let a = p.allocate(64);
+        assert_eq!(p.stats().live_bytes, 256);
+        p.deallocate(a);
+        let _b = p.allocate(64);
+        let _c = p.allocate(65);
+        let s = p.stats();
+        assert_eq!((s.hits, s.misses, s.allocated_bytes), (1, 2, 516));
+        assert_eq!(p.free_count(), 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::arena::ArenaPool;
 use crate::kernel::{copy_box, fill_ghost, Space, SpaceMut};
-use crate::pool::{BufferPool, F32Pool, PoolStats};
+use crate::pool::{BufferPool, PoolStats};
 use gmg_grid::Buffer;
 use gmg_poly::BoxDomain;
 use gmg_trace::{OpHandle, PoolSnapshot, StageHandle, ThreadsSnapshot, Trace};
@@ -241,9 +241,10 @@ pub struct Engine {
     plan: Option<Arc<CompiledPipeline>>,
     program: ExecProgram,
     pool: BufferPool,
-    /// f32 scratch for mixed-precision chains (persists across runs like
-    /// the f64 pool, so warm cycles allocate nothing new).
-    f32_pool: F32Pool,
+    /// f32 scratch for mixed-precision chains: a pool of its own, so the
+    /// f64 statistics above stay undiluted. Persists across runs like the
+    /// f64 pool, so warm cycles allocate nothing new.
+    f32_pool: BufferPool<f32>,
     rayon_pool: Option<rayon::ThreadPool>,
     trace: Trace,
     /// Per op: interned timeline handle (disabled until [`Engine::set_trace`]).
@@ -308,7 +309,7 @@ impl Engine {
             plan: None,
             program,
             pool: BufferPool::new(),
-            f32_pool: F32Pool::new(),
+            f32_pool: BufferPool::default(),
             rayon_pool,
             trace: Trace::disabled(),
             op_handles: vec![OpHandle::disabled(); nops],
@@ -636,7 +637,7 @@ impl Engine {
                                     origin: &dspec.origin,
                                     extents: &dspec.extents,
                                 };
-                                copy_box(&sp, &mut dp, region);
+                                copy_box(&sp, &mut dp, &region.0);
                             }
                             slots[*dst] = taken;
                         }

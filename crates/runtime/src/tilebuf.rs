@@ -12,8 +12,8 @@
 use crate::kernel::Space;
 use gmg_poly::Interval;
 
-/// A shared, tile-writable view of one full array of `f64` (or, for the
-/// mixed-precision chain's ping-pong buffers, `f32`).
+/// A shared, tile-writable view of one full array of a kernel element type
+/// (`f64` unless named; [`crate::kernel::KernelOut`] is generic over it).
 #[derive(Clone, Copy)]
 pub struct SharedOut<T = f64> {
     ptr: *mut T,

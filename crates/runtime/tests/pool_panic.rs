@@ -9,7 +9,7 @@ use gmg_ir::stencil::stencil_2d;
 use gmg_ir::{ParamBindings, Pipeline, StepCount};
 use gmg_runtime::{Engine, ExecError};
 use polymg::chaos::SITE_PANIC;
-use polymg::schedule::{lower, ExecOp, OpInput};
+use polymg::schedule::{lower, ExecOp, OpInput, StageExec};
 use polymg::{compile, ChaosOptions, PipelineOptions, Variant};
 
 fn smoother_pipeline() -> Pipeline {
@@ -177,17 +177,27 @@ fn worker_panic_leaves_engine_owned_scratch_usable() {
     assert_eq!(engine.pool_stats().live_bytes, 0, "no pool slot leaked");
 }
 
+/// The steps and the output slot of a chain op — `RunDiamondChain` or
+/// `RunMixedChain` — or `None` for any other op.
+fn chain_parts(op: &mut ExecOp) -> Option<(&mut Vec<StageExec>, usize)> {
+    match op {
+        ExecOp::RunDiamondChain {
+            stages, out_slot, ..
+        }
+        | ExecOp::RunMixedChain { stages, out_slot } => Some((stages, *out_slot)),
+        _ => None,
+    }
+}
+
 /// A program reaches `Engine::from_program` without passing the compiler,
-/// so `RunDiamondChain` checks its invariants itself — origin-0 buffers, and
-/// an op-local read only of the previous step (the other parity buffer) —
-/// and reports a violation as a typed error before it allocates or starts a
-/// parallel region: the pool is left as it was, and the same malformed
-/// program fails the same way on a second run. The unmutated program runs
-/// bitwise like the compiled engine.
-#[test]
-fn malformed_diamond_chain_is_a_plan_violation() {
-    let mut o = PipelineOptions::for_variant(Variant::DtileOptPlus, 2);
-    o.threads = 3;
+/// so a chain op checks its invariants itself — origin-0 buffers, and an
+/// op-local read only of the previous step (the other parity or ping-pong
+/// buffer) — and reports a violation as a typed error before it allocates
+/// or starts a parallel region: the pool is left as it was, and the same
+/// malformed program fails the same way on a second run, in a violation
+/// naming the `chain` op. The unmutated program runs bitwise like the
+/// compiled engine.
+fn malformed_chain_is_a_plan_violation(o: PipelineOptions, kind: &str, chain: &str) {
     let plan = compile(&smoother_pipeline(), &ParamBindings::new(), o).unwrap();
     let out_name = plan
         .graph
@@ -199,22 +209,18 @@ fn malformed_diamond_chain_is_a_plan_violation() {
         .clone();
     let reference = run_once(&mut Engine::new(plan.clone()), &out_name).unwrap();
     let program = lower(&plan);
-    let chain = program
+    let at = program
         .ops
         .iter()
-        .position(|op| matches!(op, ExecOp::RunDiamondChain { .. }))
-        .expect("test premise: a diamond chain");
+        .position(|op| op.mnemonic() == kind)
+        .unwrap_or_else(|| panic!("test premise: a {kind} op"));
 
     let mut bad_origin = program.clone();
-    let ExecOp::RunDiamondChain { out_slot, .. } = &bad_origin.ops[chain] else {
-        unreachable!()
-    };
-    bad_origin.slots[*out_slot].origin[0] = 1;
+    let (_, out_slot) = chain_parts(&mut bad_origin.ops[at]).unwrap();
+    bad_origin.slots[out_slot].origin[0] = 1;
 
     let mut bad_local = program.clone();
-    let ExecOp::RunDiamondChain { stages, .. } = &mut bad_local.ops[chain] else {
-        unreachable!()
-    };
+    let (stages, _) = chain_parts(&mut bad_local.ops[at]).unwrap();
     let last = stages.len() - 1;
     let read = stages[last]
         .ins
@@ -231,17 +237,32 @@ fn malformed_diamond_chain_is_a_plan_violation() {
         for attempt in 0..2 {
             let err = run_once(&mut engine, &out_name).expect_err(what);
             assert!(
-                matches!(err, ExecError::PlanViolation(_)),
-                "{what}, run {attempt}: expected PlanViolation, got: {err}"
+                matches!(err, ExecError::PlanViolation(m) if m.starts_with(chain)),
+                "{kind} {what}, run {attempt}: expected a {chain} PlanViolation, got: {err}"
             );
             assert_eq!(
                 engine.pool_stats().live_bytes,
                 0,
-                "{what}: pool slot leaked"
+                "{kind} {what}: pool slot leaked"
             );
         }
     }
     let mut engine = Engine::from_program(program);
     assert_eq!(run_once(&mut engine, &out_name).unwrap(), reference);
     assert_eq!(engine.pool_stats().live_bytes, 0, "no pool slot leaked");
+}
+
+#[test]
+fn malformed_diamond_chain_is_a_plan_violation() {
+    let mut o = PipelineOptions::for_variant(Variant::DtileOptPlus, 2);
+    o.threads = 3;
+    malformed_chain_is_a_plan_violation(o, "run_diamond", "diamond chain");
+}
+
+#[test]
+fn malformed_mixed_chain_is_a_plan_violation() {
+    let mut o = PipelineOptions::for_variant(Variant::OptPlus, 2);
+    o.threads = 3;
+    o.mixed_precision = true;
+    malformed_chain_is_a_plan_violation(o, "run_mixed_chain", "mixed chain");
 }

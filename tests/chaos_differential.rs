@@ -9,13 +9,19 @@
 //! * chaos never changes what is compiled: the fault-free and chaos
 //!   runners share one cached plan (chaos is excluded from the plan
 //!   fingerprint), so any divergence is an execution bug, not a plan diff.
+//!
+//! Scenarios that support it also run with mixed-precision smoothing, so
+//! the f32 chain op's fault site and the worker panics inside its sweeps
+//! are on the same contract.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
-use polymg_repro::compiler::chaos::SITE_ALL;
-use polymg_repro::compiler::{ChaosOptions, PipelineOptions, Scenario, Variant};
+use polymg_repro::compiler::chaos::{SITE_ALL, SITE_OP, SITE_PANIC};
+use polymg_repro::compiler::{
+    ChaosOptions, ChaosStats, FaultSite, PipelineOptions, Scenario, Variant,
+};
 use polymg_repro::mg::config::{CycleType, MgConfig, SmoothSteps};
 use polymg_repro::mg::scenario::{coeff_field, scenario_runner, ScenarioSpec};
 use polymg_repro::mg::solver::{setup_poisson, DslRunner};
@@ -48,23 +54,24 @@ fn options(variant: Variant, ndims: usize, specialize: bool) -> PipelineOptions 
 
 /// Build the runner for a scenario pipeline (DESIGN.md §18): the constant
 /// cycle, the variable-coefficient operator (with the canonical smooth
-/// field bound), or the RB-GS/Chebyshev smoother substitutions — chaos
-/// must hold the same recovered-means-bitwise contract on all of them.
+/// field bound), or the RB-GS/Chebyshev smoother substitutions, each with
+/// f32 smoothing where `spec.mixed` — chaos must hold the same
+/// recovered-means-bitwise contract on all of them.
 fn scenario_dsl_runner(
     cfg: &MgConfig,
     opts: PipelineOptions,
-    scenario: Scenario,
+    spec: ScenarioSpec,
     label: &str,
 ) -> DslRunner {
-    let coeff = scenario.needs_coeff().then(|| coeff_field(cfg));
-    scenario_runner(cfg, ScenarioSpec::new(scenario), opts, label, coeff)
+    let coeff = spec.scenario.needs_coeff().then(|| coeff_field(cfg));
+    scenario_runner(cfg, spec, opts, label, coeff)
         .unwrap_or_else(|e| panic!("{label} compile failed: {e}"))
 }
 
 /// Fault-free reference trajectory.
-fn reference(cfg: &MgConfig, opts: PipelineOptions, scenario: Scenario) -> Vec<f64> {
+fn reference(cfg: &MgConfig, opts: PipelineOptions, spec: ScenarioSpec) -> Vec<f64> {
     let (mut v, f, _) = setup_poisson(cfg);
-    let mut runner = scenario_dsl_runner(cfg, opts, scenario, "ref");
+    let mut runner = scenario_dsl_runner(cfg, opts, spec, "ref");
     for _ in 0..CYCLES {
         runner
             .cycle_with_stats(&mut v, &f)
@@ -76,25 +83,25 @@ fn reference(cfg: &MgConfig, opts: PipelineOptions, scenario: Scenario) -> Vec<f
 /// Drive `CYCLES` cycles under an armed fault plan. Typed errors are
 /// tolerated (and the engine is re-driven afterwards — it must stay
 /// usable); a panic escaping `Engine::run` fails the property.
-/// Returns `(final_v, every_cycle_ok)` or the panic payload.
+/// Returns `(final_v, every_cycle_ok, chaos counters)` or the panic payload.
 fn chaos_run(
     cfg: &MgConfig,
     opts: PipelineOptions,
-    scenario: Scenario,
-) -> Result<(Vec<f64>, bool), String> {
+    spec: ScenarioSpec,
+) -> Result<(Vec<f64>, bool, ChaosStats), String> {
     let (mut v, f, _) = setup_poisson(cfg);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut runner = scenario_dsl_runner(cfg, opts, scenario, "chaos");
+        let mut runner = scenario_dsl_runner(cfg, opts, spec, "chaos");
         let mut all_ok = true;
         for _ in 0..CYCLES {
             if runner.cycle_with_stats(&mut v, &f).is_err() {
                 all_ok = false;
             }
         }
-        all_ok
+        (all_ok, runner.engine().chaos_stats())
     }));
     match outcome {
-        Ok(all_ok) => Ok((v, all_ok)),
+        Ok((all_ok, stats)) => Ok((v, all_ok, stats)),
         Err(p) => Err(p
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
@@ -103,35 +110,39 @@ fn chaos_run(
     }
 }
 
+/// One chaos case against its fault-free reference; returns the chaos
+/// counters of the armed run.
 #[allow(clippy::too_many_arguments)]
 fn check_case(
     ndims: usize,
     cycle: CycleType,
     variant: Variant,
     specialize: bool,
-    scenario: Scenario,
+    spec: ScenarioSpec,
     seed: u64,
     rate: f64,
     sites: u8,
-) -> Result<(), String> {
+) -> Result<ChaosStats, String> {
     let cfg = config(ndims, cycle);
-    let clean = reference(&cfg, options(variant, ndims, specialize), scenario);
+    let clean = reference(&cfg, options(variant, ndims, specialize), spec);
 
     let mut opts = options(variant, ndims, specialize);
     opts.chaos = Some(ChaosOptions::new(seed, rate).with_sites(sites & SITE_ALL));
-    let (v, all_ok) = chaos_run(&cfg, opts, scenario)
+    let (v, all_ok, stats) = chaos_run(&cfg, opts, spec)
         .map_err(|p| format!("panic escaped Engine::run under chaos: {p}"))?;
     if all_ok && v != clean {
         return Err(format!(
             "every fault was recovered (all cycles Ok) but the result diverged \
-             from the fault-free run ({} {:?} {:?} {scenario:?} seed={seed} \
+             from the fault-free run ({} {:?} {:?} {:?} mixed={} seed={seed} \
              rate={rate} sites={sites:#07b})",
             cfg.tag(),
             variant,
             specialize,
+            spec.scenario,
+            spec.mixed,
         ));
     }
-    Ok(())
+    Ok(stats)
 }
 
 proptest! {
@@ -146,6 +157,7 @@ proptest! {
         variant_sel in 0u8..2,
         spec_sel in 0u8..2,
         scenario_sel in 0u8..4,
+        mixed_sel in 0u8..2,
         seed in 0u64..1_000_000_000,
         rate in 0.0f64..0.5,
         sites in 1u8..=SITE_ALL,
@@ -158,7 +170,11 @@ proptest! {
         // chaos surfaces are the other scenario operators/smoothers.
         let scenario = [Scenario::Constant, Scenario::VarCoef, Scenario::Rbgs, Scenario::Chebyshev]
             [scenario_sel as usize];
-        if let Err(msg) = check_case(ndims, cycle, variant, specialize, scenario, seed, rate, sites) {
+        let spec = ScenarioSpec {
+            scenario,
+            mixed: mixed_sel == 1 && scenario.supports_mixed_precision(),
+        };
+        if let Err(msg) = check_case(ndims, cycle, variant, specialize, spec, seed, rate, sites) {
             prop_assert!(false, "{}", msg);
         }
     }
@@ -175,8 +191,46 @@ fn fixed_seeds_gate() {
             (2, Variant::OptPlus, Scenario::VarCoef),
             (2, Variant::OptPlus, Scenario::Rbgs),
         ] {
-            check_case(ndims, CycleType::V, variant, true, scenario, seed, 0.2, SITE_ALL)
-                .unwrap_or_else(|msg| panic!("seed {seed}: {msg}"));
+            let spec = ScenarioSpec::new(scenario);
+            check_case(
+                ndims,
+                CycleType::V,
+                variant,
+                true,
+                spec,
+                seed,
+                0.2,
+                SITE_ALL,
+            )
+            .unwrap_or_else(|msg| panic!("seed {seed}: {msg}"));
         }
     }
+}
+
+/// Fixed-seed gate for the f32 chain: mixed-precision cycles with the op
+/// and worker-panic sites armed. The chain op's own fault must fire (the
+/// premise), and every fault must surface as a typed error.
+#[test]
+fn fixed_seed_mixed_chain_gate() {
+    let spec = ScenarioSpec {
+        scenario: Scenario::Constant,
+        mixed: true,
+    };
+    let stats = check_case(
+        2,
+        CycleType::V,
+        Variant::OptPlus,
+        true,
+        spec,
+        2,
+        0.3,
+        SITE_OP | SITE_PANIC,
+    )
+    .unwrap_or_else(|msg| panic!("{msg}"));
+    let mixed = FaultSite::OpMixed.index();
+    assert!(
+        stats.fired[mixed] > 0,
+        "test premise: op_mixed fired ({} consults)",
+        stats.armed[mixed]
+    );
 }

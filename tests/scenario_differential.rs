@@ -1,4 +1,4 @@
-//! Scenario differential suite (DESIGN.md §18). Two pins:
+//! Scenario differential suite (DESIGN.md §18). Three pins:
 //!
 //! * **varcoef-with-ones ≡ constant twin, bitwise.** The
 //!   variable-coefficient pipeline scales its finest-level operator taps by
@@ -13,6 +13,8 @@
 //!   speed/accuracy trade: it must still drive the f64 residual down at a
 //!   multigrid-like rate on the paper's Poisson problem (the floor it
 //!   eventually hits sits far below the asserted reduction).
+//! * **the f32 chain's bits.** Two mixed-precision cycles hash to recorded
+//!   values, at one worker and at three.
 
 use proptest::prelude::*;
 
@@ -155,6 +157,69 @@ fn varcoef_field_changes_the_answer() {
         bits(&field),
         "a non-trivial coefficient field left the solve unchanged"
     );
+}
+
+/// FNV-1a over the `to_bits` of every value: a pin that any changed bit of
+/// any cell moves.
+fn bits_hash(v: &[f64]) -> u64 {
+    v.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        x.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// The f32 smoother chain's values, pinned: `CYCLES` mixed-precision cycles
+/// per rank × variant hash to the recorded value, at one worker and at
+/// three. Both variants lower the smoother chains to the same f32 chain op
+/// and the rest of the cycle to bitwise-equal f64 stages, so they share a
+/// pin. The f64 stages are pinned by the suites above; this is the only pin
+/// on what the chain itself computes.
+#[test]
+fn mixed_precision_chain_bits_are_pinned() {
+    use polymg_repro::compiler::schedule::ExecOp;
+    let pins = [
+        (2, Variant::OptPlus, 0x5a60_c5c0_fc78_b2beu64),
+        (2, Variant::DtileOptPlus, 0x5a60_c5c0_fc78_b2be),
+        (3, Variant::OptPlus, 0x114a_369d_c035_bcbd),
+        (3, Variant::DtileOptPlus, 0x114a_369d_c035_bcbd),
+    ];
+    let mut failures = Vec::new();
+    for (ndims, variant, want) in pins {
+        let cfg = config(ndims, CycleType::V);
+        for threads in [1, 3] {
+            let mut opts = PipelineOptions::for_variant(variant, ndims);
+            opts.threads = threads;
+            let spec = ScenarioSpec {
+                scenario: Scenario::Constant,
+                mixed: true,
+            };
+            let mut runner = scenario_runner(&cfg, spec, opts, "pin", None).expect("compile");
+            assert!(
+                runner
+                    .engine()
+                    .program()
+                    .ops
+                    .iter()
+                    .any(|op| matches!(op, ExecOp::RunMixedChain { .. })),
+                "test premise: {} {variant:?} runs an f32 chain",
+                cfg.tag()
+            );
+            let (mut v, f, _) = setup_poisson(&cfg);
+            for _ in 0..CYCLES {
+                runner.cycle_with_stats(&mut v, &f).expect("cycle");
+            }
+            let got = bits_hash(&v);
+            if got != want {
+                failures.push(format!(
+                    "{} {variant:?} threads={threads}: {got:#018x}",
+                    cfg.tag()
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "moved pins:\n{}", failures.join("\n"));
 }
 
 /// Mixed-precision (f32 smoothing) still converges on the paper's Poisson
