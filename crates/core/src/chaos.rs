@@ -139,8 +139,10 @@ impl FaultSite {
     }
 }
 
-/// splitmix64: tiny, statistically solid, and dependency-free.
-fn splitmix64(mut x: u64) -> u64 {
+/// splitmix64: tiny, statistically solid, and dependency-free. The one copy
+/// every crate hashes with: fault schedules, loadgen jitter, tenant shards,
+/// NAS and test inputs.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

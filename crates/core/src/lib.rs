@@ -50,7 +50,7 @@ pub mod storage;
 
 pub use autotune::{TuneConfig, TuneError, TunedStore};
 pub use cache::{compile_cached, pipeline_fingerprint, PlanCache};
-pub use chaos::{ChaosOptions, ChaosStats, FaultPlan, FaultSite};
+pub use chaos::{splitmix64, ChaosOptions, ChaosStats, FaultPlan, FaultSite};
 pub use compile::compile;
 pub use options::{PipelineOptions, Variant};
 pub use plan::{

@@ -1,11 +1,9 @@
 //! Flat buffers backing grids and scratchpads: `f64`, or `f32` for the
 //! mixed-precision smoother chain's scratch.
 //!
-//! A [`Buffer`] is deliberately minimal: a length and a `Vec<T>`. The
-//! pooled allocator in `gmg-runtime` hands these out and recycles them; the
-//! views in [`crate::view2`]/[`crate::view3`] interpret them with strides.
-
-use crate::Extents;
+//! A [`Buffer`] is deliberately minimal: a zero-initialised `Vec<T>` that
+//! knows its byte size. The pooled allocator in `gmg-runtime` hands these out
+//! and recycles them as they are (it never grows or re-zeroes one).
 
 /// A flat, heap-allocated buffer of `T` (`f64` unless named).
 ///
@@ -23,11 +21,6 @@ impl<T: Copy + Default> Buffer<T> {
         Buffer {
             data: vec![T::default(); len],
         }
-    }
-
-    /// Allocate a zeroed buffer sized for `extents`.
-    pub fn for_extents(extents: &Extents) -> Self {
-        Self::zeroed(extents.len())
     }
 
     /// Length in elements.
@@ -53,22 +46,6 @@ impl<T: Copy + Default> Buffer<T> {
     /// Mutable element slice.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Reset every element to zero (used when the pool recycles a buffer for
-    /// a function whose domain does not fully overwrite it, e.g. ghost rings).
-    pub fn zero_fill(&mut self) {
-        self.data.fill(T::default());
-    }
-
-    /// Grow (never shrink) to at least `len` elements, zeroing new space.
-    ///
-    /// The pooled allocator uses this when a storage class's size estimate
-    /// was refined upward between cycles.
-    pub fn ensure_len(&mut self, len: usize) {
-        if self.data.len() < len {
-            self.data.resize(len, T::default());
-        }
     }
 }
 
@@ -99,31 +76,11 @@ mod tests {
     }
 
     #[test]
-    fn for_extents_matches_len() {
-        let e = Extents::new(&[3, 4, 5]);
-        let b: Buffer = Buffer::for_extents(&e);
-        assert_eq!(b.len(), 60);
-    }
-
-    #[test]
     fn index_and_fill() {
         let mut b = Buffer::zeroed(4);
         b[2] = 7.5;
         assert_eq!(b[2], 7.5);
-        b.zero_fill();
-        assert_eq!(b[2], 0.0);
-    }
-
-    #[test]
-    fn ensure_len_grows_only() {
-        let mut b = Buffer::zeroed(4);
-        b[3] = 1.0;
-        b.ensure_len(2);
-        assert_eq!(b.len(), 4);
-        b.ensure_len(8);
-        assert_eq!(b.len(), 8);
-        assert_eq!(b[3], 1.0);
-        assert_eq!(b[7], 0.0);
+        assert_eq!(b.as_slice(), [0.0, 0.0, 7.5, 0.0]);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Grid initialisation helpers: manufactured solutions and RHS fields for the
-//! Poisson problems the paper evaluates, plus deterministic pseudo-random
-//! fills for testing.
+//! Poisson problems the paper evaluates.
 //!
 //! The 2-D/3-D benchmarks solve `∇²u = f` on the unit square/cube with
 //! homogeneous Dirichlet boundaries. With the manufactured solution
@@ -77,47 +76,6 @@ pub fn poisson_exact_3d(u: &mut View3Mut<'_>) {
     }
 }
 
-/// Deterministic pseudo-random interior fill in `[-1, 1]` (splitmix64-based,
-/// no external RNG needed in the hot path). Ghost ring left untouched.
-///
-/// Used by equivalence tests so that every optimizer variant sees identical,
-/// non-trivial inputs.
-pub fn splitmix_fill_2d(v: &mut View2Mut<'_>, seed: u64) {
-    let (ny, nx) = (v.ny(), v.nx());
-    for y in 1..ny - 1 {
-        for x in 1..nx - 1 {
-            let h = splitmix64(seed ^ ((y as u64) << 32) ^ x as u64);
-            v.set(y, x, unit_f64(h) * 2.0 - 1.0);
-        }
-    }
-}
-
-/// 3-D analogue of [`splitmix_fill_2d`].
-pub fn splitmix_fill_3d(v: &mut View3Mut<'_>, seed: u64) {
-    let (nz, ny, nx) = (v.nz(), v.ny(), v.nx());
-    for z in 1..nz - 1 {
-        for y in 1..ny - 1 {
-            for x in 1..nx - 1 {
-                let h = splitmix64(seed ^ ((z as u64) << 42) ^ ((y as u64) << 21) ^ x as u64);
-                v.set(z, y, x, unit_f64(h) * 2.0 - 1.0);
-            }
-        }
-    }
-}
-
-/// One round of the splitmix64 mixing function.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Map a u64 to `[0, 1)`.
-fn unit_f64(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,22 +134,5 @@ mod tests {
             }
         }
         assert!(max_interior_3d(&v) > 0.5);
-    }
-
-    #[test]
-    fn splitmix_deterministic_and_bounded() {
-        let mut a = vec![0.0; 8 * 8];
-        let mut b = vec![0.0; 8 * 8];
-        splitmix_fill_2d(&mut View2Mut::dense(&mut a, 8, 8), 42);
-        splitmix_fill_2d(&mut View2Mut::dense(&mut b, 8, 8), 42);
-        assert_eq!(a, b);
-        splitmix_fill_2d(&mut View2Mut::dense(&mut b, 8, 8), 43);
-        assert_ne!(a, b);
-        assert!(a.iter().all(|v| v.abs() <= 1.0));
-
-        let mut c = vec![0.0; 6 * 6 * 6];
-        splitmix_fill_3d(&mut View3Mut::dense(&mut c, 6, 6, 6), 7);
-        assert!(c.iter().any(|&v| v != 0.0));
-        assert!(c.iter().all(|v| v.abs() <= 1.0));
     }
 }

@@ -502,4 +502,27 @@ mod tests {
         assert!(max_err < 2e-3, "solution error {max_err}");
         assert!(max_err > 0.0);
     }
+
+    /// `setup_poisson`'s grids, pinned bit for bit: an FNV-1a hash of the
+    /// `to_bits()` of every value of `f`, then of `u`.
+    #[test]
+    fn setup_poisson_is_pinned() {
+        let fnv = |grids: [&[f64]; 2]| {
+            let bits = grids.into_iter().flatten().map(|x| x.to_bits());
+            bits.flat_map(u64::to_le_bytes)
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        };
+        for (ndims, n, want) in [
+            (2, 31, 0xabd6_67bc_dd8a_1734),
+            (3, 15, 0xa009_10fa_3fa4_98d5),
+        ] {
+            let cfg = MgConfig::new(ndims, n, CycleType::V, SmoothSteps::s444());
+            let (v0, f, u) = setup_poisson(&cfg);
+            assert!(v0.iter().all(|&x| x == 0.0));
+            let got = fnv([&f, &u]);
+            assert_eq!(got, want, "{ndims}-D n={n}: {got:#018x}");
+        }
+    }
 }

@@ -5,14 +5,7 @@
 
 use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
 use gmg_multigrid::solver::{setup_poisson, DslRunner};
-use polymg::{ChaosOptions, PipelineOptions, Variant};
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
+use polymg::{splitmix64, ChaosOptions, PipelineOptions, Variant};
 
 /// B perturbed copies of the base problem: distinct interiors, same shape.
 fn perturbed_batch(cfg: &MgConfig, b: usize) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {

@@ -58,7 +58,7 @@ pub fn init_charges(v: &mut [f64], n: i64, n_charges: usize, seed: u64) {
     let mut placed = 0usize;
     let mut k = 0u64;
     while placed < 2 * n_charges {
-        let h = gmg_grid::init::splitmix64(seed.wrapping_add(k));
+        let h = polymg::splitmix64(seed.wrapping_add(k));
         k += 1;
         let z = 1 + (h % n as u64) as usize;
         let y = 1 + ((h >> 21) % n as u64) as usize;

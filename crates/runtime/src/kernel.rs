@@ -1243,13 +1243,15 @@ pub fn fill_ghost<T: Copy>(data: &mut [T], extents: &[i64], value: T) {
     fill_rim(data, &origin, extents, &interior, value);
 }
 
-/// Copy `region` (global coordinates, outermost first) from `src` to `dst`,
-/// converting each value to the destination's element type (`f32` → `f64`
-/// widens exactly). A 2-D box is a 3-D box with one plane.
-pub fn copy_box<S: Elem, D: Elem>(
-    src: &Space<'_, S>,
-    dst: &mut SpaceMut<'_, D>,
+/// Walk the rows of `region` (global coordinates, outermost first) in two
+/// dense views of one rank, each given as `(origin, extents)`: `row(s, d, w)`
+/// for each row, which starts at flat index `s` of `src` and `d` of `dst` and
+/// is `w` cells wide. A 2-D box is a 3-D box with one plane.
+pub(crate) fn box_rows(
+    src: (&[i64], &[i64]),
+    dst: (&[i64], &[i64]),
     region: &[Interval],
+    mut row: impl FnMut(usize, usize, usize),
 ) {
     let nd = region.len();
     assert!(nd == 2 || nd == 3, "unsupported rank {nd}");
@@ -1261,7 +1263,7 @@ pub fn copy_box<S: Elem, D: Elem>(
         _ => (Interval::new(0, 0), region[0], region[1]),
     };
     // flat index of `(z, y, x.lo)` in a view (`z` is 0 in 2-D)
-    let at = |origin: &[i64], extents: &[i64], z: i64, y: i64| {
+    let at = |(origin, extents): (&[i64], &[i64]), z: i64, y: i64| {
         let plane = if nd == 3 {
             (z - origin[0]) * extents[1]
         } else {
@@ -1272,13 +1274,29 @@ pub fn copy_box<S: Elem, D: Elem>(
     let w = x.len() as usize;
     for z in planes.lo..=planes.hi {
         for y in rows.lo..=rows.hi {
-            let sb = at(src.origin, src.extents, z, y);
-            let db = at(dst.origin, dst.extents, z, y);
+            row(at(src, z, y), at(dst, z, y), w);
+        }
+    }
+}
+
+/// Copy `region` (global coordinates, outermost first) from `src` to `dst`,
+/// converting each value to the destination's element type (`f32` → `f64`
+/// widens exactly). A 2-D box is a 3-D box with one plane.
+pub fn copy_box<S: Elem, D: Elem>(
+    src: &Space<'_, S>,
+    dst: &mut SpaceMut<'_, D>,
+    region: &[Interval],
+) {
+    box_rows(
+        (src.origin, src.extents),
+        (dst.origin, dst.extents),
+        region,
+        |sb, db, w| {
             for (d, s) in dst.data[db..db + w].iter_mut().zip(&src.data[sb..sb + w]) {
                 *d = D::of(s.wide());
             }
-        }
-    }
+        },
+    );
 }
 
 #[cfg(test)]

@@ -23,7 +23,9 @@
 //! reads only of the previous step, single-case linear stages — and reports
 //! a violation as `ExecError::PlanViolation` before it allocates anything.
 
-use super::{panic_detail, sweep_rows};
+use super::{
+    check_chain, slot_space, stage_inputs, sweep_rows, with_outputs, ChainViolations, Frame,
+};
 use crate::kernel::{
     copy_box, execute_stage_region, fill_ghost, Elem, KernelInput, KernelOut, Space,
 };
@@ -31,66 +33,46 @@ use crate::pool::BufferPool;
 use crate::schedule::{ExecError, Slot};
 use gmg_poly::{BoxDomain, Interval};
 use gmg_trace::StageHandle;
-use polymg::schedule::{ExecProgram, OpInput, SlotSpec, StageExec};
-use polymg::{FaultPlan, FaultSite, KernelBody};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use polymg::schedule::{OpInput, StageExec};
+use polymg::{FaultPlan, KernelBody};
+use std::convert::Infallible;
 use std::time::Instant;
 
+const VIOLATIONS: ChainViolations = ChainViolations {
+    empty: "empty mixed chain",
+    origin: "mixed chains assume origin-0 buffers",
+    local: "mixed chain local read must target the previous step",
+};
+
 pub(crate) fn run(
-    program: &ExecProgram,
+    f: Frame<'_>,
     stages: &[StageExec],
     out_slot: usize,
     slots: &mut [Slot<'_>],
     pool: &mut BufferPool<f32>,
-    spans: &[StageHandle],
-    chaos: &FaultPlan,
 ) -> Result<(), ExecError> {
-    if chaos.should_fire(FaultSite::OpMixed) {
-        return Err(ExecError::FaultInjected {
-            site: FaultSite::OpMixed.label(),
-            op: "run_mixed_chain",
-        });
-    }
-    let Some(last) = stages.last() else {
-        return Err(ExecError::PlanViolation("empty mixed chain"));
-    };
-    let spec = &program.slots[out_slot];
-    if spec.origin.iter().any(|&o| o != 0) {
-        return Err(ExecError::PlanViolation(
-            "mixed chains assume origin-0 buffers",
-        ));
-    }
-
-    // Check every step, collecting the distinct external slots the chain
-    // reads (the shared RHS, typically).
+    let spec = check_chain(f.program, stages, out_slot, &VIOLATIONS)?;
+    // Every step is single-case linear and reads full arrays of the chain's
+    // geometry; collect the distinct external slots it reads (the shared
+    // RHS, typically).
     let mut ext_slots: Vec<usize> = Vec::new();
-    for (t, st) in stages.iter().enumerate() {
-        let cases = &program.kernels[st.kernel].cases;
+    for st in stages {
+        let cases = &f.program.kernels[st.kernel].cases;
         if !matches!(cases.as_slice(), [case] if matches!(case.body, KernelBody::Linear(_))) {
             return Err(ExecError::PlanViolation(
                 "mixed chain stage is not single-case linear",
             ));
         }
         for input in &st.ins {
-            match input {
-                OpInput::Zero => {}
-                OpInput::Slot { slot, .. } => {
-                    let sspec = &program.slots[*slot];
-                    if sspec.extents != spec.extents || sspec.origin != spec.origin {
-                        return Err(ExecError::PlanViolation(
-                            "mixed chain input with mismatched geometry",
-                        ));
-                    }
-                    if !ext_slots.contains(slot) {
-                        ext_slots.push(*slot);
-                    }
+            if let OpInput::Slot { slot, .. } = input {
+                let sspec = &f.program.slots[*slot];
+                if sspec.extents != spec.extents || sspec.origin != spec.origin {
+                    return Err(ExecError::PlanViolation(
+                        "mixed chain input with mismatched geometry",
+                    ));
                 }
-                OpInput::Local { stage, .. } => {
-                    if t.checked_sub(1) != Some(*stage) {
-                        return Err(ExecError::PlanViolation(
-                            "mixed chain local read must target the previous step",
-                        ));
-                    }
+                if !ext_slots.contains(slot) {
+                    ext_slots.push(*slot);
                 }
             }
         }
@@ -103,60 +85,45 @@ pub(crate) fn run(
     let mut prev = pool.allocate(len);
     let mut cur = pool.allocate(len);
     let mut ext_bufs: Vec<_> = ext_slots.iter().map(|_| pool.allocate(len)).collect();
+    let (origin, extents) = (&spec.origin[..], &spec.extents[..]);
+    let chaos = f.chaos;
 
-    let mut taken = std::mem::replace(&mut slots[out_slot], Slot::Empty);
-    let result = (|| -> Result<(), ExecError> {
-        let out_data = taken.try_write(&spec.name)?;
-        let ext_srcs: Vec<&[f64]> = ext_slots
+    let result = with_outputs(f.program, slots, &[out_slot], |out, slots| {
+        let ext_srcs: Vec<Space<'_>> = ext_slots
             .iter()
-            .map(|&s| slots[s].try_read(&program.slots[s].name))
+            .map(|&s| slot_space(f.program, slots, s))
             .collect::<Result<_, _>>()?;
-        let tracing = spans.iter().any(StageHandle::is_enabled);
-        let (origin, extents) = (&spec.origin[..], &spec.extents[..]);
+        let tracing = f.spans.iter().any(StageHandle::is_enabled);
         let whole = BoxDomain::new(extents.iter().map(|&e| Interval::new(0, e - 1)).collect());
 
-        // Catching here (slot taken, restore pending below) contains worker
-        // panics so the slot restore and scratch deallocation always run.
-        catch_unwind(AssertUnwindSafe(|| {
+        f.contain(|| {
             for (buf, src) in ext_bufs.iter_mut().zip(&ext_srcs) {
-                convert(buf.as_mut_slice(), src, spec, &whole, chaos);
+                convert(buf.as_mut_slice(), src, &whole, chaos);
             }
             for (t, st) in stages.iter().enumerate() {
                 let t0 = tracing.then(Instant::now);
-                let boundary = |input: &OpInput| match input {
-                    OpInput::Zero => 0.0,
-                    OpInput::Slot { boundary, .. } | OpInput::Local { boundary, .. } => *boundary,
-                };
                 if t > 0 {
                     // the previous step's ring holds its producer's boundary
-                    let local = st.ins.iter().find(|i| matches!(i, OpInput::Local { .. }));
-                    fill_ghost(
-                        prev.as_mut_slice(),
-                        extents,
-                        local.map_or(0.0, boundary) as f32,
-                    );
+                    let ring = st.ins.iter().find_map(|i| match i {
+                        OpInput::Local { boundary, .. } => Some(*boundary),
+                        _ => None,
+                    });
+                    fill_ghost(prev.as_mut_slice(), extents, ring.unwrap_or(0.0) as f32);
                 }
-                let bnd: Vec<f64> = st.ins.iter().map(boundary).collect();
-                let ins: Vec<KernelInput<'_, f32>> = st
-                    .ins
-                    .iter()
-                    .map(|input| {
-                        let data = match input {
-                            OpInput::Zero => return KernelInput::Zero,
-                            OpInput::Slot { slot, .. } => {
-                                let k = ext_slots.iter().position(|s| s == slot);
-                                ext_bufs[k.expect("collected above")].as_slice()
-                            }
-                            OpInput::Local { .. } => prev.as_slice(),
-                        };
-                        KernelInput::Grid(Space {
-                            data,
-                            origin,
-                            extents,
-                        })
-                    })
-                    .collect();
-                let kernel = &program.kernels[st.kernel];
+                let grid = |data| Space {
+                    data,
+                    origin,
+                    extents,
+                };
+                let Ok((ins, bnd)) = stage_inputs(
+                    st,
+                    |s| {
+                        let k = ext_slots.iter().position(|&e| e == s);
+                        Ok::<_, Infallible>(grid(ext_bufs[k.expect("collected above")].as_slice()))
+                    },
+                    |_| Ok(KernelInput::Grid(grid(prev.as_slice()))),
+                );
+                let kernel = &f.program.kernels[st.kernel];
                 sweep_rows(
                     cur.as_mut_slice(),
                     origin,
@@ -169,20 +136,20 @@ pub(crate) fn run(
                     },
                 );
                 std::mem::swap(&mut prev, &mut cur);
-                if let (Some(span), Some(t0)) = (spans.get(t), t0) {
+                if let (Some(span), Some(t0)) = (f.spans.get(t), t0) {
                     span.record(t0.elapsed().as_nanos() as u64, 1, st.domain.len() as u64);
                 }
             }
             // the final step's result sits in `prev` after the last swap
-            convert(out_data, prev.as_slice(), spec, &last.domain, chaos);
-        }))
-        .map_err(|p| ExecError::WorkerPanicked {
-            op: "run_mixed_chain",
-            detail: panic_detail(p),
-        })?;
-        Ok(())
-    })();
-    slots[out_slot] = taken;
+            let last = &stages[stages.len() - 1].domain;
+            let src = Space {
+                data: prev.as_slice(),
+                origin,
+                extents,
+            };
+            convert(out[0], &src, last, chaos);
+        })
+    });
 
     pool.deallocate(prev);
     pool.deallocate(cur);
@@ -192,30 +159,19 @@ pub(crate) fn run(
     result
 }
 
-/// `region` of `src` copied into `dst`, both of the chain's geometry, at
+/// `region` of `src` copied into `dst`, a buffer of `src`'s view, at
 /// `dst`'s precision, row-parallel: the whole of an external narrowed to
 /// `f32` (ghost ring included), or the last step's interior widened into the
 /// `f64` output.
 fn convert<S: Elem, D: Elem>(
     dst: &mut [D],
-    src: &[S],
-    spec: &SlotSpec,
+    src: &Space<'_, S>,
     region: &BoxDomain,
     chaos: &FaultPlan,
 ) {
-    let src = Space {
-        data: src,
-        origin: &spec.origin,
-        extents: &spec.extents,
-    };
-    sweep_rows(
-        dst,
-        &spec.origin,
-        &spec.extents,
-        region,
-        chaos,
-        |mut out, r| copy_box(&src, &mut out, r),
-    );
+    sweep_rows(dst, src.origin, src.extents, region, chaos, |mut out, r| {
+        copy_box(src, &mut out, r)
+    });
 }
 
 #[cfg(test)]

@@ -1,23 +1,247 @@
-//! Per-op execution: the bodies of the schedule VM's sweep ops. The
-//! interpreter loop in [`crate::schedule`] dispatches here; each module
-//! implements one `Run*` op of [`polymg::schedule::ExecOp`].
+//! Per-op execution: the schedule VM's four sweep ops and the frame they
+//! share. The interpreter loop in [`crate::schedule`] hands every sweep op
+//! to `run`; each module implements one `Run*` op of
+//! [`polymg::schedule::ExecOp`] and holds only that op's checks and loop.
 //!
-//! Every user-reachable failure is Result-checked *serially* (slot reads,
-//! output takes) before any parallel region starts, so the rayon closures
-//! themselves are infallible.
+//! Every sweep op runs in one frame, in this order:
+//!
+//! 1. **gate** — `run` consults the op's entry fault site first, before
+//!    any check;
+//! 2. **checks** — the op's plan invariants (`check_chain` for both
+//!    chains) fail as `ExecError::PlanViolation` before anything is
+//!    allocated;
+//! 3. **allocate** — op-lifetime scratch: the diamond chain's temp buffer
+//!    (pooled through `BufferPool::allocate_or_recover`, like the VM's
+//!    `PoolAlloc`) and the mixed chain's `f32` buffers;
+//! 4. **take** — `with_outputs` moves the op's output slots out of the
+//!    slot table, and the inputs are resolved against what is left
+//!    (`stage_inputs`, `slot_space`). Every user-reachable failure is
+//!    Result-checked here, serially, so the parallel closures are
+//!    infallible;
+//! 5. **contained parallel section** — `Frame::contain` turns a worker
+//!    panic into `ExecError::WorkerPanicked` naming the op;
+//! 6. **restore** — the taken slots go back on every path;
+//! 7. **free** — the op's scratch goes back to its pool on every path, a
+//!    contained panic included.
+//!
+//! It is the frame of the paper's generated code (`pool_allocate`, one
+//! parallel loop, write-back, `pool_deallocate`); only the loop differs
+//! from op to op.
 
 pub(crate) mod diamond;
 pub(crate) mod mixed;
 pub(crate) mod overlapped;
 pub(crate) mod untiled;
 
-use crate::kernel::{Space, SpaceMut};
+use crate::arena::ArenaPool;
+use crate::kernel::{KernelInput, Space, SpaceMut};
+use crate::pool::BufferPool;
 use crate::schedule::{ExecError, Slot};
 use gmg_poly::{BoxDomain, Interval};
-use polymg::schedule::{ExecProgram, OpInput, StageExec};
+use gmg_trace::StageHandle;
+use polymg::schedule::{ExecOp, ExecProgram, OpInput, SlotSpec, StageExec};
 use polymg::{FaultPlan, FaultSite};
 use rayon::prelude::*;
 use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Stage inputs kept on the stack per stage execution in a parallel loop (a
+/// wider stage spills to the heap); shipped pipelines read at most four
+/// grids per stage.
+const INLINE_INPUTS: usize = 8;
+
+/// What the frame hands an op: the program, the op's stage spans, the fault
+/// plan, and the op's name for a contained panic.
+#[derive(Clone, Copy)]
+pub(crate) struct Frame<'e> {
+    pub(crate) program: &'e ExecProgram,
+    pub(crate) spans: &'e [StageHandle],
+    pub(crate) chaos: &'e FaultPlan,
+    op: &'static str,
+}
+
+impl Frame<'_> {
+    /// Run the op's parallel section, containing a worker panic (an
+    /// injected `WorkerPanic` among them) as `ExecError::WorkerPanicked`
+    /// naming the op. The caller's restore and free run after it either way,
+    /// so no pooled buffer is stranded in a taken slot.
+    pub(crate) fn contain<R>(&self, section: impl FnOnce() -> R) -> Result<R, ExecError> {
+        catch_unwind(AssertUnwindSafe(section)).map_err(|p| ExecError::WorkerPanicked {
+            op: self.op,
+            detail: panic_detail(p),
+        })
+    }
+}
+
+/// Execute one sweep op: the entry gate, then the op's own module.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run(
+    op: &ExecOp,
+    program: &ExecProgram,
+    slots: &mut [Slot<'_>],
+    pool: &mut BufferPool,
+    f32_pool: &mut BufferPool<f32>,
+    scratch: &ArenaPool,
+    spans: &[StageHandle],
+    chaos: &FaultPlan,
+) -> Result<(), ExecError> {
+    let f = Frame {
+        program,
+        spans,
+        chaos,
+        op: op.mnemonic(),
+    };
+    let gate = |site: FaultSite| {
+        if chaos.should_fire(site) {
+            Err(ExecError::FaultInjected {
+                site: site.label(),
+                op: f.op,
+            })
+        } else {
+            Ok(())
+        }
+    };
+    match op {
+        ExecOp::RunUntiledStage { stage } => {
+            gate(FaultSite::OpUntiled)?;
+            untiled::run(f, stage, slots)
+        }
+        ExecOp::RunOverlappedGroup {
+            stages,
+            live_out,
+            scratch_slot,
+            tile_plan,
+            slab,
+            ..
+        } => {
+            gate(FaultSite::OpOverlapped)?;
+            overlapped::run(
+                f,
+                stages,
+                live_out,
+                scratch_slot,
+                tile_plan,
+                slab,
+                scratch,
+                slots,
+            )
+        }
+        ExecOp::RunDiamondChain {
+            stages,
+            schedule,
+            radius,
+            out_slot,
+        } => {
+            gate(FaultSite::OpDiamond)?;
+            diamond::run(f, stages, schedule, *radius, *out_slot, slots, pool)
+        }
+        ExecOp::RunMixedChain { stages, out_slot } => {
+            gate(FaultSite::OpMixed)?;
+            mixed::run(f, stages, *out_slot, slots, f32_pool)
+        }
+        _ => Err(ExecError::PlanViolation("not a sweep op")),
+    }
+}
+
+/// Take the slots `outs` (distinct) out of the slot table, hand `body`
+/// their arrays for writing, in `outs` order, together with the rest of
+/// the table to read from, and restore them on every path. A slot that
+/// cannot be written fails before `body` runs. The VM's `CopyLiveOut` takes
+/// its destination the same way.
+pub(crate) fn with_outputs<'a, R>(
+    program: &ExecProgram,
+    slots: &mut [Slot<'a>],
+    outs: &[usize],
+    body: impl FnOnce(&mut [&mut [f64]], &[Slot<'a>]) -> Result<R, ExecError>,
+) -> Result<R, ExecError> {
+    let mut taken: Vec<Slot<'a>> = outs
+        .iter()
+        .map(|&a| std::mem::replace(&mut slots[a], Slot::Empty))
+        .collect();
+    let result = taken
+        .iter_mut()
+        .zip(outs)
+        .map(|(s, &a)| s.try_write(&program.slots[a].name))
+        .collect::<Result<Vec<_>, _>>()
+        .and_then(|mut data| body(&mut data, slots));
+    for (&a, s) in outs.iter().zip(taken) {
+        slots[a] = s;
+    }
+    result
+}
+
+/// A full-array read of slot `s` as a kernel space.
+pub(crate) fn slot_space<'s>(
+    program: &'s ExecProgram,
+    slots: &'s [Slot<'_>],
+    s: usize,
+) -> Result<Space<'s>, ExecError> {
+    let spec = &program.slots[s];
+    Ok(Space {
+        data: slots[s].try_read(&spec.name)?,
+        origin: &spec.origin,
+        extents: &spec.extents,
+    })
+}
+
+/// One stage's kernel inputs, in slot order, and the boundary value of each
+/// input's producer (0 for the zero grid). `slot` resolves a full-array
+/// read, `local` a read of an earlier step of the same op; the first error
+/// either returns stops the resolution.
+pub(crate) fn stage_inputs<'s, T, E>(
+    stage: &StageExec,
+    mut slot: impl FnMut(usize) -> Result<Space<'s, T>, E>,
+    mut local: impl FnMut(usize) -> Result<KernelInput<'s, T>, E>,
+) -> Result<(Vec<KernelInput<'s, T>>, Vec<f64>), E> {
+    stage
+        .ins
+        .iter()
+        .map(|inp| {
+            Ok(match *inp {
+                OpInput::Zero => (KernelInput::Zero, 0.0),
+                OpInput::Slot { slot: s, boundary } => (KernelInput::Grid(slot(s)?), boundary),
+                OpInput::Local { stage, boundary } => (local(stage)?, boundary),
+            })
+        })
+        .collect()
+}
+
+/// The texts a chain op reports [`check_chain`]'s violations in.
+pub(crate) struct ChainViolations {
+    pub(crate) empty: &'static str,
+    pub(crate) origin: &'static str,
+    pub(crate) local: &'static str,
+}
+
+/// The invariants both chain ops (diamond, mixed) rely on: at least one
+/// step, an origin-0 output slot, and op-local reads of the previous step
+/// only (the other parity or ping-pong buffer). A program can reach the
+/// engine without the compiler, so the op checks them itself. Returns the
+/// output slot's spec.
+pub(crate) fn check_chain<'p>(
+    program: &'p ExecProgram,
+    stages: &[StageExec],
+    out_slot: usize,
+    violations: &ChainViolations,
+) -> Result<&'p SlotSpec, ExecError> {
+    if stages.is_empty() {
+        return Err(ExecError::PlanViolation(violations.empty));
+    }
+    let spec = &program.slots[out_slot];
+    if spec.origin.iter().any(|&o| o != 0) {
+        return Err(ExecError::PlanViolation(violations.origin));
+    }
+    for (t, st) in stages.iter().enumerate() {
+        let reads_elsewhere = st.ins.iter().any(|i| match i {
+            OpInput::Local { stage, .. } => t.checked_sub(1) != Some(*stage),
+            _ => false,
+        });
+        if reads_elsewhere {
+            return Err(ExecError::PlanViolation(violations.local));
+        }
+    }
+    Ok(spec)
+}
 
 /// Best-effort rendering of a caught panic payload for
 /// [`ExecError::WorkerPanicked`] details.
@@ -29,44 +253,6 @@ pub(crate) fn panic_detail(p: Box<dyn Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// A stage input with its full-array reads resolved to spaces (done before
-/// entering any parallel section; op-local inputs stay symbolic).
-pub(crate) enum ResolvedIn<'s> {
-    Zero,
-    /// Full-array view + the producer's boundary value.
-    Array(Space<'s>, f64),
-    /// Read from op-local storage of the given in-op stage index.
-    Local(usize, f64),
-}
-
-/// Resolve one stage's inputs against the current slot table.
-pub(crate) fn resolve_ins<'s>(
-    program: &'s ExecProgram,
-    stage: &StageExec,
-    slots: &'s [Slot<'_>],
-) -> Result<Vec<ResolvedIn<'s>>, ExecError> {
-    stage
-        .ins
-        .iter()
-        .map(|inp| match inp {
-            OpInput::Zero => Ok(ResolvedIn::Zero),
-            OpInput::Local { stage, boundary } => Ok(ResolvedIn::Local(*stage, *boundary)),
-            OpInput::Slot { slot, boundary } => {
-                let spec = &program.slots[*slot];
-                let data = slots[*slot].try_read(&spec.name)?;
-                Ok(ResolvedIn::Array(
-                    Space {
-                        data,
-                        origin: &spec.origin,
-                        extents: &spec.extents,
-                    },
-                    *boundary,
-                ))
-            }
-        })
-        .collect()
 }
 
 /// The full-array sweep, row-parallel: `domain`'s outer rows split into

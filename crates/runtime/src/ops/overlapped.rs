@@ -11,28 +11,23 @@
 //! arrays in the plan, a stage's input list lives on the stack, and scratch
 //! is the worker's engine-resident slab ([`crate::arena`]).
 
-use super::panic_detail;
+use super::{slot_space, with_outputs, Frame, INLINE_INPUTS};
 use crate::arena::ArenaPool;
 use crate::kernel::{
-    execute_stage_region, fill_rim, Inline, KernelInput, KernelOut, Space, SpaceMut,
+    box_rows, execute_stage_region, fill_rim, Inline, KernelInput, KernelOut, Space, SpaceMut,
 };
 use crate::schedule::{ExecError, Slot};
 use crate::tilebuf::SharedOut;
 use gmg_poly::Interval;
 use gmg_trace::StageHandle;
-use polymg::schedule::{ExecProgram, OpInput, SlabLayout, StageExec};
-use polymg::{FaultPlan, FaultSite, TilePlan};
+use polymg::schedule::{OpInput, SlabLayout, StageExec};
+use polymg::{FaultSite, TilePlan};
 use rayon::prelude::*;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
-
-/// Stage inputs kept on the stack per stage execution (a wider stage spills
-/// to the heap); shipped pipelines read at most four grids per stage.
-const INLINE_INPUTS: usize = 8;
 
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
-    program: &ExecProgram,
+    f: Frame<'_>,
     stages: &[StageExec],
     live_out: &[bool],
     scratch_slot: &[Option<usize>],
@@ -40,22 +35,14 @@ pub(crate) fn run(
     layout: &SlabLayout,
     scratch: &ArenaPool,
     slots: &mut [Slot<'_>],
-    spans: &[StageHandle],
-    chaos: &FaultPlan,
 ) -> Result<(), ExecError> {
-    if chaos.should_fire(FaultSite::OpOverlapped) {
-        return Err(ExecError::FaultInjected {
-            site: FaultSite::OpOverlapped.label(),
-            op: "run_overlapped",
-        });
-    }
     let nd = plan.ndims();
     if !(2..=3).contains(&nd) {
         return Err(ExecError::PlanViolation(
             "overlapped group of unsupported rank",
         ));
     }
-    // take all written arrays
+    // the arrays the group writes, each taken once
     let mut write_arrays = Vec::new();
     for (st, lo) in stages.iter().zip(live_out) {
         if *lo {
@@ -66,33 +53,20 @@ pub(crate) fn run(
     }
     write_arrays.sort_unstable();
     write_arrays.dedup();
-    let mut taken: Vec<(usize, Slot<'_>)> = write_arrays
-        .iter()
-        .map(|&a| (a, std::mem::replace(&mut slots[a], Slot::Empty)))
-        .collect();
+    let (program, spans, chaos) = (f.program, f.spans, f.chaos);
 
-    let result = (|| -> Result<(), ExecError> {
-        // shared outs (checked serially, before any parallelism)
-        let mut outs: Vec<(usize, SharedOut)> = Vec::with_capacity(taken.len());
-        for (a, s) in taken.iter_mut() {
-            outs.push((*a, SharedOut::new(s.try_write(&program.slots[*a].name)?)));
-        }
+    with_outputs(program, slots, &write_arrays, |outs, slots| {
         // per stage: the shared array a live-out stage writes, with its
         // extents (resolved here so the tile loop cannot fail)
         let stage_out: Vec<Option<(SharedOut, &[i64])>> = stages
             .iter()
             .zip(live_out)
             .map(|(st, lo)| {
-                if !*lo {
-                    return Ok(None);
-                }
-                let a = st.slot.and_then(|a| outs.iter().find(|(aa, _)| *aa == a));
-                let (a, sh) = a.ok_or(ExecError::PlanViolation(
-                    "live-out stage slot was not taken for writing",
-                ))?;
-                Ok(Some((*sh, &program.slots[*a].extents[..])))
+                let a = st.slot.filter(|_| *lo)?;
+                let out = SharedOut::new(outs[write_arrays.partition_point(|&w| w < a)]);
+                Some((out, &program.slots[a].extents[..]))
             })
-            .collect::<Result<_, ExecError>>()?;
+            .collect();
 
         // every stage's inputs, stage after stage, with the full-array reads
         // resolved; op-local inputs are filled in per tile
@@ -100,23 +74,13 @@ pub(crate) fn run(
         for inp in stages.iter().flat_map(|st| &st.ins) {
             inputs.push(match inp {
                 OpInput::Zero | OpInput::Local { .. } => KernelInput::Zero,
-                OpInput::Slot { slot, .. } => {
-                    let spec = &program.slots[*slot];
-                    KernelInput::Grid(Space {
-                        data: slots[*slot].try_read(&spec.name)?,
-                        origin: &spec.origin,
-                        extents: &spec.extents,
-                    })
-                }
+                OpInput::Slot { slot, .. } => KernelInput::Grid(slot_space(program, slots, *slot)?),
             });
         }
 
         let tracing = spans.iter().any(StageHandle::is_enabled);
 
-        // Catching here (after the slots were taken, before they are
-        // restored by the caller below) contains worker panics: the slot
-        // restore always runs, so no pooled buffer is stranded.
-        catch_unwind(AssertUnwindSafe(|| {
+        f.contain(|| {
             (0..plan.tiles()).into_par_iter().for_each(|tile| {
                 if chaos.should_fire(FaultSite::WorkerPanic) {
                     panic!("chaos: injected worker panic");
@@ -179,16 +143,13 @@ pub(crate) fn run(
                         execute_stage_region(st.sel(), kernel, compute, out, ins, bnd);
                         if let Some((sh, array_extents)) = stage_out[i] {
                             // copy the owned sub-region scratch → array
-                            let src = Space {
-                                data,
-                                origin,
-                                extents,
-                            };
-                            // SAFETY: owned boxes partition the array across
-                            // tiles.
-                            unsafe {
-                                sh.copy_box_from(&src, array_extents, &entry.owned[3 - nd..]);
-                            }
+                            let owned = &entry.owned[3 - nd..];
+                            let array = (&[0; 3][..nd], array_extents);
+                            box_rows((origin, extents), array, owned, |s, d, w| {
+                                // SAFETY: owned boxes partition the array
+                                // across tiles.
+                                unsafe { sh.segment(d, w) }.copy_from_slice(&data[s..s + w]);
+                            });
                         }
                     } else if let Some((out, extents)) = stage_out[i] {
                         // live-out with no in-group consumer: write the owned
@@ -207,15 +168,6 @@ pub(crate) fn run(
 
                 scratch.put(arena);
             });
-        }))
-        .map_err(|p| ExecError::WorkerPanicked {
-            op: "run_overlapped",
-            detail: panic_detail(p),
         })
-    })();
-
-    for (a, s) in taken {
-        slots[a] = s;
-    }
-    result
+    })
 }

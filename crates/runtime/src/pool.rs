@@ -17,6 +17,7 @@
 //! statistics stay undiluted. Bytes are counted at `size_of::<T>()` each.
 
 use gmg_grid::Buffer;
+use polymg::{FaultPlan, FaultSite};
 use std::collections::HashMap;
 
 /// Allocation statistics of a pool.
@@ -52,6 +53,21 @@ impl BufferPool {
     /// builds the `f32` one).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// `pool_allocate` under a fault plan: an injected
+    /// [`FaultSite::PoolAlloc`] fault makes recycling "fail", and the request
+    /// degrades to a counted fresh malloc
+    /// ([`BufferPool::allocate_fallback_fresh`]) recorded as recovered. The
+    /// VM's `PoolAlloc` op and the diamond chain's temp buffer allocate here.
+    pub(crate) fn allocate_or_recover(&mut self, len: usize, chaos: &FaultPlan) -> Buffer {
+        if chaos.should_fire(FaultSite::PoolAlloc) {
+            let b = self.allocate_fallback_fresh(len);
+            chaos.record_recovered(FaultSite::PoolAlloc);
+            b
+        } else {
+            self.allocate(len)
+        }
     }
 }
 

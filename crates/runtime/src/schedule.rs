@@ -11,7 +11,7 @@
 //! hand-assembled [`ExecProgram`] runs too ([`Engine::from_program`]).
 
 use crate::arena::ArenaPool;
-use crate::kernel::{copy_box, fill_ghost, Space, SpaceMut};
+use crate::kernel::{copy_box, fill_ghost, SpaceMut};
 use crate::pool::{BufferPool, PoolStats};
 use gmg_grid::Buffer;
 use gmg_poly::BoxDomain;
@@ -522,20 +522,12 @@ impl Engine {
                         }
                         ExecOp::PoolAlloc { slot } => {
                             if first {
+                                // under an injected pool fault the fresh
+                                // fallback is zeroed, and the later
+                                // FillGhost + full interior overwrite make
+                                // it bitwise-equivalent
                                 let len = program.slots[*slot].len();
-                                let buf = if chaos.should_fire(FaultSite::PoolAlloc) {
-                                    // injected pool exhaustion: recycling
-                                    // "fails", degrade to a counted fresh
-                                    // malloc (the later FillGhost + full
-                                    // interior overwrite make the zeroed
-                                    // buffer bitwise-equivalent)
-                                    let b = pool.allocate_fallback_fresh(len);
-                                    chaos.record_recovered(FaultSite::PoolAlloc);
-                                    b
-                                } else {
-                                    pool.allocate(len)
-                                };
-                                slots[*slot] = Slot::Owned(buf);
+                                slots[*slot] = Slot::Owned(pool.allocate_or_recover(len, chaos));
                             }
                         }
                         ExecOp::FillGhost { slot } => {
@@ -560,87 +552,29 @@ impl Engine {
                                 }
                             }
                         }
-                        ExecOp::RunUntiledStage { stage } => {
-                            crate::ops::untiled::run(
-                                program,
-                                stage,
-                                slots,
-                                &stage_handles[i],
-                                chaos,
-                            )?;
-                        }
-                        ExecOp::RunOverlappedGroup {
-                            stages,
-                            live_out,
-                            scratch_slot,
-                            tile_plan,
-                            slab,
-                            ..
-                        } => {
-                            crate::ops::overlapped::run(
-                                program,
-                                stages,
-                                live_out,
-                                scratch_slot,
-                                tile_plan,
-                                slab,
-                                scratch,
-                                slots,
-                                &stage_handles[i],
-                                chaos,
-                            )?;
-                        }
-                        ExecOp::RunDiamondChain {
-                            stages,
-                            schedule,
-                            radius,
-                            out_slot,
-                        } => {
-                            crate::ops::diamond::run(
-                                program,
-                                stages,
-                                schedule,
-                                *radius,
-                                *out_slot,
-                                slots,
-                                pool,
-                                program.pooled,
-                                &stage_handles[i],
-                                chaos,
-                            )?;
-                        }
-                        ExecOp::RunMixedChain { stages, out_slot } => {
-                            crate::ops::mixed::run(
-                                program,
-                                stages,
-                                *out_slot,
-                                slots,
-                                f32_pool,
-                                &stage_handles[i],
-                                chaos,
-                            )?;
-                        }
                         ExecOp::CopyLiveOut { src, dst, region } => {
-                            let sspec = &program.slots[*src];
                             let dspec = &program.slots[*dst];
-                            let mut taken = std::mem::replace(&mut slots[*dst], Slot::Empty);
-                            {
-                                let ddata = taken.try_write(&dspec.name)?;
-                                let sdata = slots[*src].try_read(&sspec.name)?;
-                                let sp = Space {
-                                    data: sdata,
-                                    origin: &sspec.origin,
-                                    extents: &sspec.extents,
-                                };
-                                let mut dp = SpaceMut {
-                                    data: ddata,
+                            crate::ops::with_outputs(program, slots, &[*dst], |out, slots| {
+                                let src = crate::ops::slot_space(program, slots, *src)?;
+                                let mut dst = SpaceMut {
+                                    data: &mut *out[0],
                                     origin: &dspec.origin,
                                     extents: &dspec.extents,
                                 };
-                                copy_box(&sp, &mut dp, &region.0);
-                            }
-                            slots[*dst] = taken;
+                                copy_box(&src, &mut dst, &region.0);
+                                Ok(())
+                            })?;
                         }
+                        sweep => crate::ops::run(
+                            sweep,
+                            program,
+                            slots,
+                            pool,
+                            f32_pool,
+                            scratch,
+                            &stage_handles[i],
+                            chaos,
+                        )?,
                     }
                     if let Some(t0) = t0 {
                         oh.record(t0.elapsed().as_nanos() as u64);
@@ -650,10 +584,10 @@ impl Engine {
             Ok(fresh_bytes)
         };
 
-        // Last line of defence: an op-level catch_unwind already contains
-        // worker panics, but a panic in serial interpreter code must not
-        // unwind through the caller either — the engine owns a pool whose
-        // accounting has to stay consistent.
+        // Last line of defence: the op frame (`ops::Frame::contain`)
+        // already contains worker panics, but a panic in serial interpreter
+        // code must not unwind through the caller either — the engine owns a
+        // pool whose accounting has to stay consistent.
         let outcome: Result<usize, ExecError> =
             match catch_unwind(AssertUnwindSafe(|| match &self.rayon_pool {
                 Some(rp) => rp.install(|| body(&mut slots, pool)),

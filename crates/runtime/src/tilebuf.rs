@@ -9,9 +9,6 @@
 //! `gmg_poly::diamond` that keeps concurrent trapezoids on disjoint rows of
 //! each parity buffer.
 
-use crate::kernel::Space;
-use gmg_poly::Interval;
-
 /// A shared, tile-writable view of one full array of a kernel element type
 /// (`f64` unless named; [`crate::kernel::KernelOut`] is generic over it).
 #[derive(Clone, Copy)]
@@ -68,44 +65,5 @@ impl<T> SharedOut<T> {
     pub unsafe fn read_segment<'s>(&self, off: usize, w: usize) -> &'s [T] {
         debug_assert!(off + w <= self.len);
         std::slice::from_raw_parts(self.ptr.add(off), w)
-    }
-}
-
-impl SharedOut {
-    /// Copy `region` (global coordinates, one interval per axis) from `src`
-    /// into this array, which has dense extents `extents` and origin 0.
-    ///
-    /// # Safety
-    /// The region must be disjoint from every concurrent access.
-    pub unsafe fn copy_box_from(&self, src: &Space<'_>, extents: &[i64], region: &[Interval]) {
-        if region.iter().any(Interval::is_empty) {
-            return;
-        }
-        let nd = extents.len();
-        let xl = region[nd - 1].lo;
-        let w = region[nd - 1].len() as usize;
-        match nd {
-            2 => {
-                for y in region[0].lo..=region[0].hi {
-                    let off = (y * extents[1] + xl) as usize;
-                    let sb = ((y - src.origin[0]) * src.extents[1] + (xl - src.origin[1])) as usize;
-                    self.segment(off, w).copy_from_slice(&src.data[sb..sb + w]);
-                }
-            }
-            3 => {
-                let ps = extents[1] * extents[2];
-                let sps = src.extents[1] * src.extents[2];
-                for z in region[0].lo..=region[0].hi {
-                    for y in region[1].lo..=region[1].hi {
-                        let off = (z * ps + y * extents[2] + xl) as usize;
-                        let sb = ((z - src.origin[0]) * sps
-                            + (y - src.origin[1]) * src.extents[2]
-                            + (xl - src.origin[2])) as usize;
-                        self.segment(off, w).copy_from_slice(&src.data[sb..sb + w]);
-                    }
-                }
-            }
-            d => panic!("unsupported rank {d}"),
-        }
     }
 }

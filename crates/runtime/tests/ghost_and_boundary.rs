@@ -166,7 +166,7 @@ fn pool_recycling_is_hygienic() {
         let mut b = vec![0.0; e * e];
         for y in 1..=n as usize {
             for x in 1..=n as usize {
-                let h = gmg_grid::init::splitmix64(seed ^ ((y as u64) << 20) ^ x as u64);
+                let h = polymg::splitmix64(seed ^ ((y as u64) << 20) ^ x as u64);
                 b[y * e + x] = (h >> 11) as f64 / (1u64 << 53) as f64;
             }
         }

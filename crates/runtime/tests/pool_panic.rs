@@ -7,10 +7,13 @@
 use gmg_ir::expr::Operand;
 use gmg_ir::stencil::stencil_2d;
 use gmg_ir::{ParamBindings, Pipeline, StepCount};
+use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
+use gmg_multigrid::cycles::build_cycle_pipeline;
+use gmg_multigrid::solver::setup_poisson;
 use gmg_runtime::{Engine, ExecError};
-use polymg::chaos::SITE_PANIC;
+use polymg::chaos::{SITE_OP, SITE_PANIC};
 use polymg::schedule::{lower, ExecOp, OpInput, StageExec};
-use polymg::{compile, ChaosOptions, PipelineOptions, Variant};
+use polymg::{compile, ChaosOptions, FaultSite, PipelineOptions, Variant};
 
 fn smoother_pipeline() -> Pipeline {
     let n = 31i64;
@@ -36,8 +39,8 @@ fn smoother_pipeline() -> Pipeline {
     p
 }
 
-fn opts() -> PipelineOptions {
-    let mut o = PipelineOptions::for_variant(Variant::Opt, 2);
+fn opts(variant: Variant) -> PipelineOptions {
+    let mut o = PipelineOptions::for_variant(variant, 2);
     o.threads = 3;
     // several tiles per sweep so every run hits a real parallel region
     o.tile_sizes = vec![8, 8];
@@ -53,9 +56,25 @@ fn run_once(engine: &mut Engine, out_name: &str) -> Result<Vec<f64>, ExecError> 
     Ok(out)
 }
 
-#[test]
-fn worker_panic_is_contained_and_pool_stays_usable() {
-    let plan = compile(&smoother_pipeline(), &ParamBindings::new(), opts()).unwrap();
+/// The fault site of a sweep op's entry gate, or `None` for any other op.
+fn entry_site(op: &ExecOp) -> Option<FaultSite> {
+    match op {
+        ExecOp::RunUntiledStage { .. } => Some(FaultSite::OpUntiled),
+        ExecOp::RunOverlappedGroup { .. } => Some(FaultSite::OpOverlapped),
+        ExecOp::RunDiamondChain { .. } => Some(FaultSite::OpDiamond),
+        ExecOp::RunMixedChain { .. } => Some(FaultSite::OpMixed),
+        _ => None,
+    }
+}
+
+/// One sweep op kind's containment contract. The program compiled from `o`
+/// holds a `kind` op. An op-entry fault surfaces as `FaultInjected` naming
+/// the first sweep op's site and mnemonic; a panic in every parallel item
+/// surfaces as `WorkerPanicked` naming that op, without killing or
+/// respawning pool workers. Either way no pooled byte stays live, and the
+/// same engine's next disarmed run is bitwise the reference.
+fn op_failure_is_contained(o: PipelineOptions, kind: &str) {
+    let plan = compile(&smoother_pipeline(), &ParamBindings::new(), o).unwrap();
     let out_name = plan
         .graph
         .stages
@@ -66,16 +85,40 @@ fn worker_panic_is_contained_and_pool_stays_usable() {
         .clone();
 
     // fault-free reference from an independent engine
-    let mut ref_engine = Engine::new(plan.clone());
-    let reference = run_once(&mut ref_engine, &out_name).unwrap();
+    let reference = run_once(&mut Engine::new(plan.clone()), &out_name).unwrap();
 
     let mut engine = Engine::new(plan);
+    let ops = &engine.program().ops;
+    assert!(
+        ops.iter().any(|op| op.mnemonic() == kind),
+        "test premise: a {kind} op"
+    );
+    let (site, op) = ops
+        .iter()
+        .find_map(|op| Some((entry_site(op)?.label(), op.mnemonic())))
+        .unwrap();
     let clean = run_once(&mut engine, &out_name).unwrap();
-    assert_eq!(clean, reference);
+    assert_eq!(clean, reference, "{kind}");
     let workers_before = engine.thread_counters().workers_spawned;
     assert_eq!(
         workers_before, 2,
-        "threads=3 should have spawned exactly threads-1 persistent workers"
+        "{kind}: threads=3 should have spawned exactly threads-1 persistent workers"
+    );
+
+    // the first sweep op's gate fires before it checks or allocates anything
+    engine.set_chaos(Some(ChaosOptions::new(11, 1.0).with_sites(SITE_OP)));
+    let err = run_once(&mut engine, &out_name).expect_err("an op-entry fault must surface");
+    assert_eq!(err, ExecError::FaultInjected { site, op }, "{kind}");
+    assert_eq!(
+        engine.pool_stats().live_bytes,
+        0,
+        "{kind}: pool slot leaked"
+    );
+    engine.set_chaos(None);
+    assert_eq!(
+        run_once(&mut engine, &out_name).unwrap(),
+        reference,
+        "{kind}"
     );
 
     // every parallel item panics; the run must return a typed error, not
@@ -84,16 +127,23 @@ fn worker_panic_is_contained_and_pool_stays_usable() {
     let err = run_once(&mut engine, &out_name)
         .expect_err("an injected worker panic must surface as an error");
     assert!(
-        matches!(err, ExecError::WorkerPanicked { .. }),
-        "expected WorkerPanicked, got: {err}"
+        matches!(err, ExecError::WorkerPanicked { op: named, .. } if named == op),
+        "{kind}: expected WorkerPanicked in {op}, got: {err}"
     );
     assert_eq!(
         engine.thread_counters().workers_spawned,
         workers_before,
-        "the panic must not kill or respawn pool workers"
+        "{kind}: the panic must not kill or respawn pool workers"
     );
-    let snap = engine.chaos_stats();
-    assert!(snap.total_fired() > 0, "the panic site must have fired");
+    assert!(
+        engine.chaos_stats().total_fired() > 0,
+        "{kind}: the panic site must have fired"
+    );
+    assert_eq!(
+        engine.pool_stats().live_bytes,
+        0,
+        "{kind}: pool slot leaked"
+    );
 
     // disarmed: the very same engine (workers, pool) computes the correct
     // result again — nothing was deadlocked, stranded, or poisoned for good
@@ -102,18 +152,101 @@ fn worker_panic_is_contained_and_pool_stays_usable() {
     let recovered = run_once(&mut engine, &out_name).expect("engine must stay usable");
     assert_eq!(
         recovered, reference,
-        "post-panic run must be bitwise-identical to the fault-free result"
+        "{kind}: post-panic run must be bitwise-identical to the fault-free result"
     );
     let counters = engine.thread_counters();
     assert_eq!(
         counters.workers_spawned, workers_before,
-        "recovery must reuse the existing worker set"
+        "{kind}: recovery must reuse the existing worker set"
     );
     assert!(
         counters.regions > regions_before,
-        "the recovery run must have executed real parallel regions"
+        "{kind}: the recovery run must have executed real parallel regions"
     );
-    assert_eq!(engine.pool_stats().live_bytes, 0, "no pool slot leaked");
+    assert_eq!(
+        engine.pool_stats().live_bytes,
+        0,
+        "{kind}: no pool slot leaked"
+    );
+}
+
+/// The containment contract for each sweep op kind: naive programs sweep
+/// untiled, opt+ runs overlapped tiles, dtile-opt+ diamond chains, and
+/// mixed precision f32 chains.
+#[test]
+fn worker_panic_is_contained_and_pool_stays_usable() {
+    let kinds = [
+        (Variant::Naive, false, "run_untiled"),
+        (Variant::OptPlus, false, "run_overlapped"),
+        (Variant::DtileOptPlus, false, "run_diamond"),
+        (Variant::OptPlus, true, "run_mixed_chain"),
+    ];
+    for (variant, mixed, kind) in kinds {
+        let mut o = opts(variant);
+        o.mixed_precision = mixed;
+        op_failure_is_contained(o, kind);
+    }
+}
+
+/// A panic in an op that has taken pooled output slots out of the slot
+/// table: the op restores them before the engine's error path sweeps pooled
+/// slots back, so none leaks. Each kind runs a V-cycle whose first sweep op
+/// writes a pooled slot.
+#[test]
+fn worker_panic_returns_the_ops_pooled_outputs() {
+    let cfg = MgConfig::new(2, 31, CycleType::V, SmoothSteps::s444());
+    let pipeline = build_cycle_pipeline(&cfg);
+    let (v, f, _) = setup_poisson(&cfg);
+    let run = |engine: &mut Engine| {
+        let mut out = vec![0.0; v.len()];
+        engine.run(&[("V", &v), ("F", &f)], vec![("out", &mut out)])?;
+        Ok::<_, ExecError>(out)
+    };
+    let kinds = [
+        (Variant::Naive, false, "run_untiled"),
+        (Variant::OptPlus, false, "run_overlapped"),
+        (Variant::DtileOptPlus, false, "run_diamond"),
+        (Variant::OptPlus, true, "run_mixed_chain"),
+    ];
+    for (variant, mixed, kind) in kinds {
+        let mut o = opts(variant);
+        o.mixed_precision = mixed;
+        o.pooled_allocation = true;
+        let plan = compile(&pipeline, &ParamBindings::new(), o).unwrap();
+        let reference = run(&mut Engine::new(plan.clone())).unwrap();
+
+        let mut engine = Engine::new(plan);
+        let ops = &engine.program().ops;
+        let first = ops.iter().find(|op| entry_site(op).is_some()).unwrap();
+        let pooled = |s: &usize| {
+            ops.iter()
+                .any(|op| matches!(op, ExecOp::PoolAlloc { slot } if slot == s))
+        };
+        assert_eq!(first.mnemonic(), kind, "test premise: the first sweep op");
+        assert!(
+            first.slots_used().iter().any(pooled),
+            "test premise: the first {kind} op writes a pooled slot"
+        );
+
+        engine.set_chaos(Some(ChaosOptions::new(11, 1.0).with_sites(SITE_PANIC)));
+        let err = run(&mut engine).expect_err("an injected worker panic must surface");
+        assert!(
+            matches!(err, ExecError::WorkerPanicked { op, .. } if op == kind),
+            "{kind}: expected WorkerPanicked, got: {err}"
+        );
+        assert_eq!(
+            engine.pool_stats().live_bytes,
+            0,
+            "{kind}: pool slot leaked"
+        );
+        engine.set_chaos(None);
+        assert_eq!(run(&mut engine).unwrap(), reference, "{kind}");
+        assert_eq!(
+            engine.pool_stats().live_bytes,
+            0,
+            "{kind}: pool slot leaked"
+        );
+    }
 }
 
 /// The same containment with engine-owned tile scratch: a panic inside an

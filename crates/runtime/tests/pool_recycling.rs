@@ -37,7 +37,7 @@ fn pipeline(n: i64) -> Pipeline {
 
 fn fill(buf: &mut [f64], seed: u64) {
     for (i, v) in buf.iter_mut().enumerate() {
-        let h = gmg_grid::init::splitmix64(seed ^ i as u64);
+        let h = polymg::splitmix64(seed ^ i as u64);
         *v = ((h >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
     }
 }

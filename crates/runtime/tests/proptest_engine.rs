@@ -98,8 +98,8 @@ proptest! {
         let mut fin = vec![0.0; e * e];
         for y in 1..16 {
             for x in 1..16 {
-                let h1 = gmg_grid::init::splitmix64(seed ^ ((y as u64) << 32) ^ x as u64);
-                let h2 = gmg_grid::init::splitmix64(!seed ^ ((x as u64) << 32) ^ y as u64);
+                let h1 = polymg::splitmix64(seed ^ ((y as u64) << 32) ^ x as u64);
+                let h2 = polymg::splitmix64(!seed ^ ((x as u64) << 32) ^ y as u64);
                 vin[y * e + x] = (h1 >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
                 fin[y * e + x] = (h2 >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
             }

@@ -56,7 +56,7 @@ fn interpreter_twin(k: &StageKernel) -> StageKernel {
 /// Deterministic pseudo-random fill.
 fn fill(seed: u64, data: &mut [f64]) {
     for (i, v) in data.iter_mut().enumerate() {
-        let h = gmg_grid::init::splitmix64(seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15));
+        let h = polymg::splitmix64(seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15));
         *v = (h >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
     }
 }

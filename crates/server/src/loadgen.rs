@@ -37,16 +37,9 @@ use std::time::{Duration, Instant};
 use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
 use gmg_multigrid::scenario::{coeff_field, scenario_runner, ScenarioSpec};
 use gmg_multigrid::solver::setup_poisson;
-use polymg::{PipelineOptions, Scenario, Variant};
+use polymg::{splitmix64, PipelineOptions, Scenario, Variant};
 
 use crate::protocol::{self, BatchSolveRequest, ErrorCode, SolveRequest};
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
 
 /// Backoff (milliseconds) before retry number `attempt` (0-based) of a
 /// backpressured request: exponential from 2 ms doubling to a 64 ms cap,

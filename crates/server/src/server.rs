@@ -153,11 +153,7 @@ pub fn shard_for_tenant(tenant: u32, nshards: usize) -> usize {
     if nshards <= 1 {
         return 0;
     }
-    let mut z = (tenant as u64).wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^= z >> 31;
-    (z % nshards as u64) as usize
+    (polymg::splitmix64(u64::from(tenant)) % nshards as u64) as usize
 }
 
 /// Admission QoS class of a job, derived from its opcode (`Job::class`):

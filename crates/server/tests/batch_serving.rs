@@ -11,14 +11,7 @@ use gmg_multigrid::solver::{setup_poisson, DslRunner};
 use gmg_server::loadgen::{self, LoadgenOptions, MixItem};
 use gmg_server::protocol::{self, BatchSolveRequest, BatchSolveResponse, SolveRequest};
 use gmg_server::{start, ServerConfig};
-use polymg::{PipelineOptions, Scenario, Variant};
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
+use polymg::{splitmix64, PipelineOptions, Scenario, Variant};
 
 fn connect(addr: std::net::SocketAddr) -> TcpStream {
     let s = TcpStream::connect(addr).expect("connect");

@@ -5,7 +5,7 @@
 //! re-encode to exactly those bytes. Never a panic.
 
 use gmg_server::protocol::{self, BatchSolveRequest, SolveRequest};
-use polymg::Scenario;
+use polymg::{splitmix64, Scenario};
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -14,13 +14,6 @@ const SOLVE_OPS: [u8; 3] = [
     protocol::OP_SOLVE_SCENARIO,
     protocol::OP_SOLVE_BATCH,
 ];
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
 
 /// `len` arbitrary f64 bit patterns (NaNs and infinities included: the wire
 /// carries bits, not numbers).
