@@ -61,9 +61,11 @@ cargo run --release -q -p gmg-bench --bin reproduce -- fig9b 2>/dev/null || rc=$
 # recovery or a typed error, never a panic — and a CLI chaos run must
 # record its fault events in the profile JSON. The op frame (`ops/mod.rs`) is
 # the one place a worker panic is contained, and tier-1 runs its 3-worker
-# containment suites in debug only, so they run again under release codegen.
+# containment suites and the pool's own tests (whose exit protocol depends on
+# interleaving) in debug only, so they run again under release codegen.
 cargo test -q --release --test chaos_differential
-cargo test -q --release -p gmg-runtime --test pool_panic --test chaos_pool
+cargo test -q --release -p gmg-runtime --test pool_panic --test chaos_pool --test pool_persistence
+cargo test -q --release -p rayon
 cargo run --release -p gmg-bench --bin polymg-cli -- V-2D-2-2-2 --n 31 \
   --profile /tmp/chaos_profile_ci.json --iters 2 --chaos-seed 7 --chaos-rate 1 \
   >/dev/null 2>&1 || true   # unrecoverable faults may fail cycles; the profile must still be written

@@ -2,7 +2,7 @@
 //!
 //! A `FaultPlan` arms injection points threaded through the execution
 //! stack: pool/arena allocation failure, worker panics inside the
-//! work-stealing pool, and per-op error injection in the VM. Decisions are a
+//! worker pool, and per-op error injection in the VM. Decisions are a
 //! pure function of `(seed, site, per-site sequence number)` via
 //! splitmix64, so a given seed replays the same fault schedule on every
 //! run — the differential oracle ("recovered run is bitwise-identical to

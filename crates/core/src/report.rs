@@ -178,11 +178,10 @@ pub fn observability_dump(plan: &CompiledPipeline, report: &gmg_trace::Report) -
     if report.threads.regions > 0 {
         let _ = writeln!(
             out,
-            "  threads: {} workers, {} regions / {} items, {} steals, {} parks",
+            "  threads: {} workers, {} regions / {} items, {} parks",
             report.threads.workers,
             report.threads.regions,
             report.threads.items,
-            report.threads.steals,
             report.threads.parks,
         );
     }
@@ -465,7 +464,6 @@ mod tests {
                 workers: 3,
                 regions: 8,
                 items: 128,
-                steals: 5,
                 parks: 8,
             },
             tile_plan: Default::default(),
@@ -489,7 +487,7 @@ mod tests {
         assert!(d.contains("unit_unrolled=16"));
         assert!(d.contains("stencil2d5=16"));
         assert!(d.contains("lane_safe=16"));
-        assert!(d.contains("3 workers, 8 regions / 128 items, 5 steals, 8 parks"));
+        assert!(d.contains("3 workers, 8 regions / 128 items, 8 parks"));
         assert!(d.contains("3 hits / 1 misses"));
         assert!(d.contains("14 recycled"));
     }

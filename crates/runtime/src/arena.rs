@@ -71,21 +71,11 @@ impl ArenaPool {
     /// A pool of `len`-element slabs for `workers` workers; no slab exists
     /// until a worker asks for one.
     pub fn new(len: usize, workers: usize) -> Self {
-        let mut pool = ArenaPool {
+        let workers = workers.max(1);
+        ArenaPool {
             len,
-            slots: Vec::new(),
-            stats: Vec::new(),
-        };
-        pool.ensure_workers(workers.max(1));
-        pool
-    }
-
-    /// Make room for `workers` workers (an engine without a dedicated
-    /// thread pool runs on whatever pool its caller installed).
-    pub fn ensure_workers(&mut self, workers: usize) {
-        if self.slots.len() < workers {
-            self.slots.resize_with(workers, || Mutex::new(None));
-            self.stats.resize_with(workers, WorkerStats::default);
+            slots: (0..workers).map(|_| Mutex::new(None)).collect(),
+            stats: (0..workers).map(|_| Default::default()).collect(),
         }
     }
 

@@ -259,11 +259,10 @@ pub(crate) fn panic_detail(p: Box<dyn Any + Send>) -> String {
 /// pieces, and `body` run on the pieces in parallel, each handed the whole
 /// outer rows of `data` it owns as a dense window (global coordinates as in
 /// `data`, whose view is `origin` / `extents`) and `domain` clipped to them,
-/// both on the stack: a piece allocates nothing. There are more pieces than
-/// workers, so the pool's chunked stealing can rebalance skewed rows
-/// (boundary-heavy stages, NUMA jitter). Returns the number of pieces. A
-/// worker panic (an injected `WorkerPanic` among them) unwinds out of the
-/// call; callers contain it.
+/// both on the stack: a piece allocates nothing. There is one piece per
+/// worker, as in the static schedule of the generated code. Returns the
+/// number of pieces. A worker panic (an injected `WorkerPanic` among them)
+/// unwinds out of the call; callers contain it.
 pub(crate) fn sweep_rows<T: Send>(
     data: &mut [T],
     origin: &[i64],
@@ -273,8 +272,7 @@ pub(crate) fn sweep_rows<T: Send>(
     body: impl Fn(SpaceMut<'_, T>, &[Interval]) + Sync,
 ) -> u64 {
     let nd = extents.len();
-    let nthreads = rayon::current_num_threads().max(1);
-    let npieces = if nthreads > 1 { nthreads * 4 } else { 1 };
+    let npieces = rayon::current_num_threads().max(1);
     let outer = domain.0[0];
     let bounds = rayon::partition_ranges(outer.len() as usize, npieces)
         .into_iter()

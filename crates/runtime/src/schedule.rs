@@ -245,7 +245,9 @@ pub struct Engine {
     /// f64 statistics above stay undiluted. Persists across runs like the
     /// f64 pool, so warm cycles allocate nothing new.
     f32_pool: BufferPool<f32>,
-    rayon_pool: Option<rayon::ThreadPool>,
+    /// The engine's own worker pool, `program.threads` wide (0 = the
+    /// host's parallelism); every run executes inside it.
+    rayon_pool: rayon::ThreadPool,
     trace: Trace,
     /// Per op: interned timeline handle (disabled until [`Engine::set_trace`]).
     op_handles: Vec<OpHandle>,
@@ -281,16 +283,10 @@ impl Engine {
 
     /// Build a VM for a hand-assembled program (no compiled plan attached).
     pub fn from_program(program: ExecProgram) -> Engine {
-        let rayon_pool = if program.threads > 0 {
-            // a dedicated pool is a performance feature, not a correctness
-            // one: if the build fails, degrade to the process-wide pool
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(program.threads)
-                .build()
-                .ok()
-        } else {
-            None
-        };
+        let rayon_pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(program.threads)
+            .build()
+            .expect("building a thread pool cannot fail");
         let nops = program.ops.len();
         let ghost_stable = ghost_stable_slots(&program);
         let peak_scratch = program
@@ -302,9 +298,7 @@ impl Engine {
             })
             .max()
             .unwrap_or(0);
-        let workers = rayon_pool
-            .as_ref()
-            .map_or_else(rayon::current_num_threads, |rp| rp.current_num_threads());
+        let workers = rayon_pool.current_num_threads();
         Engine {
             plan: None,
             program,
@@ -420,15 +414,11 @@ impl Engine {
         self.pool.stats()
     }
 
-    /// Lifetime counters of the worker pool this engine executes on: its
-    /// dedicated pool when `threads > 0`, the process-wide pool otherwise.
+    /// Lifetime counters of the engine's own worker pool.
     /// `workers_spawned` staying constant across runs is the persistence
     /// guarantee (one worker set per engine, reused by every cycle).
     pub fn thread_counters(&self) -> rayon::PoolCounters {
-        match &self.rayon_pool {
-            Some(rp) => rp.counters(),
-            None => rayon::global_pool_counters(),
-        }
+        self.rayon_pool.counters()
     }
 
     /// Zero the pool counters (see [`BufferPool::reset_stats`]) so the next
@@ -467,11 +457,6 @@ impl Engine {
         }
         let start = Instant::now();
         let fresh0 = self.pool.stats().allocated_bytes;
-        // without a dedicated pool the tiles run on whatever pool the
-        // caller installed, which may be wider than at construction
-        if self.rayon_pool.is_none() {
-            self.scratch.ensure_workers(rayon::current_num_threads());
-        }
 
         // All slots start empty; externals are (re)bound per RHS, internal
         // slots are brought to life by their MallocFresh / PoolAlloc ops on
@@ -588,17 +573,15 @@ impl Engine {
         // already contains worker panics, but a panic in serial interpreter
         // code must not unwind through the caller either — the engine owns a
         // pool whose accounting has to stay consistent.
-        let outcome: Result<usize, ExecError> =
-            match catch_unwind(AssertUnwindSafe(|| match &self.rayon_pool {
-                Some(rp) => rp.install(|| body(&mut slots, pool)),
-                None => body(&mut slots, pool),
-            })) {
-                Ok(r) => r,
-                Err(p) => Err(ExecError::WorkerPanicked {
-                    op: "engine",
-                    detail: crate::ops::panic_detail(p),
-                }),
-            };
+        let outcome: Result<usize, ExecError> = match catch_unwind(AssertUnwindSafe(|| {
+            self.rayon_pool.install(|| body(&mut slots, pool))
+        })) {
+            Ok(r) => r,
+            Err(p) => Err(ExecError::WorkerPanicked {
+                op: "engine",
+                detail: crate::ops::panic_detail(p),
+            }),
+        };
 
         if outcome.is_err() {
             // A failed pass stops mid-program, so its PoolFree ops never
@@ -649,7 +632,6 @@ impl Engine {
                 workers: tc.workers_spawned,
                 regions: tc.regions.saturating_sub(prev.regions),
                 items: tc.items.saturating_sub(prev.items),
-                steals: tc.steals.saturating_sub(prev.steals),
                 parks: tc.parks.saturating_sub(prev.parks),
             });
             self.threads_reported = tc;

@@ -1,5 +1,5 @@
 //! Minimal in-tree stand-in for the `rayon` crate, backed by a persistent
-//! work-stealing thread pool.
+//! thread pool with a static schedule.
 //!
 //! The build environment has no network access to a crate registry, so the
 //! workspace vendors the small slice of rayon's API it actually uses:
@@ -13,14 +13,14 @@
 //! lazily on the first parallel region, parked on a condvar between
 //! regions); the caller of every parallel region participates as the
 //! remaining worker. One process-wide pool backs code that never installs
-//! a pool explicitly. Per region, the item list is partitioned into one
+//! a pool explicitly. Per region, the item list is split once into one
 //! contiguous, order-preserving index range per worker (sizes differ by at
-//! most one — see [`partition_ranges`]); each range lives in a packed
-//! `(head, tail)` atomic. The owner claims items one at a time from the
-//! head (ascending order, good locality for row/tile sweeps); an idle
-//! worker steals the *back half* of a victim's remaining range in one CAS
-//! (chunked stealing) and re-publishes everything but one item as its own
-//! queue, so skewed regions rebalance in `O(log n)` steals.
+//! most one — see [`partition_ranges`]), the `schedule(static)` of the
+//! OpenMP code the compiler emits. The caller runs range 0; every other
+//! range goes whole to the participant that claims it with one
+//! `fetch_add`, and runs front to back (ascending order, good locality for
+//! row/tile sweeps). A participant that finishes its range claims the next
+//! unclaimed one, so a region never waits on a worker that has not woken.
 //!
 //! Workers run items with the thread-scoped parallelism pinned to 1, so
 //! nested parallel calls inside a region run inline. Panics inside items
@@ -97,8 +97,8 @@ pub fn partition_ranges(len: usize, nblocks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Monotonic lifetime counters of one pool (or the global pool). All
-/// values only ever grow; observers work with deltas between snapshots.
+/// Monotonic lifetime counters of one pool. All values only ever grow;
+/// observers work with deltas between snapshots.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolCounters {
     /// Worker threads ever spawned (`threads - 1` after first use, then
@@ -108,8 +108,6 @@ pub struct PoolCounters {
     pub regions: u64,
     /// Items executed across all regions.
     pub items: u64,
-    /// Chunk steals between workers.
-    pub steals: u64,
     /// Times a worker parked waiting for work.
     pub parks: u64,
     /// Items claimed but dropped unexecuted because their region was
@@ -117,94 +115,9 @@ pub struct PoolCounters {
     pub cancelled: u64,
 }
 
-/// Counters of the process-wide pool (zeros until its first region).
-pub fn global_pool_counters() -> PoolCounters {
-    GLOBAL_POOL.get().map(|p| p.counters()).unwrap_or_default()
-}
-
 // ---------------------------------------------------------------------------
 // Pool internals
 // ---------------------------------------------------------------------------
-
-/// One worker's queue: a packed `(head, tail)` index range over the
-/// region's item buffer; empty when `head >= tail`. Owners CAS the head
-/// forward one item at a time; thieves CAS the tail back by half the
-/// remaining length.
-struct Queue(AtomicU64);
-
-#[inline]
-fn pack(head: u32, tail: u32) -> u64 {
-    ((head as u64) << 32) | tail as u64
-}
-
-#[inline]
-fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
-}
-
-impl Queue {
-    fn new(lo: u32, hi: u32) -> Queue {
-        Queue(AtomicU64::new(pack(lo, hi)))
-    }
-
-    fn is_empty(&self) -> bool {
-        let (h, t) = unpack(self.0.load(Ordering::Acquire));
-        h >= t
-    }
-
-    /// Claim the next item from the front (owner side).
-    fn pop_front(&self) -> Option<usize> {
-        let mut v = self.0.load(Ordering::Acquire);
-        loop {
-            let (h, t) = unpack(v);
-            if h >= t {
-                return None;
-            }
-            match self.0.compare_exchange_weak(
-                v,
-                pack(h + 1, t),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(h as usize),
-                Err(cur) => v = cur,
-            }
-        }
-    }
-
-    /// Steal the back half (at least one item) in one CAS (thief side).
-    fn steal_back(&self) -> Option<(u32, u32)> {
-        let mut v = self.0.load(Ordering::Acquire);
-        loop {
-            let (h, t) = unpack(v);
-            if h >= t {
-                return None;
-            }
-            let n = (t - h).div_ceil(2);
-            match self.0.compare_exchange_weak(
-                v,
-                pack(h, t - n),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((t - n, t)),
-                Err(cur) => v = cur,
-            }
-        }
-    }
-
-    /// Re-publish a stolen chunk as this (observed-empty) queue. Fails if
-    /// a slot-sharing participant refilled the queue first.
-    fn reseed(&self, lo: u32, hi: u32) -> bool {
-        let v = self.0.load(Ordering::Acquire);
-        let (h, t) = unpack(v);
-        h >= t
-            && self
-                .0
-                .compare_exchange(v, pack(lo, hi), Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-    }
-}
 
 /// Completion/panic state of one region, living on the caller's stack for
 /// the duration of [`PoolInner::run_region`].
@@ -213,7 +126,6 @@ struct RegionHeader {
     remaining: AtomicUsize,
     /// Persistent workers currently inside the region's `participate`.
     active: AtomicUsize,
-    steals: AtomicU64,
     /// Set by the first panicking item; later items of this region are
     /// claimed and dropped instead of executed, so the region drains fast
     /// and the damage never spreads past its own item list.
@@ -232,12 +144,48 @@ impl RegionHeader {
     }
 }
 
-/// Type-erased state of one region (items + queues + the user closure).
+/// Type-erased state of one region (items + static ranges + the user
+/// closure).
 struct RegionCtx<I, F> {
     items: *mut I,
-    queues: Vec<Queue>,
+    /// One contiguous range per worker ([`partition_ranges`]).
+    ranges: Vec<Range<usize>>,
+    /// Index of the next unclaimed range.
+    next: AtomicUsize,
     f: *const F,
     header: *const RegionHeader,
+}
+
+impl<I: Send, F: Fn(I) + Sync> RegionCtx<I, F> {
+    /// Run one claimed range front to back.
+    ///
+    /// # Safety
+    /// The range must have been claimed by this caller alone, and the
+    /// items/closure/header must outlive the call (guaranteed by the
+    /// region publication protocol).
+    unsafe fn run_range(&self, range: Range<usize>) {
+        let header = &*self.header;
+        let f = &*self.f;
+        for idx in range {
+            // Claim the item by value; a panicking closure drops it during
+            // unwinding, so nothing leaks and the region still completes.
+            let item = std::ptr::read(self.items.add(idx));
+            if header.poisoned.load(Ordering::Acquire) {
+                // A sibling item already panicked: drop this one unexecuted.
+                drop(item);
+                header.cancelled.fetch_add(1, Ordering::Relaxed);
+            } else if let Err(e) = catch_unwind(AssertUnwindSafe(|| f(item))) {
+                header.poisoned.store(true, Ordering::Release);
+                let mut first = header.panic.lock().unwrap();
+                if first.is_none() {
+                    *first = Some(e);
+                }
+            }
+            if header.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                header.notify_done();
+            }
+        }
+    }
 }
 
 /// A published region, as seen by the worker loop. The raw pointers are
@@ -247,7 +195,7 @@ struct RegionCtx<I, F> {
 /// `active == 0` before returning.
 #[derive(Clone, Copy)]
 struct Job {
-    run: unsafe fn(*const (), usize),
+    run: unsafe fn(*const ()),
     has_work: unsafe fn(*const ()) -> bool,
     ctx: *const (),
     header: *const RegionHeader,
@@ -271,80 +219,29 @@ struct PoolInner {
     workers_spawned: AtomicU64,
     regions: AtomicU64,
     items: AtomicU64,
-    steals: AtomicU64,
     parks: AtomicU64,
     cancelled: AtomicU64,
 }
 
-/// True while any queue of the region still holds unclaimed items.
+/// True while the region still has an unclaimed range.
 ///
 /// # Safety
 /// `ctx` must point at a live `RegionCtx<I, F>`.
 unsafe fn region_has_work<I, F>(ctx: *const ()) -> bool {
     let ctx = &*(ctx as *const RegionCtx<I, F>);
-    ctx.queues.iter().any(|q| !q.is_empty())
+    ctx.next.load(Ordering::Acquire) < ctx.ranges.len()
 }
 
-/// Work loop of one participant (`slot` = its dense worker index): drain
-/// the own queue from the front, then steal chunks until the region is dry.
+/// Work loop of one participant: claim whole ranges, one `fetch_add`
+/// each, and run them until none is left.
 ///
 /// # Safety
-/// `ctx` must point at a live `RegionCtx<I, F>` whose items/queues/header
-/// outlive this call (guaranteed by the region publication protocol).
-unsafe fn participate<I: Send, F: Fn(I) + Sync>(ctx: *const (), slot: usize) {
+/// `ctx` must point at a live `RegionCtx<I, F>` whose items/header outlive
+/// this call (guaranteed by the region publication protocol).
+unsafe fn participate<I: Send, F: Fn(I) + Sync>(ctx: *const ()) {
     let ctx = &*(ctx as *const RegionCtx<I, F>);
-    let header = &*ctx.header;
-    let f = &*ctx.f;
-    let nq = ctx.queues.len();
-    let my = slot % nq;
-
-    let run_one = |idx: usize| {
-        // Claim the item by value; a panicking closure drops it during
-        // unwinding, so nothing leaks and the region still completes.
-        let item = std::ptr::read(ctx.items.add(idx));
-        if header.poisoned.load(Ordering::Acquire) {
-            // A sibling item already panicked: drop this one unexecuted.
-            drop(item);
-            header.cancelled.fetch_add(1, Ordering::Relaxed);
-        } else if let Err(e) = catch_unwind(AssertUnwindSafe(|| f(item))) {
-            header.poisoned.store(true, Ordering::Release);
-            let mut first = header.panic.lock().unwrap();
-            if first.is_none() {
-                *first = Some(e);
-            }
-        }
-        if header.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            header.notify_done();
-        }
-    };
-
-    loop {
-        if let Some(i) = ctx.queues[my].pop_front() {
-            run_one(i);
-            continue;
-        }
-        let mut progressed = false;
-        for off in 1..nq {
-            let victim = (my + off) % nq;
-            if let Some((lo, hi)) = ctx.queues[victim].steal_back() {
-                header.steals.fetch_add(1, Ordering::Relaxed);
-                // Re-publish everything but one item as our own queue so
-                // other idle workers can steal from us in turn; if a
-                // slot-sharing participant beat us to the queue, run the
-                // leftovers inline.
-                if hi - lo > 1 && !ctx.queues[my].reseed(lo + 1, hi) {
-                    for i in lo + 1..hi {
-                        run_one(i as usize);
-                    }
-                }
-                run_one(lo as usize);
-                progressed = true;
-                break;
-            }
-        }
-        if !progressed {
-            return;
-        }
+    while let Some(range) = ctx.ranges.get(ctx.next.fetch_add(1, Ordering::AcqRel)) {
+        ctx.run_range(range.clone());
     }
 }
 
@@ -374,7 +271,7 @@ fn worker_loop(pool: Arc<PoolInner>, idx: usize) {
                 st = pool.work_cv.wait(st).unwrap();
             }
         };
-        unsafe { (job.run)(job.ctx, idx) };
+        unsafe { (job.run)(job.ctx) };
         let header = unsafe { &*job.header };
         // Leave under the `done` lock: the caller reads `active` under it
         // and frees the header (its stack frame) once it sees zero, so the
@@ -402,7 +299,6 @@ impl PoolInner {
             workers_spawned: AtomicU64::new(0),
             regions: AtomicU64::new(0),
             items: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
         })
@@ -434,39 +330,36 @@ impl PoolInner {
             workers_spawned: self.workers_spawned.load(Ordering::Relaxed),
             regions: self.regions.load(Ordering::Relaxed),
             items: self.items.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
         }
     }
 
-    /// Execute one parallel region: publish queues over `items`, let the
-    /// parked workers join in, participate from the calling thread, and
-    /// only return once every item ran and every helper left the region.
+    /// Execute one parallel region: split `items` into one static range
+    /// per worker, let the parked workers join in, participate from the
+    /// calling thread, and only return once every item ran and every
+    /// helper left the region.
     fn run_region<I: Send, F: Fn(I) + Sync>(self: &Arc<Self>, mut items: Vec<I>, f: &F) {
         let len = items.len();
-        let nq = self.threads.min(len);
-        let queues: Vec<Queue> = partition_ranges(len, nq)
-            .into_iter()
-            .map(|r| Queue::new(r.start as u32, r.end as u32))
-            .collect();
         let header = RegionHeader {
             remaining: AtomicUsize::new(len),
             active: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             cancelled: AtomicU64::new(0),
             done: Mutex::new(()),
             done_cv: Condvar::new(),
             panic: Mutex::new(None),
         };
+        // Range 0 is the caller's before the region is published: the
+        // caller goes first, as slot 0.
         let ctx = RegionCtx::<I, F> {
             items: items.as_mut_ptr(),
-            queues,
+            ranges: partition_ranges(len, self.threads),
+            next: AtomicUsize::new(1),
             f,
             header: &header,
         };
-        // Items are claimed by `ptr::read` in `participate`; the Vec keeps
+        // Items are claimed by `ptr::read` in `run_range`; the Vec keeps
         // the allocation alive but must not drop the elements again.
         unsafe { items.set_len(0) };
 
@@ -489,7 +382,12 @@ impl PoolInner {
         // 1..threads), with nested parallelism pinned inline.
         let prev_threads = CURRENT_THREADS.with(|c| c.replace(1));
         let prev_index = WORKER_INDEX.with(|c| c.replace(0));
-        unsafe { participate::<I, F>(job.ctx, 0) };
+        // SAFETY: `ctx` and `header` live on this frame until every helper
+        // has left (below), and range 0 was never published as claimable.
+        unsafe {
+            ctx.run_range(ctx.ranges[0].clone());
+            participate::<I, F>(job.ctx);
+        }
         CURRENT_THREADS.with(|c| c.set(prev_threads));
         WORKER_INDEX.with(|c| c.set(prev_index));
 
@@ -512,8 +410,6 @@ impl PoolInner {
                 g = header.done_cv.wait(g).unwrap();
             }
         }
-        self.steals
-            .fetch_add(header.steals.load(Ordering::Relaxed), Ordering::Relaxed);
         self.cancelled
             .fetch_add(header.cancelled.load(Ordering::Relaxed), Ordering::Relaxed);
         drop(items);
@@ -536,9 +432,8 @@ impl PoolInner {
     }
 }
 
-static GLOBAL_POOL: OnceLock<Arc<PoolInner>> = OnceLock::new();
-
 fn global_pool() -> &'static Arc<PoolInner> {
+    static GLOBAL_POOL: OnceLock<Arc<PoolInner>> = OnceLock::new();
     GLOBAL_POOL.get_or_init(|| PoolInner::new(default_threads()))
 }
 
@@ -860,21 +755,65 @@ mod tests {
     }
 
     #[test]
-    fn skewed_region_rebalances_by_stealing() {
-        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        let len = 64usize;
+    fn each_range_runs_on_one_thread_in_ascending_order() {
+        let threads = 3usize;
+        let len = 100usize;
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        for _ in 0..20 {
+            // (item, thread) in execution order
+            let log = Mutex::new(Vec::with_capacity(len));
+            pool.install(|| {
+                (0..len).into_par_iter().for_each(|i| {
+                    log.lock().unwrap().push((i, std::thread::current().id()));
+                });
+            });
+            let log = log.into_inner().unwrap();
+            assert_eq!(log.len(), len);
+            for range in partition_ranges(len, threads) {
+                let run: Vec<_> = log.iter().filter(|(i, _)| range.contains(i)).collect();
+                let order: Vec<usize> = run.iter().map(|(i, _)| *i).collect();
+                assert_eq!(
+                    order,
+                    range.clone().collect::<Vec<_>>(),
+                    "{range:?} out of order"
+                );
+                assert!(
+                    run.iter().all(|(_, t)| *t == run[0].1),
+                    "{range:?} split across threads"
+                );
+            }
+            // the caller runs range 0
+            assert_eq!(
+                log.iter().find(|(i, _)| *i == 0).unwrap().1,
+                std::thread::current().id()
+            );
+        }
+    }
+
+    #[test]
+    fn blocked_range_does_not_stall_the_others() {
+        let threads = 3usize;
+        let len = 48usize;
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let others = len - partition_ranges(len, threads)[0].len();
         let completed = AtomicUsize::new(0);
         pool.install(|| {
             (0..len).into_par_iter().for_each(|i| {
                 if i == 0 {
-                    // Block the first item (owned by the caller's queue)
-                    // until every other item ran — only possible when the
-                    // second worker steals the rest of the caller's block.
+                    // Block the first item of the caller's range until every
+                    // item of the other ranges ran: the workers must take
+                    // them while range 0 is stuck.
                     let t0 = std::time::Instant::now();
-                    while completed.load(Ordering::Acquire) < len - 1 {
+                    while completed.load(Ordering::Acquire) < others {
                         assert!(
                             t0.elapsed() < std::time::Duration::from_secs(30),
-                            "stealing never drained the blocked queue"
+                            "the other ranges never ran"
                         );
                         std::thread::yield_now();
                     }
@@ -883,7 +822,34 @@ mod tests {
             });
         });
         assert_eq!(completed.load(Ordering::Relaxed), len);
-        assert!(pool.counters().steals >= 1, "no steal recorded");
+    }
+
+    #[test]
+    fn concurrent_installs_run_every_item_once() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let (callers, regions, len) = (4usize, 25usize, 37usize);
+        let runs: Vec<AtomicUsize> = (0..callers * regions * len)
+            .map(|_| AtomicUsize::new(0))
+            .collect();
+        std::thread::scope(|s| {
+            for c in 0..callers {
+                let (pool, runs) = (&pool, &runs);
+                s.spawn(move || {
+                    pool.install(|| {
+                        for r in 0..regions {
+                            (0..len).into_par_iter().for_each(|i| {
+                                runs[(c * regions + r) * len + i].fetch_add(1, Ordering::Relaxed);
+                            });
+                        }
+                    })
+                });
+            }
+        });
+        assert!(runs.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+        let c = pool.counters();
+        assert_eq!(c.regions, (callers * regions) as u64);
+        assert_eq!(c.items, (callers * regions * len) as u64);
+        assert_eq!(c.workers_spawned, 2);
     }
 
     #[test]
@@ -929,14 +895,14 @@ mod tests {
             pool.install(|| {
                 (0..len).into_par_iter().for_each(|i| {
                     if i == 0 {
-                        // first item of the caller's queue: poisons the
+                        // first item of the caller's range: poisons the
                         // region before its ~127 siblings run
                         exploding.store(true, Ordering::Release);
                         panic!("first item exploded");
                     }
                     // No sibling finishes before item 0 is on its way out:
-                    // a caller descheduled before its first pop must not
-                    // let the worker run (and steal) all 255 of them.
+                    // a worker that outruns the caller must not run its
+                    // whole range before the poison is set.
                     while !exploding.load(Ordering::Acquire) {
                         std::thread::yield_now();
                     }

@@ -157,8 +157,8 @@ pub(crate) fn report_to_json(r: &Report) -> String {
         s.push_str(&format!("\"{label}\": {count}"));
     }
     s.push_str(&format!(
-        "}},\n  \"threads\": {{\"workers\": {}, \"regions\": {}, \"items\": {}, \"steals\": {}, \"parks\": {}}},\n",
-        r.threads.workers, r.threads.regions, r.threads.items, r.threads.steals, r.threads.parks
+        "}},\n  \"threads\": {{\"workers\": {}, \"regions\": {}, \"items\": {}, \"parks\": {}}},\n",
+        r.threads.workers, r.threads.regions, r.threads.items, r.threads.parks
     ));
     s.push_str(&format!(
         "  \"pool\": {{\"hits\": {}, \"misses\": {}, \"allocated_bytes\": {}, \"peak_live_bytes\": {}}},\n",

@@ -57,7 +57,7 @@ impl PoolSnapshot {
     }
 }
 
-/// Work-stealing pool counters, as a delta between two observations of the
+/// Worker-pool counters, as a delta between two observations of the
 /// pool's monotonic counters (`rayon::PoolCounters`) — except `workers`,
 /// which is the pool's total spawned-worker count and is merged with `max`
 /// (a persistent pool spawns its workers once; the value staying flat across
@@ -70,8 +70,6 @@ pub struct ThreadsSnapshot {
     pub regions: u64,
     /// Work items executed.
     pub items: u64,
-    /// Chunk steals between workers.
-    pub steals: u64,
     /// Worker park events (idle waits).
     pub parks: u64,
 }
@@ -423,7 +421,6 @@ pub struct AtomicSink {
     threads_workers: AtomicU64,
     threads_regions: AtomicU64,
     threads_items: AtomicU64,
-    threads_steals: AtomicU64,
     threads_parks: AtomicU64,
     cycles: Mutex<Vec<CycleEvent>>,
     chaos: Mutex<Vec<ChaosSiteSnapshot>>,
@@ -489,8 +486,6 @@ impl AtomicSink {
         self.threads_regions
             .fetch_add(delta.regions, Ordering::Relaxed);
         self.threads_items.fetch_add(delta.items, Ordering::Relaxed);
-        self.threads_steals
-            .fetch_add(delta.steals, Ordering::Relaxed);
         self.threads_parks.fetch_add(delta.parks, Ordering::Relaxed);
     }
 
@@ -618,7 +613,7 @@ impl Trace {
         }
     }
 
-    /// Work-stealing-pool counter deltas (see [`ThreadsSnapshot`]).
+    /// Worker-pool counter deltas (see [`ThreadsSnapshot`]).
     pub fn record_threads(&self, delta: &ThreadsSnapshot) {
         if let Some(s) = &self.sink {
             s.record_threads(delta);
@@ -706,7 +701,6 @@ impl Trace {
                 workers: sink.threads_workers.load(Ordering::Relaxed),
                 regions: sink.threads_regions.load(Ordering::Relaxed),
                 items: sink.threads_items.load(Ordering::Relaxed),
-                steals: sink.threads_steals.load(Ordering::Relaxed),
                 parks: sink.threads_parks.load(Ordering::Relaxed),
             },
             pool: PoolSnapshot {
@@ -829,7 +823,7 @@ pub struct Report {
     /// Process-wide totals of tile plans built and worker scratch created
     /// (see [`tile_plan`]).
     pub tile_plan: tile_plan::TilePlanSnapshot,
-    /// Work-stealing-pool utilization aggregated over the trace's lifetime.
+    /// Worker-pool utilization aggregated over the trace's lifetime.
     pub threads: ThreadsSnapshot,
     pub pool: PoolSnapshot,
     pub arena_created: u64,
@@ -1069,14 +1063,12 @@ mod tests {
             workers: 3,
             regions: 2,
             items: 10,
-            steals: 1,
             parks: 4,
         });
         t.record_threads(&ThreadsSnapshot {
             workers: 3,
             regions: 1,
             items: 5,
-            steals: 0,
             parks: 2,
         });
         t.record_arena_workers(&[(2, 0), (1, 3)]);
@@ -1089,7 +1081,6 @@ mod tests {
                 workers: 3,
                 regions: 3,
                 items: 15,
-                steals: 1,
                 parks: 6
             }
         );
