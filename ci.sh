@@ -258,6 +258,18 @@ for key in scenario_varcoef scenario_rbgs scenario_chebyshev mixed_solves; do
   grep -q "\"$key\": [1-9]" /tmp/bench_pr10_loadgen_ci.json \
     || { echo "ci: server counters recorded no $key solves" >&2; exit 1; }
 done
+# the same load against a `--no-simd` server: every reply, computed on the
+# scalar rows, must equal loadgen's in-process reference on the lane tiers
+# (default options) bit for bit — variable-coefficient grids included
+serve_bg /tmp/gmg_ci_scen_scalar.port --workers 2 --no-simd
+cargo run --release -p gmg-bench --bin polymg-cli -- loadgen \
+  --port-file /tmp/gmg_ci_scen_scalar.port --connections 2 --requests 10 \
+  --scenario varcoef,rbgs,chebyshev --mixed-precision --batch 3 \
+  -o /tmp/bench_scen_scalar_ci.json \
+  || { echo "ci: cross-tier loadgen reported verification failures" >&2; kill $SERVE_PID 2>/dev/null; exit 1; }
+wait $SERVE_PID || { echo "ci: --no-simd scenario server did not drain cleanly" >&2; exit 1; }
+grep -q '"verify_failures": 0' /tmp/bench_scen_scalar_ci.json \
+  || { echo "ci: cross-tier loadgen report carries verification failures" >&2; exit 1; }
 
 # benchmark gate: a traced quick run of the varcoef workload. Its kernel
 # probe looks the `generic_coeff` stage up by `impl_tag == Generic` plus a

@@ -67,23 +67,29 @@ pub struct PipelineOptions {
     /// Worker threads for the runtime.
     pub threads: usize,
     /// Emit specialized unrolled kernels for recognised constant-coefficient
-    /// stencil shapes (see `specialize::classify`). Specialized kernels are
+    /// stencil shapes (see `specialize::classify`), and let stages with
+    /// coefficient taps take the lane tiers below. Specialized kernels are
     /// bitwise-identical to the generic path; this knob exists for A/B
-    /// benchmarking (`--no-specialize`).
+    /// benchmarking (`--no-specialize`), and with it off every stage runs
+    /// the scalar generic rows — the bitwise reference.
     pub specialize: bool,
-    /// Lower specialized kernels to the explicit f64-lane (SIMD) tier with
-    /// cache blocking of the unit-stride dimension. The default lane-safe
-    /// tier preserves the generic accumulation order per output point, so
-    /// it stays bitwise-identical to the generic path; this knob exists for
-    /// A/B benchmarking (`--no-simd`). Ignored when `specialize` is off.
+    /// Lower specialized kernels and the unit-stride rows of coefficient
+    /// stages (`Tap::cfactor`, tagged `Generic`) to the explicit f64-lane
+    /// (SIMD) tier with cache blocking of the unit-stride dimension. The
+    /// default lane-safe tier preserves the generic accumulation order per
+    /// output point, so it stays bitwise-identical to the generic path;
+    /// this knob exists for A/B benchmarking (`--no-simd`). Ignored when
+    /// `specialize` is off.
     pub simd: bool,
-    /// Select the reassociating lane tier: per-point tap chains are split
-    /// into independent partial sums (and fused where the host supports
-    /// FMA). Results differ from the generic path at round-off level, so
-    /// this is opt-in (`--fast-math`), part of the plan-cache fingerprint,
-    /// and verified by a ULP-bounded differential suite rather than
-    /// bitwise equality. Implies nothing unless `specialize` and `simd`
-    /// are on.
+    /// Select the reassociating lane tier: per-point tap chains of
+    /// specialized kernels are split into independent partial sums (and
+    /// fused where the host supports FMA). Results differ from the generic
+    /// path at round-off level, so this is opt-in (`--fast-math`), part of
+    /// the plan-cache fingerprint, and verified by a ULP-bounded
+    /// differential suite rather than bitwise equality. Coefficient stages
+    /// take the tier too, but their coefficient rows keep the exact rule,
+    /// so their results do not change. Implies nothing unless `specialize`
+    /// and `simd` are on.
     pub fast_math: bool,
     /// Run pure smoother chains in single precision: the chain's state is
     /// converted f64→f32 once, the smoothing sweeps execute on f32 buffers

@@ -14,7 +14,7 @@
 //!   `--profile` an op-level timeline.
 
 use crate::plan::{CompiledPipeline, GroupTiling, ScratchBufferSpec, StageKernel, TilePlan};
-use crate::specialize::{classify, unit_block, KernelImpl, KernelSel, KernelTier};
+use crate::specialize::{classify, has_coeff_taps, unit_block, KernelImpl, KernelSel, KernelTier};
 use gmg_ir::{StageId, StageInput};
 use gmg_poly::diamond::{split_time_tiling, TimeBand};
 use gmg_poly::BoxDomain;
@@ -343,12 +343,20 @@ pub fn lower(plan: &CompiledPipeline) -> ExecProgram {
             .collect();
         let kernel = kernel_of[sid.0].expect("input stage scheduled for execution");
         let ndims = stage.domain.ndims();
-        let impl_tag = if plan.options.specialize {
-            classify(&kernels[kernel], ndims)
+        let (impl_tag, coeff_taps) = if plan.options.specialize {
+            (
+                classify(&kernels[kernel], ndims),
+                has_coeff_taps(&kernels[kernel]),
+            )
         } else {
-            KernelImpl::Generic
+            (KernelImpl::Generic, false)
         };
-        let tier = KernelTier::select(impl_tag, plan.options.simd, plan.options.fast_math);
+        let tier = KernelTier::select(
+            impl_tag,
+            coeff_taps,
+            plan.options.simd,
+            plan.options.fast_math,
+        );
         // Unit-stride cache block from the innermost tile extent the planner
         // already chose (scalar stages ignore it).
         let xblock = unit_block(*plan.options.tiles_for_rank(ndims).last().expect("rank >= 1"));
@@ -648,6 +656,44 @@ mod tests {
         p
     }
 
+    /// The two-level fragment's fine level under a variable coefficient:
+    /// the smoother and the defect scale their operator taps by the
+    /// coefficient grid `A`, and the squared defect (non-linear, so
+    /// interpreted) is a plain `Generic` stage.
+    fn varcoef_pipeline(n: i64) -> Pipeline {
+        let mut p = Pipeline::new("varcoef");
+        let v = p.input("V", 2, n, 1);
+        let f = p.input("F", 2, n, 1);
+        let a = p.coeff_input("A", 2, n, 1);
+        let scaled = |u: Operand| Operand::Func(a).at(&[0, 0]) * stencil_2d(u, &five(), 1.0);
+        let pre = p.tstencil(
+            "pre",
+            2,
+            n,
+            1,
+            StepCount::Fixed(2),
+            Some(v),
+            Operand::State.at(&[0, 0])
+                - 0.8 * (scaled(Operand::State) - Operand::Func(f).at(&[0, 0])),
+        );
+        let d = p.function(
+            "defect",
+            2,
+            n,
+            1,
+            Operand::Func(f).at(&[0, 0]) - scaled(Operand::Func(pre)),
+        );
+        let sq = p.function(
+            "square",
+            2,
+            n,
+            1,
+            Operand::Func(d).at(&[0, 0]) * Operand::Func(d).at(&[0, 0]),
+        );
+        p.mark_output(sq);
+        p
+    }
+
     fn seven() -> Vec<Vec<Vec<f64>>> {
         let mut w = vec![vec![vec![0.0; 3]; 3]; 3];
         w[1][1][1] = 6.0;
@@ -921,6 +967,36 @@ mod tests {
             } else {
                 assert_eq!(st.tier, KernelTier::FastMath, "{}", st.name);
             }
+        }
+
+        // a variable-coefficient plan: the stages with coefficient taps keep
+        // the tag `Generic` and get the tier a specialized stage gets, but
+        // only while `specialize` is on; plain `Generic` stages stay scalar
+        let vc = varcoef_pipeline(63);
+        type Knob = fn(&mut PipelineOptions);
+        let knobs: [(Knob, KernelTier); 4] = [
+            (|_| {}, KernelTier::LaneSafe),
+            (|o| o.fast_math = true, KernelTier::FastMath),
+            (|o| o.simd = false, KernelTier::Scalar),
+            (|o| o.specialize = false, KernelTier::Scalar),
+        ];
+        for (knob, coeff_tier) in knobs {
+            let mut opts = PipelineOptions::for_variant(Variant::OptPlus, 2);
+            knob(&mut opts);
+            let prog = lower(&compile(&vc, &ParamBindings::new(), opts).unwrap());
+            let (mut coeff, mut plain_generic) = (0, 0);
+            for st in stages_of(&prog) {
+                if has_coeff_taps(&prog.kernels[st.kernel]) {
+                    coeff += 1;
+                    assert_eq!(st.impl_tag, KernelImpl::Generic, "{}", st.name);
+                    assert_eq!(st.tier, coeff_tier, "{}", st.name);
+                } else if st.impl_tag == KernelImpl::Generic {
+                    plain_generic += 1;
+                    assert_eq!(st.tier, KernelTier::Scalar, "{}", st.name);
+                }
+            }
+            assert!(coeff >= 3, "smoother steps and defect: {coeff}");
+            assert!(plain_generic >= 1, "the squared defect");
         }
 
         // tiny innermost tiles clamp up to the minimum block

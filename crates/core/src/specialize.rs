@@ -13,12 +13,14 @@
 //!
 //! Stages whose taps carry a coefficient-grid factor (`Tap::cfactor`, the
 //! variable-coefficient operators) also keep the family tag `Generic`:
-//! no family describes a run-time weight, and the tag is what the lane
-//! tiers and the benchmark's kernel probe key on. Below the tag they are
-//! not second-class — the runtime's generic row dispatches the same
-//! const-arity scalar row body for them as for plain taps, with the weight
-//! read per point; its run-time tap loop remains only as the fallback for
-//! arities outside the table and strided rows.
+//! no family describes a run-time weight, and the tag is what the
+//! benchmark's kernel probe keys on. Below the tag they are not
+//! second-class — [`KernelTier::select`] gives them the tier a specialized
+//! stage gets ([`has_coeff_taps`]), and the runtime runs their unit-stride
+//! rows on that tier's row body, packed lanes included, with the weight
+//! read per point and always under the exact rule; its run-time tap loop
+//! remains only as the fallback for arities outside the table and strided
+//! rows.
 //!
 //! The specialized kernels accumulate taps in exactly the order the generic
 //! loop does, so enabling specialization never changes results (bitwise).
@@ -59,7 +61,8 @@ pub enum KernelImpl {
 /// its inner loop is generated.
 ///
 /// - [`Scalar`](KernelTier::Scalar): the PR-3 unrolled row kernels (and the
-///   generic tap loop / interpreter — `Generic` stages are always scalar).
+///   generic tap loop / interpreter — `Generic` stages without coefficient
+///   taps are always scalar).
 /// - [`LaneSafe`](KernelTier::LaneSafe): explicit-width f64-lane inner
 ///   loops with fixed-width array accumulators plus cache blocking of the
 ///   unit-stride dimension. Each output point still accumulates its taps in
@@ -111,12 +114,20 @@ impl KernelTier {
         }
     }
 
-    /// The tier a stage executes at, given its family classification and
-    /// the `simd` / `fast_math` knobs: `Generic` stages and `simd = false`
-    /// pipelines stay scalar; specialized stages run lane-safe by default
-    /// and reassociating only when `fast_math` is set.
-    pub fn select(impl_tag: KernelImpl, simd: bool, fast_math: bool) -> KernelTier {
-        if impl_tag == KernelImpl::Generic || !simd {
+    /// The tier a stage executes at, given its family classification,
+    /// whether it has coefficient taps ([`has_coeff_taps`]) and the `simd`
+    /// / `fast_math` knobs: `Generic` stages without coefficient taps and
+    /// `simd = false` pipelines stay scalar; specialized and coefficient
+    /// stages run lane-safe by default and `FastMath` when `fast_math` is
+    /// set (which a coefficient row runs under the exact rule all the
+    /// same: its results never move with the tier).
+    pub fn select(
+        impl_tag: KernelImpl,
+        coeff_taps: bool,
+        simd: bool,
+        fast_math: bool,
+    ) -> KernelTier {
+        if (impl_tag == KernelImpl::Generic && !coeff_taps) || !simd {
             KernelTier::Scalar
         } else if fast_math {
             KernelTier::FastMath
@@ -236,6 +247,15 @@ fn axis_class(a: &AxisAccess) -> Option<AxisClass> {
         (1, 2) => Some(AxisClass::Up),
         _ => None,
     }
+}
+
+/// Whether a linear case of `kernel` has a tap scaled by a coefficient grid
+/// (`Tap::cfactor`): a variable-coefficient stage.
+pub fn has_coeff_taps(kernel: &StageKernel) -> bool {
+    kernel.cases.iter().any(|case| match &case.body {
+        KernelBody::Linear(form) => form.taps.iter().any(|t| t.cfactor.is_some()),
+        KernelBody::Interpreted(_) => false,
+    })
 }
 
 /// Classify a lowered kernel into its specialized family (decision table in

@@ -18,22 +18,23 @@
 //! or `coeff · a[i]` read from a coefficient row (variable-coefficient
 //! operators):
 //!
-//! | element, tier | unit-stride plain rows | strided / coefficient rows |
-//! |---|---|---|
-//! | `f64`, `Scalar` (and the `Generic` tag) | lane `f64`, rule `EXACT` | lane `f64`, `EXACT` |
-//! | `f64`, `LaneSafe` | lanes `[Avx2; 2]` → `Avx2` → `f64`, `EXACT` | lane `f64`, `EXACT` |
-//! | `f64`, `FastMath` | lanes `[Avx2; 2]` → `Avx2` → `f64`, `FUSED` | lane `f64`, `EXACT` |
-//! | `f32`, any tier | lane `f32`, `EXACT` | lane `f32`, `EXACT` |
+//! | element, tier | unit-stride plain rows | unit-stride coefficient rows | strided rows |
+//! |---|---|---|---|
+//! | `f64`, `Scalar` | lane `f64`, rule `EXACT` | lane `f64`, `EXACT` | lane `f64`, `EXACT` |
+//! | `f64`, `LaneSafe` | lanes `[Avx2; 2]` → `Avx2` → `f64`, `EXACT` | the same lanes, `EXACT` | lane `f64`, `EXACT` |
+//! | `f64`, `FastMath` | lanes `[Avx2; 2]` → `Avx2` → `f64`, `FUSED` | the same lanes, `EXACT` | lane `f64`, `EXACT` |
+//! | `f32`, any tier | lane `f32`, `EXACT` | lane `f32`, `EXACT` | lane `f32`, `EXACT` |
 //!
-//! (a host without AVX2+FMA runs the `f64` lane tiers at lane `f64`,
-//! `FastMath` under `UNFUSED`; an `f32` case runs and counts as tier
-//! `Scalar` whatever its stage's tier). Each linear case makes one dispatch decision
-//! (`select_row`) and runs one sweep (`linear_sweep`) shared by both
-//! ranks. A run-time loop (`dyn_row`) remains as the reference the body
-//! is tested against, for arities outside the 0..=28 table and for strided
-//! rows under the generic tag (restriction's stride-2 reads,
-//! interpolation's half-index reads). Non-linear cases are evaluated by
-//! the expression interpreter.
+//! (the `Generic` tag runs its plain rows at tier `Scalar` and its
+//! coefficient rows at its stage's tier; a host without AVX2+FMA runs the
+//! `f64` lane tiers at lane `f64`, `FastMath` under `UNFUSED`; an `f32`
+//! case runs and counts as tier `Scalar` whatever its stage's tier). Each
+//! linear case makes one dispatch decision (`select_row`) and runs one
+//! sweep (`linear_sweep`) shared by both ranks. A run-time loop
+//! (`dyn_row`) remains as the reference the body is tested against, for
+//! arities outside the 0..=28 table and for strided rows under the generic
+//! tag (restriction's stride-2 reads, interpolation's half-index reads).
+//! Non-linear cases are evaluated by the expression interpreter.
 
 // Index-based loops here mirror the math (multi-slice stencil updates); clippy prefers iterators but the indices are the clearer notation.
 #![allow(clippy::needless_range_loop)]
@@ -41,7 +42,7 @@
 use gmg_ir::{Access, CoeffRead, Expr, LinearForm, Operand, Parity, ParityPattern};
 use gmg_poly::{div_floor, BoxDomain, Interval};
 use polymg::{KernelBody, KernelImpl, KernelSel, KernelTier, StageKernel};
-use sealed::Sealed;
+use sealed::{Sealed, UnitTaps};
 use std::ops::{Add, AddAssign, Mul};
 
 #[cfg(target_arch = "x86_64")]
@@ -88,15 +89,28 @@ mod sealed {
         ///
         /// # Safety
         ///
-        /// Every row holds `out_row.len()` values.
-        unsafe fn packed<const K: usize, const RULE: u8>(
+        /// Every row of `taps` holds `out_row.len()` values.
+        unsafe fn packed<const K: usize, const RULE: u8, const N: usize>(
             _out_row: &mut [Self],
             _bias: Self,
-            _rows: &[&[Self]; K],
-            _coeff: &[Self; K],
+            _taps: &UnitTaps<'_, Self, K, N>,
         ) -> bool {
             false
         }
+    }
+
+    /// The taps of one unit-stride row as [`row_body`](super::row_body)
+    /// reads them at any lane: tap `j`'s value at point `i` loads from
+    /// `rows[j]`, and its weight is `coeff[j]` — or, for a tap `scaled[j]`
+    /// marks, `coeff[j] · a[j][i]`, formed before it multiplies the value
+    /// (the association of `dyn_row`). A plain source has neither `a` nor
+    /// `scaled` (`N = 0`), a scaled one an entry per tap (`N = K`). Public
+    /// only so that `packed` can name it.
+    pub struct UnitTaps<'a, E, const K: usize, const N: usize> {
+        pub(super) rows: [&'a [E]; K],
+        pub(super) coeff: [E; K],
+        pub(super) a: [&'a [E]; N],
+        pub(super) scaled: [bool; N],
     }
 }
 
@@ -116,18 +130,17 @@ impl Sealed for f64 {
         f64::mul_add(self, b, c)
     }
     #[inline(always)]
-    unsafe fn packed<const K: usize, const RULE: u8>(
+    unsafe fn packed<const K: usize, const RULE: u8, const N: usize>(
         out_row: &mut [f64],
         bias: f64,
-        rows: &[&[f64]; K],
-        coeff: &[f64; K],
+        taps: &UnitTaps<'_, f64, K, N>,
     ) -> bool {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
             // SAFETY: both features were just detected; the caller
             // guarantees the rows' lengths.
-            packed_unit::<K, RULE>(out_row, bias, rows, coeff);
+            packed_unit::<K, RULE, N>(out_row, bias, taps);
             return true;
         }
         false
@@ -287,9 +300,9 @@ pub fn execute_stage_sel<T: Elem>(
 /// instance in the table; anything else (interpreted cases, arities above
 /// the table) runs the generic selection and is counted in the histograms'
 /// `generic`/`scalar` buckets. Stages with coefficient taps are tagged
-/// `Generic` and reach the same row body at the scalar tier. Only the
-/// fast-math tier's results differ from the generic path's, and only on
-/// unit-stride rows.
+/// `Generic` and run their tier on unit-stride rows. Only the fast-math
+/// tier's results differ from the generic path's, and only on unit-stride
+/// plain rows.
 pub(crate) fn execute_stage_region<T: Elem>(
     sel: KernelSel,
     kernel: &StageKernel,
@@ -414,15 +427,16 @@ type RowFn<T> =
 
 /// The one dispatch decision of a linear case, made once per case execution
 /// (not per row): the row kernel its rows run, the `gmg_trace::dispatch`
-/// class that kernel counts as, and whether the selection's family and tier
-/// applied (`false`: the case ran, and counts as, generic/scalar). `unit`
-/// says that the output row and every tap and coefficient row have stride 1.
+/// class that kernel counts as, and whether the selection's tier applied
+/// (`false`: the case ran, and counts as, generic/scalar). `unit` says that
+/// the output row and every tap and coefficient row have stride 1.
 ///
-/// A specialized family runs its tier's instance of [`row_body`]. The
-/// generic tag runs the scalar instance on unit-stride rows — plain or
-/// coefficient-scaled alike — and the run-time loop [`dyn_row`] on strided
-/// ones. Arities above the table try coefficient factoring (`f64` only),
-/// then `dyn_row`.
+/// A specialized family runs its tier's instance of [`row_body`], and so
+/// does the generic tag on unit-stride rows with coefficient taps (a
+/// variable-coefficient stage gets the tier a family would). The generic
+/// tag runs the scalar instance on other unit-stride rows and the run-time
+/// loop [`dyn_row`] on strided ones. Arities above the table try
+/// coefficient factoring (`f64` only), then `dyn_row`.
 fn select_row<T: Elem>(
     sel: KernelSel,
     unit: bool,
@@ -431,7 +445,7 @@ fn select_row<T: Elem>(
 ) -> (gmg_trace::dispatch::Kind, RowFn<T>, bool) {
     use gmg_trace::dispatch::Kind;
     let tiered = match sel.impl_tag {
-        KernelImpl::Generic => None,
+        KernelImpl::Generic if !unit || crows.is_empty() => None,
         _ => row_fn(sel.tier, taps.len()),
     };
     let instance = match tiered {
@@ -671,50 +685,89 @@ unsafe fn row_body<const K: usize, L: Lane, const RULE: u8>(
     from + passes * L::W
 }
 
-/// [`row_body`] over unit-stride plain rows at lane `L`: weights are the
-/// literal coefficients, values load from `rows`. Covers `out_row` from
-/// point `from` and returns the first point left over.
+impl<'a, E: Elem, const K: usize> UnitTaps<'a, E, K, 0> {
+    /// The first `count` points of `taps`, plain.
+    #[inline(always)]
+    fn new(taps: &[RtTap<'a, E>], count: usize) -> Self {
+        UnitTaps {
+            rows: std::array::from_fn(|j| taps[j].unit(count)),
+            coeff: std::array::from_fn(|j| taps[j].coeff),
+            a: [],
+            scaled: [],
+        }
+    }
+
+    /// The same taps, each scaled by the coefficient row its `cf` names in
+    /// `crows`. A tap that is not scaled has its own value row as `a`:
+    /// loaded, never selected, so the weight is branch-free.
+    #[inline(always)]
+    fn scaled_by(
+        self,
+        taps: &[RtTap<'a, E>],
+        crows: &[RtTap<'a, E>],
+        count: usize,
+    ) -> UnitTaps<'a, E, K, K> {
+        UnitTaps {
+            a: std::array::from_fn(|j| taps[j].cf.map_or(self.rows[j], |c| crows[c].unit(count))),
+            scaled: std::array::from_fn(|j| taps[j].cf.is_some()),
+            rows: self.rows,
+            coeff: self.coeff,
+        }
+    }
+}
+
+impl<E: Elem, const K: usize, const N: usize> UnitTaps<'_, E, K, N> {
+    /// Tap `j`'s weight at points `i..i + L::W`.
+    ///
+    /// # Safety
+    ///
+    /// [`Lane`]'s contract for `L`; the tap's rows hold `i + L::W` values.
+    #[inline(always)]
+    unsafe fn weight<L: Lane<E = E>>(&self, j: usize, i: usize) -> L {
+        let c = L::splat(self.coeff[j]);
+        if N == 0 {
+            return c;
+        }
+        let w = c.mul(L::load(self.a[j].as_ptr().add(i)));
+        if self.scaled[j] {
+            w
+        } else {
+            c
+        }
+    }
+}
+
+/// [`row_body`] over the taps of a unit-stride row at lane `L`. Covers
+/// `out_row` from point `from` and returns the first point left over.
 ///
 /// # Safety
 ///
-/// [`Lane`]'s contract for `L`; every row holds `out_row.len()` values.
+/// [`Lane`]'s contract for `L`; every row of `taps` holds `out_row.len()`
+/// values.
 #[inline(always)]
-unsafe fn unit_rows<const K: usize, L: Lane, const RULE: u8>(
+unsafe fn unit_rows<const K: usize, L: Lane, const RULE: u8, const N: usize>(
     out_row: &mut [L::E],
     from: usize,
     bias: L::E,
-    rows: &[&[L::E]; K],
-    coeff: &[L::E; K],
+    taps: &UnitTaps<'_, L::E, K, N>,
 ) -> usize {
     let count = out_row.len();
-    debug_assert!(rows.iter().all(|r| r.len() >= count));
+    debug_assert!(taps.rows.iter().chain(&taps.a).all(|r| r.len() >= count));
     row_body::<K, L, RULE>(
         out_row,
         1,
         from,
         count,
         bias,
-        |j, _| L::splat(coeff[j]),
-        |j, i| L::load(rows[j].as_ptr().add(i)),
-    )
-}
-
-/// The first `count` values and the coefficient of each unit-stride tap.
-#[inline(always)]
-fn unit_taps<'a, const K: usize, T: Elem>(
-    taps: &[RtTap<'a, T>],
-    count: usize,
-) -> ([&'a [T]; K], [T; K]) {
-    (
-        std::array::from_fn(|j| taps[j].unit(count)),
-        std::array::from_fn(|j| taps[j].coeff),
+        |j, i| taps.weight::<L>(j, i),
+        |j, i| L::load(taps.rows[j].as_ptr().add(i)),
     )
 }
 
 /// The scalar row kernel ([`KernelTier::Scalar`], every tier's strided
-/// and coefficient rows, and every `f32` row): [`row_body`] at the scalar
-/// lane `T` under [`EXACT`], over unit-stride plain rows, unit-stride rows
-/// with coefficient taps, and strided plain rows (restrict / interp reads).
+/// rows, and every `f32` row): [`row_body`] at the scalar lane `T` under
+/// [`EXACT`], over unit-stride plain rows, unit-stride rows with
+/// coefficient taps, and strided plain rows (restrict / interp reads).
 fn spec_row<const K: usize, T: Elem>(
     out_row: &mut [T],
     out_slope: usize,
@@ -735,35 +788,23 @@ fn spec_row<const K: usize, T: Elem>(
     }
     debug_assert!(crows.iter().all(|c| c.slope == 1));
     let out_row = &mut out_row[..count];
-    let (rows, coeff) = unit_taps::<K, T>(taps, count);
-    if crows.is_empty() {
-        // SAFETY: a scalar lane runs anywhere; `rows` are `count` long.
-        unsafe { unit_rows::<K, T, EXACT>(out_row, 0, bias, &rows, &coeff) };
-        return;
-    }
-    // The weight is selected per tap inside the unrolled loop, so plain and
-    // coefficient taps keep their lowered order. A plain tap's `a` row is
-    // its own value row: loaded, never selected.
-    let scaled: [bool; K] = std::array::from_fn(|j| taps[j].cf.is_some());
-    let a: [&[T]; K] =
-        std::array::from_fn(|j| taps[j].cf.map_or(rows[j], |c| crows[c].unit(count)));
-    let weight = |j: usize, i: usize| {
-        let w = coeff[j] * a[j][i];
-        if scaled[j] {
-            w
+    let plain = UnitTaps::<T, K, 0>::new(taps, count);
+    // SAFETY: a scalar lane runs anywhere; every row is `count` long.
+    unsafe {
+        if crows.is_empty() {
+            unit_rows::<K, T, EXACT, 0>(out_row, 0, bias, &plain);
         } else {
-            coeff[j]
+            unit_rows::<K, T, EXACT, K>(out_row, 0, bias, &plain.scaled_by(taps, crows, count));
         }
-    };
-    // SAFETY: a scalar lane runs anywhere; both sources are checked reads.
-    unsafe { row_body::<K, T, EXACT>(out_row, 1, 0, count, bias, weight, |j, i| rows[j][i]) };
+    }
 }
 
 /// The lane tiers' row kernel: [`KernelTier::LaneSafe`] is `RULE` =
-/// [`EXACT`], [`KernelTier::FastMath`] is [`FUSED`]. Unit-stride plain rows
-/// run the element type's packed lane; strided rows (their gathers do not
-/// vectorize profitably) and coefficient rows run [`spec_row`] under either
-/// tier, so they stay bitwise-identical even under fast-math.
+/// [`EXACT`], [`KernelTier::FastMath`] is [`FUSED`]. Unit-stride rows run
+/// the element type's packed lane: plain rows under `RULE`, coefficient
+/// rows under [`EXACT`] at either tier — fast-math never reassociates a
+/// coefficient row, so it stays bitwise-identical to [`dyn_row`]. Strided
+/// rows (their gathers do not vectorize profitably) run [`spec_row`].
 fn packed_row<const K: usize, const RULE: u8, T: Elem>(
     out_row: &mut [T],
     out_slope: usize,
@@ -773,46 +814,52 @@ fn packed_row<const K: usize, const RULE: u8, T: Elem>(
     crows: &[RtTap<'_, T>],
 ) {
     debug_assert_eq!(taps.len(), K);
-    if out_slope != 1 || !crows.is_empty() || taps.iter().any(|t| t.slope != 1) {
+    if out_slope != 1 || taps.iter().any(|t| t.slope != 1) {
         return spec_row::<K, T>(out_row, out_slope, count, bias, taps, crows);
     }
     let out_row = &mut out_row[..count];
-    let (rows, coeff) = unit_taps::<K, T>(taps, count);
-    // SAFETY: `rows` are `count` long.
-    if unsafe { T::packed::<K, RULE>(out_row, bias, &rows, &coeff) } {
-        return;
-    }
-    // A host without the packed lane: the same rule at the scalar lane,
-    // with the fused steps spelled as multiply then add.
-    // SAFETY: a scalar lane runs anywhere; `rows` are `count` long.
+    let plain = UnitTaps::<T, K, 0>::new(taps, count);
+    // SAFETY: every row is `count` long, and a scalar lane runs anywhere.
     unsafe {
+        if !crows.is_empty() {
+            let scaled = plain.scaled_by(taps, crows, count);
+            if !T::packed::<K, EXACT, K>(out_row, bias, &scaled) {
+                unit_rows::<K, T, EXACT, K>(out_row, 0, bias, &scaled);
+            }
+            return;
+        }
+        if T::packed::<K, RULE, 0>(out_row, bias, &plain) {
+            return;
+        }
+        // A host without the packed lane: the same rule at the scalar
+        // lane, with the fused steps spelled as multiply then add.
         if RULE == EXACT {
-            unit_rows::<K, T, EXACT>(out_row, 0, bias, &rows, &coeff);
+            unit_rows::<K, T, EXACT, 0>(out_row, 0, bias, &plain);
         } else {
-            unit_rows::<K, T, UNFUSED>(out_row, 0, bias, &rows, &coeff);
+            unit_rows::<K, T, UNFUSED, 0>(out_row, 0, bias, &plain);
         }
     }
 }
 
-/// One unit-stride plain row on the packed lane: pairs of vectors (see the
+/// One unit-stride row on the packed lane: pairs of vectors (see the
 /// `[L; 2]` lane) while they fit, one more vector if it fits, then the same
 /// body at lane `f64` for the last `count % 4` points — compiled here, under
 /// `fma`, so a fused remainder is still one hardware instruction per tap.
 ///
 /// # Safety
 ///
-/// The host has AVX2 and FMA; every row holds `out_row.len()` values.
+/// The host has AVX2 and FMA; every row of `taps` holds `out_row.len()`
+/// values.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn packed_unit<const K: usize, const RULE: u8>(
+unsafe fn packed_unit<const K: usize, const RULE: u8, const N: usize>(
     out_row: &mut [f64],
     bias: f64,
-    rows: &[&[f64]; K],
-    coeff: &[f64; K],
+    taps: &UnitTaps<'_, f64, K, N>,
 ) {
-    let i = unit_rows::<K, [Avx2; 2], RULE>(out_row, 0, bias, rows, coeff);
-    let i = unit_rows::<K, Avx2, RULE>(out_row, i, bias, rows, coeff);
-    unit_rows::<K, f64, RULE>(out_row, i, bias, rows, coeff);
+    let i = unit_rows::<K, [Avx2; 2], RULE, N>(out_row, 0, bias, taps);
+    let i = unit_rows::<K, Avx2, RULE, N>(out_row, i, bias, taps);
+    unit_rows::<K, f64, RULE, N>(out_row, i, bias, taps);
 }
 
 /// The instance of [`row_body`] for an element type, a tier and a tap
@@ -2000,12 +2047,12 @@ mod tests {
 
         let mut buf = vec![of(f64::NAN); count + 1];
         let got = &mut buf[1..];
-        let (rows, coeff) = unit_taps::<K, L::E>(&taps, count);
+        let source = UnitTaps::<_, K, 0>::new(&taps, count);
         // SAFETY: callers name only lanes the host runs; rows are `count` long.
         unsafe {
-            let i = unit_rows::<K, L, RULE>(got, 0, bias, &rows, &coeff);
+            let i = unit_rows::<K, L, RULE, _>(got, 0, bias, &source);
             assert!(count - i < L::W, "lane {} left {} points", L::W, count - i);
-            unit_rows::<K, L::E, RULE>(got, i, bias, &rows, &coeff);
+            unit_rows::<K, L::E, RULE, _>(got, i, bias, &source);
         }
         let eps = match std::mem::size_of::<L::E>() {
             4 => f64::from(f32::EPSILON),
@@ -2042,18 +2089,106 @@ mod tests {
         arities!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28);
     }
 
-    /// Every lane of both element types. The `f32` column is the lane every
-    /// `f32` row runs; its `EXACT` cells are the smoother chain's own sum.
+    /// One coefficient cell of the lane matrix: a `count`-point row of `K`
+    /// seeded taps, of which those `scaled` picks are scaled by one of
+    /// `ncrows` coefficient rows (tap `j` by row `⌊j/2⌋ mod ncrows`, so that
+    /// from `K = 3` on the masks scaling several taps reach both of two
+    /// rows), every row at a base no vector width divides. The body at lane `L` under [`EXACT`],
+    /// finished at lane `f64`, and both lane-tier instances of the row
+    /// kernel (fast-math never reassociates a coefficient row) must match
+    /// [`dyn_row`] bit for bit.
+    fn coeff_cell<const K: usize, L: Lane<E = f64>>(
+        count: usize,
+        scaled: fn(usize) -> bool,
+        ncrows: usize,
+    ) {
+        let seeded = |i: usize| ((i * 37 + K * 11) % 101) as f64 * 0.0173 - 0.86;
+        let len = count + 3 * K + 5 * ncrows + 2;
+        let data: Vec<f64> = (0..len).map(seeded).collect();
+        let fields: Vec<f64> = (0..len).map(|i| 0.6 + seeded(i + 500).abs()).collect();
+        let taps: Vec<RtTap<'_, f64>> = (0..K)
+            .map(|j| RtTap {
+                data: &data,
+                base: 1 + 3 * j,
+                slope: 1,
+                coeff: seeded(1000 + j),
+                cf: scaled(j).then_some(j / 2 % ncrows),
+            })
+            .collect();
+        let crows: Vec<RtTap<'_, f64>> = (0..ncrows)
+            .map(|c| RtTap {
+                data: &fields,
+                base: 2 + 5 * c,
+                slope: 1,
+                coeff: 0.0,
+                cf: None,
+            })
+            .collect();
+        let bias = 0.3;
+        let mut want = vec![0.0; count];
+        dyn_row(&mut want, 1, count, bias, &taps, &crows);
+
+        let source = UnitTaps::<_, K, 0>::new(&taps, count).scaled_by(&taps, &crows, count);
+        let mut lane = vec![f64::NAN; count];
+        // SAFETY: callers name only lanes the host runs; rows are `count` long.
+        unsafe {
+            let i = unit_rows::<K, L, EXACT, _>(&mut lane, 0, bias, &source);
+            assert!(count - i < L::W, "lane {} left {} points", L::W, count - i);
+            unit_rows::<K, f64, EXACT, _>(&mut lane, i, bias, &source);
+        }
+        let (mut safe, mut fast) = (vec![f64::NAN; count], vec![f64::NAN; count]);
+        packed_row::<K, EXACT, f64>(&mut safe, 1, count, bias, &taps, &crows);
+        packed_row::<K, FUSED, f64>(&mut fast, 1, count, bias, &taps, &crows);
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let cell = format!("K {K} W {} crows {ncrows} count {count}", L::W);
+        let marks: Vec<bool> = (0..K).map(scaled).collect();
+        assert_eq!(bits(&lane), bits(&want), "{cell} lane, scaled {marks:?}");
+        assert_eq!(
+            bits(&safe),
+            bits(&want),
+            "{cell} lane_safe, scaled {marks:?}"
+        );
+        assert_eq!(
+            bits(&fast),
+            bits(&want),
+            "{cell} fast_math, scaled {marks:?}"
+        );
+    }
+
+    /// Every arity × scaled mask (none, all, the first only, alternating) ×
+    /// one or two coefficient rows × row length of one lane.
+    fn coeff_column<L: Lane<E = f64>>() {
+        let masks: [fn(usize) -> bool; 4] = [|_| false, |_| true, |j| j == 0, |j| j % 2 == 0];
+        macro_rules! arities {
+            ($($k:literal)*) => {$(
+                for count in 0..=2 * L::W + 3 {
+                    for scaled in masks {
+                        coeff_cell::<$k, L>(count, scaled, 1);
+                        coeff_cell::<$k, L>(count, scaled, 2);
+                    }
+                }
+            )*};
+        }
+        arities!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28);
+    }
+
+    /// Every lane of both element types, and the coefficient axis on every
+    /// `f64` lane. The `f32` column is the lane every `f32` row runs; its
+    /// `EXACT` cells are the smoother chain's own sum.
     #[test]
     fn lane_rule_arity_remainder_matrix() {
         lane_column::<f32>();
         lane_column::<f64>();
         lane_column::<[f64; 2]>();
+        coeff_column::<f64>();
+        coeff_column::<[f64; 2]>();
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
             lane_column::<Avx2>();
             lane_column::<[Avx2; 2]>();
+            coeff_column::<Avx2>();
+            coeff_column::<[Avx2; 2]>();
         }
     }
 }

@@ -22,7 +22,8 @@ pub enum Kind {
     Strided = 3,
     /// Expression-tree interpreter (no linearized form).
     Interpreter = 4,
-    /// Variable-coefficient tap loop (taps carry coefficient-grid factors).
+    /// Variable-coefficient row (taps carry coefficient-grid factors), at
+    /// the scalar or a lane tier.
     VarCoef = 5,
 }
 

@@ -1,4 +1,4 @@
-//! Scenario differential suite (DESIGN.md §18). Three pins:
+//! Scenario differential suite (DESIGN.md §18). Four pins:
 //!
 //! * **varcoef-with-ones ≡ constant twin, bitwise.** The
 //!   variable-coefficient pipeline scales its finest-level operator taps by
@@ -9,6 +9,12 @@
 //!   specialized/SIMD kernels — bit for bit, across variants and kernel
 //!   tiers. Any drift means the coefficient path computes a different
 //!   operator, not a rounding difference.
+//! * **a real coefficient field is tier-invariant, bitwise.** With a
+//!   field of distinct values, the lane tiers (which run coefficient rows
+//!   on the packed lane, under the exact rule even with `--fast-math`)
+//!   must equal the scalar rows of `--no-simd` and `specialize = false`
+//!   bit for bit — a lane that reads the wrong coefficient row or offset
+//!   shows here, where `a ≡ 1` hides it.
 //! * **mixed-precision converges.** The f32 smoothing tier is an opt-in
 //!   speed/accuracy trade: it must still drive the f64 residual down at a
 //!   multigrid-like rate on the paper's Poisson problem (the floor it
@@ -156,6 +162,87 @@ fn varcoef_field_changes_the_answer() {
         bits(&ones),
         bits(&field),
         "a non-trivial coefficient field left the solve unchanged"
+    );
+}
+
+/// `CYCLES` cycles on a real coefficient field give one grid, bit for bit,
+/// at default options, under `--no-simd` and with `specialize = false`,
+/// per rank × variant × worker count, and under `--fast-math` too on a
+/// one-level cycle. (The three-level cycle's coarse levels run the
+/// constant operator, which `--fast-math` reassociates; every operator
+/// stage of the one-level cycle carries coefficient taps.)
+#[test]
+fn varcoef_field_is_tier_invariant() {
+    use polymg_repro::compiler::schedule::ExecOp;
+    use polymg_repro::compiler::{KernelImpl, KernelTier};
+    type Knob = fn(&mut PipelineOptions);
+    let knobs: [(&str, Knob); 4] = [
+        ("default", |_| {}),
+        ("no-simd", |o| o.simd = false),
+        ("no-specialize", |o| o.specialize = false),
+        ("fast-math", |o| o.fast_math = true),
+    ];
+    let mut failures = Vec::new();
+    for (ndims, levels) in [(2, 3), (2, 1), (3, 3), (3, 1)] {
+        let mut cfg = config(ndims, CycleType::V);
+        cfg.levels = levels;
+        let knobs = if levels == 1 { &knobs[..] } else { &knobs[..3] };
+        let (v0, f, _) = setup_poisson(&cfg);
+        for variant in [Variant::Naive, Variant::Opt, Variant::OptPlus] {
+            for threads in [1, 2] {
+                let grids: Vec<Vec<u64>> = knobs
+                    .iter()
+                    .map(|(name, knob)| {
+                        let mut opts = PipelineOptions::for_variant(variant, ndims);
+                        opts.threads = threads;
+                        knob(&mut opts);
+                        let spec = ScenarioSpec::new(Scenario::VarCoef);
+                        let mut r =
+                            scenario_runner(&cfg, spec, opts, name, Some(coeff_field(&cfg)))
+                                .expect("compile");
+                        if *name == "default" {
+                            let lane_generic = r.engine().program().ops.iter().any(|op| {
+                                let stages = match op {
+                                    ExecOp::RunUntiledStage { stage } => {
+                                        std::slice::from_ref(stage)
+                                    }
+                                    ExecOp::RunOverlappedGroup { stages, .. } => stages,
+                                    _ => &[],
+                                };
+                                stages.iter().any(|s| {
+                                    s.impl_tag == KernelImpl::Generic
+                                        && s.tier == KernelTier::LaneSafe
+                                })
+                            });
+                            assert!(
+                                lane_generic,
+                                "test premise: {} {variant:?} runs coefficient stages lane-safe",
+                                cfg.tag()
+                            );
+                        }
+                        let mut v = v0.clone();
+                        for _ in 0..CYCLES {
+                            r.cycle_with_stats(&mut v, &f).expect("cycle");
+                        }
+                        bits(&v)
+                    })
+                    .collect();
+                for ((name, _), grid) in knobs.iter().zip(&grids).skip(1) {
+                    if *grid != grids[0] {
+                        failures.push(format!(
+                            "{} levels={levels} {variant:?} threads={threads}: {name} differs \
+                             from default",
+                            cfg.tag()
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "tier-variant grids:\n{}",
+        failures.join("\n")
     );
 }
 
