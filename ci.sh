@@ -66,6 +66,18 @@ cargo run --release -q -p gmg-bench --bin reproduce -- fig9b 2>/dev/null || rc=$
 cargo test -q --release --test chaos_differential
 cargo test -q --release -p gmg-runtime --test pool_panic --test chaos_pool --test pool_persistence
 cargo test -q --release -p rayon
+# one pool, called directly (DESIGN.md §11): every parallel loop is
+# `ThreadPool::for_each` on a pool its caller owns or was handed. The shim
+# keeps no pool and no pool width in a `static` or `thread_local!` (the
+# cached host parallelism behind `num_threads(0)` is not one: no region
+# reads it), and nothing calls the rayon iterator facade or `install`.
+if grep -nE '^\s*(pub(\(crate\))?\s+)?static\s+(mut\s+)?\w*(POOL|THREAD|WIDTH)\w*\s*:|^\s*(pub(\(crate\))?\s+)?static\s+(mut\s+)?\w+\s*:.*Pool' \
+  crates/shim-rayon/src/lib.rs; then
+  echo "ci: shim-rayon holds a pool or a thread count in a static" >&2; exit 1
+fi
+if grep -rn 'rayon::prelude\|\.install(\|into_par_iter\|par_iter\|par_chunks_mut' crates src tests examples; then
+  echo "ci: rayon iterator facade or ThreadPool::install in use" >&2; exit 1
+fi
 cargo run --release -p gmg-bench --bin polymg-cli -- V-2D-2-2-2 --n 31 \
   --profile /tmp/chaos_profile_ci.json --iters 2 --chaos-seed 7 --chaos-rate 1 \
   >/dev/null 2>&1 || true   # unrecoverable faults may fail cycles; the profile must still be written

@@ -208,7 +208,7 @@ pub fn fig10_nas(o: &ExpOptions) -> String {
     // reference port
     let mut best_ref = f64::MAX;
     for _ in 0..o.repeats {
-        let mut nref = NasReference::new(n, 4);
+        let mut nref = NasReference::new(n, 4, o.threads[0]);
         nref.set_v(&v);
         let t0 = Instant::now();
         for _ in 0..iters {

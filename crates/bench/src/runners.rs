@@ -74,12 +74,12 @@ pub fn harness_tiles(ndims: usize) -> Vec<i64> {
     }
 }
 
-/// Build a runner for `cfg` under `kind`, with `threads` workers (0 =
-/// rayon default).
+/// Build a runner for `cfg` under `kind`, with `threads` workers (0 = the
+/// host's parallelism); the baselines run on as many as the polymg variants.
 pub fn make_runner(cfg: &MgConfig, kind: ImplKind, threads: usize) -> Box<dyn CycleRunner> {
     match kind {
-        ImplKind::HandOpt => Box::new(HandOpt::new(cfg.clone())),
-        ImplKind::HandOptPluto => Box::new(handopt_pluto_default(cfg.clone())),
+        ImplKind::HandOpt => Box::new(HandOpt::new(cfg.clone(), threads)),
+        ImplKind::HandOptPluto => Box::new(handopt_pluto_default(cfg.clone(), threads)),
         _ => {
             let mut opts = PipelineOptions::for_variant(kind.variant().unwrap(), cfg.ndims);
             opts.tile_sizes = harness_tiles(cfg.ndims);

@@ -285,7 +285,7 @@ pub struct ExecProgram {
     pub ops: Vec<ExecOp>,
     /// Whether intermediates are pool-managed (controls run statistics).
     pub pooled: bool,
-    /// Worker threads (0 = ambient rayon pool).
+    /// Worker threads of the engine's own pool (0 = the host's parallelism).
     pub threads: usize,
 }
 

@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn fmg_reaches_discretisation_accuracy_with_one_cycle_per_level() {
         let finest = cfg(127);
-        let r = fmg_solve(&finest, 7, 1, |c| Box::new(HandOpt::new(c.clone())));
+        let r = fmg_solve(&finest, 7, 1, |c| Box::new(HandOpt::new(c.clone(), 0)));
         // FMG with a single V-cycle per level lands near discretisation
         // error: O(h²) with h = 1/128 → ~6e-5·C
         assert!(r.max_error < 5e-4, "FMG error too large: {}", r.max_error);
@@ -134,10 +134,10 @@ mod tests {
         // One V-cycle per level of FMG vs one V-cycle from a zero guess on
         // the finest level only: FMG must end with a (much) smaller error.
         let finest = cfg(127);
-        let fmg = fmg_solve(&finest, 7, 1, |c| Box::new(HandOpt::new(c.clone())));
+        let fmg = fmg_solve(&finest, 7, 1, |c| Box::new(HandOpt::new(c.clone(), 0)));
 
         let (mut v, f, exact) = setup_poisson(&finest);
-        let mut plain = HandOpt::new(finest.clone());
+        let mut plain = HandOpt::new(finest.clone(), 0);
         plain.cycle(&mut v, &f);
         let plain_err = v
             .iter()
@@ -175,7 +175,7 @@ mod tests {
             },
         );
         finest.levels = 4;
-        let r = fmg_solve(&finest, 7, 1, |c| Box::new(HandOpt::new(c.clone())));
+        let r = fmg_solve(&finest, 7, 1, |c| Box::new(HandOpt::new(c.clone(), 0)));
         assert!(r.max_error < 6e-3, "{}", r.max_error);
     }
 }

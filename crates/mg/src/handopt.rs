@@ -1,8 +1,9 @@
 //! The `handopt` baseline: hand-written multigrid modelled on the Ghysels &
 //! Vanroose implementation the paper compares against — explicit loop
-//! parallelisation (rayon over rows/planes), storage reuse via **two modulo
-//! buffers per level**, and pooled allocations (all level buffers allocated
-//! once, up front, and reused across cycles).
+//! parallelisation (over rows/planes, on a worker pool the solver owns),
+//! storage reuse via **two modulo buffers per level**, and pooled
+//! allocations (all level buffers allocated once, up front, and reused
+//! across cycles).
 //!
 //! With `time_tiled = true` this becomes the `handopt+pluto` configuration:
 //! the pre-/post-smoothing loops are executed through the concurrent-start
@@ -16,7 +17,7 @@ use crate::config::{CycleType, MgConfig};
 use gmg_poly::diamond::split_time_tiling;
 use gmg_poly::Interval;
 use gmg_runtime::tilebuf::SharedOut;
-use rayon::prelude::*;
+use rayon::{ThreadPool, ThreadPoolBuilder};
 
 /// Per-level working set: the iterate, its modulo partner, and the RHS.
 struct Level {
@@ -33,6 +34,8 @@ pub struct HandOpt {
     levels: Vec<Level>,
     /// Split/diamond time tiling of the smoother (`handopt+pluto`).
     time_tiled: bool,
+    /// Worker pool every parallel loop runs on.
+    pool: ThreadPool,
     /// Outer-dim tile width for time tiling.
     pub dtile_w: i64,
     /// Time-band height for time tiling.
@@ -40,17 +43,17 @@ pub struct HandOpt {
 }
 
 impl HandOpt {
-    /// Plain `handopt`.
-    pub fn new(cfg: MgConfig) -> Self {
-        Self::with_time_tiling(cfg, false)
+    /// Plain `handopt` on `threads` workers (0 = the host's parallelism).
+    pub fn new(cfg: MgConfig, threads: usize) -> Self {
+        Self::with_time_tiling(cfg, false, threads)
     }
 
-    /// `handopt+pluto`.
-    pub fn new_pluto(cfg: MgConfig) -> Self {
-        Self::with_time_tiling(cfg, true)
+    /// `handopt+pluto` on `threads` workers (0 = the host's parallelism).
+    pub fn new_pluto(cfg: MgConfig, threads: usize) -> Self {
+        Self::with_time_tiling(cfg, true, threads)
     }
 
-    fn with_time_tiling(cfg: MgConfig, time_tiled: bool) -> Self {
+    fn with_time_tiling(cfg: MgConfig, time_tiled: bool, threads: usize) -> Self {
         // pooled allocation: every level buffer allocated once, here
         let levels = (0..cfg.levels)
             .map(|l| {
@@ -64,10 +67,15 @@ impl HandOpt {
                 }
             })
             .collect();
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("building a thread pool cannot fail");
         HandOpt {
             cfg,
             levels,
             time_tiled,
+            pool,
             dtile_w: 64,
             dtile_h: 4,
         }
@@ -136,8 +144,8 @@ impl HandOpt {
             for _ in 0..steps {
                 for red in [true, false] {
                     match nd {
-                        2 => gsrb_half_2d(&mut lv.u, &lv.rhs, lv.n, h2, red),
-                        3 => gsrb_half_3d(&mut lv.u, &lv.rhs, lv.n, h2, red),
+                        2 => gsrb_half_2d(&self.pool, &mut lv.u, &lv.rhs, lv.n, h2, red),
+                        3 => gsrb_half_3d(&self.pool, &mut lv.u, &lv.rhs, lv.n, h2, red),
                         _ => unreachable!(),
                     }
                 }
@@ -154,8 +162,8 @@ impl HandOpt {
         let inv_h2 = 1.0 / (lv.h * lv.h);
         for _ in 0..steps {
             match nd {
-                2 => jacobi_step_2d(&lv.u, &mut lv.tmp, &lv.rhs, lv.n, w, inv_h2),
-                3 => jacobi_step_3d(&lv.u, &mut lv.tmp, &lv.rhs, lv.n, w, inv_h2),
+                2 => jacobi_step_2d(&self.pool, &lv.u, &mut lv.tmp, &lv.rhs, lv.n, w, inv_h2),
+                3 => jacobi_step_3d(&self.pool, &lv.u, &mut lv.tmp, &lv.rhs, lv.n, w, inv_h2),
                 _ => unreachable!(),
             }
             std::mem::swap(&mut lv.u, &mut lv.tmp);
@@ -183,7 +191,7 @@ impl HandOpt {
             let dom = Interval::new(1, n);
             for band in &schedule {
                 for phase in [&band.phase1, &band.phase2] {
-                    phase.par_iter().for_each(|trap| {
+                    self.pool.for_each(phase, |trap| {
                         for s in 0..band.steps {
                             let t = band.t0 + s;
                             let rows = trap.rows_at(s as i64, dom);
@@ -231,8 +239,8 @@ impl HandOpt {
         let lv = &mut self.levels[level];
         let inv_h2 = 1.0 / (lv.h * lv.h);
         match nd {
-            2 => residual_2d(&lv.u, &lv.rhs, &mut lv.tmp, lv.n, inv_h2),
-            3 => residual_3d(&lv.u, &lv.rhs, &mut lv.tmp, lv.n, inv_h2),
+            2 => residual_2d(&self.pool, &lv.u, &lv.rhs, &mut lv.tmp, lv.n, inv_h2),
+            3 => residual_3d(&self.pool, &lv.u, &lv.rhs, &mut lv.tmp, lv.n, inv_h2),
             _ => unreachable!(),
         }
     }
@@ -244,8 +252,8 @@ impl HandOpt {
             (&mut a[level - 1], &b[0])
         };
         match nd {
-            2 => restrict_2d(&fine.tmp, &mut coarse.rhs, coarse.n),
-            3 => restrict_3d(&fine.tmp, &mut coarse.rhs, coarse.n),
+            2 => restrict_2d(&self.pool, &fine.tmp, &mut coarse.rhs, coarse.n),
+            3 => restrict_3d(&self.pool, &fine.tmp, &mut coarse.rhs, coarse.n),
             _ => unreachable!(),
         }
     }
@@ -257,8 +265,8 @@ impl HandOpt {
             (&a[level - 1], &mut b[0])
         };
         match nd {
-            2 => interp_add_2d(&coarse.u, &mut fine.u, fine.n),
-            3 => interp_add_3d(&coarse.u, &mut fine.u, fine.n),
+            2 => interp_add_2d(&self.pool, &coarse.u, &mut fine.u, fine.n),
+            3 => interp_add_3d(&self.pool, &coarse.u, &mut fine.u, fine.n),
             _ => unreachable!(),
         }
     }
@@ -270,11 +278,11 @@ impl HandOpt {
 /// `u = (Σ neighbours + h²·rhs) / 4` at points with `(y+x) % 2` matching
 /// the colour. Parallel over rows (each row only reads neighbouring rows of
 /// the other colour, which this half-sweep never writes).
-fn gsrb_half_2d(u: &mut [f64], rhs: &[f64], n: i64, h2: f64, red: bool) {
+fn gsrb_half_2d(pool: &ThreadPool, u: &mut [f64], rhs: &[f64], n: i64, h2: f64, red: bool) {
     let e = (n + 2) as usize;
     let start_parity = if red { 0usize } else { 1 };
     let un = SharedOut::new(u);
-    (1..=n as usize).into_par_iter().for_each(|y| {
+    pool.for_each(1..=n as usize, |y| {
         // SAFETY: rows are written disjointly (one task per row), and reads
         // of rows y±1 touch only the colour this sweep does not write.
         let row = unsafe { un.segment(y * e, e) };
@@ -290,12 +298,12 @@ fn gsrb_half_2d(u: &mut [f64], rhs: &[f64], n: i64, h2: f64, red: bool) {
 }
 
 /// One in-place red or black half-sweep (3-D, 7-point).
-fn gsrb_half_3d(u: &mut [f64], rhs: &[f64], n: i64, h2: f64, red: bool) {
+fn gsrb_half_3d(pool: &ThreadPool, u: &mut [f64], rhs: &[f64], n: i64, h2: f64, red: bool) {
     let e = (n + 2) as usize;
     let pb = e * e;
     let start_parity = if red { 0usize } else { 1 };
     let un = SharedOut::new(u);
-    (1..=n as usize).into_par_iter().for_each(|z| {
+    pool.for_each(1..=n as usize, |z| {
         // SAFETY: planes are written disjointly; cross-plane reads touch
         // only the colour this sweep does not write.
         let plane = unsafe { un.segment(z * pb, pb) };
@@ -323,15 +331,23 @@ fn gsrb_half_3d(u: &mut [f64], rhs: &[f64], n: i64, h2: f64, red: bool) {
 // ---- 2-D kernels --------------------------------------------------------
 
 /// One Jacobi sweep over the whole interior, parallel over rows.
-fn jacobi_step_2d(src: &[f64], dst: &mut [f64], rhs: &[f64], n: i64, w: f64, inv_h2: f64) {
+fn jacobi_step_2d(
+    pool: &ThreadPool,
+    src: &[f64],
+    dst: &mut [f64],
+    rhs: &[f64],
+    n: i64,
+    w: f64,
+    inv_h2: f64,
+) {
     let e = (n + 2) as usize;
-    dst[e..(n as usize + 1) * e]
-        .par_chunks_mut(e)
-        .enumerate()
-        .for_each(|(i, drow)| {
+    pool.for_each(
+        dst[e..(n as usize + 1) * e].chunks_mut(e).enumerate(),
+        |(i, drow)| {
             let y = i + 1;
             jacobi_row_2d(src, drow, rhs, e, y, n as usize, w, inv_h2);
-        });
+        },
+    );
 }
 
 /// Jacobi over rows `[ylo, yhi]` where `src` starts at row `ylo − 1` and
@@ -380,12 +396,11 @@ fn jacobi_row_2d(
     }
 }
 
-fn residual_2d(u: &[f64], rhs: &[f64], r: &mut [f64], n: i64, inv_h2: f64) {
+fn residual_2d(pool: &ThreadPool, u: &[f64], rhs: &[f64], r: &mut [f64], n: i64, inv_h2: f64) {
     let e = (n + 2) as usize;
-    r[e..(n as usize + 1) * e]
-        .par_chunks_mut(e)
-        .enumerate()
-        .for_each(|(i, rrow)| {
+    pool.for_each(
+        r[e..(n as usize + 1) * e].chunks_mut(e).enumerate(),
+        |(i, rrow)| {
             let y = i + 1;
             let s = y * e;
             for x in 1..=n as usize {
@@ -394,16 +409,18 @@ fn residual_2d(u: &[f64], rhs: &[f64], r: &mut [f64], n: i64, inv_h2: f64) {
                         * inv_h2;
                 rrow[x] = rhs[s + x] - a;
             }
-        });
+        },
+    );
 }
 
-fn restrict_2d(fine: &[f64], coarse: &mut [f64], nc: i64) {
+fn restrict_2d(pool: &ThreadPool, fine: &[f64], coarse: &mut [f64], nc: i64) {
     let ef = (2 * nc + 1 + 2) as usize;
     let ec = (nc + 2) as usize;
-    coarse[ec..(nc as usize + 1) * ec]
-        .par_chunks_mut(ec)
-        .enumerate()
-        .for_each(|(i, crow)| {
+    pool.for_each(
+        coarse[ec..(nc as usize + 1) * ec]
+            .chunks_mut(ec)
+            .enumerate(),
+        |(i, crow)| {
             let yc = i + 1;
             let yf = 2 * yc;
             for xc in 1..=nc as usize {
@@ -419,16 +436,16 @@ fn restrict_2d(fine: &[f64], coarse: &mut [f64], nc: i64) {
                     + 4.0 * at(0, 0))
                     / 16.0;
             }
-        });
+        },
+    );
 }
 
-fn interp_add_2d(coarse: &[f64], fine: &mut [f64], nf: i64) {
+fn interp_add_2d(pool: &ThreadPool, coarse: &[f64], fine: &mut [f64], nf: i64) {
     let ef = (nf + 2) as usize;
     let ec = ((nf + 1) / 2 + 1) as usize;
-    fine[ef..(nf as usize + 1) * ef]
-        .par_chunks_mut(ef)
-        .enumerate()
-        .for_each(|(i, frow)| {
+    pool.for_each(
+        fine[ef..(nf as usize + 1) * ef].chunks_mut(ef).enumerate(),
+        |(i, frow)| {
             let y = i + 1;
             for x in 1..=nf as usize {
                 let v = if y.is_multiple_of(2) {
@@ -448,18 +465,26 @@ fn interp_add_2d(coarse: &[f64], fine: &mut [f64], nf: i64) {
                 };
                 frow[x] += v;
             }
-        });
+        },
+    );
 }
 
 // ---- 3-D kernels --------------------------------------------------------
 
-fn jacobi_step_3d(src: &[f64], dst: &mut [f64], rhs: &[f64], n: i64, w: f64, inv_h2: f64) {
+fn jacobi_step_3d(
+    pool: &ThreadPool,
+    src: &[f64],
+    dst: &mut [f64],
+    rhs: &[f64],
+    n: i64,
+    w: f64,
+    inv_h2: f64,
+) {
     let e = (n + 2) as usize;
     let pb = e * e;
-    dst[pb..(n as usize + 1) * pb]
-        .par_chunks_mut(pb)
-        .enumerate()
-        .for_each(|(i, dplane)| {
+    pool.for_each(
+        dst[pb..(n as usize + 1) * pb].chunks_mut(pb).enumerate(),
+        |(i, dplane)| {
             let z = i + 1;
             for y in 1..=n as usize {
                 let s = z * pb + y * e;
@@ -476,7 +501,8 @@ fn jacobi_step_3d(src: &[f64], dst: &mut [f64], rhs: &[f64], n: i64, w: f64, inv
                     dplane[y * e + x] = c - w * (a - rhs[s + x]);
                 }
             }
-        });
+        },
+    );
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -514,13 +540,12 @@ fn jacobi_rows_3d(
     }
 }
 
-fn residual_3d(u: &[f64], rhs: &[f64], r: &mut [f64], n: i64, inv_h2: f64) {
+fn residual_3d(pool: &ThreadPool, u: &[f64], rhs: &[f64], r: &mut [f64], n: i64, inv_h2: f64) {
     let e = (n + 2) as usize;
     let pb = e * e;
-    r[pb..(n as usize + 1) * pb]
-        .par_chunks_mut(pb)
-        .enumerate()
-        .for_each(|(i, rplane)| {
+    pool.for_each(
+        r[pb..(n as usize + 1) * pb].chunks_mut(pb).enumerate(),
+        |(i, rplane)| {
             let z = i + 1;
             for y in 1..=n as usize {
                 let s = z * pb + y * e;
@@ -536,18 +561,20 @@ fn residual_3d(u: &[f64], rhs: &[f64], r: &mut [f64], n: i64, inv_h2: f64) {
                     rplane[y * e + x] = rhs[s + x] - a;
                 }
             }
-        });
+        },
+    );
 }
 
-fn restrict_3d(fine: &[f64], coarse: &mut [f64], nc: i64) {
+fn restrict_3d(pool: &ThreadPool, fine: &[f64], coarse: &mut [f64], nc: i64) {
     let ef = (2 * nc + 1 + 2) as usize;
     let pf = ef * ef;
     let ec = (nc + 2) as usize;
     let pc = ec * ec;
-    coarse[pc..(nc as usize + 1) * pc]
-        .par_chunks_mut(pc)
-        .enumerate()
-        .for_each(|(i, cplane)| {
+    pool.for_each(
+        coarse[pc..(nc as usize + 1) * pc]
+            .chunks_mut(pc)
+            .enumerate(),
+        |(i, cplane)| {
             let zc = i + 1;
             let zf = 2 * zc;
             for yc in 1..=nc as usize {
@@ -569,19 +596,19 @@ fn restrict_3d(fine: &[f64], coarse: &mut [f64], nc: i64) {
                     cplane[yc * ec + xc] = acc / 64.0;
                 }
             }
-        });
+        },
+    );
 }
 
-fn interp_add_3d(coarse: &[f64], fine: &mut [f64], nf: i64) {
+fn interp_add_3d(pool: &ThreadPool, coarse: &[f64], fine: &mut [f64], nf: i64) {
     let ef = (nf + 2) as usize;
     let pf = ef * ef;
     let ec = ((nf + 1) / 2 + 1) as usize;
     let pc = ec * ec;
     let cread = |z: usize, y: usize, x: usize| coarse[z * pc + y * ec + x];
-    fine[pf..(nf as usize + 1) * pf]
-        .par_chunks_mut(pf)
-        .enumerate()
-        .for_each(|(i, fplane)| {
+    pool.for_each(
+        fine[pf..(nf as usize + 1) * pf].chunks_mut(pf).enumerate(),
+        |(i, fplane)| {
             let z = i + 1;
             let zs: &[usize] = &if z % 2 == 0 {
                 vec![z / 2]
@@ -611,13 +638,53 @@ fn interp_add_3d(coarse: &[f64], fine: &mut [f64], nf: i64) {
                     fplane[y * ef + x] += acc / (zs.len() * ys.len() * xs.len()) as f64;
                 }
             }
-        });
+        },
+    );
+}
+
+/// A pool as wide as the host, for tests that call the kernels directly.
+#[cfg(test)]
+fn host_pool() -> ThreadPool {
+    ThreadPoolBuilder::new().build().unwrap()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SmoothSteps;
+
+    /// `handopt` and `handopt+pluto` are thread-count twins: every parallel
+    /// loop writes disjoint rows or planes, so the pool's width moves work
+    /// between workers and changes no bit. A 1-wide solver spawns no worker.
+    #[test]
+    fn iterates_are_bitwise_equal_at_one_and_two_threads() {
+        for nd in [2, 3] {
+            let cfg = MgConfig::new(nd, 31, CycleType::V, SmoothSteps::s444());
+            let (v0, f, _) = crate::solver::setup_poisson(&cfg);
+            let ctors: [fn(MgConfig, usize) -> HandOpt; 2] = [HandOpt::new, HandOpt::new_pluto];
+            for ctor in ctors {
+                let run = |threads| {
+                    let mut h = ctor(cfg.clone(), threads);
+                    // narrow tiles, so a phase has trapezoids to share out
+                    (h.dtile_w, h.dtile_h) = (8, 2);
+                    let mut v = v0.clone();
+                    for _ in 0..2 {
+                        h.cycle(&mut v, &f);
+                    }
+                    (v, h.pool.counters().workers_spawned, h.label())
+                };
+                let ((one, spawned1, name), (two, spawned2, _)) = (run(1), run(2));
+                let label = format!("{name} {nd}-D");
+                assert_eq!((spawned1, spawned2), (0, 1), "{label}: workers spawned");
+                assert!(
+                    one.iter()
+                        .zip(&two)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{label}: iterates differ between 1 and 2 threads"
+                );
+            }
+        }
+    }
 
     #[test]
     fn jacobi_2d_fixed_point_on_solution() {
@@ -642,7 +709,7 @@ mod tests {
             }
         }
         let mut dst = vec![0.0; e * e];
-        jacobi_step_2d(&u, &mut dst, &f, n, 0.8 * h * h / 4.0, inv_h2);
+        jacobi_step_2d(&host_pool(), &u, &mut dst, &f, n, 0.8 * h * h / 4.0, inv_h2);
         for y in 1..=n as usize {
             for x in 1..=n as usize {
                 assert!((dst[y * e + x] - u[y * e + x]).abs() < 1e-10);
@@ -663,7 +730,7 @@ mod tests {
             }
         }
         let mut coarse = vec![0.0; ec * ec];
-        restrict_2d(&fine, &mut coarse, nc);
+        restrict_2d(&host_pool(), &fine, &mut coarse, nc);
         // centre coarse point sees only interior fine points → exactly 5
         assert!((coarse[2 * ec + 2] - 5.0).abs() < 1e-14);
     }
@@ -681,7 +748,7 @@ mod tests {
             }
         }
         let mut fine = vec![0.0; ef * ef];
-        interp_add_2d(&coarse, &mut fine, nf);
+        interp_add_2d(&host_pool(), &coarse, &mut fine, nf);
         // fine (y,x) ↔ coarse (y/2, x/2): value = 2·y/2 + x/2
         for y in 1..=nf as usize {
             for x in 1..=nf as usize {
@@ -698,8 +765,8 @@ mod tests {
     #[test]
     fn split_tiled_smoother_matches_plain_2d() {
         let cfg = MgConfig::new(2, 63, CycleType::V, SmoothSteps::s444());
-        let mut plain = HandOpt::new(cfg.clone());
-        let mut tiled = HandOpt::new_pluto(cfg.clone());
+        let mut plain = HandOpt::new(cfg.clone(), 0);
+        let mut tiled = HandOpt::new_pluto(cfg.clone(), 0);
         tiled.dtile_w = 16;
         tiled.dtile_h = 3;
         let l = (cfg.levels - 1) as usize;
@@ -732,8 +799,8 @@ mod tests {
     #[test]
     fn split_tiled_smoother_matches_plain_3d() {
         let cfg = MgConfig::new(3, 31, CycleType::V, SmoothSteps::s444());
-        let mut plain = HandOpt::new(cfg.clone());
-        let mut tiled = HandOpt::new_pluto(cfg.clone());
+        let mut plain = HandOpt::new(cfg.clone(), 0);
+        let mut tiled = HandOpt::new_pluto(cfg.clone(), 0);
         tiled.dtile_w = 8;
         tiled.dtile_h = 2;
         let l = (cfg.levels - 1) as usize;
@@ -780,7 +847,7 @@ mod gsrb_tests {
             }
         }
         let before = u.clone();
-        gsrb_half_2d(&mut u, &rhs, n, 1.0, true);
+        gsrb_half_2d(&host_pool(), &mut u, &rhs, n, 1.0, true);
         for y in 1..=n as usize {
             for x in 1..=n as usize {
                 let i = y * e + x;
@@ -808,7 +875,7 @@ mod gsrb_tests {
         }
         let rhs = vec![0.0; e * e * e];
         let before = u.clone();
-        gsrb_half_3d(&mut u, &rhs, n, 1.0, false); // black sweep
+        gsrb_half_3d(&host_pool(), &mut u, &rhs, n, 1.0, false); // black sweep
         for z in 1..=n as usize {
             for y in 1..=n as usize {
                 for x in 1..=n as usize {
@@ -836,7 +903,7 @@ mod gsrb_tests {
             },
         );
         let run = |cfg: MgConfig| {
-            let mut h = HandOpt::new(cfg.clone());
+            let mut h = HandOpt::new(cfg.clone(), 0);
             let (mut v, f, _) = crate::solver::setup_poisson(&cfg);
             crate::solver::run_cycles(&mut h, &cfg, &mut v, &f, 4).conv_factor()
         };

@@ -431,7 +431,7 @@ mod tests {
                 post: 4,
             },
         );
-        let mut runner = HandOpt::new(cfg.clone());
+        let mut runner = HandOpt::new(cfg.clone(), 0);
         let (mut v, f, _) = setup_poisson(&cfg);
         let r = run_cycles(&mut runner, &cfg, &mut v, &f, 6);
         assert!(
@@ -451,7 +451,7 @@ mod tests {
             "polymg-naive",
         )
         .unwrap();
-        let mut hand = HandOpt::new(cfg.clone());
+        let mut hand = HandOpt::new(cfg.clone(), 0);
         let (v0, f, _) = setup_poisson(&cfg);
         let mut v1 = v0.clone();
         let mut v2 = v0;
@@ -470,7 +470,7 @@ mod tests {
     fn wcycle_converges_faster_per_cycle_than_vcycle() {
         let mk = |cy| MgConfig::new(2, 63, cy, SmoothSteps::s444());
         let run = |cfg: &MgConfig| {
-            let mut r = HandOpt::new(cfg.clone());
+            let mut r = HandOpt::new(cfg.clone(), 0);
             let (mut v, f, _) = setup_poisson(cfg);
             run_cycles(&mut r, cfg, &mut v, &f, 4).conv_factor()
         };
@@ -491,7 +491,7 @@ mod tests {
                 post: 4,
             },
         );
-        let mut runner = HandOpt::new(cfg.clone());
+        let mut runner = HandOpt::new(cfg.clone(), 0);
         let (mut v, f, u_exact) = setup_poisson(&cfg);
         run_cycles(&mut runner, &cfg, &mut v, &f, 10);
         let mut max_err = 0.0f64;

@@ -111,7 +111,7 @@ fn eight_level_hierarchy() {
 fn asymmetric_configs_agree() {
     for (pre, coarse, post) in [(0, 5, 3), (7, 1, 0), (1, 0, 1)] {
         let cfg = MgConfig::new(2, 63, CycleType::W, SmoothSteps { pre, coarse, post });
-        let mut hand = HandOpt::new(cfg.clone());
+        let mut hand = HandOpt::new(cfg.clone(), 0);
         let mut opts = PipelineOptions::for_variant(Variant::OptPlus, 2);
         opts.tile_sizes = vec![16, 32];
         let mut dsl = DslRunner::new(&cfg, opts, "opt+").unwrap();

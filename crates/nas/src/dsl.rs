@@ -213,7 +213,7 @@ mod tests {
         let mut v = vec![0.0; e * e * e];
         init_charges(&mut v, n, 8, 11);
 
-        let mut nref = NasReference::new(n, 3);
+        let mut nref = NasReference::new(n, 3, 0);
         nref.set_v(&v);
 
         let mut opts = PipelineOptions::for_variant(Variant::OptPlus, 3);
@@ -247,7 +247,7 @@ mod tests {
                 dsl.cycle(&mut u, &v);
             }
             // residual via the reference operator
-            let mut nref = NasReference::new(n, 3);
+            let mut nref = NasReference::new(n, 3, 0);
             nref.set_v(&v);
             nref.set_u(&u);
             let r = nref.rnm2();

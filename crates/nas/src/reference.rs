@@ -10,7 +10,7 @@
 //! buffer").
 
 use crate::{A_COEFF, C_COEFF, R_COEFF};
-use rayon::prelude::*;
+use rayon::{ThreadPool, ThreadPoolBuilder};
 
 /// Per-level grids of the NAS solver.
 struct Level {
@@ -27,11 +27,14 @@ pub struct NasReference {
     /// RHS `v` at the finest level.
     v: Vec<f64>,
     nlevels: usize,
+    /// Worker pool every parallel loop runs on.
+    pool: ThreadPool,
 }
 
 impl NasReference {
-    /// New solver for a `(n+2)³` grid (`n = 2^k − 1`) with `nlevels` levels.
-    pub fn new(n: i64, nlevels: usize) -> Self {
+    /// New solver for a `(n+2)³` grid (`n = 2^k − 1`) with `nlevels` levels,
+    /// on `threads` workers (0 = the host's parallelism).
+    pub fn new(n: i64, nlevels: usize, threads: usize) -> Self {
         assert!(((n + 1) as u64).is_power_of_two());
         let mut levels = Vec::with_capacity(nlevels);
         for l in 0..nlevels {
@@ -49,6 +52,10 @@ impl NasReference {
             levels,
             v: vec![0.0; len],
             nlevels,
+            pool: ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("building a thread pool cannot fail"),
         }
     }
 
@@ -77,7 +84,7 @@ impl NasReference {
         let fin = self.nlevels - 1;
         let n = self.levels[fin].n;
         let mut tmp = vec![0.0; self.levels[fin].r.len()];
-        resid(&self.levels[fin].z, &self.v, &mut tmp, n);
+        resid(&self.pool, &self.levels[fin].z, &self.v, &mut tmp, n);
         let e = (n + 2) as usize;
         let mut s = 0.0;
         for z in 1..=n as usize {
@@ -99,7 +106,7 @@ impl NasReference {
             let lv = &mut self.levels[fin];
             let n = lv.n;
             let mut tmp = std::mem::take(&mut lv.r);
-            resid(&lv.z, &self.v, &mut tmp, n);
+            resid(&self.pool, &lv.z, &self.v, &mut tmp, n);
             lv.r = tmp;
         }
         self.mg3p();
@@ -114,7 +121,7 @@ impl NasReference {
                 let (a, b) = self.levels.split_at_mut(k);
                 (&mut a[k - 1], &b[0])
             };
-            rprj3(&fine.r, coarse.n, &mut coarse.r);
+            rprj3(&self.pool, &fine.r, coarse.n, &mut coarse.r);
         }
         // coarsest: z = S r from a zero guess
         {
@@ -122,7 +129,7 @@ impl NasReference {
             lv.z.fill(0.0);
             let n = lv.n;
             let mut z = std::mem::take(&mut lv.z);
-            psinv(&lv.r, &mut z, n);
+            psinv(&self.pool, &lv.r, &mut z, n);
             lv.z = z;
         }
         // up
@@ -135,23 +142,23 @@ impl NasReference {
             if k < fin {
                 // z_k = Q z_{k-1} (z_k starts at zero)
                 fine.z.fill(0.0);
-                interp_add(&coarse.z, &mut fine.z, n);
+                interp_add(&self.pool, &coarse.z, &mut fine.z, n);
                 // r_k = r_k − A z_k  (NPB: resid(u,r,r))
                 let mut tmp = vec![0.0; fine.r.len()];
-                resid(&fine.z, &fine.r, &mut tmp, n);
+                resid(&self.pool, &fine.z, &fine.r, &mut tmp, n);
                 fine.r.copy_from_slice(&tmp);
                 // z_k = z_k + S r_k
                 let mut z = std::mem::take(&mut fine.z);
-                psinv(&fine.r, &mut z, n);
+                psinv(&self.pool, &fine.r, &mut z, n);
                 fine.z = z;
             } else {
                 // finest: u += Q z; r = v − A u; u += S r
-                interp_add(&coarse.z, &mut fine.z, n);
+                interp_add(&self.pool, &coarse.z, &mut fine.z, n);
                 let mut tmp = vec![0.0; fine.r.len()];
-                resid(&fine.z, &self.v, &mut tmp, n);
+                resid(&self.pool, &fine.z, &self.v, &mut tmp, n);
                 fine.r.copy_from_slice(&tmp);
                 let mut z = std::mem::take(&mut fine.z);
-                psinv(&fine.r, &mut z, n);
+                psinv(&self.pool, &fine.r, &mut z, n);
                 fine.z = z;
             }
         }
@@ -159,14 +166,13 @@ impl NasReference {
 }
 
 /// `r = v − A u` with the 27-point class-`a` operator.
-pub fn resid(u: &[f64], v: &[f64], r: &mut [f64], n: i64) {
+pub fn resid(pool: &ThreadPool, u: &[f64], v: &[f64], r: &mut [f64], n: i64) {
     let e = (n + 2) as usize;
     let pb = e * e;
     let (a0, a2, a3) = (A_COEFF[0], A_COEFF[2], A_COEFF[3]);
-    r[pb..(n as usize + 1) * pb]
-        .par_chunks_mut(pb)
-        .enumerate()
-        .for_each(|(i, rp)| {
+    pool.for_each(
+        r[pb..(n as usize + 1) * pb].chunks_mut(pb).enumerate(),
+        |(i, rp)| {
             let z = i + 1;
             for y in 1..=n as usize {
                 let s = z * pb + y * e;
@@ -195,19 +201,19 @@ pub fn resid(u: &[f64], v: &[f64], r: &mut [f64], n: i64) {
                     rp[y * e + x] = v[s + x] - a0 * u[s + x] - a2 * edge - a3 * corner;
                 }
             }
-        });
+        },
+    );
 }
 
 /// `z = z + C r` with the 27-point class-`c` smoother (corner class is 0
 /// and skipped).
-pub fn psinv(r: &[f64], z: &mut [f64], n: i64) {
+pub fn psinv(pool: &ThreadPool, r: &[f64], z: &mut [f64], n: i64) {
     let e = (n + 2) as usize;
     let pb = e * e;
     let (c0, c1, c2) = (C_COEFF[0], C_COEFF[1], C_COEFF[2]);
-    z[pb..(n as usize + 1) * pb]
-        .par_chunks_mut(pb)
-        .enumerate()
-        .for_each(|(i, zp)| {
+    pool.for_each(
+        z[pb..(n as usize + 1) * pb].chunks_mut(pb).enumerate(),
+        |(i, zp)| {
             let zc = i + 1;
             for y in 1..=n as usize {
                 let s = zc * pb + y * e;
@@ -229,19 +235,21 @@ pub fn psinv(r: &[f64], z: &mut [f64], n: i64) {
                     zp[y * e + x] += c0 * r[s + x] + c1 * faces + c2 * edges;
                 }
             }
-        });
+        },
+    );
 }
 
 /// NPB `rprj3`: restrict `fine` onto `coarse` (interior size `nc`).
-pub fn rprj3(fine: &[f64], nc: i64, coarse: &mut [f64]) {
+pub fn rprj3(pool: &ThreadPool, fine: &[f64], nc: i64, coarse: &mut [f64]) {
     let ef = (2 * nc + 1 + 2) as usize;
     let pf = ef * ef;
     let ec = (nc + 2) as usize;
     let pc = ec * ec;
-    coarse[pc..(nc as usize + 1) * pc]
-        .par_chunks_mut(pc)
-        .enumerate()
-        .for_each(|(i, cp)| {
+    pool.for_each(
+        coarse[pc..(nc as usize + 1) * pc]
+            .chunks_mut(pc)
+            .enumerate(),
+        |(i, cp)| {
             let zc = i + 1;
             let zf = 2 * zc;
             for yc in 1..=nc as usize {
@@ -264,19 +272,19 @@ pub fn rprj3(fine: &[f64], nc: i64, coarse: &mut [f64]) {
                     cp[yc * ec + xc] = acc;
                 }
             }
-        });
+        },
+    );
 }
 
 /// Trilinear prolongation, added into `fine` (interior size `nf`).
-pub fn interp_add(coarse: &[f64], fine: &mut [f64], nf: i64) {
+pub fn interp_add(pool: &ThreadPool, coarse: &[f64], fine: &mut [f64], nf: i64) {
     let ef = (nf + 2) as usize;
     let pf = ef * ef;
     let ec = ((nf + 1) / 2 + 1) as usize;
     let pc = ec * ec;
-    fine[pf..(nf as usize + 1) * pf]
-        .par_chunks_mut(pf)
-        .enumerate()
-        .for_each(|(i, fp)| {
+    pool.for_each(
+        fine[pf..(nf as usize + 1) * pf].chunks_mut(pf).enumerate(),
+        |(i, fp)| {
             let z = i + 1;
             let zs: Vec<usize> = if z % 2 == 0 {
                 vec![z / 2]
@@ -306,13 +314,44 @@ pub fn interp_add(coarse: &[f64], fine: &mut [f64], nf: i64) {
                     fp[y * ef + x] += acc / (zs.len() * ys.len() * xs.len()) as f64;
                 }
             }
-        });
+        },
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::init_charges;
+
+    /// A pool as wide as the host, for tests that call the kernels directly.
+    fn host_pool() -> ThreadPool {
+        ThreadPoolBuilder::new().build().unwrap()
+    }
+
+    /// The reference port is a thread-count twin: every parallel loop
+    /// writes disjoint planes, so the pool's width changes no bit. A 1-wide
+    /// solver spawns no worker.
+    #[test]
+    fn iterates_are_bitwise_equal_at_one_and_two_threads() {
+        let n = 31i64;
+        let e = (n + 2) as usize;
+        let mut v = vec![0.0; e * e * e];
+        init_charges(&mut v, n, 10, 7);
+        let run = |threads| {
+            let mut nas = NasReference::new(n, 4, threads);
+            nas.set_v(&v);
+            for _ in 0..2 {
+                nas.iteration();
+            }
+            (nas.u().to_vec(), nas.pool.counters().workers_spawned)
+        };
+        let ((one, spawned1), (two, spawned2)) = (run(1), run(2));
+        assert_eq!((spawned1, spawned2), (0, 1), "workers spawned");
+        assert!(
+            one.iter().zip(&two).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "iterates differ between 1 and 2 threads"
+        );
+    }
 
     #[test]
     fn resid_of_zero_u_is_v() {
@@ -322,7 +361,7 @@ mod tests {
         let mut v = vec![0.0; e * e * e];
         init_charges(&mut v, n, 5, 1);
         let mut r = vec![0.0; e * e * e];
-        resid(&u, &v, &mut r, n);
+        resid(&host_pool(), &u, &v, &mut r, n);
         for i in 0..v.len() {
             let z = i / (e * e);
             let y = (i / e) % e;
@@ -343,7 +382,7 @@ mod tests {
         let u = vec![1.0; e * e * e];
         let v = vec![0.0; e * e * e];
         let mut r = vec![0.0; e * e * e];
-        resid(&u, &v, &mut r, n);
+        resid(&host_pool(), &u, &v, &mut r, n);
         // centre point: Σ a = 0
         let c = (8 * e + 8) * e + 8;
         assert!(r[c].abs() < 1e-13);
@@ -369,7 +408,7 @@ mod tests {
             }
         }
         let mut z1 = vec![0.0; e * e * e];
-        psinv(&r, &mut z1, n);
+        psinv(&host_pool(), &r, &mut z1, n);
         // naive evaluation
         let w = crate::class_weights(&C_COEFF);
         let mut z2 = vec![0.0; e * e * e];
@@ -397,7 +436,7 @@ mod tests {
     #[test]
     fn iterations_reduce_residual() {
         let n = 31i64;
-        let mut nas = NasReference::new(n, 4);
+        let mut nas = NasReference::new(n, 4, 0);
         let e = (n + 2) as usize;
         let mut v = vec![0.0; e * e * e];
         init_charges(&mut v, n, 10, 7);

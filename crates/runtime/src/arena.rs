@@ -199,15 +199,12 @@ mod tests {
             .num_threads(2)
             .build()
             .unwrap();
-        tp.install(|| {
-            use rayon::prelude::*;
-            (0..8usize).into_par_iter().for_each(|_| {
-                let pool = ArenaPool::new(16, 1);
-                let a = pool.get(&quiet());
-                pool.put(a);
-                let _again = pool.get(&quiet());
-                assert_eq!(totals(&pool), (1, 1));
-            });
+        tp.for_each(0..8usize, |_| {
+            let pool = ArenaPool::new(16, 1);
+            let a = pool.get(&quiet());
+            pool.put(a);
+            let _again = pool.get(&quiet());
+            assert_eq!(totals(&pool), (1, 1));
         });
     }
 
@@ -227,17 +224,14 @@ mod tests {
             .num_threads(2)
             .build()
             .unwrap();
-        tp.install(|| {
-            use rayon::prelude::*;
-            let pool = ArenaPool::new(240, 2);
-            (0..32usize).into_par_iter().for_each(|_| {
-                let a = pool.get(&quiet());
-                pool.put(a);
-            });
-            let per = pool.take_stats();
-            assert_eq!(per.len(), 2, "one entry per worker");
-            assert!(per.iter().all(|s| s.0 <= 1), "at most one arena per worker");
-            assert_eq!(per.iter().map(|s| s.0 + s.1).sum::<u64>(), 32);
+        let pool = ArenaPool::new(240, 2);
+        tp.for_each(0..32usize, |_| {
+            let a = pool.get(&quiet());
+            pool.put(a);
         });
+        let per = pool.take_stats();
+        assert_eq!(per.len(), 2, "one entry per worker");
+        assert!(per.iter().all(|s| s.0 <= 1), "at most one arena per worker");
+        assert_eq!(per.iter().map(|s| s.0 + s.1).sum::<u64>(), 32);
     }
 }

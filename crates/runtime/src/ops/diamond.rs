@@ -22,7 +22,6 @@ use gmg_poly::Interval;
 use gmg_trace::StageHandle;
 use polymg::schedule::{OpInput, StageExec};
 use polymg::FaultSite;
-use rayon::prelude::*;
 use std::time::Instant;
 
 const VIOLATIONS: ChainViolations = ChainViolations {
@@ -96,7 +95,7 @@ pub(crate) fn run(
         f.contain(|| {
             for band in schedule {
                 for phase in [&band.phase1, &band.phase2] {
-                    phase.par_iter().for_each(|trap| {
+                    f.pool.for_each(phase, |trap| {
                         if f.chaos.should_fire(FaultSite::WorkerPanic) {
                             panic!("chaos: injected worker panic");
                         }

@@ -34,7 +34,7 @@ use crate::schedule::{ExecError, Slot};
 use gmg_poly::{BoxDomain, Interval};
 use gmg_trace::StageHandle;
 use polymg::schedule::{OpInput, StageExec};
-use polymg::{FaultPlan, KernelBody};
+use polymg::KernelBody;
 use std::convert::Infallible;
 use std::time::Instant;
 
@@ -86,7 +86,6 @@ pub(crate) fn run(
     let mut cur = pool.allocate(len);
     let mut ext_bufs: Vec<_> = ext_slots.iter().map(|_| pool.allocate(len)).collect();
     let (origin, extents) = (&spec.origin[..], &spec.extents[..]);
-    let chaos = f.chaos;
 
     let result = with_outputs(f.program, slots, &[out_slot], |out, slots| {
         let ext_srcs: Vec<Space<'_>> = ext_slots
@@ -98,7 +97,7 @@ pub(crate) fn run(
 
         f.contain(|| {
             for (buf, src) in ext_bufs.iter_mut().zip(&ext_srcs) {
-                convert(buf.as_mut_slice(), src, &whole, chaos);
+                convert(&f, buf.as_mut_slice(), src, &whole);
             }
             for (t, st) in stages.iter().enumerate() {
                 let t0 = tracing.then(Instant::now);
@@ -125,11 +124,11 @@ pub(crate) fn run(
                 );
                 let kernel = &f.program.kernels[st.kernel];
                 sweep_rows(
+                    &f,
                     cur.as_mut_slice(),
                     origin,
                     extents,
                     &st.domain,
-                    chaos,
                     |out, region| {
                         let out = KernelOut::Dense(out);
                         execute_stage_region(st.sel(), kernel, region, out, &ins, &bnd)
@@ -147,7 +146,7 @@ pub(crate) fn run(
                 origin,
                 extents,
             };
-            convert(out[0], &src, last, chaos);
+            convert(&f, out[0], &src, last);
         })
     });
 
@@ -163,13 +162,8 @@ pub(crate) fn run(
 /// `dst`'s precision, row-parallel: the whole of an external narrowed to
 /// `f32` (ghost ring included), or the last step's interior widened into the
 /// `f64` output.
-fn convert<S: Elem, D: Elem>(
-    dst: &mut [D],
-    src: &Space<'_, S>,
-    region: &BoxDomain,
-    chaos: &FaultPlan,
-) {
-    sweep_rows(dst, src.origin, src.extents, region, chaos, |mut out, r| {
+fn convert<S: Elem, D: Elem>(f: &Frame<'_>, dst: &mut [D], src: &Space<'_, S>, region: &BoxDomain) {
+    sweep_rows(f, dst, src.origin, src.extents, region, |mut out, r| {
         copy_box(src, &mut out, r)
     });
 }

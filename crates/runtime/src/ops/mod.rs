@@ -41,7 +41,7 @@ use gmg_poly::{BoxDomain, Interval};
 use gmg_trace::StageHandle;
 use polymg::schedule::{ExecOp, ExecProgram, OpInput, SlotSpec, StageExec};
 use polymg::{FaultPlan, FaultSite};
-use rayon::prelude::*;
+use rayon::ThreadPool;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -51,12 +51,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 const INLINE_INPUTS: usize = 8;
 
 /// What the frame hands an op: the program, the op's stage spans, the fault
-/// plan, and the op's name for a contained panic.
+/// plan, the engine's worker pool its parallel loop runs on, and the op's
+/// name for a contained panic.
 #[derive(Clone, Copy)]
 pub(crate) struct Frame<'e> {
     pub(crate) program: &'e ExecProgram,
     pub(crate) spans: &'e [StageHandle],
     pub(crate) chaos: &'e FaultPlan,
+    pub(crate) pool: &'e ThreadPool,
     op: &'static str,
 }
 
@@ -84,11 +86,13 @@ pub(crate) fn run(
     scratch: &ArenaPool,
     spans: &[StageHandle],
     chaos: &FaultPlan,
+    threads: &ThreadPool,
 ) -> Result<(), ExecError> {
     let f = Frame {
         program,
         spans,
         chaos,
+        pool: threads,
         op: op.mnemonic(),
     };
     let gate = |site: FaultSite| {
@@ -260,19 +264,19 @@ pub(crate) fn panic_detail(p: Box<dyn Any + Send>) -> String {
 /// outer rows of `data` it owns as a dense window (global coordinates as in
 /// `data`, whose view is `origin` / `extents`) and `domain` clipped to them,
 /// both on the stack: a piece allocates nothing. There is one piece per
-/// worker, as in the static schedule of the generated code. Returns the
-/// number of pieces. A worker panic (an injected `WorkerPanic` among them)
-/// unwinds out of the call; callers contain it.
+/// worker of the frame's pool, as in the static schedule of the generated
+/// code. Returns the number of pieces. A worker panic (an injected
+/// `WorkerPanic` among them) unwinds out of the call; callers contain it.
 pub(crate) fn sweep_rows<T: Send>(
+    f: &Frame<'_>,
     data: &mut [T],
     origin: &[i64],
     extents: &[i64],
     domain: &BoxDomain,
-    chaos: &FaultPlan,
     body: impl Fn(SpaceMut<'_, T>, &[Interval]) + Sync,
 ) -> u64 {
     let nd = extents.len();
-    let npieces = rayon::current_num_threads().max(1);
+    let npieces = f.pool.current_num_threads().max(1);
     let outer = domain.0[0];
     let bounds = rayon::partition_ranges(outer.len() as usize, npieces)
         .into_iter()
@@ -293,8 +297,8 @@ pub(crate) fn sweep_rows<T: Send>(
         covered = end;
     }
     let npieces = pieces.len() as u64;
-    pieces.into_par_iter().for_each(|(data, (lo, hi))| {
-        if chaos.should_fire(FaultSite::WorkerPanic) {
+    f.pool.for_each(pieces, |(data, (lo, hi))| {
+        if f.chaos.should_fire(FaultSite::WorkerPanic) {
             panic!("chaos: injected worker panic");
         }
         let mut region = [Interval::empty(); 3];

@@ -22,7 +22,6 @@ use gmg_poly::Interval;
 use gmg_trace::StageHandle;
 use polymg::schedule::{OpInput, SlabLayout, StageExec};
 use polymg::{FaultSite, TilePlan};
-use rayon::prelude::*;
 use std::time::Instant;
 
 #[allow(clippy::too_many_arguments)]
@@ -81,7 +80,7 @@ pub(crate) fn run(
         let tracing = spans.iter().any(StageHandle::is_enabled);
 
         f.contain(|| {
-            (0..plan.tiles()).into_par_iter().for_each(|tile| {
+            f.pool.for_each(0..plan.tiles(), |tile| {
                 if chaos.should_fire(FaultSite::WorkerPanic) {
                     panic!("chaos: injected worker panic");
                 }

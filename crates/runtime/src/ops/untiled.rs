@@ -33,11 +33,11 @@ pub(crate) fn run(
         let t0 = span.is_some_and(StageHandle::is_enabled).then(Instant::now);
         let npieces = f.contain(|| {
             sweep_rows(
+                &f,
                 out[0],
                 &spec.origin,
                 &spec.extents,
                 &stage.domain,
-                f.chaos,
                 |out, region| {
                     let out = KernelOut::Dense(out);
                     execute_stage_region(stage.sel(), kernel, region, out, &ins, &bnd)

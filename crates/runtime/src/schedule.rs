@@ -246,7 +246,7 @@ pub struct Engine {
     /// f64 pool, so warm cycles allocate nothing new.
     f32_pool: BufferPool<f32>,
     /// The engine's own worker pool, `program.threads` wide (0 = the
-    /// host's parallelism); every run executes inside it.
+    /// host's parallelism); every parallel loop of a run executes on it.
     rayon_pool: rayon::ThreadPool,
     trace: Trace,
     /// Per op: interned timeline handle (disabled until [`Engine::set_trace`]).
@@ -474,6 +474,7 @@ impl Engine {
         let scratch = &self.scratch;
         let chaos: &FaultPlan = &self.chaos;
         let ghost_stable = &self.ghost_stable;
+        let threads = &self.rayon_pool;
         let nrhs = batch.len();
 
         let body = move |slots: &mut Vec<Slot<'a>>,
@@ -559,6 +560,7 @@ impl Engine {
                             scratch,
                             &stage_handles[i],
                             chaos,
+                            threads,
                         )?,
                     }
                     if let Some(t0) = t0 {
@@ -573,15 +575,14 @@ impl Engine {
         // already contains worker panics, but a panic in serial interpreter
         // code must not unwind through the caller either — the engine owns a
         // pool whose accounting has to stay consistent.
-        let outcome: Result<usize, ExecError> = match catch_unwind(AssertUnwindSafe(|| {
-            self.rayon_pool.install(|| body(&mut slots, pool))
-        })) {
-            Ok(r) => r,
-            Err(p) => Err(ExecError::WorkerPanicked {
-                op: "engine",
-                detail: crate::ops::panic_detail(p),
-            }),
-        };
+        let outcome: Result<usize, ExecError> =
+            match catch_unwind(AssertUnwindSafe(|| body(&mut slots, pool))) {
+                Ok(r) => r,
+                Err(p) => Err(ExecError::WorkerPanicked {
+                    op: "engine",
+                    detail: crate::ops::panic_detail(p),
+                }),
+            };
 
         if outcome.is_err() {
             // A failed pass stops mid-program, so its PoolFree ops never

@@ -1,19 +1,17 @@
-//! Minimal in-tree stand-in for the `rayon` crate, backed by a persistent
-//! thread pool with a static schedule.
+//! In-tree thread pool with a static schedule: one persistent pool per
+//! owner and one parallel loop, [`ThreadPool::for_each`].
 //!
-//! The build environment has no network access to a crate registry, so the
-//! workspace vendors the small slice of rayon's API it actually uses:
-//! `par_iter` / `into_par_iter` / `par_chunks_mut` driven by `for_each`
-//! (optionally through `enumerate`), plus `ThreadPool::install` and
-//! `current_num_threads`.
+//! The package keeps the name `rayon` so that manifests and lock files of
+//! the workspace stay valid; the API is its own. Every parallel region runs
+//! on a pool its caller owns or was handed, like the `#pragma omp parallel
+//! for` of the code the compiler emits.
 //!
 //! ## Execution model
 //!
 //! A [`ThreadPool`] owns `threads - 1` long-lived worker threads (spawned
 //! lazily on the first parallel region, parked on a condvar between
 //! regions); the caller of every parallel region participates as the
-//! remaining worker. One process-wide pool backs code that never installs
-//! a pool explicitly. Per region, the item list is split once into one
+//! remaining worker. Per region, the item list is split once into one
 //! contiguous, order-preserving index range per worker (sizes differ by at
 //! most one — see [`partition_ranges`]), the `schedule(static)` of the
 //! OpenMP code the compiler emits. The caller runs range 0; every other
@@ -22,23 +20,19 @@
 //! row/tile sweeps). A participant that finishes its range claims the next
 //! unclaimed one, so a region never waits on a worker that has not woken.
 //!
-//! Workers run items with the thread-scoped parallelism pinned to 1, so
-//! nested parallel calls inside a region run inline. Panics inside items
-//! are caught, the region completes, and the first payload is rethrown on
-//! the calling thread — matching `std::thread::scope` semantics closely
-//! enough for this workspace.
+//! A `for_each` called from inside a region (on any pool) runs inline on
+//! the calling participant. Panics inside items are caught, the region
+//! completes, and the first payload is rethrown on the calling thread —
+//! matching `std::thread::scope` semantics closely enough for this
+//! workspace.
 
-use std::cell::{Cell, RefCell};
-use std::ops::{Range, RangeInclusive};
+use std::cell::Cell;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 thread_local! {
-    /// 0 = "no pool installed": fall back to available_parallelism.
-    static CURRENT_THREADS: Cell<usize> = const { Cell::new(0) };
-    /// Pool installed on this thread by [`ThreadPool::install`].
-    static CURRENT_POOL: RefCell<Option<Arc<PoolInner>>> = const { RefCell::new(None) };
     /// Worker slot this thread occupies inside a region (`usize::MAX` =
     /// not a pool participant).
     static WORKER_INDEX: Cell<usize> = const { Cell::new(usize::MAX) };
@@ -46,25 +40,14 @@ thread_local! {
 
 fn default_threads() -> usize {
     // Cached: `available_parallelism` re-reads procfs/cgroup files on every
-    // call, and this is queried per stage dispatch on the hot path —
-    // measured at >50 µs per call on containerized hosts, which dwarfed
-    // whole stage kernels before caching.
+    // call, and every `ThreadPoolBuilder::build` asking for the host's
+    // width (each engine a plan builds among them) would pay for it again.
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     })
-}
-
-/// Number of threads the current scope parallelises over.
-pub fn current_num_threads() -> usize {
-    let n = CURRENT_THREADS.with(|c| c.get());
-    if n == 0 {
-        default_threads()
-    } else {
-        n
-    }
 }
 
 /// The worker slot of the calling thread inside the active pool, or `None`
@@ -246,8 +229,7 @@ unsafe fn participate<I: Send, F: Fn(I) + Sync>(ctx: *const ()) {
 }
 
 fn worker_loop(pool: Arc<PoolInner>, idx: usize) {
-    // Nested parallel calls inside items run inline on this worker.
-    CURRENT_THREADS.with(|c| c.set(1));
+    // A set index also makes nested `for_each` calls run inline here.
     WORKER_INDEX.with(|c| c.set(idx));
     loop {
         let job = {
@@ -379,8 +361,7 @@ impl PoolInner {
         self.items.fetch_add(len as u64, Ordering::Relaxed);
 
         // The caller participates as slot 0 (persistent workers occupy
-        // 1..threads), with nested parallelism pinned inline.
-        let prev_threads = CURRENT_THREADS.with(|c| c.replace(1));
+        // 1..threads); the set index runs nested regions inline.
         let prev_index = WORKER_INDEX.with(|c| c.replace(0));
         // SAFETY: `ctx` and `header` live on this frame until every helper
         // has left (below), and range 0 was never published as claimable.
@@ -388,7 +369,6 @@ impl PoolInner {
             ctx.run_range(ctx.ranges[0].clone());
             participate::<I, F>(job.ctx);
         }
-        CURRENT_THREADS.with(|c| c.set(prev_threads));
         WORKER_INDEX.with(|c| c.set(prev_index));
 
         // All items executed...
@@ -432,19 +412,13 @@ impl PoolInner {
     }
 }
 
-fn global_pool() -> &'static Arc<PoolInner> {
-    static GLOBAL_POOL: OnceLock<Arc<PoolInner>> = OnceLock::new();
-    GLOBAL_POOL.get_or_init(|| PoolInner::new(default_threads()))
-}
-
 // ---------------------------------------------------------------------------
 // Public pool API
 // ---------------------------------------------------------------------------
 
-/// A persistent worker pool. `install` routes every parallel region of the
-/// closure through this pool's workers (restored even on panic); the
-/// workers are spawned once on first use and parked between regions, and
-/// joined when the pool is dropped.
+/// A persistent worker pool running one parallel loop,
+/// [`ThreadPool::for_each`]; the workers are spawned once on first use and
+/// parked between regions, and joined when the pool is dropped.
 pub struct ThreadPool {
     inner: Arc<PoolInner>,
 }
@@ -457,22 +431,26 @@ impl std::fmt::Debug for ThreadPool {
     }
 }
 
-struct Restore(usize, Option<Arc<PoolInner>>);
-
-impl Drop for Restore {
-    fn drop(&mut self) {
-        CURRENT_THREADS.with(|c| c.set(self.0));
-        let prev = self.1.take();
-        CURRENT_POOL.with(|c| *c.borrow_mut() = prev);
-    }
-}
-
 impl ThreadPool {
-    pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        let prev_threads = CURRENT_THREADS.with(|c| c.replace(self.inner.threads));
-        let prev_pool = CURRENT_POOL.with(|c| c.replace(Some(Arc::clone(&self.inner))));
-        let _restore = Restore(prev_threads, prev_pool);
-        op()
+    /// Run `f` once per item, in parallel over this pool's workers under
+    /// the static schedule, and return when every item ran (rethrowing the
+    /// first panic). Runs inline, as a plain loop, when the pool is one
+    /// thread wide, when there is at most one item, or when the caller is
+    /// already inside a region.
+    pub fn for_each<I, F>(&self, items: I, f: F)
+    where
+        I: IntoIterator,
+        I::Item: Send,
+        F: Fn(I::Item) + Sync,
+    {
+        if self.inner.threads <= 1 {
+            return items.into_iter().for_each(f);
+        }
+        let items: Vec<I::Item> = items.into_iter().collect();
+        if items.len() <= 1 || current_thread_index().is_some() {
+            return items.into_iter().for_each(f);
+        }
+        self.inner.run_region(items, &f);
     }
 
     pub fn current_num_threads(&self) -> usize {
@@ -512,6 +490,7 @@ impl ThreadPoolBuilder {
         Self::default()
     }
 
+    /// Pool width; 0 (or never set) means the host's parallelism.
     pub fn num_threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self
@@ -528,162 +507,6 @@ impl ThreadPoolBuilder {
     }
 }
 
-/// Run `f` over `items` on the installed pool (or the process-wide one).
-fn run_parallel<I, F>(items: Vec<I>, f: F)
-where
-    I: Send,
-    F: Fn(I) + Sync,
-{
-    let nthreads = current_num_threads().max(1);
-    if nthreads == 1 || items.len() <= 1 {
-        for item in items {
-            f(item);
-        }
-        return;
-    }
-    let pool = CURRENT_POOL.with(|p| p.borrow().clone());
-    match pool {
-        Some(p) => p.run_region(items, &f),
-        None => global_pool().run_region(items, &f),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Iterator facade
-// ---------------------------------------------------------------------------
-
-pub trait ParallelIterator: Sized {
-    type Item: Send;
-
-    /// Materialise the item list (refs, chunks, or owned values).
-    fn drain(self) -> Vec<Self::Item>;
-
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Sync + Send,
-    {
-        run_parallel(self.drain(), f);
-    }
-
-    fn enumerate(self) -> Enumerate<Self> {
-        Enumerate(self)
-    }
-}
-
-pub struct Enumerate<P>(P);
-
-impl<P: ParallelIterator> ParallelIterator for Enumerate<P> {
-    type Item = (usize, P::Item);
-
-    fn drain(self) -> Vec<Self::Item> {
-        self.0.drain().into_iter().enumerate().collect()
-    }
-}
-
-pub struct IntoParIter<T: Send>(Vec<T>);
-
-impl<T: Send> ParallelIterator for IntoParIter<T> {
-    type Item = T;
-
-    fn drain(self) -> Vec<T> {
-        self.0
-    }
-}
-
-pub struct ParSliceIter<'a, T: Sync>(&'a [T]);
-
-impl<'a, T: Sync> ParallelIterator for ParSliceIter<'a, T> {
-    type Item = &'a T;
-
-    fn drain(self) -> Vec<&'a T> {
-        self.0.iter().collect()
-    }
-}
-
-pub struct ParChunksMut<'a, T: Send>(&'a mut [T], usize);
-
-impl<'a, T: Send> ParallelIterator for ParChunksMut<'a, T> {
-    type Item = &'a mut [T];
-
-    fn drain(self) -> Vec<&'a mut [T]> {
-        self.0.chunks_mut(self.1).collect()
-    }
-}
-
-pub trait IntoParallelIterator {
-    type Item: Send;
-    type Iter: ParallelIterator<Item = Self::Item>;
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Iter = IntoParIter<T>;
-    fn into_par_iter(self) -> Self::Iter {
-        IntoParIter(self)
-    }
-}
-
-macro_rules! impl_range_par_iter {
-    ($($t:ty),*) => {$(
-        impl IntoParallelIterator for Range<$t> {
-            type Item = $t;
-            type Iter = IntoParIter<$t>;
-            fn into_par_iter(self) -> Self::Iter {
-                IntoParIter(self.collect())
-            }
-        }
-        impl IntoParallelIterator for RangeInclusive<$t> {
-            type Item = $t;
-            type Iter = IntoParIter<$t>;
-            fn into_par_iter(self) -> Self::Iter {
-                IntoParIter(self.collect())
-            }
-        }
-    )*};
-}
-
-impl_range_par_iter!(usize, u32, u64, i32, i64);
-
-pub trait IntoParallelRefIterator<'data> {
-    type Item: Send;
-    type Iter: ParallelIterator<Item = Self::Item>;
-    fn par_iter(&'data self) -> Self::Iter;
-}
-
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for [T] {
-    type Item = &'data T;
-    type Iter = ParSliceIter<'data, T>;
-    fn par_iter(&'data self) -> Self::Iter {
-        ParSliceIter(self)
-    }
-}
-
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for Vec<T> {
-    type Item = &'data T;
-    type Iter = ParSliceIter<'data, T>;
-    fn par_iter(&'data self) -> Self::Iter {
-        ParSliceIter(self)
-    }
-}
-
-pub trait ParallelSliceMut<T: Send> {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        ParChunksMut(self, chunk_size)
-    }
-}
-
-pub mod prelude {
-    pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, ParallelIterator, ParallelSliceMut,
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,8 +515,9 @@ mod tests {
 
     #[test]
     fn chunks_cover_all_rows() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         let mut data = vec![0.0f64; 100];
-        data.par_chunks_mut(7).enumerate().for_each(|(i, chunk)| {
+        pool.for_each(data.chunks_mut(7).enumerate(), |(i, chunk)| {
             for v in chunk.iter_mut() {
                 *v = i as f64 + 1.0;
             }
@@ -703,17 +527,34 @@ mod tests {
 
     #[test]
     fn range_sum_matches_sequential() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         let total = AtomicU64::new(0);
-        (1..=100usize).into_par_iter().for_each(|i| {
+        pool.for_each(1..=100usize, |i| {
             total.fetch_add(i as u64, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 5050);
     }
 
     #[test]
-    fn install_pins_thread_count() {
-        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        assert_eq!(pool.install(current_num_threads), 3);
+    fn builder_sets_the_width() {
+        for n in [1usize, 3] {
+            let pool = ThreadPoolBuilder::new().num_threads(n).build().unwrap();
+            assert_eq!(pool.current_num_threads(), n);
+        }
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let pool = ThreadPoolBuilder::new().num_threads(0).build().unwrap();
+        assert_eq!(pool.current_num_threads(), host, "0 = host parallelism");
+    }
+
+    #[test]
+    fn one_wide_pool_runs_inline_without_workers() {
+        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let caller = std::thread::current().id();
+        pool.for_each(0..16usize, |_| {
+            assert_eq!(std::thread::current().id(), caller);
+            assert_eq!(current_thread_index(), None, "no region was opened");
+        });
+        assert_eq!(pool.counters(), PoolCounters::default());
     }
 
     #[test]
@@ -741,10 +582,8 @@ mod tests {
         assert_eq!(pool.counters().workers_spawned, 0, "workers spawn lazily");
         let hits = AtomicU64::new(0);
         for _ in 0..10 {
-            pool.install(|| {
-                (0..64usize).into_par_iter().for_each(|_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
+            pool.for_each(0..64usize, |_| {
+                hits.fetch_add(1, Ordering::Relaxed);
             });
         }
         assert_eq!(hits.load(Ordering::Relaxed), 640);
@@ -765,10 +604,8 @@ mod tests {
         for _ in 0..20 {
             // (item, thread) in execution order
             let log = Mutex::new(Vec::with_capacity(len));
-            pool.install(|| {
-                (0..len).into_par_iter().for_each(|i| {
-                    log.lock().unwrap().push((i, std::thread::current().id()));
-                });
+            pool.for_each(0..len, |i| {
+                log.lock().unwrap().push((i, std::thread::current().id()));
             });
             let log = log.into_inner().unwrap();
             assert_eq!(log.len(), len);
@@ -803,29 +640,27 @@ mod tests {
             .unwrap();
         let others = len - partition_ranges(len, threads)[0].len();
         let completed = AtomicUsize::new(0);
-        pool.install(|| {
-            (0..len).into_par_iter().for_each(|i| {
-                if i == 0 {
-                    // Block the first item of the caller's range until every
-                    // item of the other ranges ran: the workers must take
-                    // them while range 0 is stuck.
-                    let t0 = std::time::Instant::now();
-                    while completed.load(Ordering::Acquire) < others {
-                        assert!(
-                            t0.elapsed() < std::time::Duration::from_secs(30),
-                            "the other ranges never ran"
-                        );
-                        std::thread::yield_now();
-                    }
+        pool.for_each(0..len, |i| {
+            if i == 0 {
+                // Block the first item of the caller's range until every
+                // item of the other ranges ran: the workers must take
+                // them while range 0 is stuck.
+                let t0 = std::time::Instant::now();
+                while completed.load(Ordering::Acquire) < others {
+                    assert!(
+                        t0.elapsed() < std::time::Duration::from_secs(30),
+                        "the other ranges never ran"
+                    );
+                    std::thread::yield_now();
                 }
-                completed.fetch_add(1, Ordering::Release);
-            });
+            }
+            completed.fetch_add(1, Ordering::Release);
         });
         assert_eq!(completed.load(Ordering::Relaxed), len);
     }
 
     #[test]
-    fn concurrent_installs_run_every_item_once() {
+    fn concurrent_callers_run_every_item_once() {
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         let (callers, regions, len) = (4usize, 25usize, 37usize);
         let runs: Vec<AtomicUsize> = (0..callers * regions * len)
@@ -835,13 +670,11 @@ mod tests {
             for c in 0..callers {
                 let (pool, runs) = (&pool, &runs);
                 s.spawn(move || {
-                    pool.install(|| {
-                        for r in 0..regions {
-                            (0..len).into_par_iter().for_each(|i| {
-                                runs[(c * regions + r) * len + i].fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    })
+                    for r in 0..regions {
+                        pool.for_each(0..len, |i| {
+                            runs[(c * regions + r) * len + i].fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
                 });
             }
         });
@@ -855,18 +688,22 @@ mod tests {
     #[test]
     fn nested_parallelism_runs_inline() {
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let inner_threads = AtomicUsize::new(usize::MAX);
+        let other = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         let total = AtomicU64::new(0);
-        pool.install(|| {
-            (0..8usize).into_par_iter().for_each(|_| {
-                inner_threads.fetch_min(current_num_threads(), Ordering::Relaxed);
-                (0..4usize).into_par_iter().for_each(|i| {
+        pool.for_each(0..8usize, |_| {
+            // a nested loop, on this pool or another, stays on the
+            // participant that reached it
+            let me = (std::thread::current().id(), current_thread_index());
+            for p in [&pool, &other] {
+                p.for_each(0..4usize, |i| {
+                    assert_eq!((std::thread::current().id(), current_thread_index()), me);
                     total.fetch_add(i as u64, Ordering::Relaxed);
                 });
-            });
+            }
         });
-        assert_eq!(inner_threads.load(Ordering::Relaxed), 1);
-        assert_eq!(total.load(Ordering::Relaxed), 8 * 6);
+        assert_eq!(total.load(Ordering::Relaxed), 2 * 8 * 6);
+        assert_eq!(pool.counters().regions, 1, "the nested loops opened none");
+        assert_eq!(other.counters(), PoolCounters::default());
     }
 
     #[test]
@@ -874,10 +711,8 @@ mod tests {
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         assert_eq!(current_thread_index(), None);
         let seen = Mutex::new(Vec::new());
-        pool.install(|| {
-            (0..32usize).into_par_iter().for_each(|_| {
-                seen.lock().unwrap().push(current_thread_index().unwrap());
-            });
+        pool.for_each(0..32usize, |_| {
+            seen.lock().unwrap().push(current_thread_index().unwrap());
         });
         assert_eq!(current_thread_index(), None);
         let seen = seen.lock().unwrap();
@@ -892,23 +727,21 @@ mod tests {
         let exploding = AtomicBool::new(false);
         let len = 256usize;
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.install(|| {
-                (0..len).into_par_iter().for_each(|i| {
-                    if i == 0 {
-                        // first item of the caller's range: poisons the
-                        // region before its ~127 siblings run
-                        exploding.store(true, Ordering::Release);
-                        panic!("first item exploded");
-                    }
-                    // No sibling finishes before item 0 is on its way out:
-                    // a worker that outruns the caller must not run its
-                    // whole range before the poison is set.
-                    while !exploding.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                    executed.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_micros(500));
-                });
+            pool.for_each(0..len, |i| {
+                if i == 0 {
+                    // first item of the caller's range: poisons the
+                    // region before its ~127 siblings run
+                    exploding.store(true, Ordering::Release);
+                    panic!("first item exploded");
+                }
+                // No sibling finishes before item 0 is on its way out:
+                // a worker that outruns the caller must not run its
+                // whole range before the poison is set.
+                while !exploding.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                executed.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_micros(500));
             });
         }));
         assert!(r.is_err(), "the first panic must reach the caller");
@@ -919,10 +752,8 @@ mod tests {
         assert!(pool.counters().cancelled >= 1, "no cancellation recorded");
         // no worker deadlocked or died: the pool serves the next region
         let total = AtomicU64::new(0);
-        pool.install(|| {
-            (0..16usize).into_par_iter().for_each(|i| {
-                total.fetch_add(i as u64, Ordering::Relaxed);
-            });
+        pool.for_each(0..16usize, |i| {
+            total.fetch_add(i as u64, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 120);
     }
@@ -931,21 +762,17 @@ mod tests {
     fn panics_propagate_and_pool_survives() {
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.install(|| {
-                (0..16usize).into_par_iter().for_each(|i| {
-                    if i == 7 {
-                        panic!("item 7 exploded");
-                    }
-                });
+            pool.for_each(0..16usize, |i| {
+                if i == 7 {
+                    panic!("item 7 exploded");
+                }
             });
         }));
         assert!(r.is_err());
         // the pool still works afterwards
         let total = AtomicU64::new(0);
-        pool.install(|| {
-            (0..16usize).into_par_iter().for_each(|i| {
-                total.fetch_add(i as u64, Ordering::Relaxed);
-            });
+        pool.for_each(0..16usize, |i| {
+            total.fetch_add(i as u64, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 120);
     }

@@ -15,7 +15,7 @@ fn main() {
             },
         );
         cfg.levels = levels;
-        let mut r = HandOpt::new(cfg.clone());
+        let mut r = HandOpt::new(cfg.clone(), 0);
         let (mut v, f, _) = setup_poisson(&cfg);
         let res = run_cycles(&mut r, &cfg, &mut v, &f, 6);
         println!(

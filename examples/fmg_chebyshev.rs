@@ -31,7 +31,7 @@ fn main() {
 
     println!("FMG (one V-cycle per level), 7² → 511², Jacobi smoothing:");
     let t0 = std::time::Instant::now();
-    let r = fmg_solve(&finest, 7, 1, |c| Box::new(HandOpt::new(c.clone())));
+    let r = fmg_solve(&finest, 7, 1, |c| Box::new(HandOpt::new(c.clone(), 0)));
     println!(
         "  handopt      : {:?}, residual {:.2e} → {:.2e}, max error {:.2e} (h² = {:.2e})",
         t0.elapsed(),

@@ -22,7 +22,7 @@ fn main() {
     polymg_repro::nas::init_charges(&mut v, n, 10, 314159);
 
     // reference port
-    let mut nref = NasReference::new(n, levels as usize);
+    let mut nref = NasReference::new(n, levels as usize, 0);
     nref.set_v(&v);
     let r0 = nref.rnm2();
     let t0 = Instant::now();

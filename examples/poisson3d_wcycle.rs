@@ -17,8 +17,8 @@ fn main() {
     println!("benchmark: {} on {}³ interior", cfg.tag(), cfg.n);
 
     let mut runners: Vec<Box<dyn CycleRunner>> = vec![
-        Box::new(HandOpt::new(cfg.clone())),
-        Box::new(handopt_pluto_default(cfg.clone())),
+        Box::new(HandOpt::new(cfg.clone(), 0)),
+        Box::new(handopt_pluto_default(cfg.clone(), 0)),
     ];
     for variant in [
         Variant::Naive,

@@ -15,7 +15,7 @@ fn strong_coarse() -> SmoothSteps {
 }
 
 fn factor(cfg: &MgConfig, iters: usize) -> f64 {
-    let mut r = HandOpt::new(cfg.clone());
+    let mut r = HandOpt::new(cfg.clone(), 0);
     let (mut v, f, _) = setup_poisson(cfg);
     run_cycles(&mut r, cfg, &mut v, &f, iters).conv_factor()
 }
@@ -120,7 +120,7 @@ fn optimization_does_not_change_convergence_history() {
 #[test]
 fn ten_zero_zero_still_reduces_residual() {
     let cfg = MgConfig::new(2, 63, CycleType::V, SmoothSteps::s1000());
-    let mut r = HandOpt::new(cfg.clone());
+    let mut r = HandOpt::new(cfg.clone(), 0);
     let (mut v, f, _) = setup_poisson(&cfg);
     let res = run_cycles(&mut r, &cfg, &mut v, &f, 5);
     assert!(res.res_final() < res.res0 * 0.5, "{:?}", res.norms);

@@ -25,7 +25,7 @@ fn gsrb_cfg(ndims: usize, n: i64) -> MgConfig {
 fn dsl_gsrb_matches_handopt_2d() {
     let cfg = gsrb_cfg(2, 63);
     let (v0, f, _) = setup_poisson(&cfg);
-    let mut hand = HandOpt::new(cfg.clone());
+    let mut hand = HandOpt::new(cfg.clone(), 0);
     let mut vh = v0.clone();
     hand.cycle(&mut vh, &f);
     hand.cycle(&mut vh, &f);
@@ -50,7 +50,7 @@ fn dsl_gsrb_matches_handopt_2d() {
 fn dsl_gsrb_matches_handopt_3d() {
     let cfg = gsrb_cfg(3, 31);
     let (v0, f, _) = setup_poisson(&cfg);
-    let mut hand = HandOpt::new(cfg.clone());
+    let mut hand = HandOpt::new(cfg.clone(), 0);
     let mut vh = v0.clone();
     hand.cycle(&mut vh, &f);
 

@@ -34,10 +34,10 @@ fn check(cfg: MgConfig, iters: usize) {
 
     // all six implementations
     let mut runners: Vec<(String, Box<dyn CycleRunner>)> = vec![
-        ("handopt".into(), Box::new(HandOpt::new(cfg.clone()))),
+        ("handopt".into(), Box::new(HandOpt::new(cfg.clone(), 0))),
         (
             "handopt+pluto".into(),
-            Box::new(handopt_pluto(cfg.clone(), 24, 3)),
+            Box::new(handopt_pluto(cfg.clone(), 24, 3, 0)),
         ),
     ];
     for variant in Variant::all() {
