@@ -112,8 +112,9 @@ grep -q '"fast_math": [1-9]' /tmp/fastmath_profile_ci.json \
 # output is wrong or the traced layers do not reconcile; the timings are
 # recorded, not asserted, so a loaded CI host cannot hard-fail the build.
 # The tiers' bitwise witness is the proptest pair above and
-# `variant_equivalence`.
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+# `variant_equivalence`. Every benchmark run here is `--locked`, so a
+# workspace change that would rewrite `benchmark/Cargo.lock` fails the gate.
+cargo run --release --locked --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   run --workload smoother2d_dense --traced --quick --out /tmp/bench_kernel_ci.json >/dev/null \
   || { echo "ci: traced smoother2d_dense benchmark run failed" >&2; exit 1; }
 for tier in scalar lane_safe fast_math; do
@@ -126,7 +127,7 @@ done
 # spans (non-zero exit otherwise). `FillGhost` must stay a rim fill: its
 # share of the op time is a ratio of two sums from the same run, so host
 # speed cancels (a per-cell sweep reads 0.055, the rim fill ~0.006).
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+cargo run --release --locked --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   run --workload vcycle2d --traced --quick --out /tmp/bench_tile_ci.json >/dev/null \
   || { echo "ci: traced vcycle2d benchmark run failed" >&2; exit 1; }
 share=$(grep -o '"runtime.op.fill_ghost_share": {"value": [0-9.e-]*' /tmp/bench_tile_ci.json \
@@ -287,7 +288,7 @@ grep -q '"verify_failures": 0' /tmp/bench_scen_scalar_ci.json \
 # probe looks the `generic_coeff` stage up by `impl_tag == Generic` plus a
 # coefficient tap and panics when there is none, so re-tagging coefficient
 # stages (or a traced run that no longer reconciles) fails here.
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+cargo run --release --locked --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   run --workload varcoef2d_solve --traced --quick >/dev/null \
   || { echo "ci: traced varcoef2d_solve benchmark run failed" >&2; exit 1; }
 
@@ -296,7 +297,7 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
 # otherwise). A warm `acquire_scenario` is a memo lookup and forty hashed
 # bytes: ~1 us at the reference host's speed (the benchmark normalises),
 # against 134 us when it rebuilt and rendered the pipeline per request.
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+cargo run --release --locked --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   run --workload serve_batch --traced --quick --out /tmp/bench_serve_ci.json >/dev/null \
   || { echo "ci: traced serve_batch benchmark run failed" >&2; exit 1; }
 warm=$(grep -o '"server.session_acquire_warm_us": {"value": [0-9.e-]*' /tmp/bench_serve_ci.json \

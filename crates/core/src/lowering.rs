@@ -12,9 +12,9 @@ use gmg_ir::{linearize_with_coeffs, Stage, StageGraph, StageInput, StageKind};
 
 /// Lower every compute stage of the graph. Entry `i` is `None` for inputs.
 ///
-/// Linear taps are sorted by coefficient so the runtime can sum
-/// equal-weight taps before multiplying (the automatic form of the
-/// partial-sum loop bodies NPB MG hand-writes; §7 of DESIGN.md).
+/// Linear taps are sorted by coefficient. Every row kernel sums a point's
+/// taps in that order, so the sort fixes the accumulation order, and with
+/// it the rounding, that every variant and tier reproduces bitwise.
 pub fn lower_all(graph: &StageGraph) -> Vec<Option<StageKernel>> {
     graph
         .stages
@@ -42,7 +42,7 @@ pub fn lower_stage(stage: &Stage) -> StageKernel {
                                 matches!(stage.inputs[c.slot], StageInput::Stage(_))
                             })
                     });
-                    // coefficient factoring; the stable sort keeps
+                    // the fixed accumulation order; the stable sort keeps
                     // same-coefficient taps in deterministic (access) order
                     form.taps.sort_by(|a, b| a.coeff.total_cmp(&b.coeff));
                     KernelBody::Linear(form)

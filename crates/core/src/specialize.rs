@@ -28,9 +28,8 @@
 use crate::plan::{KernelBody, StageKernel};
 use gmg_ir::expr::AxisAccess;
 
-/// Specialized row kernels above this arity would fall into the generic
-/// path's coefficient-factored regime, which sums taps in a different
-/// order; capping here keeps specialization bitwise-transparent.
+/// The row-kernel table's last arity; wider cases run the runtime's
+/// per-tap loop `dyn_row`, so the classifier tags them generic.
 pub const MAX_SPEC_TAPS: usize = 28;
 
 /// The specialized kernel family of a scheduled stage.
@@ -408,7 +407,7 @@ mod tests {
         // wide offset
         let wide = linear_kernel(vec![tap(&[0, 3], 1.0)]);
         assert_eq!(classify(&wide, 2), KernelImpl::Generic);
-        // arity above the bitwise-safe cap
+        // arity above the row-kernel table
         let many = linear_kernel(
             (0..(MAX_SPEC_TAPS as i64 + 1))
                 .map(|_| tap(&[0, 0], 1.0))

@@ -10,7 +10,7 @@
 /// Buffers are zero-initialised on creation (matching `calloc` semantics of
 /// the generated C code in the paper, and giving deterministic ghost zones):
 /// every element starts as `T::default()`, which is `0.0` for the float types.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug)]
 pub struct Buffer<T = f64> {
     data: Vec<T>,
 }
@@ -49,19 +49,6 @@ impl<T: Copy + Default> Buffer<T> {
     }
 }
 
-impl<T> std::ops::Index<usize> for Buffer<T> {
-    type Output = T;
-    fn index(&self, i: usize) -> &T {
-        &self.data[i]
-    }
-}
-
-impl<T> std::ops::IndexMut<usize> for Buffer<T> {
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        &mut self.data[i]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,8 +65,7 @@ mod tests {
     #[test]
     fn index_and_fill() {
         let mut b = Buffer::zeroed(4);
-        b[2] = 7.5;
-        assert_eq!(b[2], 7.5);
+        b.as_mut_slice()[2] = 7.5;
         assert_eq!(b.as_slice(), [0.0, 0.0, 7.5, 0.0]);
     }
 

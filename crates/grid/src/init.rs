@@ -1,5 +1,4 @@
-//! Grid initialisation helpers: manufactured solutions and RHS fields for the
-//! Poisson problems the paper evaluates.
+//! The manufactured Poisson problems the paper evaluates.
 //!
 //! The 2-D/3-D benchmarks solve `∇²u = f` on the unit square/cube with
 //! homogeneous Dirichlet boundaries. With the manufactured solution
@@ -7,71 +6,55 @@
 //! 3-D analogue with `-3π²`), which lets tests check convergence against a
 //! known answer.
 
-use crate::{View2Mut, View3Mut};
 use std::f64::consts::PI;
 
-/// Fill the interior of a 2-D grid (ghost ring untouched) with the
-/// manufactured Poisson RHS `f = -2π² sin(πx) sin(πy)` where the grid spans
-/// `[0,1]²` including the ghost ring as the boundary.
-pub fn poisson_rhs_2d(f: &mut View2Mut<'_>) {
-    let (ny, nx) = (f.ny(), f.nx());
-    let hy = 1.0 / (ny - 1) as f64;
-    let hx = 1.0 / (nx - 1) as f64;
-    for y in 1..ny - 1 {
-        let sy = (PI * y as f64 * hy).sin();
-        for x in 1..nx - 1 {
-            let sx = (PI * x as f64 * hx).sin();
-            f.set(y, x, -2.0 * PI * PI * sy * sx);
-        }
-    }
+/// Fill the interior of the dense grid `f` (ghost ring untouched) with the
+/// manufactured Poisson RHS `f = -dπ² Π sin(πx)`, `d = extents.len()`,
+/// where the grid spans `[0,1]^d` including the ghost ring as the boundary.
+pub fn poisson_rhs(f: &mut [f64], extents: &[usize]) {
+    fill(f, extents, 1, -(extents.len() as f64) * PI * PI);
 }
 
-/// The exact manufactured solution matching [`poisson_rhs_2d`].
-pub fn poisson_exact_2d(u: &mut View2Mut<'_>) {
-    let (ny, nx) = (u.ny(), u.nx());
-    let hy = 1.0 / (ny - 1) as f64;
-    let hx = 1.0 / (nx - 1) as f64;
-    for y in 0..ny {
-        let sy = (PI * y as f64 * hy).sin();
-        for x in 0..nx {
-            let sx = (PI * x as f64 * hx).sin();
-            u.set(y, x, sy * sx);
-        }
-    }
+/// The exact manufactured solution `Π sin(πx)` matching [`poisson_rhs`],
+/// over the whole grid `u`.
+pub fn poisson_exact(u: &mut [f64], extents: &[usize]) {
+    fill(u, extents, 0, 1.0);
 }
 
-/// 3-D manufactured Poisson RHS `f = -3π² sin(πx) sin(πy) sin(πz)`.
-pub fn poisson_rhs_3d(f: &mut View3Mut<'_>) {
-    let (nz, ny, nx) = (f.nz(), f.ny(), f.nx());
-    let hz = 1.0 / (nz - 1) as f64;
-    let hy = 1.0 / (ny - 1) as f64;
-    let hx = 1.0 / (nx - 1) as f64;
-    for z in 1..nz - 1 {
-        let sz = (PI * z as f64 * hz).sin();
-        for y in 1..ny - 1 {
-            let sy = (PI * y as f64 * hy).sin();
-            for x in 1..nx - 1 {
-                let sx = (PI * x as f64 * hx).sin();
-                f.set(z, y, x, -3.0 * PI * PI * sz * sy * sx);
-            }
-        }
-    }
+/// Set every point of `grid` at least `skip` points in from each face to
+/// `scale · sin(πz·hz) · sin(πy·hy) · sin(πx·hx)`, multiplied in that
+/// order (outermost first): `mg`'s `setup_poisson_is_pinned` pins the bits
+/// this association gives.
+fn fill(grid: &mut [f64], extents: &[usize], skip: usize, scale: f64) {
+    assert_eq!(
+        grid.len(),
+        extents.iter().product(),
+        "grid length vs extents {extents:?}"
+    );
+    let sines: Vec<Vec<f64>> = extents
+        .iter()
+        .map(|&n| {
+            let h = 1.0 / (n - 1) as f64;
+            (0..n).map(|i| (PI * i as f64 * h).sin()).collect()
+        })
+        .collect();
+    fill_axis(grid, &sines, skip, scale);
 }
 
-/// The exact manufactured solution matching [`poisson_rhs_3d`].
-pub fn poisson_exact_3d(u: &mut View3Mut<'_>) {
-    let (nz, ny, nx) = (u.nz(), u.ny(), u.nx());
-    let hz = 1.0 / (nz - 1) as f64;
-    let hy = 1.0 / (ny - 1) as f64;
-    let hx = 1.0 / (nx - 1) as f64;
-    for z in 0..nz {
-        let sz = (PI * z as f64 * hz).sin();
-        for y in 0..ny {
-            let sy = (PI * y as f64 * hy).sin();
-            for x in 0..nx {
-                let sx = (PI * x as f64 * hx).sin();
-                u.set(z, y, x, sz * sy * sx);
-            }
+/// [`fill`] for the sub-grid `grid` whose remaining axes have the sine
+/// tables `sines`, every value starting from the product `acc`.
+fn fill_axis(grid: &mut [f64], sines: &[Vec<f64>], skip: usize, acc: f64) {
+    let [s, inner @ ..] = sines else { return };
+    let points = s.len().saturating_sub(2 * skip);
+    for (sub, &si) in grid
+        .chunks_mut(grid.len() / s.len())
+        .zip(s)
+        .skip(skip)
+        .take(points)
+    {
+        match inner {
+            [] => sub[0] = acc * si,
+            _ => fill_axis(sub, inner, skip, acc * si),
         }
     }
 }
@@ -79,60 +62,70 @@ pub fn poisson_exact_3d(u: &mut View3Mut<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::norms::{l2_interior_2d, max_interior_3d};
-    use crate::{View2, View2Mut, View3, View3Mut};
 
     #[test]
     fn rhs_2d_symmetric_and_negative() {
-        let mut buf = vec![0.0; 17 * 17];
-        poisson_rhs_2d(&mut View2Mut::dense(&mut buf, 17, 17));
-        let v = View2::dense(&buf, 17, 17);
+        let mut f = vec![0.0; 17 * 17];
+        poisson_rhs(&mut f, &[17, 17]);
+        let at = |y: usize, x: usize| f[y * 17 + x];
         // peak magnitude at the center
-        let center = v.at(8, 8);
+        let center = at(8, 8);
         assert!(center < 0.0);
         assert!((center + 2.0 * PI * PI).abs() < 1e-10);
         // symmetric in x and y
-        assert!((v.at(3, 5) - v.at(5, 3)).abs() < 1e-12);
-        assert!((v.at(3, 5) - v.at(13, 5)).abs() < 1e-12);
-        // ghost ring untouched
-        assert_eq!(v.at(0, 0), 0.0);
-        assert!(l2_interior_2d(&v) > 0.0);
+        assert!((at(3, 5) - at(5, 3)).abs() < 1e-12);
+        assert!((at(3, 5) - at(13, 5)).abs() < 1e-12);
+        // ghost ring untouched, interior not
+        for i in 0..17 {
+            for v in [at(0, i), at(16, i), at(i, 0), at(i, 16)] {
+                assert_eq!(v, 0.0);
+            }
+        }
+        let l2: f64 = (1..16)
+            .map(|y| (1..16).map(|x| at(y, x).powi(2)).sum::<f64>())
+            .sum();
+        assert!(l2.sqrt() > 0.0);
     }
 
     #[test]
     fn exact_2d_satisfies_discrete_laplacian_approximately() {
         let n = 64usize;
-        let mut u = vec![0.0; (n + 1) * (n + 1)];
-        let mut f = vec![0.0; (n + 1) * (n + 1)];
-        poisson_exact_2d(&mut View2Mut::dense(&mut u, n + 1, n + 1));
-        poisson_rhs_2d(&mut View2Mut::dense(&mut f, n + 1, n + 1));
-        let uv = View2::dense(&u, n + 1, n + 1);
-        let fv = View2::dense(&f, n + 1, n + 1);
+        let e = n + 1;
+        let mut u = vec![0.0; e * e];
+        let mut f = vec![0.0; e * e];
+        poisson_exact(&mut u, &[e, e]);
+        poisson_rhs(&mut f, &[e, e]);
         let h = 1.0 / n as f64;
         // Discrete laplacian of exact u should approximate f to O(h^2).
-        let mut max_err: f64 = 0.0;
-        for y in 1..n {
-            for x in 1..n {
-                let lap = (uv.at(y - 1, x) + uv.at(y + 1, x) + uv.at(y, x - 1) + uv.at(y, x + 1)
-                    - 4.0 * uv.at(y, x))
-                    / (h * h);
-                max_err = max_err.max((lap - fv.at(y, x)).abs());
-            }
-        }
+        let max_err = (1..n)
+            .flat_map(|y| (1..n).map(move |x| y * e + x))
+            .map(|c| {
+                let lap = (u[c - e] + u[c + e] + u[c - 1] + u[c + 1] - 4.0 * u[c]) / (h * h);
+                (lap - f[c]).abs()
+            })
+            .fold(0.0, f64::max);
         assert!(max_err < 0.05, "discretisation error too large: {max_err}");
     }
 
     #[test]
     fn exact_3d_zero_on_boundary() {
         let mut u = vec![0.0; 9 * 9 * 9];
-        poisson_exact_3d(&mut View3Mut::dense(&mut u, 9, 9, 9));
-        let v = View3::dense(&u, 9, 9, 9);
+        poisson_exact(&mut u, &[9, 9, 9]);
+        let at = |z: usize, y: usize, x: usize| u[(z * 9 + y) * 9 + x];
         for y in 0..9 {
             for x in 0..9 {
-                assert!(v.at(0, y, x).abs() < 1e-12);
-                assert!(v.at(8, y, x).abs() < 1e-12);
+                assert!(at(0, y, x).abs() < 1e-12);
+                assert!(at(8, y, x).abs() < 1e-12);
             }
         }
-        assert!(max_interior_3d(&v) > 0.5);
+        let mut max: f64 = 0.0;
+        for z in 1..8 {
+            for y in 1..8 {
+                for x in 1..8 {
+                    max = max.max(at(z, y, x).abs());
+                }
+            }
+        }
+        assert!(max > 0.5);
     }
 }

@@ -1,128 +1,18 @@
-//! # gmg-grid — structured-grid substrate
+//! # gmg-grid — flat grid storage and the Poisson test problem
 //!
-//! This crate provides the low-level data structures every other crate in the
-//! PolyMG reproduction builds on: flat `f64` buffers, borrowed 2-D/3-D views
-//! with explicit strides and ghost (halo) zones, grid initialisation helpers,
-//! and norm computations used for convergence checking.
+//! Two things the rest of the workspace shares: [`Buffer`], the flat,
+//! zero-initialised allocation the runtime's pools hand out, and the
+//! manufactured Poisson problem ([`poisson_rhs`], [`poisson_exact`]) the
+//! solver sets up.
 //!
-//! Design notes:
-//!
-//! * Storage is always a flat `Vec<f64>` (row-major / x-fastest). Views carry
-//!   the logical extents and the row/plane strides separately so that the
-//!   same machinery serves both full arrays and tile scratchpads (whose
-//!   strides are the scratchpad extents, not the grid extents).
-//! * Ghost zones are part of the allocation: a "problem size `n`" grid for a
-//!   second-order stencil is allocated as `(n + 2)` points per dimension with
-//!   the boundary ring holding Dirichlet values (zero for the homogeneous
-//!   Poisson problems the paper evaluates).
-//! * Nothing here knows about multigrid; this is a pure substrate.
+//! Grids are dense `f64` slices, x fastest, extents outermost first. Ghost
+//! zones are part of the allocation: a "problem size `n`" grid for a
+//! second-order stencil has `n + 2` points per dimension, the boundary ring
+//! holding the Dirichlet values (zero for the homogeneous problems the
+//! paper evaluates). Nothing here knows about multigrid.
 
-pub mod buffer;
-pub mod init;
-pub mod norms;
-pub mod view2;
-pub mod view3;
+mod buffer;
+mod init;
 
 pub use buffer::Buffer;
-pub use view2::{View2, View2Mut};
-pub use view3::{View3, View3Mut};
-
-/// Number of spatial dimensions a grid can have in this reproduction.
-///
-/// The paper evaluates 2-D and 3-D Poisson problems plus the 3-D NAS MG
-/// benchmark; the DSL front end is dimension-generic but the runtime only
-/// specialises these two ranks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Rank {
-    Two,
-    Three,
-}
-
-impl Rank {
-    /// The number of dimensions as a `usize`.
-    pub fn ndims(self) -> usize {
-        match self {
-            Rank::Two => 2,
-            Rank::Three => 3,
-        }
-    }
-
-    /// Build a `Rank` from a dimension count.
-    ///
-    /// # Panics
-    /// Panics if `n` is not 2 or 3.
-    pub fn from_ndims(n: usize) -> Rank {
-        match n {
-            2 => Rank::Two,
-            3 => Rank::Three,
-            _ => panic!("unsupported rank {n}: only 2-D and 3-D grids are supported"),
-        }
-    }
-}
-
-/// Logical extents of a (sub-)grid, outermost dimension first.
-///
-/// For a 2-D grid `extents = [ny, nx]`; for 3-D, `[nz, ny, nx]`. Extents
-/// include ghost zones when describing allocations.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct Extents(pub Vec<usize>);
-
-impl Extents {
-    /// New extents; `dims` is outermost-first.
-    pub fn new(dims: &[usize]) -> Self {
-        assert!(
-            dims.len() == 2 || dims.len() == 3,
-            "only 2-D/3-D extents supported, got {} dims",
-            dims.len()
-        );
-        Extents(dims.to_vec())
-    }
-
-    /// Total number of points.
-    pub fn len(&self) -> usize {
-        self.0.iter().product()
-    }
-
-    /// True when any extent is zero.
-    pub fn is_empty(&self) -> bool {
-        self.0.contains(&0)
-    }
-
-    /// Rank of the extents.
-    pub fn rank(&self) -> Rank {
-        Rank::from_ndims(self.0.len())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rank_roundtrip() {
-        assert_eq!(Rank::from_ndims(2), Rank::Two);
-        assert_eq!(Rank::from_ndims(3), Rank::Three);
-        assert_eq!(Rank::Two.ndims(), 2);
-        assert_eq!(Rank::Three.ndims(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "unsupported rank")]
-    fn rank_rejects_1d() {
-        let _ = Rank::from_ndims(1);
-    }
-
-    #[test]
-    fn extents_len() {
-        assert_eq!(Extents::new(&[4, 5]).len(), 20);
-        assert_eq!(Extents::new(&[2, 3, 4]).len(), 24);
-        assert!(!Extents::new(&[2, 3]).is_empty());
-        assert!(Extents::new(&[0, 3]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "only 2-D/3-D")]
-    fn extents_reject_4d() {
-        let _ = Extents::new(&[1, 2, 3, 4]);
-    }
-}
+pub use init::{poisson_exact, poisson_rhs};

@@ -246,32 +246,13 @@ pub fn setup_poisson(cfg: &MgConfig) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let v0 = vec![0.0; len];
     let mut f = vec![0.0; len];
     let mut u = vec![0.0; len];
-    match cfg.ndims {
-        2 => {
-            {
-                let mut fv = gmg_grid::View2Mut::dense(&mut f, e, e);
-                gmg_grid::init::poisson_rhs_2d(&mut fv);
-            }
-            // grid helper targets ∇²u = f; we solve −∇²u = f ⇒ negate
-            for x in f.iter_mut() {
-                *x = -*x;
-            }
-            let mut uv = gmg_grid::View2Mut::dense(&mut u, e, e);
-            gmg_grid::init::poisson_exact_2d(&mut uv);
-        }
-        3 => {
-            {
-                let mut fv = gmg_grid::View3Mut::dense(&mut f, e, e, e);
-                gmg_grid::init::poisson_rhs_3d(&mut fv);
-            }
-            for x in f.iter_mut() {
-                *x = -*x;
-            }
-            let mut uv = gmg_grid::View3Mut::dense(&mut u, e, e, e);
-            gmg_grid::init::poisson_exact_3d(&mut uv);
-        }
-        _ => panic!("unsupported rank"),
+    let extents = vec![e; cfg.ndims];
+    gmg_grid::poisson_rhs(&mut f, &extents);
+    // grid helper targets ∇²u = f; we solve −∇²u = f ⇒ negate
+    for x in f.iter_mut() {
+        *x = -*x;
     }
+    gmg_grid::poisson_exact(&mut u, &extents);
     (v0, f, u)
 }
 

@@ -75,7 +75,7 @@ mod sealed {
         /// Whether a linear case of this type runs its stage's tier.
         /// `false` (`f32`): every row runs lane `f32` under `EXACT` — the
         /// smoother chain's `acc = bias; acc += c·v` per tap in lowered
-        /// order — and never the packed lanes or coefficient factoring.
+        /// order — and never the packed lanes.
         const TIERED: bool;
         /// `x` rounded to this type.
         fn of(x: f64) -> Self;
@@ -402,23 +402,6 @@ fn tap_x_base_slope<T>(access: &Access, input: &Space<'_, T>, x0: i64, sx: i64) 
     (first as usize, slope)
 }
 
-/// The end of the run of adjacent equal-coefficient taps that starts at
-/// tap `from`.
-fn coeff_run_end<T: Elem>(taps: &[RtTap<'_, T>], from: usize) -> usize {
-    let c = taps[from].coeff;
-    from + taps[from..].iter().take_while(|t| t.coeff == c).count()
-}
-
-/// How many runs of adjacent equal-coefficient taps `taps` splits into.
-fn coeff_runs<T: Elem>(taps: &[RtTap<'_, T>]) -> usize {
-    let (mut runs, mut j) = (0, 0);
-    while j < taps.len() {
-        j = coeff_run_end(taps, j);
-        runs += 1;
-    }
-    runs
-}
-
 /// The row-kernel signature: write `count` outputs spaced `out_slope` apart
 /// from `bias` plus the sums over `taps`, whose `cf` indices refer to the
 /// coefficient rows `crows`.
@@ -435,8 +418,7 @@ type RowFn<T> =
 /// does the generic tag on unit-stride rows with coefficient taps (a
 /// variable-coefficient stage gets the tier a family would). The generic
 /// tag runs the scalar instance on other unit-stride rows and the run-time
-/// loop [`dyn_row`] on strided ones. Arities above the table try
-/// coefficient factoring (`f64` only), then `dyn_row`.
+/// loop [`dyn_row`] on strided ones. Arities above the table run `dyn_row`.
 fn select_row<T: Elem>(
     sel: KernelSel,
     unit: bool,
@@ -452,21 +434,16 @@ fn select_row<T: Elem>(
         None if unit => row_fn(KernelTier::Scalar, taps.len()),
         tiered => tiered,
     };
-    let (unit_kind, row) = match instance {
-        Some(row) => (Kind::UnitUnrolled, row),
-        None if T::TIERED && unit && crows.is_empty() && coeff_runs(taps) * 2 <= taps.len() => {
-            (Kind::UnitFactored, factored_row as RowFn<T>)
-        }
-        None => (Kind::UnitFallback, dyn_row as RowFn<T>),
-    };
     let kind = if !crows.is_empty() {
         Kind::VarCoef
     } else if !unit {
         Kind::Strided
+    } else if instance.is_some() {
+        Kind::UnitUnrolled
     } else {
-        unit_kind
+        Kind::UnitFallback
     };
-    (kind, row, tiered.is_some())
+    (kind, instance.unwrap_or(dyn_row), tiered.is_some())
 }
 
 // ---------------------------------------------------------------------------
@@ -614,7 +591,7 @@ const FUSED: u8 = 1;
 const UNFUSED: u8 = 2;
 
 /// The row body — the only per-tap accumulate loop besides the run-time
-/// reference [`dyn_row`] and the factored row. Points `from, from + W, …`
+/// reference [`dyn_row`]. Points `from, from + W, …`
 /// while a whole lane fits below `count` are computed and stored
 /// `out_slope` apart; the first point not computed is returned, so a
 /// narrower lane can finish the row with the same body. The arity `K` is a
@@ -864,9 +841,8 @@ unsafe fn packed_unit<const K: usize, const RULE: u8, const N: usize>(
 
 /// The instance of [`row_body`] for an element type, a tier and a tap
 /// arity, if there is one. The table stops at
-/// `polymg::specialize::MAX_SPEC_TAPS` (= 28) — beyond that the generic
-/// selection may choose coefficient factoring, which sums in a different
-/// order, so the classifier never tags such kernels anyway.
+/// `polymg::specialize::MAX_SPEC_TAPS` (= 28); wider rows run [`dyn_row`],
+/// and the classifier tags such kernels generic.
 fn row_fn<T: Elem>(tier: KernelTier, arity: usize) -> Option<RowFn<T>> {
     macro_rules! table {
         ($($k:literal)*) => {
@@ -881,41 +857,6 @@ fn row_fn<T: Elem>(tier: KernelTier, arity: usize) -> Option<RowFn<T>> {
         };
     }
     table!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28)
-}
-
-/// Coefficient-factored unit row: when the lowering sorted taps by
-/// coefficient (see `polymg::lowering`), adjacent equal-coefficient runs
-/// are summed before the single multiply. Measured on this host, the
-/// const-arity kernels beat this for ≤28 taps (LLVM keeps everything in
-/// registers), so [`select_row`] only engages it for stencils wider than
-/// the table, where the alternative is the per-tap fallback.
-///
-/// Each run adds its `coeff · Σ` onto the output row in turn, so a point
-/// still sees `bias`, then one multiply-add per run in tap order; the runs
-/// are found by walking the taps once per row, and nothing is allocated.
-fn factored_row<T: Elem>(
-    out_row: &mut [T],
-    _out_slope: usize,
-    count: usize,
-    bias: T,
-    taps: &[RtTap<'_, T>],
-    _crows: &[RtTap<'_, T>],
-) {
-    let out_row = &mut out_row[..count];
-    out_row.fill(bias);
-    let mut from = 0;
-    while from < taps.len() {
-        let to = coeff_run_end(taps, from);
-        let c = taps[from].coeff;
-        for (i, out) in out_row.iter_mut().enumerate() {
-            let mut s = T::of(0.0);
-            for t in &taps[from..to] {
-                s += t.at(i);
-            }
-            *out += c * s;
-        }
-        from = to;
-    }
 }
 
 /// The dynamic fallback, and the in-file reference for [`row_body`] under
@@ -1790,68 +1731,6 @@ mod tests {
                 extents,
                 inner
             );
-        }
-    }
-
-    /// `factored_row` as it was: spans and row slices collected per row.
-    fn factored_row_collecting(
-        out_row: &mut [f64],
-        count: usize,
-        bias: f64,
-        taps: &[RtTap<'_, f64>],
-    ) {
-        let mut spans = Vec::new();
-        let mut j = 0;
-        while j < taps.len() {
-            let c = taps[j].coeff;
-            let mut k = j + 1;
-            while k < taps.len() && taps[k].coeff == c {
-                k += 1;
-            }
-            spans.push((c, j, k));
-            j = k;
-        }
-        let rows: Vec<&[f64]> = taps.iter().map(|t| t.unit(count)).collect();
-        for (i, out) in out_row[..count].iter_mut().enumerate() {
-            let mut acc = bias;
-            for &(c, a, b) in &spans {
-                let mut s = 0.0;
-                for r in &rows[a..b] {
-                    s += r[i];
-                }
-                acc += c * s;
-            }
-            *out = acc;
-        }
-    }
-
-    #[test]
-    fn factored_row_is_bitwise_what_it_was() {
-        // dense operators wider than the arity table, taps sorted by
-        // coefficient as the lowering leaves them: 29 taps in runs of 4,
-        // 49 taps in runs of 6
-        for (arity, run) in [(29usize, 4usize), (49, 6)] {
-            let count = 41;
-            let data: Vec<f64> = (0..count + 2 * arity)
-                .map(|i| ((i * 29 + arity) % 53) as f64 * 0.0371 - 0.93)
-                .collect();
-            let taps: Vec<RtTap<'_, f64>> = (0..arity)
-                .map(|j| RtTap {
-                    data: &data,
-                    base: 2 * j,
-                    slope: 1,
-                    coeff: 0.173 * (1 + j / run) as f64 - 0.6,
-                    cf: None,
-                })
-                .collect();
-            assert_eq!(coeff_runs(&taps), arity.div_ceil(run));
-            let (kind, row, _) = select_row(KernelSel::generic(), true, &taps, &[]);
-            assert_eq!(kind, gmg_trace::dispatch::Kind::UnitFactored);
-            let (mut got, mut want) = (vec![f64::NAN; count], vec![f64::NAN; count]);
-            row(&mut got, 1, count, 0.25, &taps, &[]);
-            factored_row_collecting(&mut want, count, 0.25, &taps);
-            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "{arity} taps");
         }
     }
 

@@ -360,6 +360,50 @@ proptest! {
             &[0, 0], &[coarse, coarse], &[0, 0], &[e, e], boundary, seed,
         )?;
     }
+    /// Unit-stride 2-D forms wider than the row-kernel table (29–64 taps
+    /// over an 8×8 window), sorted by coefficient the way the lowering
+    /// leaves them, in runs of 2–6 equal coefficients. The classifier tags
+    /// them generic, and the generic and lane-tier selections both sum each
+    /// point tap by tap, equal to the interpreter bit for bit.
+    #[test]
+    fn wide_sorted_stencil_matches_interpreter(
+        e in 12i64..20,
+        arity in 29usize..=64,
+        runs in proptest::collection::vec(2usize..=6, 32),
+        coeffs in proptest::collection::vec(-1.0f64..1.0, 32),
+        bias in -1.0f64..1.0,
+        boundary in -1.0f64..1.0,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut coeffs = coeffs;
+        coeffs.sort_by(f64::total_cmp);
+        let mut taps = Vec::new();
+        for (&run, &c) in runs.iter().zip(&coeffs) {
+            // every run 2–6 long, the last one taking what is left
+            let left = arity - taps.len();
+            let len = if left <= 6 { left } else { run.min(left - 2) };
+            for _ in 0..len {
+                let j = taps.len() as i64;
+                taps.push(unit_tap(&[j / 8 - 4, j % 8 - 4], c));
+            }
+            if taps.len() == arity {
+                break;
+            }
+        }
+        prop_assert_eq!(taps.len(), arity);
+        let kernel = StageKernel {
+            cases: vec![KernelCase {
+                pattern: ParityPattern::any(2),
+                body: KernelBody::Linear(LinearForm { bias, taps }),
+            }],
+        };
+        let region = BoxDomain::new(vec![Interval::new(4, e - 4); 2]);
+        assert_twin_bitwise(
+            &kernel, KernelImpl::Generic, 2, &region,
+            &[0, 0], &[e, e], &[0, 0], &[e, e], boundary, seed,
+        )?;
+    }
+
     /// Coefficient taps (`Tap::cfactor`, weight `coeff · a[i]`): plain and
     /// coefficient taps mixed in random order over two coefficient grids, so
     /// `CoeffRead`s come shared, distinct and off-centre, with every grid on

@@ -14,24 +14,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum Kind {
     /// Unit-stride row kernel with the tap count fully unrolled.
     UnitUnrolled = 0,
-    /// Unit-stride kernel factored by coefficient spans (high tap counts).
-    UnitFactored = 1,
-    /// Unit-stride generic per-tap fallback loop.
-    UnitFallback = 2,
+    /// Unit-stride generic per-tap loop (arities beyond the unrolled table).
+    UnitFallback = 1,
     /// Strided row kernel (restriction / interpolation accesses).
-    Strided = 3,
+    Strided = 2,
     /// Expression-tree interpreter (no linearized form).
-    Interpreter = 4,
+    Interpreter = 3,
     /// Variable-coefficient row (taps carry coefficient-grid factors), at
     /// the scalar or a lane tier.
-    VarCoef = 5,
+    VarCoef = 4,
 }
 
-pub const KINDS: usize = 6;
+pub const KINDS: usize = 5;
 
 pub const LABELS: [&str; KINDS] = [
     "unit_unrolled",
-    "unit_factored",
     "unit_fallback",
     "strided",
     "interpreter",

@@ -20,7 +20,7 @@
 //! assert!(result.res_final() < result.res0 * 1e-3);
 //! ```
 
-/// The structured-grid substrate.
+/// Flat grid buffers and the manufactured Poisson problem.
 pub use gmg_grid as grid;
 
 /// The polyhedral-lite engine (ISL substitute).
