@@ -92,11 +92,13 @@ grep -o '"fired": [0-9]*' /tmp/chaos_profile_ci.json | grep -qv '"fired": 0$' \
 # Then profiled runs must actually *dispatch* the new tiers — the
 # kernel_tiers histogram in the profile JSON is the witness, so a silent
 # fallback to the scalar tier fails CI rather than shipping as a perf
-# regression. The lane matrix runs again under the release codegen (tier-1
-# runs it in debug only), which is what the scalar lanes, `f32` among them,
+# regression. The lane matrix and the interpreter-twin proptests run again
+# under the release codegen (tier-1 runs them in debug only), which is what
+# the scalar lanes, `f32` among them, and the `target_feature` packed rows
 # ship as.
 cargo test -q -p gmg-runtime --test proptest_specialized --test proptest_fastmath_ulp
 cargo test -q --release -p gmg-runtime --lib lane_rule_arity_remainder_matrix
+cargo test -q --release -p gmg-runtime --test proptest_specialized
 cargo run --release -p gmg-bench --bin polymg-cli -- V-2D-4-4-4 --n 63 \
   --profile /tmp/simd_profile_ci.json --iters 2 >/dev/null
 grep -q '"lane_safe": [1-9]' /tmp/simd_profile_ci.json \

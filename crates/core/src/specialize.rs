@@ -69,8 +69,9 @@ pub enum KernelImpl {
 ///   this tier is bitwise-identical to `Scalar` and is the default wherever
 ///   specialization fires.
 /// - [`FastMath`](KernelTier::FastMath): the lane kernels with the per-point
-///   tap chain reassociated into independent partial sums (and fused
-///   multiply-add where the host supports it). Results differ from the
+///   tap chain of unit-stride plain rows reassociated into independent
+///   partial sums (and fused multiply-add where the host supports it);
+///   coefficient and strided rows keep the exact rule. Results differ from the
 ///   generic path at round-off level — gated behind
 ///   `PipelineOptions::fast_math` and verified by a ULP-bounded
 ///   differential suite instead of bitwise equality.

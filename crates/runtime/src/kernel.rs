@@ -18,23 +18,26 @@
 //! or `coeff · a[i]` read from a coefficient row (variable-coefficient
 //! operators):
 //!
-//! | element, tier | unit-stride plain rows | unit-stride coefficient rows | strided rows |
+//! | element, tier | unit-stride plain rows | unit-stride coefficient rows | strided plain rows |
 //! |---|---|---|---|
 //! | `f64`, `Scalar` | lane `f64`, rule `EXACT` | lane `f64`, `EXACT` | lane `f64`, `EXACT` |
-//! | `f64`, `LaneSafe` | lanes `[Avx2; 2]` → `Avx2` → `f64`, `EXACT` | the same lanes, `EXACT` | lane `f64`, `EXACT` |
-//! | `f64`, `FastMath` | lanes `[Avx2; 2]` → `Avx2` → `f64`, `FUSED` | the same lanes, `EXACT` | lane `f64`, `EXACT` |
+//! | `f64`, `LaneSafe` | lanes `[Avx2; 2]` → `Avx2` → `f64`, `EXACT` | the same lanes, `EXACT` | the same lanes, `EXACT` |
+//! | `f64`, `FastMath` | lanes `[Avx2; 2]` → `Avx2` → `f64`, `FUSED` | the same lanes, `EXACT` | the same lanes, `EXACT` |
 //! | `f32`, any tier | lane `f32`, `EXACT` | lane `f32`, `EXACT` | lane `f32`, `EXACT` |
 //!
 //! (the `Generic` tag runs its plain rows at tier `Scalar` and its
 //! coefficient rows at its stage's tier; a host without AVX2+FMA runs the
-//! `f64` lane tiers at lane `f64`, `FastMath` under `UNFUSED`; an `f32`
-//! case runs and counts as tier `Scalar` whatever its stage's tier). Each
-//! linear case makes one dispatch decision (`select_row`) and runs one
-//! sweep (`linear_sweep`) shared by both ranks. A run-time loop
+//! `f64` lane tiers at lane `f64`, `FastMath` under `UNFUSED`; rows whose
+//! taps differ in stride, and strided coefficient rows, run lane `f64`;
+//! an `f32` case runs and counts as tier `Scalar` whatever its stage's
+//! tier). Each linear case makes one dispatch decision (`select_row`) and
+//! runs one sweep (`linear_sweep`) shared by both ranks. A run-time loop
 //! (`dyn_row`) remains as the reference the body is tested against, for
 //! arities outside the 0..=28 table and for strided rows under the generic
-//! tag (restriction's stride-2 reads, interpolation's half-index reads).
-//! Non-linear cases are evaluated by the expression interpreter.
+//! tag. Non-linear cases are evaluated by the expression interpreter.
+//!
+//! A strided row has one of three (output stride, input stride) shapes:
+//! (1, 2) restriction, (2, 1) interpolation, (2, 2) a red-black sweep.
 
 // Index-based loops here mirror the math (multi-slice stencil updates); clippy prefers iterators but the indices are the clearer notation.
 #![allow(clippy::needless_range_loop)]
@@ -83,30 +86,39 @@ mod sealed {
         fn wide(self) -> f64;
         /// `self · b + c`, rounded once.
         fn mul_add(self, b: Self, c: Self) -> Self;
-        /// `unit_rows` over all of `out_row` on the widest packed lane the
-        /// host runs; `false`, with nothing written, where there is none
-        /// (for `f32`, anywhere).
+        /// The whole row of `taps` on the widest packed lane the host runs;
+        /// `false`, with nothing written, where there is none (for `f32`,
+        /// anywhere).
         ///
         /// # Safety
         ///
-        /// Every row of `taps` holds `out_row.len()` values.
-        unsafe fn packed<const K: usize, const RULE: u8, const N: usize>(
+        /// `O` and `S` are 1 or 2.
+        unsafe fn packed<
+            const K: usize,
+            const RULE: u8,
+            const N: usize,
+            const O: usize,
+            const S: usize,
+        >(
             _out_row: &mut [Self],
             _bias: Self,
-            _taps: &UnitTaps<'_, Self, K, N>,
+            _taps: &UnitTaps<'_, Self, K, N, O, S>,
         ) -> bool {
             false
         }
     }
 
-    /// The taps of one unit-stride row as [`row_body`](super::row_body)
-    /// reads them at any lane: tap `j`'s value at point `i` loads from
-    /// `rows[j]`, and its weight is `coeff[j]` — or, for a tap `scaled[j]`
-    /// marks, `coeff[j] · a[j][i]`, formed before it multiplies the value
-    /// (the association of `dyn_row`). A plain source has neither `a` nor
-    /// `scaled` (`N = 0`), a scaled one an entry per tap (`N = K`). Public
-    /// only so that `packed` can name it.
-    pub struct UnitTaps<'a, E, const K: usize, const N: usize> {
+    /// The taps of one row as [`row_body`](super::row_body) reads them at
+    /// any lane: `count` points stored `O` apart, tap `j`'s value at point
+    /// `i` loaded from `rows[j]` at `i·S` (one input stride for every tap),
+    /// and its weight `coeff[j]` — or, for a tap `scaled[j]` marks,
+    /// `coeff[j] · a[j][i]`, formed before it multiplies the value (the
+    /// association of `dyn_row`). A plain source has neither `a` nor
+    /// `scaled` (`N = 0`), a scaled one (unit strides only) an entry per tap
+    /// (`N = K`). Only its constructors build one, so every row holds the
+    /// values its points read. Public only so that `packed` can name it.
+    pub struct UnitTaps<'a, E, const K: usize, const N: usize, const O: usize, const S: usize> {
+        pub(super) count: usize,
         pub(super) rows: [&'a [E]; K],
         pub(super) coeff: [E; K],
         pub(super) a: [&'a [E]; N],
@@ -130,17 +142,23 @@ impl Sealed for f64 {
         f64::mul_add(self, b, c)
     }
     #[inline(always)]
-    unsafe fn packed<const K: usize, const RULE: u8, const N: usize>(
+    unsafe fn packed<
+        const K: usize,
+        const RULE: u8,
+        const N: usize,
+        const O: usize,
+        const S: usize,
+    >(
         out_row: &mut [f64],
         bias: f64,
-        taps: &UnitTaps<'_, f64, K, N>,
+        taps: &UnitTaps<'_, f64, K, N, O, S>,
     ) -> bool {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
             // SAFETY: both features were just detected; the caller
-            // guarantees the rows' lengths.
-            packed_unit::<K, RULE, N>(out_row, bias, taps);
+            // guarantees the strides.
+            taps.packed_unit::<RULE>(out_row, bias);
             return true;
         }
         false
@@ -350,10 +368,11 @@ impl<'a, T: Copy> RtTap<'a, T> {
         self.data[self.base + k * self.slope]
     }
 
-    /// The first `count` values of a unit-stride row.
+    /// The `len` values from the base: all that `count` points `S` apart
+    /// read, for `len = (count − 1)·S + 1`.
     #[inline(always)]
-    fn unit(&self, count: usize) -> &'a [T] {
-        &self.data[self.base..self.base + count]
+    fn span(&self, len: usize) -> &'a [T] {
+        &self.data[self.base..self.base + len]
     }
 }
 
@@ -414,11 +433,12 @@ type RowFn<T> =
 /// (`false`: the case ran, and counts as, generic/scalar). `unit` says that
 /// the output row and every tap and coefficient row have stride 1.
 ///
-/// A specialized family runs its tier's instance of [`row_body`], and so
-/// does the generic tag on unit-stride rows with coefficient taps (a
-/// variable-coefficient stage gets the tier a family would). The generic
-/// tag runs the scalar instance on other unit-stride rows and the run-time
-/// loop [`dyn_row`] on strided ones. Arities above the table run `dyn_row`.
+/// A specialized family runs its tier's instance of [`row_body`] on unit
+/// and strided rows alike, and so does the generic tag on unit-stride rows
+/// with coefficient taps (a variable-coefficient stage gets the tier a
+/// family would). The generic tag runs the scalar instance on other
+/// unit-stride rows and the run-time loop [`dyn_row`] on strided ones.
+/// Arities above the table run `dyn_row`.
 fn select_row<T: Elem>(
     sel: KernelSel,
     unit: bool,
@@ -450,21 +470,26 @@ fn select_row<T: Elem>(
 // The row body: one loop, generic over arity, lane and accumulation rule
 // ---------------------------------------------------------------------------
 
-/// `W` consecutive points of a unit-stride row of element type `E`,
-/// computed at once. The impls below are the only per-target code:
-/// everything above them is written once against these six operations.
+/// `W` points of a row of element type `E`, computed at once. The impls
+/// below are the only per-target code: everything above them is written
+/// once against these eight operations.
 ///
 /// # Safety
 ///
 /// Every method requires a host that executes the lane's instructions
 /// (an [`Elem`]: any; [`Avx2`]: AVX2 and FMA, which [`packed_row`]
-/// detects); `load` and `store` also require `p` to be valid for `W` values.
+/// detects); `load` and `store` also require `p` to be valid for `W`
+/// values, `load2` and `store2` for `2·W − 1`.
 trait Lane: Copy {
     type E: Elem;
     const W: usize;
     unsafe fn splat(x: Self::E) -> Self;
     unsafe fn load(p: *const Self::E) -> Self;
     unsafe fn store(self, p: *mut Self::E);
+    /// The points `p[0], p[2], …, p[2(W − 1)]`, reading nothing past the last.
+    unsafe fn load2(p: *const Self::E) -> Self;
+    /// Store to `p[0], p[2], …, p[2(W − 1)]`, writing nothing between.
+    unsafe fn store2(self, p: *mut Self::E);
     unsafe fn add(self, o: Self) -> Self;
     unsafe fn mul(self, o: Self) -> Self;
     /// `self · b + c`, rounded once.
@@ -485,6 +510,14 @@ impl<T: Elem> Lane for T {
     }
     #[inline(always)]
     unsafe fn store(self, p: *mut T) {
+        *p = self
+    }
+    #[inline(always)]
+    unsafe fn load2(p: *const T) -> T {
+        *p
+    }
+    #[inline(always)]
+    unsafe fn store2(self, p: *mut T) {
         *p = self
     }
     #[inline(always)]
@@ -527,6 +560,23 @@ impl Lane for Avx2 {
     unsafe fn store(self, p: *mut f64) {
         x86::_mm256_storeu_pd(p, self.0)
     }
+    /// `p[0..4]` and `p[3..7]` interleaved to `(p0, p4, p2, p6)`, then put
+    /// in order: `p[0..=6]` is all it reads.
+    #[inline(always)]
+    unsafe fn load2(p: *const f64) -> Self {
+        let (lo, hi) = (x86::_mm256_loadu_pd(p), x86::_mm256_loadu_pd(p.add(3)));
+        let mixed = x86::_mm256_shuffle_pd::<0b1010>(lo, hi);
+        Avx2(x86::_mm256_permute4x64_pd::<0b11_01_10_00>(mixed))
+    }
+    #[inline(always)]
+    unsafe fn store2(self, p: *mut f64) {
+        let lo = x86::_mm256_castpd256_pd128(self.0);
+        let hi = x86::_mm256_extractf128_pd::<1>(self.0);
+        x86::_mm_storel_pd(p, lo);
+        x86::_mm_storeh_pd(p.add(2), lo);
+        x86::_mm_storel_pd(p.add(4), hi);
+        x86::_mm_storeh_pd(p.add(6), hi)
+    }
     #[inline(always)]
     unsafe fn add(self, o: Self) -> Self {
         Avx2(x86::_mm256_add_pd(self.0, o.0))
@@ -563,6 +613,15 @@ impl<L: Lane> Lane for [L; 2] {
         self[1].store(p.add(L::W))
     }
     #[inline(always)]
+    unsafe fn load2(p: *const L::E) -> Self {
+        [L::load2(p), L::load2(p.add(2 * L::W))]
+    }
+    #[inline(always)]
+    unsafe fn store2(self, p: *mut L::E) {
+        self[0].store2(p);
+        self[1].store2(p.add(2 * L::W))
+    }
+    #[inline(always)]
     unsafe fn add(self, o: Self) -> Self {
         [self[0].add(o[0]), self[1].add(o[1])]
     }
@@ -593,7 +652,8 @@ const UNFUSED: u8 = 2;
 /// The row body — the only per-tap accumulate loop besides the run-time
 /// reference [`dyn_row`]. Points `from, from + W, …`
 /// while a whole lane fits below `count` are computed and stored
-/// `out_slope` apart; the first point not computed is returned, so a
+/// `out_slope` apart (a lane wider than one point stores with `store2` when
+/// that is 2); the first point not computed is returned, so a
 /// narrower lane can finish the row with the same body. The arity `K` is a
 /// compile-time constant (the tap loop unrolls; row pointers and
 /// coefficients stay in registers), the lane `L` sets how many points one
@@ -608,8 +668,8 @@ const UNFUSED: u8 = 2;
 /// # Safety
 ///
 /// [`Lane`]'s contract for `L`, and `weight`/`value` must be readable at
-/// every point below `count`. Lanes wider than one point need
-/// `out_slope == 1`.
+/// every point below `count`. Lanes wider than one point need `out_slope`
+/// 1 or 2.
 #[inline(always)]
 unsafe fn row_body<const K: usize, L: Lane, const RULE: u8>(
     out_row: &mut [L::E],
@@ -620,7 +680,7 @@ unsafe fn row_body<const K: usize, L: Lane, const RULE: u8>(
     weight: impl Fn(usize, usize) -> L,
     value: impl Fn(usize, usize) -> L,
 ) -> usize {
-    debug_assert!(L::W == 1 || out_slope == 1);
+    debug_assert!(L::W == 1 || out_slope <= 2);
     // the one bounds check of the row: every store below lands inside it
     assert!(from <= count && (count == 0 || (count - 1) * out_slope < out_row.len()));
     let out = out_row.as_mut_ptr();
@@ -657,48 +717,62 @@ unsafe fn row_body<const K: usize, L: Lane, const RULE: u8>(
             }
             b.add(a0.add(a1))
         };
-        acc.store(out.add(i * out_slope));
+        let at = out.add(i * out_slope);
+        match out_slope {
+            1 => acc.store(at),
+            _ => acc.store2(at),
+        }
     }
     from + passes * L::W
 }
 
-impl<'a, E: Elem, const K: usize> UnitTaps<'a, E, K, 0> {
-    /// The first `count` points of `taps`, plain.
+impl<'a, E: Elem, const K: usize, const O: usize, const S: usize> UnitTaps<'a, E, K, 0, O, S> {
+    /// The first `count` points of `taps`, whose reads are all `S` apart,
+    /// plain: each tap row is cut once, here, to the `(count − 1)·S + 1`
+    /// values the row reads.
     #[inline(always)]
     fn new(taps: &[RtTap<'a, E>], count: usize) -> Self {
+        debug_assert!(taps.iter().all(|t| t.slope == S));
+        let len = count.saturating_sub(1) * S + usize::from(count > 0);
         UnitTaps {
-            rows: std::array::from_fn(|j| taps[j].unit(count)),
+            count,
+            rows: std::array::from_fn(|j| taps[j].span(len)),
             coeff: std::array::from_fn(|j| taps[j].coeff),
             a: [],
             scaled: [],
         }
     }
+}
 
-    /// The same taps, each scaled by the coefficient row its `cf` names in
-    /// `crows`. A tap that is not scaled has its own value row as `a`:
-    /// loaded, never selected, so the weight is branch-free.
+impl<'a, E: Elem, const K: usize> UnitTaps<'a, E, K, 0, 1, 1> {
+    /// The same unit-stride taps, each scaled by the coefficient row its
+    /// `cf` names in `crows`. A tap that is not scaled has its own value
+    /// row as `a`: loaded, never selected, so the weight is branch-free.
     #[inline(always)]
     fn scaled_by(
         self,
         taps: &[RtTap<'a, E>],
         crows: &[RtTap<'a, E>],
-        count: usize,
-    ) -> UnitTaps<'a, E, K, K> {
+    ) -> UnitTaps<'a, E, K, K, 1, 1> {
+        let count = self.count;
         UnitTaps {
-            a: std::array::from_fn(|j| taps[j].cf.map_or(self.rows[j], |c| crows[c].unit(count))),
+            a: std::array::from_fn(|j| taps[j].cf.map_or(self.rows[j], |c| crows[c].span(count))),
             scaled: std::array::from_fn(|j| taps[j].cf.is_some()),
+            count,
             rows: self.rows,
             coeff: self.coeff,
         }
     }
 }
 
-impl<E: Elem, const K: usize, const N: usize> UnitTaps<'_, E, K, N> {
+impl<E: Elem, const K: usize, const N: usize, const O: usize, const S: usize>
+    UnitTaps<'_, E, K, N, O, S>
+{
     /// Tap `j`'s weight at points `i..i + L::W`.
     ///
     /// # Safety
     ///
-    /// [`Lane`]'s contract for `L`; the tap's rows hold `i + L::W` values.
+    /// [`Lane`]'s contract for `L`; `i + L::W <= count`.
     #[inline(always)]
     unsafe fn weight<L: Lane<E = E>>(&self, j: usize, i: usize) -> L {
         let c = L::splat(self.coeff[j]);
@@ -712,39 +786,65 @@ impl<E: Elem, const K: usize, const N: usize> UnitTaps<'_, E, K, N> {
             c
         }
     }
+
+    /// Tap `j`'s values at points `i..i + L::W`, `S` apart in its row.
+    ///
+    /// # Safety
+    ///
+    /// [`Lane`]'s contract for `L`; `i + L::W <= count`.
+    #[inline(always)]
+    unsafe fn value<L: Lane<E = E>>(&self, j: usize, i: usize) -> L {
+        debug_assert!((i + L::W - 1) * S < self.rows[j].len());
+        let p = self.rows[j].as_ptr().add(i * S);
+        match S {
+            1 => L::load(p),
+            _ => L::load2(p),
+        }
+    }
+
+    /// [`row_body`] over these taps at lane `L`, storing its outputs `O`
+    /// apart from `out[0]`. Covers the row from point `from` and
+    /// returns the first point left over.
+    ///
+    /// # Safety
+    ///
+    /// [`Lane`]'s contract for `L`; `O` and `S` are 1 or 2.
+    #[inline(always)]
+    unsafe fn at_lane<L: Lane<E = E>, const RULE: u8>(
+        &self,
+        out: &mut [E],
+        from: usize,
+        bias: E,
+    ) -> usize {
+        let (weight, value) = (|j, i| self.weight::<L>(j, i), |j, i| self.value::<L>(j, i));
+        row_body::<K, L, RULE>(out, O, from, self.count, bias, weight, value)
+    }
+
+    /// The row on the element type's packed lane, or, on a host without
+    /// one, under the same rule at its scalar lane, with the fused steps
+    /// spelled as multiply then add.
+    ///
+    /// # Safety
+    ///
+    /// `O` and `S` are 1 or 2.
+    #[inline(always)]
+    unsafe fn run<const RULE: u8>(&self, out: &mut [E], bias: E) {
+        if E::packed::<K, RULE, N, O, S>(out, bias, self) {
+            return;
+        }
+        match RULE {
+            EXACT => self.at_lane::<E, EXACT>(out, 0, bias),
+            _ => self.at_lane::<E, UNFUSED>(out, 0, bias),
+        };
+    }
 }
 
-/// [`row_body`] over the taps of a unit-stride row at lane `L`. Covers
-/// `out_row` from point `from` and returns the first point left over.
-///
-/// # Safety
-///
-/// [`Lane`]'s contract for `L`; every row of `taps` holds `out_row.len()`
-/// values.
-#[inline(always)]
-unsafe fn unit_rows<const K: usize, L: Lane, const RULE: u8, const N: usize>(
-    out_row: &mut [L::E],
-    from: usize,
-    bias: L::E,
-    taps: &UnitTaps<'_, L::E, K, N>,
-) -> usize {
-    let count = out_row.len();
-    debug_assert!(taps.rows.iter().chain(&taps.a).all(|r| r.len() >= count));
-    row_body::<K, L, RULE>(
-        out_row,
-        1,
-        from,
-        count,
-        bias,
-        |j, i| taps.weight::<L>(j, i),
-        |j, i| L::load(taps.rows[j].as_ptr().add(i)),
-    )
-}
-
-/// The scalar row kernel ([`KernelTier::Scalar`], every tier's strided
-/// rows, and every `f32` row): [`row_body`] at the scalar lane `T` under
+/// The scalar row kernel ([`KernelTier::Scalar`], the lane tiers' rows
+/// whose taps differ in stride or that are strided with coefficient taps,
+/// and every `f32` row): [`row_body`] at the scalar lane `T` under
 /// [`EXACT`], over unit-stride plain rows, unit-stride rows with
-/// coefficient taps, and strided plain rows (restrict / interp reads).
+/// coefficient taps, and strided plain rows of any strides, read through
+/// each tap's own cursor.
 fn spec_row<const K: usize, T: Elem>(
     out_row: &mut [T],
     out_slope: usize,
@@ -764,26 +864,25 @@ fn spec_row<const K: usize, T: Elem>(
         return;
     }
     debug_assert!(crows.iter().all(|c| c.slope == 1));
-    let out_row = &mut out_row[..count];
-    let plain = UnitTaps::<T, K, 0>::new(taps, count);
-    // SAFETY: a scalar lane runs anywhere; every row is `count` long.
+    let plain = UnitTaps::<T, K, 0, 1, 1>::new(taps, count);
+    // SAFETY: a scalar lane runs anywhere, at unit strides.
     unsafe {
-        if crows.is_empty() {
-            unit_rows::<K, T, EXACT, 0>(out_row, 0, bias, &plain);
-        } else {
-            unit_rows::<K, T, EXACT, K>(out_row, 0, bias, &plain.scaled_by(taps, crows, count));
+        match crows.is_empty() {
+            true => plain.at_lane::<T, EXACT>(out_row, 0, bias),
+            false => UnitTaps::scaled_by(plain, taps, crows).at_lane::<T, EXACT>(out_row, 0, bias),
         }
-    }
+    };
 }
 
 /// The lane tiers' row kernel: [`KernelTier::LaneSafe`] is `RULE` =
-/// [`EXACT`], [`KernelTier::FastMath`] is [`FUSED`]. Unit-stride rows run
-/// the element type's packed lane: plain rows under `RULE`, coefficient
-/// rows under [`EXACT`] at either tier — fast-math never reassociates a
-/// coefficient row, so it stays bitwise-identical to [`dyn_row`]. Strided
-/// rows (their gathers do not vectorize profitably) run [`spec_row`].
+/// [`EXACT`], [`KernelTier::FastMath`] is [`FUSED`]. A row whose taps share
+/// one stride runs the element type's packed lane: unit-stride plain rows
+/// under `RULE`; coefficient rows and the three strided shapes (module
+/// docs) under [`EXACT`] at either tier — fast-math reassociates neither,
+/// so both stay bitwise-identical to [`dyn_row`]. Other rows (taps of
+/// mixed strides, strided coefficient rows) run [`spec_row`].
 fn packed_row<const K: usize, const RULE: u8, T: Elem>(
-    out_row: &mut [T],
+    out: &mut [T],
     out_slope: usize,
     count: usize,
     bias: T,
@@ -791,52 +890,41 @@ fn packed_row<const K: usize, const RULE: u8, T: Elem>(
     crows: &[RtTap<'_, T>],
 ) {
     debug_assert_eq!(taps.len(), K);
-    if out_slope != 1 || taps.iter().any(|t| t.slope != 1) {
-        return spec_row::<K, T>(out_row, out_slope, count, bias, taps, crows);
-    }
-    let out_row = &mut out_row[..count];
-    let plain = UnitTaps::<T, K, 0>::new(taps, count);
-    // SAFETY: every row is `count` long, and a scalar lane runs anywhere.
+    // one stride shared by every tap, or 0
+    let shared = |a, b| if a == b { a } else { 0 };
+    let stride = taps.iter().map(|t| t.slope).reduce(shared).unwrap_or(1);
+    let unit = || UnitTaps::<T, K, 0, 1, 1>::new(taps, count);
+    let scaled = || unit().scaled_by(taps, crows);
+    // SAFETY: each arm's source has the strides 1 or 2 it names.
     unsafe {
-        if !crows.is_empty() {
-            let scaled = plain.scaled_by(taps, crows, count);
-            if !T::packed::<K, EXACT, K>(out_row, bias, &scaled) {
-                unit_rows::<K, T, EXACT, K>(out_row, 0, bias, &scaled);
-            }
-            return;
-        }
-        if T::packed::<K, RULE, 0>(out_row, bias, &plain) {
-            return;
-        }
-        // A host without the packed lane: the same rule at the scalar
-        // lane, with the fused steps spelled as multiply then add.
-        if RULE == EXACT {
-            unit_rows::<K, T, EXACT, 0>(out_row, 0, bias, &plain);
-        } else {
-            unit_rows::<K, T, UNFUSED, 0>(out_row, 0, bias, &plain);
+        match (out_slope, stride, crows.is_empty()) {
+            (1, 1, true) => unit().run::<RULE>(out, bias),
+            (1, 1, false) => scaled().run::<EXACT>(out, bias),
+            (1, 2, true) => UnitTaps::<T, K, 0, 1, 2>::new(taps, count).run::<EXACT>(out, bias),
+            (2, 1, true) => UnitTaps::<T, K, 0, 2, 1>::new(taps, count).run::<EXACT>(out, bias),
+            (2, 2, true) => UnitTaps::<T, K, 0, 2, 2>::new(taps, count).run::<EXACT>(out, bias),
+            _ => spec_row::<K, T>(out, out_slope, count, bias, taps, crows),
         }
     }
 }
 
-/// One unit-stride row on the packed lane: pairs of vectors (see the
-/// `[L; 2]` lane) while they fit, one more vector if it fits, then the same
-/// body at lane `f64` for the last `count % 4` points — compiled here, under
-/// `fma`, so a fused remainder is still one hardware instruction per tap.
-///
-/// # Safety
-///
-/// The host has AVX2 and FMA; every row of `taps` holds `out_row.len()`
-/// values.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn packed_unit<const K: usize, const RULE: u8, const N: usize>(
-    out_row: &mut [f64],
-    bias: f64,
-    taps: &UnitTaps<'_, f64, K, N>,
-) {
-    let i = unit_rows::<K, [Avx2; 2], RULE, N>(out_row, 0, bias, taps);
-    let i = unit_rows::<K, Avx2, RULE, N>(out_row, i, bias, taps);
-    unit_rows::<K, f64, RULE, N>(out_row, i, bias, taps);
+impl<const K: usize, const N: usize, const O: usize, const S: usize> UnitTaps<'_, f64, K, N, O, S> {
+    /// The row on the packed lane: pairs of vectors (see the `[L; 2]` lane)
+    /// while they fit, one more vector if it fits, then the same body at
+    /// lane `f64` for the last `count % 4` points — compiled here, under
+    /// `fma`, so a fused remainder is still one hardware instruction per
+    /// tap.
+    ///
+    /// # Safety
+    ///
+    /// The host has AVX2 and FMA; `O` and `S` are 1 or 2.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn packed_unit<const RULE: u8>(&self, out: &mut [f64], bias: f64) {
+        let i = self.at_lane::<[Avx2; 2], RULE>(out, 0, bias);
+        let i = self.at_lane::<Avx2, RULE>(out, i, bias);
+        self.at_lane::<f64, RULE>(out, i, bias);
+    }
 }
 
 /// The instance of [`row_body`] for an element type, a tier and a tap
@@ -1926,12 +2014,12 @@ mod tests {
 
         let mut buf = vec![of(f64::NAN); count + 1];
         let got = &mut buf[1..];
-        let source = UnitTaps::<_, K, 0>::new(&taps, count);
-        // SAFETY: callers name only lanes the host runs; rows are `count` long.
+        let source = UnitTaps::<_, K, 0, 1, 1>::new(&taps, count);
+        // SAFETY: callers name only lanes the host runs; strides are 1.
         unsafe {
-            let i = unit_rows::<K, L, RULE, _>(got, 0, bias, &source);
+            let i = source.at_lane::<L, RULE>(got, 0, bias);
             assert!(count - i < L::W, "lane {} left {} points", L::W, count - i);
-            unit_rows::<K, L::E, RULE, _>(got, i, bias, &source);
+            source.at_lane::<L::E, RULE>(got, i, bias);
         }
         let eps = match std::mem::size_of::<L::E>() {
             4 => f64::from(f32::EPSILON),
@@ -2007,13 +2095,13 @@ mod tests {
         let mut want = vec![0.0; count];
         dyn_row(&mut want, 1, count, bias, &taps, &crows);
 
-        let source = UnitTaps::<_, K, 0>::new(&taps, count).scaled_by(&taps, &crows, count);
+        let source = UnitTaps::<_, K, 0, 1, 1>::new(&taps, count).scaled_by(&taps, &crows);
         let mut lane = vec![f64::NAN; count];
-        // SAFETY: callers name only lanes the host runs; rows are `count` long.
+        // SAFETY: callers name only lanes the host runs; strides are 1.
         unsafe {
-            let i = unit_rows::<K, L, EXACT, _>(&mut lane, 0, bias, &source);
+            let i = source.at_lane::<L, EXACT>(&mut lane, 0, bias);
             assert!(count - i < L::W, "lane {} left {} points", L::W, count - i);
-            unit_rows::<K, f64, EXACT, _>(&mut lane, i, bias, &source);
+            source.at_lane::<f64, EXACT>(&mut lane, i, bias);
         }
         let (mut safe, mut fast) = (vec![f64::NAN; count], vec![f64::NAN; count]);
         packed_row::<K, EXACT, f64>(&mut safe, 1, count, bias, &taps, &crows);
@@ -2051,9 +2139,73 @@ mod tests {
         arities!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28);
     }
 
-    /// Every lane of both element types, and the coefficient axis on every
-    /// `f64` lane. The `f32` column is the lane every `f32` row runs; its
-    /// `EXACT` cells are the smoother chain's own sum.
+    /// One strided cell of the lane matrix: a `count`-point row of `K`
+    /// seeded taps of shape (output stride `O`, input stride `S`), each
+    /// tap's slice ending exactly at the last value the row reads, into an
+    /// output window whose skipped slots hold a NaN sentinel. The body at
+    /// lane `L` under [`EXACT`], finished at lane `f64`, and both lane-tier
+    /// instances of the row kernel (fast-math keeps strided rows exact)
+    /// must match [`dyn_row`] bit for bit and leave every sentinel as it
+    /// was.
+    fn stride_cell<const K: usize, L: Lane<E = f64>, const O: usize, const S: usize>(count: usize) {
+        let seeded = |i: usize| ((i * 37 + K * 11) % 101) as f64 * 0.0173 - 0.86;
+        let span = |stride: usize| count.saturating_sub(1) * stride + usize::from(count > 0);
+        let (reads, window) = (span(S), span(O));
+        let data: Vec<f64> = (0..reads + 3 * K + 1).map(seeded).collect();
+        let taps: Vec<RtTap<'_, f64>> = (0..K)
+            .map(|j| RtTap {
+                data: &data[..1 + 3 * j + reads],
+                base: 1 + 3 * j,
+                slope: S,
+                coeff: seeded(1000 + j),
+                cf: None,
+            })
+            .collect();
+        let bias = 0.3;
+        let sentinel = f64::from_bits(0x7ff8_0000_0bad_cafe);
+        let mut want = vec![sentinel; window];
+        dyn_row(&mut want, O, count, bias, &taps, &[]);
+
+        let source = UnitTaps::<_, K, 0, O, S>::new(&taps, count);
+        for (row, tap) in source.rows.iter().zip(&taps) {
+            assert_eq!(row.as_ptr_range().end, tap.data.as_ptr_range().end);
+        }
+        let mut lane = vec![sentinel; window];
+        // SAFETY: callers name only lanes the host runs; strides are 1 or 2.
+        unsafe {
+            let i = source.at_lane::<L, EXACT>(&mut lane, 0, bias);
+            assert!(count - i < L::W, "lane {} left {} points", L::W, count - i);
+            source.at_lane::<f64, EXACT>(&mut lane, i, bias);
+        }
+        let (mut safe, mut fast) = (vec![sentinel; window], vec![sentinel; window]);
+        packed_row::<K, EXACT, f64>(&mut safe, O, count, bias, &taps, &[]);
+        packed_row::<K, FUSED, f64>(&mut fast, O, count, bias, &taps, &[]);
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut skipped = want.iter().enumerate().filter(|(k, _)| k % O != 0);
+        assert!(skipped.all(|(_, x)| x.to_bits() == sentinel.to_bits()));
+        for (tier, got) in [("lane", &lane), ("lane_safe", &safe), ("fast_math", &fast)] {
+            let cell = format!("K {K} W {} strides ({O}, {S}) count {count} {tier}", L::W);
+            assert_eq!(bits(got), bits(&want), "{cell}");
+        }
+    }
+
+    /// Every arity × strided shape × row length of one lane.
+    fn stride_column<L: Lane<E = f64>>() {
+        macro_rules! arities {
+            ($($k:literal)*) => {$(
+                for count in 0..=2 * L::W + 3 {
+                    stride_cell::<$k, L, 1, 2>(count);
+                    stride_cell::<$k, L, 2, 1>(count);
+                    stride_cell::<$k, L, 2, 2>(count);
+                }
+            )*};
+        }
+        arities!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28);
+    }
+
+    /// Every lane of both element types, and the coefficient and stride
+    /// axes on every `f64` lane. The `f32` column is the lane every `f32`
+    /// row runs; its `EXACT` cells are the smoother chain's own sum.
     #[test]
     fn lane_rule_arity_remainder_matrix() {
         lane_column::<f32>();
@@ -2061,6 +2213,8 @@ mod tests {
         lane_column::<[f64; 2]>();
         coeff_column::<f64>();
         coeff_column::<[f64; 2]>();
+        stride_column::<f64>();
+        stride_column::<[f64; 2]>();
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
@@ -2068,6 +2222,8 @@ mod tests {
             lane_column::<[Avx2; 2]>();
             coeff_column::<Avx2>();
             coeff_column::<[Avx2; 2]>();
+            stride_column::<Avx2>();
+            stride_column::<[Avx2; 2]>();
         }
     }
 }

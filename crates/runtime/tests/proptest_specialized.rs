@@ -12,7 +12,12 @@
 //! arithmetic within one. Every case below therefore also runs
 //! `KernelTier::LaneSafe` (unblocked and with a deliberately tiny block so
 //! the blocked nests actually fire at test extents) and asserts exact
-//! equality against the same interpreter twin.
+//! equality against the same interpreter twin. Strided kernels —
+//! restriction, interpolation and red-black sweeps — run the packed lanes
+//! under the exact rule at both lane tiers, so they also run
+//! `KernelTier::FastMath` against the same twin; their rows reach past 16
+//! points, so the pair lane's eight-point passes run, not only the
+//! remainders.
 
 use gmg_ir::expr::{Access, AxisAccess, Expr, Operand};
 use gmg_ir::{CoeffRead, LinearForm, Parity, ParityPattern, Tap};
@@ -63,7 +68,8 @@ fn fill(seed: u64, data: &mut [f64]) {
 
 /// Run `kernel` (specialized, tag from the classifier) and its interpreter
 /// twin over `region`, both reading one input space, and assert bitwise
-/// equality of the two output buffers.
+/// equality of the two output buffers — at the fast-math tier too when the
+/// kernel is `strided`.
 #[allow(clippy::too_many_arguments)]
 fn assert_twin_bitwise(
     kernel: &StageKernel,
@@ -76,6 +82,7 @@ fn assert_twin_bitwise(
     out_extents: &[i64],
     boundary: f64,
     seed: u64,
+    strided: bool,
 ) -> Result<(), TestCaseError> {
     let tag = classify(kernel, ndims);
     prop_assert_eq!(tag, expect, "classifier missed the shape");
@@ -144,8 +151,13 @@ fn assert_twin_bitwise(
 
     // lane-safe SIMD tier: same exact-equality contract, unblocked and with
     // a tiny cache block (test extents are far below the production
-    // UNIT_BLOCK_MIN, so only a tiny block exercises the blocked nests)
-    for xblock in [0usize, 4] {
+    // UNIT_BLOCK_MIN, so only a tiny block exercises the blocked nests);
+    // strided rows keep it under fast-math too
+    let tiers: &[KernelTier] = match strided {
+        true => &[KernelTier::LaneSafe, KernelTier::FastMath],
+        false => &[KernelTier::LaneSafe],
+    };
+    for (&tier, xblock) in tiers.iter().flat_map(|t| [(t, 0usize), (t, 4)]) {
         let mut lane_buf = vec![0.0; out_len];
         {
             let mut out = SpaceMut {
@@ -160,7 +172,7 @@ fn assert_twin_bitwise(
             })];
             let sel = KernelSel {
                 impl_tag: tag,
-                tier: KernelTier::LaneSafe,
+                tier,
                 xblock,
             };
             execute_stage_sel(sel, kernel, region, &mut out, &ins, &[boundary]);
@@ -169,9 +181,10 @@ fn assert_twin_bitwise(
             prop_assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "{:?} lane-safe (xblock {}) diverged from the interpreter at flat index {} \
+                "{:?} {:?} (xblock {}) diverged from the interpreter at flat index {} \
                  ({} vs {})",
                 tag,
+                tier,
                 xblock,
                 i,
                 a,
@@ -232,7 +245,7 @@ proptest! {
         let expect = if boxy { KernelImpl::Stencil2D9 } else { KernelImpl::Stencil2D5 };
         assert_twin_bitwise(
             &kernel, expect, 2, &region,
-            &[0, 0], &[e, e], &oo, &oext, boundary, seed,
+            &[0, 0], &[e, e], &oo, &oext, boundary, seed, false,
         )?;
     }
 
@@ -275,14 +288,15 @@ proptest! {
         let expect = if boxy { KernelImpl::Stencil3D27 } else { KernelImpl::Stencil3D7 };
         assert_twin_bitwise(
             &kernel, expect, 3, &region,
-            &[0, 0, 0], &[e, e, e], &[0, 0, 0], &[e, e, e], boundary, seed,
+            &[0, 0, 0], &[e, e, e], &[0, 0, 0], &[e, e, e], boundary, seed, false,
         )?;
     }
 
-    /// Stride-2 restriction reads (`in = 2·out + off`, |off| ≤ 2).
+    /// Stride-2 restriction reads (`in = 2·out + off`, |off| ≤ 2), rows of
+    /// up to 21 points.
     #[test]
     fn restrict_matches_interpreter(
-        n in 5i64..10,
+        n in 5i64..24,
         offs in proptest::collection::vec((-2i64..3, -2i64..3), 1..7),
         coeffs in proptest::collection::vec(-1.0f64..1.0, 7),
         bias in -1.0f64..1.0,
@@ -310,15 +324,16 @@ proptest! {
         let fine = 2 * n;
         assert_twin_bitwise(
             &kernel, KernelImpl::Restrict, 2, &region,
-            &[0, 0], &[fine, fine], &[0, 0], &[n, n], boundary, seed,
+            &[0, 0], &[fine, fine], &[0, 0], &[n, n], boundary, seed, true,
         )?;
     }
 
     /// Half-index interpolation reads (`in = (out + off) / 2`), executed as
-    /// per-parity cases like the lowering emits them.
+    /// per-parity cases like the lowering emits them, rows of up to 21
+    /// points.
     #[test]
     fn interp_matches_interpreter(
-        e in 8i64..16,
+        e in 8i64..44,
         coeffs in proptest::collection::vec(-1.0f64..1.0, 12),
         bias in -1.0f64..1.0,
         boundary in -1.0f64..1.0,
@@ -357,7 +372,166 @@ proptest! {
         let coarse = e / 2 + 2;
         assert_twin_bitwise(
             &kernel, KernelImpl::Interp, 2, &region,
-            &[0, 0], &[coarse, coarse], &[0, 0], &[e, e], boundary, seed,
+            &[0, 0], &[coarse, coarse], &[0, 0], &[e, e], boundary, seed, true,
+        )?;
+    }
+
+    /// 3-D full-weighting restriction: all 27 stride-2 taps, over a few
+    /// rows and planes of up to 21 points.
+    #[test]
+    fn restrict_3d_matches_interpreter(
+        nx in 1i64..22,
+        m in 1i64..3,
+        coeffs in proptest::collection::vec(-1.0f64..1.0, 27),
+        bias in -1.0f64..1.0,
+        boundary in -1.0f64..1.0,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut taps = Vec::new();
+        for dz in -1i64..=1 {
+            for dy in -1i64..=1 {
+                for dx in -1i64..=1 {
+                    let axes = [dz, dy, dx].map(AxisAccess::down);
+                    taps.push(Tap {
+                        slot: 0,
+                        access: Access(axes.to_vec()),
+                        coeff: coeffs[taps.len()],
+                        cfactor: None,
+                    });
+                }
+            }
+        }
+        let kernel = StageKernel {
+            cases: vec![KernelCase {
+                pattern: ParityPattern::any(3),
+                body: KernelBody::Linear(LinearForm { bias, taps }),
+            }],
+        };
+        // coarse [1, m]² × [1, nx] reads fine coords 2·c ± 1 ⊆ [1, 2·hi + 1]
+        let region = BoxDomain::new(vec![
+            Interval::new(1, m),
+            Interval::new(1, m),
+            Interval::new(1, nx),
+        ]);
+        let (fine_yz, fine_x) = (2 * m + 2, 2 * nx + 2);
+        assert_twin_bitwise(
+            &kernel, KernelImpl::Restrict, 3, &region,
+            &[0, 0, 0], &[fine_yz, fine_yz, fine_x], &[0, 0, 0], &[m + 2, m + 2, nx + 2],
+            boundary, seed, true,
+        )?;
+    }
+
+    /// 3-D trilinear interpolation: eight parity cases (one per octant
+    /// parity), each with the 1–8 half-index taps of its parity, over a few
+    /// rows and planes of up to 21 points each.
+    #[test]
+    fn interp_3d_matches_interpreter(
+        ex in 4i64..44,
+        m in 2i64..5,
+        coeffs in proptest::collection::vec(-1.0f64..1.0, 27),
+        bias in -1.0f64..1.0,
+        boundary in -1.0f64..1.0,
+        seed in 0u64..1_000_000,
+    ) {
+        let par = [Parity::Even, Parity::Odd];
+        let offs = |p: Parity| -> &'static [i64] {
+            if p == Parity::Even { &[0] } else { &[-1, 1] }
+        };
+        let mut cases = Vec::new();
+        let mut ci = 0usize;
+        for &pz in &par {
+            for &py in &par {
+                for &px in &par {
+                    let mut taps = Vec::new();
+                    for &dz in offs(pz) {
+                        for &dy in offs(py) {
+                            for &dx in offs(px) {
+                                let axes = [dz, dy, dx].map(AxisAccess::up);
+                                taps.push(Tap {
+                                    slot: 0,
+                                    access: Access(axes.to_vec()),
+                                    coeff: coeffs[ci % coeffs.len()],
+                                    cfactor: None,
+                                });
+                                ci += 1;
+                            }
+                        }
+                    }
+                    cases.push(KernelCase {
+                        pattern: ParityPattern(vec![pz, py, px]),
+                        body: KernelBody::Linear(LinearForm { bias, taps }),
+                    });
+                }
+            }
+        }
+        let kernel = StageKernel { cases };
+        // fine [1, m]² × [1, ex] reads coarse coords ((x ± 1) / 2) ⊆ [0, (hi + 1) / 2]
+        let region = BoxDomain::new(vec![
+            Interval::new(1, m),
+            Interval::new(1, m),
+            Interval::new(1, ex),
+        ]);
+        let (coarse_yz, coarse_x) = (m / 2 + 2, ex / 2 + 2);
+        assert_twin_bitwise(
+            &kernel, KernelImpl::Interp, 3, &region,
+            &[0, 0, 0], &[coarse_yz, coarse_yz, coarse_x], &[0, 0, 0], &[m + 2, m + 2, ex + 2],
+            boundary, seed, true,
+        )?;
+    }
+
+    /// Red-black sweeps, 2-D and 3-D: one case per parity combination of
+    /// every axis, like the lowering emits a Gauss–Seidel half-sweep — the
+    /// active colour a centre-plus-neighbours cross (stride-2 reads and
+    /// writes), the other colour a one-tap copy. Rows of up to 21 points.
+    #[test]
+    fn red_black_matches_interpreter(
+        three_d in proptest::bool::ANY,
+        red in proptest::bool::ANY,
+        ex in 4i64..44,
+        m in 1i64..4,
+        coeffs in proptest::collection::vec(-1.0f64..1.0, 7),
+        bias in -1.0f64..1.0,
+        boundary in -1.0f64..1.0,
+        seed in 0u64..1_000_000,
+    ) {
+        let nd = if three_d { 3 } else { 2 };
+        let par = [Parity::Even, Parity::Odd];
+        let mut cases = Vec::new();
+        for combo in 0..1usize << nd {
+            let pattern: Vec<Parity> = (0..nd).map(|d| par[combo >> d & 1]).collect();
+            let odd = pattern.iter().filter(|p| **p == Parity::Odd).count();
+            let form = if (odd % 2 == 0) == red {
+                let mut offsets = vec![vec![0i64; nd]];
+                for d in 0..nd {
+                    for s in [-1i64, 1] {
+                        let mut o = vec![0i64; nd];
+                        o[d] = s;
+                        offsets.push(o);
+                    }
+                }
+                let taps = offsets.iter().zip(&coeffs).map(|(o, &c)| unit_tap(o, c)).collect();
+                LinearForm { bias, taps }
+            } else {
+                LinearForm { bias: 0.0, taps: vec![unit_tap(&vec![0; nd], 1.0)] }
+            };
+            cases.push(KernelCase {
+                pattern: ParityPattern(pattern),
+                body: KernelBody::Linear(form),
+            });
+        }
+        let kernel = StageKernel { cases };
+        // interior [1, m]^(nd−1) × [1, ex] of an array with a one-cell ghost ring
+        let mut intervals = vec![Interval::new(1, m); nd - 1];
+        intervals.push(Interval::new(1, ex));
+        let mut extents = vec![m + 2; nd - 1];
+        extents.push(ex + 2);
+        let (expect, origin) = match nd {
+            2 => (KernelImpl::Stencil2D5, vec![0, 0]),
+            _ => (KernelImpl::Stencil3D7, vec![0, 0, 0]),
+        };
+        assert_twin_bitwise(
+            &kernel, expect, nd, &BoxDomain::new(intervals),
+            &origin, &extents, &origin, &extents, boundary, seed, true,
         )?;
     }
     /// Unit-stride 2-D forms wider than the row-kernel table (29–64 taps
@@ -400,7 +574,7 @@ proptest! {
         let region = BoxDomain::new(vec![Interval::new(4, e - 4); 2]);
         assert_twin_bitwise(
             &kernel, KernelImpl::Generic, 2, &region,
-            &[0, 0], &[e, e], &[0, 0], &[e, e], boundary, seed,
+            &[0, 0], &[e, e], &[0, 0], &[e, e], boundary, seed, false,
         )?;
     }
 

@@ -14,7 +14,9 @@
 //!   on the packed lane, under the exact rule even with `--fast-math`)
 //!   must equal the scalar rows of `--no-simd` and `specialize = false`
 //!   bit for bit — a lane that reads the wrong coefficient row or offset
-//!   shows here, where `a ≡ 1` hides it.
+//!   shows here, where `a ≡ 1` hides it. The constant, red-black and FMG
+//!   scenarios are held to the same pin: their restriction, interpolation
+//!   and red-black rows run the packed lane's strided loads and stores.
 //! * **mixed-precision converges.** The f32 smoothing tier is an opt-in
 //!   speed/accuracy trade: it must still drive the f64 residual down at a
 //!   multigrid-like rate on the paper's Poisson problem (the floor it
@@ -165,6 +167,19 @@ fn varcoef_field_changes_the_answer() {
     );
 }
 
+/// Every stage the program runs untiled or in an overlapped group.
+fn program_stages(r: &DslRunner) -> Vec<&polymg_repro::compiler::schedule::StageExec> {
+    use polymg_repro::compiler::schedule::ExecOp;
+    let ops = &r.engine().program().ops;
+    ops.iter()
+        .flat_map(|op| match op {
+            ExecOp::RunUntiledStage { stage } => std::slice::from_ref(stage),
+            ExecOp::RunOverlappedGroup { stages, .. } => stages,
+            _ => &[],
+        })
+        .collect()
+}
+
 /// `CYCLES` cycles on a real coefficient field give one grid, bit for bit,
 /// at default options, under `--no-simd` and with `specialize = false`,
 /// per rank × variant × worker count, and under `--fast-math` too on a
@@ -173,7 +188,6 @@ fn varcoef_field_changes_the_answer() {
 /// stage of the one-level cycle carries coefficient taps.)
 #[test]
 fn varcoef_field_is_tier_invariant() {
-    use polymg_repro::compiler::schedule::ExecOp;
     use polymg_repro::compiler::{KernelImpl, KernelTier};
     type Knob = fn(&mut PipelineOptions);
     let knobs: [(&str, Knob); 4] = [
@@ -201,18 +215,8 @@ fn varcoef_field_is_tier_invariant() {
                             scenario_runner(&cfg, spec, opts, name, Some(coeff_field(&cfg)))
                                 .expect("compile");
                         if *name == "default" {
-                            let lane_generic = r.engine().program().ops.iter().any(|op| {
-                                let stages = match op {
-                                    ExecOp::RunUntiledStage { stage } => {
-                                        std::slice::from_ref(stage)
-                                    }
-                                    ExecOp::RunOverlappedGroup { stages, .. } => stages,
-                                    _ => &[],
-                                };
-                                stages.iter().any(|s| {
-                                    s.impl_tag == KernelImpl::Generic
-                                        && s.tier == KernelTier::LaneSafe
-                                })
+                            let lane_generic = program_stages(&r).iter().any(|s| {
+                                s.impl_tag == KernelImpl::Generic && s.tier == KernelTier::LaneSafe
                             });
                             assert!(
                                 lane_generic,
@@ -234,6 +238,87 @@ fn varcoef_field_is_tier_invariant() {
                              from default",
                             cfg.tag()
                         ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "tier-variant grids:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// `CYCLES` cycles of the constant, red-black and FMG scenarios give one
+/// grid, bit for bit, at default options, under `--no-simd` and with
+/// `specialize = false`, per rank × variant × worker count. The default
+/// program runs its restriction and interpolation stages lane-safe, so
+/// this pins the packed lane's strided rows (and, for red-black, whose
+/// smoother stages run lane-safe too, its parity-strided rows) against
+/// the scalar lane and against the run-time loop end to end.
+#[test]
+fn strided_rows_are_tier_invariant() {
+    use polymg_repro::compiler::{KernelImpl, KernelTier};
+    type Knob = fn(&mut PipelineOptions);
+    let knobs: [(&str, Knob); 3] = [
+        ("default", |_| {}),
+        ("no-simd", |o| o.simd = false),
+        ("no-specialize", |o| o.specialize = false),
+    ];
+    let mut failures = Vec::new();
+    for scenario in [Scenario::Constant, Scenario::Rbgs, Scenario::Fmg] {
+        for ndims in [2, 3] {
+            let cfg = config(ndims, CycleType::V);
+            let (v0, f, _) = setup_poisson(&cfg);
+            for variant in [Variant::Naive, Variant::Opt, Variant::OptPlus] {
+                for threads in [1, 2] {
+                    let grids: Vec<Vec<u64>> = knobs
+                        .iter()
+                        .map(|(name, knob)| {
+                            let mut opts = PipelineOptions::for_variant(variant, ndims);
+                            opts.threads = threads;
+                            knob(&mut opts);
+                            let spec = ScenarioSpec::new(scenario);
+                            let mut r =
+                                scenario_runner(&cfg, spec, opts, name, None).expect("compile");
+                            if *name == "default" {
+                                for family in [KernelImpl::Restrict, KernelImpl::Interp] {
+                                    let lane = program_stages(&r).iter().any(|s| {
+                                        s.impl_tag == family && s.tier == KernelTier::LaneSafe
+                                    });
+                                    assert!(
+                                        lane,
+                                        "test premise: {} {scenario:?} {variant:?} runs \
+                                         {family:?} stages lane-safe",
+                                        cfg.tag()
+                                    );
+                                }
+                                let gsrb = program_stages(&r).iter().any(|s| {
+                                    s.name.starts_with("gsrb") && s.tier == KernelTier::LaneSafe
+                                });
+                                assert!(
+                                    gsrb == (scenario == Scenario::Rbgs),
+                                    "test premise: {} {scenario:?} {variant:?} runs red-black \
+                                     stages lane-safe iff it smooths red-black",
+                                    cfg.tag()
+                                );
+                            }
+                            let mut v = v0.clone();
+                            for _ in 0..CYCLES {
+                                r.cycle_with_stats(&mut v, &f).expect("cycle");
+                            }
+                            bits(&v)
+                        })
+                        .collect();
+                    for ((name, _), grid) in knobs.iter().zip(&grids).skip(1) {
+                        if *grid != grids[0] {
+                            failures.push(format!(
+                                "{} {scenario:?} {variant:?} threads={threads}: {name} differs \
+                                 from default",
+                                cfg.tag()
+                            ));
+                        }
                     }
                 }
             }
