@@ -191,7 +191,7 @@ grep -q '"coalesced": [1-9]' /tmp/server_profile_batch_ci.json \
 # mixed latency/batch traffic — every grid bitwise-verified, idle churn
 # must actually cycle connections, and the profile must carry per-shard
 # counters with warm-session reuse on at least one shard.
-serve_bg /tmp/gmg_ci_shard.port --shards 2 --workers 2 --qos-weight 4 \
+serve_bg /tmp/gmg_ci_shard.port --shards 2 --workers 2 \
   --profile /tmp/server_profile_shard_ci.json
 cargo run --release -p gmg-bench --bin polymg-cli -- loadgen \
   --port-file /tmp/gmg_ci_shard.port --connections 4 --requests 6 --batch 3 --idle 500 \

@@ -21,10 +21,10 @@
 //! worker grids it has just decoded into that CPU's cache, and a CPU of
 //! its own would be a CPU no worker gets. Each thread pins itself with
 //! [`pin_current`] before it does anything else. Only event loops and
-//! workers are placed; clients, the tuner and the drain watcher stay with
-//! the scheduler, and a process confined to one CPU pins nothing. A
-//! supervisor that runs several servers on one machine gives each its own
-//! CPU set (`taskset`, a cpuset cgroup) — the mask this module reads.
+//! workers are placed; clients and the tuner stay with the scheduler, and
+//! a process confined to one CPU pins nothing. A supervisor that runs
+//! several servers on one machine gives each its own CPU set (`taskset`,
+//! a cpuset cgroup) — the mask this module reads.
 //!
 //! Only the two raw calls are declared; `std` already links libc, so this
 //! adds no dependency (same discipline as `shim-epoll`).

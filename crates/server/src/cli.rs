@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! polymg-cli serve   [--addr H:P | --port N] [--port-file PATH]
-//!                    [--shards N] [--workers N] [--qos-weight N]
+//!                    [--shards N] [--workers N]
 //!                    [--queue-cap N] [--tenant-cap N]
 //!                    [--engine-threads N] [--tuned FILE]
 //!                    [--tune-online] [--tune-budget N]
@@ -120,7 +120,6 @@ pub fn serve_main(args: &[String]) -> i32 {
                 "--port-file" => port_file = Some(flag_value(args, &mut i, "--port-file")?),
                 "--shards" => cfg.shards = flag_value(args, &mut i, "--shards")?,
                 "--workers" => cfg.workers = flag_value(args, &mut i, "--workers")?,
-                "--qos-weight" => cfg.qos_weight = flag_value(args, &mut i, "--qos-weight")?,
                 "--queue-cap" => cfg.queue_capacity = flag_value(args, &mut i, "--queue-cap")?,
                 "--tenant-cap" => cfg.tenant_cap = flag_value(args, &mut i, "--tenant-cap")?,
                 "--engine-threads" => {

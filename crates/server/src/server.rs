@@ -10,7 +10,7 @@
 //!            │     │ ring-buffer frame decode → admit → QoS queues
 //! N shards ──┤     ▼
 //!            │  per-shard {latency, batch} queues (Mutex + Condvar)
-//!            │     │ weighted dequeue (latency gets `qos_weight`
+//!            │     │ weighted dequeue (latency gets `LATENCY_CREDIT`
 //!            │     ▼  pops per batch pop when both classes wait)
 //!            └─ shard workers ──▶ shard SessionManager lease → cycles →
 //!                                 Complete message → shard waker →
@@ -36,12 +36,17 @@
 //! it never kills the connection, the worker, or the server. Only an
 //! unreadable *frame* closes a connection.
 //!
-//! Shutdown (`OP_SHUTDOWN` or [`ServerHandle::begin_shutdown`]) flips the
-//! drain flag and wakes every shard through its eventfd waker (no
-//! self-connection): new solves are rejected, queued and in-flight solves
-//! finish, a drain watcher marks the server drained once the last solve
-//! retires, and the event loops then release parked shutdown ACKs, flush,
-//! and close every connection. [`ServerHandle::join`] publishes the final
+//! Lifecycle is one admission `Gate`: a count of admitted-but-unanswered
+//! jobs plus a CLOSED bit. Admission enters it, every answer (a reply or
+//! an admission rejection) leaves it. Shutdown (`OP_SHUTDOWN` or
+//! [`ServerHandle::begin_shutdown`]) closes it and wakes every shard
+//! through its eventfd waker (no self-connection): new solves are refused
+//! `ShuttingDown`, and every job that entered before the close still runs,
+//! because workers exit only once the gate is *drained* (closed and
+//! empty). The call that drains it — the close itself, or the last leave —
+//! wakes every event loop and worker; the event loops then release parked
+//! shutdown ACKs, flush, and close every connection. No thread watches the
+//! drain. [`ServerHandle::join`] joins the threads and publishes the final
 //! global and per-shard counters into the trace sink.
 
 use std::collections::hash_map::DefaultHasher;
@@ -49,7 +54,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -83,11 +88,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Maximum in-flight solves per tenant; beyond it, `TenantLimit`.
     pub tenant_cap: usize,
-    /// Weighted round-robin credit for the latency class: when both QoS
-    /// queues are nonempty, `qos_weight` latency jobs are dequeued for
-    /// every batch job (work-conserving — an empty peer class never idles
-    /// a worker).
-    pub qos_weight: u32,
     /// Engine worker threads per leased runner.
     pub engine_threads: usize,
     /// Deterministic fault injection armed on every engine.
@@ -131,7 +131,6 @@ impl Default for ServerConfig {
             workers: 2,
             queue_capacity: 16,
             tenant_cap: 4,
-            qos_weight: 4,
             engine_threads: 1,
             chaos: None,
             tuned: None,
@@ -296,26 +295,27 @@ fn coalesce_key(req: &SolveRequest) -> u64 {
     h.finish()
 }
 
-/// The two admission queues of one shard plus the weighted-round-robin
-/// credit that arbitrates between them.
+/// Weighted round-robin credit of the latency class: while both QoS
+/// queues are nonempty, this many latency jobs are dequeued for every
+/// batch job (work-conserving — an empty peer class never idles a worker).
+const LATENCY_CREDIT: u32 = 4;
+
+/// The two admission queues of one shard, the weighted-round-robin credit
+/// that arbitrates between them, and the tenant budgets admission charges:
+/// one mutex, so admission takes one lock.
+#[derive(Default)]
 pub(crate) struct QosQueues {
     latency: VecDeque<Job>,
     batch: VecDeque<Job>,
-    /// Remaining latency pops before the next batch pop (only consulted
-    /// when both queues are nonempty).
-    credit: u32,
+    /// Latency pops taken since the last batch pop (only consulted when
+    /// both queues are nonempty).
+    spent: u32,
+    /// In-flight jobs per tenant (absent = none).
+    tenants: HashMap<u32, usize>,
 }
 
 impl QosQueues {
-    fn new(weight: u32) -> QosQueues {
-        QosQueues {
-            latency: VecDeque::new(),
-            batch: VecDeque::new(),
-            credit: weight,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.latency.len() + self.batch.len()
     }
 
@@ -334,32 +334,83 @@ impl QosQueues {
     }
 
     /// Work-conserving weighted dequeue: with both classes waiting, serve
-    /// `weight` latency jobs per batch job; with one class waiting, serve
-    /// it unconditionally (and refill the credit on a batch pop so a later
-    /// contention round starts with a full latency budget).
-    fn pop_weighted(&mut self, weight: u32) -> Option<Job> {
+    /// [`LATENCY_CREDIT`] latency jobs per batch job; with one class
+    /// waiting, serve it unconditionally (and refill the credit on a batch
+    /// pop so a later contention round starts with a full latency budget).
+    fn pop_weighted(&mut self) -> Option<Job> {
         match (self.latency.is_empty(), self.batch.is_empty()) {
             (true, true) => None,
             (false, true) => self.latency.pop_front(),
-            (true, false) => {
-                self.credit = weight;
+            (false, false) if self.spent < LATENCY_CREDIT => {
+                self.spent += 1;
+                self.latency.pop_front()
+            }
+            _ => {
+                self.spent = 0;
                 self.batch.pop_front()
             }
-            (false, false) => {
-                if self.credit > 0 {
-                    self.credit -= 1;
-                    self.latency.pop_front()
-                } else {
-                    self.credit = weight;
-                    self.batch.pop_front()
-                }
+        }
+    }
+
+    /// Give one unit of `tenant`'s budget back.
+    fn release_tenant(&mut self, tenant: u32) {
+        if let Some(c) = self.tenants.get_mut(&tenant) {
+            *c -= 1;
+            if *c == 0 {
+                self.tenants.remove(&tenant);
             }
         }
     }
 }
 
+/// The admission gate: admitted-but-unanswered jobs in the low bits, and
+/// [`Gate::CLOSED`] once shutdown began. A refused entry changes nothing,
+/// so once the gate reads drained (closed, nothing in flight) it stays
+/// drained; exactly one call — a [`close`](Gate::close) or a
+/// [`leave`](Gate::leave) — reports that transition.
+#[derive(Default)]
+pub(crate) struct Gate(AtomicU64);
+
+impl Gate {
+    const CLOSED: u64 = 1 << 63;
+
+    /// Count one job in, unless the gate is closed (`false`: refuse it).
+    fn enter(&self) -> bool {
+        self.0
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |g| {
+                (g & Gate::CLOSED == 0).then_some(g + 1)
+            })
+            .is_ok()
+    }
+
+    /// Count one entered job out; `true` when this drained the gate.
+    fn leave(&self) -> bool {
+        self.0.fetch_sub(1, Ordering::SeqCst) == Gate::CLOSED | 1
+    }
+
+    /// Refuse every later entry; `true` when this drained the gate
+    /// (nothing was in flight and it was open).
+    fn close(&self) -> bool {
+        self.0.fetch_or(Gate::CLOSED, Ordering::SeqCst) == 0
+    }
+
+    pub(crate) fn is_closed(&self) -> bool {
+        self.0.load(Ordering::SeqCst) & Gate::CLOSED != 0
+    }
+
+    /// Closed and empty: every admitted job has been answered.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.0.load(Ordering::SeqCst) == Gate::CLOSED
+    }
+
+    /// Admitted jobs not yet answered (queued or executing).
+    pub(crate) fn in_flight(&self) -> u64 {
+        self.0.load(Ordering::SeqCst) & !Gate::CLOSED
+    }
+}
+
 /// Everything one shard owns: its readiness loop's poller and waker, the
-/// message inbox other threads reach it through, its QoS queues, tenant
+/// message inbox other threads reach it through, its QoS queues and tenant
 /// budgets, and warm sessions.
 pub(crate) struct Shard {
     pub poller: Poller,
@@ -367,9 +418,8 @@ pub(crate) struct Shard {
     /// Cross-thread mailbox (connection adoptions, solve completions);
     /// drained by the shard's event loop after each wakeup.
     inbox: Mutex<Vec<ShardMsg>>,
-    pub queues: Mutex<QosQueues>,
-    pub queue_cv: Condvar,
-    tenants: Mutex<HashMap<u32, usize>>,
+    queues: Mutex<QosQueues>,
+    queue_cv: Condvar,
     pub sessions: SessionManager,
     pub counters: ShardCounters,
 }
@@ -386,22 +436,18 @@ impl Shard {
     }
 }
 
+/// State every server thread shares: the configuration, the admission
+/// [`Gate`] (the whole lifecycle: event loops close out and workers exit
+/// once it drains, the tuner stops once it closes and trials only while it
+/// is empty), the counters and the shards.
 pub(crate) struct Shared {
     pub addr: SocketAddr,
     pub queue_capacity: usize,
     pub tenant_cap: usize,
-    pub qos_weight: u32,
     pub max_batch: usize,
     pub service_delay: Option<Duration>,
     pub coalesce_window: Option<Duration>,
-    pub shutting_down: AtomicBool,
-    /// Set by the drain watcher once every admitted solve has retired;
-    /// event loops then flush and close out.
-    pub drained: AtomicBool,
-    /// Admitted solves not yet answered (queued + executing).
-    inflight: AtomicUsize,
-    drain_mx: Mutex<()>,
-    drain_cv: Condvar,
+    pub gate: Gate,
     counters: Counters,
     trace: Trace,
     pub shards: Vec<Shard>,
@@ -413,15 +459,6 @@ pub(crate) struct Shared {
 impl Shared {
     pub(crate) fn count_protocol_error(&self) {
         self.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Admitted solves not yet answered (the tuner's idle gate reads this).
-    pub(crate) fn inflight_now(&self) -> usize {
-        self.inflight.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn is_shutting_down(&self) -> bool {
-        self.shutting_down.load(Ordering::SeqCst)
     }
 
     pub(crate) fn tuner_handle(&self) -> Option<Arc<Tuner>> {
@@ -497,19 +534,29 @@ impl Shared {
         t
     }
 
-    /// Flip the drain flag and wake everything that needs to observe it:
-    /// the drain watcher, parked workers, and every shard's event loop
-    /// (which closes the listener). No self-connection — the eventfd waker
+    /// Close the gate and wake every shard: its event loop drops the
+    /// listener (and closes out, if nothing was in flight), a worker in a
+    /// coalescing window ends it. No self-connection — the eventfd waker
     /// interrupts a blocked `epoll_wait` directly.
     pub(crate) fn begin_shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
+        self.gate.close();
+        self.wake_all();
+    }
+
+    /// Answer one entered job at the gate; the leave that drains it wakes
+    /// every thread waiting for the drain.
+    fn leave(&self) {
+        if self.gate.leave() {
+            self.wake_all();
         }
-        {
-            let _g = self.drain_mx.lock().unwrap();
-            self.drain_cv.notify_all();
-        }
+    }
+
+    /// Wake each shard's event loop and workers. The condvar is notified
+    /// under the queue lock, so a worker between its drained check and
+    /// its wait cannot miss the wake-up.
+    fn wake_all(&self) {
         for shard in &self.shards {
+            let _q = shard.queues.lock().unwrap();
             shard.queue_cv.notify_all();
             shard.waker.wake();
         }
@@ -551,8 +598,11 @@ impl Shared {
         // strict request→reply client may send its next request the moment
         // it reads this one's answer, and must not be refused
         // `TenantLimit` by the solve it has already been answered for.
-        for job in &jobs {
-            self.retire_tenant_only(job.shard, job.reqs[0].tenant);
+        {
+            let mut q = self.shards[shard_id].queues.lock().unwrap();
+            for job in &jobs {
+                q.release_tenant(job.reqs[0].tenant);
+            }
         }
         match solved {
             Ok(mut vs) => {
@@ -596,16 +646,11 @@ impl Shared {
             self.trace
                 .record_span(&tag, "request", t0.elapsed().as_nanos() as u64, 0, cells);
         }
-        // Leave `inflight` strictly after every completion is posted: the
-        // drain watcher may observe inflight == 0 the instant the last
-        // decrement lands, and the event loops must then find the
-        // completions already in their inboxes.
+        // Leave the gate strictly after every completion is posted: the
+        // event loops close out the instant it drains, and must then find
+        // the completions already in their inboxes.
         for _ in &jobs {
-            self.inflight.fetch_sub(1, Ordering::SeqCst);
-        }
-        if self.shutting_down.load(Ordering::SeqCst) {
-            let _g = self.drain_mx.lock().unwrap();
-            self.drain_cv.notify_all();
+            self.leave();
         }
     }
 
@@ -678,32 +723,14 @@ impl Shared {
         reqs: Vec<SolveRequest>,
         op: u8,
     ) -> Result<(), (ErrorCode, String)> {
-        let shard = &self.shards[shard_id];
-        let tenant = reqs[0].tenant;
-        if self.shutting_down.load(Ordering::SeqCst) {
+        if !self.gate.enter() {
             self.counters
                 .rejected_shutdown
                 .fetch_add(1, Ordering::Relaxed);
             return Err((ErrorCode::ShuttingDown, "server is draining".to_string()));
         }
-        {
-            let mut t = shard.tenants.lock().unwrap();
-            let c = t.entry(tenant).or_insert(0);
-            if *c >= self.tenant_cap {
-                drop(t);
-                self.counters
-                    .rejected_tenant
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err((
-                    ErrorCode::TenantLimit,
-                    format!(
-                        "tenant {} already has {} solves in flight",
-                        tenant, self.tenant_cap
-                    ),
-                ));
-            }
-            *c += 1;
-        }
+        let shard = &self.shards[shard_id];
+        let tenant = reqs[0].tenant;
         let job = Job {
             key: match self.coalesce_window {
                 Some(_) => coalesce_key(&reqs[0]),
@@ -717,45 +744,47 @@ impl Shared {
             enqueued: Instant::now(),
         };
         let class = job.class();
-        {
-            let mut q = shard.queues.lock().unwrap();
-            if q.class_len(class) >= self.queue_capacity {
-                drop(q);
-                self.counters
-                    .rejected_queue_full
-                    .fetch_add(1, Ordering::Relaxed);
-                self.retire_tenant_only(shard_id, tenant);
-                return Err((
-                    ErrorCode::QueueFull,
-                    format!(
-                        "{} admission queue at capacity {}",
-                        class.label(),
-                        self.queue_capacity
-                    ),
-                ));
-            }
-            self.counters
-                .requests
-                .fetch_add(job.rhs() as u64, Ordering::Relaxed);
-            self.inflight.fetch_add(1, Ordering::SeqCst);
-            q.deque_mut(class).push_back(job);
-            let depth = q.len() as u64;
-            self.counters.bump_depth(depth);
-            shard.counters.queue_max_depth.fetch_max(depth, Ordering::Relaxed);
+        let mut q = shard.queues.lock().unwrap();
+        let held = q.tenants.get(&tenant).copied().unwrap_or(0);
+        let refused = if held >= self.tenant_cap {
+            Some((
+                &self.counters.rejected_tenant,
+                ErrorCode::TenantLimit,
+                format!(
+                    "tenant {} already has {} solves in flight",
+                    tenant, self.tenant_cap
+                ),
+            ))
+        } else if q.class_len(class) >= self.queue_capacity {
+            Some((
+                &self.counters.rejected_queue_full,
+                ErrorCode::QueueFull,
+                format!(
+                    "{} admission queue at capacity {}",
+                    class.label(),
+                    self.queue_capacity
+                ),
+            ))
+        } else {
+            None
+        };
+        if let Some((counter, code, msg)) = refused {
+            drop(q);
+            counter.fetch_add(1, Ordering::Relaxed);
+            self.leave();
+            return Err((code, msg));
         }
+        *q.tenants.entry(tenant).or_insert(0) += 1;
+        self.counters
+            .requests
+            .fetch_add(job.rhs() as u64, Ordering::Relaxed);
+        q.deque_mut(class).push_back(job);
+        let depth = q.len() as u64;
+        self.counters.bump_depth(depth);
+        shard.counters.queue_max_depth.fetch_max(depth, Ordering::Relaxed);
+        drop(q);
         shard.queue_cv.notify_one();
         Ok(())
-    }
-
-    /// Release one unit of `tenant`'s budget on `shard_id`.
-    fn retire_tenant_only(&self, shard_id: usize, tenant: u32) {
-        let mut t = self.shards[shard_id].tenants.lock().unwrap();
-        if let Some(c) = t.get_mut(&tenant) {
-            *c -= 1;
-            if *c == 0 {
-                t.remove(&tenant);
-            }
-        }
     }
 }
 
@@ -786,10 +815,12 @@ fn worker_loop(sh: Arc<Shared>, shard_id: usize) {
         let jobs = {
             let mut q = shard.queues.lock().unwrap();
             let first = loop {
-                if let Some(j) = q.pop_weighted(sh.qos_weight) {
+                if let Some(j) = q.pop_weighted() {
                     break j;
                 }
-                if sh.shutting_down.load(Ordering::SeqCst) {
+                // Exit only once drained: a job admitted before the close
+                // may still be on its way into this queue.
+                if sh.gate.is_drained() {
                     return;
                 }
                 q = shard.queue_cv.wait(q).unwrap();
@@ -807,7 +838,7 @@ fn worker_loop(sh: Arc<Shared>, shard_id: usize) {
                 loop {
                     drain_same_shape(q.deque_mut(class), &mut jobs, sh.max_batch);
                     let total: usize = jobs.iter().map(Job::rhs).sum();
-                    if total >= sh.max_batch || sh.shutting_down.load(Ordering::SeqCst) {
+                    if total >= sh.max_batch || sh.gate.is_closed() {
                         break;
                     }
                     let now = Instant::now();
@@ -831,34 +862,6 @@ fn worker_loop(sh: Arc<Shared>, shard_id: usize) {
             QosClass::Batch => shard.counters.dequeued_batch.fetch_add(n, Ordering::Relaxed),
         };
         sh.process_batch(shard_id, jobs);
-    }
-}
-
-/// Waits out the drain: once shutdown begins, watches `inflight` fall to
-/// zero, then publishes `drained` and wakes every shard so the event loops
-/// release parked shutdown ACKs and close out.
-fn drain_watcher(sh: Arc<Shared>) {
-    {
-        let mut g = sh.drain_mx.lock().unwrap();
-        while !sh.shutting_down.load(Ordering::SeqCst) {
-            g = sh.drain_cv.wait(g).unwrap();
-        }
-        while sh.inflight.load(Ordering::SeqCst) != 0 {
-            let (guard, _) = sh
-                .drain_cv
-                .wait_timeout(g, Duration::from_millis(10))
-                .unwrap();
-            g = guard;
-        }
-    }
-    sh.drained.store(true, Ordering::SeqCst);
-    {
-        let _g = sh.drain_mx.lock().unwrap();
-        sh.drain_cv.notify_all();
-    }
-    for shard in &sh.shards {
-        shard.queue_cv.notify_all();
-        shard.waker.wake();
     }
 }
 
@@ -902,23 +905,17 @@ impl ServerHandle {
             .map(|t| t.store.lock().unwrap().clone())
     }
 
-    /// Flip the drain flag (the in-process equivalent of an
+    /// Close the admission gate (the in-process equivalent of an
     /// [`protocol::OP_SHUTDOWN`] frame, or of SIGTERM in a supervisor).
     pub fn begin_shutdown(&self) {
         self.shared.begin_shutdown();
     }
 
-    /// Wait for the drain to complete, stop every thread, publish final
-    /// counters into the trace, and return them.
+    /// Join every server thread, publish final counters into the trace,
+    /// and return them. The threads exit once the gate drains, so without
+    /// a shutdown this blocks until one arrives — the serve-forever mode of
+    /// the CLI.
     pub fn join(mut self) -> ServerSnapshot {
-        // If nobody initiated shutdown, this blocks until someone does —
-        // that is the serve-forever mode of the CLI.
-        {
-            let mut g = self.shared.drain_mx.lock().unwrap();
-            while !self.shared.shutting_down.load(Ordering::SeqCst) {
-                g = self.shared.drain_cv.wait(g).unwrap();
-            }
-        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -971,9 +968,8 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
             poller: Poller::new()?,
             waker: Waker::new()?,
             inbox: Mutex::new(Vec::new()),
-            queues: Mutex::new(QosQueues::new(config.qos_weight.max(1))),
+            queues: Mutex::new(QosQueues::default()),
             queue_cv: Condvar::new(),
-            tenants: Mutex::new(HashMap::new()),
             sessions: SessionManager::with_shared_store(
                 tuned_store.clone(),
                 config.chaos,
@@ -989,15 +985,10 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         addr,
         queue_capacity: config.queue_capacity.max(1),
         tenant_cap: config.tenant_cap.max(1),
-        qos_weight: config.qos_weight.max(1),
         max_batch: config.max_batch.max(1),
         service_delay: config.service_delay,
         coalesce_window: config.coalesce_window,
-        shutting_down: AtomicBool::new(false),
-        drained: AtomicBool::new(false),
-        inflight: AtomicUsize::new(0),
-        drain_mx: Mutex::new(()),
-        drain_cv: Condvar::new(),
+        gate: Gate::default(),
         counters: Counters::default(),
         trace: config.trace,
         shards,
@@ -1047,13 +1038,6 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
             );
         }
     }
-    let sh = Arc::clone(&shared);
-    threads.push(
-        std::thread::Builder::new()
-            .name("gmg-server-drain".to_string())
-            .spawn(move || drain_watcher(sh))
-            .expect("spawn drain watcher"),
-    );
     if shared.tuner.is_some() {
         let sh = Arc::clone(&shared);
         threads.push(
@@ -1134,31 +1118,108 @@ mod tests {
                 enqueued: Instant::now(),
             }
         }
-        let weight = 2;
-        let mut q = QosQueues::new(weight);
-        for i in 0..6 {
+        let mut q = QosQueues::default();
+        for i in 0..12 {
             q.deque_mut(QosClass::Latency).push_back(job(false, i));
         }
         for i in 0..6 {
             q.deque_mut(QosClass::Batch).push_back(job(true, 100 + i));
         }
-        // contention: weight latency pops, then one batch pop, repeating
-        let order: Vec<bool> = std::iter::from_fn(|| q.pop_weighted(weight))
+        // contention: LATENCY_CREDIT latency pops, then one batch pop
+        let order: Vec<bool> = std::iter::from_fn(|| q.pop_weighted())
             .map(|j| j.class() == QosClass::Batch)
             .collect();
-        assert_eq!(order.len(), 12);
-        assert_eq!(
-            &order[..9],
-            &[false, false, true, false, false, true, false, false, true],
-            "2:1 weighted interleave while both classes wait"
-        );
+        assert_eq!(order.len(), 18);
+        let round = [false, false, false, false, true];
+        assert_eq!(&order[..15], round.repeat(3), "4:1 while both classes wait");
         // after latency empties, remaining batch jobs run back to back
-        assert!(order[9..].iter().all(|&b| b), "work-conserving tail");
+        assert!(order[15..].iter().all(|&b| b), "work-conserving tail");
 
         // batch alone never starves with an empty latency queue
-        let mut q = QosQueues::new(weight);
+        let mut q = QosQueues::default();
         q.deque_mut(QosClass::Batch).push_back(job(true, 0));
-        assert!(q.pop_weighted(weight).is_some());
+        assert!(q.pop_weighted().is_some());
+    }
+
+    #[test]
+    fn a_closed_gate_refuses_entry_and_keeps_its_count() {
+        let g = Gate::default();
+        assert!(g.enter());
+        assert!(!g.close(), "one job in flight: not drained");
+        assert!(!g.enter(), "closed: refused");
+        assert_eq!(g.in_flight(), 1, "a refused entry changes nothing");
+        assert!(g.is_closed() && !g.is_drained());
+    }
+
+    #[test]
+    fn closing_an_empty_gate_drains_it() {
+        let g = Gate::default();
+        assert!(!g.is_closed() && !g.is_drained());
+        assert!(g.close());
+        assert!(g.is_drained());
+        assert!(!g.close(), "a second close reports nothing");
+        assert!(!g.enter());
+        assert!(g.is_drained());
+    }
+
+    #[test]
+    fn the_last_leave_after_close_drains_the_gate() {
+        let k = 5;
+        let g = Gate::default();
+        for _ in 0..k {
+            assert!(g.enter());
+        }
+        assert!(!g.close());
+        for left in 1..k {
+            assert!(!g.leave(), "leave {left} of {k} must not drain");
+            assert!(!g.is_drained());
+        }
+        assert!(g.leave(), "the k-th leave drains");
+        assert!(g.is_drained());
+        assert_eq!(g.in_flight(), 0);
+    }
+
+    /// Four threads cycle enter/leave while a fifth closes: exactly one
+    /// call reports the drained transition, and a reader that once saw the
+    /// gate drained never sees it undrained again.
+    #[test]
+    fn exactly_one_call_reports_the_drain_under_contention() {
+        use std::sync::atomic::AtomicBool;
+        for _ in 0..50 {
+            let g = Gate::default();
+            let reports = AtomicU64::new(0);
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        while g.enter() {
+                            if g.leave() {
+                                reports.fetch_add(1, Ordering::SeqCst);
+                            }
+                        }
+                    });
+                }
+                s.spawn(|| {
+                    let mut seen = false;
+                    while !stop.load(Ordering::SeqCst) {
+                        let drained = g.is_drained();
+                        assert!(drained || !seen, "drained turned back to false");
+                        seen |= drained;
+                    }
+                    assert!(g.is_drained());
+                });
+                std::thread::sleep(Duration::from_micros(200));
+                if g.close() {
+                    reports.fetch_add(1, Ordering::SeqCst);
+                }
+                while !g.is_drained() {
+                    std::hint::spin_loop();
+                }
+                stop.store(true, Ordering::SeqCst);
+            });
+            assert_eq!(reports.load(Ordering::SeqCst), 1);
+            assert!(!g.enter() && g.in_flight() == 0);
+        }
     }
 
     #[test]

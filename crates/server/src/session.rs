@@ -196,32 +196,21 @@ pub struct Lease {
 }
 
 impl SessionManager {
+    /// A manager over a private copy of `tuned`, with the default kernel
+    /// tiers (vectorized, no fast-math).
     pub fn new(
         tuned: Option<TunedStore>,
         chaos: Option<ChaosOptions>,
         engine_threads: usize,
         max_idle: usize,
     ) -> SessionManager {
-        SessionManager::with_kernel_opts(tuned, chaos, engine_threads, max_idle, true, false)
-    }
-
-    /// [`new`](SessionManager::new) with explicit kernel-tier knobs
-    /// (`simd`, `fast_math`).
-    pub fn with_kernel_opts(
-        tuned: Option<TunedStore>,
-        chaos: Option<ChaosOptions>,
-        engine_threads: usize,
-        max_idle: usize,
-        simd: bool,
-        fast_math: bool,
-    ) -> SessionManager {
         SessionManager::with_shared_store(
             tuned.map(|t| Arc::new(Mutex::new(t))),
             chaos,
             engine_threads,
             max_idle,
-            simd,
-            fast_math,
+            true,
+            false,
         )
     }
 
@@ -513,8 +502,8 @@ mod tests {
         // fast_math (and simd) participate in the plan fingerprint, so a
         // fast-math server and a default server must not share sessions.
         let default_mgr = SessionManager::new(None, None, 1, 4);
-        let fm_mgr = SessionManager::with_kernel_opts(None, None, 1, 4, true, true);
-        let nosimd_mgr = SessionManager::with_kernel_opts(None, None, 1, 4, false, false);
+        let fm_mgr = SessionManager::with_shared_store(None, None, 1, 4, true, true);
+        let nosimd_mgr = SessionManager::with_shared_store(None, None, 1, 4, false, false);
         let cfg = cfg2d();
         let a = default_mgr.acquire(&cfg, Variant::OptPlus).expect("compile");
         let b = fm_mgr.acquire(&cfg, Variant::OptPlus).expect("compile");

@@ -398,7 +398,7 @@ fn parse_available(
             }
             Msg::Shutdown(echo) => {
                 sh.begin_shutdown();
-                if sh.drained.load(Ordering::SeqCst) {
+                if sh.gate.is_drained() {
                     conn.enqueue(seq, protocol::frame_bytes(protocol::OP_SHUTDOWN_ACK, &echo));
                     conn.close_after_flush = true;
                 } else {
@@ -476,7 +476,7 @@ fn accept_ready(
     loop {
         match l.accept() {
             Ok((stream, _)) => {
-                if sh.shutting_down.load(Ordering::SeqCst) {
+                if sh.gate.is_closed() {
                     continue; // dropped: the peer sees a reset, as it would racing the old accept-loop exit
                 }
                 let _ = stream.set_nodelay(true);
@@ -579,7 +579,7 @@ pub(crate) fn event_loop(sh: Arc<Shared>, shard_id: usize, listener: Option<TcpL
     loop {
         // Block indefinitely in steady state; once drained, poll on a short
         // tick so straggling flushes and the grace deadline make progress.
-        let timeout = if sh.drained.load(Ordering::SeqCst) {
+        let timeout = if sh.gate.is_drained() {
             Some(Duration::from_millis(25))
         } else {
             None
@@ -615,7 +615,7 @@ pub(crate) fn event_loop(sh: Arc<Shared>, shard_id: usize, listener: Option<TcpL
 
         drain_inbox(&sh, shard_id, &mut conns, &mut next_token);
 
-        if sh.shutting_down.load(Ordering::SeqCst) {
+        if sh.gate.is_closed() {
             if let Some(l) = listener.take() {
                 // Stop accepting the moment shutdown begins; backlogged
                 // connections are reset, matching the old accept-loop exit.
@@ -623,9 +623,9 @@ pub(crate) fn event_loop(sh: Arc<Shared>, shard_id: usize, listener: Option<TcpL
             }
         }
 
-        if sh.drained.load(Ordering::SeqCst) {
-            // Completions posted just before `drained` became visible may
-            // still sit in the inbox — apply them before closing out.
+        if sh.gate.is_drained() {
+            // Completions posted just before the gate drained may still
+            // sit in the inbox — apply them before closing out.
             drain_inbox(&sh, shard_id, &mut conns, &mut next_token);
             let deadline = *grace.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
             let tokens: Vec<u64> = conns.keys().copied().collect();

@@ -14,10 +14,11 @@
 //! Safety properties (asserted by `tests/online_tuning.rs` and the ci.sh
 //! gate):
 //!
-//! - **Idle-capacity only.** A trial starts only when one reading finds
-//!   `inflight == 0` and every shard's QoS queues empty; otherwise the tuner
-//!   backs off (`deferred_busy`). Trials never touch tenant budgets or
-//!   admission queues.
+//! - **Idle-capacity only.** A trial starts only when one reading of the
+//!   admission gate finds nothing in flight (no admitted job queued or
+//!   executing on any shard); otherwise the tuner backs off
+//!   (`deferred_busy`). Trials never touch tenant budgets or admission
+//!   queues.
 //! - **Bitwise-unchanged for clients.** Candidates vary tile sizes,
 //!   grouping limit and the smoother time band — schedule-only knobs — and
 //!   the scalar/lane-safe kernel tiers, which are bitwise-identical. The
@@ -170,13 +171,6 @@ struct TuningState {
     done: bool,
 }
 
-/// All shards idle: nothing queued, nothing executing. The gate a trial
-/// must pass to start, and the only time the tuner looks at the load: a
-/// second look would see requests that arrived after the gate opened.
-fn server_idle(sh: &Shared) -> bool {
-    sh.inflight_now() == 0 && sh.shards.iter().all(|s| s.queues.lock().unwrap().len() == 0)
-}
-
 /// What a trial compiles: the observed request's scenario pipeline, over
 /// its scenario-adjusted configuration — the same pipeline (and so the same
 /// fingerprint) the session registry serves the request from.
@@ -239,13 +233,13 @@ fn run_trial(
 }
 
 /// The tuner thread body. Exits (persisting the store) as soon as the
-/// server begins shutting down.
+/// admission gate closes.
 pub(crate) fn tuner_loop(sh: Arc<Shared>) {
     let Some(tuner) = sh.tuner_handle() else {
         return;
     };
     let mut states: BTreeMap<u64, TuningState> = BTreeMap::new();
-    while !sh.is_shutting_down() {
+    while !sh.gate.is_closed() {
         for obs in tuner.take_inbox() {
             if states.contains_key(&obs.pfp) {
                 continue;
@@ -279,9 +273,12 @@ pub(crate) fn tuner_loop(sh: Arc<Shared>) {
             continue;
         };
 
-        // Idle-capacity gate: no trial while anything is queued or in
-        // flight. Back off briefly and re-check (shutdown included).
-        if !server_idle(&sh) {
+        // Idle capacity: no trial while any admitted job is queued or
+        // executing on any shard. This one reading is the only time the
+        // tuner looks at the load: a second would see requests that
+        // arrived after it. Back off briefly and re-check (shutdown
+        // included).
+        if sh.gate.in_flight() != 0 {
             tuner.deferred_busy.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(Duration::from_millis(1));
             continue;

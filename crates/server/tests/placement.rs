@@ -1,8 +1,9 @@
-//! Where the server's threads run: one CPU per worker, the event loop on
-//! its first worker's CPU, nothing pinned when a worker owns an engine pool.
-//! Read back from `/proc/self/task`, the kernel's own account. One test
-//! function: thread names are per process, so the servers run one after
-//! the other.
+//! Which threads the server runs and where: one event loop and `workers`
+//! solve threads per shard and nothing else, one CPU per worker, the event
+//! loop on its first worker's CPU, nothing pinned when a worker owns an
+//! engine pool. Read back from `/proc/self/task`, the kernel's own account.
+//! One test function: thread names are per process, so the servers run
+//! one after the other.
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -27,6 +28,16 @@ fn masks_of(prefix: &str) -> Vec<String> {
         }
     }
     out
+}
+
+/// Names of every live thread of this process that start with `prefix`.
+fn names_of(prefix: &str) -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.unwrap().path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .filter(|name| name.starts_with(prefix))
+        .collect()
 }
 
 /// Threads pin themselves first thing, but `start` returns before they
@@ -69,6 +80,28 @@ fn stop(handle: ServerHandle) {
 
 #[test]
 fn workers_own_a_cpu_each_and_the_loop_shares_the_first() {
+    // Census: without a tuner, a server runs shards × (workers + 1)
+    // threads — no watcher beside the loops and workers.
+    let (shards, workers) = (2, 1);
+    let handle = start(ServerConfig {
+        shards,
+        workers,
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while names_of("gmg-server-shar").len() < shards
+        || names_of("gmg-server-work").len() < shards * workers
+    {
+        assert!(Instant::now() < deadline, "unnamed: {:?}", names_of(""));
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // a thread spawned after the workers has named itself by now
+    std::thread::sleep(Duration::from_millis(50));
+    let census = names_of("gmg-server-");
+    assert_eq!(census.len(), shards * (workers + 1), "{census:?}");
+    stop(handle);
+
     let me = masks_of("").into_iter().next().expect("this thread");
     if !me.contains(',') && !me.contains('-') {
         eprintln!("one CPU allowed ({me}): nothing to place, nothing to test");

@@ -1,7 +1,8 @@
 //! Event-core behavior: tenant→shard pinning with warm-session reuse
 //! across reconnect churn, weighted QoS keeping latency traffic
-//! responsive under a batch flood, and strict in-order response
-//! delivery for pipelined frames.
+//! responsive under a batch flood, strict in-order response delivery for
+//! pipelined frames, and a shutdown that drains queued work on every
+//! shard.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -9,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
 use gmg_multigrid::solver::{setup_poisson, DslRunner};
-use gmg_server::protocol::{self, BatchSolveRequest, SolveRequest, SolveResponse};
+use gmg_server::protocol::{self, BatchSolveRequest, ErrorCode, SolveRequest, SolveResponse};
 use gmg_server::{shard_for_tenant, start, ServerConfig};
 use polymg::{PipelineOptions, Variant};
 
@@ -122,7 +123,6 @@ fn latency_class_stays_responsive_under_batch_flood() {
     let handle = start(ServerConfig {
         shards: 1,
         workers: 1,
-        qos_weight: 4,
         tenant_cap: 16,
         queue_capacity: 32,
         service_delay: Some(delay),
@@ -260,4 +260,83 @@ fn pipelined_responses_arrive_in_request_order() {
     shutdown(addr);
     let snap = handle.join();
     assert_eq!(snap.ok, 1);
+}
+
+/// Shutdown from the handle while both shards hold queued work: every
+/// pipelined frame is answered — solved bitwise, or refused `ShuttingDown`
+/// if it was admitted after the close — and `join` returns.
+#[test]
+fn shutdown_under_load_answers_every_queued_frame_on_both_shards() {
+    const FRAMES: usize = 8;
+    let handle = start(ServerConfig {
+        shards: 2,
+        workers: 1,
+        tenant_cap: FRAMES,
+        queue_capacity: FRAMES,
+        service_delay: Some(Duration::from_millis(20)),
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let addr = handle.addr();
+
+    let cfg = MgConfig::new(2, 15, CycleType::V, SmoothSteps::s444());
+    let (v0, f, want) = reference_bits(&cfg, Variant::OptPlus, 1);
+    // one connection per shard: tenant `home` lives on shard `home`
+    let clients: Vec<_> = (0..2)
+        .map(|home| {
+            let tenant = (0..).find(|&t| shard_for_tenant(t, 2) == home).unwrap();
+            let (v, f) = (v0.clone(), f.clone());
+            let req = SolveRequest::from_config(&cfg, Variant::OptPlus, tenant, 1, v, f);
+            let frame = protocol::frame_bytes(protocol::OP_SOLVE, &req.encode());
+            let mut s = connect(addr);
+            s.write_all(&frame.repeat(FRAMES)).unwrap();
+            let want = want.clone();
+            std::thread::spawn(move || {
+                let (mut ok, mut refused) = (0u64, 0u64);
+                for k in 0..FRAMES {
+                    let frame = protocol::read_frame(&mut s)
+                        .unwrap_or_else(|e| panic!("tenant {tenant} frame {k} unanswered: {e:?}"));
+                    if frame.opcode == protocol::OP_SOLVE_OK {
+                        let got = SolveResponse::decode(&frame.payload).expect("decode").v;
+                        let gb: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+                        assert_eq!(gb, want, "tenant {tenant} frame {k} diverged");
+                        ok += 1;
+                    } else {
+                        let err = protocol::decode_error(&frame.payload);
+                        assert!(
+                            matches!(err, Some((ErrorCode::ShuttingDown, _))),
+                            "tenant {tenant} frame {k}: opcode {:#04x} {err:?}",
+                            frame.opcode
+                        );
+                        refused += 1;
+                    }
+                }
+                (ok, refused)
+            })
+        })
+        .collect();
+
+    // Close once each shard has a solve running and the rest of its burst
+    // behind it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let started =
+        |h: &gmg_server::ServerHandle| h.shard_snapshots().iter().all(|s| s.dequeued_latency >= 1);
+    while !started(&handle) {
+        assert!(Instant::now() < deadline, "both shards never started work");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    handle.begin_shutdown();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(handle.join()).unwrap());
+    let snap = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("join returns within 10 s of the shutdown");
+
+    let (ok, refused) = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread"))
+        .fold((0, 0), |(a, b), (ok, refused)| (a + ok, b + refused));
+    assert_eq!(ok + refused, 2 * FRAMES as u64);
+    assert_eq!((snap.ok, snap.rejected_shutdown), (ok, refused));
+    assert_eq!(snap.ok + snap.rejected_shutdown, 2 * FRAMES as u64);
 }
