@@ -137,6 +137,17 @@ share=$(grep -o '"runtime.op.fill_ghost_share": {"value": [0-9.e-]*' /tmp/bench_
 awk -v s="$share" 'BEGIN { exit !(s != "" && s + 0 <= 0.02) }' \
   || { echo "ci: runtime.op.fill_ghost_share is '$share', expected <= 0.02" >&2; exit 1; }
 
+# compiler gate (DESIGN.md §7): the fixed-rank tile walk must equal its
+# allocating reference model, and every recorded plan must compile to the
+# same digest, under release codegen too (tier-1 runs both in debug only).
+# Then a quick, untimed cold-compile run exits non-zero when the two cold
+# compiles of any plan differ in fingerprint or lowered dump.
+cargo test -q --release -p gmg-poly
+cargo test -q --release --test plan_identity
+cargo run --release --locked --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  run --workload compile_cold --quick >/dev/null \
+  || { echo "ci: compile_cold benchmark run failed" >&2; exit 1; }
+
 # serving gate (DESIGN.md §13): start the solve service on loopback, drive
 # it with the verifying load generator (every response checked bitwise
 # against an in-process engine run), drain it with the protocol's shutdown

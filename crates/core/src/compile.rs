@@ -5,7 +5,7 @@
 //! → full-array planning (with inter-group reuse) → pooled alloc/free
 //! schedule.
 
-use crate::grouping::{auto_group, group_geometry, Grouping};
+use crate::grouping::{auto_group, group_geometry, live_stages, Grouping};
 use crate::lowering::lower_all;
 use crate::options::PipelineOptions;
 use crate::plan::{
@@ -35,8 +35,9 @@ pub fn compile(
     }
     let kernels = lower_all(&graph);
     let grouping = auto_group(pipeline, &graph, &options);
-    let groups = plan_groups(pipeline, &graph, &grouping, &options);
-    let storage = plan_full_arrays(&graph, &groups, &options);
+    let consumers = graph.consumers();
+    let groups = plan_groups(pipeline, &graph, &consumers, &grouping, &options);
+    let storage = plan_full_arrays(&graph, &consumers, &groups, &options);
     // chaos is a runtime property; never bake it into a (cacheable) plan
     let options = PipelineOptions {
         chaos: None,
@@ -55,15 +56,16 @@ pub fn compile(
 fn plan_groups(
     pipeline: &Pipeline,
     graph: &StageGraph,
+    consumers: &[Vec<StageId>],
     grouping: &Grouping,
     options: &PipelineOptions,
 ) -> Vec<GroupPlan> {
-    let consumers = graph.consumers();
+    let live = live_stages(graph);
     let mut plans = Vec::with_capacity(grouping.groups.len());
 
     for members in &grouping.groups {
         let (gstages, edges, ref_local, scales, live_out) =
-            group_geometry(graph, members, &consumers);
+            group_geometry(graph, members, consumers, &live);
         let in_group = |sid: StageId| members.contains(&sid);
         // a stage needs a scratchpad iff some consumer reads it inside the
         // group (then tiles read the overlap region, which only the
@@ -130,7 +132,7 @@ fn plan_groups(
         // live-out)
         let (scratch_slot, scratch_buffers) = match &tiling {
             GroupTiling::Overlapped { tile_plan, .. } => {
-                plan_scratchpads(graph, members, tile_plan, &needs_scratch, options)
+                plan_scratchpads(consumers, members, tile_plan, &needs_scratch, options)
             }
             _ => (vec![None; members.len()], Vec::new()),
         };
@@ -150,7 +152,7 @@ fn plan_groups(
 /// tile plan, form storage classes, and run the intra-group remapping
 /// (Algorithms 2–3).
 fn plan_scratchpads(
-    graph: &StageGraph,
+    consumers: &[Vec<StageId>],
     members: &[StageId],
     tile_plan: &TilePlan,
     needs_scratch: &[bool],
@@ -161,7 +163,6 @@ fn plan_scratchpads(
     // remap items: only stages that need scratch. Timestamps are schedule
     // positions; last use is the position of the last in-group consumer.
     let pos_of = |sid: StageId| members.iter().position(|m| *m == sid).unwrap();
-    let consumers = graph.consumers();
     let mut item_stage = Vec::new();
     let mut items = Vec::new();
     for (i, sid) in members.iter().enumerate() {
@@ -208,6 +209,7 @@ fn plan_scratchpads(
 /// alloc/free schedule.
 fn plan_full_arrays(
     graph: &StageGraph,
+    consumers: &[Vec<StageId>],
     groups: &[GroupPlan],
     options: &PipelineOptions,
 ) -> StoragePlan {
@@ -219,7 +221,6 @@ fn plan_full_arrays(
             group_of[s.0] = Some(gi);
         }
     }
-    let consumers = graph.consumers();
 
     // collect array-needing stages: inputs + live-outs
     struct Want {

@@ -13,6 +13,12 @@
 //! `TStencil` step chains are kept as their own groups: steps of one
 //! smoother may merge with each other but not with neighbouring operators,
 //! so the chain can be time-tiled by the split/diamond executor.
+//!
+//! Cost: the consumer lists and the live set are computed once per grouping
+//! and shared by every candidate. The convexity search only visits stages
+//! whose ids lie between the two groups (stage ids are topological), and
+//! the overlap check runs the fixed-rank tile walk of `gmg_poly::tiling`,
+//! which allocates nothing per tile.
 
 use crate::options::PipelineOptions;
 use gmg_ir::{FuncKind, Pipeline, StageGraph, StageId, StageInput, StageKind};
@@ -76,13 +82,15 @@ pub type GroupGeometry = (
 );
 
 /// Build the group-local region-propagation inputs for a set of stages.
+/// `consumers` is [`StageGraph::consumers`] and `live` is [`live_stages`]
+/// of `graph`; callers compute both once per graph.
 pub fn group_geometry(
     graph: &StageGraph,
     members: &[StageId],
-    outside_consumers: &[Vec<StageId>],
+    consumers: &[Vec<StageId>],
+    live: &[bool],
 ) -> GroupGeometry {
     let local_of = |sid: StageId| members.iter().position(|m| *m == sid);
-    let live = live_stages(graph);
     // reference = stage with the largest domain
     let ref_local = members
         .iter()
@@ -103,7 +111,7 @@ pub fn group_geometry(
         });
         scales.push(stage_scales(&st.domain, ref_dom));
         let escapes = st.is_output
-            || outside_consumers[sid.0]
+            || consumers[sid.0]
                 .iter()
                 .any(|c| live[c.0] && local_of(*c).is_none());
         live_out.push(escapes);
@@ -168,12 +176,25 @@ fn group_within(
     opts: &PipelineOptions,
     overlap_threshold: f64,
 ) -> Grouping {
-    let n = graph.stages.len();
     let consumers = graph.consumers();
     let live = live_stages(graph);
+    let (group_of, members) =
+        greedy_merge(pipeline, graph, opts, overlap_threshold, &consumers, &live);
+    order_groups(graph, &members, &group_of)
+}
 
-    // initial singleton groups over live compute stages
-    let mut group_of: Vec<Option<usize>> = vec![None; n];
+/// Start from singleton groups over the live compute stages and merge
+/// producer groups into consumer groups while a merge passes every check.
+/// Returns each stage's group and each group's members (some emptied).
+fn greedy_merge(
+    pipeline: &Pipeline,
+    graph: &StageGraph,
+    opts: &PipelineOptions,
+    overlap_threshold: f64,
+    consumers: &[Vec<StageId>],
+    live: &[bool],
+) -> (Vec<Option<usize>>, Vec<Vec<StageId>>) {
+    let mut group_of: Vec<Option<usize>> = vec![None; graph.stages.len()];
     let mut members: Vec<Vec<StageId>> = Vec::new();
     for (i, s) in graph.stages.iter().enumerate() {
         if s.kind == StageKind::Compute && live[i] {
@@ -181,31 +202,9 @@ fn group_within(
             members.push(vec![StageId(i)]);
         }
     }
-
-    if opts.group_limit > 1 {
-        greedy_merge(
-            pipeline,
-            graph,
-            opts,
-            overlap_threshold,
-            &consumers,
-            &mut group_of,
-            &mut members,
-        );
+    if opts.group_limit <= 1 {
+        return (group_of, members);
     }
-
-    order_groups(graph, &members, &group_of)
-}
-
-fn greedy_merge(
-    pipeline: &Pipeline,
-    graph: &StageGraph,
-    opts: &PipelineOptions,
-    overlap_threshold: f64,
-    consumers: &[Vec<StageId>],
-    group_of: &mut [Option<usize>],
-    members: &mut [Vec<StageId>],
-) {
     let tstencil_only =
         |sid: StageId| pipeline.func(graph.stage(sid).func).kind == FuncKind::TStencil;
 
@@ -235,7 +234,7 @@ fn greedy_merge(
                 }
                 // convexity: every group reachable from gp that reaches gc
                 // must be inside {gp, gc}
-                if !is_convex_merge(graph, group_of, gp, gc) {
+                if !is_convex_merge(graph, consumers, &members, &group_of, gp, gc) {
                     continue;
                 }
                 // overlap threshold on the merged group
@@ -245,7 +244,7 @@ fn greedy_merge(
                     .copied()
                     .collect();
                 merged.sort();
-                if !overlap_ok(graph, opts, overlap_threshold, &merged, consumers) {
+                if !overlap_ok(graph, opts, overlap_threshold, &merged, consumers, live) {
                     continue;
                 }
                 // commit the merge into gc
@@ -260,24 +259,34 @@ fn greedy_merge(
             }
         }
         if !merged_any {
-            break;
+            return (group_of, members);
         }
     }
 }
 
 /// Would merging groups `ga` and `gb` stay convex? True iff no dependence
 /// path from `ga` to `gb` passes through a third group.
-fn is_convex_merge(graph: &StageGraph, group_of: &[Option<usize>], ga: usize, gb: usize) -> bool {
+fn is_convex_merge(
+    graph: &StageGraph,
+    consumers: &[Vec<StageId>],
+    members: &[Vec<StageId>],
+    group_of: &[Option<usize>],
+    ga: usize,
+    gb: usize,
+) -> bool {
     // find stages reachable from ga-stages that can reach gb-stages while
-    // outside both groups
+    // outside both groups. Stage ids are topological, so such a stage lies
+    // strictly between ga's first stage and gb's last: both searches stop
+    // at that window.
     let n = graph.stages.len();
-    let consumers = graph.consumers();
+    let lo = members[ga].iter().map(|s| s.0).min().unwrap_or(n);
+    let hi = members[gb].iter().map(|s| s.0).max().unwrap_or(0);
     // forward reachability from ga (through any stage)
     let mut from_a = vec![false; n];
-    let mut stack: Vec<usize> = (0..n).filter(|i| group_of[*i] == Some(ga)).collect();
+    let mut stack: Vec<usize> = members[ga].iter().map(|s| s.0).collect();
     while let Some(s) = stack.pop() {
         for c in &consumers[s] {
-            if !from_a[c.0] {
+            if c.0 < hi && !from_a[c.0] {
                 from_a[c.0] = true;
                 stack.push(c.0);
             }
@@ -285,18 +294,18 @@ fn is_convex_merge(graph: &StageGraph, group_of: &[Option<usize>], ga: usize, gb
     }
     // backward reachability from gb
     let mut to_b = vec![false; n];
-    let mut stack: Vec<usize> = (0..n).filter(|i| group_of[*i] == Some(gb)).collect();
+    let mut stack: Vec<usize> = members[gb].iter().map(|s| s.0).collect();
     while let Some(s) = stack.pop() {
         for inp in &graph.stages[s].inputs {
             let StageInput::Stage(st) = inp else { continue };
-            if !to_b[st.0] {
+            if st.0 > lo && !to_b[st.0] {
                 to_b[st.0] = true;
                 stack.push(st.0);
             }
         }
     }
     // any stage on a path strictly between, belonging to a third group?
-    (0..n).all(|s| {
+    (lo.saturating_add(1)..hi).all(|s| {
         !(from_a[s] && to_b[s])
             || group_of[s].is_none()
             || group_of[s] == Some(ga)
@@ -312,6 +321,7 @@ fn overlap_ok(
     threshold: f64,
     merged: &[StageId],
     consumers: &[Vec<StageId>],
+    live: &[bool],
 ) -> bool {
     let ndims = graph.stage(merged[0]).domain.ndims();
     // ranks must agree within a group
@@ -321,7 +331,8 @@ fn overlap_ok(
     {
         return false;
     }
-    let (gstages, edges, ref_local, scales, live_out) = group_geometry(graph, merged, consumers);
+    let (gstages, edges, ref_local, scales, live_out) =
+        group_geometry(graph, merged, consumers, live);
     let stats = evaluate_tiling(
         &gstages,
         &edges,
@@ -345,7 +356,7 @@ fn order_groups(
         .collect();
     let mut indeg = vec![0usize; members.len()];
     let mut succ: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
-    for (p, c, _) in graph.edges() {
+    for (p, c) in graph.edge_ends() {
         let (Some(gp), Some(gc)) = (group_of[p.0], group_of[c.0]) else {
             continue;
         };

@@ -6,7 +6,7 @@
 use crate::options::PipelineOptions;
 use gmg_ir::{Expr, LinearForm, ParityPattern, StageGraph, StageId};
 use gmg_poly::tiling::TileRegion;
-use gmg_poly::{BoxDomain, Interval, Ratio};
+use gmg_poly::{Box3, BoxDomain, Interval, Ratio};
 use std::sync::Arc;
 
 /// Executable form of one parity case.
@@ -77,15 +77,6 @@ pub enum GroupTiling {
     },
 }
 
-/// A box as a fixed array, right-aligned: a 2-D box occupies axes `1..3`.
-pub type Box3 = [Interval; 3];
-
-fn box3(b: &BoxDomain) -> Box3 {
-    let mut out = [Interval::new(0, 0); 3];
-    out[3 - b.ndims()..].copy_from_slice(&b.0);
-    out
-}
-
 /// What one tile does for one stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageTile {
@@ -114,25 +105,21 @@ pub struct TilePlan {
 }
 
 impl TilePlan {
-    /// Collect a group's tile walk (`nstages` regions per tile, rank
-    /// `ndims` ≤ 3).
+    /// Collect a group's tile walk (`nstages` regions per tile, tile-major,
+    /// rank `ndims` ≤ 3).
     pub(crate) fn new(
         ndims: usize,
         nstages: usize,
-        walk: impl ExactSizeIterator<Item = Vec<TileRegion>>,
+        walk: impl ExactSizeIterator<Item = TileRegion>,
     ) -> TilePlan {
-        let mut entries = Vec::with_capacity(walk.len() * nstages);
-        for regions in walk {
-            entries.extend(regions.iter().map(|r| {
-                let alloc = box3(&r.alloc);
-                StageTile {
-                    compute: box3(&r.compute),
-                    owned: box3(&r.owned),
-                    origin: alloc.map(|iv| iv.lo),
-                    extents: alloc.map(|iv| iv.len()),
-                }
-            }));
-        }
+        let entries: Vec<StageTile> = walk
+            .map(|r| StageTile {
+                compute: r.compute,
+                owned: r.owned,
+                origin: r.alloc.map(|iv| iv.lo),
+                extents: r.alloc.map(|iv| iv.len()),
+            })
+            .collect();
         let plan = TilePlan {
             ndims,
             nstages,
@@ -189,7 +176,7 @@ impl TilePlan {
     }
 
     fn domain(&self, b: &Box3) -> BoxDomain {
-        BoxDomain::new(b[3 - self.ndims..].to_vec())
+        BoxDomain::from_box3(b, self.ndims)
     }
 
     /// The points `tile` evaluates for `stage`.

@@ -341,7 +341,7 @@ pub fn dot_dump(plan: &CompiledPipeline) -> String {
         let _ = writeln!(out, "  }}");
     }
     // edges
-    for (p, c, _) in plan.graph.edges() {
+    for (p, c) in plan.graph.edge_ends() {
         let _ = writeln!(out, "  s{} -> s{};", p.0, c.0);
     }
     let _ = writeln!(out, "}}");
@@ -504,7 +504,7 @@ mod tests {
         }
         assert_eq!(
             d.matches(" -> ").count(),
-            pl.graph.edges().len(),
+            pl.graph.edge_ends().count(),
             "edge count mismatch"
         );
         // clusters per group

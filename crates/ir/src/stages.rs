@@ -213,23 +213,23 @@ impl StageGraph {
         &self.stages[id.0]
     }
 
-    /// All producer→consumer edges with footprints.
-    pub fn edges(&self) -> Vec<(StageId, StageId, Footprint)> {
-        let mut out = Vec::new();
-        for (ci, s) in self.stages.iter().enumerate() {
-            for (slot, inp) in s.inputs.iter().enumerate() {
-                if let StageInput::Stage(p) = inp {
-                    out.push((*p, StageId(ci), s.footprints[slot].clone()));
-                }
-            }
-        }
-        out
+    /// Producer→consumer edges as stage pairs, one per input slot that
+    /// reads a stage, in consumer then slot order. An edge's footprint is
+    /// the consumer's `footprints[slot]`.
+    pub fn edge_ends(&self) -> impl Iterator<Item = (StageId, StageId)> + '_ {
+        self.stages.iter().enumerate().flat_map(|(ci, s)| {
+            s.inputs.iter().filter_map(move |inp| match inp {
+                StageInput::Stage(p) => Some((*p, StageId(ci))),
+                _ => None,
+            })
+        })
     }
 
-    /// Consumer stage ids of each stage (indexed by producer).
+    /// Consumer stage ids of each stage (indexed by producer), one entry
+    /// per edge in [`Self::edge_ends`] order.
     pub fn consumers(&self) -> Vec<Vec<StageId>> {
         let mut out = vec![Vec::new(); self.stages.len()];
-        for (p, c, _) in self.edges() {
+        for (p, c) in self.edge_ends() {
             out[p.0].push(c);
         }
         out
@@ -473,8 +473,11 @@ mod tests {
         // interp merges offsets across its parity cases into [-1, 1]
         assert_eq!(es.footprints[0].0[0].off_min, -1);
         assert_eq!(es.footprints[0].0[0].off_max, 1);
-        let edges = g.edges();
-        assert_eq!(edges.len(), 2);
+        let edges: Vec<_> = g.edge_ends().collect();
+        assert_eq!(
+            edges,
+            vec![(StageId(0), StageId(1)), (StageId(1), StageId(2))]
+        );
         assert_eq!(g.consumers()[1], vec![StageId(2)]);
         assert!(g.dead_stages().is_empty());
     }

@@ -783,11 +783,7 @@ mod tests {
             .unwrap();
         let reference = run_reference(&graph, &[("V", &v0), ("F", &f0)]);
         let want = &reference[&out_name];
-        let max = got
-            .iter()
-            .zip(want)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
+        let max = crate::solver::max_abs_diff(&got, want);
         assert!(max < 1e-11, "deviation {max}");
     }
 

@@ -13,7 +13,7 @@
 
 use crate::config::MgConfig;
 use crate::scenario::DslProlong;
-use crate::solver::{residual_norm, setup_poisson, CycleRunner};
+use crate::solver::{max_abs_diff, residual_norm, setup_poisson, CycleRunner};
 
 /// The result of an FMG solve.
 #[derive(Clone, Debug)]
@@ -89,11 +89,7 @@ pub fn fmg_solve(
     FmgResult {
         final_residual: residual_norm(cfg.ndims, n, h, &solution, &f),
         initial_residual: residual_norm(cfg.ndims, n, h, &zero, &f),
-        max_error: solution
-            .iter()
-            .zip(&exact)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max),
+        max_error: max_abs_diff(&solution, &exact),
     }
 }
 
@@ -119,6 +115,25 @@ mod tests {
         c
     }
 
+    /// A runner whose every cycle poisons the grid with NaN.
+    struct Poison;
+
+    impl CycleRunner for Poison {
+        fn cycle(&mut self, v: &mut [f64], _f: &[f64]) {
+            v.fill(f64::NAN);
+        }
+
+        fn label(&self) -> String {
+            "poison".to_string()
+        }
+    }
+
+    #[test]
+    fn nan_poisoned_solution_reports_nan_error() {
+        let r = fmg_solve(&cfg(31), 7, 1, |_| Box::new(Poison));
+        assert!(r.max_error.is_nan(), "max_error {}", r.max_error);
+    }
+
     #[test]
     fn fmg_reaches_discretisation_accuracy_with_one_cycle_per_level() {
         let finest = cfg(127);
@@ -139,11 +154,7 @@ mod tests {
         let (mut v, f, exact) = setup_poisson(&finest);
         let mut plain = HandOpt::new(finest.clone(), 0);
         plain.cycle(&mut v, &f);
-        let plain_err = v
-            .iter()
-            .zip(&exact)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
+        let plain_err = max_abs_diff(&v, &exact);
         assert!(
             fmg.max_error < plain_err * 0.5,
             "FMG {} vs plain {}",

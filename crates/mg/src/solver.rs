@@ -189,6 +189,25 @@ impl CycleRunner for HandOpt {
     }
 }
 
+/// The largest of `values` (0 for none), or NaN when any value is NaN.
+/// `fold(0.0, f64::max)` would return the other argument and so report a
+/// NaN grid as agreeing perfectly.
+pub fn max_or_nan(values: impl IntoIterator<Item = f64>) -> f64 {
+    values.into_iter().fold(0.0, |m, x| {
+        if m.is_nan() || x.is_nan() {
+            f64::NAN
+        } else {
+            m.max(x)
+        }
+    })
+}
+
+/// The largest pointwise `|a − b|` ([`max_or_nan`]: NaN when any
+/// difference is).
+pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    max_or_nan(a.iter().zip(b).map(|(x, y)| (x - y).abs()))
+}
+
 /// Discrete L2 norm of `f − A v` over the interior, `A = −∇²` with the
 /// 5-/7-point stencil.
 pub fn residual_norm(ndims: usize, n: i64, h: f64, v: &[f64], f: &[f64]) -> f64 {
@@ -345,6 +364,18 @@ mod tests {
     use super::*;
     use crate::config::{CycleType, SmoothSteps};
     use polymg::Variant;
+
+    #[test]
+    fn deviation_propagates_nan() {
+        let zero = [0.0; 4];
+        assert_eq!(max_abs_diff(&[0.5, -2.0, 0.0, 1.0], &zero), 2.0);
+        assert_eq!(max_or_nan([]), 0.0);
+        // NaN anywhere, first or last, poisons the maximum
+        assert!(max_abs_diff(&[f64::NAN, 1.0, 0.0, 0.0], &zero).is_nan());
+        assert!(max_abs_diff(&[1.0, 0.0, 0.0, f64::NAN], &zero).is_nan());
+        assert!(max_abs_diff(&[f64::NAN; 4], &zero).is_nan());
+        assert!(max_or_nan([0.1, f64::NAN, 0.3]).is_nan());
+    }
 
     #[test]
     fn residual_norm_zero_for_exact_discrete_solution() {

@@ -7,7 +7,7 @@ use gmg_ir::stencil::stencil_2d;
 use gmg_ir::{ParamBindings, Pipeline, StepCount};
 use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
 use gmg_multigrid::handopt::HandOpt;
-use gmg_multigrid::solver::{run_cycles, setup_poisson, DslRunner};
+use gmg_multigrid::solver::{max_abs_diff, run_cycles, setup_poisson, DslRunner};
 use gmg_runtime::Engine;
 use polymg::{compile, PipelineOptions, Variant};
 
@@ -121,11 +121,7 @@ fn asymmetric_configs_agree() {
         use gmg_multigrid::solver::CycleRunner;
         hand.cycle(&mut vh, &f);
         dsl.cycle(&mut vd, &f);
-        let dev = vh
-            .iter()
-            .zip(&vd)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
+        let dev = max_abs_diff(&vh, &vd);
         assert!(dev < 1e-11, "{pre}-{coarse}-{post}: dev {dev}");
     }
 }

@@ -3,8 +3,21 @@
 //! A stage's iteration domain is always a box: the interior points of its
 //! grid, `[1, N_l]` per dimension for level-`l` problem size `N_l`. Tile
 //! regions, scratchpad extents and owned regions are boxes too.
+//!
+//! [`BoxDomain`] is the rank-generic form the public APIs take. [`Box3`] is
+//! the fixed-array form the region-propagation core and the compiler's tile
+//! plans work on: no allocation per box, and its set operations below are
+//! [`BoxDomain`]'s, axis for axis.
 
 use crate::interval::Interval;
+
+/// A box of rank ≤ 3 as a fixed array, right-aligned: a 2-D box occupies
+/// axes `1..3`. Every unused leading axis holds the single point `[0, 0]`,
+/// which leaves point counts, emptiness, hulls and intersections unchanged.
+pub type Box3 = [Interval; 3];
+
+/// The unused leading axes of a [`Box3`].
+const PAD: Interval = Interval { lo: 0, hi: 0 };
 
 /// A rectangular integer domain, outermost dimension first.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -106,6 +119,52 @@ impl BoxDomain {
     pub fn extents(&self) -> Vec<i64> {
         self.0.iter().map(Interval::len).collect()
     }
+
+    /// This box as a right-aligned [`Box3`].
+    ///
+    /// # Panics
+    /// Panics when the rank exceeds 3.
+    pub fn to_box3(&self) -> Box3 {
+        assert!(self.ndims() <= 3, "rank {} exceeds 3", self.ndims());
+        let mut out = [PAD; 3];
+        out[3 - self.ndims()..].copy_from_slice(&self.0);
+        out
+    }
+
+    /// The rank-`ndims` box held by the trailing axes of `b`.
+    pub fn from_box3(b: &Box3, ndims: usize) -> BoxDomain {
+        BoxDomain(b[3 - ndims..].to_vec())
+    }
+}
+
+/// [`BoxDomain::is_empty`] of a [`Box3`].
+pub(crate) fn box3_is_empty(b: &Box3) -> bool {
+    b.iter().any(Interval::is_empty)
+}
+
+/// [`BoxDomain::len`] of a [`Box3`].
+pub(crate) fn box3_len(b: &Box3) -> i64 {
+    if box3_is_empty(b) {
+        0
+    } else {
+        b.iter().map(Interval::len).product()
+    }
+}
+
+/// [`BoxDomain::intersect`] of two [`Box3`]s.
+pub(crate) fn box3_intersect(a: &Box3, b: &Box3) -> Box3 {
+    std::array::from_fn(|d| a[d].intersect(&b[d]))
+}
+
+/// [`BoxDomain::hull`] of two [`Box3`]s.
+pub(crate) fn box3_hull(a: &Box3, b: &Box3) -> Box3 {
+    if box3_is_empty(a) {
+        *b
+    } else if box3_is_empty(b) {
+        *a
+    } else {
+        std::array::from_fn(|d| a[d].hull(&b[d]))
+    }
 }
 
 #[cfg(test)]
@@ -162,6 +221,23 @@ mod tests {
     fn extents() {
         let d = BoxDomain::new(vec![Interval::new(1, 4), Interval::new(0, 9)]);
         assert_eq!(d.extents(), vec![4, 10]);
+    }
+
+    #[test]
+    fn box3_round_trip_and_padding() {
+        let d = BoxDomain::new(vec![Interval::new(2, 5), Interval::new(-1, 3)]);
+        let b = d.to_box3();
+        assert_eq!(b[0], Interval::new(0, 0));
+        assert_eq!(BoxDomain::from_box3(&b, 2), d);
+        assert_eq!(box3_len(&b), d.len());
+        let e = BoxDomain::empty(2).to_box3();
+        assert!(box3_is_empty(&e));
+        assert_eq!(box3_len(&e), 0);
+        assert_eq!(box3_hull(&e, &b), b);
+        assert_eq!(
+            BoxDomain::from_box3(&box3_intersect(&b, &e), 2),
+            d.intersect(&BoxDomain::empty(2))
+        );
     }
 
     #[test]

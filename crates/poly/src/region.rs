@@ -15,10 +15,17 @@
 //!   positions consumers read. Points in `alloc \ compute` hold the boundary
 //!   value (zero for the homogeneous Dirichlet problems evaluated); the
 //!   runtime zeroes that halo before use.
+//!
+//! There is one implementation, the crate-private `Propagator`: it takes a
+//! group's domains and edges once, as right-aligned fixed-rank [`Box3`]s
+//! with each consumer's in-edges in one bucket, and then propagates tile
+//! after tile into buffers it reuses, allocating nothing per tile. The tile walk
+//! ([`crate::tiling::tile_walk`]), the grouping heuristic's statistics
+//! ([`crate::tiling::evaluate_tiling`]) and the [`BoxDomain`]-facing
+//! [`propagate_regions`] all run it.
 
-use crate::access::Footprint;
-use crate::domain::BoxDomain;
-use crate::interval::Interval;
+use crate::access::{AxisFootprint, Footprint};
+use crate::domain::{box3_hull, box3_intersect, box3_is_empty, Box3, BoxDomain};
 
 /// A stage of a fused group, as seen by region propagation.
 #[derive(Clone, Debug)]
@@ -51,70 +58,138 @@ pub struct StageRegion {
     pub alloc: BoxDomain,
 }
 
-/// Propagate regions backward through the group.
+/// The region-propagation core of one group: its stage domains and
+/// consumer-bucketed edges in fixed-rank form, plus the per-tile buffers
+/// [`Propagator::run`] overwrites.
+pub(crate) struct Propagator {
+    pub(crate) domains: Vec<Box3>,
+    /// Per stage, the empty box of its rank (the initial need).
+    pub(crate) empty: Vec<Box3>,
+    /// Consumer `c`'s in-edges are `in_edges[first[c]..first[c + 1]]`, as
+    /// (producer, footprint padded with pointwise axes), in edge order.
+    first: Vec<usize>,
+    in_edges: Vec<(usize, [AxisFootprint; 3])>,
+    /// Need accumulated from consumers, not yet clamped to the domain.
+    need: Vec<Box3>,
+    /// Results of the last [`Propagator::run`], per stage.
+    pub(crate) compute: Vec<Box3>,
+    pub(crate) alloc: Vec<Box3>,
+}
+
+impl Propagator {
+    /// Take a group's stage domains (the `owned` boxes are ignored) and
+    /// edges. `stages` must be in topological order; every edge must satisfy
+    /// `producer < consumer`.
+    ///
+    /// # Panics
+    /// Panics on malformed edges (non-topological, out of range, or rank
+    /// mismatches between a footprint and the stages it connects), and on
+    /// ranks above 3.
+    pub(crate) fn new(stages: &[GroupStage], edges: &[GroupEdge]) -> Propagator {
+        let n = stages.len();
+        for e in edges {
+            assert!(
+                e.producer < e.consumer && e.consumer < n,
+                "edge {} -> {} is not topological (n = {n})",
+                e.producer,
+                e.consumer
+            );
+            assert_eq!(
+                e.footprint.ndims(),
+                stages[e.consumer].domain.ndims(),
+                "footprint rank must match consumer rank"
+            );
+            assert_eq!(
+                e.footprint.ndims(),
+                stages[e.producer].domain.ndims(),
+                "footprint rank must match producer rank"
+            );
+        }
+        let mut first = vec![0; n + 1];
+        for e in edges {
+            first[e.consumer + 1] += 1;
+        }
+        for c in 0..n {
+            first[c + 1] += first[c];
+        }
+        let mut in_edges = vec![(0, [AxisFootprint::pointwise(); 3]); edges.len()];
+        let mut next = first.clone();
+        for e in edges {
+            let mut fp = [AxisFootprint::pointwise(); 3];
+            fp[3 - e.footprint.ndims()..].copy_from_slice(&e.footprint.0);
+            in_edges[next[e.consumer]] = (e.producer, fp);
+            next[e.consumer] += 1;
+        }
+        let empty: Vec<Box3> = stages
+            .iter()
+            .map(|s| BoxDomain::empty(s.domain.ndims()).to_box3())
+            .collect();
+        Propagator {
+            domains: stages.iter().map(|s| s.domain.to_box3()).collect(),
+            need: empty.clone(),
+            compute: empty.clone(),
+            alloc: empty.clone(),
+            empty,
+            first,
+            in_edges,
+        }
+    }
+
+    /// Propagate one tile's `owned` boxes (one per stage, empty for stages
+    /// that are not live-out) backward, filling `compute` and `alloc`.
+    pub(crate) fn run(&mut self, owned: &[Box3]) {
+        self.need.copy_from_slice(&self.empty);
+        for c in (0..self.domains.len()).rev() {
+            let alloc = box3_hull(&owned[c], &self.need[c]);
+            let compute = box3_intersect(&alloc, &self.domains[c]);
+            // propagate this stage's computed region to its producers
+            if !box3_is_empty(&compute) {
+                for (p, fp) in &self.in_edges[self.first[c]..self.first[c + 1]] {
+                    let needed: Box3 = std::array::from_fn(|d| fp[d].input_needed(&compute[d]));
+                    self.need[*p] = box3_hull(&self.need[*p], &needed);
+                }
+            }
+            self.compute[c] = compute;
+            self.alloc[c] = alloc;
+        }
+    }
+}
+
+/// Propagate regions backward through the group: the one propagation
+/// core, run for one tile, in [`BoxDomain`] form.
 ///
 /// `stages` must be in topological order; every edge must satisfy
 /// `producer < consumer`.
 ///
 /// # Panics
 /// Panics on malformed edges (non-topological, out of range, or rank
-/// mismatches between a footprint and the stages it connects).
+/// mismatches between a footprint and the stages it connects), on an
+/// owned box whose rank differs from its domain's, and on ranks above 3.
 pub fn propagate_regions(stages: &[GroupStage], edges: &[GroupEdge]) -> Vec<StageRegion> {
-    let n = stages.len();
-    for e in edges {
-        assert!(
-            e.producer < e.consumer && e.consumer < n,
-            "edge {} -> {} is not topological (n = {n})",
-            e.producer,
-            e.consumer
-        );
-        assert_eq!(
-            e.footprint.ndims(),
-            stages[e.consumer].domain.ndims(),
-            "footprint rank must match consumer rank"
-        );
-        assert_eq!(
-            e.footprint.ndims(),
-            stages[e.producer].domain.ndims(),
-            "footprint rank must match producer rank"
-        );
-    }
-
-    // raw need accumulated from consumers, not yet clamped to the domain
-    let mut raw_need: Vec<BoxDomain> = stages
+    let mut core = Propagator::new(stages, edges);
+    let owned: Vec<Box3> = stages
         .iter()
-        .map(|s| BoxDomain::empty(s.domain.ndims()))
+        .map(|s| {
+            assert_eq!(s.owned.ndims(), s.domain.ndims(), "rank mismatch");
+            s.owned.to_box3()
+        })
         .collect();
-    let mut out: Vec<Option<StageRegion>> = vec![None; n];
-
-    for c in (0..n).rev() {
-        let alloc = stages[c].owned.hull(&raw_need[c]);
-        let compute = alloc.intersect(&stages[c].domain);
-        // propagate this stage's computed region to its producers
-        for e in edges.iter().filter(|e| e.consumer == c) {
-            if compute.is_empty() {
-                continue;
-            }
-            let needed = BoxDomain::new(
-                compute
-                    .0
-                    .iter()
-                    .zip(&e.footprint.0)
-                    .map(|(iv, fp): (&Interval, _)| fp.input_needed(iv))
-                    .collect(),
-            );
-            raw_need[e.producer] = raw_need[e.producer].hull(&needed);
-        }
-        out[c] = Some(StageRegion { compute, alloc });
-    }
-
-    out.into_iter().map(Option::unwrap).collect()
+    core.run(&owned);
+    stages
+        .iter()
+        .zip(core.compute.iter().zip(&core.alloc))
+        .map(|(s, (compute, alloc))| StageRegion {
+            compute: BoxDomain::from_box3(compute, s.domain.ndims()),
+            alloc: BoxDomain::from_box3(alloc, s.domain.ndims()),
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::access::AxisFootprint;
+    use crate::interval::Interval;
 
     fn stencil_edge(p: usize, c: usize, r: i64, ndims: usize) -> GroupEdge {
         GroupEdge {

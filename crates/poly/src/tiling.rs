@@ -10,11 +10,17 @@
 //! and hits both domain ends, owned boxes partition every live-out's domain:
 //! each output point is written by exactly one tile (no write races, a
 //! property the integration tests assert).
+//!
+//! [`tile_walk`] is the one walk: it enumerates the tiles of
+//! [`tile_partition`]'s order arithmetically and runs the region-propagation
+//! core ([`crate::region`]) on each, in fixed-rank [`Box3`] form, reusing
+//! its buffers from tile to tile. The compiler's tile plans collect it and
+//! [`evaluate_tiling`] folds it, so neither allocates per tile.
 
-use crate::domain::BoxDomain;
+use crate::domain::{box3_len, Box3, BoxDomain};
 use crate::interval::Interval;
 use crate::ratio::Ratio;
-use crate::region::{propagate_regions, GroupEdge, GroupStage};
+use crate::region::{GroupEdge, GroupStage, Propagator};
 
 /// Partition `domain` into tiles of size `tile_sizes` (outermost first).
 /// Trailing tiles are clipped to the domain.
@@ -69,6 +75,15 @@ fn scale_boundary(p: i64, s: &Ratio) -> i64 {
     s.apply_ceil(p - 1) + 1
 }
 
+/// The owned interval of a stage with scale `s` for one (non-empty) tile
+/// interval of the reference space, before clamping to the stage domain.
+fn owned_interval(tile: &Interval, s: &Ratio) -> Interval {
+    Interval::new(
+        scale_boundary(tile.lo, s),
+        scale_boundary(tile.hi + 1, s) - 1,
+    )
+}
+
 /// The owned sub-box of `stage_domain` for a reference-space `tile`, where
 /// `scales` gives the per-dimension stage/reference scale ratio.
 ///
@@ -83,7 +98,7 @@ pub fn owned_region(tile: &BoxDomain, scales: &[Ratio], stage_domain: &BoxDomain
                 if iv.is_empty() {
                     Interval::empty()
                 } else {
-                    Interval::new(scale_boundary(iv.lo, s), scale_boundary(iv.hi + 1, s) - 1)
+                    owned_interval(iv, s)
                 }
             })
             .collect(),
@@ -91,58 +106,152 @@ pub fn owned_region(tile: &BoxDomain, scales: &[Ratio], stage_domain: &BoxDomain
     raw.intersect(stage_domain)
 }
 
-/// What one tile does for one stage of a group.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What one tile does for one stage of a group, as right-aligned [`Box3`]s
+/// (see [`BoxDomain::from_box3`] for the rank-generic form).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileRegion {
     /// Points the tile evaluates (within the stage domain).
-    pub compute: BoxDomain,
+    pub compute: Box3,
     /// The part of the stage's domain the tile writes to its full array
     /// (empty for stages that are not live-out).
-    pub owned: BoxDomain,
+    pub owned: Box3,
     /// Scratchpad box: `compute` plus the ghost positions consumers read.
-    pub alloc: BoxDomain,
+    pub alloc: Box3,
 }
+
+/// The walk's state: the propagation core, the tile grid, and the tile and
+/// stage the next item belongs to.
+struct TileWalk<'a> {
+    core: Propagator,
+    scales: &'a [Vec<Ratio>],
+    live_out: &'a [bool],
+    /// First axis of the `Box3`s that the group's rank uses.
+    lead: usize,
+    ref_domain: Box3,
+    sizes: [i64; 3],
+    /// Tiles per axis (1 on unused axes).
+    counts: [i64; 3],
+    tiles: usize,
+    tile: usize,
+    stage: usize,
+    owned: Vec<Box3>,
+}
+
+impl TileWalk<'_> {
+    /// Derive tile `self.tile`'s owned boxes and propagate them.
+    fn start_tile(&mut self) {
+        let mut rest = self.tile as i64;
+        let mut tile = self.ref_domain;
+        for d in (self.lead..3).rev() {
+            let k = rest % self.counts[d];
+            rest /= self.counts[d];
+            let lo = self.ref_domain[d].lo + k * self.sizes[d];
+            tile[d] = Interval::new(lo, (lo + self.sizes[d] - 1).min(self.ref_domain[d].hi));
+        }
+        for (i, owned) in self.owned.iter_mut().enumerate() {
+            if !self.live_out[i] {
+                continue;
+            }
+            let domain = &self.core.domains[i];
+            for d in self.lead..3 {
+                owned[d] =
+                    owned_interval(&tile[d], &self.scales[i][d - self.lead]).intersect(&domain[d]);
+            }
+        }
+        self.core.run(&self.owned);
+    }
+}
+
+impl Iterator for TileWalk<'_> {
+    type Item = TileRegion;
+
+    fn next(&mut self) -> Option<TileRegion> {
+        if self.tile == self.tiles {
+            return None;
+        }
+        if self.stage == 0 {
+            self.start_tile();
+        }
+        let s = self.stage;
+        let region = TileRegion {
+            compute: self.core.compute[s],
+            owned: self.owned[s],
+            alloc: self.core.alloc[s],
+        };
+        self.stage += 1;
+        if self.stage == self.owned.len() {
+            self.stage = 0;
+            self.tile += 1;
+        }
+        Some(region)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.tiles - self.tile) * self.owned.len() - self.stage;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for TileWalk<'_> {}
 
 /// The tile walk of an overlapped group: partition the reference domain
 /// (stage `ref_stage`'s domain) with `tile_sizes` and, tile by tile in
-/// partition order, derive the owned regions of live-outs via `scales` (per
-/// stage, per dim, stage/reference) and propagate them backward. Yields
-/// every stage's [`TileRegion`] per tile.
+/// [`tile_partition`] order, derive the owned regions of live-outs via
+/// `scales` (per stage, per dim, stage/reference) and propagate them
+/// backward. Yields every stage's [`TileRegion`], tile-major: stage `s` of
+/// tile `t` is item `t · stages.len() + s`.
 ///
-/// `live_out[s]` marks stages whose full domain must be produced.
+/// `live_out[s]` marks stages whose full domain must be produced. The
+/// stages' `owned` boxes are ignored.
+///
+/// # Panics
+/// Panics when a stage's rank differs from the reference stage's or
+/// exceeds 3, and on the malformed edges [`crate::region::propagate_regions`]
+/// rejects.
 pub fn tile_walk<'a>(
-    stages: &'a [GroupStage],
-    edges: &'a [GroupEdge],
+    stages: &[GroupStage],
+    edges: &[GroupEdge],
     ref_stage: usize,
     scales: &'a [Vec<Ratio>],
     live_out: &'a [bool],
     tile_sizes: &[i64],
-) -> impl ExactSizeIterator<Item = Vec<TileRegion>> + 'a {
-    let tiles = tile_partition(&stages[ref_stage].domain, tile_sizes);
-    tiles.into_iter().map(move |tile| {
-        let tile_stages: Vec<GroupStage> = stages
-            .iter()
-            .enumerate()
-            .map(|(i, s)| GroupStage {
-                domain: s.domain.clone(),
-                owned: if live_out[i] {
-                    owned_region(&tile, &scales[i], &s.domain)
-                } else {
-                    BoxDomain::empty(s.domain.ndims())
-                },
-            })
-            .collect();
-        let regions = propagate_regions(&tile_stages, edges);
-        tile_stages
-            .into_iter()
-            .zip(regions)
-            .map(|(s, r)| TileRegion {
-                compute: r.compute,
-                owned: s.owned,
-                alloc: r.alloc,
-            })
-            .collect()
-    })
+) -> impl ExactSizeIterator<Item = TileRegion> + 'a {
+    let ref_domain = &stages[ref_stage].domain;
+    let ndims = ref_domain.ndims();
+    assert_eq!(ndims, tile_sizes.len(), "rank mismatch");
+    assert!(
+        tile_sizes.iter().all(|&t| t > 0),
+        "tile sizes must be positive"
+    );
+    for (s, st) in stages.iter().enumerate() {
+        assert_eq!(st.domain.ndims(), ndims, "rank mismatch");
+        if live_out[s] {
+            assert_eq!(scales[s].len(), ndims, "rank mismatch");
+        }
+    }
+    let core = Propagator::new(stages, edges);
+    let lead = 3 - ndims;
+    let mut sizes = [1; 3];
+    sizes[lead..].copy_from_slice(tile_sizes);
+    let ref_domain = ref_domain.to_box3();
+    let counts: [i64; 3] = std::array::from_fn(|d| {
+        let len = ref_domain[d].len();
+        (len + sizes[d] - 1) / sizes[d]
+    });
+    let owned = core.empty.clone();
+    TileWalk {
+        core,
+        scales,
+        live_out,
+        lead,
+        ref_domain,
+        sizes,
+        counts,
+        tiles: counts.iter().product::<i64>() as usize,
+        tile: 0,
+        stage: 0,
+        owned,
+    }
 }
 
 /// Redundant-computation statistics for one candidate grouping + tile size.
@@ -187,19 +296,21 @@ pub fn evaluate_tiling(
     tile_sizes: &[i64],
 ) -> TilingStats {
     let walk = tile_walk(stages, edges, ref_stage, scales, live_out, tile_sizes);
-    let num_tiles = walk.len();
+    let num_tiles = walk.len() / stages.len();
     let base_points: i64 = stages.iter().map(|s| s.domain.len()).sum();
     let mut tiled_points = 0i64;
     let mut max_tile_alloc = 0i64;
-    for regions in walk {
-        let mut alloc = 0i64;
-        for (r, live) in regions.iter().zip(live_out) {
-            tiled_points += r.compute.len();
-            if !live {
-                alloc += r.alloc.len();
-            }
+    let mut alloc = 0i64;
+    for (i, r) in walk.enumerate() {
+        let s = i % stages.len();
+        tiled_points += box3_len(&r.compute);
+        if !live_out[s] {
+            alloc += box3_len(&r.alloc);
         }
-        max_tile_alloc = max_tile_alloc.max(alloc);
+        if s + 1 == stages.len() {
+            max_tile_alloc = max_tile_alloc.max(alloc);
+            alloc = 0;
+        }
     }
     TilingStats {
         tiled_points,

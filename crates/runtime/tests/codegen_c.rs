@@ -1,6 +1,7 @@
 //! The ultimate codegen check: emit the Figure-8 C for a compiled plan,
-//! build it with the system C compiler, run it, and compare the output grid
-//! against the engine bit-for-bit (same expression order ⇒ identical fp).
+//! build it with the system C compiler (`-O2 -ffp-contract=off`, so no
+//! multiply-add is fused), run it, and compare the output grid against the
+//! engine bit-for-bit (same expression order ⇒ identical fp).
 //!
 //! Skips silently when no `cc` is on PATH (CI containers without a C
 //! toolchain).
@@ -179,7 +180,7 @@ fn run_c(c_src: &str, fn_name: &str, inputs: &[(&str, &[f64])], out_len: usize) 
     drop(fh);
 
     let cc = Command::new("cc")
-        .args(["-O2", "-o"])
+        .args(["-O2", "-ffp-contract=off", "-o"])
         .arg(&bin_path)
         .arg(&c_path)
         .arg("-lm")
@@ -243,16 +244,20 @@ fn check(p: &Pipeline, varcoef: bool, variant: Variant) {
 
     // generated-C result
     let got = run_c(&c_src, p.name(), &inputs, e * e);
-    let mut max = 0.0f64;
-    for (a, b) in got.iter().zip(&want) {
-        max = max.max((a - b).abs());
+    let differ: Vec<usize> = (0..got.len())
+        .filter(|&i| got[i].to_bits() != want[i].to_bits())
+        .collect();
+    if let Some(&i) = differ.first() {
+        panic!(
+            "{} {}: {} of {} values differ from the engine's bits; first at {i}: C {:e}, engine {:e}",
+            p.name(),
+            variant.label(),
+            differ.len(),
+            got.len(),
+            got[i],
+            want[i]
+        );
     }
-    assert!(
-        max < 1e-12,
-        "{} {}: generated C deviates from the engine by {max}",
-        p.name(),
-        variant.label()
-    );
 }
 
 fn check_variant(variant: Variant) {

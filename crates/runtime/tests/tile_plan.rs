@@ -13,7 +13,7 @@ use gmg_poly::region::{propagate_regions, GroupStage};
 use gmg_poly::tiling::{owned_region, tile_partition};
 use gmg_poly::BoxDomain;
 use gmg_runtime::BatchRhs;
-use polymg::grouping::group_geometry;
+use polymg::grouping::{group_geometry, live_stages};
 use polymg::schedule::ExecOp;
 use polymg::{GroupTiling, PipelineOptions, Variant};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -94,6 +94,7 @@ fn plan_equals_region_propagation() {
         // groups lower to overlapped ops in order
         let compiled = engine.plan();
         let consumers = compiled.graph.consumers();
+        let live = live_stages(&compiled.graph);
         let groups: Vec<_> = compiled
             .groups
             .iter()
@@ -116,7 +117,8 @@ fn plan_equals_region_propagation() {
                 std::ptr::eq(plan, &**tile_plan),
                 "op {i} copies the compiled plan's table instead of sharing it"
             );
-            let (gstages, edges, ..) = group_geometry(&compiled.graph, &group.stages, &consumers);
+            let (gstages, edges, ..) =
+                group_geometry(&compiled.graph, &group.stages, &consumers, &live);
             let tiles = tile_partition(&gstages[*ref_stage_local].domain, tile_sizes);
             assert_eq!(plan.tiles(), tiles.len());
             assert_eq!(plan.stages(), group.stages.len());

@@ -9,7 +9,7 @@ use polymg_repro::compiler::{PipelineOptions, Variant};
 use polymg_repro::mg::config::{CycleType, MgConfig, SmoothSteps};
 use polymg_repro::mg::handopt::HandOpt;
 use polymg_repro::mg::pluto::handopt_pluto_default;
-use polymg_repro::mg::solver::{run_cycles, setup_poisson, CycleRunner, DslRunner};
+use polymg_repro::mg::solver::{max_abs_diff, run_cycles, setup_poisson, CycleRunner, DslRunner};
 use std::time::Instant;
 
 fn main() {
@@ -43,11 +43,7 @@ fn main() {
         match &reference {
             None => reference = Some(v),
             Some(r) => {
-                let max = v
-                    .iter()
-                    .zip(r)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f64, f64::max);
+                let max = max_abs_diff(&v, r);
                 assert!(max < 1e-10, "{} deviates by {max}", runner.label());
             }
         }

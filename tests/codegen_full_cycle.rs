@@ -1,6 +1,7 @@
 //! Full-cycle C codegen: emit the Figure-8 C for complete V- and W-cycle
 //! plans (all levels, both smoothing configs), compile with the system C
-//! compiler and compare against the engine.
+//! compiler (`-O2 -ffp-contract=off`, so no multiply-add is fused) and
+//! require the engine's output bit for bit.
 
 use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
 use gmg_multigrid::cycles::build_cycle_pipeline;
@@ -89,7 +90,7 @@ int main(void) {{
     );
     std::fs::write(&c_path, format!("{c_src}\n{main_src}")).unwrap();
     let cc = Command::new("cc")
-        .args(["-O2", "-o"])
+        .args(["-O2", "-ffp-contract=off", "-o"])
         .arg(&bin)
         .arg(&c_path)
         .output()
@@ -106,17 +107,21 @@ int main(void) {{
         .chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
         .collect();
-    let max = got
-        .iter()
-        .zip(&want)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    assert!(
-        max < 1e-11,
-        "{} [{}]: generated C deviates by {max}",
-        cfg.tag(),
-        variant.label()
-    );
+    assert_eq!(got.len(), want.len());
+    let differ: Vec<usize> = (0..got.len())
+        .filter(|&i| got[i].to_bits() != want[i].to_bits())
+        .collect();
+    if let Some(&i) = differ.first() {
+        panic!(
+            "{} [{}]: {} of {} values differ from the engine's bits; first at {i}: C {:e}, engine {:e}",
+            cfg.tag(),
+            variant.label(),
+            differ.len(),
+            got.len(),
+            got[i],
+            want[i]
+        );
+    }
 }
 
 #[test]

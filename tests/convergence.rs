@@ -4,7 +4,7 @@
 use polymg_repro::compiler::{PipelineOptions, Variant};
 use polymg_repro::mg::config::{CycleType, MgConfig, SmoothSteps};
 use polymg_repro::mg::handopt::HandOpt;
-use polymg_repro::mg::solver::{run_cycles, setup_poisson, DslRunner};
+use polymg_repro::mg::solver::{max_or_nan, run_cycles, setup_poisson, DslRunner};
 
 fn strong_coarse() -> SmoothSteps {
     SmoothSteps {
@@ -30,7 +30,7 @@ fn h_independent_convergence_2d() {
         cfg.levels = levels;
         factors.push(factor(&cfg, 4));
     }
-    let max = factors.iter().cloned().fold(0.0f64, f64::max);
+    let max = max_or_nan(factors.iter().copied());
     let min = factors.iter().cloned().fold(1.0f64, f64::min);
     assert!(max < 0.2, "V-cycle factor degraded with size: {factors:?}");
     assert!(

@@ -5,7 +5,7 @@
 use polymg_repro::compiler::{PipelineOptions, Variant};
 use polymg_repro::mg::config::{CycleType, MgConfig, SmoothSteps};
 use polymg_repro::mg::handopt::HandOpt;
-use polymg_repro::mg::solver::{run_cycles, setup_poisson, CycleRunner, DslRunner};
+use polymg_repro::mg::solver::{max_abs_diff, run_cycles, setup_poisson, CycleRunner, DslRunner};
 
 fn gsrb_cfg(ndims: usize, n: i64) -> MgConfig {
     MgConfig::new(
@@ -37,11 +37,7 @@ fn dsl_gsrb_matches_handopt_2d() {
         let mut vd = v0.clone();
         dsl.cycle(&mut vd, &f);
         dsl.cycle(&mut vd, &f);
-        let dev = vd
-            .iter()
-            .zip(&vh)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
+        let dev = max_abs_diff(&vd, &vh);
         assert!(dev < 1e-11, "{}: deviation {dev}", variant.label());
     }
 }
@@ -59,11 +55,7 @@ fn dsl_gsrb_matches_handopt_3d() {
     let mut dsl = DslRunner::new(&cfg, opts, "polymg-opt+").unwrap();
     let mut vd = v0;
     dsl.cycle(&mut vd, &f);
-    let dev = vd
-        .iter()
-        .zip(&vh)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
+    let dev = max_abs_diff(&vd, &vh);
     assert!(dev < 1e-11, "deviation {dev}");
 }
 

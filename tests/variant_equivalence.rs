@@ -8,15 +8,8 @@ use polymg_repro::mg::config::{CycleType, MgConfig, SmoothSteps};
 use polymg_repro::mg::cycles::build_cycle_pipeline;
 use polymg_repro::mg::handopt::HandOpt;
 use polymg_repro::mg::pluto::handopt_pluto;
-use polymg_repro::mg::solver::{setup_poisson, CycleRunner, DslRunner};
+use polymg_repro::mg::solver::{max_abs_diff, setup_poisson, CycleRunner, DslRunner};
 use polymg_repro::runtime::interp::run_reference;
-
-fn max_dev(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
 
 /// Run a config through every implementation and the interpreter; assert
 /// agreement after `iters` cycles.
@@ -59,7 +52,7 @@ fn check(cfg: MgConfig, iters: usize) {
         for _ in 0..iters {
             runner.cycle(&mut v, &f);
         }
-        let dev = max_dev(&v, &v_ref);
+        let dev = max_abs_diff(&v, &v_ref);
         assert!(
             dev < 1e-11,
             "{} deviates from the interpreter by {dev} on {}",
