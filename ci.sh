@@ -94,10 +94,14 @@ grep -o '"fired": [0-9]*' /tmp/chaos_profile_ci.json | grep -qv '"fired": 0$' \
 # fallback to the scalar tier fails CI rather than shipping as a perf
 # regression. The lane matrix and the interpreter-twin proptests run again
 # under the release codegen (tier-1 runs them in debug only), which is what
-# the scalar lanes, `f32` among them, and the `target_feature` packed rows
-# ship as.
+# the scalar lanes, `f32` among them, and the `target_feature` packed
+# sweeps ship as. The whole kernel unit suite runs in release, so the
+# sweeps' one-check-per-sweep bounds tests (a tap or a shared output past
+# its buffer must panic) hold under release codegen, where no
+# `debug_assert!` is left; `dispatch_counts` pins the kernel histograms the
+# profile witness below reads.
 cargo test -q -p gmg-runtime --test proptest_specialized --test proptest_fastmath_ulp
-cargo test -q --release -p gmg-runtime --lib lane_rule_arity_remainder_matrix
+cargo test -q --release -p gmg-runtime --lib --test dispatch_counts
 cargo test -q --release -p gmg-runtime --test proptest_specialized
 cargo run --release -p gmg-bench --bin polymg-cli -- V-2D-4-4-4 --n 63 \
   --profile /tmp/simd_profile_ci.json --iters 2 >/dev/null
@@ -123,6 +127,13 @@ for tier in scalar lane_safe fast_math; do
   grep -q "\"kernel.stencil2d9.$tier.ns_per_point\"" /tmp/bench_kernel_ci.json \
     || { echo "ci: traced run carries no kernel.stencil2d9.$tier row" >&2; exit 1; }
 done
+# the small-shape serving mix, untimed: every grid of the six plans —
+# shared outputs, coefficient rows and red-black parity rows among them —
+# must come back bitwise equal to its in-process reference (non-zero exit
+# otherwise)
+cargo run --release --locked --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  run --workload serve_mixed --quick >/dev/null \
+  || { echo "ci: serve_mixed benchmark run failed" >&2; exit 1; }
 
 # tile-executor gate: a traced quick run of the overlapped-tile workload
 # verifies every output bitwise against `Variant::Naive` and reconciles the

@@ -10,13 +10,34 @@
 //! for the mixed-precision smoother chain, whose steps run through the same
 //! sweep and row body as every `f64` stage.
 //!
-//! Linear cases run row by row, and every row of every tier is one body,
-//! `row_body`: its tap arity is a compile-time constant, and it is generic
-//! over a *lane* (how many consecutive points of which element type one
-//! pass computes), an *accumulation rule* (how a point's terms are summed)
-//! and the source of each tap's weight and value — a literal coefficient,
-//! or `coeff · a[i]` read from a coefficient row (variable-coefficient
-//! operators):
+//! **Bound once, swept whole.** A stage kernel is *bound* ([`Bound`]) once
+//! per stage and engine, at the engine's first run: everything a case
+//! execution could re-derive is decided there — each linear case's sweep
+//! instance (for the tier, the arity, the stride shape and whether it has
+//! coefficient rows), each cursor's read in every axis and its advance per
+//! point, row and plane, the coefficient-row dedupe, and the
+//! `gmg_trace::dispatch` class, family and tier the case counts as. A case execution then works out only
+//! what depends on the view: the first point matching the case's parity,
+//! the point, row and plane counts, and each cursor's base offset — integer
+//! multiply-adds — and makes *one* call, into the sweep instance, which
+//! runs every row of every plane (of every x-slab) itself. Between rows
+//! only the row pointers move.
+//!
+//! **One check per sweep.** The sweep reads and writes through raw
+//! pointers. Its soundness rests on one check per cursor and one for the
+//! output, made before the first point in release builds too
+//! ([`footprint`]): the first and the last element the sweep touches
+//! through it — first point of the first row of the first plane, last point
+//! of the last row of the last plane — lie in that buffer. Every advance is
+//! non-negative (binding rejects any other access), so every element in
+//! between does too.
+//!
+//! Every row of every tier is one body, `row_body`: its tap arity is a
+//! compile-time constant, and it is generic over a *lane* (how many
+//! consecutive points of which element type one pass computes), an
+//! *accumulation rule* (how a point's terms are summed) and the source of
+//! each tap's weight and value — a literal coefficient, or `coeff · a[i]`
+//! read from a coefficient row (variable-coefficient operators):
 //!
 //! | element, tier | unit-stride plain rows | unit-stride coefficient rows | strided plain rows |
 //! |---|---|---|---|
@@ -27,14 +48,14 @@
 //!
 //! (the `Generic` tag runs its plain rows at tier `Scalar` and its
 //! coefficient rows at its stage's tier; a host without AVX2+FMA runs the
-//! `f64` lane tiers at lane `f64`, `FastMath` under `UNFUSED`; rows whose
-//! taps differ in stride, and strided coefficient rows, run lane `f64`;
-//! an `f32` case runs and counts as tier `Scalar` whatever its stage's
-//! tier). Each linear case makes one dispatch decision (`select_row`) and
-//! runs one sweep (`linear_sweep`) shared by both ranks. A run-time loop
-//! (`dyn_row`) remains as the reference the body is tested against, for
-//! arities outside the 0..=28 table and for strided rows under the generic
-//! tag. Non-linear cases are evaluated by the expression interpreter.
+//! `f64` lane tiers at lane `f64`, `FastMath` under `UNFUSED` — the host is
+//! asked once, at binding; rows whose taps differ in stride, and strided
+//! coefficient rows, run lane `f64` with each cursor's own stride; an `f32`
+//! case runs and counts as tier `Scalar` whatever its stage's tier).
+//! Arities outside the 0..=28 table run `dyn_sweep`, the same chain with a
+//! run-time arity; the tests hold every instance to the checked reference
+//! loop `dyn_row`. Non-linear cases are evaluated by the expression
+//! interpreter.
 //!
 //! A strided row has one of three (output stride, input stride) shapes:
 //! (1, 2) restriction, (2, 1) interpolation, (2, 2) a red-black sweep.
@@ -42,17 +63,18 @@
 // Index-based loops here mirror the math (multi-slice stencil updates); clippy prefers iterators but the indices are the clearer notation.
 #![allow(clippy::needless_range_loop)]
 
-use gmg_ir::{Access, CoeffRead, Expr, LinearForm, Operand, Parity, ParityPattern};
-use gmg_poly::{div_floor, BoxDomain, Interval};
+use gmg_ir::{Access, Expr, LinearForm, Operand, Parity, ParityPattern};
+use gmg_poly::{BoxDomain, Interval};
+use gmg_trace::dispatch::{Kind, Tally};
 use polymg::{KernelBody, KernelImpl, KernelSel, KernelTier, StageKernel};
-use sealed::{Sealed, UnitTaps};
+use sealed::{Linear, Sealed, SweepFn, Walk};
 use std::ops::{Add, AddAssign, Mul};
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64 as x86;
 
 /// The element type of a kernel: `f64`, or `f32` for the mixed-precision
-/// smoother chain. Lowered biases and coefficients are `f64`; a linear case
+/// smoother chain. Lowered biases and coefficients are `f64`; binding
 /// rounds them to the element type once, and the expression interpreter
 /// evaluates in `f64` and rounds each result. Sealed: these two are all.
 pub trait Elem:
@@ -72,6 +94,10 @@ impl Elem for f64 {}
 impl Elem for f32 {}
 
 mod sealed {
+    use super::{BoundTap, KernelInput, Reach};
+    use gmg_ir::Parity;
+    use gmg_trace::dispatch::Kind;
+
     /// What the kernels need of an element type beyond arithmetic, kept off
     /// `Elem`'s public surface and closed to impls elsewhere.
     pub trait Sealed: Sized {
@@ -86,43 +112,70 @@ mod sealed {
         fn wide(self) -> f64;
         /// `self · b + c`, rounded once.
         fn mul_add(self, b: Self, c: Self) -> Self;
-        /// The whole row of `taps` on the widest packed lane the host runs;
-        /// `false`, with nothing written, where there is none (for `f32`,
-        /// anywhere).
-        ///
-        /// # Safety
-        ///
-        /// `O` and `S` are 1 or 2.
-        unsafe fn packed<
+        /// The sweep instance on the widest packed lane the host runs, for
+        /// `K` taps, `N` = 0 (plain) or `K` (coefficient) weights, output
+        /// stride `O` and input stride `S` (each 1 or 2) under `RULE`;
+        /// `None` where there is none (for `f32`, anywhere). Asked once per
+        /// case, at binding.
+        fn packed<
             const K: usize,
-            const RULE: u8,
             const N: usize,
             const O: usize,
             const S: usize,
-        >(
-            _out_row: &mut [Self],
-            _bias: Self,
-            _taps: &UnitTaps<'_, Self, K, N, O, S>,
-        ) -> bool {
-            false
+            const RULE: u8,
+        >() -> Option<SweepFn<Self>> {
+            None
         }
     }
 
-    /// The taps of one row as [`row_body`](super::row_body) reads them at
-    /// any lane: `count` points stored `O` apart, tap `j`'s value at point
-    /// `i` loaded from `rows[j]` at `i·S` (one input stride for every tap),
-    /// and its weight `coeff[j]` — or, for a tap `scaled[j]` marks,
-    /// `coeff[j] · a[j][i]`, formed before it multiplies the value (the
-    /// association of `dyn_row`). A plain source has neither `a` nor
-    /// `scaled` (`N = 0`), a scaled one (unit strides only) an entry per tap
-    /// (`N = K`). Only its constructors build one, so every row holds the
-    /// values its points read. Public only so that `packed` can name it.
-    pub struct UnitTaps<'a, E, const K: usize, const N: usize, const O: usize, const S: usize> {
-        pub(super) count: usize,
-        pub(super) rows: [&'a [E]; K],
-        pub(super) coeff: [E; K],
-        pub(super) a: [&'a [E]; N],
-        pub(super) scaled: [bool; N],
+    /// A sweep instance: every point of every row of every plane of one
+    /// linear case execution, x-slab by x-slab.
+    ///
+    /// # Safety
+    ///
+    /// The walk's output pointer is valid for every output the sweep
+    /// writes (`Linear::run` checks that once), and the host runs the
+    /// instance's lane (binding picked it so).
+    pub type SweepFn<T> = unsafe fn(&Linear<T>, &Walk<'_, T>);
+
+    /// A linear case bound for element type `T`: all of its execution that
+    /// does not depend on the view. Public only so that `packed` can name
+    /// it.
+    pub struct Linear<T> {
+        /// The case's rank (2 or 3), and per axis, outermost of three first
+        /// (a 2-D case is a 3-D case of one plane), the parity its points
+        /// match and the step between them: 1, or 2 for a pinned parity.
+        pub(super) rank: usize,
+        pub(super) parity: [Parity; 3],
+        pub(super) steps: [i64; 3],
+        pub(super) bias: T,
+        /// The taps in lowered order, then one cursor per *distinct*
+        /// coefficient read, which the taps' `cf` index.
+        pub(super) taps: Box<[BoundTap<T>]>,
+        pub(super) crows: Box<[Reach]>,
+        pub(super) sweep: SweepFn<T>,
+        /// What a non-empty execution counts as: its dispatch class, and
+        /// the family and tier buckets (0 and 0 when the selection's tier
+        /// did not apply).
+        pub(super) counts_as: (Kind, usize, usize),
+        /// Points per x-slab (`usize::MAX`: the rows are not cut).
+        pub(super) xblock: usize,
+    }
+
+    /// What one case execution adds to its [`Linear`]: the view.
+    pub struct Walk<'a, T> {
+        pub(super) ins: &'a [KernelInput<'a, T>],
+        /// The sweep's first point and its plane, row and point counts,
+        /// outermost of three first.
+        pub(super) start: [i64; 3],
+        pub(super) counts: [usize; 3],
+        /// Points per x-slab (the row length when unblocked).
+        pub(super) slab: usize,
+        /// The output at the first point, and its advance per row and at
+        /// the end of a plane.
+        pub(super) out: *mut T,
+        pub(super) out_dy: isize,
+        pub(super) out_wrap: isize,
     }
 }
 
@@ -135,33 +188,20 @@ impl Sealed for f64 {
         self
     }
     /// One instruction only when inlined into an `fma`-enabled function
-    /// ([`packed_unit`]'s remainder); anywhere else a libm call per tap,
+    /// ([`packed_sweep`]'s remainder); anywhere else a libm call per tap,
     /// which is why hosts without FMA run [`UNFUSED`] instead.
     #[inline(always)]
     fn mul_add(self, b: f64, c: f64) -> f64 {
         f64::mul_add(self, b, c)
     }
-    #[inline(always)]
-    unsafe fn packed<
-        const K: usize,
-        const RULE: u8,
-        const N: usize,
-        const O: usize,
-        const S: usize,
-    >(
-        out_row: &mut [f64],
-        bias: f64,
-        taps: &UnitTaps<'_, f64, K, N, O, S>,
-    ) -> bool {
+    fn packed<const K: usize, const N: usize, const O: usize, const S: usize, const RULE: u8>(
+    ) -> Option<SweepFn<f64>> {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
-            // SAFETY: both features were just detected; the caller
-            // guarantees the strides.
-            taps.packed_unit::<RULE>(out_row, bias);
-            return true;
+            return Some(packed_sweep::<K, N, O, S, RULE>);
         }
-        false
+        None
     }
 }
 
@@ -224,28 +264,32 @@ pub enum KernelInput<'a, T = f64> {
     Zero,
 }
 
-/// First in-region coordinate matching a parity, and the step (1 or 2).
-/// Returns `None` when no point in `[lo, hi]` matches.
-fn parity_start(lo: i64, hi: i64, p: Parity) -> Option<(i64, i64)> {
-    let (start, step) = match p {
-        Parity::Any => (lo, 1),
-        Parity::Even => (if lo.rem_euclid(2) == 0 { lo } else { lo + 1 }, 2),
-        Parity::Odd => (if lo.rem_euclid(2) == 1 { lo } else { lo + 1 }, 2),
-    };
-    if start > hi {
-        None
-    } else {
-        Some((start, step))
+/// The first point of `region` (outermost first) matching `parity` on every
+/// axis, the step between matching points and how many match, per axis
+/// padded to three (a 2-D region is one plane); `None` when no point does.
+fn sweep_axes(region: &[Interval], parity: &[Parity]) -> Option<([i64; 3], [i64; 3], [usize; 3])> {
+    let (mut start, mut steps, mut counts) = ([0; 3], [1; 3], [1; 3]);
+    for ((d, iv), &p) in (3 - region.len()..3).zip(region).zip(parity) {
+        let (s, step) = match p {
+            Parity::Any => (iv.lo, 1),
+            Parity::Even => (iv.lo + iv.lo.rem_euclid(2), 2),
+            Parity::Odd => (iv.lo + 1 - iv.lo.rem_euclid(2), 2),
+        };
+        if s > iv.hi {
+            return None;
+        }
+        (start[d], steps[d], counts[d]) = (s, step, ((iv.hi - s) / step + 1) as usize);
     }
+    Some((start, steps, counts))
 }
 
 /// Where a kernel writes.
 ///
 /// `Dense` is an exclusive window (scratchpads, untiled sweeps). `Shared`
 /// writes straight into a full array that other tiles are writing
-/// concurrently — per-row segments are derived from the raw pointer, and
-/// soundness rests on the planner's owned-region partition (disjoint row
-/// segments per tile).
+/// concurrently — through its raw pointer, within the sweep's checked
+/// footprint, and soundness rests on the planner's owned-region partition
+/// (disjoint boxes per tile).
 pub enum KernelOut<'a, T = f64> {
     Dense(SpaceMut<'a, T>),
     Shared {
@@ -256,38 +300,29 @@ pub enum KernelOut<'a, T = f64> {
 }
 
 impl<T> KernelOut<'_, T> {
-    #[inline]
-    fn origin(&self, d: usize) -> i64 {
-        match self {
-            KernelOut::Dense(s) => s.origin[d],
-            KernelOut::Shared { .. } => 0,
-        }
+    /// The view as three axes, outermost first (a 2-D view is one plane):
+    /// origin, extents, the buffer's length and its first element.
+    fn view(&mut self) -> ([i64; 3], [i64; 3], usize, *mut T) {
+        let (origin, extents, len, data) = match self {
+            KernelOut::Dense(s) => (s.origin, s.extents, s.data.len(), s.data.as_mut_ptr()),
+            KernelOut::Shared { out, extents } => (&[][..], *extents, out.len(), out.as_ptr()),
+        };
+        (pad(origin, 0), pad(extents, 1), len, data)
     }
+}
 
-    #[inline]
-    fn extent(&self, d: usize) -> i64 {
-        match self {
-            KernelOut::Dense(s) => s.extents[d],
-            KernelOut::Shared { extents, .. } => extents[d],
-        }
-    }
-
-    /// The row segment `[off, off+len)`.
-    #[inline]
-    fn row_mut(&mut self, off: usize, len: usize) -> &mut [T] {
-        match self {
-            KernelOut::Dense(s) => &mut s.data[off..off + len],
-            // SAFETY: concurrent writers cover disjoint owned boxes (see
-            // type-level docs); segments of one kernel execution are used
-            // strictly sequentially.
-            KernelOut::Shared { out, .. } => unsafe { out.segment(off, len) },
-        }
-    }
+/// `v` (at most three axes, outermost first) right-aligned in three, the
+/// missing outer axes `fill`.
+fn pad(v: &[i64], fill: i64) -> [i64; 3] {
+    let mut p = [fill; 3];
+    p[3 - v.len()..].copy_from_slice(v);
+    p
 }
 
 /// Execute every case of `kernel` over `region` into a dense window, under
 /// a kernel selection (family + tier + block; [`KernelSel::generic`] is the
-/// always-correct default).
+/// always-correct default). The kernel is bound for this one call; the
+/// engine binds each stage once ([`Bound`]).
 ///
 /// `slot_boundary[k]` is the ghost/boundary value of slot `k`'s producer
 /// (reads outside a producer's view resolve to it — only the interpreter
@@ -302,168 +337,301 @@ pub fn execute_stage_sel<T: Elem>(
 ) {
     let dense = KernelOut::Dense(SpaceMut {
         data: &mut *out.data,
-        origin: out.origin,
-        extents: out.extents,
+        ..*out
     });
-    execute_stage_region(sel, kernel, &region.0, dense, ins, slot_boundary);
+    let mut tally = Tally::default();
+    Bound::new(sel, kernel).run(&region.0, dense, ins, slot_boundary, &mut tally);
+    tally.publish();
 }
 
-/// [`execute_stage_sel`] into any [`KernelOut`], over a region given as its
-/// intervals, outermost first (the tile executor keeps its boxes in fixed
-/// arrays, not in a [`BoxDomain`]).
+/// A stage kernel bound for element type `T` under a selection: one entry
+/// per case, in order.
 ///
-/// Each linear case makes one dispatch decision (`select_row`) and runs
-/// one sweep (`linear_sweep`). A non-[`Generic`](KernelImpl::Generic)
-/// family runs the selection's tier, provided the case's arity has an
-/// instance in the table; anything else (interpreted cases, arities above
-/// the table) runs the generic selection and is counted in the histograms'
-/// `generic`/`scalar` buckets. Stages with coefficient taps are tagged
-/// `Generic` and run their tier on unit-stride rows. Only the fast-math
-/// tier's results differ from the generic path's, and only on unit-stride
-/// plain rows.
-pub(crate) fn execute_stage_region<T: Elem>(
-    sel: KernelSel,
-    kernel: &StageKernel,
-    region: &[Interval],
-    mut out: KernelOut<'_, T>,
-    ins: &[KernelInput<'_, T>],
-    slot_boundary: &[f64],
-) {
-    if region.iter().any(Interval::is_empty) {
-        return;
+/// A non-[`Generic`](KernelImpl::Generic) family runs the selection's tier,
+/// provided the case's arity has an instance in the table; anything else
+/// (interpreted cases, arities above the table) runs the generic selection
+/// and is counted in the histograms' `generic`/`scalar` buckets. Stages
+/// with coefficient taps are tagged `Generic` and run their tier on
+/// unit-stride rows. Only the fast-math tier's results differ from the
+/// generic path's, and only on unit-stride plain rows.
+pub(crate) struct Bound<T>(Box<[Case<T>]>);
+
+enum Case<T> {
+    Linear(Linear<T>),
+    Interpreted(Expr, ParityPattern),
+}
+
+impl<T: Elem> Bound<T> {
+    /// Bind every case of `kernel` under `sel`. An element type without
+    /// tiers (`f32`) runs, and counts as, the selection's family at
+    /// [`KernelTier::Scalar`].
+    pub(crate) fn new(sel: KernelSel, kernel: &StageKernel) -> Bound<T> {
+        let tier = if T::TIERED {
+            sel.tier
+        } else {
+            KernelTier::Scalar
+        };
+        let sel = KernelSel { tier, ..sel };
+        let cases = kernel.cases.iter().map(|case| match &case.body {
+            KernelBody::Linear(form) => Case::Linear(Linear::new(sel, form, &case.pattern)),
+            KernelBody::Interpreted(expr) => Case::Interpreted(expr.clone(), case.pattern.clone()),
+        });
+        Bound(cases.collect())
     }
-    for case in &kernel.cases {
-        match &case.body {
-            KernelBody::Linear(form) => {
-                linear_sweep(sel, form, &case.pattern, region, &mut out, ins)
-            }
-            KernelBody::Interpreted(expr) => {
-                gmg_trace::dispatch::record_impl(0, 1);
-                gmg_trace::dispatch::record_tier(0, 1);
-                interpret_case(expr, &case.pattern, region, &mut out, ins, slot_boundary)
+
+    /// Execute every case over `region` (global coordinates, outermost
+    /// first) into `out`, counting each execution in `tally`.
+    pub(crate) fn run(
+        &self,
+        region: &[Interval],
+        mut out: KernelOut<'_, T>,
+        ins: &[KernelInput<'_, T>],
+        slot_boundary: &[f64],
+        tally: &mut Tally,
+    ) {
+        if region.iter().any(Interval::is_empty) {
+            return;
+        }
+        for case in self.0.iter() {
+            match case {
+                Case::Linear(form) => form.run(region, &mut out, ins, tally),
+                Case::Interpreted(expr, pattern) => {
+                    tally.note(Kind::Interpreter, 0, 0);
+                    interpret_case(expr, pattern, region, &mut out, ins, slot_boundary)
+                }
             }
         }
     }
 }
 
-/// A row cursor: the value at inner-loop index `k` is `data[base + k·slope]`.
-/// A linear case carries one per tap, in lowered order, followed by one per
-/// distinct coefficient row (see [`linear_sweep`]); the sweep advances them
-/// all alike. A tap's weight is `coeff`, or `coeff · a[k]` when `cf` names
-/// the coefficient row `a` it is scaled by (`coeff` and `cf` are unused on
-/// the coefficient rows themselves).
-#[derive(Clone, Copy)]
-struct RtTap<'a, T> {
-    data: &'a [T],
-    base: usize,
-    slope: usize,
+/// How a cursor reads its input, fixed at binding: the slot, and per axis
+/// (outermost of three first) the read `(num·x + off) >> shift` of the
+/// output coordinate `x` (`shift` 1 for a `/2` access: the floor of the
+/// half) and how far that read moves per step of the sweep along the axis.
+/// The last axis's move is the cursor's stride within a row.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Reach {
+    slot: usize,
+    axes: [(i64, i64, u32); 3],
+    moves: [i64; 3],
+}
+
+/// A bound tap: its read, its coefficient in the element type, and the
+/// index of the coefficient row that scales it, if any.
+pub(crate) struct BoundTap<T> {
+    reach: Reach,
     coeff: T,
-    /// Index into the case's coefficient rows.
     cf: Option<usize>,
 }
 
-impl<'a, T: Copy> RtTap<'a, T> {
+/// A cursor as a sweep instance holds it: the value at point `k` of the
+/// current row is `*at.add(k·slope)`; `at` moves by `dy` per row and by
+/// `wrap` more at the end of a plane (one possibly negative step back to
+/// the next plane's first row). The moves may leave the buffer after its
+/// last row, so they are wrapping; no element outside it is read.
+#[derive(Clone, Copy)]
+pub(crate) struct Cursor<T> {
+    at: *const T,
+    slope: usize,
+    dy: isize,
+    wrap: isize,
+}
+
+impl<T> Cursor<T> {
+    /// On to the next row: `dy`, and `wrap` more at the end of a plane.
     #[inline(always)]
-    fn at(&self, k: usize) -> T {
-        self.data[self.base + k * self.slope]
-    }
-
-    /// The `len` values from the base: all that `count` points `S` apart
-    /// read, for `len = (count − 1)·S + 1`.
-    #[inline(always)]
-    fn span(&self, len: usize) -> &'a [T] {
-        &self.data[self.base..self.base + len]
+    fn next_row(&mut self, plane_ends: bool) {
+        self.at = self
+            .at
+            .wrapping_offset(self.dy + plane_ends as isize * self.wrap);
     }
 }
 
-/// Row base index (everything except the innermost dim) of an access into
-/// `input` for outer coordinates `outer` (length = rank-1).
-fn tap_row_base<T>(access: &Access, input: &Space<'_, T>, outer: &[i64]) -> usize {
-    let nd = input.origin.len();
-    debug_assert_eq!(outer.len(), nd - 1);
-    let mut idx: i64 = 0;
-    for d in 0..nd - 1 {
-        let a = access.0[d];
-        let coord = div_floor(a.num * outer[d] + a.off, a.den);
-        let rel = coord - input.origin[d];
-        debug_assert!(rel >= 0 && rel < input.extents[d], "tap row out of view");
-        idx = idx * input.extents[d] + rel;
+/// The flat index, in a dense view of `extents`, of view coordinate `at`
+/// (outermost of three first), and for the coordinate moves `moves` the
+/// flat advances a sweep of `counts` makes: at the end of a plane (after its
+/// rows' advances), per row and per point. Panics — in release builds too:
+/// this is what the sweeps' unchecked accesses rest on — unless the first
+/// and the last element a sweep of `counts` planes × rows × points visits
+/// lie in `[0, len)`; with every move non-negative, so does every element
+/// between them.
+fn footprint(
+    at: [i64; 3],
+    moves: [i64; 3],
+    extents: [i64; 3],
+    counts: [usize; 3],
+    len: usize,
+) -> (usize, [isize; 3]) {
+    debug_assert!(
+        (0..3).all(|d| at[d] >= 0 && at[d] + (counts[d] as i64 - 1) * moves[d] < extents[d]),
+        "sweep leaves its view: from {at:?} by {moves:?} × {counts:?} in {extents:?}"
+    );
+    let strides = [extents[1] * extents[2], extents[2], 1];
+    let steps: [i64; 3] = std::array::from_fn(|d| moves[d] * strides[d]);
+    let first: i64 = (0..3).map(|d| at[d] * strides[d]).sum();
+    let span: i64 = (0..3).map(|d| (counts[d] as i64 - 1) * steps[d]).sum();
+    let last = first + span;
+    assert!(
+        first >= 0 && last < len as i64,
+        "sweep footprint [{first}, {last}] leaves its buffer of {len}"
+    );
+    let wrap = steps[0] - counts[1] as i64 * steps[1];
+    (
+        first as usize,
+        [wrap, steps[1], steps[2]].map(|s| s as isize),
+    )
+}
+
+impl<T> Walk<'_, T> {
+    /// The cursor at `r`'s first read, its whole footprint checked
+    /// ([`footprint`]). Not inlined: every sweep instance calls it once per
+    /// cursor, and its checks are the same for all.
+    #[inline(never)]
+    fn cursor(&self, r: &Reach) -> Cursor<T> {
+        let KernelInput::Grid(s) = &self.ins[r.slot] else {
+            panic!("linear tap reads the zero grid (lowering bug)")
+        };
+        let (origin, extents) = (pad(s.origin, 0), pad(s.extents, 1));
+        let at = std::array::from_fn(|d| {
+            let (num, off, shift) = r.axes[d];
+            ((num * self.start[d] + off) >> shift) - origin[d]
+        });
+        let (first, [wrap, dy, slope]) = footprint(at, r.moves, extents, self.counts, s.data.len());
+        Cursor {
+            // `first < s.data.len()`: `footprint` checked it
+            at: s.data[first..].as_ptr(),
+            slope: slope as usize,
+            dy,
+            wrap,
+        }
     }
-    // innermost handled by base/slope; here add the row start
-    (idx * input.extents[nd - 1]) as usize
 }
 
-/// How far a tap's input coordinate moves (in that dimension's units) when
-/// the output coordinate advances by `step`: `num·step` for `/1` accesses,
-/// `step/2` for parity-pinned `/2` accesses.
-#[inline]
-fn axis_coord_delta(a: &gmg_ir::expr::AxisAccess, step: i64) -> i64 {
-    if a.den == 2 {
-        debug_assert_eq!(step % 2, 0, "/2 access requires an even step");
-        step / 2
-    } else {
-        a.num * step
+impl<T: Elem> Linear<T> {
+    /// Bind one linear case: its cursors, its sweep instance, its counts.
+    fn new(sel: KernelSel, form: &LinearForm, pattern: &ParityPattern) -> Linear<T> {
+        let rank = pattern.0.len();
+        assert!(rank == 2 || rank == 3, "unsupported rank {rank}");
+        let mut parity = [Parity::Any; 3];
+        parity[3 - rank..].copy_from_slice(&pattern.0);
+        let steps = parity.map(|p| 1 + (p != Parity::Any) as i64);
+        let reach = |slot: usize, access: &Access| {
+            assert_eq!(access.0.len(), rank, "access rank");
+            let (mut axes, mut moves) = ([(0, 0, 0); 3], [0; 3]);
+            for (d, a) in (3 - rank..3).zip(&access.0) {
+                // a `/2` read moves one cell per two points, so its axis
+                // steps by 2; every read moves forward
+                let half = a.den == 2 && a.num == 1 && steps[d] == 2;
+                assert!(
+                    a.num >= 0 && (a.den == 1 || half),
+                    "access {a:?} does not advance evenly along its sweep"
+                );
+                axes[d] = (a.num, a.off, half as u32);
+                moves[d] = if half { 1 } else { a.num * steps[d] };
+            }
+            Reach { slot, axes, moves }
+        };
+        let mut reads = Vec::new();
+        let taps: Box<[BoundTap<T>]> = form
+            .taps
+            .iter()
+            .map(|t| BoundTap {
+                reach: reach(t.slot, &t.access),
+                coeff: T::of(t.coeff),
+                cf: t.cfactor.as_ref().map(|c| {
+                    reads.iter().position(|r| r == &c).unwrap_or_else(|| {
+                        reads.push(c);
+                        reads.len() - 1
+                    })
+                }),
+            })
+            .collect();
+        let crows: Box<[Reach]> = reads.iter().map(|c| reach(c.slot, &c.access)).collect();
+
+        // the stride shape: output stride, and the one input stride every
+        // cursor shares (0 when they differ)
+        let out_slope = steps[2] as usize;
+        let mut slopes = taps
+            .iter()
+            .map(|t| &t.reach)
+            .chain(&crows[..])
+            .map(|r| r.moves[2]);
+        let first = slopes.next().unwrap_or(1);
+        let stride = first as usize * slopes.all(|s| s == first) as usize;
+        let unit = out_slope == 1 && stride == 1;
+        let (arity, scaled) = (taps.len(), !crows.is_empty());
+
+        // the one dispatch decision: the generic tag keeps its plain rows and
+        // its strided rows at the scalar tier; arities above the table run
+        // the run-time loop
+        let in_table = arity <= polymg::specialize::MAX_SPEC_TAPS;
+        let tiered = in_table && !(sel.impl_tag == KernelImpl::Generic && (!unit || !scaled));
+        let kind = match (scaled, unit, in_table) {
+            (true, ..) => Kind::VarCoef,
+            (_, false, _) => Kind::Strided,
+            (_, _, true) => Kind::UnitUnrolled,
+            _ => Kind::UnitFallback,
+        };
+        let (tier, counts_as) = match tiered {
+            true => (sel.tier, (kind, sel.impl_tag.index(), sel.tier.index())),
+            false => (KernelTier::Scalar, (kind, 0, 0)),
+        };
+        // Cache blocking, for unit-stride rows of the lane tiers: each row is
+        // cut into `xblock`-point slabs, and all rows and planes of one slab
+        // are swept before the next, so a slab's input rows stay
+        // cache-resident across the y loop. Per-point arithmetic is untouched
+        // (each point sees the same taps in the same order), so blocking is
+        // bitwise-transparent.
+        let xblock = match sel.xblock {
+            b if b > 0 && tier != KernelTier::Scalar && unit => b,
+            _ => usize::MAX,
+        };
+        Linear {
+            rank,
+            parity,
+            steps,
+            bias: T::of(form.bias),
+            sweep: sweep_fn::<T>(tier, arity, out_slope, stride, scaled),
+            taps,
+            crows,
+            counts_as,
+            xblock,
+        }
     }
-}
 
-/// Innermost-dim base and slope for an access given the x start and step.
-fn tap_x_base_slope<T>(access: &Access, input: &Space<'_, T>, x0: i64, sx: i64) -> (usize, usize) {
-    let nd = input.origin.len();
-    let a = access.0[nd - 1];
-    let first = div_floor(a.num * x0 + a.off, a.den) - input.origin[nd - 1];
-    debug_assert!(first >= 0, "tap x base out of view");
-    let slope = if a.den == 2 {
-        debug_assert_eq!(sx, 2, "/2 access requires parity-stepped loop");
-        1
-    } else {
-        (a.num * sx) as usize
-    };
-    (first as usize, slope)
-}
-
-/// The row-kernel signature: write `count` outputs spaced `out_slope` apart
-/// from `bias` plus the sums over `taps`, whose `cf` indices refer to the
-/// coefficient rows `crows`.
-type RowFn<T> =
-    for<'a, 'b, 'c> fn(&'a mut [T], usize, usize, T, &'b [RtTap<'c, T>], &'b [RtTap<'c, T>]);
-
-/// The one dispatch decision of a linear case, made once per case execution
-/// (not per row): the row kernel its rows run, the `gmg_trace::dispatch`
-/// class that kernel counts as, and whether the selection's tier applied
-/// (`false`: the case ran, and counts as, generic/scalar). `unit` says that
-/// the output row and every tap and coefficient row have stride 1.
-///
-/// A specialized family runs its tier's instance of [`row_body`] on unit
-/// and strided rows alike, and so does the generic tag on unit-stride rows
-/// with coefficient taps (a variable-coefficient stage gets the tier a
-/// family would). The generic tag runs the scalar instance on other
-/// unit-stride rows and the run-time loop [`dyn_row`] on strided ones.
-/// Arities above the table run `dyn_row`.
-fn select_row<T: Elem>(
-    sel: KernelSel,
-    unit: bool,
-    taps: &[RtTap<'_, T>],
-    crows: &[RtTap<'_, T>],
-) -> (gmg_trace::dispatch::Kind, RowFn<T>, bool) {
-    use gmg_trace::dispatch::Kind;
-    let tiered = match sel.impl_tag {
-        KernelImpl::Generic if !unit || crows.is_empty() => None,
-        _ => row_fn(sel.tier, taps.len()),
-    };
-    let instance = match tiered {
-        None if unit => row_fn(KernelTier::Scalar, taps.len()),
-        tiered => tiered,
-    };
-    let kind = if !crows.is_empty() {
-        Kind::VarCoef
-    } else if !unit {
-        Kind::Strided
-    } else if instance.is_some() {
-        Kind::UnitUnrolled
-    } else {
-        Kind::UnitFallback
-    };
-    (kind, instance.unwrap_or(dyn_row), tiered.is_some())
+    /// One execution over `region`: the sweep's first point and counts, the
+    /// output's footprint checked, then one call into the instance. A case
+    /// no point of `region` matches neither runs nor counts.
+    fn run(
+        &self,
+        region: &[Interval],
+        out: &mut KernelOut<'_, T>,
+        ins: &[KernelInput<'_, T>],
+        tally: &mut Tally,
+    ) {
+        assert_eq!(region.len(), self.rank, "region rank");
+        let parity = &self.parity[3 - self.rank..];
+        let Some((start, _, counts)) = sweep_axes(region, parity) else {
+            return;
+        };
+        let (origin, extents, len, data) = out.view();
+        let at = std::array::from_fn(|d| start[d] - origin[d]);
+        let (first, [out_wrap, out_dy, _]) = footprint(at, self.steps, extents, counts, len);
+        tally.note(self.counts_as.0, self.counts_as.1, self.counts_as.2);
+        let walk = Walk {
+            ins,
+            start,
+            counts,
+            slab: self.xblock.min(counts[2]),
+            out: data.wrapping_add(first),
+            out_dy,
+            out_wrap,
+        };
+        // SAFETY: `footprint` checked every output the sweep writes; binding
+        // picked an instance the host runs, and the instance checks its own
+        // cursors.
+        unsafe { (self.sweep)(self, &walk) }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -477,9 +645,9 @@ fn select_row<T: Elem>(
 /// # Safety
 ///
 /// Every method requires a host that executes the lane's instructions
-/// (an [`Elem`]: any; [`Avx2`]: AVX2 and FMA, which [`packed_row`]
-/// detects); `load` and `store` also require `p` to be valid for `W`
-/// values, `load2` and `store2` for `2·W − 1`.
+/// (an [`Elem`]: any; [`Avx2`]: AVX2 and FMA, which binding detects before
+/// it picks [`packed_sweep`]); `load` and `store` also require `p` to be
+/// valid for `W` values, `load2` and `store2` for `2·W − 1`.
 trait Lane: Copy {
     type E: Elem;
     const W: usize;
@@ -637,7 +805,7 @@ impl<L: Lane> Lane for [L; 2] {
 
 /// Accumulation rule *exact*: `acc = bias`, then `acc += weight · value`
 /// per tap in lowered order — multiply, then add, never fused. The bitwise
-/// contract: every element is `to_bits()`-equal to [`dyn_row`]'s.
+/// contract: every element is `to_bits()`-equal to `dyn_row`'s.
 const EXACT: u8 = 0;
 /// Accumulation rule *fused*: two partial sums from zero, even taps into
 /// the first and odd taps into the second (so an odd arity's leftover lands
@@ -650,10 +818,10 @@ const FUSED: u8 = 1;
 const UNFUSED: u8 = 2;
 
 /// The row body — the only per-tap accumulate loop besides the run-time
-/// reference [`dyn_row`]. Points `from, from + W, …`
+/// reference `dyn_row`. Points `from, from + W, …`
 /// while a whole lane fits below `count` are computed and stored
-/// `out_slope` apart (a lane wider than one point stores with `store2` when
-/// that is 2); the first point not computed is returned, so a
+/// `out_slope` apart from `out` (a lane wider than one point stores with
+/// `store2` when that is 2); the first point not computed is returned, so a
 /// narrower lane can finish the row with the same body. The arity `K` is a
 /// compile-time constant (the tap loop unrolls; row pointers and
 /// coefficients stay in registers), the lane `L` sets how many points one
@@ -667,9 +835,9 @@ const UNFUSED: u8 = 2;
 ///
 /// # Safety
 ///
-/// [`Lane`]'s contract for `L`, and `weight`/`value` must be readable at
-/// every point below `count`. Lanes wider than one point need `out_slope`
-/// 1 or 2.
+/// [`Lane`]'s contract for `L`; `out_row` holds the `count` points
+/// `out_slope` apart, and `weight`/`value` are readable at every point
+/// below `count`. Lanes wider than one point need `out_slope` 1 or 2.
 #[inline(always)]
 unsafe fn row_body<const K: usize, L: Lane, const RULE: u8>(
     out_row: &mut [L::E],
@@ -681,12 +849,13 @@ unsafe fn row_body<const K: usize, L: Lane, const RULE: u8>(
     value: impl Fn(usize, usize) -> L,
 ) -> usize {
     debug_assert!(L::W == 1 || out_slope <= 2);
-    // the one bounds check of the row: every store below lands inside it
-    assert!(from <= count && (count == 0 || (count - 1) * out_slope < out_row.len()));
+    debug_assert!(count == 0 || (count - 1) * out_slope < out_row.len());
+    // a `&mut` row, not a raw pointer: LLVM may then vectorize lane `f64`
+    // across points without checking it against every source at run time
     let out = out_row.as_mut_ptr();
     let (b, zero) = (L::splat(bias), L::splat(L::E::of(0.0)));
-    // a counted loop: LLVM must see `i < count` to drop the sources' own
-    // bounds checks and vectorize lane `f64` across points
+    // a counted loop: LLVM must see `i < count` to vectorize lane `f64`
+    // across points
     let passes = (count - from) / L::W;
     for n in 0..passes {
         let i = from + n * L::W;
@@ -726,48 +895,46 @@ unsafe fn row_body<const K: usize, L: Lane, const RULE: u8>(
     from + passes * L::W
 }
 
-impl<'a, E: Elem, const K: usize, const O: usize, const S: usize> UnitTaps<'a, E, K, 0, O, S> {
-    /// The first `count` points of `taps`, whose reads are all `S` apart,
-    /// plain: each tap row is cut once, here, to the `(count − 1)·S + 1`
-    /// values the row reads.
-    #[inline(always)]
-    fn new(taps: &[RtTap<'a, E>], count: usize) -> Self {
-        debug_assert!(taps.iter().all(|t| t.slope == S));
-        let len = count.saturating_sub(1) * S + usize::from(count > 0);
-        UnitTaps {
-            count,
-            rows: std::array::from_fn(|j| taps[j].span(len)),
-            coeff: std::array::from_fn(|j| taps[j].coeff),
-            a: [],
-            scaled: [],
-        }
-    }
-}
-
-impl<'a, E: Elem, const K: usize> UnitTaps<'a, E, K, 0, 1, 1> {
-    /// The same unit-stride taps, each scaled by the coefficient row its
-    /// `cf` names in `crows`. A tap that is not scaled has its own value
-    /// row as `a`: loaded, never selected, so the weight is branch-free.
-    #[inline(always)]
-    fn scaled_by(
-        self,
-        taps: &[RtTap<'a, E>],
-        crows: &[RtTap<'a, E>],
-    ) -> UnitTaps<'a, E, K, K, 1, 1> {
-        let count = self.count;
-        UnitTaps {
-            a: std::array::from_fn(|j| taps[j].cf.map_or(self.rows[j], |c| crows[c].span(count))),
-            scaled: std::array::from_fn(|j| taps[j].cf.is_some()),
-            count,
-            rows: self.rows,
-            coeff: self.coeff,
-        }
-    }
+/// The taps of one linear case as a sweep instance holds them: `count`
+/// points of the current row stored `O` apart, tap `j`'s value at point `i`
+/// read from its cursor at `i·S` (one input stride for every tap; `S = 0`:
+/// each cursor's own stride, at a scalar lane only), and its weight
+/// `coeff[j]` — or, for a tap `scaled[j]` marks, `coeff[j] · a[j][i]`,
+/// formed before it multiplies the value (the association of `dyn_row`).
+/// A plain source has neither `a` nor `scaled` (`N = 0`), a scaled one an
+/// entry per tap (`N = K`). Only [`UnitTaps::bind`] builds one, from
+/// cursors whose whole footprint it checked.
+struct UnitTaps<E, const K: usize, const N: usize, const O: usize, const S: usize> {
+    count: usize,
+    taps: [Cursor<E>; K],
+    coeff: [E; K],
+    a: [Cursor<E>; N],
+    scaled: [bool; N],
 }
 
 impl<E: Elem, const K: usize, const N: usize, const O: usize, const S: usize>
-    UnitTaps<'_, E, K, N, O, S>
+    UnitTaps<E, K, N, O, S>
 {
+    /// The taps of `case` at the walk's first point: one cursor per tap,
+    /// and per scaled tap the cursor of the coefficient row its `cf` names
+    /// (each distinct row placed once). A tap that is not scaled has its own
+    /// value row as `a`: loaded, never selected, so the weight is
+    /// branch-free.
+    #[inline(always)]
+    fn bind(case: &Linear<E>, w: &Walk<'_, E>) -> Self {
+        debug_assert!(case.taps.len() == K && (N == K || case.crows.is_empty()));
+        let taps: [Cursor<E>; K] = std::array::from_fn(|j| w.cursor(&case.taps[j].reach));
+        let crows: [Option<Cursor<E>>; N] =
+            std::array::from_fn(|c| case.crows.get(c).map(|r| w.cursor(r)));
+        UnitTaps {
+            count: 0,
+            coeff: std::array::from_fn(|j| case.taps[j].coeff),
+            a: std::array::from_fn(|j| case.taps[j].cf.and_then(|c| crows[c]).unwrap_or(taps[j])),
+            scaled: std::array::from_fn(|j| case.taps[j].cf.is_some()),
+            taps,
+        }
+    }
+
     /// Tap `j`'s weight at points `i..i + L::W`.
     ///
     /// # Safety
@@ -779,7 +946,8 @@ impl<E: Elem, const K: usize, const N: usize, const O: usize, const S: usize>
         if N == 0 {
             return c;
         }
-        let w = c.mul(L::load(self.a[j].as_ptr().add(i)));
+        let a = &self.a[j];
+        let w = c.mul(L::load(a.at.add(i * if S == 0 { a.slope } else { 1 })));
         if self.scaled[j] {
             w
         } else {
@@ -794,21 +962,23 @@ impl<E: Elem, const K: usize, const N: usize, const O: usize, const S: usize>
     /// [`Lane`]'s contract for `L`; `i + L::W <= count`.
     #[inline(always)]
     unsafe fn value<L: Lane<E = E>>(&self, j: usize, i: usize) -> L {
-        debug_assert!((i + L::W - 1) * S < self.rows[j].len());
-        let p = self.rows[j].as_ptr().add(i * S);
+        let t = &self.taps[j];
         match S {
-            1 => L::load(p),
-            _ => L::load2(p),
+            0 => L::load(t.at.add(i * t.slope)),
+            1 => L::load(t.at.add(i)),
+            _ => L::load2(t.at.add(i * S)),
         }
     }
 
     /// [`row_body`] over these taps at lane `L`, storing its outputs `O`
-    /// apart from `out[0]`. Covers the row from point `from` and
-    /// returns the first point left over.
+    /// apart from `out`. Covers the row from point `from` and returns the
+    /// first point left over.
     ///
     /// # Safety
     ///
-    /// [`Lane`]'s contract for `L`; `O` and `S` are 1 or 2.
+    /// [`Lane`]'s contract for `L`; `out` and the taps' cursors hold the
+    /// current row of a checked sweep; `O` and `S` are 1 or 2 (`S` also 0
+    /// at a scalar lane).
     #[inline(always)]
     unsafe fn at_lane<L: Lane<E = E>, const RULE: u8>(
         &self,
@@ -816,173 +986,197 @@ impl<E: Elem, const K: usize, const N: usize, const O: usize, const S: usize>
         from: usize,
         bias: E,
     ) -> usize {
+        debug_assert!(S != 0 || L::W == 1);
         let (weight, value) = (|j, i| self.weight::<L>(j, i), |j, i| self.value::<L>(j, i));
         row_body::<K, L, RULE>(out, O, from, self.count, bias, weight, value)
     }
 
-    /// The row on the element type's packed lane, or, on a host without
-    /// one, under the same rule at its scalar lane, with the fused steps
-    /// spelled as multiply then add.
+    /// The sweep's loop: x-slab by x-slab, plane by plane, row by row,
+    /// `row` run on each row with its output; between rows only the
+    /// cursors and the output move.
     ///
     /// # Safety
     ///
-    /// `O` and `S` are 1 or 2.
+    /// `w.out` is valid for the sweep's outputs, and the cursors are the
+    /// ones [`Self::bind`] placed for this walk.
     #[inline(always)]
-    unsafe fn run<const RULE: u8>(&self, out: &mut [E], bias: E) {
-        if E::packed::<K, RULE, N, O, S>(out, bias, self) {
-            return;
+    unsafe fn each_row(mut self, w: &Walk<'_, E>, mut row: impl FnMut(&Self, &mut [E])) {
+        let [planes, rows, count] = w.counts;
+        let (taps, a) = (self.taps, self.a);
+        let mut start = 0;
+        while start < count {
+            self.count = (count - start).min(w.slab);
+            // a slab starts `start` points into every row
+            let skip = |c: Cursor<E>| Cursor {
+                at: c.at.wrapping_add(start * c.slope),
+                ..c
+            };
+            (self.taps, self.a) = (taps.map(skip), a.map(skip));
+            let mut out = w.out.wrapping_add(start * O);
+            for _ in 0..planes {
+                for r in 1..=rows {
+                    // the row's window: inside the walk's checked output
+                    row(
+                        &self,
+                        std::slice::from_raw_parts_mut(out, (self.count - 1) * O + 1),
+                    );
+                    let cursors = self.taps.iter_mut().chain(&mut self.a);
+                    cursors.for_each(|c| c.next_row(r == rows));
+                    out = out.wrapping_offset(w.out_dy + (r == rows) as isize * w.out_wrap);
+                }
+            }
+            start += self.count;
         }
-        match RULE {
-            EXACT => self.at_lane::<E, EXACT>(out, 0, bias),
-            _ => self.at_lane::<E, UNFUSED>(out, 0, bias),
-        };
     }
 }
 
-/// The scalar row kernel ([`KernelTier::Scalar`], the lane tiers' rows
-/// whose taps differ in stride or that are strided with coefficient taps,
-/// and every `f32` row): [`row_body`] at the scalar lane `T` under
-/// [`EXACT`], over unit-stride plain rows, unit-stride rows with
-/// coefficient taps, and strided plain rows of any strides, read through
-/// each tap's own cursor.
-fn spec_row<const K: usize, T: Elem>(
-    out_row: &mut [T],
-    out_slope: usize,
-    count: usize,
-    bias: T,
-    taps: &[RtTap<'_, T>],
-    crows: &[RtTap<'_, T>],
+/// A sweep instance on the element type's scalar lane under `RULE`: the
+/// scalar tier, `f32`, the lane tiers on a host without AVX2+FMA, and the
+/// rows the packed lanes do not take (`S = 0`).
+///
+/// # Safety
+///
+/// [`SweepFn`]'s contract.
+unsafe fn lane_sweep<
+    const K: usize,
+    const N: usize,
+    const O: usize,
+    const S: usize,
+    const RULE: u8,
+    T: Elem,
+>(
+    case: &Linear<T>,
+    w: &Walk<'_, T>,
 ) {
-    debug_assert_eq!(taps.len(), K);
-    if out_slope != 1 || taps.iter().any(|t| t.slope != 1) {
-        // no family with strided reads carries coefficient taps, and
-        // `select_row` keeps strided coefficient rows on `dyn_row`
-        debug_assert!(crows.is_empty());
-        let (weight, value) = (|j: usize, _| taps[j].coeff, |j: usize, k| taps[j].at(k));
-        // SAFETY: a scalar lane runs anywhere; both sources are checked reads.
-        unsafe { row_body::<K, T, EXACT>(out_row, out_slope, 0, count, bias, weight, value) };
-        return;
-    }
-    debug_assert!(crows.iter().all(|c| c.slope == 1));
-    let plain = UnitTaps::<T, K, 0, 1, 1>::new(taps, count);
-    // SAFETY: a scalar lane runs anywhere, at unit strides.
-    unsafe {
-        match crows.is_empty() {
-            true => plain.at_lane::<T, EXACT>(out_row, 0, bias),
-            false => UnitTaps::scaled_by(plain, taps, crows).at_lane::<T, EXACT>(out_row, 0, bias),
-        }
-    };
+    let bias = case.bias;
+    UnitTaps::<T, K, N, O, S>::bind(case, w).each_row(w, |t, out| {
+        t.at_lane::<T, RULE>(out, 0, bias);
+    });
 }
 
-/// The lane tiers' row kernel: [`KernelTier::LaneSafe`] is `RULE` =
-/// [`EXACT`], [`KernelTier::FastMath`] is [`FUSED`]. A row whose taps share
-/// one stride runs the element type's packed lane: unit-stride plain rows
-/// under `RULE`; coefficient rows and the three strided shapes (module
-/// docs) under [`EXACT`] at either tier — fast-math reassociates neither,
-/// so both stay bitwise-identical to [`dyn_row`]. Other rows (taps of
-/// mixed strides, strided coefficient rows) run [`spec_row`].
-fn packed_row<const K: usize, const RULE: u8, T: Elem>(
-    out: &mut [T],
-    out_slope: usize,
-    count: usize,
-    bias: T,
-    taps: &[RtTap<'_, T>],
-    crows: &[RtTap<'_, T>],
-) {
-    debug_assert_eq!(taps.len(), K);
-    // one stride shared by every tap, or 0
-    let shared = |a, b| if a == b { a } else { 0 };
-    let stride = taps.iter().map(|t| t.slope).reduce(shared).unwrap_or(1);
-    let unit = || UnitTaps::<T, K, 0, 1, 1>::new(taps, count);
-    let scaled = || unit().scaled_by(taps, crows);
-    // SAFETY: each arm's source has the strides 1 or 2 it names.
-    unsafe {
-        match (out_slope, stride, crows.is_empty()) {
-            (1, 1, true) => unit().run::<RULE>(out, bias),
-            (1, 1, false) => scaled().run::<EXACT>(out, bias),
-            (1, 2, true) => UnitTaps::<T, K, 0, 1, 2>::new(taps, count).run::<EXACT>(out, bias),
-            (2, 1, true) => UnitTaps::<T, K, 0, 2, 1>::new(taps, count).run::<EXACT>(out, bias),
-            (2, 2, true) => UnitTaps::<T, K, 0, 2, 2>::new(taps, count).run::<EXACT>(out, bias),
-            _ => spec_row::<K, T>(out, out_slope, count, bias, taps, crows),
-        }
-    }
-}
-
+/// A sweep instance on the packed lane, compiled under `avx2,fma` whole —
+/// binding, slab, plane and row loops, and each row's pairs of vectors
+/// (see the `[L; 2]` lane) while they fit, one more vector if it fits,
+/// then the same body at lane `f64` for the last `count % 4` points, so a
+/// fused remainder is still one hardware instruction per tap.
+///
+/// # Safety
+///
+/// [`SweepFn`]'s contract: the host has AVX2 and FMA ([`Sealed::packed`]
+/// detected them); `O` and `S` are 1 or 2.
 #[cfg(target_arch = "x86_64")]
-impl<const K: usize, const N: usize, const O: usize, const S: usize> UnitTaps<'_, f64, K, N, O, S> {
-    /// The row on the packed lane: pairs of vectors (see the `[L; 2]` lane)
-    /// while they fit, one more vector if it fits, then the same body at
-    /// lane `f64` for the last `count % 4` points — compiled here, under
-    /// `fma`, so a fused remainder is still one hardware instruction per
-    /// tap.
-    ///
-    /// # Safety
-    ///
-    /// The host has AVX2 and FMA; `O` and `S` are 1 or 2.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn packed_unit<const RULE: u8>(&self, out: &mut [f64], bias: f64) {
-        let i = self.at_lane::<[Avx2; 2], RULE>(out, 0, bias);
-        let i = self.at_lane::<Avx2, RULE>(out, i, bias);
-        self.at_lane::<f64, RULE>(out, i, bias);
-    }
+#[target_feature(enable = "avx2,fma")]
+unsafe fn packed_sweep<
+    const K: usize,
+    const N: usize,
+    const O: usize,
+    const S: usize,
+    const RULE: u8,
+>(
+    case: &Linear<f64>,
+    w: &Walk<'_, f64>,
+) {
+    let bias = case.bias;
+    UnitTaps::<f64, K, N, O, S>::bind(case, w).each_row(w, |t, out| {
+        let i = t.at_lane::<[Avx2; 2], RULE>(out, 0, bias);
+        let i = t.at_lane::<Avx2, RULE>(out, i, bias);
+        t.at_lane::<f64, RULE>(out, i, bias);
+    });
 }
 
-/// The instance of [`row_body`] for an element type, a tier and a tap
-/// arity, if there is one. The table stops at
-/// `polymg::specialize::MAX_SPEC_TAPS` (= 28); wider rows run [`dyn_row`],
-/// and the classifier tags such kernels generic.
-fn row_fn<T: Elem>(tier: KernelTier, arity: usize) -> Option<RowFn<T>> {
+/// The instance of one table arity `K` for a tier, an (output, input)
+/// stride shape (input stride 0: the cursors differ) and whether the rows
+/// carry coefficient weights. The lane tiers take the packed lane for
+/// unit-stride plain rows under their rule, and for coefficient rows and
+/// the three strided shapes under [`EXACT`] — fast-math reassociates
+/// neither, so both stay bitwise-identical to `dyn_row`; everything else,
+/// and every row on a host without a packed lane, runs the scalar lane
+/// under [`EXACT`] (fast-math's unit-stride plain rows under [`UNFUSED`]).
+fn instance<const K: usize, T: Elem>(
+    tier: KernelTier,
+    o: usize,
+    s: usize,
+    scaled: bool,
+) -> SweepFn<T> {
+    use KernelTier::{FastMath, LaneSafe, Scalar};
+    let packed = match (tier, o, s, scaled) {
+        (Scalar, ..) => None,
+        (LaneSafe, 1, 1, false) => T::packed::<K, 0, 1, 1, EXACT>(),
+        (FastMath, 1, 1, false) => T::packed::<K, 0, 1, 1, FUSED>(),
+        (_, 1, 1, true) => T::packed::<K, K, 1, 1, EXACT>(),
+        (_, 1, 2, false) => T::packed::<K, 0, 1, 2, EXACT>(),
+        (_, 2, 1, false) => T::packed::<K, 0, 2, 1, EXACT>(),
+        (_, 2, 2, false) => T::packed::<K, 0, 2, 2, EXACT>(),
+        _ => None,
+    };
+    packed.unwrap_or(match (tier, o, s, scaled) {
+        (FastMath, 1, 1, false) if T::TIERED => lane_sweep::<K, 0, 1, 1, UNFUSED, T>,
+        (_, 1, 1, false) => lane_sweep::<K, 0, 1, 1, EXACT, T>,
+        (_, 1, 1, true) => lane_sweep::<K, K, 1, 1, EXACT, T>,
+        (_, 1, _, false) => lane_sweep::<K, 0, 1, 0, EXACT, T>,
+        (_, _, _, false) => lane_sweep::<K, 0, 2, 0, EXACT, T>,
+        (_, 1, _, true) => lane_sweep::<K, K, 1, 0, EXACT, T>,
+        _ => lane_sweep::<K, K, 2, 0, EXACT, T>,
+    })
+}
+
+/// The sweep instance of a case: the table's for arities up to
+/// `polymg::specialize::MAX_SPEC_TAPS` (= 28), whose classifier tags wider
+/// kernels generic, and the run-time loop [`dyn_sweep`] beyond.
+fn sweep_fn<T: Elem>(
+    tier: KernelTier,
+    arity: usize,
+    o: usize,
+    s: usize,
+    scaled: bool,
+) -> SweepFn<T> {
     macro_rules! table {
         ($($k:literal)*) => {
-            match (arity, tier) {
-                $(
-                    ($k, KernelTier::Scalar) => Some(spec_row::<$k, T> as RowFn<T>),
-                    ($k, KernelTier::LaneSafe) => Some(packed_row::<$k, EXACT, T> as RowFn<T>),
-                    ($k, KernelTier::FastMath) => Some(packed_row::<$k, FUSED, T> as RowFn<T>),
-                )*
-                _ => None,
+            match arity {
+                $($k => instance::<$k, T>(tier, o, s, scaled),)*
+                _ => dyn_sweep::<T>,
             }
         };
     }
     table!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28)
 }
 
-/// The dynamic fallback, and the in-file reference for [`row_body`] under
-/// [`EXACT`]: the same per-point chain with run-time arity and strides.
-/// Taken by arities outside the table and by strided rows under the generic
-/// tag (restrict / interp shapes, with or without coefficient taps).
-fn dyn_row<T: Elem>(
-    out_row: &mut [T],
-    out_slope: usize,
-    count: usize,
-    bias: T,
-    taps: &[RtTap<'_, T>],
-    crows: &[RtTap<'_, T>],
-) {
-    for k in 0..count {
-        let mut acc = bias;
-        for t in taps {
-            let weight = match t.cf {
-                Some(c) => t.coeff * crows[c].at(k),
-                None => t.coeff,
-            };
-            acc += weight * t.at(k);
+/// The sweep of arities outside the table: the row body's chain under
+/// [`EXACT`], with run-time arity and strides, one point at a time.
+///
+/// # Safety
+///
+/// [`SweepFn`]'s contract.
+unsafe fn dyn_sweep<T: Elem>(case: &Linear<T>, w: &Walk<'_, T>) {
+    let [planes, rows, count] = w.counts;
+    let crows: Vec<Cursor<T>> = case.crows.iter().map(|r| w.cursor(r)).collect();
+    // per tap, its cursor and its weight row's (its own when not scaled)
+    let place = |t: &BoundTap<T>| (w.cursor(&t.reach), t.cf.map(|f| crows[f]));
+    let mut cursors: Vec<_> = case.taps.iter().map(place).collect();
+    let read = |c: &Cursor<T>, k: usize| *c.at.add(k * c.slope);
+    let mut out = w.out;
+    for _ in 0..planes {
+        for r in 1..=rows {
+            for k in 0..count {
+                let mut acc = case.bias;
+                for (t, (v, a)) in case.taps.iter().zip(&cursors) {
+                    let weight = a.as_ref().map_or(t.coeff, |a| t.coeff * read(a, k));
+                    acc += weight * read(v, k);
+                }
+                *out.add(k * case.steps[2] as usize) = acc;
+            }
+            for (v, a) in &mut cursors {
+                v.next_row(r == rows);
+                a.iter_mut().for_each(|a| a.next_row(r == rows));
+            }
+            out = out.wrapping_offset(w.out_dy + (r == rows) as isize * w.out_wrap);
         }
-        out_row[k * out_slope] = acc;
-    }
-}
-
-/// The grid behind a linear tap's (or coefficient read's) input slot.
-fn grid<'a, 'b, T>(ins: &'b [KernelInput<'a, T>], slot: usize) -> &'b Space<'a, T> {
-    match &ins[slot] {
-        KernelInput::Grid(s) => s,
-        KernelInput::Zero => panic!("linear tap reads the zero grid (lowering bug)"),
     }
 }
 
 /// `len` copies of `fill` as a slice that lives on the stack while
 /// `len <= N` and on the heap beyond: what a tile loop uses where a `Vec`
-/// per stage or per case would be an allocation per tile.
+/// per stage would be an allocation per tile.
 pub(crate) struct Inline<T, const N: usize> {
     stack: [T; N],
     heap: Vec<T>,
@@ -1007,207 +1201,6 @@ impl<T: Copy, const N: usize> Inline<T, N> {
     }
 }
 
-/// Cursors a linear case keeps on the stack: the widest arity of the
-/// [`row_fn`] table and four coefficient rows.
-const INLINE_CURSORS: usize = 32;
-
-/// One axis of a sweep: the first coordinate of `region` matching the
-/// pattern's parity, the step, and how many coordinates match.
-fn sweep_axis(region: &[Interval], pattern: &ParityPattern, d: usize) -> Option<(i64, i64, usize)> {
-    let (lo, hi) = (region[d].lo, region[d].hi);
-    let (start, step) = parity_start(lo, hi, pattern.0[d])?;
-    Some((start, step, ((hi - start) / step + 1) as usize))
-}
-
-/// The sweep's side of one cursor (the row kernels see its [`RtTap`]): how
-/// its base moves — from `home` (the base at the sweep's first point) by
-/// `dy` per row, and by `wrap` at the end of a plane — and, for a
-/// coefficient row, the read it stands for.
-#[derive(Clone, Copy)]
-struct Advance<'f> {
-    home: usize,
-    dy: usize,
-    wrap: i64,
-    read: Option<&'f CoeffRead>,
-}
-
-/// The sweep of one linear case over `region`, both ranks: planes, rows
-/// within a plane, and x-slabs around both. A 2-D region is a 3-D region
-/// with one plane; an unblocked row is the blocked nest with one slab.
-///
-/// The case's cursors are its taps in lowered order, then one per
-/// *distinct* [`CoeffRead`] — the five taps of `a·(A v)` share one `A(0,0)`
-/// row — with each coefficient tap's `cf` indexing into that tail.
-///
-/// An element type without tiers (`f32`) runs, and counts as, the
-/// selection's family at [`KernelTier::Scalar`].
-fn linear_sweep<T: Elem>(
-    sel: KernelSel,
-    form: &LinearForm,
-    pattern: &ParityPattern,
-    region: &[Interval],
-    out: &mut KernelOut<'_, T>,
-    ins: &[KernelInput<'_, T>],
-) {
-    let sel = if T::TIERED {
-        sel
-    } else {
-        KernelSel {
-            tier: KernelTier::Scalar,
-            ..sel
-        }
-    };
-    let nd = region.len();
-    assert!(nd == 2 || nd == 3, "unsupported rank {nd}");
-    let (yd, xd) = (nd - 2, nd - 1);
-    let Some((x0, sx, count)) = sweep_axis(region, pattern, xd) else {
-        return;
-    };
-    let Some((y0, sy, ny)) = sweep_axis(region, pattern, yd) else {
-        return;
-    };
-    let (z0, sz, nz) = match nd {
-        3 => match sweep_axis(region, pattern, 0) {
-            Some(z) => z,
-            None => return,
-        },
-        _ => (0, 1, 1),
-    };
-    let outer = [z0, y0];
-    let outer = &outer[3 - nd..];
-    let out_slope = sx as usize;
-
-    let out_rs = out.extent(xd) as usize;
-    let out_ps = out.extent(yd) as usize * out_rs;
-    let mut ob0 = (y0 - out.origin(yd)) as usize * out_rs + (x0 - out.origin(xd)) as usize;
-    if nd == 3 {
-        ob0 += (z0 - out.origin(0)) as usize * out_ps;
-    }
-    let (out_dy, out_dz) = (sy as usize * out_rs, sz as usize * out_ps);
-
-    // Cursor bases are affine in the row and plane index: compute them once
-    // per case, then advance by constants (no allocation, and no per-row
-    // division, in steady state).
-    let arity = form.taps.len();
-    let scaled = form.taps.iter().filter(|t| t.cfactor.is_some()).count();
-    let idle_tap = RtTap {
-        data: &[],
-        base: 0,
-        slope: 1,
-        coeff: T::of(0.0),
-        cf: None,
-    };
-    let idle_move = Advance {
-        home: 0,
-        dy: 0,
-        wrap: 0,
-        read: None,
-    };
-    let mut taps = Inline::<_, INLINE_CURSORS>::new(arity + scaled, idle_tap);
-    let mut moves = Inline::<_, INLINE_CURSORS>::new(arity + scaled, idle_move);
-    let (taps, moves) = (taps.as_mut_slice(), moves.as_mut_slice());
-    let cursor = |slot: usize, access: &Access, coeff: f64, cf: Option<usize>, read| {
-        let s = grid(ins, slot);
-        let (xb, slope) = tap_x_base_slope(access, s, x0, sx);
-        let base = tap_row_base(access, s, outer) + xb;
-        let dy = axis_coord_delta(&access.0[yd], sy) * s.extents[xd];
-        let dz = match nd {
-            3 => axis_coord_delta(&access.0[0], sz) * s.extents[yd] * s.extents[xd],
-            _ => 0,
-        };
-        let tap = RtTap {
-            data: s.data,
-            base,
-            slope,
-            coeff: T::of(coeff),
-            cf,
-        };
-        let advance = Advance {
-            home: base,
-            dy: dy as usize,
-            // after `ny` row advances a base sits `ny·dy` past its plane's
-            // first row; step to the next plane's with one (possibly
-            // negative) correction
-            wrap: dz - ny as i64 * dy,
-            read,
-        };
-        (tap, advance)
-    };
-    let mut crows = 0;
-    for (j, t) in form.taps.iter().enumerate() {
-        let cf = t.cfactor.as_ref().map(|c| {
-            let tail = &moves[arity..arity + crows];
-            tail.iter()
-                .position(|m| m.read == Some(c))
-                .unwrap_or_else(|| {
-                    (taps[arity + crows], moves[arity + crows]) =
-                        cursor(c.slot, &c.access, 1.0, None, Some(c));
-                    crows += 1;
-                    crows - 1
-                })
-        });
-        (taps[j], moves[j]) = cursor(t.slot, &t.access, t.coeff, cf, None);
-    }
-    let (taps, moves) = (&mut taps[..arity + crows], &moves[..arity + crows]);
-
-    let unit = out_slope == 1 && taps.iter().all(|t| t.slope == 1);
-    let (kind, row, specialized) = select_row(sel, unit, &taps[..arity], &taps[arity..]);
-    let (bucket, tier) = if specialized {
-        (sel.impl_tag.index(), sel.tier.index())
-    } else {
-        (0, 0)
-    };
-    gmg_trace::dispatch::record(kind, 1);
-    gmg_trace::dispatch::record_impl(bucket, 1);
-    gmg_trace::dispatch::record_tier(tier, 1);
-
-    // Cache blocking, for unit-stride rows of the lane tiers longer than
-    // `xblock`: split the row into `xblock`-point slabs and sweep all rows
-    // and planes of one slab before moving on, so a slab's input rows stay
-    // cache-resident across the y loop. Per-point arithmetic is untouched
-    // (each point sees the same taps in the same order), so blocking is
-    // bitwise-transparent.
-    let lane_tier = specialized && sel.tier != KernelTier::Scalar;
-    let bias = T::of(form.bias);
-    let slab = if lane_tier && unit && sel.xblock > 0 && count > sel.xblock {
-        sel.xblock
-    } else {
-        count
-    };
-    let mut start = 0;
-    while start < count {
-        let len = (count - start).min(slab);
-        // strided rows span `(len − 1)·sx + 1` outputs
-        let window = (len - 1) * out_slope + 1;
-        for (t, m) in taps.iter_mut().zip(moves) {
-            t.base = m.home + start;
-        }
-        let mut ob_z = ob0 + start;
-        for _ in 0..nz {
-            let mut ob = ob_z;
-            for _ in 0..ny {
-                row(
-                    out.row_mut(ob, window),
-                    out_slope,
-                    len,
-                    bias,
-                    &taps[..arity],
-                    &taps[arity..],
-                );
-                for (t, m) in taps.iter_mut().zip(moves) {
-                    t.base += m.dy;
-                }
-                ob += out_dy;
-            }
-            for (t, m) in taps.iter_mut().zip(moves) {
-                t.base = (t.base as i64 + m.wrap) as usize;
-            }
-            ob_z += out_dz;
-        }
-        start += len;
-    }
-}
-
 /// Interpreter fallback: evaluate the expression per point, in `f64`.
 fn interpret_case<T: Elem>(
     expr: &Expr,
@@ -1217,11 +1210,19 @@ fn interpret_case<T: Elem>(
     ins: &[KernelInput<'_, T>],
     slot_boundary: &[f64],
 ) {
-    gmg_trace::dispatch::record(gmg_trace::dispatch::Kind::Interpreter, 1);
     let nd = region.len();
-    let mut point = vec![0i64; nd];
-    iterate_parity(region, pattern, nd, &mut point, 0, &mut |p| {
-        let v = expr.eval_at(p, &mut |op, idx| {
+    let (origin, extents, len, data) = out.view();
+    let Some((start, steps, counts)) = sweep_axes(region, &pattern.0) else {
+        return;
+    };
+    for k in 0..counts.iter().product() {
+        let at = [
+            k / (counts[1] * counts[2]),
+            k / counts[2] % counts[1],
+            k % counts[2],
+        ];
+        let p: [i64; 3] = std::array::from_fn(|d| start[d] + at[d] as i64 * steps[d]);
+        let v = expr.eval_at(&p[3 - nd..], &mut |op, idx| {
             let Operand::Slot(k) = op else {
                 panic!("unresolved operand at execution time")
             };
@@ -1230,34 +1231,15 @@ fn interpret_case<T: Elem>(
                 KernelInput::Zero => slot_boundary[*k],
             }
         });
-        let mut idx = 0usize;
-        for d in 0..nd {
-            idx = idx * out.extent(d) as usize + (p[d] - out.origin(d)) as usize;
-        }
-        out.row_mut(idx, 1)[0] = T::of(v);
-    });
-}
-
-fn iterate_parity(
-    region: &[Interval],
-    pattern: &ParityPattern,
-    nd: usize,
-    point: &mut Vec<i64>,
-    d: usize,
-    f: &mut impl FnMut(&[i64]),
-) {
-    if d == nd {
-        f(point);
-        return;
-    }
-    let Some((start, step)) = parity_start(region[d].lo, region[d].hi, pattern.0[d]) else {
-        return;
-    };
-    let mut v = start;
-    while v <= region[d].hi {
-        point[d] = v;
-        iterate_parity(region, pattern, nd, point, d + 1, f);
-        v += step;
+        let flat =
+            ((p[0] - origin[0]) * extents[1] + p[1] - origin[1]) * extents[2] + p[2] - origin[2];
+        assert!(
+            0 <= flat && flat < len as i64,
+            "point {p:?} outside the output"
+        );
+        // SAFETY: checked just above; a shared output's concurrent writers
+        // cover disjoint owned boxes
+        unsafe { *data.add(flat as usize) = T::of(v) };
     }
 }
 
@@ -1944,6 +1926,149 @@ mod tests {
         assert_eq!(outbuf[0], 0.0);
     }
 
+    /// A row cursor over a checked slice: the value at inner-loop index `k` is
+    /// `data[base + k·slope]`. A tap's weight is `coeff`, or `coeff · a[k]`
+    /// when `cf` names the coefficient row `a` it is scaled by (`coeff` and
+    /// `cf` are unused on the coefficient rows themselves).
+    #[derive(Clone, Copy)]
+    struct RtTap<'a, T> {
+        data: &'a [T],
+        base: usize,
+        slope: usize,
+        coeff: T,
+        /// Index into the case's coefficient rows.
+        cf: Option<usize>,
+    }
+
+    impl<T: Copy> RtTap<'_, T> {
+        #[inline(always)]
+        fn at(&self, k: usize) -> T {
+            self.data[self.base + k * self.slope]
+        }
+    }
+
+    /// The in-file reference for [`row_body`] under [`EXACT`]: the same
+    /// per-point chain with run-time arity and strides, every access checked.
+    fn dyn_row<T: Elem>(
+        out_row: &mut [T],
+        out_slope: usize,
+        count: usize,
+        bias: T,
+        taps: &[RtTap<'_, T>],
+        crows: &[RtTap<'_, T>],
+    ) {
+        for k in 0..count {
+            let mut acc = bias;
+            for t in taps {
+                let weight = match t.cf {
+                    Some(c) => t.coeff * crows[c].at(k),
+                    None => t.coeff,
+                };
+                acc += weight * t.at(k);
+            }
+            out_row[k * out_slope] = acc;
+        }
+    }
+
+    /// The taps as a sweep instance holds them at its first row: each
+    /// cursor at its tap's `base`, scaled taps weighted by the coefficient
+    /// row their `cf` names.
+    fn taps_at<E: Elem, const K: usize, const N: usize, const O: usize, const S: usize>(
+        taps: &[RtTap<'_, E>],
+        crows: &[RtTap<'_, E>],
+        count: usize,
+    ) -> UnitTaps<E, K, N, O, S> {
+        let cursor = |t: &RtTap<'_, E>| Cursor {
+            at: t.data[t.base..].as_ptr(),
+            slope: t.slope,
+            dy: 0,
+            wrap: 0,
+        };
+        UnitTaps {
+            count,
+            taps: std::array::from_fn(|j| cursor(&taps[j])),
+            coeff: std::array::from_fn(|j| taps[j].coeff),
+            a: std::array::from_fn(|j| taps[j].cf.map_or(cursor(&taps[j]), |c| cursor(&crows[c]))),
+            scaled: std::array::from_fn(|j| taps[j].cf.is_some()),
+        }
+    }
+
+    /// One row of `count` points stored `o` apart, swept by the instance a
+    /// stage of `tier` binds for these taps: every tap (and coefficient row)
+    /// on its own one-row input, read from its `base` at its `slope`, the
+    /// case run through `Linear::run` with its footprint checks. `out`
+    /// holds the row's window.
+    fn sweep_row<T: Elem>(
+        tier: KernelTier,
+        o: usize,
+        bias: T,
+        taps: &[RtTap<'_, T>],
+        crows: &[RtTap<'_, T>],
+        out: &mut [T],
+    ) {
+        let count = match out.len() {
+            0 => 0,
+            w => (w - 1) / o + 1,
+        };
+        let reach = |slot: usize, t: &RtTap<'_, T>| Reach {
+            slot,
+            axes: [(0, 0, 0), (0, 0, 0), (0, t.base as i64, 0)],
+            moves: [0, 0, t.slope as i64],
+        };
+        let mut slopes = taps.iter().chain(crows).map(|t| t.slope);
+        let first = slopes.next().unwrap_or(1);
+        let stride = if slopes.all(|s| s == first) { first } else { 0 };
+        let case = Linear {
+            rank: 2,
+            parity: [Parity::Any, Parity::Any, [Parity::Any, Parity::Even][o - 1]],
+            steps: [1, 1, o as i64],
+            bias,
+            taps: taps
+                .iter()
+                .enumerate()
+                .map(|(j, t)| BoundTap {
+                    reach: reach(j, t),
+                    coeff: t.coeff,
+                    cf: t.cf,
+                })
+                .collect(),
+            crows: (0..crows.len())
+                .map(|c| reach(taps.len() + c, &crows[c]))
+                .collect(),
+            sweep: sweep_fn::<T>(tier, taps.len(), o, stride, !crows.is_empty()),
+            counts_as: (Kind::UnitUnrolled, 0, 0),
+            xblock: usize::MAX,
+        };
+        let extents: Vec<[i64; 2]> = taps
+            .iter()
+            .chain(crows)
+            .map(|t| [1, t.data.len() as i64])
+            .collect();
+        let ins: Vec<KernelInput<'_, T>> = taps
+            .iter()
+            .chain(crows)
+            .zip(&extents)
+            .map(|(t, e)| {
+                KernelInput::Grid(Space {
+                    data: t.data,
+                    origin: &[0, 0],
+                    extents: e,
+                })
+            })
+            .collect();
+        let out_extents = [1, out.len() as i64];
+        let region = [
+            Interval::new(0, 0),
+            Interval::new(0, o as i64 * count as i64 - 1),
+        ];
+        let out = KernelOut::Dense(SpaceMut {
+            data: out,
+            origin: &[0, 0],
+            extents: &out_extents,
+        });
+        Bound(Box::new([Case::Linear(case)])).run(&region, out, &ins, &[], &mut Tally::default());
+    }
+
     #[test]
     fn coeff_row_body_matches_dyn_row_bitwise() {
         // the varcoef defect row `f − a·(A v)`: one plain tap, then five
@@ -1973,17 +2098,101 @@ mod tests {
         ];
         let crows = [tap(&a, mid, 1.0, None)];
         let (mut fast, mut reference) = (vec![0.0; n], vec![0.0; n]);
-        spec_row::<6, f64>(&mut fast, 1, n, 0.25, &taps, &crows);
+        sweep_row(KernelTier::Scalar, 1, 0.25, &taps, &crows, &mut fast);
         dyn_row(&mut reference, 1, n, 0.25, &taps, &crows);
         assert!(reference.iter().all(|x| *x != 0.25), "taps contribute");
         let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&fast), bits(&reference));
     }
 
+    /// A 2-D (or 3-D) box-stencil case, all `3^nd` unit taps, over the
+    /// whole interior `[1, e − 2]` of an `e`-wide array.
+    fn box_stencil(nd: usize) -> StageKernel {
+        let taps = (0..3usize.pow(nd as u32))
+            .map(|j| Tap {
+                slot: 0,
+                access: Access::offsets(
+                    &(0..nd)
+                        .map(|d| (j / 3usize.pow(d as u32) % 3) as i64 - 1)
+                        .collect::<Vec<_>>(),
+                ),
+                coeff: 0.5,
+                cfactor: None,
+            })
+            .collect();
+        StageKernel {
+            cases: vec![KernelCase {
+                pattern: ParityPattern::any(nd),
+                body: KernelBody::Linear(LinearForm { bias: 0.0, taps }),
+            }],
+        }
+    }
+
+    /// The box stencil at the lane-safe tier over an input whose buffer
+    /// ends one element before the last one its last row of its last plane
+    /// reads (its view still claims the whole array).
+    fn read_past_the_input(nd: usize, impl_tag: KernelImpl) {
+        let e = 7i64;
+        let extents = vec![e; nd];
+        let data = vec![1.0; (e as usize).pow(nd as u32) - 1];
+        let mut out = vec![0.0; data.len() + 1];
+        let origin = vec![0i64; nd];
+        let mut window = SpaceMut {
+            data: &mut out,
+            origin: &origin,
+            extents: &extents,
+        };
+        let ins = [KernelInput::Grid(space(&data, &origin, &extents))];
+        let sel = KernelSel {
+            impl_tag,
+            tier: KernelTier::LaneSafe,
+            xblock: 0,
+        };
+        let region = BoxDomain::interior(nd, e - 2);
+        execute_stage_sel(sel, &box_stencil(nd), &region, &mut window, &ins, &[0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves its")]
+    fn a_tap_past_its_input_at_the_last_row_panics() {
+        read_past_the_input(2, KernelImpl::Stencil2D9);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves its")]
+    fn a_tap_past_its_input_at_the_last_plane_panics() {
+        read_past_the_input(3, KernelImpl::Stencil3D27);
+    }
+
+    /// A sweep into a shared array one element shorter than the region's
+    /// last point needs panics before it writes.
+    #[test]
+    #[should_panic(expected = "leaves its buffer")]
+    fn a_shared_sweep_past_the_array_panics() {
+        let e = 6i64;
+        let input = vec![1.0; (e * e) as usize];
+        let mut array = vec![0.0; (e * e) as usize - 1];
+        let (origin, extents) = ([0i64, 0], [e, e]);
+        let ins = [KernelInput::Grid(space(&input, &origin, &extents))];
+        let out = KernelOut::Shared {
+            out: crate::tilebuf::SharedOut::new(&mut array),
+            extents: &extents,
+        };
+        let kernel = stencil_kernel_2d();
+        let region = [Interval::new(1, e - 1), Interval::new(1, e - 1)];
+        Bound::new(KernelSel::scalar(KernelImpl::Stencil2D5), &kernel).run(
+            &region,
+            out,
+            &ins,
+            &[0.0],
+            &mut Tally::default(),
+        );
+    }
+
     /// One cell of the lane matrix: a `count`-point row of `K` seeded taps
     /// at bases no vector width divides, computed by the body at lane `L`
     /// and finished at the scalar lane of its element type, against
-    /// [`dyn_row`] in that type. Exact cells must match bit for bit; the
+    /// `dyn_row` in that type. Exact cells must match bit for bit; the
     /// reassociating rules must stay inside the bound
     /// `tests/proptest_fastmath_ulp.rs` defines — `(2K + 6)·ε` of the
     /// point's term magnitude `|bias| + Σ|cⱼ·rⱼ|`, with the element type's ε.
@@ -2014,8 +2223,9 @@ mod tests {
 
         let mut buf = vec![of(f64::NAN); count + 1];
         let got = &mut buf[1..];
-        let source = UnitTaps::<_, K, 0, 1, 1>::new(&taps, count);
-        // SAFETY: callers name only lanes the host runs; strides are 1.
+        let source = taps_at::<_, K, 0, 1, 1>(&taps, &[], count);
+        // SAFETY: callers name only lanes the host runs; strides are 1, and
+        // every tap row and the output hold `count` points.
         unsafe {
             let i = source.at_lane::<L, RULE>(got, 0, bias);
             assert!(count - i < L::W, "lane {} left {} points", L::W, count - i);
@@ -2061,9 +2271,10 @@ mod tests {
     /// `ncrows` coefficient rows (tap `j` by row `⌊j/2⌋ mod ncrows`, so that
     /// from `K = 3` on the masks scaling several taps reach both of two
     /// rows), every row at a base no vector width divides. The body at lane `L` under [`EXACT`],
-    /// finished at lane `f64`, and both lane-tier instances of the row
-    /// kernel (fast-math never reassociates a coefficient row) must match
-    /// [`dyn_row`] bit for bit.
+    /// finished at lane `f64`, and the sweeps both lane tiers bind for the
+    /// row (fast-math never reassociates a coefficient row) must match
+    /// `dyn_row` bit for bit. A case binds only the coefficient rows its
+    /// taps name, so a row with no tap scaled is plain.
     fn coeff_cell<const K: usize, L: Lane<E = f64>>(
         count: usize,
         scaled: fn(usize) -> bool,
@@ -2082,8 +2293,13 @@ mod tests {
                 cf: scaled(j).then_some(j / 2 % ncrows),
             })
             .collect();
-        let crows: Vec<RtTap<'_, f64>> = (0..ncrows)
-            .map(|c| RtTap {
+        // only the rows some tap names: a bound case carries no other
+        let named: Vec<usize> = (0..ncrows)
+            .filter(|c| taps.iter().any(|t| t.cf == Some(*c)))
+            .collect();
+        let crows: Vec<RtTap<'_, f64>> = named
+            .iter()
+            .map(|&c| RtTap {
                 data: &fields,
                 base: 2 + 5 * c,
                 slope: 1,
@@ -2091,21 +2307,29 @@ mod tests {
                 cf: None,
             })
             .collect();
+        let taps: Vec<RtTap<'_, f64>> = taps
+            .into_iter()
+            .map(|t| RtTap {
+                cf: t.cf.map(|c| named.iter().position(|&n| n == c).unwrap()),
+                ..t
+            })
+            .collect();
         let bias = 0.3;
         let mut want = vec![0.0; count];
         dyn_row(&mut want, 1, count, bias, &taps, &crows);
 
-        let source = UnitTaps::<_, K, 0, 1, 1>::new(&taps, count).scaled_by(&taps, &crows);
+        let source = taps_at::<_, K, K, 1, 1>(&taps, &crows, count);
         let mut lane = vec![f64::NAN; count];
-        // SAFETY: callers name only lanes the host runs; strides are 1.
+        // SAFETY: callers name only lanes the host runs; strides are 1, and
+        // every row and the output hold `count` points.
         unsafe {
             let i = source.at_lane::<L, EXACT>(&mut lane, 0, bias);
             assert!(count - i < L::W, "lane {} left {} points", L::W, count - i);
             source.at_lane::<f64, EXACT>(&mut lane, i, bias);
         }
         let (mut safe, mut fast) = (vec![f64::NAN; count], vec![f64::NAN; count]);
-        packed_row::<K, EXACT, f64>(&mut safe, 1, count, bias, &taps, &crows);
-        packed_row::<K, FUSED, f64>(&mut fast, 1, count, bias, &taps, &crows);
+        sweep_row(KernelTier::LaneSafe, 1, bias, &taps, &crows, &mut safe);
+        sweep_row(KernelTier::FastMath, 1, bias, &taps, &crows, &mut fast);
         let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let cell = format!("K {K} W {} crows {ncrows} count {count}", L::W);
         let marks: Vec<bool> = (0..K).map(scaled).collect();
@@ -2115,11 +2339,15 @@ mod tests {
             bits(&want),
             "{cell} lane_safe, scaled {marks:?}"
         );
-        assert_eq!(
-            bits(&fast),
-            bits(&want),
-            "{cell} fast_math, scaled {marks:?}"
-        );
+        // with no tap scaled the row is plain, and fast-math reassociates
+        // it (the lane cells hold that to its bound)
+        if !crows.is_empty() {
+            assert_eq!(
+                bits(&fast),
+                bits(&want),
+                "{cell} fast_math, scaled {marks:?}"
+            );
+        }
     }
 
     /// Every arity × scaled mask (none, all, the first only, alternating) ×
@@ -2143,10 +2371,9 @@ mod tests {
     /// seeded taps of shape (output stride `O`, input stride `S`), each
     /// tap's slice ending exactly at the last value the row reads, into an
     /// output window whose skipped slots hold a NaN sentinel. The body at
-    /// lane `L` under [`EXACT`], finished at lane `f64`, and both lane-tier
-    /// instances of the row kernel (fast-math keeps strided rows exact)
-    /// must match [`dyn_row`] bit for bit and leave every sentinel as it
-    /// was.
+    /// lane `L` under [`EXACT`], finished at lane `f64`, and the sweeps both
+    /// lane tiers bind for the row (fast-math keeps strided rows exact) must
+    /// match `dyn_row` bit for bit and leave every sentinel as it was.
     fn stride_cell<const K: usize, L: Lane<E = f64>, const O: usize, const S: usize>(count: usize) {
         let seeded = |i: usize| ((i * 37 + K * 11) % 101) as f64 * 0.0173 - 0.86;
         let span = |stride: usize| count.saturating_sub(1) * stride + usize::from(count > 0);
@@ -2166,20 +2393,18 @@ mod tests {
         let mut want = vec![sentinel; window];
         dyn_row(&mut want, O, count, bias, &taps, &[]);
 
-        let source = UnitTaps::<_, K, 0, O, S>::new(&taps, count);
-        for (row, tap) in source.rows.iter().zip(&taps) {
-            assert_eq!(row.as_ptr_range().end, tap.data.as_ptr_range().end);
-        }
+        let source = taps_at::<_, K, 0, O, S>(&taps, &[], count);
         let mut lane = vec![sentinel; window];
-        // SAFETY: callers name only lanes the host runs; strides are 1 or 2.
+        // SAFETY: callers name only lanes the host runs; strides are 1 or
+        // 2, and every tap row and the window hold `count` points.
         unsafe {
             let i = source.at_lane::<L, EXACT>(&mut lane, 0, bias);
             assert!(count - i < L::W, "lane {} left {} points", L::W, count - i);
             source.at_lane::<f64, EXACT>(&mut lane, i, bias);
         }
         let (mut safe, mut fast) = (vec![sentinel; window], vec![sentinel; window]);
-        packed_row::<K, EXACT, f64>(&mut safe, O, count, bias, &taps, &[]);
-        packed_row::<K, FUSED, f64>(&mut fast, O, count, bias, &taps, &[]);
+        sweep_row(KernelTier::LaneSafe, O, bias, &taps, &[], &mut safe);
+        sweep_row(KernelTier::FastMath, O, bias, &taps, &[], &mut fast);
         let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut skipped = want.iter().enumerate().filter(|(k, _)| k % O != 0);
         assert!(skipped.all(|(_, x)| x.to_bits() == sentinel.to_bits()));

@@ -10,15 +10,14 @@
 use super::{
     check_chain, slot_space, stage_inputs, with_outputs, ChainViolations, Frame, INLINE_INPUTS,
 };
-use crate::kernel::{
-    execute_stage_region, fill_ghost, Inline, KernelInput, KernelOut, Space, SpaceMut,
-};
+use crate::kernel::{fill_ghost, Bound, Inline, KernelInput, KernelOut, Space, SpaceMut};
 use crate::pool::BufferPool;
 use crate::schedule::{ExecError, Slot};
 use crate::tilebuf::SharedOut;
 use gmg_grid::Buffer;
 use gmg_poly::diamond::TimeBand;
 use gmg_poly::Interval;
+use gmg_trace::dispatch::Tally;
 use gmg_trace::StageHandle;
 use polymg::schedule::{OpInput, StageExec};
 use polymg::FaultSite;
@@ -34,6 +33,7 @@ const VIOLATIONS: ChainViolations = ChainViolations {
 pub(crate) fn run(
     f: Frame<'_>,
     stages: &[StageExec],
+    kernels: &[Bound<f64>],
     schedule: &[TimeBand],
     radius: i64,
     out_slot: usize,
@@ -99,6 +99,7 @@ pub(crate) fn run(
                         if f.chaos.should_fire(FaultSite::WorkerPanic) {
                             panic!("chaos: injected worker panic");
                         }
+                        let mut tally = Tally::default();
                         for s in 0..band.steps {
                             let t = band.t0 + s;
                             let rows = trap.rows_at(s as i64, outer_dom);
@@ -156,13 +157,13 @@ pub(crate) fn run(
                                 }
                             }
                             let region = &region[..nd];
-                            let kernel = &f.program.kernels[stage.kernel];
-                            execute_stage_region(stage.sel(), kernel, region, out, ins, bnd);
+                            kernels[t].run(region, out, ins, bnd, &mut tally);
                             if let Some(t0) = t0 {
                                 let cells = region.iter().map(Interval::len).product::<i64>();
                                 f.spans[t].record(t0.elapsed().as_nanos() as u64, 1, cells as u64);
                             }
                         }
+                        f.count(&tally);
                     });
                 }
             }

@@ -26,9 +26,7 @@
 use super::{
     check_chain, slot_space, stage_inputs, sweep_rows, with_outputs, ChainViolations, Frame,
 };
-use crate::kernel::{
-    copy_box, execute_stage_region, fill_ghost, Elem, KernelInput, KernelOut, Space,
-};
+use crate::kernel::{copy_box, fill_ghost, Bound, Elem, KernelInput, KernelOut, Space};
 use crate::pool::BufferPool;
 use crate::schedule::{ExecError, Slot};
 use gmg_poly::{BoxDomain, Interval};
@@ -47,6 +45,7 @@ const VIOLATIONS: ChainViolations = ChainViolations {
 pub(crate) fn run(
     f: Frame<'_>,
     stages: &[StageExec],
+    kernels: &[Bound<f32>],
     out_slot: usize,
     slots: &mut [Slot<'_>],
     pool: &mut BufferPool<f32>,
@@ -122,16 +121,14 @@ pub(crate) fn run(
                     },
                     |_| Ok(KernelInput::Grid(grid(prev.as_slice()))),
                 );
-                let kernel = &f.program.kernels[st.kernel];
                 sweep_rows(
                     &f,
                     cur.as_mut_slice(),
                     origin,
                     extents,
                     &st.domain,
-                    |out, region| {
-                        let out = KernelOut::Dense(out);
-                        execute_stage_region(st.sel(), kernel, region, out, &ins, &bnd)
+                    |out, region, tally| {
+                        kernels[t].run(region, KernelOut::Dense(out), &ins, &bnd, tally)
                     },
                 );
                 std::mem::swap(&mut prev, &mut cur);
@@ -163,7 +160,7 @@ pub(crate) fn run(
 /// `f32` (ghost ring included), or the last step's interior widened into the
 /// `f64` output.
 fn convert<S: Elem, D: Elem>(f: &Frame<'_>, dst: &mut [D], src: &Space<'_, S>, region: &BoxDomain) {
-    sweep_rows(f, dst, src.origin, src.extents, region, |mut out, r| {
+    sweep_rows(f, dst, src.origin, src.extents, region, |mut out, r, _| {
         copy_box(src, &mut out, r)
     });
 }
@@ -175,9 +172,9 @@ mod tests {
     use gmg_ir::{Access, LinearForm, ParityPattern, Tap};
     use polymg::{KernelCase, KernelImpl, KernelSel, StageKernel};
 
-    /// The chain's `f32` steps run the shared row kernels; one interior row
-    /// must come out bitwise equal to the generic (dynamic) fallback and to
-    /// the form evaluated in tap order.
+    /// The chain's `f32` steps run the shared sweeps; one interior row must
+    /// come out bitwise equal to the generic selection's and to the form
+    /// evaluated in tap order.
     #[test]
     fn row_kernel_matches_dynamic_fallback() {
         let (origin, extents) = ([0i64, 0], [3i64, 10]);
@@ -213,7 +210,8 @@ mod tests {
                 origin: &origin,
                 extents: &extents,
             });
-            execute_stage_region(sel, &kernel, &region, out, &ins, &[0.0, 0.0]);
+            let mut tally = gmg_trace::dispatch::Tally::default();
+            Bound::new(sel, &kernel).run(&region, out, &ins, &[0.0, 0.0], &mut tally);
             data
         };
         let fixed = run(KernelSel::scalar(KernelImpl::Stencil2D5));

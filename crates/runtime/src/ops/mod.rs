@@ -26,7 +26,9 @@
 //!
 //! It is the frame of the paper's generated code (`pool_allocate`, one
 //! parallel loop, write-back, `pool_deallocate`); only the loop differs
-//! from op to op.
+//! from op to op. Each op's stage kernels come bound ([`OpKernels`], made
+//! once per engine, at its first run), and its kernel-dispatch counts are
+//! gathered per work item, then per op, and published once when it ends.
 
 pub(crate) mod diamond;
 pub(crate) mod mixed;
@@ -34,35 +36,82 @@ pub(crate) mod overlapped;
 pub(crate) mod untiled;
 
 use crate::arena::ArenaPool;
-use crate::kernel::{KernelInput, Space, SpaceMut};
+use crate::kernel::{Bound, Elem, KernelInput, Space, SpaceMut};
 use crate::pool::BufferPool;
 use crate::schedule::{ExecError, Slot};
 use gmg_poly::{BoxDomain, Interval};
+use gmg_trace::dispatch::Tally;
 use gmg_trace::StageHandle;
 use polymg::schedule::{ExecOp, ExecProgram, OpInput, SlotSpec, StageExec};
 use polymg::{FaultPlan, FaultSite};
 use rayon::ThreadPool;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 
 /// Stage inputs kept on the stack per stage execution in a parallel loop (a
 /// wider stage spills to the heap); shipped pipelines read at most four
 /// grids per stage.
 const INLINE_INPUTS: usize = 8;
 
+/// The stage kernels of one sweep op, bound once per engine (at its first
+/// run):
+/// a mixed chain's steps at `f32`, every other op's stages at `f64`, in the
+/// op's stage order (both empty for other ops).
+#[derive(Default)]
+pub(crate) struct OpKernels {
+    pub(crate) f64: Vec<Bound<f64>>,
+    pub(crate) f32: Vec<Bound<f32>>,
+}
+
+impl OpKernels {
+    /// Bind `op`'s stages. A stage naming no kernel of the program leaves
+    /// the op unbound, so running it fails as a contained panic.
+    pub(crate) fn bind(program: &ExecProgram, op: &ExecOp) -> OpKernels {
+        fn bind<T: Elem>(program: &ExecProgram, stages: &[StageExec]) -> Vec<Bound<T>> {
+            let kernel =
+                |st: &StageExec| Some(Bound::new(st.sel(), program.kernels.get(st.kernel)?));
+            stages
+                .iter()
+                .map(kernel)
+                .collect::<Option<_>>()
+                .unwrap_or_default()
+        }
+        let (wide, narrow) = match op {
+            ExecOp::RunUntiledStage { stage } => (std::slice::from_ref(stage), &[][..]),
+            ExecOp::RunOverlappedGroup { stages, .. } | ExecOp::RunDiamondChain { stages, .. } => {
+                (&stages[..], &[][..])
+            }
+            ExecOp::RunMixedChain { stages, .. } => (&[][..], &stages[..]),
+            _ => (&[][..], &[][..]),
+        };
+        OpKernels {
+            f64: bind(program, wide),
+            f32: bind(program, narrow),
+        }
+    }
+}
+
 /// What the frame hands an op: the program, the op's stage spans, the fault
-/// plan, the engine's worker pool its parallel loop runs on, and the op's
-/// name for a contained panic.
+/// plan, the engine's worker pool its parallel loop runs on, the op's
+/// dispatch tally and the op's name for a contained panic.
 #[derive(Clone, Copy)]
 pub(crate) struct Frame<'e> {
     pub(crate) program: &'e ExecProgram,
     pub(crate) spans: &'e [StageHandle],
     pub(crate) chaos: &'e FaultPlan,
     pub(crate) pool: &'e ThreadPool,
+    tally: &'e Mutex<Tally>,
     op: &'static str,
 }
 
 impl Frame<'_> {
+    /// Add one work item's dispatch counts to the op's.
+    pub(crate) fn count(&self, item: &Tally) {
+        let mut op = self.tally.lock().unwrap_or_else(PoisonError::into_inner);
+        op.absorb(item);
+    }
+
     /// Run the op's parallel section, containing a worker panic (an
     /// injected `WorkerPanic` among them) as `ExecError::WorkerPanicked`
     /// naming the op. The caller's restore and free run after it either way,
@@ -75,10 +124,12 @@ impl Frame<'_> {
     }
 }
 
-/// Execute one sweep op: the entry gate, then the op's own module.
+/// Execute one sweep op: the entry gate, then the op's own module; then
+/// publish the op's dispatch counts.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     op: &ExecOp,
+    kernels: &OpKernels,
     program: &ExecProgram,
     slots: &mut [Slot<'_>],
     pool: &mut BufferPool,
@@ -88,11 +139,13 @@ pub(crate) fn run(
     chaos: &FaultPlan,
     threads: &ThreadPool,
 ) -> Result<(), ExecError> {
+    let tally = Mutex::new(Tally::default());
     let f = Frame {
         program,
         spans,
         chaos,
         pool: threads,
+        tally: &tally,
         op: op.mnemonic(),
     };
     let gate = |site: FaultSite| {
@@ -105,10 +158,10 @@ pub(crate) fn run(
             Ok(())
         }
     };
-    match op {
+    let result = match op {
         ExecOp::RunUntiledStage { stage } => {
             gate(FaultSite::OpUntiled)?;
-            untiled::run(f, stage, slots)
+            untiled::run(f, stage, &kernels.f64[0], slots)
         }
         ExecOp::RunOverlappedGroup {
             stages,
@@ -122,6 +175,7 @@ pub(crate) fn run(
             overlapped::run(
                 f,
                 stages,
+                &kernels.f64,
                 live_out,
                 scratch_slot,
                 tile_plan,
@@ -137,14 +191,18 @@ pub(crate) fn run(
             out_slot,
         } => {
             gate(FaultSite::OpDiamond)?;
-            diamond::run(f, stages, schedule, *radius, *out_slot, slots, pool)
+            let k = &kernels.f64;
+            diamond::run(f, stages, k, schedule, *radius, *out_slot, slots, pool)
         }
         ExecOp::RunMixedChain { stages, out_slot } => {
             gate(FaultSite::OpMixed)?;
-            mixed::run(f, stages, *out_slot, slots, f32_pool)
+            mixed::run(f, stages, &kernels.f32, *out_slot, slots, f32_pool)
         }
         _ => Err(ExecError::PlanViolation("not a sweep op")),
-    }
+    };
+    let tally = tally.into_inner();
+    tally.unwrap_or_else(PoisonError::into_inner).publish();
+    result
 }
 
 /// Take the slots `outs` (distinct) out of the slot table, hand `body`
@@ -265,15 +323,17 @@ pub(crate) fn panic_detail(p: Box<dyn Any + Send>) -> String {
 /// `data`, whose view is `origin` / `extents`) and `domain` clipped to them,
 /// both on the stack: a piece allocates nothing. There is one piece per
 /// worker of the frame's pool, as in the static schedule of the generated
-/// code. Returns the number of pieces. A worker panic (an injected
-/// `WorkerPanic` among them) unwinds out of the call; callers contain it.
+/// code. `body` notes its dispatch counts in the piece's tally, which joins
+/// the op's when the piece is done. Returns the number of pieces. A worker
+/// panic (an injected `WorkerPanic` among them) unwinds out of the call;
+/// callers contain it.
 pub(crate) fn sweep_rows<T: Send>(
     f: &Frame<'_>,
     data: &mut [T],
     origin: &[i64],
     extents: &[i64],
     domain: &BoxDomain,
-    body: impl Fn(SpaceMut<'_, T>, &[Interval]) + Sync,
+    body: impl Fn(SpaceMut<'_, T>, &[Interval], &mut Tally) + Sync,
 ) -> u64 {
     let nd = extents.len();
     let npieces = f.pool.current_num_threads().max(1);
@@ -312,7 +372,9 @@ pub(crate) fn sweep_rows<T: Send>(
             origin: &wo[..nd],
             extents: &we[..nd],
         };
-        body(window, &region[..nd]);
+        let mut tally = Tally::default();
+        body(window, &region[..nd], &mut tally);
+        f.count(&tally);
     });
     npieces
 }

@@ -13,12 +13,11 @@
 
 use super::{slot_space, with_outputs, Frame, INLINE_INPUTS};
 use crate::arena::ArenaPool;
-use crate::kernel::{
-    box_rows, execute_stage_region, fill_rim, Inline, KernelInput, KernelOut, Space, SpaceMut,
-};
+use crate::kernel::{box_rows, fill_rim, Bound, Inline, KernelInput, KernelOut, Space, SpaceMut};
 use crate::schedule::{ExecError, Slot};
 use crate::tilebuf::SharedOut;
 use gmg_poly::Interval;
+use gmg_trace::dispatch::Tally;
 use gmg_trace::StageHandle;
 use polymg::schedule::{OpInput, SlabLayout, StageExec};
 use polymg::{FaultSite, TilePlan};
@@ -28,6 +27,7 @@ use std::time::Instant;
 pub(crate) fn run(
     f: Frame<'_>,
     stages: &[StageExec],
+    kernels: &[Bound<f64>],
     live_out: &[bool],
     scratch_slot: &[Option<usize>],
     plan: &TilePlan,
@@ -86,9 +86,9 @@ pub(crate) fn run(
                 }
                 let mut arena = scratch.get(chaos);
                 let slab = &mut arena.slab()[..layout.scratch_len()];
+                let mut tally = Tally::default();
 
                 for (i, st) in stages.iter().enumerate() {
-                    let kernel = &program.kernels[st.kernel];
                     let entry = plan.entry(tile, i);
                     let compute = &entry.compute[3 - nd..];
                     if compute.iter().any(Interval::is_empty) {
@@ -139,15 +139,24 @@ pub(crate) fn run(
                             origin,
                             extents,
                         });
-                        execute_stage_region(st.sel(), kernel, compute, out, ins, bnd);
+                        kernels[i].run(compute, out, ins, bnd, &mut tally);
                         if let Some((sh, array_extents)) = stage_out[i] {
-                            // copy the owned sub-region scratch → array
+                            // copy the owned sub-region scratch → array, its
+                            // box checked once against the array
                             let owned = &entry.owned[3 - nd..];
+                            let mut axes = owned.iter().zip(array_extents);
+                            let inside = axes.all(|(iv, &e)| iv.lo >= 0 && iv.hi < e);
+                            let cells = array_extents.iter().product::<i64>() as usize;
+                            assert!(inside && cells <= sh.len(), "owned box leaves its array");
                             let array = (&[0; 3][..nd], array_extents);
                             box_rows((origin, extents), array, owned, |s, d, w| {
-                                // SAFETY: owned boxes partition the array
-                                // across tiles.
-                                unsafe { sh.segment(d, w) }.copy_from_slice(&data[s..s + w]);
+                                let row = &data[s..s + w];
+                                // SAFETY: the row lies in the owned box, which
+                                // lies in the array (checked above); owned
+                                // boxes partition the array across tiles.
+                                unsafe {
+                                    row.as_ptr().copy_to_nonoverlapping(sh.as_ptr().add(d), w)
+                                };
                             });
                         }
                     } else if let Some((out, extents)) = stage_out[i] {
@@ -156,7 +165,7 @@ pub(crate) fn run(
                         // code behaviour of Figure 8)
                         debug_assert_eq!(&entry.owned[3 - nd..], compute);
                         let out = KernelOut::Shared { out, extents };
-                        execute_stage_region(st.sel(), kernel, compute, out, ins, bnd);
+                        kernels[i].run(compute, out, ins, bnd, &mut tally);
                     }
 
                     if let Some(t0) = t0 {
@@ -166,6 +175,7 @@ pub(crate) fn run(
                 }
 
                 scratch.put(arena);
+                f.count(&tally);
             });
         })
     })

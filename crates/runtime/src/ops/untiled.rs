@@ -2,7 +2,7 @@
 //! ([`super::sweep_rows`]).
 
 use super::{slot_space, stage_inputs, sweep_rows, with_outputs, Frame};
-use crate::kernel::{execute_stage_region, KernelOut};
+use crate::kernel::{Bound, KernelOut};
 use crate::schedule::{ExecError, Slot};
 use gmg_trace::StageHandle;
 use polymg::schedule::StageExec;
@@ -11,13 +11,13 @@ use std::time::Instant;
 pub(crate) fn run(
     f: Frame<'_>,
     stage: &StageExec,
+    kernel: &Bound<f64>,
     slots: &mut [Slot<'_>],
 ) -> Result<(), ExecError> {
     let a = stage.slot.ok_or(ExecError::PlanViolation(
         "untiled stage without output slot",
     ))?;
     let spec = &f.program.slots[a];
-    let kernel = &f.program.kernels[stage.kernel];
     let span = f.spans.first();
 
     with_outputs(f.program, slots, &[a], |out, slots| {
@@ -38,10 +38,7 @@ pub(crate) fn run(
                 &spec.origin,
                 &spec.extents,
                 &stage.domain,
-                |out, region| {
-                    let out = KernelOut::Dense(out);
-                    execute_stage_region(stage.sel(), kernel, region, out, &ins, &bnd)
-                },
+                |out, region, tally| kernel.run(region, KernelOut::Dense(out), &ins, &bnd, tally),
             )
         })?;
         if let (Some(span), Some(t0)) = (span, t0) {

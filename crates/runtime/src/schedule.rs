@@ -12,6 +12,7 @@
 
 use crate::arena::ArenaPool;
 use crate::kernel::{copy_box, fill_ghost, SpaceMut};
+use crate::ops::OpKernels;
 use crate::pool::{BufferPool, PoolStats};
 use gmg_grid::Buffer;
 use gmg_poly::BoxDomain;
@@ -240,6 +241,11 @@ fn bind_externals<'a>(
 pub struct Engine {
     plan: Option<Arc<CompiledPipeline>>,
     program: ExecProgram,
+    /// Per op: its stage kernels, bound once per engine rather than per
+    /// execution ([`crate::kernel::Bound`]) — at the first run, so that
+    /// building an engine costs what it did before binding existed
+    /// (compiles and cold sessions build engines that may never run).
+    kernels: Option<Vec<OpKernels>>,
     pool: BufferPool,
     /// f32 scratch for mixed-precision chains: a pool of its own, so the
     /// f64 statistics above stay undiluted. Persists across runs like the
@@ -302,6 +308,7 @@ impl Engine {
         Engine {
             plan: None,
             program,
+            kernels: None,
             pool: BufferPool::new(),
             f32_pool: BufferPool::default(),
             rayon_pool,
@@ -467,6 +474,11 @@ impl Engine {
         // Split-borrow fields so the interpreter closure can hold &mut to
         // slots/pool while reading the program.
         let program = &self.program;
+        let kernels = self.kernels.get_or_insert_with(|| {
+            let bind = |op| OpKernels::bind(program, op);
+            program.ops.iter().map(bind).collect()
+        });
+        let kernels = &*kernels;
         let pool = &mut self.pool;
         let f32_pool = &mut self.f32_pool;
         let op_handles = &self.op_handles;
@@ -553,6 +565,7 @@ impl Engine {
                         }
                         sweep => crate::ops::run(
                             sweep,
+                            &kernels[i],
                             program,
                             slots,
                             pool,

@@ -1,8 +1,10 @@
 //! Raw-pointer plumbing for tile-parallel writes into shared output arrays.
 //!
 //! Tiles write disjoint boxes of the same array; slices cannot express that,
-//! so writers go through [`SharedOut`], which derives per-row `&mut [T]`
-//! segments from a raw pointer. Soundness rests on the planner's owned-region
+//! so writers go through [`SharedOut`], which derives `&mut [T]` segments
+//! from a raw pointer, or hands the pointer itself to a writer that checked
+//! its whole box against [`SharedOut::len`] first (a kernel sweep, the
+//! overlapped copy-out). Soundness rests on the planner's owned-region
 //! partition (each output point belongs to exactly one tile — property
 //! tested in `gmg-poly::tiling` and re-asserted by the integration suite)
 //! and, for diamond execution, on the band-height clamp of
@@ -44,7 +46,14 @@ impl<T> SharedOut<T> {
         self.len == 0
     }
 
-    /// A mutable row segment `[off, off+w)`.
+    /// The array's first element. Writing through it has the contract of
+    /// [`Self::segment`], and the writer checks the bounds itself.
+    pub fn as_ptr(&self) -> *mut T {
+        self.ptr
+    }
+
+    /// A mutable row segment `[off, off+w)`; panics, in release builds
+    /// too, unless it lies inside the array.
     ///
     /// # Safety
     /// No other live reference (read or write) may overlap the segment,
@@ -53,17 +62,18 @@ impl<T> SharedOut<T> {
     /// construction from a raw pointer).
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn segment<'s>(&self, off: usize, w: usize) -> &'s mut [T] {
-        debug_assert!(off + w <= self.len);
+        assert!(off + w <= self.len, "segment leaves the shared array");
         std::slice::from_raw_parts_mut(self.ptr.add(off), w)
     }
 
-    /// A shared segment `[off, off+w)`.
+    /// A shared segment `[off, off+w)`; panics, in release builds too,
+    /// unless it lies inside the array.
     ///
     /// # Safety
     /// No concurrent writer may overlap the segment; same lifetime
     /// caveat as [`Self::segment`].
     pub unsafe fn read_segment<'s>(&self, off: usize, w: usize) -> &'s [T] {
-        debug_assert!(off + w <= self.len);
+        assert!(off + w <= self.len, "segment leaves the shared array");
         std::slice::from_raw_parts(self.ptr.add(off), w)
     }
 }

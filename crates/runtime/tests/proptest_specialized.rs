@@ -22,7 +22,7 @@
 use gmg_ir::expr::{Access, AxisAccess, Expr, Operand};
 use gmg_ir::{CoeffRead, LinearForm, Parity, ParityPattern, Tap};
 use gmg_poly::{BoxDomain, Interval};
-use gmg_runtime::kernel::{execute_stage_sel, KernelInput, Space, SpaceMut};
+use gmg_runtime::kernel::{execute_stage_sel, Elem, KernelInput, Space, SpaceMut};
 use polymg::specialize::classify;
 use polymg::{KernelBody, KernelCase, KernelImpl, KernelSel, KernelTier, StageKernel};
 use proptest::prelude::*;
@@ -667,6 +667,317 @@ proptest! {
                 i,
                 a,
                 b
+            );
+        }
+    }
+}
+
+/// The short-row oracle's kernels, one per row shape `shape` of rank `nd`:
+/// 0 a unit cross stencil; 1 a stride-2 restriction over all `3^nd`
+/// offsets; 2 interpolation, one case per parity combination with the
+/// half-index taps of its parity; 3 a red-black half-sweep (stride-2 reads
+/// and writes); 4 a unit cross whose taps are scaled, one in three by
+/// coefficient slot 1 and one in three by slot 2 read one cell off-centre.
+fn short_row_kernel(shape: usize, nd: usize, coeffs: &[f64], bias: f64) -> StageKernel {
+    let mut cross = vec![vec![0i64; nd]];
+    for d in 0..nd {
+        for s in [-1i64, 1] {
+            let mut o = vec![0i64; nd];
+            o[d] = s;
+            cross.push(o);
+        }
+    }
+    let tap = |access: Access, j: usize| Tap {
+        slot: 0,
+        access,
+        coeff: coeffs[j % coeffs.len()],
+        cfactor: None,
+    };
+    let linear = |pattern: Vec<Parity>, bias: f64, taps: Vec<Tap>| KernelCase {
+        pattern: ParityPattern(pattern),
+        body: KernelBody::Linear(LinearForm { bias, taps }),
+    };
+    // every parity combination of the `nd` axes, outermost first
+    let combos = (0..1usize << nd).map(|c| {
+        (0..nd)
+            .map(|d| [Parity::Even, Parity::Odd][c >> d & 1])
+            .collect::<Vec<_>>()
+    });
+    let cases = match shape {
+        0 | 4 => {
+            let taps = cross
+                .iter()
+                .enumerate()
+                .map(|(j, o)| {
+                    let mut t = tap(Access::offsets(o), j);
+                    let mut shifted = vec![0i64; nd];
+                    shifted[nd - 1] = 1;
+                    t.cfactor = match (shape, j % 3) {
+                        (0, _) | (_, 0) => None,
+                        (_, 1) => Some(CoeffRead {
+                            slot: 1,
+                            access: Access::offsets(&vec![0; nd]),
+                        }),
+                        _ => Some(CoeffRead {
+                            slot: 2,
+                            access: Access::offsets(&shifted),
+                        }),
+                    };
+                    t
+                })
+                .collect();
+            vec![linear(vec![Parity::Any; nd], bias, taps)]
+        }
+        1 => {
+            let taps = (0..3usize.pow(nd as u32))
+                .map(|j| {
+                    let axes = (0..nd)
+                        .map(|d| AxisAccess::down((j / 3usize.pow(d as u32) % 3) as i64 - 1));
+                    tap(Access(axes.collect()), j)
+                })
+                .collect();
+            vec![linear(vec![Parity::Any; nd], bias, taps)]
+        }
+        2 => combos
+            .map(|pattern| {
+                let offs = |p: &Parity| -> &'static [i64] {
+                    if *p == Parity::Even {
+                        &[0]
+                    } else {
+                        &[-1, 1]
+                    }
+                };
+                let mut points = vec![vec![]];
+                for p in &pattern {
+                    points = points
+                        .iter()
+                        .flat_map(|pre: &Vec<i64>| {
+                            offs(p)
+                                .iter()
+                                .map(move |&o| [pre.clone(), vec![o]].concat())
+                        })
+                        .collect();
+                }
+                let taps = points
+                    .iter()
+                    .enumerate()
+                    .map(|(j, o)| tap(Access(o.iter().map(|&o| AxisAccess::up(o)).collect()), j))
+                    .collect();
+                linear(pattern, bias, taps)
+            })
+            .collect(),
+        _ => combos
+            .map(|pattern| {
+                let odd = pattern.iter().filter(|p| **p == Parity::Odd).count();
+                if odd % 2 == 0 {
+                    let taps = cross
+                        .iter()
+                        .enumerate()
+                        .map(|(j, o)| tap(Access::offsets(o), j))
+                        .collect();
+                    linear(pattern, bias, taps)
+                } else {
+                    linear(pattern, 0.0, vec![unit_tap(&vec![0; nd], 1.0)])
+                }
+            })
+            .collect(),
+    };
+    StageKernel { cases }
+}
+
+/// `kernel` over `region` at element type `T` through the public entry,
+/// reading slot `k` from `grids[k]` (all on one `origin` / `extents` box),
+/// into a fresh window of `out_extents` cells from `out_origin`.
+fn run_elem<T: Elem>(
+    sel: KernelSel,
+    kernel: &StageKernel,
+    region: &BoxDomain,
+    grids: &[Vec<T>],
+    (origin, extents): (&[i64], &[i64]),
+    (out_origin, out_extents): (&[i64], &[i64]),
+) -> Vec<T> {
+    let mut buf = vec![T::default(); out_extents.iter().product::<i64>() as usize];
+    let mut out = SpaceMut {
+        data: &mut buf,
+        origin: out_origin,
+        extents: out_extents,
+    };
+    let ins: Vec<KernelInput<'_, T>> = grids
+        .iter()
+        .map(|data| {
+            KernelInput::Grid(Space {
+                data,
+                origin,
+                extents,
+            })
+        })
+        .collect();
+    execute_stage_sel(sel, kernel, region, &mut out, &ins, &[0.0; 3]);
+    buf
+}
+
+/// The `f32` smoother chain's sum, point by point: `acc = bias`, then
+/// `acc += (c·a)·v` (or `c·v`) per tap in lowered order, every operand
+/// rounded to `f32` first — what every `f32` row must produce.
+fn f32_reference(
+    kernel: &StageKernel,
+    region: &BoxDomain,
+    grids: &[Vec<f32>],
+    (origin, extents): (&[i64], &[i64]),
+    (out_origin, out_extents): (&[i64], &[i64]),
+) -> Vec<f32> {
+    let nd = region.ndims();
+    let len = |e: &[i64]| e.iter().product::<i64>() as usize;
+    let mut out = vec![0.0f32; len(out_extents)];
+    let at = |slot: usize, access: &Access, p: &[i64]| {
+        let space = Space {
+            data: &grids[slot][..],
+            origin,
+            extents,
+        };
+        grids[slot][space
+            .index(&access.eval(p))
+            .expect("read inside the input box")]
+    };
+    for (flat, cell) in out.iter_mut().enumerate() {
+        let mut rest = flat as i64;
+        let mut p = vec![0i64; nd];
+        for d in (0..nd).rev() {
+            p[d] = out_origin[d] + rest % out_extents[d];
+            rest /= out_extents[d];
+        }
+        if !region.contains_point(&p) {
+            continue;
+        }
+        for case in kernel.cases.iter().filter(|c| c.pattern.matches(&p)) {
+            let KernelBody::Linear(form) = &case.body else {
+                unreachable!()
+            };
+            let mut acc = form.bias as f32;
+            for t in &form.taps {
+                let mut w = t.coeff as f32;
+                if let Some(c) = &t.cfactor {
+                    w *= at(c.slot, &c.access, &p);
+                }
+                acc += w * at(t.slot, &t.access, &p);
+            }
+            *cell = acc;
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Short rows and whole planes at every tier: rows of 1–13 points (every
+    /// remainder after the packed lanes' eight- and four-point passes),
+    /// 3-D regions of at least three planes, and every input and output box
+    /// cut tight to what the sweep touches, so the last row of the last
+    /// plane ends at the last element of its buffer. Unit, strided and
+    /// coefficient rows run the scalar tier, the lane-safe tier and the
+    /// fast-math tier, unblocked and with four-point slabs. Every exact
+    /// selection equals the interpreter twin bit for bit; fast-math on plain
+    /// unit rows stays inside the reassociation bound of
+    /// `tests/proptest_fastmath_ulp.rs`. The same kernel at `f32`, through
+    /// the same generic entry, equals the chain's own `f32` sum.
+    #[test]
+    fn short_rows_and_planes_match_interpreter(
+        shape in 0usize..5,
+        three_d in proptest::bool::ANY,
+        nx in 1i64..14,
+        ny in 1i64..4,
+        nz in 3i64..5,
+        lo in (1i64..3, 1i64..3, 1i64..3),
+        coeffs in proptest::collection::vec(-1.0f64..1.0, 27),
+        bias in -1.0f64..1.0,
+        seed in 0u64..1_000_000,
+    ) {
+        let nd = if three_d { 3 } else { 2 };
+        let kernel = short_row_kernel(shape, nd, &coeffs, bias);
+        let (lo, len) = ([lo.0, lo.1, lo.2], [nz, ny, nx]);
+        let region = BoxDomain::new(
+            (3 - nd..3).map(|d| Interval::new(lo[d], lo[d] + len[d] - 1)).collect(),
+        );
+        // the input box: exactly the cells the taps read
+        let reads = |iv: &Interval| match shape {
+            1 => (2 * iv.lo - 1, 2 * iv.hi + 1),
+            2 => (gmg_poly::div_floor(iv.lo - 1, 2), gmg_poly::div_floor(iv.hi + 1, 2)),
+            _ => (iv.lo - 1, iv.hi + 1),
+        };
+        let origin: Vec<i64> = region.0.iter().map(|iv| reads(iv).0).collect();
+        let extents: Vec<i64> = region.0.iter().map(|iv| reads(iv).1 - reads(iv).0 + 1).collect();
+        let out_origin: Vec<i64> = region.0.iter().map(|iv| iv.lo).collect();
+        let out_extents: Vec<i64> = region.0.iter().map(Interval::len).collect();
+        let boxes = ((&origin[..], &extents[..]), (&out_origin[..], &out_extents[..]));
+
+        // slot 0 values, slots 1 and 2 coefficients in [0.5, 1.5)
+        let grids: Vec<Vec<f64>> = (0..3u64)
+            .map(|k| {
+                let mut g = vec![0.0; extents.iter().product::<i64>() as usize];
+                fill(seed + k, &mut g);
+                g.iter().map(|v| v + (k > 0) as u8 as f64).collect()
+            })
+            .collect();
+        let tag = classify(&kernel, nd);
+        let twin = interpreter_twin(&kernel);
+        let want = run_elem(KernelSel::generic(), &twin, &region, &grids, boxes.0, boxes.1);
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        // the fast-math bound's per-point magnitude `|bias| + Σ|cⱼ·vⱼ|`
+        let ntaps = (2 * nd + 1) as f64;
+        let magnitude = {
+            let mut abs = kernel.clone();
+            for case in &mut abs.cases {
+                if let KernelBody::Linear(f) = &mut case.body {
+                    f.bias = f.bias.abs();
+                    f.taps.iter_mut().for_each(|t| t.coeff = t.coeff.abs());
+                }
+            }
+            let abs_grids: Vec<Vec<f64>> =
+                grids.iter().map(|g| g.iter().map(|v| v.abs()).collect()).collect();
+            run_elem(KernelSel::generic(), &abs, &region, &abs_grids, boxes.0, boxes.1)
+        };
+
+        let mut sels = vec![KernelSel::scalar(tag)];
+        for tier in [KernelTier::LaneSafe, KernelTier::FastMath] {
+            for xblock in [0usize, 4] {
+                sels.push(KernelSel { impl_tag: tag, tier, xblock });
+            }
+        }
+        for sel in sels {
+            let got = run_elem(sel, &kernel, &region, &grids, boxes.0, boxes.1);
+            if sel.tier == KernelTier::FastMath && shape == 0 {
+                for (i, ((g, w), m)) in got.iter().zip(&want).zip(&magnitude).enumerate() {
+                    let tol = (2.0 * ntaps + 6.0) * f64::EPSILON * m;
+                    prop_assert!(
+                        (g - w).abs() <= tol,
+                        "shape {} {:?} fast-math (xblock {}) at {}: |{} - {}| > {:e}",
+                        shape, tag, sel.xblock, i, g, w, tol
+                    );
+                }
+            } else {
+                prop_assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "shape {} {:?} {:?} (xblock {}) diverged from the interpreter",
+                    shape, tag, sel.tier, sel.xblock
+                );
+            }
+        }
+
+        let narrow: Vec<Vec<f32>> =
+            grids.iter().map(|g| g.iter().map(|&v| v as f32).collect()).collect();
+        let want32 = f32_reference(&kernel, &region, &narrow, boxes.0, boxes.1);
+        for tier in [KernelTier::Scalar, KernelTier::LaneSafe, KernelTier::FastMath] {
+            let sel = KernelSel { impl_tag: tag, tier, xblock: 4 };
+            let got = run_elem(sel, &kernel, &region, &narrow, boxes.0, boxes.1);
+            let bits32 = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits32(&got),
+                bits32(&want32),
+                "shape {} {:?} {:?} f32 diverged from the chain's own sum",
+                shape, tag, tier
             );
         }
     }

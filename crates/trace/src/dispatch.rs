@@ -1,10 +1,13 @@
 //! Process-wide kernel-dispatch histogram.
 //!
 //! `gmg-runtime::kernel` classifies every kernel-case execution into one of
-//! five dispatch classes and bumps one relaxed atomic here — once per case
-//! execution (i.e. per stage per tile), not per row, so the cost is noise.
-//! Global statics (rather than per-`Trace` state) keep the hot path free of
-//! any handle indirection; `reset()` lets harness sections scope the counts.
+//! five dispatch classes, one kernel family and one tier. It notes each in
+//! a plain [`Tally`] of the work item it runs in (a tile, a row piece, a
+//! trapezoid); an op gathers its items' tallies and adds them here once,
+//! so engine threads share these cache lines once per op, not per case.
+//! Global statics (rather than per-`Trace` state) keep the histograms
+//! independent of any trace handle; `reset()` lets harness sections scope
+//! the counts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -37,12 +40,6 @@ pub const LABELS: [&str; KINDS] = [
 
 static COUNTS: [AtomicU64; KINDS] = [const { AtomicU64::new(0) }; KINDS];
 
-/// Count `n` executions of dispatch class `kind`.
-#[inline]
-pub fn record(kind: Kind, n: u64) {
-    COUNTS[kind as usize].fetch_add(n, Ordering::Relaxed);
-}
-
 /// Current histogram, indexed like [`LABELS`].
 pub fn snapshot() -> [u64; KINDS] {
     load(&COUNTS)
@@ -65,13 +62,6 @@ pub const IMPL_LABELS: [&str; IMPLS] = [
 
 static IMPL_COUNTS: [AtomicU64; IMPLS] = [const { AtomicU64::new(0) }; IMPLS];
 
-/// Count `n` case executions dispatched to kernel-impl family
-/// `impl_index` (`KernelImpl::index()`).
-#[inline]
-pub fn record_impl(impl_index: usize, n: u64) {
-    IMPL_COUNTS[impl_index].fetch_add(n, Ordering::Relaxed);
-}
-
 /// Current per-kernel-impl histogram, indexed like [`IMPL_LABELS`].
 pub fn impl_snapshot() -> [u64; IMPLS] {
     load(&IMPL_COUNTS)
@@ -86,12 +76,58 @@ pub const TIER_LABELS: [&str; TIERS] = ["scalar", "lane_safe", "fast_math"];
 
 static TIER_COUNTS: [AtomicU64; TIERS] = [const { AtomicU64::new(0) }; TIERS];
 
-/// Count `n` case executions run at implementation tier `tier_index`
-/// (`KernelTier::index()`). Recorded alongside [`record_impl`], so the two
-/// histograms share a total.
-#[inline]
-pub fn record_tier(tier_index: usize, n: u64) {
-    TIER_COUNTS[tier_index].fetch_add(n, Ordering::Relaxed);
+/// Case executions counted locally, to be added to the histograms in one
+/// go. Every execution is noted in all three, so they share a total.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    kinds: [u64; KINDS],
+    impls: [u64; IMPLS],
+    tiers: [u64; TIERS],
+}
+
+impl Tally {
+    /// One execution of dispatch class `kind`, kernel-impl family
+    /// `impl_index` (`KernelImpl::index()`) and tier `tier_index`
+    /// (`KernelTier::index()`).
+    #[inline]
+    pub fn note(&mut self, kind: Kind, impl_index: usize, tier_index: usize) {
+        self.kinds[kind as usize] += 1;
+        self.impls[impl_index] += 1;
+        self.tiers[tier_index] += 1;
+    }
+
+    /// Add `other`'s counts to these.
+    pub fn absorb(&mut self, other: &Tally) {
+        for (a, b) in self.counts_mut().zip(other.counts()) {
+            *a += b;
+        }
+    }
+
+    /// Add the counts to the process-wide histograms: one relaxed atomic
+    /// per non-zero bucket.
+    pub fn publish(&self) {
+        let statics = COUNTS.iter().chain(&IMPL_COUNTS).chain(&TIER_COUNTS);
+        for (c, n) in statics.zip(self.counts()).filter(|(_, n)| *n > 0) {
+            c.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    fn counts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.kinds
+            .iter()
+            .chain(&self.impls)
+            .chain(&self.tiers)
+            .copied()
+    }
+
+    fn counts_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        let Tally {
+            kinds,
+            impls,
+            tiers,
+        } = self;
+        kinds.iter_mut().chain(impls).chain(tiers)
+    }
 }
 
 /// Current per-tier histogram, indexed like [`TIER_LABELS`].
