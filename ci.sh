@@ -55,6 +55,10 @@ blocks=$(grep -c '^== .* ==$' <<<"$out" || true)
 rc=0
 cargo run --release -q -p gmg-bench --bin reproduce -- fig9b 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "ci: reproduce fig9b exited $rc, expected 2" >&2; exit 1; }
+# and a Fig. 12 sweep stride the tuner rejects is one too
+rc=0
+cargo run --release -q -p gmg-bench --bin reproduce -- fig12 --stride 0 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "ci: reproduce fig12 --stride 0 exited $rc, expected 2" >&2; exit 1; }
 
 # chaos gate (DESIGN.md §12): the differential suite (random pipelines ×
 # random fault plans, plus the fixed-seed cases) must hold — bitwise after

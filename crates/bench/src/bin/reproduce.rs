@@ -10,8 +10,9 @@
 //!               `all` skips `scaling`)
 //! ```
 //!
-//! An unknown experiment or flag, or a missing or unparsable flag value,
-//! prints what was wrong and exits 2.
+//! An unknown experiment or flag, a missing or unparsable flag value, or a
+//! `--stride` the Fig. 12 tuner rejects (0) prints what was wrong and exits
+//! 2.
 //!
 //! `--profile OUT.json` attaches a `gmg-trace` handle to every engine the
 //! experiments build and writes the aggregated profile (per-stage times,
@@ -120,7 +121,8 @@ fn main() {
         println!();
     }
     if run("fig12") {
-        print!("{}", fig12(&o, stride));
+        let sweep = fig12(&o, stride).unwrap_or_else(|e| fail(&format!("--stride {stride}: {e}")));
+        print!("{sweep}");
         println!();
     }
     if run("grouping") {

@@ -423,8 +423,10 @@ pub fn fig11b(o: &ExpOptions) -> String {
 }
 
 /// Figure 12: auto-tuning sweep over tile sizes × group limits for
-/// 2D-V-10-0-0, comparing opt and opt+ per configuration.
-pub fn fig12(o: &ExpOptions, stride: usize) -> String {
+/// 2D-V-10-0-0, comparing opt and opt+ per configuration. The sweep is
+/// [`polymg::autotune::tune`] over every `stride`-th configuration, with
+/// the opt+ time as its metric; a stride of 0 is its error.
+pub fn fig12(o: &ExpOptions, stride: usize) -> Result<String, polymg::TuneError> {
     let cfg = MgConfig::new(2, o.class.n(2), CycleType::V, SmoothSteps::s1000());
     let iters = o.iters(2).min(3);
     let mut out = String::new();
@@ -439,13 +441,9 @@ pub fn fig12(o: &ExpOptions, stride: usize) -> String {
         "config (tiles,limit)", "opt (s)", "opt+ (s)"
     );
     let pipeline = build_cycle_pipeline(&cfg);
-    let mut best = (f64::MAX, String::new());
-    let space = polymg::autotune::search_space(2).expect("2-D search space");
-    for tc in space.iter().step_by(stride) {
-        let mut row = format!(
-            "  {:<22}",
-            format!("{:?} gl={}", tc.tile_sizes, tc.group_limit)
-        );
+    let label = |tc: &polymg::TuneConfig| format!("{:?} gl={}", tc.tile_sizes, tc.group_limit);
+    let (samples, best) = polymg::autotune::tune(2, stride, |tc| {
+        let mut row = format!("  {:<22}", label(tc));
         let mut optplus_secs = f64::MAX;
         for variant in [Variant::Opt, Variant::OptPlus] {
             let mut opts = PipelineOptions::for_variant(variant, 2);
@@ -459,16 +457,17 @@ pub fn fig12(o: &ExpOptions, stride: usize) -> String {
                 optplus_secs = t.seconds();
             }
         }
-        if optplus_secs < best.0 {
-            best = (
-                optplus_secs,
-                format!("{:?} gl={}", tc.tile_sizes, tc.group_limit),
-            );
-        }
         let _ = writeln!(out, "{row}");
-    }
-    let _ = writeln!(out, "  best opt+ config: {} ({:.3}s)", best.1, best.0);
-    out
+        optplus_secs
+    })?;
+    let best = &samples[best];
+    let _ = writeln!(
+        out,
+        "  best opt+ config: {} ({:.3}s)",
+        label(&best.config),
+        best.metric
+    );
+    Ok(out)
 }
 
 /// Figure 6/7: the grouping and storage-mapping dump for 2D V-4-4-4.

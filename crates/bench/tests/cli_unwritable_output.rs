@@ -48,13 +48,15 @@ fn bad_flag_values_exit_2_naming_the_flag() {
 
 #[test]
 fn reproduce_bad_arguments_exit_2_naming_them() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["fig9b"], "fig9b"),
         (&["fig9", "--class", "X"], "--class"),
         (&["fig9", "--iters", "abc"], "--iters"),
         (&["fig9", "--iters"], "--iters"),
         (&["fig9", "--repeats", "-1"], "--repeats"),
         (&["fig9", "--bogus"], "--bogus"),
+        // parses, but the Fig. 12 tuner rejects it
+        (&["fig12", "--stride", "0"], "--stride"),
     ];
     for (args, named) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))

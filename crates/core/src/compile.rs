@@ -266,7 +266,7 @@ fn plan_full_arrays(
     let mut item_stage = Vec::new();
     for w in wants.iter().filter(|w| !w.external) {
         let st = &graph.stages[w.stage];
-        let extents: Vec<i64> = st.domain.extents().iter().map(|e| e + 2).collect();
+        let extents: Vec<i64> = st.domain.extents().map(|e| e + 2).collect();
         items.push(RemapItem {
             time: w.time,
             last_use: w.last_use,
@@ -287,7 +287,7 @@ fn plan_full_arrays(
         let st = &graph.stages[w.stage];
         array_of_stage[w.stage] = Some(arrays.len());
         arrays.push(ArraySpec {
-            extents: st.domain.extents().iter().map(|e| e + 2).collect(),
+            extents: st.domain.extents().map(|e| e + 2).collect(),
             boundary: st.boundary.value(),
             external: true,
             tag: st.name.clone(),

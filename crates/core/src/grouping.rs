@@ -106,7 +106,7 @@ pub fn group_geometry(
     for sid in members {
         let st = graph.stage(*sid);
         gstages.push(GroupStage {
-            domain: st.domain.clone(),
+            domain: st.domain,
             owned: BoxDomain::empty(st.domain.ndims()),
         });
         scales.push(stage_scales(&st.domain, ref_dom));
@@ -126,7 +126,7 @@ pub fn group_geometry(
                     edges.push(GroupEdge {
                         producer: pi,
                         consumer: ci,
-                        footprint: st.footprints[slot].clone(),
+                        footprint: st.footprints[slot],
                     });
                 }
             }

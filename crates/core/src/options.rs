@@ -66,12 +66,13 @@ pub struct PipelineOptions {
     pub dtile_band: usize,
     /// Worker threads for the runtime.
     pub threads: usize,
-    /// Emit specialized unrolled kernels for recognised constant-coefficient
-    /// stencil shapes (see `specialize::classify`), and let stages with
-    /// coefficient taps take the lane tiers below. Specialized kernels are
-    /// bitwise-identical to the generic path; this knob exists for A/B
-    /// benchmarking (`--no-specialize`), and with it off every stage runs
-    /// the scalar generic rows — the bitwise reference.
+    /// Tag recognised constant-coefficient stencil shapes with a kernel
+    /// family (see `specialize::classify`), which lets them — and stages
+    /// with coefficient taps — take the lane tiers below. The tag decides
+    /// only the tier: every row runs the same row body, so specialization
+    /// alone is bitwise-identical to the generic path; this knob exists for
+    /// A/B benchmarking (`--no-specialize`), and with it off every stage
+    /// runs the scalar rows — the bitwise reference.
     pub specialize: bool,
     /// Lower specialized kernels and the unit-stride rows of coefficient
     /// stages (`Tap::cfactor`, tagged `Generic`) to the explicit f64-lane

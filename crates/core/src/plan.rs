@@ -6,7 +6,7 @@
 use crate::options::PipelineOptions;
 use gmg_ir::{Expr, LinearForm, ParityPattern, StageGraph, StageId};
 use gmg_poly::tiling::TileRegion;
-use gmg_poly::{Box3, BoxDomain, Interval, Ratio};
+use gmg_poly::{Axes, BoxDomain, Interval, Ratio};
 use std::sync::Arc;
 
 /// Executable form of one parity case.
@@ -81,21 +81,23 @@ pub enum GroupTiling {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageTile {
     /// Points the tile evaluates; empty when the tile needs none.
-    pub compute: Box3,
+    pub compute: BoxDomain,
     /// The part of `compute` written back to the stage's full array (empty
     /// for stages that are not live-out).
-    pub owned: Box3,
+    pub owned: BoxDomain,
     /// Corner and extents of the scratchpad box (`compute` plus the ghost
-    /// positions consumers read).
+    /// positions consumers read), right-aligned like the boxes' slots
+    /// (an unused leading axis has corner 0 and extent 1); the rank's
+    /// axes are [`TilePlan::scratch`].
     pub origin: [i64; 3],
     pub extents: [i64; 3],
 }
 
 /// The per-tile regions of one overlapped group: for every tile × stage
-/// what [`gmg_poly::tiling::tile_walk`] derived, in the fixed-array form the
-/// tile executor reads. Built once per compile, alongside the scratchpad
-/// bounds it also yields (a compile-time constant for a fixed tile size, as
-/// in the paper), and read-only afterwards.
+/// what [`gmg_poly::tiling::tile_walk`] derived, as the tile executor reads
+/// it. Built once per compile, alongside the scratchpad bounds it also
+/// yields (a compile-time constant for a fixed tile size, as in the paper),
+/// and read-only afterwards.
 #[derive(Debug)]
 pub struct TilePlan {
     ndims: usize,
@@ -116,8 +118,8 @@ impl TilePlan {
             .map(|r| StageTile {
                 compute: r.compute,
                 owned: r.owned,
-                origin: r.alloc.map(|iv| iv.lo),
-                extents: r.alloc.map(|iv| iv.len()),
+                origin: r.alloc.0.slots().map(|iv| iv.lo),
+                extents: r.alloc.0.slots().map(|iv| iv.len()),
             })
             .collect();
         let plan = TilePlan {
@@ -161,40 +163,41 @@ impl TilePlan {
         &self.entries[tile * self.nstages + stage]
     }
 
+    /// The scratchpad view of `stage` in `tile`: its corner and extents,
+    /// outermost first, one per axis of the group's rank.
+    #[inline]
+    pub fn scratch(&self, tile: usize, stage: usize) -> (&[i64], &[i64]) {
+        let e = self.entry(tile, stage);
+        (&e.origin[3 - self.ndims..], &e.extents[3 - self.ndims..])
+    }
+
     /// Per-dimension maximum of `stage`'s scratchpad extents over all tiles.
     pub(crate) fn max_extents(&self, stage: usize) -> Vec<i64> {
         let mut ext = vec![0; self.ndims];
         for t in 0..self.tiles() {
-            for (m, e) in ext
-                .iter_mut()
-                .zip(&self.entry(t, stage).extents[3 - self.ndims..])
-            {
+            for (m, e) in ext.iter_mut().zip(self.scratch(t, stage).1) {
                 *m = (*m).max(*e);
             }
         }
         ext
     }
 
-    fn domain(&self, b: &Box3) -> BoxDomain {
-        BoxDomain::from_box3(b, self.ndims)
-    }
-
     /// The points `tile` evaluates for `stage`.
     pub fn compute(&self, tile: usize, stage: usize) -> BoxDomain {
-        self.domain(&self.entry(tile, stage).compute)
+        self.entry(tile, stage).compute
     }
 
     /// The points of `stage` that `tile` writes to the stage's full array.
     pub fn owned(&self, tile: usize, stage: usize) -> BoxDomain {
-        self.domain(&self.entry(tile, stage).owned)
+        self.entry(tile, stage).owned
     }
 
     /// The scratchpad box of `stage` in `tile`.
     pub fn alloc(&self, tile: usize, stage: usize) -> BoxDomain {
-        let e = self.entry(tile, stage);
-        let alloc: Box3 =
-            std::array::from_fn(|d| Interval::new(e.origin[d], e.origin[d] + e.extents[d] - 1));
-        self.domain(&alloc)
+        let (origin, extents) = self.scratch(tile, stage);
+        BoxDomain(Axes::from_fn(self.ndims, |d| {
+            Interval::new(origin[d], origin[d] + extents[d] - 1)
+        }))
     }
 }
 

@@ -363,7 +363,7 @@ pub fn lower(plan: &CompiledPipeline) -> ExecProgram {
         StageExec {
             name: stage.name.clone(),
             kernel,
-            domain: stage.domain.clone(),
+            domain: stage.domain,
             boundary: stage.boundary.value(),
             ins,
             slot: plan.storage.array_of_stage[sid.0],

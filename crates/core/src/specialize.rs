@@ -4,12 +4,14 @@
 //! residual, full-weighting restriction, bilinear/trilinear interpolation —
 //! are constant-coefficient linear stencils of a handful of fixed shapes.
 //! [`classify`] recognises those shapes on the lowered [`StageKernel`] and
-//! tags the scheduled stage with a [`KernelImpl`]; the runtime then
-//! dispatches the stage to a dedicated fully-unrolled row kernel (arity
-//! known at compile time, vectorization-friendly) instead of the generic
-//! tap loop. Anything unrecognised — non-linear cases, mixed up/down
-//! sampling, wide shapes, high arity — keeps [`KernelImpl::Generic`] and
-//! runs through the existing generic/interpreter paths.
+//! tags the scheduled stage with a [`KernelImpl`]. The tag decides only
+//! the stage's *tier* ([`KernelTier::select`]): whatever its tag, every
+//! linear case runs the runtime's one row body, `row_body`, with its arity
+//! a compile-time constant up to [`MAX_SPEC_TAPS`], inside a sweep bound
+//! once per stage. Anything unrecognised — non-linear cases, mixed up/down
+//! sampling, wide shapes, high arity — keeps [`KernelImpl::Generic`]: its
+//! plain rows stay at the scalar tier, and its non-linear cases run the
+//! expression interpreter.
 //!
 //! Stages whose taps carry a coefficient-grid factor (`Tap::cfactor`, the
 //! variable-coefficient operators) also keep the family tag `Generic`:
@@ -17,13 +19,12 @@
 //! benchmark's kernel probe keys on. Below the tag they are not
 //! second-class — [`KernelTier::select`] gives them the tier a specialized
 //! stage gets ([`has_coeff_taps`]), and the runtime runs their unit-stride
-//! rows on that tier's row body, packed lanes included, with the weight
-//! read per point and always under the exact rule; its run-time tap loop
-//! remains only as the fallback for arities outside the table and strided
-//! rows.
+//! rows on that tier's lanes, packed lanes included, with the weight read
+//! per point and always under the exact rule.
 //!
-//! The specialized kernels accumulate taps in exactly the order the generic
-//! loop does, so enabling specialization never changes results (bitwise).
+//! Every tier but [`KernelTier::FastMath`] accumulates a point's taps in
+//! exactly the generic order, so specialization alone never changes
+//! results (bitwise).
 
 use crate::plan::{KernelBody, StageKernel};
 use gmg_ir::expr::AxisAccess;
@@ -56,19 +57,20 @@ pub enum KernelImpl {
 
 /// The implementation tier a specialized stage executes at, selected at
 /// lowering time *underneath* the [`KernelImpl`] family classification:
-/// the family says *which* unrolled kernel shape fires, the tier says *how*
-/// its inner loop is generated.
+/// the family says *whether* a stage may leave the scalar tier, the tier
+/// says on which lane and under which accumulation rule the one row body
+/// runs its rows.
 ///
-/// - [`Scalar`](KernelTier::Scalar): the PR-3 unrolled row kernels (and the
-///   generic tap loop / interpreter — `Generic` stages without coefficient
-///   taps are always scalar).
-/// - [`LaneSafe`](KernelTier::LaneSafe): explicit-width f64-lane inner
-///   loops with fixed-width array accumulators plus cache blocking of the
-///   unit-stride dimension. Each output point still accumulates its taps in
-///   exactly the generic order (lanes are *output points*, not taps), so
-///   this tier is bitwise-identical to `Scalar` and is the default wherever
-///   specialization fires.
-/// - [`FastMath`](KernelTier::FastMath): the lane kernels with the per-point
+/// - [`Scalar`](KernelTier::Scalar): the row body on the element type's
+///   scalar lane, one point per pass (and the expression interpreter —
+///   `Generic` stages without coefficient taps are always scalar).
+/// - [`LaneSafe`](KernelTier::LaneSafe): the row body on the packed f64
+///   lanes (AVX2 vectors, where the host has AVX2+FMA) plus cache blocking
+///   of the unit-stride dimension. Each output point still accumulates its
+///   taps in exactly the generic order (lanes are *output points*, not
+///   taps), so this tier is bitwise-identical to `Scalar` and is the default
+///   wherever specialization fires.
+/// - [`FastMath`](KernelTier::FastMath): the lane tier with the per-point
 ///   tap chain of unit-stride plain rows reassociated into independent
 ///   partial sums (and fused multiply-add where the host supports it);
 ///   coefficient and strided rows keep the exact rule. Results differ from the
@@ -77,14 +79,14 @@ pub enum KernelImpl {
 ///   differential suite instead of bitwise equality.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum KernelTier {
-    /// Unrolled scalar row kernels (bitwise-identical to generic).
+    /// The row body on the scalar lane (bitwise-identical to generic).
     #[default]
     Scalar,
-    /// Explicit f64-lane kernels, generic accumulation order per point
-    /// (bitwise-identical to generic).
+    /// The row body on the packed f64 lanes, generic accumulation order per
+    /// point (bitwise-identical to generic).
     LaneSafe,
-    /// Lane kernels with reassociated partial-sum accumulation (round-off
-    /// level differences; ULP-verified).
+    /// The packed lanes with reassociated partial-sum accumulation on
+    /// unit-stride plain rows (round-off level differences; ULP-verified).
     FastMath,
 }
 
@@ -155,7 +157,7 @@ impl KernelSel {
         KernelSel::scalar(KernelImpl::Generic)
     }
 
-    /// A scalar-tier selection of a family (the PR-3 dispatch).
+    /// A scalar-tier selection of a family.
     pub fn scalar(impl_tag: KernelImpl) -> KernelSel {
         KernelSel {
             impl_tag,

@@ -9,7 +9,7 @@
 use crate::expr::{Expr, Operand};
 use crate::func::{BoundaryCond, FuncId, FuncKind, ParamId, ParityPattern, StepCount};
 use crate::pipeline::{ParamBindings, Pipeline};
-use gmg_poly::{AxisFootprint, BoxDomain, Footprint};
+use gmg_poly::{Axes, AxisFootprint, BoxDomain, Footprint};
 use std::collections::HashMap;
 
 /// Identifier of a stage within a [`StageGraph`].
@@ -107,7 +107,7 @@ impl StageGraph {
                         func: fid,
                         step: 0,
                         kind: StageKind::Input,
-                        domain: data.domain.clone(),
+                        domain: data.domain,
                         level: data.level,
                         size_param: data.size_param,
                         boundary: data.boundary,
@@ -303,13 +303,10 @@ fn resolve_stage(
                 coeff_slots.push(is_coeff_op(op));
                 inputs.len() - 1
             });
-            let fp = Footprint(
-                access
-                    .0
-                    .iter()
-                    .map(|a| AxisFootprint::new(a.num, a.den, a.off, a.off))
-                    .collect(),
-            );
+            let fp = Footprint(Axes::from_fn(access.0.len(), |d| {
+                let a = &access.0[d];
+                AxisFootprint::new(a.num, a.den, a.off, a.off)
+            }));
             footprints[slot] = Some(match footprints[slot].take() {
                 None => fp,
                 Some(old) => old.merge(&fp),
@@ -333,7 +330,7 @@ fn resolve_stage(
         func: fid,
         step,
         kind: StageKind::Compute,
-        domain: data.domain.clone(),
+        domain: data.domain,
         level: data.level,
         size_param: data.size_param,
         boundary: data.boundary,

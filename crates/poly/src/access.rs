@@ -12,6 +12,7 @@
 //! producer↔consumer edge is summarised by an [`AxisFootprint`] per
 //! dimension: the scaling plus the minimum/maximum tap offset.
 
+use crate::domain::{Axes, BoxDomain, Pad};
 use crate::interval::Interval;
 use crate::ratio::Ratio;
 use crate::{div_ceil, div_floor};
@@ -109,15 +110,25 @@ impl AxisFootprint {
     }
 }
 
+impl Pad for AxisFootprint {
+    /// The pointwise read: it maps a padding slot `[0, 0]` to itself.
+    const PAD: AxisFootprint = AxisFootprint {
+        num: 1,
+        den: 1,
+        off_min: 0,
+        off_max: 0,
+    };
+}
+
 /// A full multi-dimensional footprint: one [`AxisFootprint`] per dimension,
-/// outermost first.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct Footprint(pub Vec<AxisFootprint>);
+/// outermost first, in the same fixed-rank [`Axes`] as a [`BoxDomain`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Footprint(pub Axes<AxisFootprint>);
 
 impl Footprint {
     /// Uniform footprint across `ndims` dimensions.
     pub fn uniform(ndims: usize, axis: AxisFootprint) -> Self {
-        Footprint(vec![axis; ndims])
+        Footprint(Axes::from_fn(ndims, |_| axis))
     }
 
     /// Number of dimensions.
@@ -125,21 +136,16 @@ impl Footprint {
         self.0.len()
     }
 
-    /// The per-dimension scale ratios (producer space / consumer space).
-    pub fn scales(&self) -> Vec<Ratio> {
-        self.0.iter().map(|a| a.scale()).collect()
+    /// The producer box needed to compute the consumer box `out`
+    /// ([`AxisFootprint::input_needed`] per dimension).
+    #[inline]
+    pub fn input_needed(&self, out: &BoxDomain) -> BoxDomain {
+        BoxDomain(self.0.zip_slots(&out.0, |fp, iv| fp.input_needed(&iv)))
     }
 
     /// Merge two footprints on the same edge.
     pub fn merge(&self, other: &Footprint) -> Footprint {
-        assert_eq!(self.ndims(), other.ndims(), "dimensionality mismatch");
-        Footprint(
-            self.0
-                .iter()
-                .zip(&other.0)
-                .map(|(a, b)| a.merge(b))
-                .collect(),
-        )
+        Footprint(self.0.zip_slots(&other.0, |a, b| a.merge(&b)))
     }
 }
 

@@ -13,11 +13,11 @@
 //! * [`ratio`] — reduced rationals used for inter-level scale relations,
 //! * [`access`] — per-dimension affine access maps `x ↦ (num·x + off) / den`
 //!   and dependence footprints (offset ranges),
-//! * [`domain`] — box domains (products of intervals), in a rank-generic
-//!   form and the right-aligned fixed-rank [`Box3`] form,
+//! * [`domain`] — box domains (products of intervals) of rank 1–3, stored
+//!   right-aligned in three padded axes ([`Axes`]) and `Copy`,
 //! * [`region`] — backward region propagation through a group's DAG, which
 //!   yields the hyper-trapezoidal overlapped tile shapes of Section 3.1; one
-//!   core on fixed-rank boxes that reuses its buffers from tile to tile,
+//!   core that reuses its buffers from tile to tile,
 //! * [`tiling`] — tile partitions of a reference domain, owned-region
 //!   scaling across levels, the one tile walk that derives every tile's
 //!   per-stage regions (read by the compiler's tile plans), and the
@@ -38,7 +38,7 @@ pub mod region;
 pub mod tiling;
 
 pub use access::{AxisFootprint, Footprint};
-pub use domain::{Box3, BoxDomain};
+pub use domain::{Axes, BoxDomain, Pad};
 pub use interval::Interval;
 pub use ratio::Ratio;
 

@@ -17,15 +17,15 @@
 //!   runtime zeroes that halo before use.
 //!
 //! There is one implementation, the crate-private `Propagator`: it takes a
-//! group's domains and edges once, as right-aligned fixed-rank [`Box3`]s
-//! with each consumer's in-edges in one bucket, and then propagates tile
-//! after tile into buffers it reuses, allocating nothing per tile. The tile walk
-//! ([`crate::tiling::tile_walk`]), the grouping heuristic's statistics
-//! ([`crate::tiling::evaluate_tiling`]) and the [`BoxDomain`]-facing
+//! group's domains and edges once, with each consumer's in-edges in one
+//! bucket, and then propagates tile after tile into buffers it reuses. Boxes
+//! and footprints are fixed-rank and `Copy`, so nothing is allocated per
+//! tile. The tile walk ([`crate::tiling::tile_walk`]), the grouping
+//! heuristic's statistics ([`crate::tiling::evaluate_tiling`]) and
 //! [`propagate_regions`] all run it.
 
-use crate::access::{AxisFootprint, Footprint};
-use crate::domain::{box3_hull, box3_intersect, box3_is_empty, Box3, BoxDomain};
+use crate::access::Footprint;
+use crate::domain::BoxDomain;
 
 /// A stage of a fused group, as seen by region propagation.
 #[derive(Clone, Debug)]
@@ -59,21 +59,21 @@ pub struct StageRegion {
 }
 
 /// The region-propagation core of one group: its stage domains and
-/// consumer-bucketed edges in fixed-rank form, plus the per-tile buffers
-/// [`Propagator::run`] overwrites.
+/// consumer-bucketed edges, plus the per-tile buffers [`Propagator::run`]
+/// overwrites.
 pub(crate) struct Propagator {
-    pub(crate) domains: Vec<Box3>,
-    /// Per stage, the empty box of its rank (the initial need).
-    pub(crate) empty: Vec<Box3>,
+    pub(crate) domains: Vec<BoxDomain>,
     /// Consumer `c`'s in-edges are `in_edges[first[c]..first[c + 1]]`, as
-    /// (producer, footprint padded with pointwise axes), in edge order.
+    /// (producer, footprint), in edge order.
     first: Vec<usize>,
-    in_edges: Vec<(usize, [AxisFootprint; 3])>,
+    in_edges: Vec<(usize, Footprint)>,
+    /// Per stage, the empty box of its rank (the initial need).
+    empty: Vec<BoxDomain>,
     /// Need accumulated from consumers, not yet clamped to the domain.
-    need: Vec<Box3>,
+    need: Vec<BoxDomain>,
     /// Results of the last [`Propagator::run`], per stage.
-    pub(crate) compute: Vec<Box3>,
-    pub(crate) alloc: Vec<Box3>,
+    pub(crate) compute: Vec<BoxDomain>,
+    pub(crate) alloc: Vec<BoxDomain>,
 }
 
 impl Propagator {
@@ -83,8 +83,7 @@ impl Propagator {
     ///
     /// # Panics
     /// Panics on malformed edges (non-topological, out of range, or rank
-    /// mismatches between a footprint and the stages it connects), and on
-    /// ranks above 3.
+    /// mismatches between a footprint and the stages it connects).
     pub(crate) fn new(stages: &[GroupStage], edges: &[GroupEdge]) -> Propagator {
         let n = stages.len();
         for e in edges {
@@ -105,48 +104,44 @@ impl Propagator {
                 "footprint rank must match producer rank"
             );
         }
-        let mut first = vec![0; n + 1];
-        for e in edges {
-            first[e.consumer + 1] += 1;
-        }
-        for c in 0..n {
-            first[c + 1] += first[c];
-        }
-        let mut in_edges = vec![(0, [AxisFootprint::pointwise(); 3]); edges.len()];
-        let mut next = first.clone();
-        for e in edges {
-            let mut fp = [AxisFootprint::pointwise(); 3];
-            fp[3 - e.footprint.ndims()..].copy_from_slice(&e.footprint.0);
-            in_edges[next[e.consumer]] = (e.producer, fp);
-            next[e.consumer] += 1;
-        }
-        let empty: Vec<Box3> = stages
+        // a stable sort keeps each consumer's in-edges in edge order
+        let mut by_consumer: Vec<&GroupEdge> = edges.iter().collect();
+        by_consumer.sort_by_key(|e| e.consumer);
+        let first = (0..=n)
+            .map(|c| by_consumer.partition_point(|e| e.consumer < c))
+            .collect();
+        let empty: Vec<BoxDomain> = stages
             .iter()
-            .map(|s| BoxDomain::empty(s.domain.ndims()).to_box3())
+            .map(|s| BoxDomain::empty(s.domain.ndims()))
             .collect();
         Propagator {
-            domains: stages.iter().map(|s| s.domain.to_box3()).collect(),
+            domains: stages.iter().map(|s| s.domain).collect(),
+            first,
+            in_edges: by_consumer
+                .into_iter()
+                .map(|e| (e.producer, e.footprint))
+                .collect(),
             need: empty.clone(),
             compute: empty.clone(),
             alloc: empty.clone(),
             empty,
-            first,
-            in_edges,
         }
     }
 
     /// Propagate one tile's `owned` boxes (one per stage, empty for stages
     /// that are not live-out) backward, filling `compute` and `alloc`.
-    pub(crate) fn run(&mut self, owned: &[Box3]) {
+    ///
+    /// # Panics
+    /// Panics on an owned box whose rank differs from its domain's.
+    pub(crate) fn run(&mut self, owned: &[BoxDomain]) {
         self.need.copy_from_slice(&self.empty);
         for c in (0..self.domains.len()).rev() {
-            let alloc = box3_hull(&owned[c], &self.need[c]);
-            let compute = box3_intersect(&alloc, &self.domains[c]);
+            let alloc = owned[c].hull(&self.need[c]);
+            let compute = alloc.intersect(&self.domains[c]);
             // propagate this stage's computed region to its producers
-            if !box3_is_empty(&compute) {
+            if !compute.is_empty() {
                 for (p, fp) in &self.in_edges[self.first[c]..self.first[c + 1]] {
-                    let needed: Box3 = std::array::from_fn(|d| fp[d].input_needed(&compute[d]));
-                    self.need[*p] = box3_hull(&self.need[*p], &needed);
+                    self.need[*p] = self.need[*p].hull(&fp.input_needed(&compute));
                 }
             }
             self.compute[c] = compute;
@@ -156,32 +151,23 @@ impl Propagator {
 }
 
 /// Propagate regions backward through the group: the one propagation
-/// core, run for one tile, in [`BoxDomain`] form.
+/// core, run for one tile.
 ///
 /// `stages` must be in topological order; every edge must satisfy
 /// `producer < consumer`.
 ///
 /// # Panics
 /// Panics on malformed edges (non-topological, out of range, or rank
-/// mismatches between a footprint and the stages it connects), on an
-/// owned box whose rank differs from its domain's, and on ranks above 3.
+/// mismatches between a footprint and the stages it connects), and on an
+/// owned box whose rank differs from its domain's.
 pub fn propagate_regions(stages: &[GroupStage], edges: &[GroupEdge]) -> Vec<StageRegion> {
     let mut core = Propagator::new(stages, edges);
-    let owned: Vec<Box3> = stages
-        .iter()
-        .map(|s| {
-            assert_eq!(s.owned.ndims(), s.domain.ndims(), "rank mismatch");
-            s.owned.to_box3()
-        })
-        .collect();
+    let owned: Vec<BoxDomain> = stages.iter().map(|s| s.owned).collect();
     core.run(&owned);
-    stages
-        .iter()
-        .zip(core.compute.iter().zip(&core.alloc))
-        .map(|(s, (compute, alloc))| StageRegion {
-            compute: BoxDomain::from_box3(compute, s.domain.ndims()),
-            alloc: BoxDomain::from_box3(alloc, s.domain.ndims()),
-        })
+    core.compute
+        .into_iter()
+        .zip(core.alloc)
+        .map(|(compute, alloc)| StageRegion { compute, alloc })
         .collect()
 }
 
@@ -208,16 +194,16 @@ mod tests {
         let owned_last = BoxDomain::new(vec![Interval::new(17, 32); 2]);
         let stages = vec![
             GroupStage {
-                domain: dom.clone(),
+                domain: dom,
                 owned: BoxDomain::empty(2),
             },
             GroupStage {
-                domain: dom.clone(),
+                domain: dom,
                 owned: BoxDomain::empty(2),
             },
             GroupStage {
-                domain: dom.clone(),
-                owned: owned_last.clone(),
+                domain: dom,
+                owned: owned_last,
             },
         ];
         let edges = vec![stencil_edge(0, 1, 1, 2), stencil_edge(1, 2, 1, 2)];
@@ -237,7 +223,7 @@ mod tests {
         let owned_last = BoxDomain::new(vec![Interval::new(1, 16); 2]);
         let stages = vec![
             GroupStage {
-                domain: dom.clone(),
+                domain: dom,
                 owned: BoxDomain::empty(2),
             },
             GroupStage {
@@ -310,7 +296,7 @@ mod tests {
         let dom = BoxDomain::interior(2, 64);
         let owned = BoxDomain::new(vec![Interval::new(30, 40); 2]);
         let mk = |o: BoxDomain| GroupStage {
-            domain: dom.clone(),
+            domain: dom,
             owned: o,
         };
         let stages = vec![
@@ -338,7 +324,7 @@ mod tests {
         let dom = BoxDomain::interior(2, 16);
         let stages = vec![
             GroupStage {
-                domain: dom.clone(),
+                domain: dom,
                 owned: BoxDomain::empty(2),
             },
             GroupStage {
@@ -357,7 +343,7 @@ mod tests {
         let dom = BoxDomain::interior(2, 8);
         let stages = vec![
             GroupStage {
-                domain: dom.clone(),
+                domain: dom,
                 owned: BoxDomain::empty(2),
             },
             GroupStage {
@@ -365,6 +351,6 @@ mod tests {
                 owned: BoxDomain::empty(2),
             },
         ];
-        let _ = propagate_regions(&stages, &[stencil_edge(1, 0, 1, 2).clone()]);
+        let _ = propagate_regions(&stages, &[stencil_edge(1, 0, 1, 2)]);
     }
 }

@@ -13,56 +13,58 @@
 //!
 //! [`tile_walk`] is the one walk: it enumerates the tiles of
 //! [`tile_partition`]'s order arithmetically and runs the region-propagation
-//! core ([`crate::region`]) on each, in fixed-rank [`Box3`] form, reusing
-//! its buffers from tile to tile. The compiler's tile plans collect it and
-//! [`evaluate_tiling`] folds it, so neither allocates per tile.
+//! core ([`crate::region`]) on each, reusing its buffers from tile to tile.
+//! Every box it yields is a `Copy` [`BoxDomain`]; the compiler's tile plans
+//! collect the walk and [`evaluate_tiling`] folds it, so neither allocates
+//! per tile.
 
-use crate::domain::{box3_len, Box3, BoxDomain};
+use crate::domain::BoxDomain;
 use crate::interval::Interval;
 use crate::ratio::Ratio;
 use crate::region::{GroupEdge, GroupStage, Propagator};
 
-/// Partition `domain` into tiles of size `tile_sizes` (outermost first).
-/// Trailing tiles are clipped to the domain.
-pub fn tile_partition(domain: &BoxDomain, tile_sizes: &[i64]) -> Vec<BoxDomain> {
+/// The tile grid of `domain` cut into `tile_sizes` tiles (outermost first):
+/// tile sizes and tiles per axis (0 on an empty axis), right-aligned in
+/// three slots like the box's, 1 in the unused ones.
+///
+/// # Panics
+/// Panics on a rank mismatch and on a tile size below 1.
+fn tile_grid(domain: &BoxDomain, tile_sizes: &[i64]) -> ([i64; 3], [i64; 3]) {
     assert_eq!(domain.ndims(), tile_sizes.len(), "rank mismatch");
     assert!(
         tile_sizes.iter().all(|&t| t > 0),
         "tile sizes must be positive"
     );
-    if domain.is_empty() {
-        return vec![];
+    let (mut sizes, mut counts) = ([1; 3], [1; 3]);
+    let lead = 3 - tile_sizes.len();
+    for (d, (len, &t)) in domain.extents().zip(tile_sizes).enumerate() {
+        (sizes[lead + d], counts[lead + d]) = (t, (len + t - 1) / t);
     }
-    // per-dimension lists of intervals
-    let per_dim: Vec<Vec<Interval>> = domain
-        .0
-        .iter()
-        .zip(tile_sizes)
-        .map(|(iv, &t)| {
-            let mut v = Vec::new();
-            let mut lo = iv.lo;
-            while lo <= iv.hi {
-                let hi = (lo + t - 1).min(iv.hi);
-                v.push(Interval::new(lo, hi));
-                lo = hi + 1;
-            }
-            v
-        })
-        .collect();
-    // cartesian product
-    let mut tiles = vec![BoxDomain(Vec::with_capacity(domain.ndims()))];
-    for dim in &per_dim {
-        let mut next = Vec::with_capacity(tiles.len() * dim.len());
-        for prefix in &tiles {
-            for iv in dim {
-                let mut b = prefix.clone();
-                b.0.push(*iv);
-                next.push(b);
-            }
-        }
-        tiles = next;
+    (sizes, counts)
+}
+
+/// Tile `k` of `domain` on the grid `(sizes, counts)` of [`tile_grid`], in
+/// [`tile_partition`] order (the innermost axis fastest); trailing tiles are
+/// clipped to the domain. An unused slot (size and count 1) keeps `[0, 0]`.
+#[inline]
+fn nth_tile(domain: &BoxDomain, (sizes, counts): ([i64; 3], [i64; 3]), k: i64) -> BoxDomain {
+    let mut rest = k;
+    let mut tile = *domain;
+    for (d, iv) in tile.0.slots_mut().iter_mut().enumerate().rev() {
+        let lo = iv.lo + rest % counts[d] * sizes[d];
+        rest /= counts[d];
+        *iv = Interval::new(lo, (lo + sizes[d] - 1).min(iv.hi));
     }
-    tiles
+    tile
+}
+
+/// Partition `domain` into tiles of size `tile_sizes` (outermost first).
+/// Trailing tiles are clipped to the domain.
+pub fn tile_partition(domain: &BoxDomain, tile_sizes: &[i64]) -> Vec<BoxDomain> {
+    let grid = tile_grid(domain, tile_sizes);
+    (0..grid.1.iter().product())
+        .map(|k| nth_tile(domain, grid, k))
+        .collect()
 }
 
 /// Map one boundary point of a half-open tile interval from reference space
@@ -75,48 +77,32 @@ fn scale_boundary(p: i64, s: &Ratio) -> i64 {
     s.apply_ceil(p - 1) + 1
 }
 
-/// The owned interval of a stage with scale `s` for one (non-empty) tile
-/// interval of the reference space, before clamping to the stage domain.
-fn owned_interval(tile: &Interval, s: &Ratio) -> Interval {
-    Interval::new(
-        scale_boundary(tile.lo, s),
-        scale_boundary(tile.hi + 1, s) - 1,
-    )
-}
-
 /// The owned sub-box of `stage_domain` for a reference-space `tile`, where
 /// `scales` gives the per-dimension stage/reference scale ratio.
 ///
 /// The result is clamped to `stage_domain` (for non-power-of-two stragglers).
+#[inline]
 pub fn owned_region(tile: &BoxDomain, scales: &[Ratio], stage_domain: &BoxDomain) -> BoxDomain {
-    assert_eq!(tile.ndims(), scales.len(), "rank mismatch");
-    let raw = BoxDomain::new(
-        tile.0
-            .iter()
-            .zip(scales)
-            .map(|(iv, s)| {
-                if iv.is_empty() {
-                    Interval::empty()
-                } else {
-                    owned_interval(iv, s)
-                }
-            })
-            .collect(),
-    );
+    assert!(tile.ndims() == scales.len(), "rank mismatch");
+    let mut raw = *tile;
+    for (iv, s) in raw.0.iter_mut().zip(scales) {
+        if !iv.is_empty() {
+            *iv = Interval::new(scale_boundary(iv.lo, s), scale_boundary(iv.hi + 1, s) - 1);
+        }
+    }
     raw.intersect(stage_domain)
 }
 
-/// What one tile does for one stage of a group, as right-aligned [`Box3`]s
-/// (see [`BoxDomain::from_box3`] for the rank-generic form).
+/// What one tile does for one stage of a group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileRegion {
     /// Points the tile evaluates (within the stage domain).
-    pub compute: Box3,
+    pub compute: BoxDomain,
     /// The part of the stage's domain the tile writes to its full array
     /// (empty for stages that are not live-out).
-    pub owned: Box3,
+    pub owned: BoxDomain,
     /// Scratchpad box: `compute` plus the ghost positions consumers read.
-    pub alloc: Box3,
+    pub alloc: BoxDomain,
 }
 
 /// The walk's state: the propagation core, the tile grid, and the tile and
@@ -125,37 +111,21 @@ struct TileWalk<'a> {
     core: Propagator,
     scales: &'a [Vec<Ratio>],
     live_out: &'a [bool],
-    /// First axis of the `Box3`s that the group's rank uses.
-    lead: usize,
-    ref_domain: Box3,
-    sizes: [i64; 3],
-    /// Tiles per axis (1 on unused axes).
-    counts: [i64; 3],
+    ref_domain: BoxDomain,
+    grid: ([i64; 3], [i64; 3]),
     tiles: usize,
     tile: usize,
     stage: usize,
-    owned: Vec<Box3>,
+    owned: Vec<BoxDomain>,
 }
 
 impl TileWalk<'_> {
     /// Derive tile `self.tile`'s owned boxes and propagate them.
     fn start_tile(&mut self) {
-        let mut rest = self.tile as i64;
-        let mut tile = self.ref_domain;
-        for d in (self.lead..3).rev() {
-            let k = rest % self.counts[d];
-            rest /= self.counts[d];
-            let lo = self.ref_domain[d].lo + k * self.sizes[d];
-            tile[d] = Interval::new(lo, (lo + self.sizes[d] - 1).min(self.ref_domain[d].hi));
-        }
+        let tile = nth_tile(&self.ref_domain, self.grid, self.tile as i64);
         for (i, owned) in self.owned.iter_mut().enumerate() {
-            if !self.live_out[i] {
-                continue;
-            }
-            let domain = &self.core.domains[i];
-            for d in self.lead..3 {
-                owned[d] =
-                    owned_interval(&tile[d], &self.scales[i][d - self.lead]).intersect(&domain[d]);
+            if self.live_out[i] {
+                *owned = owned_region(&tile, &self.scales[i], &self.core.domains[i]);
             }
         }
         self.core.run(&self.owned);
@@ -205,9 +175,8 @@ impl ExactSizeIterator for TileWalk<'_> {}
 /// stages' `owned` boxes are ignored.
 ///
 /// # Panics
-/// Panics when a stage's rank differs from the reference stage's or
-/// exceeds 3, and on the malformed edges [`crate::region::propagate_regions`]
-/// rejects.
+/// Panics when a stage's rank differs from the reference stage's, and on
+/// the malformed edges [`crate::region::propagate_regions`] rejects.
 pub fn tile_walk<'a>(
     stages: &[GroupStage],
     edges: &[GroupEdge],
@@ -216,41 +185,27 @@ pub fn tile_walk<'a>(
     live_out: &'a [bool],
     tile_sizes: &[i64],
 ) -> impl ExactSizeIterator<Item = TileRegion> + 'a {
-    let ref_domain = &stages[ref_stage].domain;
-    let ndims = ref_domain.ndims();
-    assert_eq!(ndims, tile_sizes.len(), "rank mismatch");
-    assert!(
-        tile_sizes.iter().all(|&t| t > 0),
-        "tile sizes must be positive"
-    );
+    let ref_domain = stages[ref_stage].domain;
+    let grid = tile_grid(&ref_domain, tile_sizes);
     for (s, st) in stages.iter().enumerate() {
-        assert_eq!(st.domain.ndims(), ndims, "rank mismatch");
+        assert_eq!(st.domain.ndims(), ref_domain.ndims(), "rank mismatch");
         if live_out[s] {
-            assert_eq!(scales[s].len(), ndims, "rank mismatch");
+            assert_eq!(scales[s].len(), ref_domain.ndims(), "rank mismatch");
         }
     }
-    let core = Propagator::new(stages, edges);
-    let lead = 3 - ndims;
-    let mut sizes = [1; 3];
-    sizes[lead..].copy_from_slice(tile_sizes);
-    let ref_domain = ref_domain.to_box3();
-    let counts: [i64; 3] = std::array::from_fn(|d| {
-        let len = ref_domain[d].len();
-        (len + sizes[d] - 1) / sizes[d]
-    });
-    let owned = core.empty.clone();
     TileWalk {
-        core,
+        core: Propagator::new(stages, edges),
         scales,
         live_out,
-        lead,
         ref_domain,
-        sizes,
-        counts,
-        tiles: counts.iter().product::<i64>() as usize,
+        tiles: grid.1.iter().product::<i64>() as usize,
+        grid,
         tile: 0,
         stage: 0,
-        owned,
+        owned: stages
+            .iter()
+            .map(|s| BoxDomain::empty(s.domain.ndims()))
+            .collect(),
     }
 }
 
@@ -303,9 +258,9 @@ pub fn evaluate_tiling(
     let mut alloc = 0i64;
     for (i, r) in walk.enumerate() {
         let s = i % stages.len();
-        tiled_points += box3_len(&r.compute);
+        tiled_points += r.compute.len();
         if !live_out[s] {
-            alloc += box3_len(&r.alloc);
+            alloc += r.alloc.len();
         }
         if s + 1 == stages.len() {
             max_tile_alloc = max_tile_alloc.max(alloc);
@@ -415,7 +370,7 @@ mod tests {
         // up to 10x10 per tile (clamped at domain edges).
         let dom = BoxDomain::interior(2, 16);
         let mk = || GroupStage {
-            domain: dom.clone(),
+            domain: dom,
             owned: BoxDomain::empty(2),
         };
         let stages = vec![mk(), mk()];

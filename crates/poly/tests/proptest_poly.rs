@@ -90,7 +90,7 @@ mod reference {
                 .iter()
                 .enumerate()
                 .map(|(i, s)| GroupStage {
-                    domain: s.domain.clone(),
+                    domain: s.domain,
                     owned: if live_out[i] {
                         owned_region(&tile, &scales[i], &s.domain)
                     } else {
@@ -362,9 +362,9 @@ proptest! {
         prop_assert_eq!(got.len(), want.len());
         for (i, (r, w)) in got.zip(&want).enumerate() {
             let at = format!("seed {seed:#x} entry {i}");
-            prop_assert!(BoxDomain::from_box3(&r.compute, ndims) == w.compute, "compute, {}", at);
-            prop_assert!(BoxDomain::from_box3(&r.owned, ndims) == w.owned, "owned, {}", at);
-            prop_assert!(BoxDomain::from_box3(&r.alloc, ndims) == w.alloc, "alloc, {}", at);
+            prop_assert!(r.compute == w.compute, "compute, {}", at);
+            prop_assert!(r.owned == w.owned, "owned, {}", at);
+            prop_assert!(r.alloc == w.alloc, "alloc, {}", at);
         }
         prop_assert_eq!(
             evaluate_tiling(args.0, args.1, args.2, args.3, args.4, &g.tile_sizes),
@@ -377,7 +377,7 @@ proptest! {
             .stages
             .iter()
             .zip(tile)
-            .map(|(s, r)| GroupStage { domain: s.domain.clone(), owned: r.owned.clone() })
+            .map(|(s, r)| GroupStage { domain: s.domain, owned: r.owned })
             .collect();
         prop_assert_eq!(
             propagate_regions(&stages, &g.edges),
@@ -391,8 +391,8 @@ proptest! {
     fn tiling_stats_bounds(n in 8i64..40, t in 2i64..16, radius in 0i64..3) {
         let dom = BoxDomain::interior(2, n);
         let stages = vec![
-            GroupStage { domain: dom.clone(), owned: BoxDomain::empty(2) },
-            GroupStage { domain: dom.clone(), owned: BoxDomain::empty(2) },
+            GroupStage { domain: dom, owned: BoxDomain::empty(2) },
+            GroupStage { domain: dom, owned: BoxDomain::empty(2) },
         ];
         let edges = vec![GroupEdge {
             producer: 0,

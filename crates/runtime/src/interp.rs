@@ -23,7 +23,7 @@ pub fn run_reference(graph: &StageGraph, inputs: &[(&str, &[f64])]) -> Reference
     let mut values: Vec<Vec<f64>> = Vec::with_capacity(graph.stages.len());
 
     for stage in &graph.stages {
-        let extents: Vec<i64> = stage.domain.extents().iter().map(|e| e + 2).collect();
+        let extents: Vec<i64> = stage.domain.extents().map(|e| e + 2).collect();
         let total: i64 = extents.iter().product();
         let buf = match stage.kind {
             StageKind::Input => {
@@ -69,7 +69,7 @@ fn compute_stage(
             StageInput::Zero => 0.0,
             StageInput::Stage(p) => {
                 let prod = graph.stage(p);
-                let pext: Vec<i64> = prod.domain.extents().iter().map(|e| e + 2).collect();
+                let pext: Vec<i64> = prod.domain.extents().map(|e| e + 2).collect();
                 // ghost ring is index 0 and n+1; anything outside is a
                 // validation failure upstream
                 let mut flat = 0i64;

@@ -64,7 +64,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use gmg_ir::{Access, Expr, LinearForm, Operand, Parity, ParityPattern};
-use gmg_poly::{BoxDomain, Interval};
+use gmg_poly::{Axes, BoxDomain, Interval};
 use gmg_trace::dispatch::{Kind, Tally};
 use polymg::{KernelBody, KernelImpl, KernelSel, KernelTier, StageKernel};
 use sealed::{Linear, Sealed, SweepFn, Walk};
@@ -264,12 +264,16 @@ pub enum KernelInput<'a, T = f64> {
     Zero,
 }
 
-/// The first point of `region` (outermost first) matching `parity` on every
-/// axis, the step between matching points and how many match, per axis
-/// padded to three (a 2-D region is one plane); `None` when no point does.
-fn sweep_axes(region: &[Interval], parity: &[Parity]) -> Option<([i64; 3], [i64; 3], [usize; 3])> {
+/// The first point of `region` matching `parity` on every axis, the step
+/// between matching points and how many match, over the box's three slots
+/// (a 2-D region is one plane; `parity` is padded like the slots, with
+/// [`Parity::Any`]); `None` when no point does.
+fn sweep_axes(
+    region: &BoxDomain,
+    parity: &[Parity; 3],
+) -> Option<([i64; 3], [i64; 3], [usize; 3])> {
     let (mut start, mut steps, mut counts) = ([0; 3], [1; 3], [1; 3]);
-    for ((d, iv), &p) in (3 - region.len()..3).zip(region).zip(parity) {
+    for (d, (iv, &p)) in region.0.slots().iter().zip(parity).enumerate() {
         let (s, step) = match p {
             Parity::Any => (iv.lo, 1),
             Parity::Even => (iv.lo + iv.lo.rem_euclid(2), 2),
@@ -319,6 +323,14 @@ fn pad(v: &[i64], fill: i64) -> [i64; 3] {
     p
 }
 
+/// A parity pattern right-aligned in three like a box's slots, the missing
+/// outer axes [`Parity::Any`].
+fn pad_parity(pattern: &ParityPattern) -> [Parity; 3] {
+    let mut p = [Parity::Any; 3];
+    p[3 - pattern.0.len()..].copy_from_slice(&pattern.0);
+    p
+}
+
 /// Execute every case of `kernel` over `region` into a dense window, under
 /// a kernel selection (family + tier + block; [`KernelSel::generic`] is the
 /// always-correct default). The kernel is bound for this one call; the
@@ -340,7 +352,7 @@ pub fn execute_stage_sel<T: Elem>(
         ..*out
     });
     let mut tally = Tally::default();
-    Bound::new(sel, kernel).run(&region.0, dense, ins, slot_boundary, &mut tally);
+    Bound::new(sel, kernel).run(region, dense, ins, slot_boundary, &mut tally);
     tally.publish();
 }
 
@@ -358,7 +370,8 @@ pub(crate) struct Bound<T>(Box<[Case<T>]>);
 
 enum Case<T> {
     Linear(Linear<T>),
-    Interpreted(Expr, ParityPattern),
+    /// The expression, and its parity padded to three axes.
+    Interpreted(Expr, [Parity; 3]),
 }
 
 impl<T: Elem> Bound<T> {
@@ -374,7 +387,9 @@ impl<T: Elem> Bound<T> {
         let sel = KernelSel { tier, ..sel };
         let cases = kernel.cases.iter().map(|case| match &case.body {
             KernelBody::Linear(form) => Case::Linear(Linear::new(sel, form, &case.pattern)),
-            KernelBody::Interpreted(expr) => Case::Interpreted(expr.clone(), case.pattern.clone()),
+            KernelBody::Interpreted(expr) => {
+                Case::Interpreted(expr.clone(), pad_parity(&case.pattern))
+            }
         });
         Bound(cases.collect())
     }
@@ -383,21 +398,21 @@ impl<T: Elem> Bound<T> {
     /// first) into `out`, counting each execution in `tally`.
     pub(crate) fn run(
         &self,
-        region: &[Interval],
+        region: &BoxDomain,
         mut out: KernelOut<'_, T>,
         ins: &[KernelInput<'_, T>],
         slot_boundary: &[f64],
         tally: &mut Tally,
     ) {
-        if region.iter().any(Interval::is_empty) {
+        if region.is_empty() {
             return;
         }
         for case in self.0.iter() {
             match case {
                 Case::Linear(form) => form.run(region, &mut out, ins, tally),
-                Case::Interpreted(expr, pattern) => {
+                Case::Interpreted(expr, parity) => {
                     tally.note(Kind::Interpreter, 0, 0);
-                    interpret_case(expr, pattern, region, &mut out, ins, slot_boundary)
+                    interpret_case(expr, parity, region, &mut out, ins, slot_boundary)
                 }
             }
         }
@@ -512,8 +527,7 @@ impl<T: Elem> Linear<T> {
     fn new(sel: KernelSel, form: &LinearForm, pattern: &ParityPattern) -> Linear<T> {
         let rank = pattern.0.len();
         assert!(rank == 2 || rank == 3, "unsupported rank {rank}");
-        let mut parity = [Parity::Any; 3];
-        parity[3 - rank..].copy_from_slice(&pattern.0);
+        let parity = pad_parity(pattern);
         let steps = parity.map(|p| 1 + (p != Parity::Any) as i64);
         let reach = |slot: usize, access: &Access| {
             assert_eq!(access.0.len(), rank, "access rank");
@@ -604,14 +618,13 @@ impl<T: Elem> Linear<T> {
     /// no point of `region` matches neither runs nor counts.
     fn run(
         &self,
-        region: &[Interval],
+        region: &BoxDomain,
         out: &mut KernelOut<'_, T>,
         ins: &[KernelInput<'_, T>],
         tally: &mut Tally,
     ) {
-        assert_eq!(region.len(), self.rank, "region rank");
-        let parity = &self.parity[3 - self.rank..];
-        let Some((start, _, counts)) = sweep_axes(region, parity) else {
+        assert_eq!(region.ndims(), self.rank, "region rank");
+        let Some((start, _, counts)) = sweep_axes(region, &self.parity) else {
             return;
         };
         let (origin, extents, len, data) = out.view();
@@ -1204,15 +1217,15 @@ impl<T: Copy, const N: usize> Inline<T, N> {
 /// Interpreter fallback: evaluate the expression per point, in `f64`.
 fn interpret_case<T: Elem>(
     expr: &Expr,
-    pattern: &ParityPattern,
-    region: &[Interval],
+    parity: &[Parity; 3],
+    region: &BoxDomain,
     out: &mut KernelOut<'_, T>,
     ins: &[KernelInput<'_, T>],
     slot_boundary: &[f64],
 ) {
-    let nd = region.len();
+    let nd = region.ndims();
     let (origin, extents, len, data) = out.view();
-    let Some((start, steps, counts)) = sweep_axes(region, &pattern.0) else {
+    let Some((start, steps, counts)) = sweep_axes(region, parity) else {
         return;
     };
     for k in 0..counts.iter().product() {
@@ -1243,10 +1256,11 @@ fn interpret_case<T: Elem>(
     }
 }
 
-/// Fill every cell of a dense box *outside* `inner` (global coordinates,
-/// outermost first) with `value` — a scratchpad's halo (the ghost/boundary
-/// ring of a tile's alloc box) or a full array's ghost ring, of any element
-/// type. The box holds `extents` cells from global coordinate `origin`.
+/// Fill every cell of a dense box *outside* `inner` (global coordinates)
+/// with `value` — a scratchpad's halo (the ghost/boundary ring of a tile's
+/// alloc box) or a full array's ghost ring, of any element type. The box
+/// holds `extents` cells from global coordinate `origin`, outermost first,
+/// one per axis of `inner`.
 ///
 /// Only the rim `box ∖ inner` is written: whole planes and rows outside
 /// `inner`'s outer ranges, the two x-margins of the rows inside them, and
@@ -1256,27 +1270,23 @@ pub fn fill_rim<T: Copy>(
     data: &mut [T],
     origin: &[i64],
     extents: &[i64],
-    inner: &[Interval],
+    inner: &BoxDomain,
     value: T,
 ) {
-    let nd = origin.len();
-    assert!(nd == 2 || nd == 3, "unsupported rank {nd}");
+    assert_eq!(origin.len(), inner.ndims(), "rank mismatch");
+    let (origin, extents) = (pad(origin, 0), pad(extents, 1));
     // `inner` per axis as a half-open range of box-relative indices,
     // clamped to the box; `None` when no cell of the box is inside
     let within = |d: usize| -> Option<(usize, usize)> {
-        let lo = (inner[d].lo - origin[d]).max(0);
-        let hi = (inner[d].hi - origin[d] + 1).min(extents[d]);
+        let iv = inner.0.slots()[d];
+        let lo = (iv.lo - origin[d]).max(0);
+        let hi = (iv.hi - origin[d] + 1).min(extents[d]);
         (lo < hi).then_some((lo as usize, hi as usize))
     };
-    let (ey, ex) = (extents[nd - 2] as usize, extents[nd - 1] as usize);
-    let (ez, zs) = match nd {
-        3 => (extents[0] as usize, within(0)),
-        _ => (1, Some((0, 1))),
-    };
+    let [ez, ey, ex] = extents.map(|e| e as usize);
     let plane = ey * ex;
     let data = &mut data[..ez * plane];
-    let (Some((z0, z1)), Some((y0, y1)), Some((x0, x1))) = (zs, within(nd - 2), within(nd - 1))
-    else {
+    let (Some((z0, z1)), Some((y0, y1)), Some((x0, x1))) = (within(0), within(1), within(2)) else {
         return data.fill(value);
     };
     data[..z0 * plane].fill(value);
@@ -1296,38 +1306,30 @@ pub fn fill_rim<T: Copy>(
 /// Fill the ghost ring (every cell outside the interior box `[1, e-2]`) of
 /// a dense origin-0 array.
 pub fn fill_ghost<T: Copy>(data: &mut [T], extents: &[i64], value: T) {
-    let origin = vec![0i64; extents.len()];
-    let interior: Vec<Interval> = extents.iter().map(|&e| Interval::new(1, e - 2)).collect();
-    fill_rim(data, &origin, extents, &interior, value);
+    let nd = extents.len();
+    let interior = BoxDomain(Axes::from_fn(nd, |d| Interval::new(1, extents[d] - 2)));
+    fill_rim(data, &[0; 3][..nd], extents, &interior, value);
 }
 
-/// Walk the rows of `region` (global coordinates, outermost first) in two
-/// dense views of one rank, each given as `(origin, extents)`: `row(s, d, w)`
+/// Walk the rows of `region` (global coordinates) in two dense views of its
+/// rank, each given as `(origin, extents)`, outermost first: `row(s, d, w)`
 /// for each row, which starts at flat index `s` of `src` and `d` of `dst` and
 /// is `w` cells wide. A 2-D box is a 3-D box with one plane.
 pub(crate) fn box_rows(
     src: (&[i64], &[i64]),
     dst: (&[i64], &[i64]),
-    region: &[Interval],
+    region: &BoxDomain,
     mut row: impl FnMut(usize, usize, usize),
 ) {
-    let nd = region.len();
-    assert!(nd == 2 || nd == 3, "unsupported rank {nd}");
-    if region.iter().any(Interval::is_empty) {
+    if region.is_empty() {
         return;
     }
-    let (planes, rows, x) = match nd {
-        3 => (region[0], region[1], region[2]),
-        _ => (Interval::new(0, 0), region[0], region[1]),
-    };
-    // flat index of `(z, y, x.lo)` in a view (`z` is 0 in 2-D)
-    let at = |(origin, extents): (&[i64], &[i64]), z: i64, y: i64| {
-        let plane = if nd == 3 {
-            (z - origin[0]) * extents[1]
-        } else {
-            0
-        };
-        ((plane + y - origin[nd - 2]) * extents[nd - 1] + x.lo - origin[nd - 1]) as usize
+    let [planes, rows, x] = *region.0.slots();
+    let view = |(origin, extents): (&[i64], &[i64])| (pad(origin, 0), pad(extents, 1));
+    let (src, dst) = (view(src), view(dst));
+    // flat index of `(z, y, x.lo)` in a view
+    let at = |(o, e): ([i64; 3], [i64; 3]), z: i64, y: i64| {
+        (((z - o[0]) * e[1] + y - o[1]) * e[2] + x.lo - o[2]) as usize
     };
     let w = x.len() as usize;
     for z in planes.lo..=planes.hi {
@@ -1337,13 +1339,13 @@ pub(crate) fn box_rows(
     }
 }
 
-/// Copy `region` (global coordinates, outermost first) from `src` to `dst`,
-/// converting each value to the destination's element type (`f32` → `f64`
-/// widens exactly). A 2-D box is a 3-D box with one plane.
+/// Copy `region` (global coordinates) from `src` to `dst`, converting each
+/// value to the destination's element type (`f32` → `f64` widens exactly).
+/// A 2-D box is a 3-D box with one plane.
 pub fn copy_box<S: Elem, D: Elem>(
     src: &Space<'_, S>,
     dst: &mut SpaceMut<'_, D>,
-    region: &[Interval],
+    region: &BoxDomain,
 ) {
     box_rows(
         (src.origin, src.extents),
@@ -1664,7 +1666,7 @@ mod tests {
         let origin = [0i64, 0];
         let ext = [5i64, 5];
         let inner = BoxDomain::new(vec![Interval::new(1, 3), Interval::new(2, 3)]);
-        fill_rim(&mut buf, &origin, &ext, &inner.0, 9.0);
+        fill_rim(&mut buf, &origin, &ext, &inner, 9.0);
         for y in 0..5i64 {
             for x in 0..5i64 {
                 let v = buf[(y * 5 + x) as usize];
@@ -1687,7 +1689,7 @@ mod tests {
             Interval::new(1, 1),
             Interval::new(1, 1),
         ]);
-        fill_rim(&mut buf, &origin, &ext, &inner.0, 0.0);
+        fill_rim(&mut buf, &origin, &ext, &inner, 0.0);
         assert_eq!(buf.iter().filter(|&&v| v == 1.0).count(), 1);
         assert_eq!(buf[13], 1.0);
 
@@ -1700,7 +1702,7 @@ mod tests {
                 origin: &origin,
                 extents: &ext,
             };
-            copy_box(&s, &mut d, &inner.0);
+            copy_box(&s, &mut d, &inner);
         }
         assert_eq!(dst[13], 1.0);
         assert_eq!(dst.iter().sum::<f64>(), 1.0);
@@ -1786,12 +1788,8 @@ mod tests {
             let sentinel = f64::from_bits(0x7ff8_0000_0bad_cafe);
             let cells = extents.iter().product::<i64>() as usize;
             let (mut got, mut want) = (vec![sentinel; cells], vec![sentinel; cells]);
-            for (buf, fill) in [
-                (&mut got, fill_rim as fn(&mut [f64], &[i64], &[i64], &[Interval], f64)),
-                (&mut want, fill_rim_per_cell),
-            ] {
-                fill(buf, origin, extents, &inner.0, -2.5);
-            }
+            fill_rim(&mut got, origin, extents, &inner, -2.5);
+            fill_rim_per_cell(&mut want, origin, extents, &inner.0, -2.5);
             let bits = |b: &[f64]| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             proptest::prop_assert_eq!(
                 bits(&got),
@@ -1820,7 +1818,7 @@ mod tests {
                 origin: &dorigin,
                 extents: &dext,
             };
-            copy_box(&s, &mut d, &region.0);
+            copy_box(&s, &mut d, &region);
         }
         assert_eq!(dd[0], 14.0); // (2,2)
         assert_eq!(dd[8], 28.0); // (4,4)
@@ -2057,10 +2055,10 @@ mod tests {
             })
             .collect();
         let out_extents = [1, out.len() as i64];
-        let region = [
+        let region = BoxDomain::new(vec![
             Interval::new(0, 0),
             Interval::new(0, o as i64 * count as i64 - 1),
-        ];
+        ]);
         let out = KernelOut::Dense(SpaceMut {
             data: out,
             origin: &[0, 0],
@@ -2179,7 +2177,7 @@ mod tests {
             extents: &extents,
         };
         let kernel = stencil_kernel_2d();
-        let region = [Interval::new(1, e - 1), Interval::new(1, e - 1)];
+        let region = BoxDomain::new(vec![Interval::new(1, e - 1), Interval::new(1, e - 1)]);
         Bound::new(KernelSel::scalar(KernelImpl::Stencil2D5), &kernel).run(
             &region,
             out,

@@ -3,9 +3,9 @@
 //! split-tiling band schedule is precomputed at lowering.
 //!
 //! The band/phase walk allocates nothing per trapezoid and step: its region
-//! and output window are fixed arrays, and a step's input list is the one
-//! resolved before the parallel section, copied to the stack with its
-//! op-local read patched to the previous step's rows.
+//! is a `Copy` box and its output window fixed arrays, and a step's input
+//! list is the one resolved before the parallel section, copied to the stack
+//! with its op-local read patched to the previous step's rows.
 
 use super::{
     check_chain, slot_space, stage_inputs, with_outputs, ChainViolations, Frame, INLINE_INPUTS,
@@ -16,7 +16,6 @@ use crate::schedule::{ExecError, Slot};
 use crate::tilebuf::SharedOut;
 use gmg_grid::Buffer;
 use gmg_poly::diamond::TimeBand;
-use gmg_poly::Interval;
 use gmg_trace::dispatch::Tally;
 use gmg_trace::StageHandle;
 use polymg::schedule::{OpInput, StageExec};
@@ -111,9 +110,8 @@ pub(crate) fn run(
 
                             // region: these rows × full inner interior,
                             // written to the rows block of bufs[t%2]
-                            let mut region = [Interval::empty(); 3];
-                            region[..nd].copy_from_slice(&domain.0);
-                            region[0] = rows;
+                            let mut region = *domain;
+                            region.0[0] = rows;
                             let (mut origin, mut extents) = ([0i64; 3], [0i64; 3]);
                             extents[..nd].copy_from_slice(ext);
                             (origin[0], extents[0]) = (rows.lo, rows.len());
@@ -156,11 +154,10 @@ pub(crate) fn run(
                                     });
                                 }
                             }
-                            let region = &region[..nd];
-                            kernels[t].run(region, out, ins, bnd, &mut tally);
+                            kernels[t].run(&region, out, ins, bnd, &mut tally);
                             if let Some(t0) = t0 {
-                                let cells = region.iter().map(Interval::len).product::<i64>();
-                                f.spans[t].record(t0.elapsed().as_nanos() as u64, 1, cells as u64);
+                                let cells = region.len() as u64;
+                                f.spans[t].record(t0.elapsed().as_nanos() as u64, 1, cells);
                             }
                         }
                         f.count(&tally);

@@ -29,7 +29,7 @@ use super::{
 use crate::kernel::{copy_box, fill_ghost, Bound, Elem, KernelInput, KernelOut, Space};
 use crate::pool::BufferPool;
 use crate::schedule::{ExecError, Slot};
-use gmg_poly::{BoxDomain, Interval};
+use gmg_poly::{Axes, BoxDomain, Interval};
 use gmg_trace::StageHandle;
 use polymg::schedule::{OpInput, StageExec};
 use polymg::KernelBody;
@@ -92,7 +92,9 @@ pub(crate) fn run(
             .map(|&s| slot_space(f.program, slots, s))
             .collect::<Result<_, _>>()?;
         let tracing = f.spans.iter().any(StageHandle::is_enabled);
-        let whole = BoxDomain::new(extents.iter().map(|&e| Interval::new(0, e - 1)).collect());
+        let whole = BoxDomain(Axes::from_fn(extents.len(), |d| {
+            Interval::new(0, extents[d] - 1)
+        }));
 
         f.contain(|| {
             for (buf, src) in ext_bufs.iter_mut().zip(&ext_srcs) {
@@ -195,7 +197,7 @@ mod tests {
                 }),
             }],
         };
-        let region = [Interval::new(1, 1), Interval::new(1, 8)];
+        let region = BoxDomain::new(vec![Interval::new(1, 1), Interval::new(1, 8)]);
         let run = |sel: KernelSel| {
             let mut data = vec![0.0f32; 30];
             let ins = [r0.as_slice(), r1.as_slice()].map(|data| {

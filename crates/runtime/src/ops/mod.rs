@@ -333,7 +333,7 @@ pub(crate) fn sweep_rows<T: Send>(
     origin: &[i64],
     extents: &[i64],
     domain: &BoxDomain,
-    body: impl Fn(SpaceMut<'_, T>, &[Interval], &mut Tally) + Sync,
+    body: impl Fn(SpaceMut<'_, T>, &BoxDomain, &mut Tally) + Sync,
 ) -> u64 {
     let nd = extents.len();
     let npieces = f.pool.current_num_threads().max(1);
@@ -361,19 +361,18 @@ pub(crate) fn sweep_rows<T: Send>(
         if f.chaos.should_fire(FaultSite::WorkerPanic) {
             panic!("chaos: injected worker panic");
         }
-        let mut region = [Interval::empty(); 3];
+        let mut region = *domain;
         let (mut wo, mut we) = ([0i64; 3], [0i64; 3]);
-        region[..nd].copy_from_slice(&domain.0);
         wo[..nd].copy_from_slice(origin);
         we[..nd].copy_from_slice(extents);
-        (region[0], wo[0], we[0]) = (Interval::new(lo, hi), lo, hi - lo + 1);
+        (region.0[0], wo[0], we[0]) = (Interval::new(lo, hi), lo, hi - lo + 1);
         let window = SpaceMut {
             data,
             origin: &wo[..nd],
             extents: &we[..nd],
         };
         let mut tally = Tally::default();
-        body(window, &region[..nd], &mut tally);
+        body(window, &region, &mut tally);
         f.count(&tally);
     });
     npieces

@@ -7,8 +7,8 @@
 //! worker's slab by lowering ([`polymg::schedule::SlabLayout`]). An
 //! execution is the tile loop alone: read a plan entry, initialise the rim
 //! of the scratchpad box outside the compute box, run the stage kernel,
-//! copy the owned box out. The loop allocates nothing: boxes are fixed
-//! arrays in the plan, a stage's input list lives on the stack, and scratch
+//! copy the owned box out. The loop allocates nothing: boxes are `Copy`
+//! values in the plan, a stage's input list lives on the stack, and scratch
 //! is the worker's engine-resident slab ([`crate::arena`]).
 
 use super::{slot_space, with_outputs, Frame, INLINE_INPUTS};
@@ -16,7 +16,6 @@ use crate::arena::ArenaPool;
 use crate::kernel::{box_rows, fill_rim, Bound, Inline, KernelInput, KernelOut, Space, SpaceMut};
 use crate::schedule::{ExecError, Slot};
 use crate::tilebuf::SharedOut;
-use gmg_poly::Interval;
 use gmg_trace::dispatch::Tally;
 use gmg_trace::StageHandle;
 use polymg::schedule::{OpInput, SlabLayout, StageExec};
@@ -90,8 +89,8 @@ pub(crate) fn run(
 
                 for (i, st) in stages.iter().enumerate() {
                     let entry = plan.entry(tile, i);
-                    let compute = &entry.compute[3 - nd..];
-                    if compute.iter().any(Interval::is_empty) {
+                    let compute = &entry.compute;
+                    if compute.is_empty() {
                         continue;
                     }
                     let t0 = tracing.then(Instant::now);
@@ -115,8 +114,7 @@ pub(crate) fn run(
                         let Some((producer, at)) = *local else {
                             continue;
                         };
-                        let produced = plan.entry(tile, producer);
-                        let extents = &produced.extents[3 - nd..];
+                        let (origin, extents) = plan.scratch(tile, producer);
                         let len = extents.iter().product::<i64>() as usize;
                         ins[k] = KernelInput::Grid(Space {
                             data: if at < own_at {
@@ -124,12 +122,12 @@ pub(crate) fn run(
                             } else {
                                 &after[at - own_at - own_cap..][..len]
                             },
-                            origin: &produced.origin[3 - nd..],
+                            origin,
                             extents,
                         });
                     }
 
-                    let (origin, extents) = (&entry.origin[3 - nd..], &entry.extents[3 - nd..]);
+                    let (origin, extents) = plan.scratch(tile, i);
                     if scratch_slot[i].is_some() {
                         // compute the full overlap region into the scratchpad
                         let data = &mut own[..extents.iter().product::<i64>() as usize];
@@ -143,8 +141,8 @@ pub(crate) fn run(
                         if let Some((sh, array_extents)) = stage_out[i] {
                             // copy the owned sub-region scratch → array, its
                             // box checked once against the array
-                            let owned = &entry.owned[3 - nd..];
-                            let mut axes = owned.iter().zip(array_extents);
+                            let owned = &entry.owned;
+                            let mut axes = owned.0.iter().zip(array_extents);
                             let inside = axes.all(|(iv, &e)| iv.lo >= 0 && iv.hi < e);
                             let cells = array_extents.iter().product::<i64>() as usize;
                             assert!(inside && cells <= sh.len(), "owned box leaves its array");
@@ -163,14 +161,13 @@ pub(crate) fn run(
                         // live-out with no in-group consumer: write the owned
                         // region straight into the shared array (the generated-
                         // code behaviour of Figure 8)
-                        debug_assert_eq!(&entry.owned[3 - nd..], compute);
+                        debug_assert_eq!(&entry.owned, compute);
                         let out = KernelOut::Shared { out, extents };
                         kernels[i].run(compute, out, ins, bnd, &mut tally);
                     }
 
                     if let Some(t0) = t0 {
-                        let cells = compute.iter().map(Interval::len).product::<i64>();
-                        spans[i].record(t0.elapsed().as_nanos() as u64, 1, cells as u64);
+                        spans[i].record(t0.elapsed().as_nanos() as u64, 1, compute.len() as u64);
                     }
                 }
 

@@ -559,7 +559,7 @@ impl Engine {
                                     origin: &dspec.origin,
                                     extents: &dspec.extents,
                                 };
-                                copy_box(&src, &mut dst, &region.0);
+                                copy_box(&src, &mut dst, region);
                                 Ok(())
                             })?;
                         }
@@ -685,7 +685,7 @@ mod tests {
     use super::*;
     use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
     use gmg_multigrid::cycles::build_cycle_pipeline;
-    use gmg_poly::Interval;
+    use gmg_poly::{Axes, Interval};
     use polymg::{PipelineOptions, Variant};
 
     fn lowered(ndims: usize, variant: Variant) -> ExecProgram {
@@ -700,13 +700,10 @@ mod tests {
 
     /// The slot's whole box, shrunk by `inset` cells on every side.
     fn inset_box(spec: &polymg::SlotSpec, inset: i64) -> BoxDomain {
-        BoxDomain(
-            spec.origin
-                .iter()
-                .zip(&spec.extents)
-                .map(|(&o, &e)| Interval::new(o + inset, o + e - 1 - inset))
-                .collect(),
-        )
+        let (o, e) = (&spec.origin, &spec.extents);
+        BoxDomain(Axes::from_fn(o.len(), |d| {
+            Interval::new(o[d] + inset, o[d] + e[d] - 1 - inset)
+        }))
     }
 
     /// The analysis finds ghost-filled slots whose ring survives a pass (an

@@ -133,7 +133,7 @@ fn plan_equals_region_propagation() {
                 };
                 let tile_stages: Vec<GroupStage> = (0..group.stages.len())
                     .map(|s| GroupStage {
-                        domain: gstages[s].domain.clone(),
+                        domain: gstages[s].domain,
                         owned: owned(s),
                     })
                     .collect();

@@ -51,7 +51,7 @@ fn digest(plan: &CompiledPipeline) -> u64 {
         for t in 0..tile_plan.tiles() {
             for s in 0..tile_plan.stages() {
                 let e = tile_plan.entry(t, s);
-                for iv in e.compute.iter().chain(&e.owned) {
+                for iv in e.compute.0.slots().iter().chain(e.owned.0.slots()) {
                     h.int(iv.lo);
                     h.int(iv.hi);
                 }

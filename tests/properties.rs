@@ -75,9 +75,9 @@ proptest! {
         let hi = (lo + len).min(n);
         let owned = BoxDomain::new(vec![Interval::new(lo, hi); 2]);
         let stages = vec![
-            GroupStage { domain: dom.clone(), owned: BoxDomain::empty(2) },
-            GroupStage { domain: dom.clone(), owned: BoxDomain::empty(2) },
-            GroupStage { domain: dom.clone(), owned },
+            GroupStage { domain: dom, owned: BoxDomain::empty(2) },
+            GroupStage { domain: dom, owned: BoxDomain::empty(2) },
+            GroupStage { domain: dom, owned },
         ];
         let edges = vec![
             GroupEdge {
