@@ -23,7 +23,7 @@ serve_bg() {
 cargo build --release --workspace --locked
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
-cargo doc --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # smoke: every variant lowers, in 2-D and 3-D, to the sweep ops it stands
 # for — naive to untiled sweeps only, opt / opt+ to overlapped tiles,
@@ -311,6 +311,28 @@ cargo run --release -p gmg-bench --bin polymg-cli -- loadgen \
 wait $SERVE_PID || { echo "ci: --no-simd scenario server did not drain cleanly" >&2; exit 1; }
 grep -q '"verify_failures": 0' /tmp/bench_scen_scalar_ci.json \
   || { echo "ci: cross-tier loadgen report carries verification failures" >&2; exit 1; }
+# and against a `--fast-math` server, verified by a `--fast-math` loadgen:
+# its in-process reference runs the reassociating tier too, so every reply
+# must still match bit for bit
+serve_bg /tmp/gmg_ci_scen_fm.port --workers 2 --fast-math
+cargo run --release -p gmg-bench --bin polymg-cli -- loadgen \
+  --port-file /tmp/gmg_ci_scen_fm.port --connections 2 --requests 10 \
+  --scenario varcoef,rbgs,chebyshev --mixed-precision --batch 3 --fast-math \
+  -o /tmp/bench_scen_fm_ci.json \
+  || { echo "ci: fast-math loadgen reported verification failures" >&2; kill $SERVE_PID 2>/dev/null; exit 1; }
+wait $SERVE_PID || { echo "ci: --fast-math scenario server did not drain cleanly" >&2; exit 1; }
+grep -q '"verify_failures": 0' /tmp/bench_scen_fm_ci.json \
+  || { echo "ci: fast-math loadgen report carries verification failures" >&2; exit 1; }
+# `--no-simd` and `--fast-math` name two tiers: together they are a usage
+# error, for the solve CLI and the serving commands alike (the timeout
+# keeps a `serve` that wrongly accepted them from blocking the gate)
+for args in "V-2D-4-4-4 --n 31 --no-simd --fast-math" "loadgen --no-simd --fast-math" \
+  "serve --fast-math --no-simd"; do
+  rc=0
+  # shellcheck disable=SC2086 # $args is a command line
+  timeout 120 cargo run --release -q -p gmg-bench --bin polymg-cli -- $args >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || { echo "ci: polymg-cli $args exited $rc, expected 2" >&2; exit 1; }
+done
 
 # benchmark gate: a traced quick run of the varcoef workload. Its kernel
 # probe looks the `generic_coeff` stage up by `impl_tag == Generic` plus a

@@ -7,7 +7,7 @@
 //! polymg-cli stats   [--addr A | --port-file F] [--shutdown] # query a server
 //! polymg-cli <benchmark> [--variant naive|opt|opt+|dtile-opt+]
 //!            [--n N] [--levels L] [--tiles A,B[,C]] [--gsrb]
-//!            [--threads N] [--no-specialize] [--fast-math] [--no-simd]
+//!            [--threads N] [--fast-math | --no-simd]
 //!            [--emit dump|dot|c|stats] [--dump-schedule] [-o FILE]
 //!            [--profile OUT.json [--iters N]]
 //!            [--chaos-seed N] [--chaos-rate R]
@@ -36,18 +36,23 @@
 //! ones surface as typed errors per cycle (the run continues) and every
 //! armed/fired/recovered counter lands in the profile JSON under `chaos`.
 //!
-//! A missing or unparsable flag value, or a configuration
-//! `MgConfig::validate` rejects, prints the flag and the reason and exits 2.
+//! `--no-simd` / `--fast-math` pick the kernel tier (scalar or
+//! reassociating; the default is lane-safe, see `DESIGN.md` §16).
+//!
+//! A missing or unparsable flag value, a configuration `MgConfig::validate`
+//! rejects, or both tier flags at once prints the flag and the reason and
+//! exits 2.
 
 use gmg_multigrid::config::{ConfigError, CycleType, MgConfig, SmoothSteps};
 use gmg_multigrid::cycles::build_cycle_pipeline;
-use polymg::{codegen, report, PipelineOptions, Variant};
+use gmg_server::cli::tier_flag;
+use polymg::{codegen, report, KernelTier, PipelineOptions, Variant};
 
 fn usage() -> ! {
     eprintln!(
         "usage: polymg-cli <V-2D[-a-b-c]|W-3D[-a-b-c]|…> [--variant naive|opt|opt+|dtile-opt+]\n\
          \x20      [--n N] [--levels L] [--tiles A,B[,C]] [--gsrb] [--threads N]\n\
-         \x20      [--no-specialize] [--fast-math] [--no-simd]\n\
+         \x20      [--fast-math | --no-simd]\n\
          \x20      [--emit dump|dot|c|stats] [--dump-schedule] [-o FILE]\n\
          \x20      [--profile OUT.json [--iters N]] [--chaos-seed N] [--chaos-rate R]"
     );
@@ -116,9 +121,7 @@ fn main() {
     let mut profile_iters = 2usize;
     let mut dump_schedule = false;
     let mut threads: Option<usize> = None;
-    let mut specialize = true;
-    let mut simd = true;
-    let mut fast_math = false;
+    let mut tier = KernelTier::LaneSafe;
     let mut chaos_seed: Option<u64> = None;
     let mut chaos_rate = 0.01f64;
 
@@ -150,9 +153,10 @@ fn main() {
             }
             "--emit" => emit = value(&args, &mut i, "--emit"),
             "--threads" => threads = Some(value(&args, &mut i, "--threads")),
-            "--no-specialize" => specialize = false,
-            "--no-simd" => simd = false,
-            "--fast-math" => fast_math = true,
+            "--no-simd" => tier_flag(&mut tier, KernelTier::Scalar).unwrap_or_else(|e| fail(&e)),
+            "--fast-math" => {
+                tier_flag(&mut tier, KernelTier::FastMath).unwrap_or_else(|e| fail(&e))
+            }
             "--gsrb" => gsrb = true,
             "--dump-schedule" => dump_schedule = true,
             "-o" => out_file = Some(value(&args, &mut i, "-o")),
@@ -186,9 +190,7 @@ fn main() {
     if let Some(t) = threads {
         opts.threads = t;
     }
-    opts.specialize = specialize;
-    opts.simd = simd;
-    opts.fast_math = fast_math;
+    opts.tier = tier;
     let chaos = chaos_seed.map(|s| polymg::ChaosOptions::new(s, chaos_rate));
     opts.chaos = chaos; // stripped by compile — a runtime property only
     let plan = match polymg::compile_cached(&pipeline, &gmg_ir::ParamBindings::new(), opts) {

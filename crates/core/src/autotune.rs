@@ -83,20 +83,7 @@ impl TuneConfig {
         o.tile_sizes = self.tile_sizes.clone();
         o.group_limit = self.group_limit;
         o.dtile_band = self.smooth_band;
-        match self.tier {
-            KernelTier::Scalar => {
-                o.simd = false;
-                o.fast_math = false;
-            }
-            KernelTier::LaneSafe => {
-                o.simd = true;
-                o.fast_math = false;
-            }
-            KernelTier::FastMath => {
-                o.simd = true;
-                o.fast_math = true;
-            }
-        }
+        o.tier = self.tier;
         o
     }
 }
@@ -269,30 +256,9 @@ impl TunedStore {
         &self.entries
     }
 
-    /// Insert or replace the tuned configuration for one pipeline key
-    /// (measured at the default bitwise tiers; see [`record_fast_math`]).
-    ///
-    /// [`record_fast_math`]: TunedStore::record_fast_math
+    /// Insert or replace the tuned configuration for one pipeline key, at
+    /// the configuration's own tier.
     pub fn record(&mut self, fingerprint: u64, ndims: usize, config: TuneConfig, metric: f64) {
-        self.record_fast_math(fingerprint, ndims, config, metric, false);
-    }
-
-    /// [`record`](TunedStore::record) with an explicit fast-math marker:
-    /// forces the stored tier to [`KernelTier::FastMath`] (the sweep ran
-    /// there) or clamps a fast-math tier back to lane-safe.
-    pub fn record_fast_math(
-        &mut self,
-        fingerprint: u64,
-        ndims: usize,
-        mut config: TuneConfig,
-        metric: f64,
-        fast_math: bool,
-    ) {
-        config.tier = match (fast_math, config.tier) {
-            (true, _) => KernelTier::FastMath,
-            (false, KernelTier::FastMath) => KernelTier::LaneSafe,
-            (false, t) => t,
-        };
         self.record_entry(TunedEntry {
             fingerprint,
             ndims,
@@ -519,7 +485,7 @@ mod tests {
         assert_eq!(o.tile_sizes, vec![16, 128]);
         assert_eq!(o.group_limit, 4);
         assert_eq!(o.dtile_band, 2);
-        assert!(!o.simd && !o.fast_math);
+        assert_eq!(o.tier, KernelTier::Scalar);
         assert!(o.intra_group_reuse); // rest preserved
 
         // tier mapping covers all three levels
@@ -528,9 +494,9 @@ mod tests {
             ..cfg.clone()
         }
         .apply(&base);
-        assert!(fm.simd && fm.fast_math);
+        assert_eq!(fm.tier, KernelTier::FastMath);
         let ls = TuneConfig::new(vec![16, 128], 4).apply(&base);
-        assert!(ls.simd && !ls.fast_math);
+        assert_eq!(ls.tier, KernelTier::LaneSafe);
         assert_eq!(ls.dtile_band, 4, "TuneConfig::new keeps the preset band");
     }
 
@@ -584,12 +550,14 @@ mod tests {
             TuneConfig::new(vec![16, 256], 4),
             0.0125,
         );
-        store.record_fast_math(
+        store.record(
             u64::MAX, // extremes must survive the hex round-trip
             3,
-            TuneConfig::new(vec![8, 16, 128], 11),
+            TuneConfig {
+                tier: KernelTier::FastMath,
+                ..TuneConfig::new(vec![8, 16, 128], 11)
+            },
             3.5e-3,
-            true,
         );
         // replacement: re-recording a key overwrites, not duplicates
         store.record(

@@ -12,6 +12,7 @@
 use crate::compile::compile;
 use crate::options::PipelineOptions;
 use crate::plan::CompiledPipeline;
+use crate::specialize::KernelTier;
 use gmg_ir::{ParamBindings, Pipeline};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,15 +125,17 @@ pub fn fingerprint_with(plan_fp: u64, options: &PipelineOptions) -> u64 {
     h.u64(options.threads as u64);
     h.tag(0x0f);
     h.bool(options.specialize);
+    // The tier hashes as two booleans, lanes on and fast-math on: the
+    // bytes every recorded plan and session key was computed from.
+    // `FastMath` changes the numerical results a plan produces, so unlike
+    // `chaos` the tier MUST split the cache: a fast-math run and its
+    // bitwise twin are different plans.
     h.tag(0x10);
-    h.bool(options.simd);
-    // `fast_math` changes the numerical results a plan produces (the
-    // reassociating tier), so unlike `chaos` it MUST split the cache: a
-    // fast-math run and its bitwise twin are different plans.
+    h.bool(options.tier != KernelTier::Scalar);
     h.tag(0x11);
-    h.bool(options.fast_math);
+    h.bool(options.tier == KernelTier::FastMath);
     // `mixed_precision` swaps smoother chains onto f32 buffers — results
-    // differ, so it splits the cache like `fast_math` does.
+    // differ, so it splits the cache like the tier does.
     h.tag(0x12);
     h.bool(options.mixed_precision);
     // `options.chaos` is deliberately NOT hashed: faults are a runtime
@@ -458,8 +461,8 @@ mod tests {
             ("dtile_band", Box::new(|o| o.dtile_band += 1)),
             ("threads", Box::new(|o| o.threads += 1)),
             ("specialize", Box::new(|o| o.specialize = !o.specialize)),
-            ("simd", Box::new(|o| o.simd = !o.simd)),
-            ("fast_math", Box::new(|o| o.fast_math = !o.fast_math)),
+            ("tier Scalar", Box::new(|o| o.tier = KernelTier::Scalar)),
+            ("tier FastMath", Box::new(|o| o.tier = KernelTier::FastMath)),
             (
                 "mixed_precision",
                 Box::new(|o| o.mixed_precision = !o.mixed_precision),
@@ -667,8 +670,8 @@ mod tests {
                 6 => o.dtile_smoother = !o.dtile_smoother,
                 7 => o.dtile_band += d,
                 8 => o.specialize = !o.specialize,
-                9 => o.simd = !o.simd,
-                10 => o.fast_math = !o.fast_math,
+                9 => o.tier = KernelTier::Scalar,
+                10 => o.tier = KernelTier::FastMath,
                 11 => o.mixed_precision = !o.mixed_precision,
                 _ => o.threads += d,
             }

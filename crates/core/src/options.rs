@@ -1,6 +1,7 @@
 //! Compilation options and the paper's variant presets.
 
 use crate::chaos::ChaosOptions;
+use crate::specialize::KernelTier;
 
 /// The evaluated configurations of Section 4.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -68,30 +69,25 @@ pub struct PipelineOptions {
     pub threads: usize,
     /// Tag recognised constant-coefficient stencil shapes with a kernel
     /// family (see `specialize::classify`), which lets them — and stages
-    /// with coefficient taps — take the lane tiers below. The tag decides
-    /// only the tier: every row runs the same row body, so specialization
-    /// alone is bitwise-identical to the generic path; this knob exists for
-    /// A/B benchmarking (`--no-specialize`), and with it off every stage
-    /// runs the scalar rows — the bitwise reference.
+    /// with coefficient taps — take `tier`. The tag decides only the tier:
+    /// every row runs the same row body, so with it off every stage runs
+    /// the scalar rows, exactly as under [`KernelTier::Scalar`]. Kept for
+    /// one caller: the benchmark's bitwise reference runner clears it.
     pub specialize: bool,
-    /// Lower specialized kernels and the unit-stride rows of coefficient
-    /// stages (`Tap::cfactor`, tagged `Generic`) to the explicit f64-lane
-    /// (SIMD) tier with cache blocking of the unit-stride dimension. The
-    /// default lane-safe tier preserves the generic accumulation order per
-    /// output point, so it stays bitwise-identical to the generic path;
-    /// this knob exists for A/B benchmarking (`--no-simd`). Ignored when
-    /// `specialize` is off.
-    pub simd: bool,
-    /// Select the reassociating lane tier: per-point tap chains of
-    /// specialized kernels are split into independent partial sums (and
-    /// fused where the host supports FMA). Results differ from the generic
-    /// path at round-off level, so this is opt-in (`--fast-math`), part of
-    /// the plan-cache fingerprint, and verified by a ULP-bounded
-    /// differential suite rather than bitwise equality. Coefficient stages
-    /// take the tier too, but their coefficient rows keep the exact rule,
-    /// so their results do not change. Implies nothing unless `specialize`
-    /// and `simd` are on.
-    pub fast_math: bool,
+    /// Kernel tier of the specialized stages and of the unit-stride rows of
+    /// coefficient stages (`Tap::cfactor`, tagged `Generic`); plain
+    /// `Generic` stages stay scalar whatever it says
+    /// ([`KernelTier::select`]). The default [`KernelTier::LaneSafe`] runs
+    /// the f64 lanes with cache blocking of the unit-stride dimension and
+    /// keeps the generic accumulation order per output point, so it is
+    /// bitwise-identical to [`KernelTier::Scalar`] (`--no-simd`, kept for
+    /// A/B benchmarking). [`KernelTier::FastMath`] (`--fast-math`) splits
+    /// the per-point tap chains into independent partial sums, fused where
+    /// the host has FMA: results differ at round-off level, so it is
+    /// opt-in, part of the plan-cache fingerprint, and verified by a
+    /// ULP-bounded differential suite. Coefficient rows keep the exact rule
+    /// under it, so their results do not change.
+    pub tier: KernelTier,
     /// Run pure smoother chains in single precision: the chain's state is
     /// converted f64→f32 once, the smoothing sweeps execute on f32 buffers
     /// (halving their memory traffic), and the result converts back before
@@ -119,8 +115,7 @@ impl PipelineOptions {
             dtile_band: 4,
             threads: 0, // 0 = runtime default
             specialize: true,
-            simd: true,
-            fast_math: false,
+            tier: KernelTier::LaneSafe,
             mixed_precision: false,
             chaos: None,
         };
@@ -181,11 +176,10 @@ impl PipelineOptions {
         if !self.specialize {
             parts.push("nospec".to_string());
         }
-        if !self.simd {
-            parts.push("nosimd".to_string());
-        }
-        if self.fast_math {
-            parts.push("fm".to_string());
+        match self.tier {
+            KernelTier::Scalar => parts.push("nosimd".to_string()),
+            KernelTier::LaneSafe => {}
+            KernelTier::FastMath => parts.push("fm".to_string()),
         }
         if self.mixed_precision {
             parts.push("mp".to_string());

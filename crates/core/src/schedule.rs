@@ -351,12 +351,7 @@ pub fn lower(plan: &CompiledPipeline) -> ExecProgram {
         } else {
             (KernelImpl::Generic, false)
         };
-        let tier = KernelTier::select(
-            impl_tag,
-            coeff_taps,
-            plan.options.simd,
-            plan.options.fast_math,
-        );
+        let tier = KernelTier::select(impl_tag, coeff_taps, plan.options.tier);
         // Unit-stride cache block from the innermost tile extent the planner
         // already chose (scalar stages ignore it).
         let xblock = unit_block(*plan.options.tiles_for_rank(ndims).last().expect("rank >= 1"));
@@ -948,7 +943,7 @@ mod tests {
 
         // --no-simd: everything scalar, tags untouched
         let mut opts = PipelineOptions::for_variant(Variant::OptPlus, 2);
-        opts.simd = false;
+        opts.tier = KernelTier::Scalar;
         let plan = compile(&p, &ParamBindings::new(), opts).unwrap();
         let off = lower(&plan);
         assert!(stages_of(&off).iter().all(|s| s.tier == KernelTier::Scalar));
@@ -958,7 +953,7 @@ mod tests {
 
         // --fast-math: specialized stages move to the reassociating tier
         let mut opts = PipelineOptions::for_variant(Variant::OptPlus, 2);
-        opts.fast_math = true;
+        opts.tier = KernelTier::FastMath;
         let plan = compile(&p, &ParamBindings::new(), opts).unwrap();
         let fm = lower(&plan);
         for st in stages_of(&fm) {
@@ -976,8 +971,8 @@ mod tests {
         type Knob = fn(&mut PipelineOptions);
         let knobs: [(Knob, KernelTier); 4] = [
             (|_| {}, KernelTier::LaneSafe),
-            (|o| o.fast_math = true, KernelTier::FastMath),
-            (|o| o.simd = false, KernelTier::Scalar),
+            (|o| o.tier = KernelTier::FastMath, KernelTier::FastMath),
+            (|o| o.tier = KernelTier::Scalar, KernelTier::Scalar),
             (|o| o.specialize = false, KernelTier::Scalar),
         ];
         for (knob, coeff_tier) in knobs {

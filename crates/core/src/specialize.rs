@@ -74,8 +74,8 @@ pub enum KernelImpl {
 ///   tap chain of unit-stride plain rows reassociated into independent
 ///   partial sums (and fused multiply-add where the host supports it);
 ///   coefficient and strided rows keep the exact rule. Results differ from the
-///   generic path at round-off level — gated behind
-///   `PipelineOptions::fast_math` and verified by a ULP-bounded
+///   generic path at round-off level — opt-in through
+///   `PipelineOptions::tier` and verified by a ULP-bounded
 ///   differential suite instead of bitwise equality.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum KernelTier {
@@ -117,24 +117,16 @@ impl KernelTier {
     }
 
     /// The tier a stage executes at, given its family classification,
-    /// whether it has coefficient taps ([`has_coeff_taps`]) and the `simd`
-    /// / `fast_math` knobs: `Generic` stages without coefficient taps and
-    /// `simd = false` pipelines stay scalar; specialized and coefficient
-    /// stages run lane-safe by default and `FastMath` when `fast_math` is
-    /// set (which a coefficient row runs under the exact rule all the
+    /// whether it has coefficient taps ([`has_coeff_taps`]) and the
+    /// pipeline's `tier`: `Generic` stages without coefficient taps stay
+    /// scalar; specialized and coefficient stages take the pipeline's tier
+    /// (a coefficient row runs `FastMath` under the exact rule all the
     /// same: its results never move with the tier).
-    pub fn select(
-        impl_tag: KernelImpl,
-        coeff_taps: bool,
-        simd: bool,
-        fast_math: bool,
-    ) -> KernelTier {
-        if (impl_tag == KernelImpl::Generic && !coeff_taps) || !simd {
+    pub fn select(impl_tag: KernelImpl, coeff_taps: bool, tier: KernelTier) -> KernelTier {
+        if impl_tag == KernelImpl::Generic && !coeff_taps {
             KernelTier::Scalar
-        } else if fast_math {
-            KernelTier::FastMath
         } else {
-            KernelTier::LaneSafe
+            tier
         }
     }
 }

@@ -10,7 +10,7 @@
 //! for the mixed-precision smoother chain, whose steps run through the same
 //! sweep and row body as every `f64` stage.
 //!
-//! **Bound once, swept whole.** A stage kernel is *bound* ([`Bound`]) once
+//! **Bound once, swept whole.** A stage kernel is *bound* (`Bound`) once
 //! per stage and engine, at the engine's first run: everything a case
 //! execution could re-derive is decided there — each linear case's sweep
 //! instance (for the tier, the arity, the stride shape and whether it has
@@ -26,7 +26,7 @@
 //! **One check per sweep.** The sweep reads and writes through raw
 //! pointers. Its soundness rests on one check per cursor and one for the
 //! output, made before the first point in release builds too
-//! ([`footprint`]): the first and the last element the sweep touches
+//! (`footprint`): the first and the last element the sweep touches
 //! through it — first point of the first row of the first plane, last point
 //! of the last row of the last plane — lie in that buffer. Every advance is
 //! non-negative (binding rejects any other access), so every element in
@@ -334,7 +334,7 @@ fn pad_parity(pattern: &ParityPattern) -> [Parity; 3] {
 /// Execute every case of `kernel` over `region` into a dense window, under
 /// a kernel selection (family + tier + block; [`KernelSel::generic`] is the
 /// always-correct default). The kernel is bound for this one call; the
-/// engine binds each stage once ([`Bound`]).
+/// engine binds each stage once (`Bound`).
 ///
 /// `slot_boundary[k]` is the ghost/boundary value of slot `k`'s producer
 /// (reads outside a producer's view resolve to it — only the interpreter

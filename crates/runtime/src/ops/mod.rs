@@ -26,7 +26,7 @@
 //!
 //! It is the frame of the paper's generated code (`pool_allocate`, one
 //! parallel loop, write-back, `pool_deallocate`); only the loop differs
-//! from op to op. Each op's stage kernels come bound ([`OpKernels`], made
+//! from op to op. Each op's stage kernels come bound (`OpKernels`, made
 //! once per engine, at its first run), and its kernel-dispatch counts are
 //! gathered per work item, then per op, and published once when it ends.
 

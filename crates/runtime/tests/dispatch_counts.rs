@@ -14,7 +14,7 @@ use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
 use gmg_multigrid::scenario::{coeff_field, scenario_runner, ScenarioSpec};
 use gmg_trace::dispatch;
 use polymg::scenario::Scenario;
-use polymg::{PipelineOptions, Variant};
+use polymg::{KernelTier, PipelineOptions, Variant};
 
 type Histograms = (
     [u64; dispatch::KINDS],
@@ -24,10 +24,10 @@ type Histograms = (
 
 /// `cycles` cycles of `cfg` under `variant` and `scenario` on a fresh
 /// one-worker runner, from a zero guess against a constant right-hand side.
-fn run(cfg: MgConfig, variant: Variant, scenario: Scenario, fast_math: bool, cycles: usize) {
+fn run(cfg: MgConfig, variant: Variant, scenario: Scenario, tier: KernelTier, cycles: usize) {
     let mut opts = PipelineOptions::for_variant(variant, cfg.ndims);
     opts.threads = 1;
-    opts.fast_math = fast_math;
+    opts.tier = tier;
     let coeff = scenario.needs_coeff().then(|| coeff_field(&cfg));
     let label = format!("{} n={} {}", cfg.tag(), cfg.n, scenario.label());
     let mut runner = scenario_runner(&cfg, ScenarioSpec::new(scenario), opts, &label, coeff)
@@ -78,13 +78,19 @@ fn dispatch_histograms_are_the_ones_recorded() {
     ];
     dispatch::reset();
     for (cfg, variant, scenario, cycles) in mix {
-        run(cfg, variant, scenario, false, cycles);
+        run(cfg, variant, scenario, KernelTier::LaneSafe, cycles);
     }
     let serve_mixed = histograms();
 
     dispatch::reset();
     let v3d = MgConfig::new(3, 15, CycleType::V, SmoothSteps::s444());
-    run(v3d, Variant::OptPlus, Scenario::Constant, true, 2);
+    run(
+        v3d,
+        Variant::OptPlus,
+        Scenario::Constant,
+        KernelTier::FastMath,
+        2,
+    );
     let fast_math = histograms();
 
     // recorded before the counting moved off the per-case path

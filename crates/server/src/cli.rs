@@ -7,14 +7,14 @@
 //!                    [--engine-threads N] [--tuned FILE]
 //!                    [--tune-online] [--tune-budget N]
 //!                    [--coalesce-window-ms N] [--max-batch N]
-//!                    [--fast-math] [--no-simd]
+//!                    [--fast-math | --no-simd]
 //!                    [--chaos-seed N] [--chaos-rate R] [--profile OUT.json]
 //!
 //! polymg-cli loadgen [--addr H:P | --port N | --port-file PATH]
 //!                    [--connections N] [--requests N] [--tenants N]
 //!                    [--retries N] [--batch N] [--idle N]
 //!                    [--scenario NAME[,NAME…]] [--mixed-precision]
-//!                    [--fast-math] [--no-simd]
+//!                    [--fast-math | --no-simd]
 //!                    [--no-shutdown] [-o OUT.json]
 //!
 //! polymg-cli stats   [--addr H:P | --port N | --port-file PATH]
@@ -30,10 +30,12 @@
 //! the server afterwards) — the ci gate polls it to wait for tuner trials
 //! without killing the server.
 //!
-//! `--fast-math` / `--no-simd` select the server's kernel tier (see
-//! `DESIGN.md` §16). Loadgen takes the same flags because its verification
-//! is bitwise: pass to loadgen exactly what the server was started with so
-//! the in-process reference solves run the same tier.
+//! `--no-simd` / `--fast-math` select the server's kernel tier (scalar or
+//! reassociating; the default is lane-safe — see `DESIGN.md` §16). They
+//! are exclusive: naming both is a usage error (exit 2). Loadgen takes the
+//! same flags because its verification is bitwise: pass to loadgen exactly
+//! what the server was started with so the in-process reference solves run
+//! the same tier.
 //!
 //! `--scenario NAME` (repeatable, or comma-separated: `varcoef`, `fmg`,
 //! `rbgs`, `chebyshev`, `constant`) appends scenario requests to the load
@@ -51,7 +53,7 @@
 use std::path::Path;
 
 use gmg_trace::Trace;
-use polymg::{ChaosOptions, Scenario, TunedStore};
+use polymg::{ChaosOptions, KernelTier, Scenario, TunedStore};
 
 use crate::loadgen::{self, LoadgenOptions};
 use crate::server::{self, summarize, ServerConfig};
@@ -71,6 +73,18 @@ pub fn flag_value<T: std::str::FromStr>(
         .ok_or_else(|| format!("{flag} needs a value"))?;
     raw.parse()
         .map_err(|_| format!("{flag}: invalid value {raw:?}"))
+}
+
+/// Set `tier` from a tier flag: `--no-simd` selects [`KernelTier::Scalar`],
+/// `--fast-math` [`KernelTier::FastMath`], neither leaves the default
+/// [`KernelTier::LaneSafe`]. Naming both is an error. The one tier-flag
+/// reader of `serve`, `loadgen` and `polymg-cli`.
+pub fn tier_flag(tier: &mut KernelTier, to: KernelTier) -> Result<(), String> {
+    if *tier != KernelTier::LaneSafe && *tier != to {
+        return Err("--no-simd and --fast-math select different kernel tiers".to_string());
+    }
+    *tier = to;
+    Ok(())
 }
 
 /// Resolve `--addr`/`--port`/`--port-file` style arguments to `host:port`.
@@ -139,8 +153,8 @@ pub fn serve_main(args: &[String]) -> i32 {
                 }
                 "--tune-online" => tune_online = true,
                 "--tune-budget" => tuner_cfg.budget = flag_value(args, &mut i, "--tune-budget")?,
-                "--fast-math" => cfg.fast_math = true,
-                "--no-simd" => cfg.simd = false,
+                "--fast-math" => tier_flag(&mut cfg.tier, KernelTier::FastMath)?,
+                "--no-simd" => tier_flag(&mut cfg.tier, KernelTier::Scalar)?,
                 "--chaos-seed" => chaos_seed = Some(flag_value(args, &mut i, "--chaos-seed")?),
                 "--chaos-rate" => chaos_rate = flag_value(args, &mut i, "--chaos-rate")?,
                 "--profile" => profile = Some(flag_value(args, &mut i, "--profile")?),
@@ -250,8 +264,8 @@ pub fn loadgen_main(args: &[String]) -> i32 {
                     }
                 }
                 "--mixed-precision" => mixed = true,
-                "--fast-math" => opts.fast_math = true,
-                "--no-simd" => opts.simd = false,
+                "--fast-math" => tier_flag(&mut opts.tier, KernelTier::FastMath)?,
+                "--no-simd" => tier_flag(&mut opts.tier, KernelTier::Scalar)?,
                 "--no-shutdown" => opts.shutdown = false,
                 "--shutdown" => opts.shutdown = true,
                 "-o" => out = Some(flag_value(args, &mut i, "-o")?),

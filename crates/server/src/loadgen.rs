@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use gmg_multigrid::config::{CycleType, MgConfig, SmoothSteps};
 use gmg_multigrid::scenario::{coeff_field, scenario_runner, ScenarioSpec};
 use gmg_multigrid::solver::setup_poisson;
-use polymg::{splitmix64, PipelineOptions, Scenario, Variant};
+use polymg::{splitmix64, KernelTier, PipelineOptions, Scenario, Variant};
 
 use crate::protocol::{self, BatchSolveRequest, ErrorCode, SolveRequest};
 
@@ -161,12 +161,11 @@ pub struct LoadgenOptions {
     pub idle: usize,
     /// Seed for backoff jitter (mixed with the connection index).
     pub backoff_seed: u64,
-    /// Kernel-tier knobs the *server under test* was started with. The
-    /// reference solves mirror them: verification is bitwise, so the
+    /// Kernel tier the *server under test* was started with. The
+    /// reference solves mirror it: verification is bitwise, so the
     /// reference must run the exact same tier (`--fast-math` changes
     /// numerics; a default-tier reference would flag every response).
-    pub simd: bool,
-    pub fast_math: bool,
+    pub tier: KernelTier,
     pub mix: Vec<MixItem>,
 }
 
@@ -182,8 +181,7 @@ impl Default for LoadgenOptions {
             batch: 0,
             idle: 0,
             backoff_seed: 0x676d675f6c67,
-            simd: true,
-            fast_math: false,
+            tier: KernelTier::LaneSafe,
             mix: default_mix(),
         }
     }
@@ -420,16 +418,14 @@ impl Expected {
 fn compute_expected(
     mix: &[MixItem],
     batch: usize,
-    simd: bool,
-    fast_math: bool,
+    tier: KernelTier,
 ) -> Result<Vec<Expected>, String> {
     mix.iter()
         .enumerate()
         .map(|(mi, item)| {
             let (v0, f, _) = setup_poisson(&item.cfg);
             let mut opts = PipelineOptions::for_variant(item.variant, item.cfg.ndims);
-            opts.simd = simd;
-            opts.fast_math = fast_math;
+            opts.tier = tier;
             let coeff = if item.scenario.needs_coeff() {
                 coeff_field(&item.cfg)
             } else {
@@ -725,12 +721,7 @@ fn drive_connection(
 
 /// Drive the configured load against `opts.addr` and verify every response.
 pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
-    let expected = Arc::new(compute_expected(
-        &opts.mix,
-        opts.batch,
-        opts.simd,
-        opts.fast_math,
-    )?);
+    let expected = Arc::new(compute_expected(&opts.mix, opts.batch, opts.tier)?);
     let counts = Arc::new(SharedCounts::default());
 
     // Idle fleet: fill before the hot phase starts (setup cost must not

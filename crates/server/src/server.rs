@@ -63,7 +63,7 @@ use gmg_trace::{
     SCENARIO_LABELS,
 };
 use gmg_multigrid::scenario::ScenarioSpec;
-use polymg::{ChaosOptions, TunedStore};
+use polymg::{ChaosOptions, KernelTier, TunedStore};
 use shim_epoll::{Poller, Waker};
 
 use crate::protocol::{self, BatchSolveResponse, ErrorCode, SolveRequest, SolveResponse};
@@ -98,12 +98,11 @@ pub struct ServerConfig {
     /// trials on idle worker capacity, winners recorded into the shared
     /// tuned store (and persisted to its path). `None` disables the tuner.
     pub tuner: Option<TunerConfig>,
-    /// Enable the vectorized kernel tier (`--no-simd` clears it). Part of
-    /// every session's plan fingerprint.
-    pub simd: bool,
-    /// Enable the reassociating fast-math kernel tier (`--fast-math`).
-    /// Changes numerics, so it splits sessions and the plan cache.
-    pub fast_math: bool,
+    /// Kernel tier of every session (`--no-simd` selects
+    /// [`KernelTier::Scalar`], `--fast-math` the reassociating
+    /// [`KernelTier::FastMath`], which changes numerics). Part of every
+    /// session's plan fingerprint.
+    pub tier: KernelTier,
     /// Trace sink for request spans and final counters.
     pub trace: Trace,
     /// Artificial per-solve service delay (tests use it to hold the queue
@@ -135,8 +134,7 @@ impl Default for ServerConfig {
             chaos: None,
             tuned: None,
             tuner: None,
-            simd: true,
-            fast_math: false,
+            tier: KernelTier::LaneSafe,
             trace: Trace::disabled(),
             service_delay: None,
             coalesce_window: None,
@@ -959,7 +957,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
             Arc::clone(tuned_store.as_ref().expect("store exists when tuning")),
             config.engine_threads,
             config.chaos,
-            config.fast_math,
+            config.tier == KernelTier::FastMath,
         ))
     });
     let mut shards = Vec::with_capacity(nshards);
@@ -975,8 +973,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
                 config.chaos,
                 config.engine_threads,
                 workers,
-                config.simd,
-                config.fast_math,
+                config.tier,
             ),
             counters: ShardCounters::default(),
         });

@@ -50,7 +50,9 @@ use gmg_multigrid::config::{CycleType, MgConfig, OperatorKind, SmoothSteps, Smoo
 use gmg_multigrid::scenario::{bind_coeff, build_scenario_pipeline, scenario_config, ScenarioSpec};
 use gmg_multigrid::solver::DslRunner;
 use polymg::cache::{self, DEFAULT_PLAN_CAPACITY};
-use polymg::{ChaosOptions, CompiledPipeline, PipelineOptions, Scenario, TunedStore, Variant};
+use polymg::{
+    ChaosOptions, CompiledPipeline, KernelTier, PipelineOptions, Scenario, TunedStore, Variant,
+};
 
 struct Session {
     plan: Arc<CompiledPipeline>,
@@ -167,10 +169,9 @@ pub struct SessionManager {
     engine_threads: usize,
     /// Idle runners retained per session.
     max_idle: usize,
-    /// Kernel-tier knobs applied to every session's options (`--no-simd` /
+    /// Kernel tier applied to every session's options (`--no-simd` /
     /// `--fast-math`). Part of the session key via the plan fingerprint.
-    simd: bool,
-    fast_math: bool,
+    tier: KernelTier,
     pub session_hits: AtomicU64,
     pub session_misses: AtomicU64,
     /// Sessions dropped by the registry's bound.
@@ -196,8 +197,8 @@ pub struct Lease {
 }
 
 impl SessionManager {
-    /// A manager over a private copy of `tuned`, with the default kernel
-    /// tiers (vectorized, no fast-math).
+    /// A manager over a private copy of `tuned`, at the default kernel
+    /// tier ([`KernelTier::LaneSafe`]).
     pub fn new(
         tuned: Option<TunedStore>,
         chaos: Option<ChaosOptions>,
@@ -209,8 +210,7 @@ impl SessionManager {
             chaos,
             engine_threads,
             max_idle,
-            true,
-            false,
+            KernelTier::LaneSafe,
         )
     }
 
@@ -222,8 +222,7 @@ impl SessionManager {
         chaos: Option<ChaosOptions>,
         engine_threads: usize,
         max_idle: usize,
-        simd: bool,
-        fast_math: bool,
+        tier: KernelTier,
     ) -> SessionManager {
         SessionManager {
             sessions: Mutex::new(Lru::new()),
@@ -232,8 +231,7 @@ impl SessionManager {
             chaos,
             engine_threads: engine_threads.max(1),
             max_idle: max_idle.max(1),
-            simd,
-            fast_math,
+            tier,
             session_hits: AtomicU64::new(0),
             session_misses: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
@@ -244,28 +242,30 @@ impl SessionManager {
     }
 
     /// The pipeline options a request resolves to: the variant preset, the
-    /// server's engine thread count, and — when a tuned entry matches the
-    /// pipeline fingerprint — the persisted tile/group configuration.
+    /// server's engine thread count and kernel tier, and — when a tuned
+    /// entry matches the pipeline fingerprint — the persisted tile/group
+    /// configuration and its tier. Fast-math is the one tier an entry
+    /// cannot impose: its results are not bitwise, so only a session that
+    /// opted in runs it (an entry tuned there runs lane-safe elsewhere),
+    /// and such a session never downgrades either — its clients verify
+    /// against a fast-math reference.
     fn resolve_options(&self, cfg: &MgConfig, variant: Variant, pfp: u64) -> (PipelineOptions, bool) {
         let mut opts = PipelineOptions::for_variant(variant, cfg.ndims);
         opts.threads = self.engine_threads;
-        opts.simd = self.simd;
-        opts.fast_math = self.fast_math;
-        if let Some(store) = &self.tuned {
-            let entry = store.lock().unwrap().lookup(pfp, cfg.ndims).cloned();
-            if let Some(entry) = entry {
-                // the tuned tier is honored (the metric was measured there),
-                // but a session that opted into fast-math never downgrades:
-                // its clients verify against a fast-math reference
-                opts = entry.config.apply(&opts);
-                if self.fast_math {
-                    opts.simd = true;
-                    opts.fast_math = true;
-                }
-                return (opts, true);
-            }
+        opts.tier = self.tier;
+        let Some(store) = &self.tuned else {
+            return (opts, false);
+        };
+        let Some(entry) = store.lock().unwrap().lookup(pfp, cfg.ndims).cloned() else {
+            return (opts, false);
+        };
+        opts = entry.config.apply(&opts);
+        if self.tier == KernelTier::FastMath {
+            opts.tier = KernelTier::FastMath;
+        } else if opts.tier == KernelTier::FastMath {
+            opts.tier = KernelTier::LaneSafe;
         }
-        (opts, false)
+        (opts, true)
     }
 
     /// The only place a request turns into IR. `cfg` is scenario-adjusted.
@@ -499,18 +499,54 @@ mod tests {
 
     #[test]
     fn kernel_tier_knobs_split_sessions() {
-        // fast_math (and simd) participate in the plan fingerprint, so a
-        // fast-math server and a default server must not share sessions.
-        let default_mgr = SessionManager::new(None, None, 1, 4);
-        let fm_mgr = SessionManager::with_shared_store(None, None, 1, 4, true, true);
-        let nosimd_mgr = SessionManager::with_shared_store(None, None, 1, 4, false, false);
+        // the tier participates in the plan fingerprint, so servers at
+        // different tiers must not share sessions; the default is lane-safe
         let cfg = cfg2d();
-        let a = default_mgr.acquire(&cfg, Variant::OptPlus).expect("compile");
-        let b = fm_mgr.acquire(&cfg, Variant::OptPlus).expect("compile");
-        let c = nosimd_mgr.acquire(&cfg, Variant::OptPlus).expect("compile");
-        assert_ne!(a.key, b.key);
-        assert_ne!(a.key, c.key);
-        assert_ne!(b.key, c.key);
+        let keys: Vec<u64> = KernelTier::ALL
+            .iter()
+            .map(|&tier| {
+                let mgr = SessionManager::with_shared_store(None, None, 1, 4, tier);
+                let lease = mgr.acquire(&cfg, Variant::OptPlus).expect("compile");
+                assert_eq!(lease.runner.engine().plan().options.tier, tier);
+                lease.key
+            })
+            .collect();
+        assert_ne!(keys[0], keys[1]);
+        assert_ne!(keys[0], keys[2]);
+        assert_ne!(keys[1], keys[2]);
+        let default_mgr = SessionManager::new(None, None, 1, 4);
+        let default = default_mgr.acquire(&cfg, Variant::OptPlus).expect("compile");
+        assert_eq!(default.key, keys[KernelTier::LaneSafe.index()]);
+    }
+
+    #[test]
+    fn a_fast_math_entry_runs_only_in_a_fast_math_session() {
+        // A store grown by a fast-math server holds fast-math winners. A
+        // server at a bitwise tier that loads it keeps the tuned schedule
+        // but runs it lane-safe; a fast-math server runs it as recorded.
+        let cfg = cfg2d();
+        let pipeline = build_scenario_pipeline(&cfg, Scenario::Constant);
+        let plan_fp = cache::pipeline_fingerprint(&pipeline, &ParamBindings::new());
+        let mut store = TunedStore::new();
+        let config = polymg::TuneConfig {
+            tier: KernelTier::FastMath,
+            ..polymg::TuneConfig::new(vec![16, 64], 4)
+        };
+        store.record(plan_fp, cfg.ndims, config, 1.0);
+        let store = Arc::new(Mutex::new(store));
+        for (tier, want) in [
+            (KernelTier::Scalar, KernelTier::LaneSafe),
+            (KernelTier::LaneSafe, KernelTier::LaneSafe),
+            (KernelTier::FastMath, KernelTier::FastMath),
+        ] {
+            let mgr = SessionManager::with_shared_store(Some(store.clone()), None, 1, 4, tier);
+            let lease = mgr.acquire(&cfg, Variant::OptPlus).expect("compile");
+            let options = &lease.runner.engine().plan().options;
+            assert_eq!(lease.plan_fp, plan_fp);
+            assert_eq!(mgr.tuned_applied.load(Ordering::Relaxed), 1, "{tier:?}");
+            assert_eq!(options.tile_sizes, vec![16, 64], "{tier:?}");
+            assert_eq!(options.tier, want, "a {tier:?} session");
+        }
     }
 
     #[test]
@@ -770,7 +806,8 @@ mod tests {
         // recorded between two acquires of a warm shape must move the
         // second one to a new session.
         let store = Arc::new(Mutex::new(TunedStore::new()));
-        let mgr = SessionManager::with_shared_store(Some(store.clone()), None, 1, 4, true, false);
+        let mgr =
+            SessionManager::with_shared_store(Some(store.clone()), None, 1, 4, KernelTier::LaneSafe);
         let cfg = cfg2d();
         let first = mgr.acquire(&cfg, Variant::OptPlus).expect("compile");
         assert!(first.created_session);

@@ -10,7 +10,7 @@ use gmg_multigrid::solver::setup_poisson;
 use gmg_server::loadgen::{self, LoadgenOptions, MixItem};
 use gmg_server::protocol::{self, ErrorCode};
 use gmg_server::{start, ServerConfig, SolveRequest};
-use polymg::Variant;
+use polymg::{KernelTier, Variant};
 
 fn small_mix() -> Vec<MixItem> {
     let mut v3 = MgConfig::new(3, 15, CycleType::V, SmoothSteps::s444());
@@ -61,6 +61,40 @@ fn loadgen_verifies_bitwise_end_to_end() {
         "engines_created {} exceeds workers x shapes",
         snap.engines_created
     );
+}
+
+#[test]
+fn a_fast_math_server_verifies_against_a_fast_math_reference() {
+    // The tier reaches the server: a fast-math loadgen verifies every
+    // reply bitwise, and a default-tier loadgen against the same server
+    // sees the reassociated grids differ from its lane-safe reference.
+    let handle = start(ServerConfig {
+        workers: 2,
+        tier: KernelTier::FastMath,
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let opts = LoadgenOptions {
+        addr: handle.addr().to_string(),
+        connections: 2,
+        requests_per_conn: 3,
+        tenants: 2,
+        mix: small_mix(),
+        tier: KernelTier::FastMath,
+        ..LoadgenOptions::default()
+    };
+    let report = loadgen::run(&opts).expect("fast-math loadgen run");
+    assert!(report.is_clean(), "unclean run: {}", report.summary());
+    assert_eq!((report.ok, report.verify_failures), (6, 0), "{}", report.summary());
+
+    let lane_safe = LoadgenOptions {
+        tier: KernelTier::LaneSafe,
+        shutdown: true,
+        ..opts
+    };
+    let report = loadgen::run(&lane_safe).expect("lane-safe loadgen run");
+    assert!(report.verify_failures > 0, "{}", report.summary());
+    handle.join();
 }
 
 #[test]

@@ -15,9 +15,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Kind {
-    /// Unit-stride row kernel with the tap count fully unrolled.
+    /// Unit-stride plain row on the row body with a compile-time arity
+    /// (0..=28, the sweep table). The label `unit_unrolled` predates the
+    /// one row body and is kept: it is a profile JSON key.
     UnitUnrolled = 0,
-    /// Unit-stride generic per-tap loop (arities beyond the unrolled table).
+    /// Unit-stride plain row of an arity beyond the sweep table, on the
+    /// run-time-arity sweep `dyn_sweep` (label `unit_fallback`).
     UnitFallback = 1,
     /// Strided row kernel (restriction / interpolation accesses).
     Strided = 2,

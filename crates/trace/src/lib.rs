@@ -5,9 +5,9 @@
 //! * `gmg-runtime::exec` records per-stage / per-tile timing spans through
 //!   interned [`StageHandle`]s (lock-free atomic adds on the hot path);
 //! * `gmg-runtime::kernel` counts which dispatch class fired for each
-//!   kernel case (specialized unit-stride unroll vs. generic tap loop vs.
-//!   strided vs. interpreter vs. variable-coefficient) via the global
-//!   [`dispatch`] histogram;
+//!   kernel case (unit-stride row body at a compile-time arity vs. the
+//!   run-time-arity sweep beyond the table vs. strided vs. interpreter vs.
+//!   variable-coefficient) via the global [`dispatch`] histogram;
 //! * `gmg-runtime::pool` / `arena` feed allocator reuse statistics, and the
 //!   engine counts the tile plans and worker scratch it keeps in the global
 //!   [`tile_plan`] block;

@@ -26,7 +26,7 @@
 
 use proptest::prelude::*;
 
-use polymg_repro::compiler::{PipelineOptions, Scenario, Variant};
+use polymg_repro::compiler::{KernelTier, PipelineOptions, Scenario, Variant};
 use polymg_repro::mg::config::{CycleType, MgConfig, SmoothSteps};
 use polymg_repro::mg::cycles::build_varcoef_cycle_pipeline;
 use polymg_repro::mg::scenario::{coeff_field, ones_field, scenario_runner, ScenarioSpec};
@@ -46,11 +46,11 @@ fn config(ndims: usize, cycle: CycleType) -> MgConfig {
     cfg
 }
 
-fn options(variant: Variant, ndims: usize, specialize: bool, simd: bool) -> PipelineOptions {
+fn options(variant: Variant, ndims: usize, specialize: bool, tier: KernelTier) -> PipelineOptions {
     let mut opts = PipelineOptions::for_variant(variant, ndims);
     opts.threads = 2;
     opts.specialize = specialize;
-    opts.simd = simd;
+    opts.tier = tier;
     opts
 }
 
@@ -64,7 +64,7 @@ fn check_ones_twin(
     cycle: CycleType,
     variant: Variant,
     specialize: bool,
-    simd: bool,
+    tier: KernelTier,
 ) -> Result<(), String> {
     let cfg = config(ndims, cycle);
     let (v0, f, _) = setup_poisson(&cfg);
@@ -72,7 +72,7 @@ fn check_ones_twin(
     let mut var = scenario_runner(
         &cfg,
         ScenarioSpec::new(Scenario::VarCoef),
-        options(variant, ndims, specialize, simd),
+        options(variant, ndims, specialize, tier),
         "ones",
         Some(ones_field(&cfg)),
     )
@@ -81,7 +81,7 @@ fn check_ones_twin(
     let mut twin = DslRunner::from_pipeline(
         &twin_pipeline,
         &cfg,
-        options(variant, ndims, specialize, simd),
+        options(variant, ndims, specialize, tier),
         "twin",
     )
     .map_err(|e| format!("twin compile failed: {e:?}"))?;
@@ -96,7 +96,7 @@ fn check_ones_twin(
     if bits(&vv) != bits(&vt) {
         return Err(format!(
             "varcoef with a=1 diverged bitwise from the constant twin \
-             ({} {cycle:?} {variant:?} specialize={specialize} simd={simd})",
+             ({} {cycle:?} {variant:?} specialize={specialize} tier={tier:?})",
             cfg.tag(),
         ));
     }
@@ -114,12 +114,13 @@ proptest! {
         cycle_sel in 0u8..2,
         variant_sel in 0u8..2,
         spec_sel in 0u8..2,
-        simd_sel in 0u8..2,
+        tier_sel in 0u8..2,
     ) {
         let ndims = if ndims_sel == 0 { 2 } else { 3 };
         let cycle = if cycle_sel == 0 { CycleType::V } else { CycleType::W };
         let variant = if variant_sel == 0 { Variant::OptPlus } else { Variant::Opt };
-        if let Err(msg) = check_ones_twin(ndims, cycle, variant, spec_sel == 1, simd_sel == 1) {
+        let tier = if tier_sel == 0 { KernelTier::Scalar } else { KernelTier::LaneSafe };
+        if let Err(msg) = check_ones_twin(ndims, cycle, variant, spec_sel == 1, tier) {
             prop_assert!(false, "{}", msg);
         }
     }
@@ -128,9 +129,13 @@ proptest! {
 /// Deterministic tier sweep of the same pin (CI-friendly fixed cases).
 #[test]
 fn varcoef_ones_twin_fixed_tiers() {
-    for &(specialize, simd) in &[(false, false), (true, false), (true, true)] {
+    for &(specialize, tier) in &[
+        (false, KernelTier::LaneSafe),
+        (true, KernelTier::Scalar),
+        (true, KernelTier::LaneSafe),
+    ] {
         for ndims in [2usize, 3] {
-            check_ones_twin(ndims, CycleType::V, Variant::OptPlus, specialize, simd)
+            check_ones_twin(ndims, CycleType::V, Variant::OptPlus, specialize, tier)
                 .unwrap_or_else(|msg| panic!("{msg}"));
         }
     }
@@ -147,7 +152,7 @@ fn varcoef_field_changes_the_answer() {
         let mut r = scenario_runner(
             &cfg,
             ScenarioSpec::new(Scenario::VarCoef),
-            options(Variant::OptPlus, 2, false, true),
+            options(Variant::OptPlus, 2, false, KernelTier::LaneSafe),
             "field",
             Some(coeff),
         )
@@ -188,13 +193,13 @@ fn program_stages(r: &DslRunner) -> Vec<&polymg_repro::compiler::schedule::Stage
 /// stage of the one-level cycle carries coefficient taps.)
 #[test]
 fn varcoef_field_is_tier_invariant() {
-    use polymg_repro::compiler::{KernelImpl, KernelTier};
+    use polymg_repro::compiler::KernelImpl;
     type Knob = fn(&mut PipelineOptions);
     let knobs: [(&str, Knob); 4] = [
         ("default", |_| {}),
-        ("no-simd", |o| o.simd = false),
-        ("no-specialize", |o| o.specialize = false),
-        ("fast-math", |o| o.fast_math = true),
+        ("no-simd", |o| o.tier = KernelTier::Scalar),
+        ("specialize = false", |o| o.specialize = false),
+        ("fast-math", |o| o.tier = KernelTier::FastMath),
     ];
     let mut failures = Vec::new();
     for (ndims, levels) in [(2, 3), (2, 1), (3, 3), (3, 1)] {
@@ -259,12 +264,12 @@ fn varcoef_field_is_tier_invariant() {
 /// the scalar lane and against the run-time loop end to end.
 #[test]
 fn strided_rows_are_tier_invariant() {
-    use polymg_repro::compiler::{KernelImpl, KernelTier};
+    use polymg_repro::compiler::KernelImpl;
     type Knob = fn(&mut PipelineOptions);
     let knobs: [(&str, Knob); 3] = [
         ("default", |_| {}),
-        ("no-simd", |o| o.simd = false),
-        ("no-specialize", |o| o.specialize = false),
+        ("no-simd", |o| o.tier = KernelTier::Scalar),
+        ("specialize = false", |o| o.specialize = false),
     ];
     let mut failures = Vec::new();
     for scenario in [Scenario::Constant, Scenario::Rbgs, Scenario::Fmg] {
