@@ -152,11 +152,15 @@ share=$(grep -o '"runtime.op.fill_ghost_share": {"value": [0-9.e-]*' /tmp/bench_
 awk -v s="$share" 'BEGIN { exit !(s != "" && s + 0 <= 0.02) }' \
   || { echo "ci: runtime.op.fill_ghost_share is '$share', expected <= 0.02" >&2; exit 1; }
 
-# compiler gate (DESIGN.md §7): the fixed-rank tile walk must equal its
-# allocating reference model, and every recorded plan must compile to the
-# same digest, under release codegen too (tier-1 runs both in debug only).
-# Then a quick, untimed cold-compile run exits non-zero when the two cold
-# compiles of any plan differ in fingerprint or lowered dump.
+# compiler gate (DESIGN.md §7): the fixed-rank tile walk and the per-axis
+# redundant-work statistics must equal their allocating reference model,
+# every recorded plan must compile to the same digest, and every
+# overlapped group of those plans but the recorded odd-tiling ones must
+# take the per-axis path of the overlap check (a silent fallback to the
+# tile-by-tile walk fails here, not only the compiler's speed), under
+# release codegen too (tier-1 runs them in debug only). Then a quick,
+# untimed cold-compile run exits non-zero when the two cold compiles of any
+# plan differ in fingerprint or lowered dump.
 cargo test -q --release -p gmg-poly
 cargo test -q --release --test plan_identity
 cargo run --release --locked --offline --quiet --manifest-path benchmark/Cargo.toml -- \

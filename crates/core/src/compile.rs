@@ -5,7 +5,7 @@
 //! → full-array planning (with inter-group reuse) → pooled alloc/free
 //! schedule.
 
-use crate::grouping::{auto_group, group_geometry, live_stages, Grouping};
+use crate::grouping::{auto_group_over, group_geometry, live_stages, Grouping};
 use crate::lowering::lower_all;
 use crate::options::PipelineOptions;
 use crate::plan::{
@@ -34,9 +34,10 @@ pub fn compile(
         return Err(errs);
     }
     let kernels = lower_all(&graph);
-    let grouping = auto_group(pipeline, &graph, &options);
     let consumers = graph.consumers();
-    let groups = plan_groups(pipeline, &graph, &consumers, &grouping, &options);
+    let live = live_stages(&graph);
+    let grouping = auto_group_over(pipeline, &graph, &options, &consumers, &live);
+    let groups = plan_groups(pipeline, &graph, &consumers, &live, &grouping, &options);
     let storage = plan_full_arrays(&graph, &consumers, &groups, &options);
     // chaos is a runtime property; never bake it into a (cacheable) plan
     let options = PipelineOptions {
@@ -57,15 +58,15 @@ fn plan_groups(
     pipeline: &Pipeline,
     graph: &StageGraph,
     consumers: &[Vec<StageId>],
+    live: &[bool],
     grouping: &Grouping,
     options: &PipelineOptions,
 ) -> Vec<GroupPlan> {
-    let live = live_stages(graph);
     let mut plans = Vec::with_capacity(grouping.groups.len());
 
     for members in &grouping.groups {
         let (gstages, edges, ref_local, scales, live_out) =
-            group_geometry(graph, members, consumers, &live);
+            group_geometry(graph, members, consumers, live);
         let in_group = |sid: StageId| members.contains(&sid);
         // a stage needs a scratchpad iff some consumer reads it inside the
         // group (then tiles read the overlap region, which only the

@@ -14,11 +14,16 @@
 //! smoother may merge with each other but not with neighbouring operators,
 //! so the chain can be time-tiled by the split/diamond executor.
 //!
-//! Cost: the consumer lists and the live set are computed once per grouping
-//! and shared by every candidate. The convexity search only visits stages
-//! whose ids lie between the two groups (stage ids are topological), and
-//! the overlap check runs the fixed-rank tile walk of `gmg_poly::tiling`,
-//! which allocates nothing per tile.
+//! Cost: the consumer lists and the live set are computed once per compile
+//! (`compile` hands the grouping the ones its group planning reads) and
+//! shared by every candidate. The convexity search only visits stages whose
+//! ids lie between the two groups (stage ids are topological). The overlap
+//! check, `gmg_poly::tiling::evaluate_tiling`, propagates each tile index
+//! along each axis once, restricted to that axis, and multiplies the
+//! per-axis point counts; it walks the merged group tile by tile only when a
+//! stage's emptiness couples the axes, which no overlapped group of the
+//! benchmark's or the serving mixes' plans does (`tests/plan_identity.rs`
+//! pins that).
 
 use crate::options::PipelineOptions;
 use gmg_ir::{FuncKind, Pipeline, StageGraph, StageId, StageInput, StageKind};
@@ -166,20 +171,33 @@ pub fn live_stages(graph: &StageGraph) -> Vec<bool> {
 
 /// Run the greedy auto-grouping (over live compute stages only).
 pub fn auto_group(pipeline: &Pipeline, graph: &StageGraph, opts: &PipelineOptions) -> Grouping {
-    group_within(pipeline, graph, opts, OVERLAP_THRESHOLD)
+    let (consumers, live) = (graph.consumers(), live_stages(graph));
+    auto_group_over(pipeline, graph, opts, &consumers, &live)
 }
 
-/// [`auto_group`] with the redundant-work tolerance as a parameter.
+/// [`auto_group`] over `graph`'s [`StageGraph::consumers`] and
+/// [`live_stages`], which the caller computed once and reads again.
+pub(crate) fn auto_group_over(
+    pipeline: &Pipeline,
+    graph: &StageGraph,
+    opts: &PipelineOptions,
+    consumers: &[Vec<StageId>],
+    live: &[bool],
+) -> Grouping {
+    group_within(pipeline, graph, opts, OVERLAP_THRESHOLD, consumers, live)
+}
+
+/// [`auto_group_over`] with the redundant-work tolerance as a parameter.
 fn group_within(
     pipeline: &Pipeline,
     graph: &StageGraph,
     opts: &PipelineOptions,
     overlap_threshold: f64,
+    consumers: &[Vec<StageId>],
+    live: &[bool],
 ) -> Grouping {
-    let consumers = graph.consumers();
-    let live = live_stages(graph);
     let (group_of, members) =
-        greedy_merge(pipeline, graph, opts, overlap_threshold, &consumers, &live);
+        greedy_merge(pipeline, graph, opts, overlap_threshold, consumers, live);
     order_groups(graph, &members, &group_of)
 }
 
@@ -470,7 +488,7 @@ mod tests {
         let mut opts = PipelineOptions::for_variant(Variant::Opt, 2);
         // tiny tiles → huge redundancy → merging blocked
         opts.tile_sizes = vec![4, 4];
-        let grouping = group_within(&p, &g, &opts, 1.1);
+        let grouping = group_within(&p, &g, &opts, 1.1, &g.consumers(), &live_stages(&g));
         assert_eq!(grouping.max_group_size(), 1);
     }
 

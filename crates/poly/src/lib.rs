@@ -42,10 +42,15 @@ pub use domain::{Axes, BoxDomain, Pad};
 pub use interval::Interval;
 pub use ratio::Ratio;
 
-/// Floor division on i64 (rounds toward negative infinity).
+/// Floor division on i64 (rounds toward negative infinity). A power-of-two
+/// divisor, as every scale and footprint of a multigrid pipeline has, is an
+/// arithmetic shift instead of a division.
 #[inline]
 pub fn div_floor(a: i64, b: i64) -> i64 {
     debug_assert!(b > 0, "div_floor requires positive divisor");
+    if b > 0 && b & (b - 1) == 0 {
+        return a >> b.trailing_zeros();
+    }
     let q = a / b;
     if a % b < 0 {
         q - 1
@@ -54,10 +59,14 @@ pub fn div_floor(a: i64, b: i64) -> i64 {
     }
 }
 
-/// Ceiling division on i64 (rounds toward positive infinity).
+/// Ceiling division on i64 (rounds toward positive infinity), a shift for a
+/// power-of-two divisor as in [`div_floor`].
 #[inline]
 pub fn div_ceil(a: i64, b: i64) -> i64 {
     debug_assert!(b > 0, "div_ceil requires positive divisor");
+    if b > 0 && b & (b - 1) == 0 {
+        return (a >> b.trailing_zeros()) + (a & (b - 1) != 0) as i64;
+    }
     let q = a / b;
     if a % b > 0 {
         q + 1

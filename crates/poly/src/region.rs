@@ -20,12 +20,17 @@
 //! group's domains and edges once, with each consumer's in-edges in one
 //! bucket, and then propagates tile after tile into buffers it reuses. Boxes
 //! and footprints are fixed-rank and `Copy`, so nothing is allocated per
-//! tile. The tile walk ([`crate::tiling::tile_walk`]), the grouping
-//! heuristic's statistics ([`crate::tiling::evaluate_tiling`]) and
-//! [`propagate_regions`] all run it.
+//! tile. The tile walk ([`crate::tiling::tile_walk`]) and
+//! [`propagate_regions`] run it on whole boxes. Every box operation it uses
+//! acts on each axis alone, so it also runs restricted to one axis
+//! (`Propagator::run_slot`): the grouping heuristic's statistics
+//! ([`crate::tiling::evaluate_tiling`]) propagate each tile index along each
+//! axis once that way, and fall back to the box walk only where a box's
+//! emptiness would couple the axes.
 
 use crate::access::Footprint;
 use crate::domain::BoxDomain;
+use crate::interval::Interval;
 
 /// A stage of a fused group, as seen by region propagation.
 #[derive(Clone, Debug)]
@@ -74,6 +79,8 @@ pub(crate) struct Propagator {
     /// Results of the last [`Propagator::run`], per stage.
     pub(crate) compute: Vec<BoxDomain>,
     pub(crate) alloc: Vec<BoxDomain>,
+    /// [`Propagator::run_slot`]'s `need`, one interval per stage.
+    slot_need: Vec<Interval>,
 }
 
 impl Propagator {
@@ -125,6 +132,7 @@ impl Propagator {
             compute: empty.clone(),
             alloc: empty.clone(),
             empty,
+            slot_need: vec![Interval::empty(); n],
         }
     }
 
@@ -146,6 +154,38 @@ impl Propagator {
             }
             self.compute[c] = compute;
             self.alloc[c] = alloc;
+        }
+    }
+
+    /// Every edge as (producer, consumer), grouped by consumer.
+    pub(crate) fn edge_ends(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.domains.len()).flat_map(move |c| {
+            let edges = &self.in_edges[self.first[c]..self.first[c + 1]];
+            edges.iter().map(move |&(p, _)| (p, c))
+        })
+    }
+
+    /// [`Propagator::run`] restricted to slot `d` of every box: propagate
+    /// one `owned` interval per stage (empty for stages that are not
+    /// live-out) and write each stage's `[compute, owned, alloc]` intervals
+    /// to `out`.
+    ///
+    /// `run`'s boxes are the products of these intervals whenever no hull
+    /// of `run` drops an input that is empty in one slot and not in another
+    /// (`crate::tiling` checks that): `run`'s hulls, clamps and its skip of
+    /// producers of an empty box then act slot by slot.
+    pub(crate) fn run_slot(&mut self, d: usize, owned: &[Interval], out: &mut [[Interval; 3]]) {
+        self.slot_need.fill(Interval::empty());
+        for c in (0..self.domains.len()).rev() {
+            let alloc = owned[c].hull(&self.slot_need[c]);
+            let compute = alloc.intersect(&self.domains[c].0.slots()[d]);
+            if !compute.is_empty() {
+                for (p, fp) in &self.in_edges[self.first[c]..self.first[c + 1]] {
+                    let needed = fp.0.slots()[d].input_needed(&compute);
+                    self.slot_need[*p] = self.slot_need[*p].hull(&needed);
+                }
+            }
+            out[c] = [compute, owned[c], alloc];
         }
     }
 }

@@ -15,10 +15,26 @@
 //! [`tile_partition`]'s order arithmetically and runs the region-propagation
 //! core ([`crate::region`]) on each, reusing its buffers from tile to tile.
 //! Every box it yields is a `Copy` [`BoxDomain`]; the compiler's tile plans
-//! collect the walk and [`evaluate_tiling`] folds it, so neither allocates
-//! per tile.
+//! collect it without allocating per tile.
+//!
+//! [`evaluate_tiling`], the grouping heuristic's redundant-work test, needs
+//! only sums and a maximum over that walk. An overlapped tile is a
+//! hyper-trapezoid: each of its boxes is the product of one interval per
+//! axis, and the interval along an axis depends only on the tile's index
+//! along that axis. So it propagates each tile index of each axis once,
+//! restricted to that axis, into a table of `[compute, owned, alloc]`
+//! intervals per stage; the points computed then factor into
+//! `Σ_stages Π_axes Σ_index |compute|`, and the largest tile scratchpad is
+//! one multiply per stage and distinct tile, with no propagation. A box
+//! that is empty along one axis is empty along all, so the tables are exact
+//! only while every input of a stage's hull — its owned box, what each
+//! consumer needs — is present in all the tiles where the stage allocates
+//! anything, or in none. Where one is not (a coarse live-out that owns
+//! nothing in a narrow straggler tile yet computes there for a fine
+//! consumer), [`evaluate_tiling`] folds the box walk instead.
+//! [`factors_per_axis`] tells which path a group takes.
 
-use crate::domain::BoxDomain;
+use crate::domain::{Axes, BoxDomain};
 use crate::interval::Interval;
 use crate::ratio::Ratio;
 use crate::region::{GroupEdge, GroupStage, Propagator};
@@ -77,6 +93,22 @@ fn scale_boundary(p: i64, s: &Ratio) -> i64 {
     s.apply_ceil(p - 1) + 1
 }
 
+/// [`owned_region`] along one axis: the owned part of a stage's domain
+/// interval `domain` for a reference-space tile interval `tile` at scale
+/// `s`.
+#[inline]
+fn owned_interval(tile: Interval, s: &Ratio, domain: Interval) -> Interval {
+    let raw = if tile.is_empty() {
+        tile
+    } else {
+        Interval::new(
+            scale_boundary(tile.lo, s),
+            scale_boundary(tile.hi + 1, s) - 1,
+        )
+    };
+    raw.intersect(&domain)
+}
+
 /// The owned sub-box of `stage_domain` for a reference-space `tile`, where
 /// `scales` gives the per-dimension stage/reference scale ratio.
 ///
@@ -84,13 +116,10 @@ fn scale_boundary(p: i64, s: &Ratio) -> i64 {
 #[inline]
 pub fn owned_region(tile: &BoxDomain, scales: &[Ratio], stage_domain: &BoxDomain) -> BoxDomain {
     assert!(tile.ndims() == scales.len(), "rank mismatch");
-    let mut raw = *tile;
-    for (iv, s) in raw.0.iter_mut().zip(scales) {
-        if !iv.is_empty() {
-            *iv = Interval::new(scale_boundary(iv.lo, s), scale_boundary(iv.hi + 1, s) - 1);
-        }
-    }
-    raw.intersect(stage_domain)
+    assert!(tile.ndims() == stage_domain.ndims(), "rank mismatch");
+    BoxDomain(Axes::from_fn(tile.ndims(), |d| {
+        owned_interval(tile.0[d], &scales[d], stage_domain.0[d])
+    }))
 }
 
 /// What one tile does for one stage of a group.
@@ -119,7 +148,96 @@ struct TileWalk<'a> {
     owned: Vec<BoxDomain>,
 }
 
-impl TileWalk<'_> {
+/// A group's per-axis tables: for each axis of the rank (outermost first),
+/// entry `i · stages + s` holds stage `s`'s `[compute, owned, alloc]`
+/// intervals along that axis in the tiles of index `i` along it.
+type AxisTables = Vec<Vec<[Interval; 3]>>;
+
+impl<'a> TileWalk<'a> {
+    /// The walk of [`tile_walk`] (same arguments), positioned at its first
+    /// tile.
+    fn new(
+        stages: &[GroupStage],
+        edges: &[GroupEdge],
+        ref_stage: usize,
+        scales: &'a [Vec<Ratio>],
+        live_out: &'a [bool],
+        tile_sizes: &[i64],
+    ) -> TileWalk<'a> {
+        let ref_domain = stages[ref_stage].domain;
+        let grid = tile_grid(&ref_domain, tile_sizes);
+        for (s, st) in stages.iter().enumerate() {
+            assert_eq!(st.domain.ndims(), ref_domain.ndims(), "rank mismatch");
+            if live_out[s] {
+                assert_eq!(scales[s].len(), ref_domain.ndims(), "rank mismatch");
+            }
+        }
+        TileWalk {
+            core: Propagator::new(stages, edges),
+            scales,
+            live_out,
+            ref_domain,
+            tiles: grid.1.iter().product::<i64>() as usize,
+            grid,
+            tile: 0,
+            stage: 0,
+            owned: stages
+                .iter()
+                .map(|s| BoxDomain::empty(s.domain.ndims()))
+                .collect(),
+        }
+    }
+
+    /// Propagate every tile index along every axis once, restricted to that
+    /// axis. `None` when the tables are not exact.
+    ///
+    /// A stage's alloc box is the hull of its inputs: its owned box when
+    /// live-out, and what each in-group consumer that computes needs. A box
+    /// input is empty when it is empty along any one axis, and the box hull
+    /// then drops it along every axis, where the per-axis hull keeps it along
+    /// the others. So the tables are exact when each input is either never
+    /// present or present in exactly the rows where its stage allocates
+    /// anything; a tile then holds a stage's whole input set or none of it.
+    fn axis_tables(&mut self) -> Option<AxisTables> {
+        let n = self.owned.len();
+        let (sizes, counts) = self.grid;
+        let lead = 3 - self.ref_domain.ndims();
+        let mut owned = vec![Interval::empty(); n];
+        // per input (edges, then each stage's owned interval): [present in
+        // some row, absent from a row where its stage allocates]
+        let edges = self.core.edge_ends().count();
+        let mut seen = vec![[false; 2]; edges + n];
+        let mut note = |k: usize, here: bool, alloc: &Interval| {
+            seen[k][0] |= here;
+            seen[k][1] |= !here && !alloc.is_empty();
+        };
+        let mut tables = Vec::with_capacity(3 - lead);
+        for d in lead..3 {
+            let axis = self.ref_domain.0.slots()[d];
+            let mut table = vec![[Interval::empty(); 3]; counts[d] as usize * n];
+            for (i, row) in table.chunks_mut(n).enumerate() {
+                let lo = axis.lo + i as i64 * sizes[d];
+                let tile = Interval::new(lo, (lo + sizes[d] - 1).min(axis.hi));
+                for (s, o) in owned.iter_mut().enumerate() {
+                    if self.live_out[s] {
+                        let domain = self.core.domains[s].0.slots()[d];
+                        *o = owned_interval(tile, &self.scales[s][d - lead], domain);
+                    }
+                }
+                self.core.run_slot(d, &owned, row);
+                for (k, (p, c)) in self.core.edge_ends().enumerate() {
+                    note(k, !row[c][0].is_empty(), &row[p][2]);
+                }
+                for (s, [_, owned, alloc]) in row.iter().enumerate() {
+                    note(edges + s, !owned.is_empty(), alloc);
+                }
+            }
+            tables.push(table);
+        }
+        let exact = seen.iter().all(|&[present, missing]| !(present && missing));
+        exact.then_some(tables)
+    }
+
     /// Derive tile `self.tile`'s owned boxes and propagate them.
     fn start_tile(&mut self) {
         let tile = nth_tile(&self.ref_domain, self.grid, self.tile as i64);
@@ -185,28 +303,7 @@ pub fn tile_walk<'a>(
     live_out: &'a [bool],
     tile_sizes: &[i64],
 ) -> impl ExactSizeIterator<Item = TileRegion> + 'a {
-    let ref_domain = stages[ref_stage].domain;
-    let grid = tile_grid(&ref_domain, tile_sizes);
-    for (s, st) in stages.iter().enumerate() {
-        assert_eq!(st.domain.ndims(), ref_domain.ndims(), "rank mismatch");
-        if live_out[s] {
-            assert_eq!(scales[s].len(), ref_domain.ndims(), "rank mismatch");
-        }
-    }
-    TileWalk {
-        core: Propagator::new(stages, edges),
-        scales,
-        live_out,
-        ref_domain,
-        tiles: grid.1.iter().product::<i64>() as usize,
-        grid,
-        tile: 0,
-        stage: 0,
-        owned: stages
-            .iter()
-            .map(|s| BoxDomain::empty(s.domain.ndims()))
-            .collect(),
-    }
+    TileWalk::new(stages, edges, ref_stage, scales, live_out, tile_sizes)
 }
 
 /// Redundant-computation statistics for one candidate grouping + tile size.
@@ -240,8 +337,65 @@ impl TilingStats {
     }
 }
 
-/// Evaluate overlapped tiling of a group: accumulate statistics over its
-/// [`tile_walk`] (same arguments).
+/// `(tiled_points, max_tile_alloc)` of a group from its exact per-axis
+/// tables.
+fn table_stats(tables: &AxisTables, live_out: &[bool]) -> (i64, i64) {
+    let n = live_out.len();
+    let tiled_points = (0..n)
+        .map(|s| {
+            let per_axis = tables
+                .iter()
+                .map(|t| t.chunks(n).map(|row| row[s][0].len()));
+            per_axis.map(Iterator::sum::<i64>).product::<i64>()
+        })
+        .sum();
+    // per axis, tile index along it and stage that is not live-out, the
+    // length of its alloc interval; a tile's scratchpad multiplies them.
+    // Interior tiles repeat their neighbour's lengths, and the largest
+    // scratchpad only needs each distinct row once.
+    let inner: Vec<usize> = (0..n).filter(|&s| !live_out[s]).collect();
+    let m = inner.len();
+    let lens: Vec<Vec<i64>> = tables
+        .iter()
+        .map(|t| {
+            let mut rows: Vec<i64> = Vec::new();
+            for row in t.chunks(n) {
+                let start = rows.len();
+                rows.extend(inner.iter().map(|&s| row[s][2].len()));
+                if start >= m && rows[start - m..start] == rows[start..] {
+                    rows.truncate(start);
+                }
+            }
+            rows
+        })
+        .collect();
+    let tiles = if m == 0 {
+        0
+    } else {
+        lens.iter().map(|l| l.len() / m).product()
+    };
+    let mut alloc = vec![0i64; m];
+    let mut max_tile_alloc = 0i64;
+    for k in 0..tiles {
+        alloc.fill(1);
+        let mut rest = k;
+        for l in lens.iter().rev() {
+            let count = l.len() / m;
+            let i = rest % count;
+            rest /= count;
+            alloc
+                .iter_mut()
+                .zip(&l[i * m..][..m])
+                .for_each(|(a, len)| *a *= len);
+        }
+        max_tile_alloc = max_tile_alloc.max(alloc.iter().sum());
+    }
+    (tiled_points, max_tile_alloc)
+}
+
+/// Evaluate overlapped tiling of a group: the statistics of its
+/// [`tile_walk`] (same arguments), from the per-axis tables when they are
+/// exact ([`factors_per_axis`]) and by folding the walk otherwise.
 pub fn evaluate_tiling(
     stages: &[GroupStage],
     edges: &[GroupEdge],
@@ -250,9 +404,18 @@ pub fn evaluate_tiling(
     live_out: &[bool],
     tile_sizes: &[i64],
 ) -> TilingStats {
-    let walk = tile_walk(stages, edges, ref_stage, scales, live_out, tile_sizes);
-    let num_tiles = walk.len() / stages.len();
+    let mut walk = TileWalk::new(stages, edges, ref_stage, scales, live_out, tile_sizes);
+    let num_tiles = walk.tiles;
     let base_points: i64 = stages.iter().map(|s| s.domain.len()).sum();
+    if let Some(tables) = walk.axis_tables() {
+        let (tiled_points, max_tile_alloc) = table_stats(&tables, live_out);
+        return TilingStats {
+            tiled_points,
+            base_points,
+            num_tiles,
+            max_tile_alloc,
+        };
+    }
     let mut tiled_points = 0i64;
     let mut max_tile_alloc = 0i64;
     let mut alloc = 0i64;
@@ -273,6 +436,22 @@ pub fn evaluate_tiling(
         num_tiles,
         max_tile_alloc,
     }
+}
+
+/// True when [`evaluate_tiling`] (same arguments) computes its statistics
+/// from per-axis tables: every input of every stage's hull is present in
+/// all the tiles where that stage allocates anything, or in none.
+pub fn factors_per_axis(
+    stages: &[GroupStage],
+    edges: &[GroupEdge],
+    ref_stage: usize,
+    scales: &[Vec<Ratio>],
+    live_out: &[bool],
+    tile_sizes: &[i64],
+) -> bool {
+    TileWalk::new(stages, edges, ref_stage, scales, live_out, tile_sizes)
+        .axis_tables()
+        .is_some()
 }
 
 #[cfg(test)]
@@ -347,6 +526,131 @@ mod tests {
         for t in &tiles {
             assert_eq!(&owned_region(t, &one, &dom), t);
         }
+    }
+
+    /// The statistics folded over the box walk, tile by tile.
+    fn walk_stats(
+        stages: &[GroupStage],
+        edges: &[GroupEdge],
+        ref_stage: usize,
+        scales: &[Vec<Ratio>],
+        live_out: &[bool],
+        tile_sizes: &[i64],
+    ) -> TilingStats {
+        let n = stages.len();
+        let regions: Vec<TileRegion> =
+            tile_walk(stages, edges, ref_stage, scales, live_out, tile_sizes).collect();
+        let tile_alloc = |tile: &[TileRegion]| -> i64 {
+            let inner = tile.iter().zip(live_out).filter(|(_, live)| !**live);
+            inner.map(|(r, _)| r.alloc.len()).sum()
+        };
+        TilingStats {
+            tiled_points: regions.iter().map(|r| r.compute.len()).sum(),
+            base_points: stages.iter().map(|s| s.domain.len()).sum(),
+            num_tiles: regions.len() / n,
+            max_tile_alloc: regions.chunks(n).map(tile_alloc).max().unwrap_or(0),
+        }
+    }
+
+    /// Stages on a fine level of interior `nf` and the level below, all 2-D:
+    /// `coarse[s]` puts stage `s` on the coarse one. Edges down a level are
+    /// full-weighting restricts, edges up one linear interpolations, and
+    /// edges within a level radius-1 stencils.
+    fn two_level_group(
+        nf: i64,
+        coarse: &[bool],
+        links: &[(usize, usize)],
+    ) -> (Vec<GroupStage>, Vec<GroupEdge>, Vec<Vec<Ratio>>) {
+        let n_at = |c: bool| if c { (nf + 1) / 2 - 1 } else { nf };
+        let stages = coarse
+            .iter()
+            .map(|&c| GroupStage {
+                domain: BoxDomain::interior(2, n_at(c)),
+                owned: BoxDomain::empty(2),
+            })
+            .collect();
+        let edges = links
+            .iter()
+            .map(|&(p, c)| GroupEdge {
+                producer: p,
+                consumer: c,
+                footprint: Footprint::uniform(
+                    2,
+                    match (coarse[p], coarse[c]) {
+                        (false, true) => AxisFootprint::new(2, 1, -1, 1),
+                        (true, false) => AxisFootprint::new(1, 2, 0, 1),
+                        _ => AxisFootprint::stencil(1),
+                    },
+                ),
+            })
+            .collect();
+        let scales = coarse
+            .iter()
+            .map(|&c| vec![Ratio::new(n_at(c) + 1, nf + 1); 2])
+            .collect();
+        (stages, edges, scales)
+    }
+
+    #[test]
+    fn smoother_chain_and_restrict_take_the_per_axis_path() {
+        // three fine smoothing steps, then the restrict that leaves the group
+        let coarse = [false, false, false, true];
+        let (stages, edges, scales) = two_level_group(63, &coarse, &[(0, 1), (1, 2), (2, 3)]);
+        let live_out = [false, false, false, true];
+        for tiles in [[8, 16], [7, 13], [64, 64]] {
+            let args = (
+                &stages[..],
+                &edges[..],
+                0,
+                &scales[..],
+                &live_out[..],
+                &tiles[..],
+            );
+            assert!(factors_per_axis(
+                args.0, args.1, args.2, args.3, args.4, args.5
+            ));
+            let got = evaluate_tiling(args.0, args.1, args.2, args.3, args.4, args.5);
+            assert_eq!(
+                got,
+                walk_stats(args.0, args.1, args.2, args.3, args.4, args.5)
+            );
+            assert!(got.work_ratio() > 1.0 || tiles[0] == 64);
+        }
+    }
+
+    #[test]
+    fn coarse_live_out_under_narrow_tiles_falls_back() {
+        // a fine stage restricted to a coarse live-out that a fine live-out
+        // interpolates: under 1-wide tiles the coarse stage owns nothing in
+        // every other tile row, yet computes there for its consumer. The
+        // interpolation reads left of its point, so the coarse box a tile
+        // owns is not inside what the consumer needs: the per-axis hull of
+        // the two would overstate the rows where the owned box is empty.
+        let coarse = [false, true, false];
+        let (stages, mut edges, scales) = two_level_group(15, &coarse, &[(0, 1), (1, 2)]);
+        edges[1].footprint = Footprint::uniform(2, AxisFootprint::new(1, 2, -2, -1));
+        let live_out = [false, true, true];
+        let tiles = [1, 4];
+        let args = (
+            &stages[..],
+            &edges[..],
+            0,
+            &scales[..],
+            &live_out[..],
+            &tiles[..],
+        );
+        let walk = tile_walk(args.0, args.1, args.2, args.3, args.4, args.5);
+        assert!(walk
+            .skip(1)
+            .step_by(3)
+            .any(|r| r.owned.is_empty() && !r.compute.is_empty()));
+        assert!(!factors_per_axis(
+            args.0, args.1, args.2, args.3, args.4, args.5
+        ));
+        assert_eq!(
+            evaluate_tiling(args.0, args.1, args.2, args.3, args.4, args.5),
+            walk_stats(args.0, args.1, args.2, args.3, args.4, args.5)
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use gmg_poly::diamond::split_time_tiling;
 use gmg_poly::region::{propagate_regions, GroupEdge, GroupStage};
-use gmg_poly::tiling::{evaluate_tiling, tile_partition, tile_walk};
+use gmg_poly::tiling::{evaluate_tiling, factors_per_axis, tile_partition, tile_walk};
 use gmg_poly::{div_ceil, div_floor, AxisFootprint, BoxDomain, Footprint, Interval, Ratio};
 use proptest::prelude::*;
 
@@ -245,24 +245,31 @@ fn random_group(ndims: usize, seed: u64) -> RandomGroup {
 /// Premise of `tile_walk_matches_reference`: the random groups reach the
 /// walk's empty paths, in both ranks — a live-out that owns nothing in a
 /// tile (its alloc is the hull of two empty boxes), and a stage that
-/// computes nothing in a tile (its in-edges are skipped).
+/// computes nothing in a tile (its in-edges are skipped) — and both of
+/// [`evaluate_tiling`]'s paths: the per-axis tables and the box walk.
 #[test]
 fn random_groups_reach_the_empty_paths() {
     for ndims in [2, 3] {
         let (mut owns_nothing, mut computes_nothing) = (0, 0);
+        let (mut per_axis, mut box_walk) = (0, 0);
         for seed in 0..64u64 {
             let g = random_group(ndims, seed);
-            let walk = reference::tile_walk(
-                &g.stages,
-                &g.edges,
+            let args = (
+                &g.stages[..],
+                &g.edges[..],
                 g.ref_stage,
-                &g.scales,
-                &g.live_out,
-                &g.tile_sizes,
+                &g.scales[..],
+                &g.live_out[..],
             );
+            let walk = reference::tile_walk(args.0, args.1, args.2, args.3, args.4, &g.tile_sizes);
             for (i, r) in walk.flatten().enumerate() {
                 owns_nothing += (g.live_out[i % g.stages.len()] && r.owned.is_empty()) as usize;
                 computes_nothing += r.compute.is_empty() as usize;
+            }
+            if factors_per_axis(args.0, args.1, args.2, args.3, args.4, &g.tile_sizes) {
+                per_axis += 1;
+            } else {
+                box_walk += 1;
             }
         }
         assert!(
@@ -270,6 +277,11 @@ fn random_groups_reach_the_empty_paths() {
             "{ndims}-D: no live-out owns an empty tile"
         );
         assert!(computes_nothing > 0, "{ndims}-D: no stage computes nothing");
+        assert!(per_axis > 0, "{ndims}-D: no group takes the per-axis path");
+        assert!(
+            box_walk > 0,
+            "{ndims}-D: no group falls back to the box walk"
+        );
     }
 }
 

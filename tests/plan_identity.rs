@@ -6,12 +6,14 @@
 //! that moves is a plan that moved.
 
 use gmg_server::loadgen::{default_mix, scenario_mix};
+use polymg_repro::compiler::grouping::{group_geometry, live_stages};
 use polymg_repro::compiler::{
     schedule, CompiledPipeline, GroupTiling, PipelineOptions, Scenario, Variant,
 };
 use polymg_repro::ir::ParamBindings;
 use polymg_repro::mg::config::{CycleType, MgConfig, SmoothSteps};
 use polymg_repro::mg::scenario::build_scenario_pipeline;
+use polymg_repro::poly::tiling::factors_per_axis;
 
 /// 64-bit FNV-1a.
 struct Fnv(u64);
@@ -89,12 +91,14 @@ impl Case {
         }
     }
 
-    fn digest(&self) -> u64 {
+    fn compile(&self) -> CompiledPipeline {
         let pipeline = build_scenario_pipeline(&self.cfg, self.scenario);
-        let plan =
-            polymg_repro::compiler::compile(&pipeline, &ParamBindings::new(), self.opts.clone())
-                .unwrap_or_else(|e| panic!("{}: compile failed: {e:?}", self.label));
-        digest(&plan)
+        polymg_repro::compiler::compile(&pipeline, &ParamBindings::new(), self.opts.clone())
+            .unwrap_or_else(|e| panic!("{}: compile failed: {e:?}", self.label))
+    }
+
+    fn digest(&self) -> u64 {
+        digest(&self.compile())
     }
 }
 
@@ -323,4 +327,54 @@ fn every_plan_matches_its_recorded_digest() {
         .map(|((l, d), (_, rd))| format!("{l}: {d:#018x}, recorded {rd:#018x}"))
         .collect();
     assert!(moved.is_empty(), "plans moved:\n{}", moved.join("\n"));
+}
+
+/// Overlapped groups of the odd-tiling plans (labels naming `tiles` or a
+/// `group_limit`) whose redundant-work test folds the tile walk: a straggler
+/// tile narrower than the coarsening step leaves a coarse live-out owning
+/// and computing nothing in a row of tiles where a fine stage of its group
+/// still computes, so the axes do not separate there.
+const ODD_TILING_FALLBACKS: usize = 14;
+
+/// The grouping heuristic's redundant-work test takes its per-axis path on
+/// every overlapped group these plans keep, except the recorded odd-tiling
+/// ones: a change that sends groups back to the tile-by-tile walk fails here
+/// rather than only slowing the compiler.
+#[test]
+fn every_overlapped_group_factors_per_axis() {
+    let (mut overlapped, mut fallbacks) = (0, 0);
+    for case in cases() {
+        let odd = case.label.contains("tiles") || case.label.contains("group_limit");
+        let plan = case.compile();
+        let consumers = plan.graph.consumers();
+        let live = live_stages(&plan.graph);
+        for g in &plan.groups {
+            let GroupTiling::Overlapped {
+                ref_stage_local,
+                tile_sizes,
+                scales,
+                ..
+            } = &g.tiling
+            else {
+                continue;
+            };
+            let (stages, edges, ..) = group_geometry(&plan.graph, &g.stages, &consumers, &live);
+            let args = (&stages[..], &edges[..], *ref_stage_local, &scales[..]);
+            overlapped += 1;
+            if factors_per_axis(args.0, args.1, args.2, args.3, &g.live_out, tile_sizes) {
+                continue;
+            }
+            assert!(
+                odd,
+                "{}: group {:?} falls back to the tile walk",
+                case.label, g.stages
+            );
+            fallbacks += 1;
+        }
+    }
+    assert!(overlapped > 100, "only {overlapped} overlapped groups");
+    assert_eq!(
+        fallbacks, ODD_TILING_FALLBACKS,
+        "odd-tiling groups that fold the tile walk"
+    );
 }
